@@ -11,11 +11,21 @@ operation:
 * ``ZZ``    -- arbitrary-precision integers (Python int)
 * ``QQ``    -- exact rationals (fractions.Fraction)
 * ``GF(p)`` -- the prime field, residues stored as ints in [0, p)
+
+Products (`list_mul`, and through it `list_pow`, `poly_mod_pow` and
+`poly_xgcd`) use Kronecker substitution over all three domains: both factors
+are packed into one big integer with w-bit slots, CPython multiplies the two
+integers once, and the slots are read back.  The slot width comes from the
+exact bound min(len a, len b) * max|a_i| * max|b_j| on every product
+coefficient, plus a sign bit, so the integer convolution is exact.  GF(p)
+reduces it modulo p, which is exact for any modulus p >= 2, prime or not,
+and for unreduced or negative residues; QQ clears denominators into it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class IntegerRing:
@@ -196,17 +206,63 @@ def mul_pointwise(dom, c, l: list) -> list:
     return drop_trailing_zeros([dom.mul(c, x) for x in l])
 
 
+def _kron_mul(a: list[int], b: list[int]) -> list[int]:
+    """Integer convolution of two nonempty lists, untrimmed, by Kronecker substitution.
+
+    Both lists are evaluated at X = 2**w by shifts, the two integers are
+    multiplied once, and the product's coefficients are read back as signed
+    w-bit digits.  Every coefficient satisfies
+    |c_k| <= min(len a, len b) * max|a_i| * max|b_j| < 2**(w-1), so the digits
+    do not overlap and the result is exact.
+    """
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    w = bound.bit_length() + 1
+    x = 0
+    for c in reversed(a):
+        x = (x << w) + c
+    if b is a:
+        z = x * x
+    else:
+        y = 0
+        for c in reversed(b):
+            y = (y << w) + c
+        z = x * y
+    mask = (1 << w) - 1
+    half = 1 << (w - 1)
+    out = []
+    for _ in range(len(a) + len(b) - 1):
+        d = z & mask
+        z >>= w
+        if d >= half:
+            d -= mask + 1
+            z += 1
+        out.append(d)
+    return out
+
+
 def list_mul(dom, a: list, b: list) -> list:
-    """Convolution product, canonicalized."""
+    """Convolution product, canonicalized, as one integer product (`_kron_mul`).
+
+    Over GF(p) the inputs are reduced first, which keeps the slots narrow, and
+    the integer convolution after.  Over QQ the denominators are cleared
+    first; every output entry is a Fraction.
+    """
     if not a or not b:
         return []
-    out = [dom.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = dom.add(out[i + j], dom.mul(ai, bj))
-    return drop_trailing_zeros(out)
+    if isinstance(dom, PrimeField):
+        p = dom.p
+        square = b is a
+        a = [c % p for c in a]
+        b = a if square else [c % p for c in b]
+        return drop_trailing_zeros([c % p for c in _kron_mul(a, b)])
+    if isinstance(dom, RationalField):
+        da = lcm(*(c.denominator for c in a))
+        db = lcm(*(c.denominator for c in b))
+        a = [c.numerator * (da // c.denominator) for c in a]
+        b = [c.numerator * (db // c.denominator) for c in b]
+        den = da * db
+        return drop_trailing_zeros([Fraction(c, den) for c in _kron_mul(a, b)])
+    return drop_trailing_zeros(_kron_mul(a, b))
 
 
 def list_pow(dom, a: list, e: int) -> list:

@@ -110,7 +110,10 @@ def verify_rabin(cert: RabinCertificate) -> Verdict:
     for (q, e), pratt in zip(cert.n_factors, cert.n_factor_pratt):
         if e < 1:
             return Verdict.reject(f"rabin/factorization/q={q}")
-        prod *= q**e
+        if abs(q) > 1 and e > n.bit_length():
+            prod = 0  # |q**e| > n, so the product cannot be n
+        else:
+            prod *= q**e
         ok = primality.certify_prime_for_verifier(q, pratt)
         if not ok:
             return ok.prefixed("rabin")

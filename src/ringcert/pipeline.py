@@ -148,7 +148,10 @@ def verify_bundle(bundle: CertificateBundle, threads: int = 1) -> Verdict:
         seen.add(entry.p)
         if entry.exponent < 1:
             return Verdict.reject(f"bundle/prime-factorization/exponent/p={entry.p}")
-        prod *= entry.p**entry.exponent
+        if abs(entry.p) > 1 and entry.exponent > bundle.n_value.bit_length():
+            prod = 0  # |p**exponent| > |n_value|, so the product cannot match
+        else:
+            prod *= entry.p**entry.exponent
     if prod != bundle.n_value:
         return Verdict.reject("bundle/prime-factorization")
     for entry in bundle.primes:

@@ -173,7 +173,10 @@ def verify_pratt(cert: PrattCertificate) -> Verdict:
     for q, e, _sub in cert.factors:
         if q < 2 or e < 1:
             return Verdict.reject(f"pratt/factorization/P={P}/q={q}")
-        prod *= q**e
+        if e > (P - 1).bit_length():
+            prod = 0  # q >= 2, so q**e > P - 1 and the product cannot match
+        else:
+            prod *= q**e
     if prod != P - 1:
         return Verdict.reject(f"pratt/factorization/P={P}")
     g = cert.witness

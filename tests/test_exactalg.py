@@ -97,6 +97,73 @@ class TestListArithmetic:
         )
 
 
+def schoolbook_mul(dom, a, b):
+    """The per-coefficient product loop that `list_mul` replaced; the reference."""
+    if not a or not b:
+        return []
+    out = [dom.zero] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] = dom.add(out[i + j], dom.mul(ai, bj))
+    return drop_trailing_zeros(out)
+
+
+class TestKroneckerProduct:
+    """`list_mul` against the schoolbook loop, value for value."""
+
+    @staticmethod
+    def cases(rng, lo, hi):
+        def draw(n):
+            return [rng.choice((0, rng.randint(lo, hi))) if rng.random() < 0.2
+                    else rng.randint(lo, hi) for _ in range(n)]
+
+        for n, m in ((0, 0), (0, 5), (5, 0), (1, 1), (300, 300), (300, 1), (2, 300)):
+            yield draw(n), draw(m)
+        for _ in range(60):
+            yield draw(rng.randrange(40)), draw(rng.randrange(40))
+        for _ in range(3):
+            yield draw(rng.randrange(301)), draw(rng.randrange(301))
+        yield [0] * 7, draw(9)                 # all zero
+        yield draw(6) + [0, 0], draw(4) + [0]  # trailing zeros
+        yield [hi] * 30, [lo] * 30             # every term at the slot bound
+
+    def check(self, dom, lo, hi, seed):
+        rng = random.Random(seed)
+        for a, b in self.cases(rng, lo, hi):
+            got = list_mul(dom, a, b)
+            assert got == schoolbook_mul(dom, a, b), (dom, a, b)
+            assert all(type(c) is int for c in got)
+            assert list_mul(dom, a, a) == schoolbook_mul(dom, a, a), (dom, a)
+
+    def test_integers(self):
+        self.check(ZZ, -(10**40), 10**40, 1)
+        self.check(ZZ, -1, 1, 2)
+
+    @pytest.mark.parametrize(
+        "p", [2, 3, 503, 2**61 - 1, 2**89 - 1, 15], ids=["2", "3", "503", "M61", "M89", "15"]
+    )
+    def test_residues(self, p):
+        self.check(GF(p), 0, p - 1, p)
+        # unreduced and negative residues give the same product as their reductions
+        self.check(GF(p), -3 * p, 3 * p, p + 1)
+
+    def test_rationals(self):
+        rng = random.Random(3)
+        for _ in range(100):
+            a, b = (
+                [rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-99, 99), rng.randint(1, 60))))
+                 for _ in range(rng.randrange(12))]
+                for _ in range(2)
+            )
+            got = list_mul(QQ, a, b)
+            assert got == schoolbook_mul(QQ, a, b)
+            assert all(type(c) is Fraction for c in got)
+        got = list_mul(QQ, [1, 2], [3])
+        assert got == [3, 6] and all(type(c) is Fraction for c in got)
+
+
 class TestDivmodXgcd:
     def test_divmod_examples(self):
         f3 = GF(3)

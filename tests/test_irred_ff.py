@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import time
 
 import pytest
 
@@ -87,6 +88,15 @@ class TestGenerateVerify:
         assert isinstance(cert, RabinCertificate)
         assert cert.t == 3 and cert.s == 1
         assert verify_rabin(cert).accepted
+
+    def test_huge_factor_exponent_rejected_quickly(self):
+        cert = generate_rabin([1, 0, 1], 3)
+        assert cert.n_factors == ((2, 1),)
+        bad = dataclasses.replace(cert, n_factors=((2, 10**12),))
+        start = time.perf_counter()
+        v = verify_rabin(bad)
+        assert time.perf_counter() - start < 1.0
+        assert v.reason == "rabin/factorization"
 
     def test_larger_base_p_certificate(self):
         # an irreducible octic over GF(2) picks t = p by the heuristic

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import pytest
 
@@ -102,6 +103,14 @@ class TestBundleRejection:
             dataclasses.replace(bundle_3_10, primes=(entry,) + bundle_3_10.primes[1:])
         )
         assert not v.accepted and v.reason == "bundle/prime-factorization"
+
+    def test_huge_exponent_rejected_quickly(self, bundle_3_10):
+        entry = dataclasses.replace(bundle_3_10.primes[0], exponent=10**12)
+        bad = dataclasses.replace(bundle_3_10, primes=(entry,) + bundle_3_10.primes[1:])
+        start = time.perf_counter()
+        v = verify_bundle(bad)
+        assert time.perf_counter() - start < 1.0
+        assert v.reason == "bundle/prime-factorization"
 
     def test_mutated_bezout(self, bundle_3_10):
         bad = dataclasses.replace(

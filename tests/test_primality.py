@@ -1,3 +1,5 @@
+import time
+
 from ringcert.primality import (
     PrattCertificate,
     factorize,
@@ -54,6 +56,14 @@ def test_pratt_rejects_bad_factorization():
     cert = PrattCertificate(17, 3, ((2, 3, None),))  # 2^3 != 16
     v = verify_pratt(cert)
     assert not v.accepted and "factorization" in v.reason
+
+
+def test_pratt_huge_exponent_rejected_quickly():
+    cert = PrattCertificate(17, 3, ((2, 10**12, None),))
+    start = time.perf_counter()
+    v = verify_pratt(cert)
+    assert time.perf_counter() - start < 1.0
+    assert v.reason == "pratt/factorization/P=17"
 
 
 def test_generate_matches_sieve_exhaustively():
