@@ -20,6 +20,8 @@ exact bound min(len a, len b) * max|a_i| * max|b_j| on every product
 coefficient, plus a sign bit, so the integer convolution is exact.  GF(p)
 reduces it modulo p, which is exact for any modulus p >= 2, prime or not,
 and for unreduced or negative residues; QQ clears denominators into it.
+Packing and reading back split long lists in halves, so they cost
+O(m*w*log m) bit operations for m slots of w bits, not O(m*m*w).
 """
 
 from __future__ import annotations
@@ -206,37 +208,63 @@ def mul_pointwise(dom, c, l: list) -> list:
     return drop_trailing_zeros([dom.mul(c, x) for x in l])
 
 
-def _kron_mul(a: list[int], b: list[int]) -> list[int]:
-    """Integer convolution of two nonempty lists, untrimmed, by Kronecker substitution.
+_KRON_LEAF = 32  # slots packed or read back by one shift loop
 
-    Both lists are evaluated at X = 2**w by shifts, the two integers are
-    multiplied once, and the product's coefficients are read back as signed
-    w-bit digits.  Every coefficient satisfies
-    |c_k| <= min(len a, len b) * max|a_i| * max|b_j| < 2**(w-1), so the digits
-    do not overlap and the result is exact.
+
+def _kron_pack(l: list[int], w: int) -> int:
+    """sum_i l[i] * 2**(w*i).
+
+    Short lists go by Horner shifts; longer ones are split in halves, so a
+    list of m slots costs O(m*w*log m) bit operations instead of O(m*m*w).
     """
-    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
-    w = bound.bit_length() + 1
+    if len(l) > _KRON_LEAF:
+        h = len(l) // 2
+        return _kron_pack(l[:h], w) + (_kron_pack(l[h:], w) << (h * w))
     x = 0
-    for c in reversed(a):
+    for c in reversed(l):
         x = (x << w) + c
-    if b is a:
-        z = x * x
-    else:
-        y = 0
-        for c in reversed(b):
-            y = (y << w) + c
-        z = x * y
+    return x
+
+
+def _kron_unpack(z: int, m: int, w: int, out: list[int]) -> None:
+    """Append to out the m signed w-bit digits of z, lowest first.
+
+    Every digit d must satisfy |d| < 2**(w-1).  Longer digit strings are split
+    in halves like `_kron_pack`: the low half, read as a signed h*w-bit
+    number, is exactly the sum of its digits.
+    """
+    if m > _KRON_LEAF:
+        h = m // 2
+        lo = z & ((1 << (h * w)) - 1)
+        if lo >> (h * w - 1):  # negative low half: it borrowed from the high half
+            lo -= 1 << (h * w)
+        _kron_unpack(lo, h, w, out)
+        _kron_unpack((z - lo) >> (h * w), m - h, w, out)
+        return
     mask = (1 << w) - 1
     half = 1 << (w - 1)
-    out = []
-    for _ in range(len(a) + len(b) - 1):
+    for _ in range(m):
         d = z & mask
         z >>= w
         if d >= half:
             d -= mask + 1
             z += 1
         out.append(d)
+
+
+def _kron_mul(a: list[int], b: list[int]) -> list[int]:
+    """Integer convolution of two nonempty lists, untrimmed, by Kronecker substitution.
+
+    Both lists are evaluated at X = 2**w, the two integers are multiplied
+    once, and the product's coefficients are read back as signed w-bit
+    digits.  Every coefficient satisfies
+    |c_k| <= min(len a, len b) * max|a_i| * max|b_j| < 2**(w-1), so the digits
+    do not overlap and the result is exact.
+    """
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    w = bound.bit_length() + 1
+    out: list[int] = []
+    _kron_unpack(_kron_pack(a, w) * _kron_pack(b, w), len(a) + len(b) - 1, w, out)
     return out
 
 
@@ -251,9 +279,8 @@ def list_mul(dom, a: list, b: list) -> list:
         return []
     if isinstance(dom, PrimeField):
         p = dom.p
-        square = b is a
         a = [c % p for c in a]
-        b = a if square else [c % p for c in b]
+        b = [c % p for c in b]
         return drop_trailing_zeros([c % p for c in _kron_mul(a, b)])
     if isinstance(dom, RationalField):
         da = lcm(*(c.denominator for c in a))

@@ -88,27 +88,32 @@ def verify_order_builder(desc: OrderDescription) -> Verdict:
         if any(len(v) != n for v in desc.mul_coords[i]):
             return Verdict.reject(f"order/products-shape/i={i}")
 
+    # A witness of degree >= n - 1 makes T * witness of degree >= 2n - 1, above
+    # every other term of its identity, so the identity fails; such witnesses
+    # are rejected before they are multiplied.
     b = [_column_poly(desc, j) for j in range(n)]
     for i in range(n):
         for j in range(i, n):
+            witness = drop_trailing_zeros(list(desc.mul_witness[i][j - i]))
+            if len(witness) >= n:
+                return Verdict.reject(f"order/identity/i={i}/j={j}")
             coords = desc.mul_coords[i][j - i]
             combo: list[int] = []
             for k in range(n):
                 combo = list_add(ZZ, combo, mul_pointwise(ZZ, coords[k], b[k]))
-            rhs = list_sub(
-                ZZ,
-                mul_pointwise(ZZ, desc.d, combo),
-                list_mul(ZZ, T, list(desc.mul_witness[i][j - i])),
-            )
+            rhs = list_sub(ZZ, mul_pointwise(ZZ, desc.d, combo), list_mul(ZZ, T, witness))
             if list_mul(ZZ, b[i], b[j]) != rhs:
                 return Verdict.reject(f"order/identity/i={i}/j={j}")
 
     if len(desc.one_coords) != n:
         return Verdict.reject("order/one-shape")
+    witness = drop_trailing_zeros(list(desc.one_witness))
+    if len(witness) >= n:
+        return Verdict.reject("order/one")
     combo = []
     for k in range(n):
         combo = list_add(ZZ, combo, mul_pointwise(ZZ, desc.one_coords[k], b[k]))
-    lhs = list_sub(ZZ, combo, list_mul(ZZ, T, list(desc.one_witness)))
+    lhs = list_sub(ZZ, combo, list_mul(ZZ, T, witness))
     if lhs != drop_trailing_zeros([desc.d]):
         return Verdict.reject("order/one")
     return Verdict.accept()

@@ -131,7 +131,11 @@ def verify_bundle(bundle: CertificateBundle, threads: int = 1) -> Verdict:
                 ZZ, bundle.theta_coords[k], drop_trailing_zeros(list(desc.basis_columns[k]))
             ),
         )
-    combo = list_sub(ZZ, combo, list_mul(ZZ, T, list(bundle.theta_witness)))
+    # a witness of degree >= n puts a term of degree >= 2n into the identity
+    witness = drop_trailing_zeros(list(bundle.theta_witness))
+    if len(witness) > n:
+        return Verdict.reject("bundle/theta")
+    combo = list_sub(ZZ, combo, list_mul(ZZ, T, witness))
     if combo != [0, desc.d]:
         return Verdict.reject("bundle/theta")
 
@@ -186,13 +190,15 @@ def verify_bundle(bundle: CertificateBundle, threads: int = 1) -> Verdict:
         if not v:
             return v
 
-    # the separability identity itself
+    # the separability identity itself; a and b must have the degrees of the
+    # extended-gcd cofactors, deg a < n - 1 and deg b < n, which bounds the
+    # products below by the size of T
+    bez_a = drop_trailing_zeros(list(bundle.bezout_a))
+    bez_b = drop_trailing_zeros(list(bundle.bezout_b))
+    if len(bez_a) >= n or len(bez_b) > n:
+        return Verdict.reject("bundle/separability")
     tprime = formal_derivative(ZZ, T)
-    lhs = list_add(
-        ZZ,
-        list_mul(ZZ, list(bundle.bezout_a), T),
-        list_mul(ZZ, list(bundle.bezout_b), tprime),
-    )
+    lhs = list_add(ZZ, list_mul(ZZ, bez_a, T), list_mul(ZZ, bez_b, tprime))
     if lhs != drop_trailing_zeros([bundle.n_value]):
         return Verdict.reject("bundle/separability")
 

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,17 @@ class TestKroneckerProduct:
         self.check(GF(p), 0, p - 1, p)
         # unreduced and negative residues give the same product as their reductions
         self.check(GF(p), -3 * p, 3 * p, p + 1)
+
+    def test_one_wide_coefficient_in_a_long_list(self):
+        # every slot takes the width of the widest coefficient; packing and
+        # reading back must stay near linear in the packed size
+        rng = random.Random(4)
+        a = [rng.randint(-9, 9) for _ in range(10**4)] + [-(10**4299)]
+        b = [3, -1]
+        start = time.perf_counter()
+        got = list_mul(ZZ, a, b)
+        assert time.perf_counter() - start < 5.0
+        assert got == schoolbook_mul(ZZ, a, b)
 
     def test_rationals(self):
         rng = random.Random(3)

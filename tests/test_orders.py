@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,18 @@ class TestBuilder:
         )
         v = verify_order_builder(bad)
         assert not v.accepted and v.reason == "order/identity/i=2/j=2"
+
+    def test_long_witness_rejected_quickly(self, cubic):
+        witness = tuple(range(-5000, 5000)) + (10**4299,)
+        rows = [list(row) for row in cubic.mul_witness]
+        rows[0][1] = witness
+        bad = dataclasses.replace(cubic, mul_witness=tuple(tuple(row) for row in rows))
+        start = time.perf_counter()
+        v = verify_order_builder(bad)
+        assert time.perf_counter() - start < 1.0
+        assert v.reason == "order/identity/i=0/j=1"
+        bad = dataclasses.replace(cubic, one_witness=witness)
+        assert verify_order_builder(bad).reason == "order/one"
 
     def test_non_ring_basis_raises(self):
         # {1, a, a^2/2} is not closed under multiplication

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from ringcert.exactalg import ZZ, formal_derivative, list_add, list_mul, list_sub
 from ringcert.maximality import DedekindCertificate
 from ringcert.pipeline import (
     BundleError,
@@ -118,6 +119,30 @@ class TestBundleRejection:
         )
         v = verify_bundle(bad)
         assert not v.accepted and v.reason == "bundle/separability"
+
+    def test_long_bezout_pair_rejected(self, bundle_3_10):
+        # (a + c*X^m*T', b - c*X^m*T) is another valid pair; past the
+        # extended-gcd degrees it is refused before any product is formed
+        T = CUBIC_3_10[0]
+        tprime = formal_derivative(ZZ, T)
+        for c in (7, 10**4000):
+            a = list_add(ZZ, list(bundle_3_10.bezout_a), [0] * 10**4 + [c * t for t in tprime])
+            b = list_sub(ZZ, list(bundle_3_10.bezout_b), [0] * 10**4 + [c * t for t in T])
+            if c == 7:
+                lhs = list_add(ZZ, list_mul(ZZ, a, T), list_mul(ZZ, b, tprime))
+                assert lhs == [bundle_3_10.n_value]
+            start = time.perf_counter()
+            v = verify_bundle(dataclasses.replace(bundle_3_10, bezout_a=a, bezout_b=b))
+            assert time.perf_counter() - start < 1.0
+            assert v.reason == "bundle/separability"
+
+    def test_long_theta_witness_rejected_quickly(self, bundle_3_10):
+        witness = tuple(range(-5000, 5000)) + (-(10**4299),)
+        bad = dataclasses.replace(bundle_3_10, theta_witness=witness)
+        start = time.perf_counter()
+        v = verify_bundle(bad)
+        assert time.perf_counter() - start < 1.0
+        assert v.reason == "bundle/theta"
 
     def test_swapped_maximality_prime(self, bundle_3_10):
         # rebind the p=3 certificate under the p=2 entry
