@@ -1,0 +1,61 @@
+"""Write the golden certificate files, one per registered kind.
+
+The files pin the wire format: `tests/test_golden.py` parses each one and
+requires `serialize` to give back the same bytes.  Regenerate them only
+when the format changes on purpose:
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+"""
+
+import random
+from pathlib import Path
+
+from ringcert import certio
+from ringcert.irred_ff import generate_rabin
+from ringcert.irred_int import generate_int_irred
+from ringcert.maximality import generate_dedekind, generate_pmax
+from ringcert.orders import build_order_description, times_table_of
+from ringcert.pipeline import generate_bundle
+from ringcert.primality import generate_pratt
+from ringcert.resultants import disc_order
+
+HERE = Path(__file__).parent
+
+# X^3 - 211X - 122 with basis {1, a, (a - a^2)/2}: a pmax-short entry at 2,
+# Dedekind entries elsewhere, one prime above 10^6 (so a Pratt chain) and a
+# discriminant claim, which together reach every optional bundle field.
+_CUBIC = ([-122, -211, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]])
+
+
+def golden_objects() -> dict:
+    rng = random.Random
+    order = build_order_description(*_CUBIC)
+    return {
+        "rabin-ff": generate_rabin([2, 1, 0, 0, 0, 0, 1], 3, rng=rng(1)),
+        "reducible-ff": generate_rabin([3, 1, 0, 0, 0, 0, 1], 3, rng=rng(1)),
+        "degree-analysis": generate_int_irred([1, 0, 1], rng=rng(1)),
+        "lpfw": generate_int_irred([1, 0, 0, 0, 1], rng=rng(1)),
+        "reducible-int": generate_int_irred([-1, 0, 1], rng=rng(1)),
+        "pratt": generate_pratt(1000003),
+        "dedekind": generate_dedekind([-2, 0, 0, 1], 3, rng=rng(1)),
+        "pmax-short": generate_pmax(times_table_of(order), 2, rng=rng(1)),
+        "pmax-long": generate_pmax(times_table_of(order), 2, prefer_long=True, rng=rng(1)),
+        "order": order,
+        "bundle": generate_bundle(*_CUBIC, claimed_disc=disc_order(order).value),
+        "input/polynomial": certio.InputPolynomial((3, 14, 15, 92, 65)),
+        "input/order-basis": certio.InputOrderBasis(2, ((2, 0, 0), (0, 2, 0), (0, 1, -1))),
+    }
+
+
+def golden_path(kind: str) -> Path:
+    return HERE / (kind.replace("/", "-") + ".json")
+
+
+def main() -> None:
+    for kind, obj in golden_objects().items():
+        assert certio.kind_of(obj) == kind, kind
+        golden_path(kind).write_bytes(certio.serialize(obj))
+
+
+if __name__ == "__main__":
+    main()
