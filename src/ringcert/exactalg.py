@@ -179,11 +179,6 @@ def lc(l: list):
     return l[-1]
 
 
-def constant(dom, c) -> list:
-    c = dom.from_int(c) if isinstance(c, int) else c
-    return [] if c == 0 else [c]
-
-
 def list_add(dom, a: list, b: list) -> list:
     if len(a) < len(b):
         a, b = b, a
@@ -406,31 +401,3 @@ def content(f: list[int]) -> int:
     for c in f:
         g = gcd(g, c)
     return g
-
-
-def primitive_part(f: list[int]) -> list[int]:
-    c = content(f)
-    if c in (0, 1):
-        return list(f)
-    return [x // c for x in f]
-
-
-def poly_to_str(f: list, var: str = "X") -> str:
-    """Human-readable rendering, for messages and CLI output only."""
-    if not f:
-        return "0"
-    parts = []
-    for i, c in enumerate(f):
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        else:
-            xp = var if i == 1 else f"{var}^{i}"
-            if c == 1:
-                parts.append(xp)
-            elif c == -1:
-                parts.append(f"-{xp}")
-            else:
-                parts.append(f"{c}*{xp}")
-    return " + ".join(parts).replace("+ -", "- ")

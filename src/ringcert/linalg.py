@@ -9,16 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def transpose(m: list[list]) -> list[list]:
     return [list(col) for col in zip(*m)] if m else []
-
-
-def mat_vec(m: list[list], v: list) -> list:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in m]
 
 
 def mat_mul(a: list[list], b: list[list]) -> list[list]:

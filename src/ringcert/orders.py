@@ -175,72 +175,6 @@ def reduce_table_mod_p(tt: TimesTable, p: int) -> TimesTable:
     )
 
 
-def hnf(m: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Column-style Hermite normal form: returns (H, U) with M*U = H.
-
-    H is upper triangular with positive diagonal and entries reduced modulo
-    the diagonal to the right of it; U is unimodular.  Raises ValueError on
-    rank deficiency.
-    """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("need a square matrix")
-    h = [list(row) for row in m]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def colop(j, k, a, bb, c, dd):
-        # (col_j, col_k) <- (a*col_j + b*col_k, c*col_j + d*col_k)
-        for mat in (h, u):
-            for r in range(n):
-                vj, vk = mat[r][j], mat[r][k]
-                mat[r][j] = a * vj + bb * vk
-                mat[r][k] = c * vj + dd * vk
-
-    from math import gcd
-
-    for r in range(n - 1, -1, -1):
-        # clear row r left of the pivot column r
-        for j in range(r):
-            if h[r][j] == 0:
-                continue
-            vj, vk = h[r][j], h[r][r]
-            if vk == 0:
-                colop(j, r, 0, 1, 1, 0)  # swap columns j and r
-                continue
-            g = gcd(vj, vk)
-            x, y = _bezout(vj, vk)
-            # column r receives the gcd, column j a zero at row r
-            colop(j, r, -(vk // g), vj // g, x, y)
-        if h[r][r] == 0:
-            raise ValueError("rank deficiency")
-        if h[r][r] < 0:
-            for mat in (h, u):
-                for row in mat:
-                    row[r] = -row[r]
-        for c in range(r + 1, n):
-            q = h[r][c] // h[r][r]
-            if q:
-                for mat in (h, u):
-                    for row in mat:
-                        row[c] -= q * row[r]
-    return h, u
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    """x, y with x*a + y*b = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
-
-
 def index_z(m_basis: list[list[int]], n_basis: list[list[int]]) -> int:
     """|det C| for the coordinate matrix C with M*C = N (columns are basis
     vectors).  1 means the two lattices are equal.  Raises ValueError when N

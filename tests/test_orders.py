@@ -11,7 +11,6 @@ from ringcert.orders import (
     NotAnOrder,
     build_order_description,
     element_coordinates,
-    hnf,
     index_z,
     reduce_table_mod_p,
     theta_coordinates,
@@ -149,50 +148,6 @@ class TestTimesTableArithmetic:
         tt = reduce_table_mod_p(times_table_of(cubic), 3)
         f3 = GF(3)
         assert tt_mul(f3, tt, [0, 0, 1], [0, 0, 1]) == [1, 2, 1]
-
-
-class TestHNF:
-    def test_example(self):
-        h, u = hnf([[0, 1], [2, 0]])
-        assert h == [[1, 0], [0, 2]]
-        assert mat_mul([[0, 1], [2, 0]], u) == h
-        assert abs(det_bareiss(u)) == 1
-
-    def test_identity(self):
-        h, u = hnf([[1, 0], [0, 1]])
-        assert h == [[1, 0], [0, 1]]
-
-    def test_already_hnf(self):
-        m = [[2, 0], [0, 3]]
-        h, _ = hnf(m)
-        assert h == m
-
-    def test_rank_deficiency(self):
-        with pytest.raises(ValueError):
-            hnf([[1, 1], [1, 1]])
-
-    def test_random_properties(self):
-        rng = random.Random(12)
-        for _ in range(50):
-            n = rng.randrange(1, 5)
-            m = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
-            if det_bareiss(m) == 0:
-                continue
-            h, u = hnf(m)
-            assert mat_mul(m, u) == h
-            assert abs(det_bareiss(u)) == 1
-            for i in range(n):
-                assert h[i][i] > 0
-                for j in range(i):
-                    assert h[i][j] == 0
-                for j in range(i + 1, n):
-                    assert 0 <= h[i][j] < h[i][i]
-            # invariance under column permutations
-            perm = list(range(n))
-            rng.shuffle(perm)
-            mp = [[m[i][perm[j]] for j in range(n)] for i in range(n)]
-            hp, _ = hnf(mp)
-            assert hp == h
 
 
 class TestIndex:
