@@ -5,18 +5,32 @@ Every file is an envelope
     {"schema_version": "1", "kind": "...", "payload": {...}, "integrity": "sha256:..."}
 
 serialized with sorted keys and no whitespace, one trailing newline.
-Integers are decimal strings (no precision loss, no floats anywhere),
-rationals are "num/den" in lowest terms with positive denominator,
-polynomials are ascending coefficient arrays, matrices row-major.
-Parsing validates formats and shapes before any verification runs and
-round-trips byte-exactly on canonical files.
+Integers are decimal strings of at most 4300 digits (no precision loss, no
+floats anywhere), rationals are "num/den" in lowest terms with positive
+denominator, polynomials are ascending coefficient arrays, matrices
+row-major.
+
+The payload layout comes from the certificate dataclasses themselves: one
+codec reads each type's fields and type hints once, at import, and builds
+an (encode, decode) pair per type.  A dataclass is an object with one key
+per field, ``tuple[X, ...]`` an array, ``tuple[A, B]`` an array of exactly
+that length, ``Literal[...]`` one of its strings, ``X | None`` null or X,
+and a union of registered dataclasses ``{"kind": ..., "payload": ...}``.
+``_RENAMED`` and ``_CUSTOM`` hold the exceptions.  Parsing validates
+formats and shapes before any verification runs, turns every malformed
+input into `CertFormatError`, and round-trips byte-exactly on canonical
+files.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import re
+import types
+import typing
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -25,7 +39,10 @@ from .orders import OrderDescription
 
 SCHEMA_VERSION = "1"
 
-_INT_RE = re.compile(r"^(0|-?[1-9][0-9]*)$")
+MAX_DIGITS = 4300  # CPython's default int/str conversion limit
+
+_INT_RE = re.compile(rf"^(0|-?[1-9][0-9]{{0,{MAX_DIGITS - 1}}})$")
+_LONG_INT_RE = re.compile(r"^-?[1-9][0-9]*$")
 
 
 class CertFormatError(Exception):
@@ -36,565 +53,43 @@ class CertFormatError(Exception):
         self.offset = offset
 
 
-def _e_int(x: int) -> str:
-    return str(int(x))
-
-
-def _d_int(s) -> int:
-    if not isinstance(s, str) or not _INT_RE.match(s):
-        raise CertFormatError(f"not a canonical decimal integer: {s!r}")
-    return int(s)
-
-
-def _e_frac(x: Fraction) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _d_frac(s) -> Fraction:
-    if not isinstance(s, str) or s.count("/") != 1:
-        raise CertFormatError(f"not a rational: {s!r}")
-    num_s, den_s = s.split("/")
-    num, den = _d_int(num_s), _d_int(den_s)
-    if den < 1 or gcd(abs(num), den) != 1:
-        raise CertFormatError(f"rational not in lowest terms: {s!r}")
-    return Fraction(num, den)
-
-
-def _e_poly(t) -> list[str]:
-    return [_e_int(c) for c in t]
-
-
-def _d_poly(v) -> tuple[int, ...]:
-    if not isinstance(v, list):
-        raise CertFormatError("polynomial must be an array")
-    return tuple(_d_int(c) for c in v)
-
-
-def _e_mat(rows) -> list[list[str]]:
-    return [[_e_int(c) for c in row] for row in rows]
-
-
-def _d_mat(v, width: int | None = None) -> tuple[tuple[int, ...], ...]:
-    if not isinstance(v, list) or any(not isinstance(r, list) for r in v):
-        raise CertFormatError("matrix must be an array of arrays")
-    rows = tuple(tuple(_d_int(c) for c in row) for row in v)
-    if width is not None and any(len(r) != width for r in rows):
-        raise CertFormatError("matrix row width mismatch")
-    return rows
-
-
-def _d_list(v, decode):
-    if not isinstance(v, list):
-        raise CertFormatError("expected an array")
-    return tuple(decode(x) for x in v)
-
-
-def _field(payload: dict, name: str):
-    if not isinstance(payload, dict) or name not in payload:
-        raise CertFormatError(f"missing field {name!r}")
-    return payload[name]
-
-
-# ---------------------------------------------------------------------------
-# per-kind encoders
-# ---------------------------------------------------------------------------
-
-
-def _enc_pratt(c: primality.PrattCertificate) -> dict:
-    return {
-        "P": _e_int(c.P),
-        "witness": _e_int(c.witness),
-        "factors": [
-            [_e_int(q), _e_int(e), None if sub is None else _enc_pratt(sub)]
-            for q, e, sub in c.factors
-        ],
-    }
-
-
-def _dec_pratt(payload) -> primality.PrattCertificate:
-    factors = []
-    for item in _field(payload, "factors"):
-        if not isinstance(item, list) or len(item) != 3:
-            raise CertFormatError("pratt factor entries are [q, e, sub]")
-        q, e, sub = item
-        factors.append(
-            (_d_int(q), _d_int(e), None if sub is None else _dec_pratt(sub))
-        )
-    return primality.PrattCertificate(
-        P=_d_int(_field(payload, "P")),
-        witness=_d_int(_field(payload, "witness")),
-        factors=tuple(factors),
-    )
-
-
-def _enc_rabin(c: irred_ff.RabinCertificate) -> dict:
-    return {
-        "p": _e_int(c.p),
-        "n": _e_int(c.n),
-        "t": _e_int(c.t),
-        "s": _e_int(c.s),
-        "L": _e_poly(c.L),
-        "h": [_e_poly(x) for x in c.h],
-        "g": [[_e_poly(x) for x in row] for row in c.g],
-        "hprime": [[_e_poly(x) for x in row] for row in c.hprime],
-        "a": [_e_poly(x) for x in c.a],
-        "b": [_e_poly(x) for x in c.b],
-        "n_factors": [[_e_int(q), _e_int(e)] for q, e in c.n_factors],
-        "n_factor_pratt": [
-            None if pc is None else _enc_pratt(pc) for pc in c.n_factor_pratt
-        ],
-    }
-
-
-def _dec_rabin(payload) -> irred_ff.RabinCertificate:
-    n_factors = []
-    for item in _field(payload, "n_factors"):
-        if not isinstance(item, list) or len(item) != 2:
-            raise CertFormatError("n_factors entries are [prime, exponent]")
-        n_factors.append((_d_int(item[0]), _d_int(item[1])))
-    return irred_ff.RabinCertificate(
-        p=_d_int(_field(payload, "p")),
-        n=_d_int(_field(payload, "n")),
-        t=_d_int(_field(payload, "t")),
-        s=_d_int(_field(payload, "s")),
-        L=_d_poly(_field(payload, "L")),
-        h=_d_list(_field(payload, "h"), _d_poly),
-        g=_d_list(_field(payload, "g"), lambda row: _d_list(row, _d_poly)),
-        hprime=_d_list(_field(payload, "hprime"), lambda row: _d_list(row, _d_poly)),
-        a=_d_list(_field(payload, "a"), _d_poly),
-        b=_d_list(_field(payload, "b"), _d_poly),
-        n_factors=tuple(n_factors),
-        n_factor_pratt=tuple(
-            None if x is None else _dec_pratt(x)
-            for x in _field(payload, "n_factor_pratt")
-        ),
-    )
-
-
-def _enc_reducible_ff(c: irred_ff.ReducibleWitness) -> dict:
-    return {
-        "p": _e_int(c.p),
-        "L": _e_poly(c.L),
-        "factor": _e_poly(c.factor),
-        "cofactor": _e_poly(c.cofactor),
-    }
-
-
-def _dec_reducible_ff(payload) -> irred_ff.ReducibleWitness:
-    return irred_ff.ReducibleWitness(
-        p=_d_int(_field(payload, "p")),
-        L=_d_poly(_field(payload, "L")),
-        factor=_d_poly(_field(payload, "factor")),
-        cofactor=_d_poly(_field(payload, "cofactor")),
-    )
-
-
-def _enc_analysis(c: irred_int.DegreeAnalysisCertificate) -> dict:
-    return {
-        "f": _e_poly(c.f),
-        "per_prime": [
-            {
-                "p": _e_int(fmp.p),
-                "unit": _e_int(fmp.unit),
-                "factors": [[_e_poly(poly), _e_int(mult)] for poly, mult in fmp.factors],
-                "certs": [_enc_rabin(rc) for rc in fmp.factor_certs],
-            }
-            for fmp in c.per_prime
-        ],
-    }
-
-
-def _dec_analysis(payload) -> irred_int.DegreeAnalysisCertificate:
-    per_prime = []
-    for item in _field(payload, "per_prime"):
-        factors = []
-        for pair in _field(item, "factors"):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise CertFormatError("factor entries are [coeffs, multiplicity]")
-            factors.append((_d_poly(pair[0]), _d_int(pair[1])))
-        per_prime.append(
-            irred_int.FactorizationModP(
-                p=_d_int(_field(item, "p")),
-                unit=_d_int(_field(item, "unit")),
-                factors=tuple(factors),
-                factor_certs=_d_list(_field(item, "certs"), _dec_rabin),
-            )
-        )
-    return irred_int.DegreeAnalysisCertificate(
-        f=_d_poly(_field(payload, "f")), per_prime=tuple(per_prime)
-    )
-
-
-def _enc_lpfw(c: irred_int.LPFWCertificate) -> dict:
-    return {
-        "f": _e_poly(c.f),
-        "analysis": None if c.analysis is None else _enc_analysis(c.analysis),
-        "r": _e_frac(c.r),
-        "rho": _e_frac(c.rho),
-        "m": _e_int(c.m),
-        "s": _e_int(c.s),
-        "P": _e_int(c.P),
-        "pratt": _enc_pratt(c.pratt),
-    }
-
-
-def _dec_lpfw(payload) -> irred_int.LPFWCertificate:
-    analysis = _field(payload, "analysis")
-    return irred_int.LPFWCertificate(
-        f=_d_poly(_field(payload, "f")),
-        analysis=None if analysis is None else _dec_analysis(analysis),
-        r=_d_frac(_field(payload, "r")),
-        rho=_d_frac(_field(payload, "rho")),
-        m=_d_int(_field(payload, "m")),
-        s=_d_int(_field(payload, "s")),
-        P=_d_int(_field(payload, "P")),
-        pratt=_dec_pratt(_field(payload, "pratt")),
-    )
-
-
-def _enc_reducible_int(c: irred_int.ReducibleWitnessInt) -> dict:
-    return {
-        "f": _e_poly(c.f),
-        "factor": _e_poly(c.factor),
-        "cofactor": _e_poly(c.cofactor),
-    }
-
-
-def _dec_reducible_int(payload) -> irred_int.ReducibleWitnessInt:
-    return irred_int.ReducibleWitnessInt(
-        f=_d_poly(_field(payload, "f")),
-        factor=_d_poly(_field(payload, "factor")),
-        cofactor=_d_poly(_field(payload, "cofactor")),
-    )
-
-
-def _enc_dedekind(c: maximality.DedekindCertificate) -> dict:
-    return {
-        "T": _e_poly(c.T),
-        "p": _e_int(c.p),
-        "g": _e_poly(c.g),
-        "h": _e_poly(c.h),
-        "f": _e_poly(c.f),
-        "a": _e_poly(c.a),
-        "b": _e_poly(c.b),
-        "c": _e_poly(c.c),
-        "rad_quotient": _e_poly(c.rad_quotient),
-        "rad_power_exp": _e_int(c.rad_power_exp),
-        "rad_power_witness": _e_poly(c.rad_power_witness),
-        "sqfree_u": _e_poly(c.sqfree_u),
-        "sqfree_v": _e_poly(c.sqfree_v),
-    }
-
-
-def _dec_dedekind(payload) -> maximality.DedekindCertificate:
-    return maximality.DedekindCertificate(
-        T=_d_poly(_field(payload, "T")),
-        p=_d_int(_field(payload, "p")),
-        g=_d_poly(_field(payload, "g")),
-        h=_d_poly(_field(payload, "h")),
-        f=_d_poly(_field(payload, "f")),
-        a=_d_poly(_field(payload, "a")),
-        b=_d_poly(_field(payload, "b")),
-        c=_d_poly(_field(payload, "c")),
-        rad_quotient=_d_poly(_field(payload, "rad_quotient")),
-        rad_power_exp=_d_int(_field(payload, "rad_power_exp")),
-        rad_power_witness=_d_poly(_field(payload, "rad_power_witness")),
-        sqfree_u=_d_poly(_field(payload, "sqfree_u")),
-        sqfree_v=_d_poly(_field(payload, "sqfree_v")),
-    )
-
-
-def _e_pivot(pv) -> list:
-    tag, k = pv
-    return [tag, _e_int(k)]
-
-
-def _d_pivot(v) -> tuple[str, int]:
-    if not isinstance(v, list) or len(v) != 2 or v[0] not in ("A", "B"):
-        raise CertFormatError("pivot entries are ['A'|'B', index]")
-    return (v[0], _d_int(v[1]))
-
-
-def _enc_pmax_short(c: maximality.PMaxShortCertificate) -> dict:
-    return {
-        "p": _e_int(c.p),
-        "t": _e_int(c.t),
-        "m": _e_int(c.m),
-        "n": _e_int(c.n),
-        "V": _e_mat(c.V),
-        "W": _e_mat(c.W),
-        "U": _e_mat(c.U),
-        "nu": _e_poly(c.nu),
-        "omega": _e_poly(c.omega),
-        "X": _e_mat(c.X),
-        "beta": _e_poly(c.beta),
-        "gamma": _e_poly(c.gamma),
-        "a": _e_mat(c.a),
-        "c": _e_mat(c.c),
-        "eta": [_e_pivot(pv) for pv in c.eta],
-    }
-
-
-def _dec_pmax_short(payload) -> maximality.PMaxShortCertificate:
-    return maximality.PMaxShortCertificate(
-        p=_d_int(_field(payload, "p")),
-        t=_d_int(_field(payload, "t")),
-        m=_d_int(_field(payload, "m")),
-        n=_d_int(_field(payload, "n")),
-        V=_d_mat(_field(payload, "V")),
-        W=_d_mat(_field(payload, "W")),
-        U=_d_mat(_field(payload, "U")),
-        nu=_d_poly(_field(payload, "nu")),
-        omega=_d_poly(_field(payload, "omega")),
-        X=_d_mat(_field(payload, "X")),
-        beta=_d_poly(_field(payload, "beta")),
-        gamma=_d_poly(_field(payload, "gamma")),
-        a=_d_mat(_field(payload, "a")),
-        c=_d_mat(_field(payload, "c")),
-        eta=_d_list(_field(payload, "eta"), _d_pivot),
-    )
-
-
-def _enc_pmax_long(c: maximality.PMaxLongCertificate) -> dict:
-    return {
-        "p": _e_int(c.p),
-        "t": _e_int(c.t),
-        "m": _e_int(c.m),
-        "n": _e_int(c.n),
-        "V": _e_mat(c.V),
-        "W": _e_mat(c.W),
-        "U": _e_mat(c.U),
-        "nu": _e_poly(c.nu),
-        "omega": _e_poly(c.omega),
-        "X": _e_mat(c.X),
-        "a": [_e_mat(block) for block in c.a],
-        "c": [_e_mat(block) for block in c.c],
-        "d": [_e_mat(block) for block in c.d],
-        "e": [_e_mat(block) for block in c.e],
-        "eta": [[_e_pivot(pin), _e_pivot(pout)] for pin, pout in c.eta],
-    }
-
-
-def _dec_pmax_long(payload) -> maximality.PMaxLongCertificate:
-    eta = []
-    for item in _field(payload, "eta"):
-        if not isinstance(item, list) or len(item) != 2:
-            raise CertFormatError("eta entries are [input pivot, output pivot]")
-        eta.append((_d_pivot(item[0]), _d_pivot(item[1])))
-    return maximality.PMaxLongCertificate(
-        p=_d_int(_field(payload, "p")),
-        t=_d_int(_field(payload, "t")),
-        m=_d_int(_field(payload, "m")),
-        n=_d_int(_field(payload, "n")),
-        V=_d_mat(_field(payload, "V")),
-        W=_d_mat(_field(payload, "W")),
-        U=_d_mat(_field(payload, "U")),
-        nu=_d_poly(_field(payload, "nu")),
-        omega=_d_poly(_field(payload, "omega")),
-        X=_d_mat(_field(payload, "X")),
-        a=_d_list(_field(payload, "a"), _d_mat),
-        c=_d_list(_field(payload, "c"), _d_mat),
-        d=_d_list(_field(payload, "d"), _d_mat),
-        e=_d_list(_field(payload, "e"), _d_mat),
-        eta=tuple(eta),
-    )
-
-
-def _enc_order(desc: OrderDescription) -> dict:
-    return {
-        "n": _e_int(desc.n),
-        "T": _e_poly(desc.T),
-        "d": _e_int(desc.d),
-        "basis_columns": _e_mat(desc.basis_columns),
-        "products": [
-            [
-                {"coords": _e_poly(desc.mul_coords[i][k]),
-                 "witness": _e_poly(desc.mul_witness[i][k])}
-                for k in range(len(desc.mul_coords[i]))
-            ]
-            for i in range(desc.n)
-        ],
-        "one": {"coords": _e_poly(desc.one_coords), "witness": _e_poly(desc.one_witness)},
-    }
-
-
-def _dec_order(payload) -> OrderDescription:
-    n = _d_int(_field(payload, "n"))
-    products = _field(payload, "products")
-    if not isinstance(products, list) or len(products) != n:
-        raise CertFormatError("products must have one row per basis element")
-    mul_coords, mul_witness = [], []
-    for i, row in enumerate(products):
-        if not isinstance(row, list) or len(row) != n - i:
-            raise CertFormatError(f"products row {i} must have {n - i} entries")
-        mul_coords.append(tuple(_d_poly(_field(x, "coords")) for x in row))
-        mul_witness.append(tuple(_d_poly(_field(x, "witness")) for x in row))
-    one = _field(payload, "one")
-    return OrderDescription(
-        n=n,
-        T=_d_poly(_field(payload, "T")),
-        d=_d_int(_field(payload, "d")),
-        basis_columns=_d_mat(_field(payload, "basis_columns"), width=n),
-        mul_coords=tuple(mul_coords),
-        mul_witness=tuple(mul_witness),
-        one_coords=_d_poly(_field(one, "coords")),
-        one_witness=_d_poly(_field(one, "witness")),
-    )
-
-
-_IRRED_KINDS = {
-    irred_int.DegreeAnalysisCertificate: ("degree-analysis", _enc_analysis),
-    irred_int.LPFWCertificate: ("lpfw", _enc_lpfw),
-}
-
-_MAXIMALITY_KINDS = {
-    maximality.DedekindCertificate: ("dedekind", _enc_dedekind),
-    maximality.PMaxShortCertificate: ("pmax-short", _enc_pmax_short),
-    maximality.PMaxLongCertificate: ("pmax-long", _enc_pmax_long),
-}
-
-_MAXIMALITY_DECODERS = {
-    "dedekind": _dec_dedekind,
-    "pmax-short": _dec_pmax_short,
-    "pmax-long": _dec_pmax_long,
-}
-
-
-def _enc_bundle(b: pipeline.CertificateBundle) -> dict:
-    irr_kind, irr_enc = _IRRED_KINDS[type(b.irreducibility)]
-    primes = []
-    for entry in b.primes:
-        cert_kind, cert_enc = _MAXIMALITY_KINDS[type(entry.cert)]
-        primes.append(
-            {
-                "p": _e_int(entry.p),
-                "exponent": _e_int(entry.exponent),
-                "pratt": None if entry.pratt is None else _enc_pratt(entry.pratt),
-                "cert": {"kind": cert_kind, "payload": cert_enc(entry.cert)},
-            }
-        )
-    return {
-        "T": _e_poly(b.T),
-        "irreducibility": {"kind": irr_kind, "payload": irr_enc(b.irreducibility)},
-        "order": _enc_order(b.order),
-        "theta_coords": _e_poly(b.theta_coords),
-        "theta_witness": _e_poly(b.theta_witness),
-        "bezout_a": _e_poly(b.bezout_a),
-        "bezout_b": _e_poly(b.bezout_b),
-        "n_value": _e_int(b.n_value),
-        "n_sign": _e_int(b.n_sign),
-        "primes": primes,
-        "claimed_disc": None if b.claimed_disc is None else _e_int(b.claimed_disc),
-    }
-
-
-def _dec_bundle(payload) -> pipeline.CertificateBundle:
-    irr = _field(payload, "irreducibility")
-    irr_kind = _field(irr, "kind")
-    if irr_kind == "degree-analysis":
-        irreducibility = _dec_analysis(_field(irr, "payload"))
-    elif irr_kind == "lpfw":
-        irreducibility = _dec_lpfw(_field(irr, "payload"))
-    else:
-        raise CertFormatError(f"unknown irreducibility kind {irr_kind!r}")
-    primes = []
-    for item in _field(payload, "primes"):
-        cert = _field(item, "cert")
-        cert_kind = _field(cert, "kind")
-        decoder = _MAXIMALITY_DECODERS.get(cert_kind)
-        if decoder is None:
-            raise CertFormatError(f"unknown maximality kind {cert_kind!r}")
-        pratt = _field(item, "pratt")
-        primes.append(
-            pipeline.PrimeEntry(
-                p=_d_int(_field(item, "p")),
-                exponent=_d_int(_field(item, "exponent")),
-                pratt=None if pratt is None else _dec_pratt(pratt),
-                cert=decoder(_field(cert, "payload")),
-            )
-        )
-    claimed = _field(payload, "claimed_disc")
-    return pipeline.CertificateBundle(
-        T=_d_poly(_field(payload, "T")),
-        irreducibility=irreducibility,
-        order=_dec_order(_field(payload, "order")),
-        theta_coords=_d_poly(_field(payload, "theta_coords")),
-        theta_witness=_d_poly(_field(payload, "theta_witness")),
-        bezout_a=_d_poly(_field(payload, "bezout_a")),
-        bezout_b=_d_poly(_field(payload, "bezout_b")),
-        n_value=_d_int(_field(payload, "n_value")),
-        n_sign=_d_int(_field(payload, "n_sign")),
-        primes=tuple(primes),
-        claimed_disc=None if claimed is None else _d_int(claimed),
-    )
-
-
 # input files share the same envelope grammar
 
 
+@dataclass(frozen=True)
 class InputPolynomial:
-    def __init__(self, coeffs: tuple[int, ...]):
-        self.coeffs = tuple(coeffs)
+    coeffs: tuple[int, ...]
 
-    def __eq__(self, other):
-        return isinstance(other, InputPolynomial) and other.coeffs == self.coeffs
-
-    def __repr__(self):
-        return f"InputPolynomial({self.coeffs!r})"
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
 
+@dataclass(frozen=True)
 class InputOrderBasis:
-    def __init__(self, denominator: int, columns: tuple[tuple[int, ...], ...]):
-        self.denominator = denominator
-        self.columns = tuple(tuple(c) for c in columns)
+    denominator: int
+    columns: tuple[tuple[int, ...], ...]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, InputOrderBasis)
-            and other.denominator == self.denominator
-            and other.columns == self.columns
-        )
-
-    def __repr__(self):
-        return f"InputOrderBasis({self.denominator!r}, {self.columns!r})"
+    def __post_init__(self):
+        object.__setattr__(self, "columns", tuple(tuple(c) for c in self.columns))
 
 
-def _enc_input_poly(x: InputPolynomial) -> dict:
-    return {"coeffs": _e_poly(x.coeffs)}
-
-
-def _dec_input_poly(payload) -> InputPolynomial:
-    return InputPolynomial(_d_poly(_field(payload, "coeffs")))
-
-
-def _enc_input_basis(x: InputOrderBasis) -> dict:
-    return {"denominator": _e_int(x.denominator), "columns": _e_mat(x.columns)}
-
-
-def _dec_input_basis(payload) -> InputOrderBasis:
-    return InputOrderBasis(
-        _d_int(_field(payload, "denominator")), _d_mat(_field(payload, "columns"))
-    )
-
-
-_REGISTRY: dict[str, tuple[type, object, object]] = {
-    "rabin-ff": (irred_ff.RabinCertificate, _enc_rabin, _dec_rabin),
-    "reducible-ff": (irred_ff.ReducibleWitness, _enc_reducible_ff, _dec_reducible_ff),
-    "degree-analysis": (irred_int.DegreeAnalysisCertificate, _enc_analysis, _dec_analysis),
-    "lpfw": (irred_int.LPFWCertificate, _enc_lpfw, _dec_lpfw),
-    "reducible-int": (irred_int.ReducibleWitnessInt, _enc_reducible_int, _dec_reducible_int),
-    "pratt": (primality.PrattCertificate, _enc_pratt, _dec_pratt),
-    "dedekind": (maximality.DedekindCertificate, _enc_dedekind, _dec_dedekind),
-    "pmax-short": (maximality.PMaxShortCertificate, _enc_pmax_short, _dec_pmax_short),
-    "pmax-long": (maximality.PMaxLongCertificate, _enc_pmax_long, _dec_pmax_long),
-    "order": (OrderDescription, _enc_order, _dec_order),
-    "bundle": (pipeline.CertificateBundle, _enc_bundle, _dec_bundle),
-    "input/polynomial": (InputPolynomial, _enc_input_poly, _dec_input_poly),
-    "input/order-basis": (InputOrderBasis, _enc_input_basis, _dec_input_basis),
+_REGISTRY: dict[str, type] = {
+    "rabin-ff": irred_ff.RabinCertificate,
+    "reducible-ff": irred_ff.ReducibleWitness,
+    "degree-analysis": irred_int.DegreeAnalysisCertificate,
+    "lpfw": irred_int.LPFWCertificate,
+    "reducible-int": irred_int.ReducibleWitnessInt,
+    "pratt": primality.PrattCertificate,
+    "dedekind": maximality.DedekindCertificate,
+    "pmax-short": maximality.PMaxShortCertificate,
+    "pmax-long": maximality.PMaxLongCertificate,
+    "order": OrderDescription,
+    "bundle": pipeline.CertificateBundle,
+    "input/polynomial": InputPolynomial,
+    "input/order-basis": InputOrderBasis,
 }
 
-_KIND_OF_TYPE = {cls: kind for kind, (cls, _e, _d) in _REGISTRY.items()}
+_KIND_OF_TYPE = {cls: kind for kind, cls in _REGISTRY.items()}
 
 
 def kind_of(obj) -> str:
@@ -602,6 +97,249 @@ def kind_of(obj) -> str:
     if kind is None:
         raise TypeError(f"no serialization kind for {type(obj).__name__}")
     return kind
+
+
+# ---------------------------------------------------------------------------
+# scalars
+# ---------------------------------------------------------------------------
+
+
+def _int_error(s) -> CertFormatError:
+    if isinstance(s, str) and _LONG_INT_RE.match(s):
+        return CertFormatError(f"integer has more than {MAX_DIGITS} digits")
+    return CertFormatError(f"not a canonical decimal integer: {s!r}")
+
+
+def _enc_int(x: int) -> str:
+    return str(int(x))
+
+
+def _dec_int(s) -> int:
+    if type(s) is not str or not _INT_RE.match(s):
+        raise _int_error(s)
+    return int(s)
+
+
+def _enc_ints(t) -> list[str]:
+    return [str(int(c)) for c in t]
+
+
+def _dec_ints(v) -> tuple[int, ...]:
+    if type(v) is not list:
+        raise CertFormatError("expected an array")
+    for s in v:
+        if type(s) is not str or not _INT_RE.match(s):
+            raise _int_error(s)
+    return tuple(map(int, v))
+
+
+def _enc_frac(x: Fraction) -> str:
+    x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _dec_frac(s) -> Fraction:
+    if not isinstance(s, str) or s.count("/") != 1:
+        raise CertFormatError(f"not a rational: {s!r}")
+    num_s, den_s = s.split("/")
+    num, den = _dec_int(num_s), _dec_int(den_s)
+    if den < 1 or gcd(abs(num), den) != 1:
+        raise CertFormatError(f"rational not in lowest terms: {s!r}")
+    return Fraction(num, den)
+
+
+def _field(payload, name: str):
+    if not isinstance(payload, dict) or name not in payload:
+        raise CertFormatError(f"missing field {name!r}")
+    return payload[name]
+
+
+# ---------------------------------------------------------------------------
+# the codec
+# ---------------------------------------------------------------------------
+
+_CODECS: dict = {int: (_enc_int, _dec_int), Fraction: (_enc_frac, _dec_frac)}
+
+# wire keys that differ from the field name
+_RENAMED = {(irred_int.FactorizationModP, "factor_certs"): "certs"}
+
+
+def _codec(tp):
+    """The cached (encode, decode) pair of a type hint."""
+    if tp not in _CODECS:
+        if dataclasses.is_dataclass(tp):
+            _dataclass_codec(tp)
+        else:
+            _CODECS[tp] = _build(tp)
+    return _CODECS[tp]
+
+
+def _build(tp):
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        if args[0] is int:
+            return _enc_ints, _dec_ints
+        return _array_codec(*_codec(args[0]))
+    if origin is tuple:
+        return _fixed_codec(args)
+    if origin is typing.Literal:
+        return _literal_codec(args)
+    if origin in (typing.Union, types.UnionType):
+        members = tuple(a for a in args if a is not type(None))
+        if len(members) < len(args):
+            return _optional_codec(*_codec(typing.Union[members]))
+        if all(m in _KIND_OF_TYPE for m in members):
+            return _union_codec(members)
+    raise TypeError(f"no wire format for {tp!r}")
+
+
+def _dataclass_codec(cls) -> None:
+    """An object with one key per field.  Registered before its fields are
+    compiled, so that recursive types (Pratt chains) refer to themselves."""
+    enc_items, dec_items = [], []
+
+    def encode(obj):
+        return {key: enc(getattr(obj, name)) for name, key, enc in enc_items}
+
+    def decode(v):
+        if type(v) is not dict:
+            raise CertFormatError(f"missing field {dec_items[0][0]!r}")
+        try:
+            return cls(*[dec(v[key]) for key, dec in dec_items])
+        except KeyError:
+            missing = next(key for key, _ in dec_items if key not in v)
+            raise CertFormatError(f"missing field {missing!r}") from None
+
+    _CODECS[cls] = (encode, decode)
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        key = _RENAMED.get((cls, f.name), f.name)
+        enc, dec = _codec(hints[f.name])
+        enc_items.append((f.name, key, enc))
+        dec_items.append((key, dec))
+
+
+def _array_codec(enc, dec):
+    def encode(v):
+        return [enc(x) for x in v]
+
+    def decode(v):
+        if type(v) is not list:
+            raise CertFormatError("expected an array")
+        return tuple(map(dec, v))
+
+    return encode, decode
+
+
+def _fixed_codec(items):
+    encs, decs = zip(*map(_codec, items))
+    n = len(items)
+
+    def encode(v):
+        return [enc(x) for enc, x in zip(encs, v)]
+
+    def decode(v):
+        if type(v) is not list or len(v) != n:
+            raise CertFormatError(f"expected an array of {n} entries")
+        return tuple([dec(x) for dec, x in zip(decs, v)])
+
+    return encode, decode
+
+
+def _literal_codec(allowed):
+    def decode(v):
+        if v not in allowed:
+            raise CertFormatError(f"expected one of {list(allowed)}, got {v!r}")
+        return v
+
+    return (lambda v: v), decode
+
+
+def _optional_codec(enc, dec):
+    return (lambda v: None if v is None else enc(v)), (lambda v: None if v is None else dec(v))
+
+
+def _union_codec(members):
+    kind_of_member = {cls: _KIND_OF_TYPE[cls] for cls in members}
+    by_kind = {kind: _codec(cls) for cls, kind in kind_of_member.items()}
+
+    def encode(v):
+        kind = kind_of_member[type(v)]
+        return {"kind": kind, "payload": by_kind[kind][0](v)}
+
+    def decode(v):
+        kind = _field(v, "kind")
+        codec = by_kind.get(kind) if isinstance(kind, str) else None
+        if codec is None:
+            raise CertFormatError(f"unknown kind {kind!r}; expected one of {list(by_kind)}")
+        return codec[1](_field(v, "payload"))
+
+    return encode, decode
+
+
+# The order keeps its own layout: the ragged upper triangle of products is
+# one list of {"coords", "witness"} objects per row, and the row count and
+# basis width are checked against n.
+
+_enc_matrix, _dec_matrix = _codec(tuple[tuple[int, ...], ...])
+
+
+def _enc_order(desc: OrderDescription) -> dict:
+    return {
+        "n": _enc_int(desc.n),
+        "T": _enc_ints(desc.T),
+        "d": _enc_int(desc.d),
+        "basis_columns": _enc_matrix(desc.basis_columns),
+        "products": [
+            [
+                {"coords": _enc_ints(desc.mul_coords[i][k]),
+                 "witness": _enc_ints(desc.mul_witness[i][k])}
+                for k in range(len(desc.mul_coords[i]))
+            ]
+            for i in range(desc.n)
+        ],
+        "one": {"coords": _enc_ints(desc.one_coords), "witness": _enc_ints(desc.one_witness)},
+    }
+
+
+def _dec_order(payload) -> OrderDescription:
+    n = _dec_int(_field(payload, "n"))
+    products = _field(payload, "products")
+    if not isinstance(products, list) or len(products) != n:
+        raise CertFormatError("products must have one row per basis element")
+    mul_coords, mul_witness = [], []
+    for i, row in enumerate(products):
+        if not isinstance(row, list) or len(row) != n - i:
+            raise CertFormatError(f"products row {i} must have {n - i} entries")
+        mul_coords.append(tuple(_dec_ints(_field(x, "coords")) for x in row))
+        mul_witness.append(tuple(_dec_ints(_field(x, "witness")) for x in row))
+    T = _dec_ints(_field(payload, "T"))
+    d = _dec_int(_field(payload, "d"))
+    basis_columns = _dec_matrix(_field(payload, "basis_columns"))
+    if any(len(c) != n for c in basis_columns):
+        raise CertFormatError("matrix row width mismatch")
+    one = _field(payload, "one")
+    return OrderDescription(
+        n=n,
+        T=T,
+        d=d,
+        basis_columns=basis_columns,
+        mul_coords=tuple(mul_coords),
+        mul_witness=tuple(mul_witness),
+        one_coords=_dec_ints(_field(one, "coords")),
+        one_witness=_dec_ints(_field(one, "witness")),
+    )
+
+
+_CODECS[OrderDescription] = (_enc_order, _dec_order)
+
+for _cls in _REGISTRY.values():
+    _codec(_cls)
+
+
+# ---------------------------------------------------------------------------
+# envelope
+# ---------------------------------------------------------------------------
 
 
 def _canonical_inner(kind: str, payload: dict) -> bytes:
@@ -612,8 +350,7 @@ def _canonical_inner(kind: str, payload: dict) -> bytes:
 def serialize(obj) -> bytes:
     """Canonical bytes for any registered certificate or input object."""
     kind = kind_of(obj)
-    _cls, enc, _dec = _REGISTRY[kind]
-    payload = enc(obj)
+    payload = _CODECS[type(obj)][0](obj)
     digest = hashlib.sha256(_canonical_inner(kind, payload)).hexdigest()
     envelope = {
         "schema_version": SCHEMA_VERSION,
@@ -627,26 +364,35 @@ def serialize(obj) -> bytes:
 def parse(data: bytes):
     """Inverse of serialize; validates schema, integrity and shapes."""
     try:
+        return _parse(data)
+    except RecursionError:
+        raise CertFormatError("nested too deeply") from None
+
+
+def _parse(data: bytes):
+    try:
         envelope = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as e:
         raise CertFormatError("not valid UTF-8", offset=e.start) from e
     except json.JSONDecodeError as e:
         raise CertFormatError(f"malformed JSON: {e.msg}", offset=e.pos) from e
+    except ValueError as e:  # a JSON number beyond the int/str digit limit
+        raise CertFormatError(f"malformed JSON: {e}") from e
     if not isinstance(envelope, dict):
         raise CertFormatError("top level must be an object")
     version = envelope.get("schema_version")
     if version != SCHEMA_VERSION:
         raise CertFormatError(f"unsupported schema version {version!r}")
     kind = envelope.get("kind")
-    if kind not in _REGISTRY:
+    cls = _REGISTRY.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise CertFormatError(f"unknown certificate kind {kind!r}")
     payload = envelope.get("payload")
     integrity = envelope.get("integrity")
     expected = "sha256:" + hashlib.sha256(_canonical_inner(kind, payload)).hexdigest()
     if integrity != expected:
         raise CertFormatError("integrity digest mismatch")
-    _cls, _enc, dec = _REGISTRY[kind]
-    return dec(payload)
+    return _CODECS[cls][1](payload)
 
 
 def parse_file(path):

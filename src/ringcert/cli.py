@@ -24,10 +24,10 @@ EXIT_REJECT = 1
 EXIT_MALFORMED = 2
 
 
-def verify_certificate(obj, threads: int = 1) -> Verdict:
+def verify_certificate(obj) -> Verdict:
     """Dispatch to the appropriate verifier for a standalone file."""
     if isinstance(obj, pipeline.CertificateBundle):
-        return pipeline.verify_bundle(obj, threads=threads)
+        return pipeline.verify_bundle(obj)
     if isinstance(obj, irred_int.DegreeAnalysisCertificate):
         return irred_int.verify_degree_analysis(obj)
     if isinstance(obj, irred_int.LPFWCertificate):
@@ -135,7 +135,7 @@ def _cmd_gen_bundle(args) -> int:
 def _cmd_verify(args) -> int:
     obj = _load(args.certfile)
     try:
-        verdict = verify_certificate(obj, threads=args.threads)
+        verdict = verify_certificate(obj)
     except ValueError as e:
         print(f"cannot verify standalone: {e}", file=sys.stderr)
         return EXIT_MALFORMED
@@ -147,7 +147,7 @@ def _cmd_disc(args) -> int:
     if not isinstance(obj, pipeline.CertificateBundle):
         print("disc expects a bundle file", file=sys.stderr)
         return EXIT_MALFORMED
-    verdict = pipeline.verify_bundle(obj, threads=args.threads)
+    verdict = pipeline.verify_bundle(obj)
     if not verdict:
         print(verdict.reason, file=sys.stderr)
         return EXIT_REJECT
@@ -186,13 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="re-check a certificate file")
     v.add_argument("certfile")
-    v.add_argument("--threads", type=int, default=1)
     v.add_argument("--json-verdict", action="store_true")
     v.set_defaults(func=_cmd_verify)
 
     d = sub.add_parser("disc", help="verify a bundle and print its discriminant")
     d.add_argument("bundlefile")
-    d.add_argument("--threads", type=int, default=1)
     d.set_defaults(func=_cmd_disc)
 
     return parser

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Literal
 
 from .exactalg import (
     GF,
@@ -187,7 +188,7 @@ def generate_dedekind(
 # kernel certificates
 # ---------------------------------------------------------------------------
 
-Pivot = tuple[str, int]  # ("A", k) points into the V block, ("B", k) into pW
+Pivot = tuple[Literal["A", "B"], int]  # ("A", k) points into the V block, ("B", k) into pW
 
 
 @dataclass(frozen=True)

@@ -80,19 +80,7 @@ class NotMaximalReport:
     kernel_coords: tuple[int, ...]
 
 
-def parallel_map(fn, items, threads: int = 1):
-    """Apply fn to items, optionally on a thread pool; results stay in input
-    order so verdict aggregation is independent of the thread count."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def verify_bundle(bundle: CertificateBundle, threads: int = 1) -> Verdict:
+def verify_bundle(bundle: CertificateBundle) -> Verdict:
     """Re-check every component; acceptance means the order is the full ring
     of integers of Q[X]/<T>."""
     T = list(bundle.T)
@@ -186,7 +174,8 @@ def verify_bundle(bundle: CertificateBundle, threads: int = 1) -> Verdict:
             )
         return Verdict.reject(f"bundle/p={entry.p}/unknown-kind")
 
-    for v in parallel_map(check_entry, bundle.primes, threads):
+    for entry in bundle.primes:
+        v = check_entry(entry)
         if not v:
             return v
 
@@ -209,9 +198,9 @@ def verify_bundle(bundle: CertificateBundle, threads: int = 1) -> Verdict:
     return Verdict.accept()
 
 
-def claim_discriminant(bundle: CertificateBundle, claimed: int, threads: int = 1) -> Verdict:
+def claim_discriminant(bundle: CertificateBundle, claimed: int) -> Verdict:
     """Verify the bundle, then compare the claimed discriminant exactly."""
-    ok = verify_bundle(bundle, threads=threads)
+    ok = verify_bundle(bundle)
     if not ok:
         return ok
     return check_order_discriminant(bundle.order, claimed)

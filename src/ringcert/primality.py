@@ -157,7 +157,7 @@ class PrattCertificate:
 
     P: int
     witness: int
-    factors: tuple[tuple[int, int, "PrattCertificate | None"], ...]
+    factors: tuple[tuple[int, int, PrattCertificate | None], ...]
 
 
 def verify_pratt(cert: PrattCertificate) -> Verdict:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -104,10 +105,36 @@ class TestMalformedInputs:
             certio.parse(_reseal(env))
 
 
+    def test_json_number_over_digit_limit_rejected(self):
+        data = b'{"kind":"pratt","payload":' + b"7" * 5000 + b',"schema_version":"1"}'
+        with pytest.raises(certio.CertFormatError, match="malformed JSON"):
+            certio.parse(data)
+
+    def test_unhashable_kind_rejected(self, sample_objects):
+        env = json.loads(certio.serialize(sample_objects["pratt"]))
+        env["kind"] = ["pratt"]
+        with pytest.raises(certio.CertFormatError, match="kind"):
+            certio.parse(json.dumps(env).encode())
+
+    def test_deep_pratt_chain_parses_or_is_malformed(self):
+        # a chain nested past the recursion limit is malformed, never a crash
+        for depth in (20, 150, 330):
+            text = '{"P":"3","factors":[["2","1",null]],"witness":"2"}'
+            for _ in range(depth):
+                text = '{"P":"7","factors":[["3","1",' + text + ']],"witness":"3"}'
+            inner = '{"kind":"pratt","payload":' + text + ',"schema_version":"1"}'
+            digest = hashlib.sha256(inner.encode()).hexdigest()
+            data = f'{{"integrity":"sha256:{digest}",{inner[1:]}'.encode()
+            try:
+                cert = certio.parse(data)
+            except certio.CertFormatError:
+                assert depth > 20
+            else:
+                assert cert.P == 7
+
+
 def _reseal(env):
     """Recompute the digest so parsing exercises validation, not integrity."""
-    import hashlib
-
     inner = {
         "kind": env["kind"],
         "payload": env["payload"],

