@@ -16,7 +16,7 @@ an (encode, decode) pair per type.  A dataclass is an object with one key
 per field, ``tuple[X, ...]`` an array, ``tuple[A, B]`` an array of exactly
 that length, ``Literal[...]`` one of its strings, ``X | None`` null or X,
 and a union of registered dataclasses ``{"kind": ..., "payload": ...}``.
-``_RENAMED`` and ``_CUSTOM`` hold the exceptions.  Parsing validates
+``_RENAMED`` and the order's own encoder and decoder are the exceptions.  Parsing validates
 formats and shapes before any verification runs, turns every malformed
 input into `CertFormatError`, and round-trips byte-exactly on canonical
 files.
@@ -186,9 +186,9 @@ def _build(tp):
         return _literal_codec(args)
     if origin in (typing.Union, types.UnionType):
         members = tuple(a for a in args if a is not type(None))
-        if len(members) < len(args):
-            return _optional_codec(*_codec(typing.Union[members]))
-        if all(m in _KIND_OF_TYPE for m in members):
+        if len(members) == 1 < len(args):
+            return _optional_codec(*_codec(members[0]))
+        if len(members) == len(args) and all(m in _KIND_OF_TYPE for m in members):
             return _union_codec(members)
     raise TypeError(f"no wire format for {tp!r}")
 

@@ -104,7 +104,6 @@ class TestMalformedInputs:
         with pytest.raises(certio.CertFormatError, match="lowest terms"):
             certio.parse(_reseal(env))
 
-
     def test_json_number_over_digit_limit_rejected(self):
         data = b'{"kind":"pratt","payload":' + b"7" * 5000 + b',"schema_version":"1"}'
         with pytest.raises(certio.CertFormatError, match="malformed JSON"):

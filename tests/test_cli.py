@@ -87,16 +87,7 @@ class TestVerifyRejection:
         run_cli(capsys, "gen", "bundle", poly, basis, "-o", str(out))
         env = json.loads(out.read_bytes())
         env["payload"]["theta_coords"] = ["1", "2"]
-        import hashlib
-
-        inner = {
-            "kind": env["kind"],
-            "payload": env["payload"],
-            "schema_version": env["schema_version"],
-        }
-        blob = json.dumps(inner, sort_keys=True, separators=(",", ":")).encode()
-        env["integrity"] = "sha256:" + hashlib.sha256(blob).hexdigest()
-        out.write_bytes(json.dumps(env, sort_keys=True, separators=(",", ":")).encode())
+        out.write_bytes(_reseal(env))
         code, _, err = run_cli(capsys, "verify", str(out))
         assert code == 1
         assert "bundle/theta" in err
