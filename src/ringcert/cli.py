@@ -153,7 +153,7 @@ def _cmd_disc(args) -> int:
         return EXIT_REJECT
     from .resultants import disc_order
 
-    print(disc_order(obj.order).value)
+    print(disc_order(obj.order))
     return EXIT_ACCEPT
 
 

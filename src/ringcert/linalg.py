@@ -13,11 +13,6 @@ def transpose(m: list[list]) -> list[list]:
     return [list(col) for col in zip(*m)] if m else []
 
 
-def mat_mul(a: list[list], b: list[list]) -> list[list]:
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def det_bareiss(m: list[list[int]]) -> int:
     """Determinant of an integer matrix by fraction-free Bareiss elimination.
 
@@ -188,19 +183,20 @@ def solve_exact(a: list[list], b: list) -> list[Fraction]:
     return [aug[i][n] for i in range(n)]
 
 
-def solve_upper_triangular(b: list[list], rhs: list) -> list[Fraction]:
-    """Back-substitution against an upper-triangular matrix with nonzero diagonal."""
+def solve_upper_triangular(b: list[list[int]], rhs: list[int], den: int = 1) -> list[int] | None:
+    """The integer x with b.x = rhs/den, or None when x is not integral.
+
+    b is upper triangular with nonzero diagonal, so back-substitution fixes
+    x one entry at a time; the first division that is not exact proves that
+    the unique solution has a non-integral entry.
+    """
     n = len(b)
-    x = [Fraction(0)] * n
+    x = [0] * n
     for i in range(n - 1, -1, -1):
-        acc = Fraction(rhs[i])
-        for j in range(i + 1, n):
-            acc -= Fraction(b[i][j]) * x[j]
-        if b[i][i] == 0:
-            raise ValueError("zero diagonal entry")
-        x[i] = acc / Fraction(b[i][i])
+        row = b[i]
+        acc = rhs[i] - den * sum(row[j] * x[j] for j in range(i + 1, n))
+        q, r = divmod(acc, den * row[i])
+        if r:
+            return None
+        x[i] = q
     return x
-
-
-def fractions_all_integral(xs: list[Fraction]) -> bool:
-    return all(x.denominator == 1 for x in xs)

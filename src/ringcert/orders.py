@@ -16,7 +16,6 @@ arithmetic in O happens on coordinate vectors against that table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactalg import (
     ZZ,
@@ -28,13 +27,7 @@ from .exactalg import (
     list_sub,
     mul_pointwise,
 )
-from .linalg import (
-    det_bareiss,
-    fractions_all_integral,
-    solve_exact,
-    solve_upper_triangular,
-    transpose,
-)
+from .linalg import solve_upper_triangular
 from .verdict import Verdict
 
 
@@ -61,6 +54,24 @@ def _column_poly(desc: OrderDescription, j: int) -> list[int]:
     return drop_trailing_zeros(list(desc.basis_columns[j]))
 
 
+def _basis_fault(n: int, columns) -> str | None:
+    """Why the columns do not form an n x n upper-triangular B with nonzero
+    diagonal, or None.  Every solve against B below relies on that shape."""
+    if len(columns) != n or any(len(c) != n for c in columns):
+        return "B-shape"
+    for j in range(n):
+        if columns[j][j] == 0:
+            return f"B-diagonal/j={j}"
+        for i in range(j + 1, n):
+            if columns[j][i] != 0:
+                return f"B-triangular/i={i}/j={j}"
+    return None
+
+
+def _basis_rows(columns) -> list[list[int]]:
+    return [list(row) for row in zip(*columns)]
+
+
 def verify_order_builder(desc: OrderDescription) -> Verdict:
     """Check the whole description; acceptance certifies that the basis spans
     a subring of K containing 1, hence an order inside the ring of integers."""
@@ -72,14 +83,9 @@ def verify_order_builder(desc: OrderDescription) -> Verdict:
         return Verdict.reject("order/T-not-monic")
     if desc.d == 0:
         return Verdict.reject("order/denominator-zero")
-    if len(desc.basis_columns) != n or any(len(c) != n for c in desc.basis_columns):
-        return Verdict.reject("order/B-shape")
-    for j in range(n):
-        if desc.basis_columns[j][j] == 0:
-            return Verdict.reject(f"order/B-diagonal/j={j}")
-        for i in range(j + 1, n):
-            if desc.basis_columns[j][i] != 0:
-                return Verdict.reject(f"order/B-triangular/i={i}/j={j}")
+    fault = _basis_fault(n, desc.basis_columns)
+    if fault:
+        return Verdict.reject(f"order/{fault}")
     if len(desc.mul_coords) != n or len(desc.mul_witness) != n:
         return Verdict.reject("order/products-shape")
     for i in range(n):
@@ -175,21 +181,6 @@ def reduce_table_mod_p(tt: TimesTable, p: int) -> TimesTable:
     )
 
 
-def index_z(m_basis: list[list[int]], n_basis: list[list[int]]) -> int:
-    """|det C| for the coordinate matrix C with M*C = N (columns are basis
-    vectors).  1 means the two lattices are equal.  Raises ValueError when N
-    is not contained in the span of M over the integers."""
-    cols_n = transpose(n_basis)
-    coord_cols = []
-    for col in cols_n:
-        x = solve_exact(m_basis, col)
-        if not fractions_all_integral(x):
-            raise ValueError("second lattice is not contained in the first")
-        coord_cols.append([int(v) for v in x])
-    c = transpose(coord_cols)
-    return abs(det_bareiss(c))
-
-
 # ---------------------------------------------------------------------------
 # generator side: structure constants from a raw basis
 # ---------------------------------------------------------------------------
@@ -215,18 +206,12 @@ def build_order_description(
         raise NotAnOrder("defining polynomial must be monic of positive degree")
     if d == 0:
         raise NotAnOrder("denominator must be nonzero")
-    if len(basis_columns) != n or any(len(c) != n for c in basis_columns):
-        raise NotAnOrder("basis matrix must be n x n")
-    for j in range(n):
-        if basis_columns[j][j] == 0:
-            raise NotAnOrder("zero diagonal entry in the basis matrix")
-        for i in range(j + 1, n):
-            if basis_columns[j][i] != 0:
-                raise NotAnOrder("basis matrix must be upper triangular")
+    fault = _basis_fault(n, basis_columns)
+    if fault:
+        raise NotAnOrder(f"basis matrix must be upper triangular with nonzero diagonal ({fault})")
 
-    b_mat = [[basis_columns[j][i] for j in range(n)] for i in range(n)]  # rows
+    b_mat = _basis_rows(basis_columns)
     b_polys = [drop_trailing_zeros(list(c)) for c in basis_columns]
-    Tq = [Fraction(c) for c in T]
 
     mul_coords = []
     mul_witness = []
@@ -236,16 +221,16 @@ def build_order_description(
         for j in range(i, n):
             prod = list_mul(ZZ, b_polys[i], b_polys[j])
             q, rem = _divmod_by_monic_int(prod, T)
-            coords = solve_upper_triangular(b_mat, [Fraction(get_d(rem, k, 0), d) for k in range(n)])
-            if not fractions_all_integral(coords):
+            coords = solve_upper_triangular(b_mat, [get_d(rem, k, 0) for k in range(n)], d)
+            if coords is None:
                 raise NotAnOrder(f"product w_{i+1}*w_{j+1} leaves the span")
-            row_coords.append(tuple(int(c) for c in coords))
+            row_coords.append(tuple(coords))
             row_wit.append(tuple(mul_pointwise(ZZ, -1, q)))
         mul_coords.append(tuple(row_coords))
         mul_witness.append(tuple(row_wit))
 
-    one = solve_upper_triangular(b_mat, [Fraction(d)] + [Fraction(0)] * (n - 1))
-    if not fractions_all_integral(one):
+    one = solve_upper_triangular(b_mat, [d] + [0] * (n - 1))
+    if one is None:
         raise NotAnOrder("1 is not in the span of the basis")
     return OrderDescription(
         n=n,
@@ -254,7 +239,7 @@ def build_order_description(
         basis_columns=tuple(tuple(c) for c in basis_columns),
         mul_coords=tuple(mul_coords),
         mul_witness=tuple(mul_witness),
-        one_coords=tuple(int(c) for c in one),
+        one_coords=tuple(one),
         one_witness=(),
     )
 
@@ -280,11 +265,6 @@ def theta_coordinates(desc: OrderDescription) -> list[int] | None:
 
 def element_coordinates(desc: OrderDescription, poly_num: list[int], den: int) -> list[int] | None:
     """Coordinates of (1/den)*poly(theta) in the basis, or None if not in O."""
-    n = desc.n
-    b_mat = [[desc.basis_columns[j][i] for j in range(n)] for i in range(n)]
     _, rem = _divmod_by_monic_int(poly_num, list(desc.T))
-    rhs = [Fraction(get_d(rem, k, 0) * desc.d, den) for k in range(n)]
-    x = solve_upper_triangular(b_mat, rhs)
-    if not fractions_all_integral(x):
-        return None
-    return [int(v) for v in x]
+    rhs = [get_d(rem, k, 0) * desc.d for k in range(desc.n)]
+    return solve_upper_triangular(_basis_rows(desc.basis_columns), rhs, den)

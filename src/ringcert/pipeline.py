@@ -198,14 +198,6 @@ def verify_bundle(bundle: CertificateBundle) -> Verdict:
     return Verdict.accept()
 
 
-def claim_discriminant(bundle: CertificateBundle, claimed: int) -> Verdict:
-    """Verify the bundle, then compare the claimed discriminant exactly."""
-    ok = verify_bundle(bundle)
-    if not ok:
-        return ok
-    return check_order_discriminant(bundle.order, claimed)
-
-
 # ---------------------------------------------------------------------------
 # generator side
 # ---------------------------------------------------------------------------

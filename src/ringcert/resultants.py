@@ -13,11 +13,9 @@ f is resultant(f, f') with no leading-coefficient scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactalg import PrimeField, ZZ, deg, formal_derivative
 from .linalg import det_bareiss, det_fp
-from .orders import OrderDescription, index_z
+from .orders import OrderDescription
 from .verdict import Verdict
 
 
@@ -60,63 +58,44 @@ def disc_poly(f: list[int]) -> int:
     return resultant(ZZ, f, formal_derivative(ZZ, f))
 
 
-@dataclass(frozen=True)
-class OrderDiscriminant:
-    value: int
-    disc_T: int       # resultant(T, T')
-    index: int        # [O : Z[theta]]
-    sign_exp: int     # parity exponent n(n-1)/2
-
-
 def power_basis_index(desc: OrderDescription) -> int:
-    """[O : Z[theta]] for a verified description with theta in O.
-
-    Determinant route d^n / |det B| first, cross-checked against the
-    lattice-index route when the division is not exact."""
-    n = desc.n
-    b = [[desc.basis_columns[j][i] for j in range(n)] for i in range(n)]
-    det_b = abs(det_bareiss(b))
-    dn = abs(desc.d) ** n
-    if det_b != 0 and dn % det_b == 0:
-        return dn // det_b
-    d_id = [[desc.d if i == j else 0 for j in range(n)] for i in range(n)]
-    return index_z(b, d_id)
+    """[O : Z[theta]] = |d|^n / prod |B_jj| for a verified description with
+    theta in O; B is triangular, so its determinant is the diagonal product.
+    Raises ValueError when the division is not exact."""
+    diagonal = 1
+    for j in range(desc.n):
+        diagonal *= desc.basis_columns[j][j]
+    index, rest = divmod(abs(desc.d) ** desc.n, abs(diagonal))
+    if rest:
+        raise ValueError("index division is not exact")
+    return index
 
 
-def disc_order(desc: OrderDescription) -> OrderDiscriminant:
+def disc_order(desc: OrderDescription) -> int:
     """disc(O) = (-1)^(n(n-1)/2) * disc(T) / index^2, with exact division.
 
-    Requires theta in O (checked); raises ValueError otherwise or when the
-    division is not exact, which signals inconsistent inputs.
+    Call only on a verified description whose theta-membership the caller
+    has verified too (`verify_bundle` checks the bundle's theta witness
+    first).  Raises ValueError when a division is not exact, which signals
+    inconsistent inputs.
     """
-    from .orders import theta_coordinates
-
     n = desc.n
-    if theta_coordinates(desc) is None:
-        raise ValueError("theta is not in the order")
-    d_t = disc_poly(list(desc.T))
+    signed = disc_poly(list(desc.T))
+    if n * (n - 1) // 2 % 2:
+        signed = -signed
     idx = power_basis_index(desc)
-    sign_exp = (n * (n - 1) // 2) % 2
-    signed = -d_t if sign_exp else d_t
-    if idx == 0 or signed % (idx * idx) != 0:
+    value, rest = divmod(signed, idx * idx)
+    if rest:
         raise ValueError("discriminant division is not exact")
-    return OrderDiscriminant(signed // (idx * idx), d_t, idx, sign_exp)
+    return value
 
 
 def check_order_discriminant(desc: OrderDescription, claimed: int) -> Verdict:
-    """Compare a claimed discriminant against both computation routes."""
-    n = desc.n
-    b = [[desc.basis_columns[j][i] for j in range(n)] for i in range(n)]
+    """Compare a claimed discriminant with disc_order's exact value."""
     try:
-        od = disc_order(desc)
+        value = disc_order(desc)
     except ValueError as e:
         return Verdict.reject(f"disc-claim/{e}")
-    if od.value != claimed:
-        d_id = [[desc.d if i == j else 0 for j in range(n)] for i in range(n)]
-        idx2 = index_z(b, d_id)
-        signed = -od.disc_T if od.sign_exp else od.disc_T
-        other = signed // (idx2 * idx2) if idx2 and signed % (idx2 * idx2) == 0 else None
-        return Verdict.reject(
-            f"disc-claim/mismatch/claimed={claimed}/det-route={od.value}/hnf-route={other}"
-        )
+    if value != claimed:
+        return Verdict.reject(f"disc-claim/mismatch/claimed={claimed}/det-route={value}")
     return Verdict.accept()

@@ -41,7 +41,7 @@ def golden_objects() -> dict:
         "pmax-short": generate_pmax(times_table_of(order), 2, rng=rng(1)),
         "pmax-long": generate_pmax(times_table_of(order), 2, prefer_long=True, rng=rng(1)),
         "order": order,
-        "bundle": generate_bundle(*_CUBIC, claimed_disc=disc_order(order).value),
+        "bundle": generate_bundle(*_CUBIC, claimed_disc=disc_order(order)),
         "input/polynomial": certio.InputPolynomial((3, 14, 15, 92, 65)),
         "input/order-basis": certio.InputOrderBasis(2, ((2, 0, 0), (0, 2, 0), (0, 1, -1))),
     }

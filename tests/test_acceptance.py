@@ -5,6 +5,7 @@ complete.  Every tolerance is exact (integer or rational equality); the
 only numeric limits are the per-criterion wall-clock budgets.
 """
 
+import dataclasses
 import itertools
 import json
 import random
@@ -21,7 +22,7 @@ from ringcert.irred_ff import RabinCertificate, generate_rabin, verify_rabin, ve
 from ringcert.irred_int import generate_int_irred, verify_lpfw
 from ringcert.maximality import generate_dedekind, generate_pmax, verify_dedekind
 from ringcert.orders import build_order_description, times_table_of, tt_mul
-from ringcert.pipeline import BundleError, claim_discriminant, generate_bundle, verify_bundle
+from ringcert.pipeline import BundleError, generate_bundle, verify_bundle
 from ringcert.primality import generate_pratt, verify_pratt
 from ringcert.resultants import resultant
 
@@ -57,7 +58,7 @@ def test_criterion_2_discriminant_anchor():
             [-80, -30, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [2, 0, 1]]
         )
         assert verify_bundle(bundle).accepted
-        assert claim_discriminant(bundle, -16200).accepted
+        assert verify_bundle(dataclasses.replace(bundle, claimed_disc=-16200)).accepted
 
 
 def test_criterion_3_non_monogenic_cubic():
@@ -149,8 +150,8 @@ CUBIC_FIXTURES = {
 
 
 def test_criterion_6_times_table_oracle():
-    from ringcert.linalg import solve_upper_triangular
     from ringcert.orders import _divmod_by_monic_int
+    from reference import fraction_back_substitution, integral
 
     with criterion(6, "times-table products vs polynomial arithmetic", 10.0):
         for name, (T, d, cols) in CUBIC_FIXTURES.items():
@@ -170,11 +171,9 @@ def test_criterion_6_times_table_oracle():
                     [sum(desc.basis_columns[k][i] * y[k] for k in range(n)) for i in range(n)]
                 )
                 _, rem = _divmod_by_monic_int(list_mul(ZZ, px, py), T)
-                z = solve_upper_triangular(
-                    b_mat, [Fraction(get_d(rem, k, 0), d) for k in range(n)]
-                )
-                assert all(c.denominator == 1 for c in z)
-                assert drop_trailing_zeros([int(c) for c in z]) == got
+                rhs = [get_d(rem, k, 0) for k in range(n)]
+                z = integral(fraction_back_substitution(b_mat, rhs, d))
+                assert z is not None and drop_trailing_zeros(z) == got
 
 
 # --- criterion 7: mutation robustness over serialized certificates --------
@@ -293,7 +292,8 @@ def test_criterion_8_degree5_bundles():
                 list(fx["T"]), fx["d"], [list(c) for c in fx["columns"]]
             )
             assert verify_bundle(bundle).accepted, name
-            assert claim_discriminant(bundle, fx["disc"]).accepted, name
+            claimed = dataclasses.replace(bundle, claimed_disc=fx["disc"])
+            assert verify_bundle(claimed).accepted, name
             dt = time.perf_counter() - t0
             assert dt < 120.0, f"{name} took {dt:.1f}s"
             forms[name] = {

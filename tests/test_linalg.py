@@ -1,0 +1,65 @@
+import random
+
+import pytest
+
+from ringcert.linalg import solve_upper_triangular
+from reference import fraction_back_substitution, integral
+
+
+def _triangular(rng, n, bound):
+    """Random upper-triangular rows with nonzero diagonal of either sign."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rng.choice([-1, 1]) * rng.randrange(1, bound)
+        for j in range(i + 1, n):
+            rows[i][j] = rng.randrange(-bound, bound + 1)
+    return rows
+
+
+def _agrees(b, rhs, den):
+    got = solve_upper_triangular(b, rhs, den)
+    expected = integral(fraction_back_substitution(b, rhs, den))
+    assert got == expected, (b, rhs, den)
+    return got is not None
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_integer_solve_matches_fraction_reference(seed):
+    rng = random.Random(seed)
+    integral_cases = non_integral_cases = 0
+    for _ in range(400):
+        n = rng.randrange(1, 9)
+        bound = rng.choice([2, 10, 10**6, 10**30])
+        b = _triangular(rng, n, bound)
+        den = rng.choice([1, -1, 2, -3, 12, 10**9 + 7])
+        x = [rng.randrange(-bound, bound + 1) for _ in range(n)]
+        # rhs = den * b.x has the integral solution x
+        rhs = [den * sum(b[i][j] * x[j] for j in range(n)) for i in range(n)]
+        assert _agrees(b, rhs, den)
+        assert solve_upper_triangular(b, rhs, den) == x
+        # a nudged rhs may or may not keep the solution integral
+        k = rng.randrange(n)
+        rhs[k] += rng.choice([1, -1, den])
+        integral_cases += _agrees(b, rhs, den)
+        # an arbitrary right-hand side is integral only by accident
+        rhs = [rng.randrange(-bound, bound + 1) for _ in range(n)]
+        non_integral_cases += not _agrees(b, rhs, den)
+    assert integral_cases > 0 and non_integral_cases > 0
+
+
+def test_unit_diagonal_always_integral():
+    rng = random.Random(4)
+    for _ in range(100):
+        n = rng.randrange(1, 7)
+        b = _triangular(rng, n, 2)  # diagonal entries are +-1
+        rhs = [rng.randrange(-50, 51) for _ in range(n)]
+        assert _agrees(b, rhs, 1)
+
+
+def test_examples():
+    b = [[2, 1], [0, -3]]
+    assert solve_upper_triangular(b, [6, -6]) == [2, 2]
+    assert solve_upper_triangular(b, [12, -12], 2) == [2, 2]
+    assert solve_upper_triangular(b, [6, -3], 2) is None  # x_2 = 1/2
+    assert solve_upper_triangular(b, [5, -6]) is None  # x = (3/2, 2)
+    assert solve_upper_triangular([], []) == []

@@ -21,13 +21,13 @@ from ringcert.maximality import (
 from ringcert.orders import (
     TimesTable,
     build_order_description,
-    index_z,
     reduce_table_mod_p,
     times_table_of,
     tt_mul,
     tt_pow,
 )
 from ringcert.resultants import disc_poly
+from reference import lattice_index
 
 CUBIC_3_10 = ([-10, -3, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]])
 CUBIC_30_80 = ([-80, -30, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [2, 0, 1]])
@@ -182,7 +182,7 @@ class TestPMaxCertificates:
             # scale both coordinate matrices to a common denominator
             bmax_scaled = [[x * desc.d for x in row] for row in bmax]
             bo_scaled = [[x * maximal.d for x in row] for row in bo]
-            idx = index_z(bmax_scaled, bo_scaled)
+            idx = lattice_index(bmax_scaled, bo_scaled)
             for p in ps:
                 cert = generate_pmax(table, p)
                 if isinstance(cert, KernelWitness):

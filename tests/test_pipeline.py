@@ -5,16 +5,16 @@ import pytest
 
 from ringcert.exactalg import ZZ, formal_derivative, list_add, list_mul, list_sub
 from ringcert.maximality import DedekindCertificate
-from ringcert.pipeline import (
-    BundleError,
-    claim_discriminant,
-    generate_bundle,
-    verify_bundle,
-)
+from ringcert.pipeline import BundleError, generate_bundle, verify_bundle
 
 CUBIC_3_10 = ([-10, -3, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]])
 CUBIC_30_80 = ([-80, -30, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [2, 0, 1]])
 QUAD = ([1, -1, 1], 1, [[1, 0], [0, 1]])
+
+
+def claim(bundle, disc):
+    """Verify the bundle with a discriminant claim attached."""
+    return verify_bundle(dataclasses.replace(bundle, claimed_disc=disc))
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +43,9 @@ class TestBundleRoundTrip:
 
     def test_cubic_30_80_with_claim(self, bundle_30_80):
         assert verify_bundle(bundle_30_80).accepted
-        assert claim_discriminant(bundle_30_80, -16200).accepted
-        v = claim_discriminant(bundle_30_80, -16201)
-        assert not v.accepted and "mismatch" in v.reason
+        assert claim(bundle_30_80, -16200).accepted
+        v = claim(bundle_30_80, -16201)
+        assert v.reason == "bundle/disc-claim/mismatch/claimed=-16201/det-route=-16200"
 
     def test_quadratic_monogenic(self):
         bundle = generate_bundle(*QUAD)
@@ -55,7 +55,7 @@ class TestBundleRoundTrip:
         assert all(
             isinstance(e.cert, DedekindCertificate) for e in bundle.primes
         )
-        assert claim_discriminant(bundle, -3).accepted
+        assert claim(bundle, -3).accepted
 
     def test_power_basis_not_maximal_at_2(self):
         with pytest.raises(BundleError) as exc:
@@ -76,7 +76,7 @@ class TestBundleRoundTrip:
         bundle = generate_bundle([7, 1], 1, [[1]])
         assert verify_bundle(bundle).accepted
         assert bundle.primes == ()
-        assert claim_discriminant(bundle, 1).accepted
+        assert claim(bundle, 1).accepted
 
     def test_prime_above_trial_bound_needs_pratt(self):
         # disc(X^2 + 1000033) = -4 * 1000033 with 1000033 prime above the
@@ -172,7 +172,7 @@ class TestHigherDegree:
         identity = [[1 if i == j else 0 for i in range(6)] for j in range(6)]
         bundle = generate_bundle(phi7, 1, identity)
         assert verify_bundle(bundle).accepted
-        assert claim_discriminant(bundle, -16807).accepted
+        assert claim(bundle, -16807).accepted
 
     def test_degree8_cyclotomic(self):
         # 16th cyclotomic field: X^8+1 is reducible mod every prime, so the
@@ -181,7 +181,7 @@ class TestHigherDegree:
         identity = [[1 if i == j else 0 for i in range(8)] for j in range(8)]
         bundle = generate_bundle(phi16, 1, identity)
         assert verify_bundle(bundle).accepted
-        assert claim_discriminant(bundle, 2**24).accepted
+        assert claim(bundle, 2**24).accepted
         from ringcert.irred_int import LPFWCertificate
 
         assert isinstance(bundle.irreducibility, LPFWCertificate)
@@ -193,7 +193,7 @@ class TestHigherDegree:
         cols = [[(1 << (7 - j)) if i == j else 0 for i in range(8)] for j in range(8)]
         bundle = generate_bundle(T, 128, cols)
         assert verify_bundle(bundle).accepted
-        assert claim_discriminant(bundle, 2**24).accepted
+        assert claim(bundle, 2**24).accepted
         kinds = {e.p: type(e.cert).__name__ for e in bundle.primes}
         assert kinds[2] in ("PMaxShortCertificate", "PMaxLongCertificate")
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ringcert import certio
 from ringcert.exactalg import GF, ZZ, deg, drop_trailing_zeros, list_mul
 from ringcert.orders import build_order_description
 from ringcert.resultants import (
@@ -12,6 +13,7 @@ from ringcert.resultants import (
     resultant,
     sylvester_matrix,
 )
+from reference import lattice_index
 
 
 def poly_from_roots(dom, roots, lead=1):
@@ -150,27 +152,25 @@ def disc_poly_fp(field, f):
 class TestOrderDiscriminant:
     def test_cubic_30_80(self):
         desc = build_order_description([-80, -30, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [2, 0, 1]])
-        od = disc_order(desc)
-        assert od.index == 2
-        assert od.value == -16200
+        assert power_basis_index(desc) == 2
+        assert disc_order(desc) == -16200
         assert check_order_discriminant(desc, -16200).accepted
         v = check_order_discriminant(desc, -16201)
-        assert not v.accepted and "mismatch" in v.reason
+        assert v.reason == "disc-claim/mismatch/claimed=-16201/det-route=-16200"
 
     def test_monogenic(self):
         desc = build_order_description([1, -1, 1], 1, [[1, 0], [0, 1]])
-        od = disc_order(desc)
-        assert od.index == 1
-        assert od.value == -3
+        assert power_basis_index(desc) == 1
+        assert disc_order(desc) == -3
 
     def test_cubic_3_10(self):
         desc = build_order_description([-10, -3, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]])
-        od = disc_order(desc)
-        assert od.index == 2
+        assert power_basis_index(desc) == 2
         # disc(T) = -2592 classically; value = (-1)^3 * 2592 / 4
-        assert od.value == -648
+        assert disc_order(desc) == -648
 
     def test_index_routes_agree(self):
+        # the diagonal formula against the index of d*I in the span of B
         for T, d, cols in [
             ([-80, -30, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [2, 0, 1]]),
             ([-10, -3, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]]),
@@ -180,6 +180,14 @@ class TestOrderDiscriminant:
             n = desc.n
             b = [[desc.basis_columns[j][i] for j in range(n)] for i in range(n)]
             d_id = [[d if i == j else 0 for j in range(n)] for i in range(n)]
-            from ringcert.orders import index_z
+            assert power_basis_index(desc) == lattice_index(b, d_id)
 
-            assert power_basis_index(desc) == index_z(b, d_id)
+    def test_fixture_discriminants(self):
+        checked = 0
+        for name, fx in certio.FIXTURES.items():
+            if fx["disc"] is None:
+                continue
+            desc = build_order_description(list(fx["T"]), fx["d"], [list(c) for c in fx["columns"]])
+            assert disc_order(desc) == fx["disc"], name
+            checked += 1
+        assert checked == 10
