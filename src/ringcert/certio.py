@@ -41,8 +41,9 @@ SCHEMA_VERSION = "1"
 
 MAX_DIGITS = 4300  # CPython's default int/str conversion limit
 
-_INT_RE = re.compile(rf"^(0|-?[1-9][0-9]{{0,{MAX_DIGITS - 1}}})$")
-_LONG_INT_RE = re.compile(r"^-?[1-9][0-9]*$")
+# \Z, not $, which would also match before a trailing newline
+_INT_RE = re.compile(rf"^(0|-?[1-9][0-9]{{0,{MAX_DIGITS - 1}}})\Z")
+_LONG_INT_RE = re.compile(r"^-?[1-9][0-9]*\Z")
 
 
 class CertFormatError(Exception):
@@ -332,6 +333,40 @@ def _dec_order(payload) -> OrderDescription:
 
 
 _CODECS[OrderDescription] = (_enc_order, _dec_order)
+
+# A Pratt chain nests one payload per level, and encoding spends several
+# stack frames on each.  The outermost decoder bounds the depth first, so
+# that every chain that parses can be serialized again.  The nested levels
+# go through the unchecked decoder that the chain's own fields were compiled
+# with; those field codecs leave the cache, so that every other type
+# compiles against the checked one.
+
+MAX_PRATT_DEPTH = 64  # a chain whose factors carry no sub-certificate has depth 1
+
+_before_pratt = set(_CODECS)
+_dataclass_codec(primality.PrattCertificate)
+_enc_pratt, _dec_pratt_unchecked = _CODECS[primality.PrattCertificate]
+for _tp in set(_CODECS) - _before_pratt:
+    del _CODECS[_tp]
+
+
+def _dec_pratt(payload) -> primality.PrattCertificate:
+    depth, level = 0, [payload]
+    while level:
+        depth += 1
+        if depth > MAX_PRATT_DEPTH:
+            raise CertFormatError(f"Pratt chain nested more than {MAX_PRATT_DEPTH} levels")
+        level = [
+            entry[2]
+            for node in level
+            if type(node) is dict and type(node.get("factors")) is list
+            for entry in node["factors"]
+            if type(entry) is list and len(entry) == 3 and entry[2] is not None
+        ]
+    return _dec_pratt_unchecked(payload)
+
+
+_CODECS[primality.PrattCertificate] = (_enc_pratt, _dec_pratt)
 
 for _cls in _REGISTRY.values():
     _codec(_cls)

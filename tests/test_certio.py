@@ -115,6 +115,13 @@ class TestMalformedInputs:
         with pytest.raises(certio.CertFormatError, match="kind"):
             certio.parse(json.dumps(env).encode())
 
+    def test_integer_with_trailing_newline_rejected(self, sample_objects):
+        # a regex ending in $ also matches before a trailing newline
+        env = json.loads(certio.serialize(sample_objects["pratt"]))
+        env["payload"]["P"] = "257\n"
+        with pytest.raises(certio.CertFormatError, match="decimal"):
+            certio.parse(_reseal(env))
+
     def test_deep_pratt_chain_parses_or_is_malformed(self):
         # a chain nested past the recursion limit is malformed, never a crash
         for depth in (20, 150, 330):
