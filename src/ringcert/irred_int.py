@@ -131,7 +131,7 @@ def verify_reducible_witness_int(wit: ReducibleWitnessInt) -> Verdict:
 
 def _verify_factorization_mod_p(fmp: FactorizationModP, f: list[int]) -> Verdict:
     p = fmp.p
-    if not primality.is_prime_trial(p) and not primality.is_probable_prime(p):
+    if not primality.certify_prime_for_verifier(p, None):
         return Verdict.reject(f"analysis/p={p}/not-prime")
     if lc(f) % p == 0:
         return Verdict.reject(f"analysis/p={p}/divides-lc")

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,33 @@ class TestLPFWVerification:
         bad = dataclasses.replace(cert, m=5)
         v = verify_lpfw(bad)
         assert not v.accepted and v.reason == "lpfw/value-product"
+
+
+class TestDegreeAnalysisPrimes:
+    @pytest.fixture(scope="class")
+    def analysis(self):
+        cert = generate_int_irred([1, 0, 1])  # X^2 + 1, irreducible mod 3
+        assert isinstance(cert, DegreeAnalysisCertificate)
+        return cert
+
+    def _with_prime(self, cert, p):
+        return dataclasses.replace(
+            cert, per_prime=(dataclasses.replace(cert.per_prime[0], p=p),)
+        )
+
+    def test_composite_p_rejected(self, analysis):
+        assert verify_degree_analysis(analysis).accepted
+        v = verify_degree_analysis(self._with_prime(analysis, 15))
+        assert v.reason == "analysis/p=15/not-prime"
+
+    def test_large_prime_rejected_quickly(self, analysis):
+        # primes from 10^6 up need a Pratt certificate, which this field
+        # cannot carry; trial division to sqrt(p) would take about a second
+        p = 140737488355213  # the largest prime below 2^47
+        start = time.perf_counter()
+        v = verify_degree_analysis(self._with_prime(analysis, p))
+        assert time.perf_counter() - start < 0.1
+        assert v.reason == f"analysis/p={p}/not-prime"
 
 
 class TestGenerator:
