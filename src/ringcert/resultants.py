@@ -91,7 +91,8 @@ def disc_order(desc: OrderDescription) -> int:
 
 
 def check_order_discriminant(desc: OrderDescription, claimed: int) -> Verdict:
-    """Compare a claimed discriminant with disc_order's exact value."""
+    """Compare a claimed discriminant with disc_order's exact value, under
+    disc_order's precondition."""
     try:
         value = disc_order(desc)
     except ValueError as e:
