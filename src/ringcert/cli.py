@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_irred = gen_sub.add_parser("irred", help="irreducibility over the integers")
     g_irred.add_argument("polyfile")
     g_irred.add_argument("-o", "--output")
-    g_irred.add_argument("--budget", type=int, default=10_000)
+    g_irred.add_argument("--budget", type=int, default=10_000, help="LPFW evaluation points")
     g_irred.add_argument("--seed", type=int, default=0)
     g_irred.set_defaults(func=_cmd_gen_irred)
 
@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_bundle.add_argument("polyfile")
     g_bundle.add_argument("basisfile")
     g_bundle.add_argument("-o", "--output")
-    g_bundle.add_argument("--budget", type=int, default=10_000)
+    g_bundle.add_argument("--budget", type=int, default=10_000, help="LPFW evaluation points")
     g_bundle.add_argument("--seed", type=int, default=0)
     g_bundle.add_argument("--disc", type=int, default=None,
                           help="embed a discriminant claim in the bundle")

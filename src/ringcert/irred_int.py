@@ -9,12 +9,16 @@ Two certificate flavors:
   beyond a certified root bound forces irreducibility once a lower bound d
   on factor degrees is known (d = 1 always works for primitive f).
 
+When degree analysis leaves room for a factor, the generator looks for one
+by big-prime Zassenhaus (`_zassenhaus_factor`); finding none sends it to LPFW.
+
 Pratt primality certificates for the prime witnesses live in
 ringcert.primality and are re-exported here.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -119,6 +123,11 @@ class ReducibleWitnessInt:
 
 def verify_reducible_witness_int(wit: ReducibleWitnessInt) -> Verdict:
     f, fac, cof = list(wit.f), list(wit.factor), list(wit.cofactor)
+    # Z[X] has no zero divisors: nonzero factors of the wrong lengths cannot
+    # multiply to f, so reject them before a product sized by the certificate
+    n_fac, n_cof = len(drop_trailing_zeros(fac)), len(drop_trailing_zeros(cof))
+    if n_fac and n_cof and n_fac + n_cof - 1 != len(f):
+        return Verdict.reject("reducible-int/product")
     if list_mul(ZZ, fac, cof) != f:
         return Verdict.reject("reducible-int/product")
     for part, name in ((fac, "factor"), (cof, "cofactor")):
@@ -245,13 +254,17 @@ def verify_lpfw(cert: LPFWCertificate) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
+ANALYSIS_PRIMES = 12  # primes actually used per certificate
+ANALYSIS_PRIME_BOUND = 200
+LPFW_TRIAL_BOUND = 100_000  # strip prime factors below this from |f(m)|
+# the sparsest of this many factorizations: X^32+1 modulo a prime P = 1 (mod 64)
+# has 32 linear factors, so C(32,16) subsets of degree 16
+ZASSENHAUS_PRIMES = 3
+
+
 @dataclass
 class IntIrredBudget:
-    analysis_primes: int = 12       # primes actually used per certificate
-    analysis_prime_bound: int = 200
     lpfw_points: int = 10_000       # evaluation points tried per scaling factor set
-    lpfw_trial_bound: int = 100_000  # strip prime factors below this from |f(m)|
-    factor_candidates: int = 500_000
 
 
 class NoCertificateFound(Exception):
@@ -274,7 +287,7 @@ def _factorization_cert_mod_p(
 
 
 def _degree_analysis_search(
-    f: list[int], budget: IntIrredBudget, rng: random.Random
+    f: list[int], rng: random.Random
 ) -> tuple[DegreeAnalysisCertificate | None, int, DegreeAnalysisCertificate | None]:
     """Try to prove irreducibility by degree analysis.
 
@@ -288,8 +301,8 @@ def _degree_analysis_search(
     best_d = 1
     best_entries: list[FactorizationModP] = []
     used = 0
-    for p in primality.sieve_primes(budget.analysis_prime_bound):
-        if used >= budget.analysis_primes:
+    for p in primality.sieve_primes(ANALYSIS_PRIME_BOUND):
+        if used >= ANALYSIS_PRIMES:
             break
         if lc(f) % p == 0:
             continue
@@ -328,7 +341,7 @@ def _lpfw_search(
             best = (rho, r)
     rho, r = best
     m0 = math.ceil(rho + 1)
-    small_primes = primality.sieve_primes(budget.lpfw_trial_bound)
+    small_primes = primality.sieve_primes(LPFW_TRIAL_BOUND)
     tried = 0
     m_abs = m0
     while tried < budget.lpfw_points:
@@ -405,62 +418,55 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _bounded_factor_search(
-    f: list[int], allowed_degrees: set[int], budget: IntIrredBudget
-) -> list[int] | None:
-    """Enumerate primitive candidate divisors of each allowed degree.
+def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
+    """f / g when g divides f over the integers, else None."""
+    q, r = poly_divmod(QQ, [Fraction(c) for c in f], [Fraction(c) for c in g])
+    if r or any(c.denominator != 1 for c in q):
+        return None
+    return [int(c) for c in q]
 
-    Coefficient bounds come from the root bound: a monic-scaled factor of
-    degree k has coefficients at most lc * C(k,i) * rho^i in magnitude.
-    Divisibility of f(1), f(-1) and f(0) prunes almost everything.
+
+def _zassenhaus_factor(f: list[int], allowed: set[int]) -> list[int] | None:
+    """A primitive factor of f with degree in allowed, or None when there is none.
+
+    Big-prime Zassenhaus (von zur Gathen & Gerhard, Modern Computer Algebra,
+    Algorithm 15.2): P exceeds twice the Landau-Mignotte bound, so a factor
+    scaled to leading coefficient lc(f) is the symmetric lift of lc(f) times
+    a sub-multiset product of the monic factors of f mod P.
     """
-    n = deg(f)
-    rho = cauchy_bound_scaled(f, Fraction(1))
-    f1 = poly_eval(ZZ, f, 1)
-    fm1 = poly_eval(ZZ, f, -1)
-    f0 = f[0]
-    tried = 0
-    for k in sorted(allowed_degrees):
-        if k < 2 or k > n // 2:
-            continue
-        bounds = [math.floor(math.comb(k, k - i) * (Fraction(rho) ** (k - i))) for i in range(k)]
-        for lead in _divisors(abs(lc(f))):
-            ranges = [range(-lead * b, lead * b + 1) for b in bounds]
+    if not allowed:
+        return None
+    a = lc(f)
+    bound = 2 ** deg(f) * (math.isqrt(sum(c * c for c in f)) + 1) * abs(a)
+    P, factors = 2 * bound, None
+    for _ in range(ZASSENHAUS_PRIMES):
+        P += 1
+        while not primality.is_probable_prime(P):
+            P += 1
+        # no rng: factor_poly derives its own seed, leaving the caller's draws as they were
+        _unit, found = irred_ff.factor_poly(GF(P), reduce_mod_p(f, P))
+        flat = [fac for fac, mult in found for _ in range(mult)]
+        if factors is None or len(flat) < len(factors):
+            field, factors = GF(P), flat
 
-            def rec(idx: int, coeffs: list[int]) -> list[int] | None:
-                nonlocal tried
-                if idx == k:
-                    g = coeffs + [lead]
-                    tried += 1
-                    if tried > budget.factor_candidates:
-                        raise NoCertificateFound("factor search budget exhausted")
-                    if content(g) != 1:
-                        return None
-                    if f0 != 0 and (g[0] == 0 or f0 % g[0] != 0):
-                        return None
-                    g1 = sum(g)
-                    if g1 == 0 or f1 % g1 != 0:
-                        return None
-                    gm1 = sum(c if i % 2 == 0 else -c for i, c in enumerate(g))
-                    if gm1 == 0 or fm1 % gm1 != 0:
-                        return None
-                    fq = [Fraction(c) for c in f]
-                    gq = [Fraction(c) for c in g]
-                    q, r = poly_divmod(QQ, fq, gq)
-                    if r:
-                        return None
-                    if any(c.denominator != 1 for c in q):
-                        return None
-                    return g
-                for c in ranges[idx]:
-                    got = rec(idx + 1, coeffs + [c])
-                    if got is not None:
-                        return got
-                return None
+    def lift(c: int) -> int:
+        c %= field.p
+        return c - field.p if 2 * c > field.p else c
 
-            got = rec(0, [])
-            if got is not None:
-                return got
+    for size in range(1, len(factors)):
+        for subset in itertools.combinations(factors, size):
+            if sum(len(g) - 1 for g in subset) not in allowed:
+                continue
+            c0 = lift(a * math.prod(g[0] for g in subset))
+            if c0 == 0 or (a * f[0]) % c0:
+                continue
+            g = [a]
+            for h in subset:
+                g = list_mul(field, g, h)
+            g = [lift(c) for c in g]
+            g = [c // content(g) for c in g]
+            if _exact_quotient(f, g) is not None:
+                return g if g[-1] > 0 else [-c for c in g]
     return None
 
 
@@ -471,9 +477,11 @@ def generate_int_irred(
 ) -> DegreeAnalysisCertificate | LPFWCertificate | ReducibleWitnessInt:
     """Certificate of irreducibility over the integers, or a factor witness.
 
-    Degree analysis over small primes is preferred; LPFW is the fallback.
-    Raises NoCertificateFound when the search budget runs out, which is a
-    statement about the budget, not about reducibility.
+    Degree analysis over small primes is preferred.  Otherwise big-prime
+    Zassenhaus either finds a factor or shows there is none, and LPFW proves
+    irreducibility.  Raises NoCertificateFound when LPFW runs out of
+    evaluation points, which is a statement about the budget, not about
+    reducibility.
     """
     f = drop_trailing_zeros(list(f))
     if deg(f) < 1:
@@ -490,33 +498,20 @@ def generate_int_irred(
 
     root_factor = _rational_root_factor(f)
     if root_factor is not None and deg(f) > 1:
-        fq = [Fraction(x) for x in f]
-        gq = [Fraction(x) for x in root_factor]
-        q, r = poly_divmod(QQ, fq, gq)
-        assert not r
-        cof = [int(x) for x in q]
+        cof = _exact_quotient(f, root_factor)
         return ReducibleWitnessInt(tuple(f), tuple(root_factor), tuple(cof))
 
-    full, d, partial = _degree_analysis_search(f, budget, rng)
+    full, d, partial = _degree_analysis_search(f, rng)
     if full is not None:
         return full
 
     # a factor, if one exists, has degree in the subset-sum intersection
-    allowed: set[int] = set(range(2, deg(f) // 2 + 1))
+    allowed = set(range(2, deg(f) // 2 + 1))
     if partial is not None:
-        common = subset_sums(analysis_degree_multisets(partial)[0])
-        for ds in analysis_degree_multisets(partial)[1:]:
-            common &= subset_sums(ds)
-        allowed &= common
-    try:
-        factor = _bounded_factor_search(f, allowed, budget)
-    except NoCertificateFound:
-        factor = None  # enumeration ran out; LPFW may still settle it
+        allowed = allowed.intersection(*map(subset_sums, analysis_degree_multisets(partial)))
+    factor = _zassenhaus_factor(f, allowed)
     if factor is not None:
-        fq = [Fraction(x) for x in f]
-        gq = [Fraction(x) for x in factor]
-        q, _ = poly_divmod(QQ, fq, gq)
-        return ReducibleWitnessInt(tuple(f), tuple(factor), tuple(int(x) for x in q))
+        return ReducibleWitnessInt(tuple(f), tuple(factor), tuple(_exact_quotient(f, factor)))
 
     lpfw = _lpfw_search(f, d, partial, budget, rng)
     if lpfw is not None:

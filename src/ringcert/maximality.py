@@ -531,7 +531,6 @@ def find_witness(
 def generate_pmax(
     tt: TimesTable,
     p: int,
-    witness_budget: int = 512,
     rng: random.Random | None = None,
     prefer_long: bool = False,
 ) -> PMaxShortCertificate | PMaxLongCertificate | KernelWitness:
@@ -561,7 +560,7 @@ def generate_pmax(
 
     witness = None
     if not prefer_long:
-        witness = find_witness(tt, p, V, W, budget=witness_budget, rng=rng)
+        witness = find_witness(tt, p, V, W, rng=rng)
     if witness is not None:
         beta, gamma = witness
         beta_w = _vw_combination(V, W, beta, gamma, p, r)

@@ -214,7 +214,6 @@ class BundleError(Exception):
 @dataclass
 class BundleBudget:
     irred: irred_int.IntIrredBudget = dc_field(default_factory=irred_int.IntIrredBudget)
-    witness_budget: int = 512
     seed: int = 0
 
 
@@ -289,7 +288,7 @@ def generate_bundle(
         if ded is not None and maximality.verify_dedekind(ded).accepted:
             entries.append(PrimeEntry(p, e, pratt, ded))
             continue
-        cert = maximality.generate_pmax(tt, p, witness_budget=budget.witness_budget, rng=rng)
+        cert = maximality.generate_pmax(tt, p, rng=rng)
         if isinstance(cert, KernelWitness):
             raise BundleError(
                 f"order is not maximal at {p}",

@@ -5,7 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from ringcert.exactalg import QQ, content, deg, drop_trailing_zeros, poly_divmod, poly_eval
+from ringcert.exactalg import (
+    QQ,
+    ZZ,
+    content,
+    deg,
+    drop_trailing_zeros,
+    list_mul,
+    poly_divmod,
+    poly_eval,
+)
 from ringcert.irred_int import (
     DegreeAnalysisCertificate,
     IntIrredBudget,
@@ -248,3 +257,114 @@ class TestGenerator:
             else:
                 assert isinstance(out, ReducibleWitnessInt), (f, oracle_factor)
                 assert verify_reducible_witness_int(out).accepted, f
+
+    @pytest.mark.parametrize(
+        "g, h",
+        [
+            ([3, -2, 4, 1], [2, 1, -5, 3, 1]),  # cubic times quartic
+            ([3, 0, 0, 0, 0, 0, 0, 0, 1], [1, 1, 0, 0, 0, 0, 0, 0, 1]),  # (X^8+3)(X^8+X+1)
+        ],
+    )
+    def test_product_without_linear_factor_is_factored(self, g, h):
+        f = list_mul(ZZ, g, h)
+        start = time.perf_counter()
+        out = generate_int_irred(f)
+        assert time.perf_counter() - start < 2.0
+        assert isinstance(out, ReducibleWitnessInt)
+        assert verify_reducible_witness_int(out).accepted
+
+    @pytest.mark.parametrize("c", [1, 256])  # X^8+1 and 2*zeta_16's X^8+256
+    def test_x8_plus_c_needs_lpfw(self, c):
+        cert = generate_int_irred([c, 0, 0, 0, 0, 0, 0, 0, 1])
+        assert isinstance(cert, LPFWCertificate)
+        assert verify_lpfw(cert).accepted
+
+
+class TestReducibleWitnessVerification:
+    def test_wrong_lengths_rejected_before_multiplying(self):
+        # 2001 + 2000 - 1 coefficients cannot multiply to a quadratic; the
+        # product itself, with one 4300-digit entry, takes seconds
+        factor = [1] * 2000 + [10**4299]
+        cofactor = [1] * 2000
+        wit = ReducibleWitnessInt((-1, 0, 1), tuple(factor), tuple(cofactor))
+        start = time.perf_counter()
+        v = verify_reducible_witness_int(wit)
+        assert time.perf_counter() - start < 1.0
+        assert v.reason == "reducible-int/product"
+
+    @pytest.mark.parametrize(
+        "factor, cofactor, reason",
+        [
+            ((1, 1), (-1, 1), None),
+            ((1, 1), (-1, 1, 0), None),  # trailing zero: trimmed lengths fit
+            ((1, 1), (1, 1), "reducible-int/product"),
+            ((), (-1, 0, 1), "reducible-int/product"),
+            ((-1, 0, 1), (1,), "reducible-int/cofactor-unit"),
+        ],
+    )
+    def test_reasons(self, factor, cofactor, reason):
+        v = verify_reducible_witness_int(ReducibleWitnessInt((-1, 0, 1), factor, cofactor))
+        assert v.accepted if reason is None else v.reason == reason
+
+
+class TestDifferentialAgainstSympy:
+    """The generator's verdict over Z against sympy's factorization."""
+
+    @staticmethod
+    def _random_irreducible(rng, degree, monic):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        while True:
+            lead = 1 if monic else rng.choice([c for c in range(-9, 10) if c not in (0, 1)])
+            f = [rng.randrange(-9, 10) for _ in range(degree)] + [lead]
+            if content(f) != 1:
+                continue
+            _c, parts = sympy.factor_list(sympy.Poly(list(reversed(f)), x))
+            if len(parts) == 1 and parts[0][1] == 1:
+                return f
+
+    @staticmethod
+    def _sympy_reducible(f):
+        sympy = pytest.importorskip("sympy")
+        _c, parts = sympy.factor_list(sympy.Poly(list(reversed(f)), sympy.Symbol("x")))
+        return sum(mult for _g, mult in parts) > 1
+
+    @staticmethod
+    def _check(f, reducible):
+        out = generate_int_irred(f)
+        assert isinstance(out, ReducibleWitnessInt) == reducible, f
+        if isinstance(out, ReducibleWitnessInt):
+            assert verify_reducible_witness_int(out).accepted, f
+        elif isinstance(out, DegreeAnalysisCertificate):
+            assert verify_degree_analysis(out).accepted, f
+        else:
+            assert verify_lpfw(out).accepted, f
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_products_of_two_irreducibles(self, seed):
+        rng = random.Random(seed)
+        for i in range(20):
+            g = self._random_irreducible(rng, rng.randrange(2, 6), monic=i % 2 == 0)
+            h = self._random_irreducible(rng, rng.randrange(2, 6), monic=i % 3 == 0)
+            f = list_mul(ZZ, g, h)
+            assert self._sympy_reducible(f)
+            self._check(f, True)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_primitive_polynomials(self, seed):
+        rng = random.Random(100 + seed)
+        for i in range(40):
+            n = rng.randrange(1, 9)
+            f = drop_trailing_zeros(
+                [rng.randrange(-9, 10) for _ in range(n)] + [rng.choice([1, 1, 2, -3, 5])]
+            )
+            if content(f) != 1:
+                continue
+            self._check(f, self._sympy_reducible(f))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_irreducibles(self, seed):
+        rng = random.Random(200 + seed)
+        for i in range(20):
+            f = self._random_irreducible(rng, rng.randrange(2, 9), monic=i % 2 == 0)
+            self._check(f, False)
