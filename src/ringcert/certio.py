@@ -111,8 +111,14 @@ def _int_error(s) -> CertFormatError:
     return CertFormatError(f"not a canonical decimal integer: {s!r}")
 
 
+_INT_BOUND = 10**MAX_DIGITS
+
+
 def _enc_int(x: int) -> str:
-    return str(int(x))
+    x = int(x)
+    if -_INT_BOUND < x < _INT_BOUND:
+        return str(x)
+    raise CertFormatError(f"cannot write an integer of more than {MAX_DIGITS} digits")
 
 
 def _dec_int(s) -> int:
@@ -122,7 +128,7 @@ def _dec_int(s) -> int:
 
 
 def _enc_ints(t) -> list[str]:
-    return [str(int(c)) for c in t]
+    return [str(int(c)) if -_INT_BOUND < c < _INT_BOUND else _enc_int(c) for c in t]
 
 
 def _dec_ints(v) -> tuple[int, ...]:
@@ -136,7 +142,7 @@ def _dec_ints(v) -> tuple[int, ...]:
 
 def _enc_frac(x: Fraction) -> str:
     x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    return f"{_enc_int(x.numerator)}/{_enc_int(x.denominator)}"
 
 
 def _dec_frac(s) -> Fraction:
@@ -436,8 +442,9 @@ def parse_file(path):
 
 
 def write_file(path, obj) -> None:
+    data = serialize(obj)  # before opening, so a CertFormatError leaves no file
     with open(path, "wb") as fh:
-        fh.write(serialize(obj))
+        fh.write(data)
 
 
 # ---------------------------------------------------------------------------
@@ -552,20 +559,3 @@ def fixtures_dir():
         return Path(override)
     return Path(__file__).parent / "fixtures"
 
-
-def write_fixture_files(directory) -> list:
-    """Materialize the corpus as input files; returns the written paths."""
-    from pathlib import Path
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, fx in FIXTURES.items():
-        poly_path = directory / f"{name}.poly.json"
-        write_file(poly_path, InputPolynomial(fx["T"]))
-        written.append(poly_path)
-        if fx["columns"] is not None:
-            basis_path = directory / f"{name}.basis.json"
-            write_file(basis_path, InputOrderBasis(fx["d"], fx["columns"]))
-            written.append(basis_path)
-    return written

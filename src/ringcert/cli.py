@@ -74,6 +74,14 @@ def _load(path):
         raise SystemExit(EXIT_MALFORMED)
 
 
+def _write(path, obj) -> None:
+    try:
+        certio.write_file(path, obj)
+    except certio.CertFormatError as e:
+        print(f"cannot write {path}: {e}", file=sys.stderr)
+        raise SystemExit(EXIT_MALFORMED)
+
+
 def _cmd_gen_irred(args) -> int:
     obj = _load(args.polyfile)
     if not isinstance(obj, certio.InputPolynomial):
@@ -92,7 +100,7 @@ def _cmd_gen_irred(args) -> int:
         print(f"bad input: {e}", file=sys.stderr)
         return EXIT_MALFORMED
     out = args.output or (args.polyfile + ".cert.json")
-    certio.write_file(out, cert)
+    _write(out, cert)
     if isinstance(cert, irred_int.ReducibleWitnessInt):
         print(f"reducible: factor {list(cert.factor)} (witness written to {out})")
     else:
@@ -127,7 +135,7 @@ def _cmd_gen_bundle(args) -> int:
             print(f"generation failed: {e}", file=sys.stderr)
         return EXIT_REJECT
     out = args.output or (args.polyfile + ".bundle.json")
-    certio.write_file(out, bundle)
+    _write(out, bundle)
     print(f"bundle written to {out}")
     return EXIT_ACCEPT
 

@@ -177,27 +177,6 @@ def verify_rabin(cert: RabinCertificate) -> Verdict:
     return Verdict.accept()
 
 
-def residue_chain(
-    field: PrimeField, g: list[int], e: int, f: list[int], base: int = 2
-) -> tuple[list[int], list[list[int]]]:
-    """g^e mod f via base-`base` square and multiply.
-
-    Returns (final residue, intermediates [y_s, ..., y_0]); y_0 is the
-    result.  The intermediates become the h' rows of a certificate.
-    """
-    if not f:
-        raise ZeroDivisionError("zero modulus")
-    digits = base_digits(e, base)
-    s = len(digits) - 1
-    y = poly_divmod(field, list_pow(field, g, digits[s]), f)[1]
-    steps = [y]
-    for j in range(s - 1, -1, -1):
-        y = list_mul(field, list_pow(field, y, base), list_pow(field, g, digits[j]))
-        y = poly_divmod(field, y, f)[1]
-        steps.append(y)
-    return steps[-1], steps
-
-
 # ---------------------------------------------------------------------------
 # generator side
 # ---------------------------------------------------------------------------
@@ -329,27 +308,6 @@ def radical_fp(field: PrimeField, f: list[int], rng: random.Random | None = None
     for fac, _m in factors:
         rad = list_mul(field, rad, fac)
     return rad
-
-
-def is_irreducible(field: PrimeField, f: list[int]) -> bool:
-    """Rabin's criterion computed directly; generator-side test."""
-    n = deg(f)
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    p = field.p
-    powers = [poly_divmod(field, X_POLY, f)[1]]
-    for _ in range(n):
-        powers.append(poly_mod_pow(field, powers[-1], p, f))
-    if powers[n] != powers[0]:
-        return False
-    for q, _e in primality.factorize(n):
-        m = n // q
-        g = poly_gcd(field, f, list_sub(field, powers[m], X_POLY))
-        if deg(g) != 0:
-            return False
-    return True
 
 
 def choose_base(p: int, n: int) -> int:

@@ -1,12 +1,10 @@
-"""Exact linear algebra over the integers, rationals and prime fields.
+"""Exact linear algebra over the integers and prime fields.
 
 Matrices are lists of rows.  Everything here is deterministic and exact;
 no floating point anywhere.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def transpose(m: list[list]) -> list[list]:
@@ -165,22 +163,34 @@ def pattern_reduce_fp(
     return a, pivots
 
 
-def solve_exact(a: list[list], b: list) -> list[Fraction]:
-    """Unique exact solution of a.x = b for square a; raises if singular."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
+def inverse_unimodular(m: list[list[int]]) -> list[list[int]]:
+    """The integer inverse of a square integer matrix of determinant +-1.
+
+    A fraction-free Gauss-Jordan (Bareiss) on [m | I]: every division is
+    exact, so the entries stay integral, and at the end the left block is
+    d times the identity and the right block d times the inverse, with
+    d = +-det(m).  Raises ValueError unless d is a unit.
+    """
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("inverse of a non-square matrix")
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
     for k in range(n):
-        pivot = next((i for i in range(k, n) if aug[i][k] != 0), None)
+        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
         if pivot is None:
             raise ValueError("singular matrix")
-        aug[k], aug[pivot] = aug[pivot], aug[k]
-        inv = 1 / aug[k][k]
-        aug[k] = [x * inv for x in aug[k]]
+        a[k], a[pivot] = a[pivot], a[k]
+        rk = a[k]
+        akk = rk[k]
         for i in range(n):
-            if i != k and aug[i][k] != 0:
-                f = aug[i][k]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-    return [aug[i][n] for i in range(n)]
+            if i != k:
+                aik = a[i][k]
+                a[i] = [(akk * x - aik * y) // prev for x, y in zip(a[i], rk)]
+        prev = akk
+    if prev not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return [[prev * x for x in row[n:]] for row in a]
 
 
 def solve_upper_triangular(b: list[list[int]], rhs: list[int], den: int = 1) -> list[int] | None:

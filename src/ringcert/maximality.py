@@ -18,9 +18,10 @@ computed by the verifier.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal
 
 from .exactalg import (
     GF,
@@ -38,10 +39,10 @@ from .exactalg import (
 )
 from .irred_ff import radical_fp
 from .linalg import (
+    inverse_unimodular,
     nullspace_fp,
     pattern_reduce_fp,
     rank_fp,
-    solve_exact,
     transpose,
 )
 from .orders import TimesTable, reduce_table_mod_p, tt_mul, tt_pow
@@ -118,7 +119,12 @@ def verify_dedekind(cert: DedekindCertificate) -> Verdict:
     if lhs != [1 % p]:
         return Verdict.reject("dedekind/radical-squarefree")
 
-    prod = list_sub(ZZ, list_mul(ZZ, list(cert.g), list(cert.h)), T)
+    # T is monic, so p*f = g*h - T forces deg g + deg h = n; checking that
+    # first bounds the product's length by n rather than by the file
+    g, h = drop_trailing_zeros(list(cert.g)), drop_trailing_zeros(list(cert.h))
+    if deg(g) + deg(h) != n:
+        return Verdict.reject("dedekind/factor-identity")
+    prod = list_sub(ZZ, list_mul(ZZ, g, h), T)
     if mul_pointwise(ZZ, p, list(cert.f)) != prod:
         return Verdict.reject("dedekind/factor-identity")
 
@@ -442,8 +448,15 @@ def frobenius_kernel_basis(
 
     Returns (V rows over GF(p) with pivot pattern, their pivot columns nu,
     W rows over Z, U = Frobenius images of W with pivot pattern, omega).
-    The stacked integer matrix [V; W] is unimodular by construction, which
-    keeps every later decomposition over {V, pW} integral.
+
+    With the columns ordered (nu, complement), the stacked integer matrix
+    [V; W] is the block matrix [[I, A], [0, M]]: each V row is 1 at its own
+    free column and 0 at the other free columns, and W starts as the unit
+    rows of the complement columns, which the mirror of `pattern_reduce_fp`
+    only swaps and adds integer multiples of, so W stays zero on nu and its
+    n x n block M is unimodular.  Hence [V; W] is unimodular, which keeps
+    every later decomposition over {V, pW} integral, and nu is exactly the
+    set of columns where W is all zero.
     """
     field = GF(p)
     tt_p = reduce_table_mod_p(tt, p)
@@ -466,25 +479,44 @@ def frobenius_kernel_basis(
     return vbar, nu, w_rows, u_patterned, omega
 
 
-def _decompose_over_vw(
-    V: list[list[int]], W: list[list[int]], p: int, y: list[int]
-) -> tuple[list[int], list[int]]:
-    """Integer (a, c) with y = sum a_k V_k + p sum c_k W_k.
+def _vw_decomposer(
+    V: list[list[int]], W: list[list[int]], p: int
+) -> Callable[[list[int]], tuple[list[int], list[int]]]:
+    """The map y -> integer (a, c) with y = sum a_k V_k + p sum c_k W_k.
 
-    Exists and is unique because [V; W] is unimodular and y lies in the
-    radical lattice; both facts are asserted."""
-    stacked = [list(row) for row in V] + [list(row) for row in W]
-    sol = solve_exact(transpose(stacked), y)
-    assert all(v.denominator == 1 for v in sol), "non-integral decomposition"
-    coeffs = [int(v) for v in sol]
-    a = coeffs[: len(V)]
-    b = coeffs[len(V) :]
-    assert all(x % p == 0 for x in b), "element outside the radical lattice"
-    return a, [x // p for x in b]
+    By the block shape [[I, A], [0, M]] of [V; W] (see
+    `frobenius_kernel_basis`), a = y[nu] and b = (y[comp] - a.A).M^-1, so
+    one integer inverse of M serves every product.  y must lie in the
+    radical lattice, that is p | b (asserted); then c = b / p.  The input y
+    may omit trailing zeros.
+    """
+    r = len((V or W)[0])
+    nu = [j for j in range(r) if not any(row[j] for row in W)]
+    comp = [j for j in range(r) if j not in nu]
+    assert [[row[j] for j in nu] for row in V] == [
+        [int(i == k) for k in range(len(nu))] for i in range(len(V))
+    ], "[V; W] is not in block form"
+    m_inv = inverse_unimodular([[row[j] for j in comp] for row in W])
+    # b_l = sum_i y[comp_i] M^-1[i][l] - sum_k y[nu_k] (A.M^-1)[k][l]
+    b_cols = []
+    for l in range(len(comp)):
+        col = [0] * r
+        for i, j in enumerate(comp):
+            col[j] = m_inv[i][l]
+        for k, j in enumerate(nu):
+            col[j] = -sum(V[k][comp[i]] * m_inv[i][l] for i in range(len(comp)))
+        b_cols.append(col)
+
+    def decompose(y: list[int]) -> tuple[list[int], list[int]]:
+        y = y + [0] * (r - len(y))
+        b = [sum(map(operator.mul, y, col)) for col in b_cols]
+        assert all(x % p == 0 for x in b), "element outside the radical lattice"
+        return [y[j] for j in nu], [x // p for x in b]
+
+    return decompose
 
 
-def _pad(vec: list[int], r: int) -> list[int]:
-    return [(vec[k] if k < len(vec) else 0) for k in range(r)]
+WITNESS_BUDGET = 512  # candidates find_witness tries before the long form
 
 
 def find_witness(
@@ -492,7 +524,7 @@ def find_witness(
     p: int,
     V: list[list[int]],
     W: list[list[int]],
-    budget: int = 512,
+    budget: int = WITNESS_BUDGET,
     rng: random.Random | None = None,
 ) -> tuple[list[int], list[int]] | None:
     """A witness element of the radical quotient on which multiplication by
@@ -500,6 +532,21 @@ def find_witness(
 
     All 0/1 coordinate vectors are tried first, then random ones up to the
     budget."""
+    return _search_witness(tt, p, V, W, _vw_decomposer(V, W, p), budget, rng)
+
+
+def _witness_images(tt: TimesTable, p: int, decompose, beta_w: list[int]) -> list[list[int]]:
+    """Coordinates mod p over {V, pW} of e_i * beta_w, one row per i."""
+    rho = []
+    for i in range(tt.n):
+        a, c = decompose(tt_mul(ZZ, tt, [0] * i + [1], beta_w))
+        rho.append([x % p for x in a] + [x % p for x in c])
+    return rho
+
+
+def _search_witness(
+    tt: TimesTable, p: int, V, W, decompose, budget: int, rng: random.Random | None
+) -> tuple[list[int], list[int]] | None:
     r = tt.n
     m, n = len(V), len(W)
     if rng is None:
@@ -518,12 +565,7 @@ def find_witness(
         if tried > budget:
             return None
         beta_w = _vw_combination(V, W, beta, gamma, p, r)
-        rho = []
-        for i in range(r):
-            y = _pad(tt_mul(ZZ, tt, [0] * i + [1], beta_w), r)
-            a, c = _decompose_over_vw(V, W, p, y)
-            rho.append([x % p for x in a] + [x % p for x in c])
-        if rank_fp(rho, p) == r:
+        if rank_fp(_witness_images(tt, p, decompose, beta_w), p) == r:
             return beta, gamma
     return None
 
@@ -558,23 +600,19 @@ def generate_pmax(
     V = [list(row) for row in vbar]
     W = [list(row) for row in w_rows]
 
+    decompose = _vw_decomposer(V, W, p)
     witness = None
     if not prefer_long:
-        witness = find_witness(tt, p, V, W, rng=rng)
+        witness = _search_witness(tt, p, V, W, decompose, WITNESS_BUDGET, rng)
     if witness is not None:
         beta, gamma = witness
         beta_w = _vw_combination(V, W, beta, gamma, p, r)
-        rho = []
-        for i in range(r):
-            y = _pad(tt_mul(ZZ, tt, [0] * i + [1], beta_w), r)
-            a_row, c_row = _decompose_over_vw(V, W, p, y)
-            rho.append([x % p for x in a_row] + [x % p for x in c_row])
+        rho = _witness_images(tt, p, decompose, beta_w)
         X = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
         _patterned, pivots = pattern_reduce_fp(rho, p, mirror=X)
         a_rows, c_rows = [], []
         for i in range(r):
-            y = _pad(tt_mul(ZZ, tt, X[i], beta_w), r)
-            a_row, c_row = _decompose_over_vw(V, W, p, y)
+            a_row, c_row = decompose(tt_mul(ZZ, tt, X[i], beta_w))
             a_rows.append(tuple(a_row))
             c_rows.append(tuple(c_row))
         eta = tuple(("A", q) if q < m else ("B", q - m) for q in pivots)
@@ -596,8 +634,7 @@ def generate_pmax(
     def endo_row(x: list[int]) -> list[int]:
         flat = []
         for u in range(r):
-            y = _pad(tt_mul(ZZ, tt, x, inputs[u]), r)
-            a_row, c_row = _decompose_over_vw(V, W, p, y)
+            a_row, c_row = decompose(tt_mul(ZZ, tt, x, inputs[u]))
             flat.extend([v % p for v in a_row] + [v % p for v in c_row])
         return flat
 
@@ -612,13 +649,11 @@ def generate_pmax(
     for i in range(r):
         a_blocks, c_blocks, d_blocks, e_blocks = [], [], [], []
         for j in range(m):
-            y = _pad(tt_mul(ZZ, tt, X[i], V[j]), r)
-            a_row, c_row = _decompose_over_vw(V, W, p, y)
+            a_row, c_row = decompose(tt_mul(ZZ, tt, X[i], V[j]))
             a_blocks.append(tuple(a_row))
             c_blocks.append(tuple(c_row))
         for j in range(n):
-            y = _pad(tt_mul(ZZ, tt, X[i], [p * x for x in W[j]]), r)
-            d_row, e_row = _decompose_over_vw(V, W, p, y)
+            d_row, e_row = decompose(tt_mul(ZZ, tt, X[i], inputs[m + j]))
             d_blocks.append(tuple(d_row))
             e_blocks.append(tuple(e_row))
         a_arr.append(tuple(a_blocks))

@@ -109,6 +109,14 @@ class TestMalformedInputs:
         with pytest.raises(certio.CertFormatError, match="malformed JSON"):
             certio.parse(data)
 
+    def test_writer_refuses_integer_over_digit_limit(self):
+        widest = 10**certio.MAX_DIGITS - 1
+        ok = certio.InputPolynomial((widest, -widest, 1))
+        assert certio.parse(certio.serialize(ok)) == ok
+        for x in (widest + 1, -widest - 1):
+            with pytest.raises(certio.CertFormatError, match="more than 4300 digits"):
+                certio.serialize(certio.InputPolynomial((x, 1)))
+
     def test_unhashable_kind_rejected(self, sample_objects):
         env = json.loads(certio.serialize(sample_objects["pratt"]))
         env["kind"] = ["pratt"]

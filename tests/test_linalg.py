@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from ringcert.linalg import solve_upper_triangular
-from reference import fraction_back_substitution, integral
+from ringcert.linalg import inverse_unimodular, solve_upper_triangular, transpose
+from reference import fraction_back_substitution, integral, solve_exact
 
 
 def _triangular(rng, n, bound):
@@ -63,3 +63,31 @@ def test_examples():
     assert solve_upper_triangular(b, [6, -3], 2) is None  # x_2 = 1/2
     assert solve_upper_triangular(b, [5, -6]) is None  # x = (3/2, 2)
     assert solve_upper_triangular([], []) == []
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_unimodular_inverse_matches_fraction_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        n = rng.randrange(1, 9)
+        # swaps and integer row additions from the identity, as a mirror records them
+        m = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(rng.randrange(3 * n)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if rng.random() < 0.3:
+                m[i], m[j] = m[j], m[i]
+            elif i != j:
+                f = rng.choice([1, -1, rng.randrange(-10**6, 10**6)])
+                m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+        inv = inverse_unimodular(m)
+        unit_cols = [[int(i == j) for i in range(n)] for j in range(n)]
+        assert transpose([integral(solve_exact(m, col)) for col in unit_cols]) == inv
+
+
+def test_unimodular_inverse_rejects():
+    with pytest.raises(ValueError, match="not unimodular"):
+        inverse_unimodular([[2, 1], [0, 1]])
+    with pytest.raises(ValueError, match="singular"):
+        inverse_unimodular([[1, 2], [2, 4]])
+    with pytest.raises(ValueError, match="non-square"):
+        inverse_unimodular([[1, 0]])

@@ -1,14 +1,19 @@
 import dataclasses
 import random
+import time
 
 import pytest
 
-from ringcert.exactalg import GF
+from ringcert.certio import FIXTURES
+from ringcert.exactalg import GF, ZZ
+from ringcert.linalg import transpose
 from ringcert.maximality import (
     DedekindCertificate,
     KernelWitness,
     PMaxLongCertificate,
     PMaxShortCertificate,
+    _vw_combination,
+    _vw_decomposer,
     find_witness,
     frobenius_kernel_basis,
     generate_dedekind,
@@ -27,7 +32,7 @@ from ringcert.orders import (
     tt_pow,
 )
 from ringcert.resultants import disc_poly
-from reference import lattice_index
+from reference import integral, lattice_index, solve_exact
 
 CUBIC_3_10 = ([-10, -3, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]])
 CUBIC_30_80 = ([-80, -30, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [2, 0, 1]])
@@ -113,6 +118,24 @@ class TestDedekind:
                 assert v.reason
                 rejected += 1
         assert rejected >= 110  # every mutation must be caught
+
+    def test_wide_lift_rejected_before_the_product(self):
+        # g padded to 2000 entries with a 4300-digit multiple of p^2 on
+        # top, and f adjusted so that p*f = g*h - T still holds: every
+        # residue mod p is unchanged, but deg g + deg h exceeds n
+        T, p = [-10, -3, 0, 1], 3
+        cert = generate_dedekind(T, p)
+        k = p * 10**4299
+        g = list(cert.g) + [0] * (1999 - len(cert.g)) + [p * k]
+        f = list(cert.f) + [0] * (1999 + len(cert.h) - len(cert.f))
+        for i, hi in enumerate(cert.h):
+            f[1999 + i] += k * hi
+        wide = dataclasses.replace(cert, g=tuple(g), f=tuple(f))
+        assert len(g) == 2000 and len(str(p * k)) == 4300
+        start = time.perf_counter()
+        v = verify_dedekind(wide)
+        assert time.perf_counter() - start < 1.0
+        assert v.reason == "dedekind/factor-identity"
 
 
 class TestFrobeniusKernel:
@@ -313,3 +336,60 @@ class TestWitnessSearch:
         if vbar:
             out = find_witness(table, 2, vbar, w, budget=512)
             assert out is None or len(out[0]) == len(vbar)
+
+
+def _fraction_decomposition(V, W, p, y):
+    """(a, c) with y = sum a_k V_k + p sum c_k W_k, from a Gauss-Jordan
+    solve over Q of [V; W]^T x = y."""
+    y = list(y) + [0] * (len(V[0]) - len(y))
+    x = integral(solve_exact(transpose([list(r) for r in V] + [list(r) for r in W]), y))
+    assert x is not None
+    m = len(V)
+    assert all(b % p == 0 for b in x[m:])
+    return x[:m], [b // p for b in x[m:]]
+
+
+FIXTURE_ORDERS = [name for name, fx in FIXTURES.items() if fx["columns"] is not None]
+
+
+class TestDecomposer:
+    @pytest.mark.parametrize("name", FIXTURE_ORDERS)
+    @pytest.mark.parametrize("p", [2, 3, 5, 503])
+    def test_matches_fraction_solve(self, name, p):
+        fx = FIXTURES[name]
+        _, table = order_and_table((list(fx["T"]), fx["d"], [list(c) for c in fx["columns"]]))
+        r = table.n
+        vbar, _nu, w, _u, _omega = frobenius_kernel_basis(
+            table, p, minimal_frobenius_exponent(p, r))
+        if not vbar:
+            return  # unramified: nothing is decomposed
+        decompose = _vw_decomposer(vbar, w, p)
+        rng = random.Random(f"{name}/{p}")
+        for _ in range(20):
+            a = [rng.randrange(-p**3, p**3) for _ in vbar]
+            c = [rng.randrange(-p**3, p**3) for _ in w]
+            y = _vw_combination(vbar, w, a, c, p, r)
+            assert decompose(y) == (a, c) == _fraction_decomposition(vbar, w, p, y)
+        # W itself is in the span of [V; W] but not of {V, pW}
+        for row in w:
+            with pytest.raises(AssertionError, match="outside the radical lattice"):
+                decompose(row)
+
+        # every coordinate vector in both certificate forms
+        short = generate_pmax(table, p)
+        long = generate_pmax(table, p, prefer_long=True)
+        assert isinstance(short, PMaxShortCertificate)
+        assert isinstance(long, PMaxLongCertificate)
+        V, W = long.V, long.W
+        beta_w = _vw_combination(V, W, list(short.beta), list(short.gamma), p, r)
+        for i in range(r):
+            y = tt_mul(ZZ, table, list(short.X[i]), beta_w)
+            assert (list(short.a[i]), list(short.c[i])) == _fraction_decomposition(V, W, p, y)
+            for j in range(len(V)):
+                y = tt_mul(ZZ, table, list(long.X[i]), list(V[j]))
+                assert ([list(long.a[i][j]), list(long.c[i][j])]
+                        == list(_fraction_decomposition(V, W, p, y)))
+            for j in range(len(W)):
+                y = tt_mul(ZZ, table, list(long.X[i]), [p * x for x in W[j]])
+                assert ([list(long.d[i][j]), list(long.e[i][j])]
+                        == list(_fraction_decomposition(V, W, p, y)))
