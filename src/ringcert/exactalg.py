@@ -22,6 +22,12 @@ reduces it modulo p, which is exact for any modulus p >= 2, prime or not,
 and for unreduced or negative residues; QQ clears denominators into it.
 Packing and reading back split long lists in halves, so they cost
 O(m*w*log m) bit operations for m slots of w bits, not O(m*m*w).
+
+Division (`poly_divmod`, and through it `poly_mod_pow`, `poly_gcd` and
+`poly_xgcd`) is schoolbook long division; only the generator divides.  Over
+GF(p) it runs on plain ints with one `% p` per quotient coefficient and
+reduces the remainder once at the end; over QQ it goes through the field's
+methods.
 """
 
 from __future__ import annotations
@@ -321,11 +327,15 @@ def reduce_mod_p(f: list[int], p: int) -> list[int]:
 
 
 def poly_divmod(field, f: list, g: list) -> tuple[list, list]:
-    """Quotient and remainder of f by g over a field; g must be nonzero."""
+    """Quotient and remainder of f by g over a field; g must be nonzero.
+
+    Over GF(p) both are reduced, canonical lists (`_divmod_fp`)."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     if not field.is_field:
         raise TypeError("poly_divmod needs a field domain")
+    if isinstance(field, PrimeField):
+        return _divmod_fp(field.p, f, g)
     inv_lead = field.inv(lc(g))
     q = [field.zero] * max(len(f) - len(g) + 1, 0)
     r = list(f)
@@ -337,6 +347,30 @@ def poly_divmod(field, f: list, g: list) -> tuple[list, list]:
             r[k + i] = field.sub(r[k + i], field.mul(c, g[i]))
         r = drop_trailing_zeros(r)
     return drop_trailing_zeros(q), drop_trailing_zeros(r)
+
+
+def _divmod_fp(p: int, f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+    """`poly_divmod` over GF(p) on plain ints.
+
+    The inputs are reduced once.  The remainder row then holds unreduced
+    integers: each quotient coefficient costs one `% p`, and the row is
+    reduced once at the end.  Raises ZeroDivisionError when lc(g) = 0 mod p.
+    """
+    g = [c % p for c in g]
+    if not g[-1]:
+        raise ZeroDivisionError(f"inverse of zero in GF({p})")
+    inv_lead = pow(g[-1], -1, p)
+    r = [c % p for c in f]
+    dg = len(g) - 1
+    q = [0] * max(len(r) - dg, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + dg] * inv_lead % p
+        q[k] = c
+        if c:
+            # r[k + dg] is now 0 mod p and is not read again
+            for i in range(dg):
+                r[k + i] -= c * g[i]
+    return drop_trailing_zeros(q), drop_trailing_zeros([c % p for c in r[:dg]])
 
 
 def monic(field, f: list) -> list:

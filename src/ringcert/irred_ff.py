@@ -315,6 +315,15 @@ def choose_base(p: int, n: int) -> int:
     return p if (p <= 5 and n >= 8) else 2
 
 
+def _factor_witness(field: PrimeField, f: list[int], rng: random.Random) -> ReducibleWitness:
+    """The factorization witness for an f that failed Rabin's test."""
+    fac = find_factor(field, monic(field, f), rng)
+    assert fac is not None, "Rabin's test failed but no factor was found"
+    q, r = poly_divmod(field, f, fac)
+    assert not r
+    return ReducibleWitness(field.p, tuple(f), tuple(fac), tuple(q))
+
+
 def generate_rabin(
     f: list[int], p: int, t: int | None = None, rng: random.Random | None = None
 ) -> RabinCertificate | ReducibleWitness:
@@ -332,64 +341,55 @@ def generate_rabin(
     if t not in (2, p):
         raise ValueError("exponent base must be 2 or p")
 
-    if n > 1:
-        fac = find_factor(field, monic(field, f), rng)
-        if fac is not None:
-            q, r = poly_divmod(field, f, fac)
-            assert not r
-            return ReducibleWitness(p, tuple(f), tuple(fac), tuple(q))
-
     digits = base_digits(p, t)
     s = len(digits) - 1
 
-    # Frobenius residue chain h_i = X^{p^i} mod f, pinned to X at both ends
+    # Frobenius residue chain h_i = X^{p^i} mod f, one base-t square and
+    # multiply per h_i, pinned to X at both ends.  Each step divides once:
+    # the quotient is g_ij and the remainder h'_ij.  At the last step h'_ij
+    # is X itself, so step - X is divided instead: X is not reduced mod f
+    # when n = 1, and a nonzero remainder means h_n != X.
     h: list[list[int]] = [list(X_POLY)]
-    for i in range(1, n + 1):
-        if i == n:
-            h.append(list(X_POLY))
-        else:
-            h.append(poly_mod_pow(field, h[i - 1], p, f))
-
     g_rows = []
     hp_rows = []
     for i in range(n):
         hp = [None] * (s + 1)
         hp[s] = list_pow(field, h[i], digits[s])
-        for j in range(s - 1, 0, -1):
+        grow = [None] * s
+        for j in range(s - 1, -1, -1):
             step = list_mul(
                 field, list_pow(field, hp[j + 1], t), list_pow(field, h[i], digits[j])
             )
-            hp[j] = poly_divmod(field, step, f)[1]
-        hp[0] = h[i + 1]
-        grow = []
-        for j in range(s):
-            num = list_mul(
-                field, list_pow(field, hp[j + 1], t), list_pow(field, h[i], digits[j])
-            )
-            num = list_sub(field, num, hp[j])
-            q, r = poly_divmod(field, num, f)
-            assert not r, "chain step not divisible by f"
-            grow.append(tuple(q))
+            if i == n - 1 and j == 0:
+                hp[0] = list(X_POLY)
+                q, r = poly_divmod(field, list_sub(field, step, X_POLY), f)
+                if r:
+                    return _factor_witness(field, f, rng)
+            else:
+                q, hp[j] = poly_divmod(field, step, f)
+            grow[j] = tuple(q)
+        h.append(hp[0])
         g_rows.append(tuple(grow))
         hp_rows.append(tuple(tuple(x) for x in hp))
 
+    # Rabin's test: h_n = X above, and gcd(f, h_{n/q} - X) = 1 for each prime q | n
     n_factors = primality.factorize(n) if n > 1 else []
+    a_rows: list[tuple[int, ...]] = [()] * n
+    b_rows: list[tuple[int, ...]] = [()] * n
+    for q, _e in n_factors:
+        k = n // q
+        d, u, v = poly_xgcd(field, f, list_sub(field, h[k], X_POLY))
+        if d != [field.one]:
+            return _factor_witness(field, f, rng)
+        a_rows[k] = tuple(u)
+        b_rows[k] = tuple(v)
+
     pratt_list: list[primality.PrattCertificate | None] = []
     for q, _e in n_factors:
         if q < primality.TRIAL_DIVISION_BOUND:
             pratt_list.append(None)
         else:
             pratt_list.append(primality.generate_pratt(q))
-
-    a_rows: list[tuple[int, ...]] = [()] * n
-    b_rows: list[tuple[int, ...]] = [()] * n
-    for q, _e in n_factors:
-        k = n // q
-        target = list_sub(field, h[k], X_POLY)
-        d, u, v = poly_xgcd(field, f, target)
-        assert d == [field.one], "not coprime; f should have been irreducible"
-        a_rows[k] = tuple(u)
-        b_rows[k] = tuple(v)
 
     cert = RabinCertificate(
         p=p,

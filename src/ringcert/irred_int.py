@@ -10,7 +10,8 @@ Two certificate flavors:
   on factor degrees is known (d = 1 always works for primitive f).
 
 When degree analysis leaves room for a factor, the generator looks for one
-by big-prime Zassenhaus (`_zassenhaus_factor`); finding none sends it to LPFW.
+by the rational root test, if degree 1 is still possible, and by big-prime
+Zassenhaus (`_zassenhaus_factor`); finding none sends it to LPFW.
 
 Pratt primality certificates for the prime witnesses live in
 ringcert.primality and are re-exported here.
@@ -477,8 +478,9 @@ def generate_int_irred(
 ) -> DegreeAnalysisCertificate | LPFWCertificate | ReducibleWitnessInt:
     """Certificate of irreducibility over the integers, or a factor witness.
 
-    Degree analysis over small primes is preferred.  Otherwise big-prime
-    Zassenhaus either finds a factor or shows there is none, and LPFW proves
+    Degree analysis over small primes is preferred.  Otherwise the rational
+    root test (when the analysis allows degree 1) and big-prime Zassenhaus
+    either find a factor or show there is none, and LPFW proves
     irreducibility.  Raises NoCertificateFound when LPFW runs out of
     evaluation points, which is a statement about the budget, not about
     reducibility.
@@ -496,19 +498,22 @@ def generate_int_irred(
         cof = [x // c for x in f]
         return ReducibleWitnessInt(tuple(f), (c,), tuple(cof))
 
-    root_factor = _rational_root_factor(f)
-    if root_factor is not None and deg(f) > 1:
-        cof = _exact_quotient(f, root_factor)
-        return ReducibleWitnessInt(tuple(f), tuple(root_factor), tuple(cof))
-
     full, d, partial = _degree_analysis_search(f, rng)
     if full is not None:
         return full
 
     # a factor, if one exists, has degree in the subset-sum intersection
-    allowed = set(range(2, deg(f) // 2 + 1))
+    allowed = set(range(1, deg(f) // 2 + 1))
     if partial is not None:
         allowed = allowed.intersection(*map(subset_sums, analysis_degree_multisets(partial)))
+    # the rational root test lists the divisors of f(0) and lc(f), so it runs
+    # only when the analysis leaves room for a linear factor
+    if 1 in allowed:
+        root_factor = _rational_root_factor(f)
+        if root_factor is not None:
+            cof = _exact_quotient(f, root_factor)
+            return ReducibleWitnessInt(tuple(f), tuple(root_factor), tuple(cof))
+        allowed.discard(1)
     factor = _zassenhaus_factor(f, allowed)
     if factor is not None:
         return ReducibleWitnessInt(tuple(f), tuple(factor), tuple(_exact_quotient(f, factor)))

@@ -516,23 +516,7 @@ def _vw_decomposer(
     return decompose
 
 
-WITNESS_BUDGET = 512  # candidates find_witness tries before the long form
-
-
-def find_witness(
-    tt: TimesTable,
-    p: int,
-    V: list[list[int]],
-    W: list[list[int]],
-    budget: int = WITNESS_BUDGET,
-    rng: random.Random | None = None,
-) -> tuple[list[int], list[int]] | None:
-    """A witness element of the radical quotient on which multiplication by
-    the whole order stays independent; None triggers the long certificate.
-
-    All 0/1 coordinate vectors are tried first, then random ones up to the
-    budget."""
-    return _search_witness(tt, p, V, W, _vw_decomposer(V, W, p), budget, rng)
+WITNESS_BUDGET = 512  # candidates _search_witness tries before the long form
 
 
 def _witness_images(tt: TimesTable, p: int, decompose, beta_w: list[int]) -> list[list[int]]:
@@ -547,6 +531,11 @@ def _witness_images(tt: TimesTable, p: int, decompose, beta_w: list[int]) -> lis
 def _search_witness(
     tt: TimesTable, p: int, V, W, decompose, budget: int, rng: random.Random | None
 ) -> tuple[list[int], list[int]] | None:
+    """A witness element of the radical quotient on which multiplication by
+    the whole order stays independent; None triggers the long certificate.
+
+    All 0/1 coordinate vectors are tried first, then random ones up to the
+    budget."""
     r = tt.n
     m, n = len(V), len(W)
     if rng is None:

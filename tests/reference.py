@@ -1,19 +1,33 @@
 """Slow, plainly correct computations that tests compare the program with."""
 
+import random
 from fractions import Fraction
 
 from ringcert import primality
 from ringcert.exactalg import (
+    GF,
     PrimeField,
     deg,
+    drop_trailing_zeros,
+    lc,
     list_mul,
     list_pow,
     list_sub,
+    monic,
     poly_divmod,
     poly_gcd,
     poly_mod_pow,
+    poly_xgcd,
 )
-from ringcert.irred_ff import X_POLY, base_digits
+from ringcert.irred_ff import (
+    X_POLY,
+    RabinCertificate,
+    ReducibleWitness,
+    _stable_seed,
+    base_digits,
+    choose_base,
+    find_factor,
+)
 from ringcert.linalg import det_bareiss
 
 
@@ -100,3 +114,99 @@ def is_irreducible(field: PrimeField, f: list[int]) -> bool:
         if deg(g) != 0:
             return False
     return True
+
+
+def divmod_by_field_calls(field, f: list, g: list) -> tuple[list, list]:
+    """Quotient and remainder of f by g over a field, one `field.mul` and
+    `field.sub` call per coefficient operation.  Entries of f that no step
+    reaches are returned as given, so an unreduced f over GF(p) may leave an
+    unreduced remainder."""
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv_lead = field.inv(lc(g))
+    q = [field.zero] * max(len(f) - len(g) + 1, 0)
+    r = list(f)
+    while len(r) >= len(g):
+        c = field.mul(r[-1], inv_lead)
+        k = len(r) - len(g)
+        q[k] = c
+        for i in range(len(g)):
+            r[k + i] = field.sub(r[k + i], field.mul(c, g[i]))
+        r = drop_trailing_zeros(r)
+    return drop_trailing_zeros(q), drop_trailing_zeros(r)
+
+
+def generate_rabin(
+    f: list[int], p: int, t: int | None = None, rng: random.Random | None = None
+) -> RabinCertificate | ReducibleWitness:
+    """Rabin certificate or factorization witness for f over GF(p), built
+    plainly: a factor search first, then the Frobenius chain by `poly_mod_pow`,
+    then each chain step of every h_i formed again and divided by f for its
+    quotient."""
+    field = GF(p)
+    f = drop_trailing_zeros([c % p for c in f])
+    n = deg(f)
+    if rng is None:
+        rng = random.Random(_stable_seed(p, n, *f))
+    if t is None:
+        t = choose_base(p, n)
+
+    if n > 1:
+        fac = find_factor(field, monic(field, f), rng)
+        if fac is not None:
+            q, r = poly_divmod(field, f, fac)
+            assert not r
+            return ReducibleWitness(p, tuple(f), tuple(fac), tuple(q))
+
+    digits = base_digits(p, t)
+    s = len(digits) - 1
+    h: list[list[int]] = [list(X_POLY)]
+    for i in range(1, n + 1):
+        h.append(list(X_POLY) if i == n else poly_mod_pow(field, h[i - 1], p, f))
+
+    g_rows = []
+    hp_rows = []
+    for i in range(n):
+        hp = [None] * (s + 1)
+        hp[s] = list_pow(field, h[i], digits[s])
+        for j in range(s - 1, 0, -1):
+            step = list_mul(
+                field, list_pow(field, hp[j + 1], t), list_pow(field, h[i], digits[j])
+            )
+            hp[j] = poly_divmod(field, step, f)[1]
+        hp[0] = h[i + 1]
+        grow = []
+        for j in range(s):
+            num = list_mul(
+                field, list_pow(field, hp[j + 1], t), list_pow(field, h[i], digits[j])
+            )
+            q, r = poly_divmod(field, list_sub(field, num, hp[j]), f)
+            assert not r, "chain step not divisible by f"
+            grow.append(tuple(q))
+        g_rows.append(tuple(grow))
+        hp_rows.append(tuple(tuple(x) for x in hp))
+
+    n_factors = primality.factorize(n) if n > 1 else []
+    pratt_list = [
+        None if q < primality.TRIAL_DIVISION_BOUND else primality.generate_pratt(q)
+        for q, _e in n_factors
+    ]
+    a_rows: list[tuple[int, ...]] = [()] * n
+    b_rows: list[tuple[int, ...]] = [()] * n
+    for q, _e in n_factors:
+        k = n // q
+        d, u, v = poly_xgcd(field, f, list_sub(field, h[k], X_POLY))
+        assert d == [field.one], "not coprime; f should have been irreducible"
+        a_rows[k] = tuple(u)
+        b_rows[k] = tuple(v)
+
+    return RabinCertificate(
+        p=p, n=n, t=t, s=s, L=tuple(f),
+        h=tuple(tuple(x) for x in h),
+        g=tuple(g_rows),
+        hprime=tuple(hp_rows),
+        a=tuple(a_rows),
+        b=tuple(b_rows),
+        n_factors=tuple(n_factors),
+        n_factor_pratt=tuple(pratt_list),
+    )

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ringcert
 from ringcert import certio, irred_int
 from ringcert.cli import main
 from ringcert.primality import generate_pratt
@@ -78,6 +83,26 @@ class TestGenAndVerify:
         assert code == 2
         assert err.count("\n") == 1 and "more than 4300 digits" in err
         assert not out.exists()
+
+    def test_gen_irred_wide_constant_term_finishes(self, fixture_files, capsys):
+        # the rational root test lists the divisors of f(0) by trial division,
+        # so it must not run before degree analysis has proved irreducibility;
+        # a child process with a timeout fails the test instead of hanging it
+        poly = fixture_files / "wide.poly.json"
+        certio.write_file(poly, certio.InputPolynomial((-(10**30 + 57), 0, 1)))
+        out = fixture_files / "wide.cert.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(ringcert.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from ringcert.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "gen", "irred", str(poly), "-o", str(out)],
+            env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 0 and "irreducible" in proc.stdout
+        assert certio.kind_of(certio.parse_file(out)) == "degree-analysis"
+        code, _, _ = run_cli(capsys, "verify", str(out))
+        assert code == 0
 
     def test_not_maximal_reported(self, fixture_files, capsys):
         poly = str(fixture_files / "cubic_x3-3x-10.poly.json")

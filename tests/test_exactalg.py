@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -27,6 +28,7 @@ from ringcert.exactalg import (
     poly_xgcd,
     reduce_mod_p,
 )
+from reference import divmod_by_field_calls
 
 int_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=8).map(
     drop_trailing_zeros
@@ -193,6 +195,27 @@ class TestDivmodXgcd:
     def test_divmod_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             poly_divmod(GF(3), [1], [])
+
+    @pytest.mark.parametrize(
+        "p", [2, 3, 15, 503, 2**61 - 1, 2**89 - 1], ids=["2", "3", "15", "503", "M61", "M89"]
+    )
+    def test_divmod_matches_field_call_loop(self, p):
+        # unreduced and negative entries, len f < len g, non-monic g; the
+        # result is reduced where the reference may leave entries of f as given
+        rng = random.Random(f"divmod/{p}")
+        field = GF(p)
+        for _ in range(300):
+            f = [rng.randrange(-3 * p, 3 * p) for _ in range(rng.randrange(12))]
+            g = [rng.randrange(-3 * p, 3 * p) for _ in range(rng.randrange(1, 8))]
+            while math.gcd(g[-1], p) != 1:
+                g[-1] = rng.randrange(-3 * p, 3 * p)
+            q, r = poly_divmod(field, f, g)
+            ref_q, ref_r = divmod_by_field_calls(field, f, g)
+            assert (q, r) == (reduce_mod_p(ref_q, p), reduce_mod_p(ref_r, p))
+        for lead in (0, p, -2 * p):
+            for divide in (poly_divmod, divmod_by_field_calls):
+                with pytest.raises(ZeroDivisionError):
+                    divide(field, [1, 2, 3, 4], [1, 2, lead])
 
     def test_xgcd_examples(self):
         f2 = GF(2)

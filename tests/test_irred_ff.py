@@ -5,6 +5,8 @@ import time
 
 import pytest
 
+from ringcert import irred_ff
+from ringcert.certio import serialize
 from ringcert.exactalg import GF, deg, drop_trailing_zeros, list_mul, poly_divmod
 from ringcert.irred_ff import (
     RabinCertificate,
@@ -15,6 +17,7 @@ from ringcert.irred_ff import (
     verify_rabin,
     verify_reducible_witness,
 )
+from reference import generate_rabin as plain_generate_rabin
 from reference import is_irreducible, residue_chain
 
 
@@ -104,6 +107,72 @@ class TestGenerateVerify:
         cert = generate_rabin(f, 2)
         assert isinstance(cert, RabinCertificate)
         assert verify_rabin(cert).accepted
+
+
+def _irreducible(p, n, rng):
+    """A random irreducible polynomial of degree n over GF(p), not monic."""
+    while True:
+        f = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+        if is_irreducible(GF(p), f):
+            return f
+
+
+class TestGeneratorAgainstReference:
+    """`generate_rabin` against the plain generator kept in tests/reference.py."""
+
+    # degrees 1..top; h^t has degree t(n - 1) before it is reduced, and
+    # t = 2 takes about log2(p) steps per h_i, so the large cases stop early
+    @pytest.mark.parametrize("p,t,top", [
+        (2, 2, 12), (3, 2, 12), (3, 3, 12), (5, 2, 12), (5, 5, 12),
+        (503, 2, 12), (503, 503, 6), (2**61 - 1, 2, 6),
+    ], ids=["2-2", "3-2", "3-3", "5-2", "5-5", "503-2", "503-503", "M61-2"])
+    def test_same_bytes_and_draws(self, p, t, top):
+        rng = random.Random(f"rabin/{p}/{t}")
+        field = GF(p)
+        inputs = []
+        for n in range(1, top + 1):
+            inputs.append(_irreducible(p, n, rng))
+            if n % 2:
+                inputs.append([rng.randrange(-p, 2 * p) for _ in range(n)] + [rng.randrange(1, p)])
+            else:
+                # a square factor: fails at h_n = X
+                lin = [rng.randrange(p), 1]
+                rest = [rng.randrange(p) for _ in range(n - 2)] + [rng.randrange(1, p)]
+                inputs.append(list_mul(field, list_mul(field, lin, lin), rest))
+        # factors of degrees 1, 2 and 3: h_6 = X, but gcd(f, h_3 - X) != 1
+        f = [1]
+        for d in (1, 2, 3):
+            f = list_mul(field, f, _irreducible(p, d, rng))
+        inputs.append(f)
+
+        ours, theirs = random.Random(99), random.Random(99)
+        kinds = set()
+        for f in inputs:
+            got = generate_rabin(f, p, t, rng=ours)
+            want = plain_generate_rabin(f, p, t, rng=theirs)
+            assert serialize(got) == serialize(want), f
+            kinds.add(type(got))
+        assert ours.getstate() == theirs.getstate()
+        assert kinds == {RabinCertificate, ReducibleWitness}
+
+    def test_one_division_per_chain_step(self, monkeypatch):
+        # the chain gives h_n = X and the Bezout pairs the gcds, so an
+        # irreducible f needs no factor search
+        def no_search(*args):
+            raise AssertionError("factor search on an irreducible input")
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return poly_divmod(*args)
+
+        monkeypatch.setattr(irred_ff, "find_factor", no_search)
+        monkeypatch.setattr(irred_ff, "poly_divmod", counted)
+        f = _irreducible(503, 6, random.Random(6))
+        cert = generate_rabin(f, 503, 2)
+        assert isinstance(cert, RabinCertificate) and verify_rabin(cert).accepted
+        assert len(calls) == cert.n * cert.s
 
 
 class TestResidueChain:

@@ -12,9 +12,10 @@ from ringcert.maximality import (
     KernelWitness,
     PMaxLongCertificate,
     PMaxShortCertificate,
+    WITNESS_BUDGET,
+    _search_witness,
     _vw_combination,
     _vw_decomposer,
-    find_witness,
     frobenius_kernel_basis,
     generate_dedekind,
     generate_pmax,
@@ -334,7 +335,8 @@ class TestWitnessSearch:
         t = minimal_frobenius_exponent(2, 3)
         vbar, nu, w, u, omega = frobenius_kernel_basis(table, 2, t)
         if vbar:
-            out = find_witness(table, 2, vbar, w, budget=512)
+            out = _search_witness(
+                table, 2, vbar, w, _vw_decomposer(vbar, w, 2), WITNESS_BUDGET, None)
             assert out is None or len(out[0]) == len(vbar)
 
 
