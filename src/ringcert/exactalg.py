@@ -22,6 +22,9 @@ reduces it modulo p, which is exact for any modulus p >= 2, prime or not,
 and for unreduced or negative residues; QQ clears denominators into it.
 Packing and reading back split long lists in halves, so they cost
 O(m*w*log m) bit operations for m slots of w bits, not O(m*m*w).
+`list_pow` squares and multiplies from the top bit of the exponent, so no
+product has [1] as a factor; its first power only canonicalizes, and its
+results have the element types `list_mul` gives.
 
 Division (`poly_divmod`, and through it `poly_mod_pow`, `poly_gcd` and
 `poly_xgcd`) is schoolbook long division; only the generator divides.  Over
@@ -294,17 +297,26 @@ def list_mul(dom, a: list, b: list) -> list:
 
 
 def list_pow(dom, a: list, e: int) -> list:
-    """Exact e-th power by repeated squaring (no modulus)."""
+    """Exact e-th power (no modulus), canonicalized like `list_mul`.
+
+    Left-to-right square and multiply from the top bit of e, so no product
+    has [1] as a factor; e = 1 only canonicalizes a, and e = 0 gives [one].
+    """
     if e < 0:
         raise ValueError("negative exponent")
-    result = [dom.one]
-    base = list(a)
-    while e:
-        if e & 1:
-            result = list_mul(dom, result, base)
-        e >>= 1
-        if e:
-            base = list_mul(dom, base, base)
+    if e == 0:
+        return [dom.one]
+    if e == 1:
+        if isinstance(dom, PrimeField):
+            return drop_trailing_zeros([c % dom.p for c in a])
+        if isinstance(dom, RationalField):
+            return drop_trailing_zeros([Fraction(c) for c in a])
+        return drop_trailing_zeros(a)
+    result = a
+    for bit in bin(e)[3:]:
+        result = list_mul(dom, result, result)
+        if bit == "1":
+            result = list_mul(dom, result, a)
     return result
 
 

@@ -5,7 +5,16 @@ Frobenius residues together with the intermediate values and quotients of a
 base-t square-and-multiply computation of each p-th power, plus Bezout
 pairs showing gcd(f, h_{n/q} - X) = 1 for the primes q dividing n.  The
 verifier re-checks everything with polynomial additions and multiplications
-only; it never divides.
+only; it never divides.  In check (ii) it compares the degree each power
+product must have with the file's lists before forming the product, so a
+forged exponent base cannot make it build a power longer than the file.
+
+The generator divides.  It builds the chain with one division per step,
+and when Rabin's test fails it finds a factor by distinct-degree and
+Cantor-Zassenhaus equal-degree splitting.  Those p-th powers go through a
+Frobenius table (`_FrobeniusTable`): one `poly_mod_pow(X, p, f)` per
+factorization gives the rows X^(ip) mod f, and every later h^p mod g, for
+any g dividing f, is a sum of rows scaled by the h_i, reduced once.
 """
 
 from __future__ import annotations
@@ -17,6 +26,8 @@ from . import primality
 from .exactalg import (
     GF,
     PrimeField,
+    _kron_pack,
+    _kron_unpack,
     deg,
     drop_trailing_zeros,
     formal_derivative,
@@ -29,6 +40,7 @@ from .exactalg import (
     poly_gcd,
     poly_mod_pow,
     poly_xgcd,
+    reduce_mod_p,
 )
 from .verdict import Verdict
 
@@ -141,16 +153,26 @@ def verify_rabin(cert: RabinCertificate) -> Verdict:
             return Verdict.reject(f"rabin/check-i/i={i}")
 
     # (ii) one square-and-multiply step per digit:
-    #      f*g_ij = (h'_{i,j+1})^t * h_i^{b_j} - h'_{ij}
+    #      f*g_ij + h'_{ij} = (h'_{i,j+1})^t * h_i^{b_j}
+    #      Over a field the right side is 0 or of degree
+    #      t*deg h'_{i,j+1} + b_j*deg h_i.  That degree is compared with the
+    #      left side's first, so the right side is formed only when it is no
+    #      longer than the left side, whose length the file bounds.
     for i in range(n):
+        hi = reduce_mod_p(h[i], p)
+        chain = [reduce_mod_p(x, p) for x in hp[i]]
         for j in range(s):
-            lhs = list_mul(field, f, g[i][j])
-            rhs = list_mul(
-                field,
-                list_pow(field, hp[i][j + 1], t),
-                list_pow(field, h[i], digits[j]),
-            )
-            rhs = list_sub(field, rhs, hp[i][j])
+            lhs = list_add(field, list_mul(field, f, g[i][j]), chain[j])
+            top = chain[j + 1]
+            if not top or (digits[j] and not hi):
+                deg_rhs = -1
+            else:
+                deg_rhs = t * deg(top) + digits[j] * deg(hi)
+            if deg_rhs != deg(lhs):
+                return Verdict.reject(f"rabin/check-ii/i={i}/j={j}")
+            rhs = list_pow(field, top, t)
+            if digits[j]:
+                rhs = list_mul(field, rhs, list_pow(field, hi, digits[j]))
             if lhs != rhs:
                 return Verdict.reject(f"rabin/check-ii/i={i}/j={j}")
 
@@ -196,12 +218,49 @@ def _frobenius_power(field: PrimeField, f: list[int]) -> list[int]:
     return drop_trailing_zeros([f[i] for i in range(0, len(f), p)])
 
 
-def find_factor(field: PrimeField, f: list[int], rng: random.Random) -> list[int] | None:
+class _FrobeniusTable:
+    """The p-th power map of GF(p)[X]/(f), for f monic of degree n >= 2.
+
+    Over GF(p), h^p = sum_i h_i X^(ip), so the map is fixed by the rows
+    X^(ip) mod f, i < n.  They come from one `poly_mod_pow(X, p, f)` and n - 2
+    products mod f, made on the first `power` call, and each row is packed
+    by `_kron_pack` into one integer whose slots hold a sum of n products
+    of residues.  One application is then n scalar products of big
+    integers, one `_kron_unpack` and one division.  Every g dividing f
+    shares the table, since h^p mod g = (h^p mod f) mod g.
+    """
+
+    def __init__(self, field: PrimeField, f: list[int]):
+        self.field = field
+        self.f = f
+        self.width = (deg(f) * (field.p - 1) ** 2).bit_length() + 1
+        self.rows: list[int] | None = None
+
+    def power(self, h: list[int], g: list[int]) -> list[int]:
+        """h^p mod g, for g dividing f and deg h < deg f."""
+        field, f = self.field, self.f
+        n = deg(f)
+        if self.rows is None:
+            xp = row = poly_mod_pow(field, X_POLY, field.p, f)
+            self.rows = [_kron_pack([field.one], self.width), _kron_pack(xp, self.width)]
+            for _ in range(n - 2):
+                row = poly_divmod(field, list_mul(field, row, xp), f)[1]
+                self.rows.append(_kron_pack(row, self.width))
+        out: list[int] = []
+        _kron_unpack(sum(c * row for c, row in zip(h, self.rows) if c), n, self.width, out)
+        return poly_divmod(field, out, g)[1]
+
+
+def find_factor(
+    field: PrimeField, f: list[int], rng: random.Random, frob: _FrobeniusTable | None = None
+) -> list[int] | None:
     """A monic nontrivial factor of f, or None when f is irreducible.
 
     Linear factors are searched by increasing root representative first so
     small witnesses come out deterministically; beyond that, distinct-degree
-    plus Cantor-Zassenhaus equal-degree splitting.
+    plus Cantor-Zassenhaus equal-degree splitting.  p-th powers go through
+    `frob`, the Frobenius table of a multiple of f; without one, f gets its
+    own.
     """
     p = field.p
     f = monic(field, f)
@@ -223,23 +282,26 @@ def find_factor(field: PrimeField, f: list[int], rng: random.Random) -> list[int
     d = poly_gcd(field, f, fp)
     if 0 < deg(d) < n:
         return d
+    if frob is None:
+        frob = _FrobeniusTable(field, f)
     # f squarefree with no linear factor: distinct-degree sweep
     h = poly_divmod(field, X_POLY, f)[1]
     for degree in range(1, n // 2 + 1):
-        h = poly_mod_pow(field, h, p, f)
+        h = frob.power(h, f)
         g = poly_gcd(field, f, list_sub(field, h, X_POLY))
         if deg(g) <= 0:
             continue
         if deg(g) < n:
-            return _equal_degree_split(field, g, degree, rng)
-        return _equal_degree_split(field, f, degree, rng)
+            return _equal_degree_split(field, g, degree, rng, frob)
+        return _equal_degree_split(field, f, degree, rng, frob)
     return None
 
 
 def _equal_degree_split(
-    field: PrimeField, f: list[int], d: int, rng: random.Random
+    field: PrimeField, f: list[int], d: int, rng: random.Random, frob: _FrobeniusTable
 ) -> list[int]:
-    """An irreducible factor of f, all of whose factors have degree d."""
+    """An irreducible factor of f, all of whose factors have degree d; `frob`
+    is the Frobenius table of a multiple of f."""
     p = field.p
     n = deg(f)
     if n == d:
@@ -251,7 +313,7 @@ def _equal_degree_split(
             continue
         g = poly_gcd(field, f, u)
         if 0 < deg(g) < n:
-            return _equal_degree_split(field, g, d, rng)
+            return _equal_degree_split(field, g, d, rng, frob)
         if p == 2:
             # trace map u + u^2 + ... + u^(2^(d-1)) splits over GF(2)
             t = poly_divmod(field, u, f)[1]
@@ -261,11 +323,16 @@ def _equal_degree_split(
                 acc = list_add(field, acc, t)
             g = poly_gcd(field, f, acc)
         else:
-            e = (p**d - 1) // 2
-            w = poly_mod_pow(field, u, e, f)
+            # u^((p^d - 1)/2) = (u * u^p * ... * u^(p^(d-1)))^((p - 1)/2),
+            # with deg u < n, so u is already reduced mod f
+            conj = norm = u
+            for _ in range(d - 1):
+                conj = frob.power(conj, f)
+                norm = poly_divmod(field, list_mul(field, norm, conj), f)[1]
+            w = poly_mod_pow(field, norm, (p - 1) // 2, f)
             g = poly_gcd(field, f, list_sub(field, w, [1]))
         if 0 < deg(g) < n:
-            return _equal_degree_split(field, g, d, rng)
+            return _equal_degree_split(field, g, d, rng, frob)
 
 
 def factor_poly(
@@ -274,6 +341,8 @@ def factor_poly(
     """Full factorization over GF(p): (unit, [(monic irreducible, multiplicity)]).
 
     Generator-side; deterministic for a given input via a derived seed.
+    Every cofactor on the stack divides monic f, so one Frobenius table of
+    f serves each `find_factor` call.
     """
     if not f:
         raise ValueError("cannot factor the zero polynomial")
@@ -281,13 +350,14 @@ def factor_poly(
         rng = random.Random(_stable_seed(field.p, *f))
     unit = f[-1] % field.p
     rest = monic(field, f)
+    frob = _FrobeniusTable(field, rest)
     out: dict[tuple[int, ...], int] = {}
     stack = [rest]
     while stack:
         cur = stack.pop()
         if deg(cur) == 0:
             continue
-        fac = find_factor(field, cur, rng)
+        fac = find_factor(field, cur, rng, frob)
         if fac is None:
             key = tuple(cur)
             out[key] = out.get(key, 0) + 1
@@ -357,9 +427,9 @@ def generate_rabin(
         hp[s] = list_pow(field, h[i], digits[s])
         grow = [None] * s
         for j in range(s - 1, -1, -1):
-            step = list_mul(
-                field, list_pow(field, hp[j + 1], t), list_pow(field, h[i], digits[j])
-            )
+            step = list_pow(field, hp[j + 1], t)
+            if digits[j]:
+                step = list_mul(field, step, list_pow(field, h[i], digits[j]))
             if i == n - 1 and j == 0:
                 hp[0] = list(X_POLY)
                 q, r = poly_divmod(field, list_sub(field, step, X_POLY), f)

@@ -8,6 +8,7 @@ concludes ever rests on them.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -103,10 +104,34 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
             return g
 
 
+# factorize trial-divides by the d prime to 30 with 7 <= d < _TRIAL_LIMIT,
+# span by span: a span of _SPAN integers is skipped when n is prime to the
+# product of its candidates.
+_TRIAL_LIMIT = 10**6
+_SPAN = 1920  # 64 turns of the mod-30 wheel
+_WHEEL = (1, 7, 11, 13, 17, 19, 23, 29)
+
+
+def _span_candidates(start: int) -> list[int]:
+    """The trial divisors d with start <= d < start + _SPAN."""
+    end = min(start + _SPAN, _TRIAL_LIMIT)
+    return [base + r for base in range(start, end, 30) for r in _WHEEL if 7 <= base + r < end]
+
+
+@functools.cache
+def _span_product(start: int) -> int:
+    """Product of the span's candidates, made when factorize first reaches it
+    (521 spans, about 650 KB when all are made).  It goes one wheel residue
+    at a time, which halves the cost; residue 1 adds only a factor 1 at 0."""
+    end = min(start + _SPAN, _TRIAL_LIMIT)
+    return math.prod([math.prod(range(start + r, end, 30)) for r in _WHEEL])
+
+
 def factorize(n: int, rng: random.Random | None = None) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as sorted (prime, exponent) pairs.
 
-    Trial division by small primes first, Pollard rho for what remains.
+    Trial division below 10**6 first (`_span_candidates`), Pollard rho for
+    what remains.
     Generator-side only.
     """
     if n < 1:
@@ -118,15 +143,14 @@ def factorize(n: int, rng: random.Random | None = None) -> list[tuple[int, int]]
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    w = 0
-    while d * d <= n and d < 10**6:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += wheel[w]
-        w = (w + 1) % 8
+    start = 0
+    while start * start <= n and start < _TRIAL_LIMIT:
+        if math.gcd(n, _span_product(start)) > 1:
+            for d in _span_candidates(start):
+                while n % d == 0:
+                    factors[d] = factors.get(d, 0) + 1
+                    n //= d
+        start += _SPAN
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

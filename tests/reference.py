@@ -9,9 +9,10 @@ from ringcert.exactalg import (
     PrimeField,
     deg,
     drop_trailing_zeros,
+    formal_derivative,
     lc,
+    list_add,
     list_mul,
-    list_pow,
     list_sub,
     monic,
     poly_divmod,
@@ -23,10 +24,10 @@ from ringcert.irred_ff import (
     X_POLY,
     RabinCertificate,
     ReducibleWitness,
+    _frobenius_power,
     _stable_seed,
     base_digits,
     choose_base,
-    find_factor,
 )
 from ringcert.linalg import det_bareiss
 
@@ -109,7 +110,7 @@ def is_irreducible(field: PrimeField, f: list[int]) -> bool:
         powers.append(poly_mod_pow(field, powers[-1], p, f))
     if powers[n] != powers[0]:
         return False
-    for q, _e in primality.factorize(n):
+    for q, _e in factorize(n):
         g = poly_gcd(field, f, list_sub(field, powers[n // q], X_POLY))
         if deg(g) != 0:
             return False
@@ -186,7 +187,7 @@ def generate_rabin(
         g_rows.append(tuple(grow))
         hp_rows.append(tuple(tuple(x) for x in hp))
 
-    n_factors = primality.factorize(n) if n > 1 else []
+    n_factors = factorize(n) if n > 1 else []
     pratt_list = [
         None if q < primality.TRIAL_DIVISION_BOUND else primality.generate_pratt(q)
         for q, _e in n_factors
@@ -210,3 +211,142 @@ def generate_rabin(
         n_factors=tuple(n_factors),
         n_factor_pratt=tuple(pratt_list),
     )
+
+
+def list_pow(dom, a: list, e: int) -> list:
+    """Exact e-th power by right-to-left repeated squaring from [1]."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    result = [dom.one]
+    base = list(a)
+    while e:
+        if e & 1:
+            result = list_mul(dom, result, base)
+        e >>= 1
+        if e:
+            base = list_mul(dom, base, base)
+    return result
+
+
+def factorize(n: int, rng: random.Random | None = None) -> list[tuple[int, int]]:
+    """Prime factorization of n >= 1 as sorted (prime, exponent) pairs: trial
+    division one mod-30 wheel step at a time below 10**6, then Pollard rho."""
+    if n < 1:
+        raise ValueError("factorize expects n >= 1")
+    if rng is None:
+        rng = random.Random(0xF0F0 ^ n)
+    factors: dict[int, int] = {}
+    for p in (2, 3, 5):
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    d = 7
+    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
+    w = 0
+    while d * d <= n and d < 10**6:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += wheel[w]
+        w = (w + 1) % 8
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if primality.is_probable_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+            continue
+        g = primality._pollard_rho(m, rng)
+        stack.append(g)
+        stack.append(m // g)
+    return sorted(factors.items())
+
+
+def find_factor(field: PrimeField, f: list[int], rng: random.Random) -> list[int] | None:
+    """A monic nontrivial factor of f, or None when f is irreducible: a root
+    scan for p <= 1000, then distinct-degree and Cantor-Zassenhaus splitting
+    with every p-th power by `poly_mod_pow`."""
+    p = field.p
+    f = monic(field, f)
+    n = deg(f)
+    if n <= 1:
+        return None
+    if p <= 1000:
+        for r in range(p):
+            rem = 0
+            for c in reversed(f):
+                rem = (rem * r + c) % p
+            if rem == 0:
+                return [(-r) % p, 1]
+    fp = formal_derivative(field, f)
+    if not fp:
+        return _frobenius_power(field, f)
+    d = poly_gcd(field, f, fp)
+    if 0 < deg(d) < n:
+        return d
+    h = poly_divmod(field, X_POLY, f)[1]
+    for degree in range(1, n // 2 + 1):
+        h = poly_mod_pow(field, h, p, f)
+        g = poly_gcd(field, f, list_sub(field, h, X_POLY))
+        if deg(g) <= 0:
+            continue
+        if deg(g) < n:
+            return equal_degree_split(field, g, degree, rng)
+        return equal_degree_split(field, f, degree, rng)
+    return None
+
+
+def equal_degree_split(field: PrimeField, f: list[int], d: int, rng: random.Random) -> list[int]:
+    """An irreducible factor of f, all of whose factors have degree d, with
+    u^((p^d - 1)/2) by one `poly_mod_pow`."""
+    p = field.p
+    n = deg(f)
+    if n == d:
+        return monic(field, f)
+    while True:
+        u = drop_trailing_zeros([rng.randrange(p) for _ in range(n)])
+        if deg(u) < 1:
+            continue
+        g = poly_gcd(field, f, u)
+        if 0 < deg(g) < n:
+            return equal_degree_split(field, g, d, rng)
+        if p == 2:
+            t = poly_divmod(field, u, f)[1]
+            acc = t
+            for _ in range(d - 1):
+                t = poly_mod_pow(field, t, 2, f)
+                acc = list_add(field, acc, t)
+            g = poly_gcd(field, f, acc)
+        else:
+            w = poly_mod_pow(field, u, (p**d - 1) // 2, f)
+            g = poly_gcd(field, f, list_sub(field, w, [1]))
+        if 0 < deg(g) < n:
+            return equal_degree_split(field, g, d, rng)
+
+
+def factor_poly(
+    field: PrimeField, f: list[int], rng: random.Random | None = None
+) -> tuple[int, list[tuple[list[int], int]]]:
+    """(unit, [(monic irreducible, multiplicity)]) over GF(p), by `find_factor`
+    on each cofactor in turn."""
+    if rng is None:
+        rng = random.Random(_stable_seed(field.p, *f))
+    unit = f[-1] % field.p
+    out: dict[tuple[int, ...], int] = {}
+    stack = [monic(field, f)]
+    while stack:
+        cur = stack.pop()
+        if deg(cur) == 0:
+            continue
+        fac = find_factor(field, cur, rng)
+        if fac is None:
+            key = tuple(cur)
+            out[key] = out.get(key, 0) + 1
+            continue
+        q, r = poly_divmod(field, cur, fac)
+        assert not r, "factor does not divide"
+        stack.append(fac)
+        stack.append(q)
+    factors = sorted(out.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    return unit, [(list(k), m) for k, m in factors]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringcert import exactalg
 from ringcert.exactalg import (
     GF,
     QQ,
@@ -18,6 +19,7 @@ from ringcert.exactalg import (
     get_d,
     list_add,
     list_mul,
+    list_pow,
     list_sub,
     monic,
     mul_pointwise,
@@ -29,6 +31,7 @@ from ringcert.exactalg import (
     reduce_mod_p,
 )
 from reference import divmod_by_field_calls
+from reference import list_pow as plain_list_pow
 
 int_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=8).map(
     drop_trailing_zeros
@@ -176,6 +179,35 @@ class TestKroneckerProduct:
             assert all(type(c) is Fraction for c in got)
         got = list_mul(QQ, [1, 2], [3])
         assert got == [3, 6] and all(type(c) is Fraction for c in got)
+
+
+class TestListPow:
+    @pytest.mark.parametrize("dom", [ZZ, QQ, GF(2), GF(7), GF(2**61 - 1)], ids=repr)
+    def test_matches_powers_from_one(self, dom):
+        """Same lists, with the same element types, as square and multiply from [1]."""
+        rng = random.Random(repr(dom))
+        for _ in range(60):
+            a = [rng.randrange(-30, 30) for _ in range(rng.randrange(6))]
+            if dom is QQ:
+                a = [Fraction(c, rng.randrange(1, 5)) for c in a]
+            if rng.randrange(3) == 0:
+                a.append(0)  # not canonical
+            e = rng.randrange(12)
+            got, want = list_pow(dom, a, e), plain_list_pow(dom, a, e)
+            assert got == want and list(map(type, got)) == list(map(type, want)), (a, e)
+
+    def test_no_product_by_one(self, monkeypatch):
+        real = exactalg.list_mul
+        seen = []
+
+        def counted(dom, a, b):
+            seen.append((a, b))
+            return real(dom, a, b)
+
+        monkeypatch.setattr(exactalg, "list_mul", counted)
+        assert list_pow(ZZ, [1, 1], 5) == [1, 5, 10, 10, 5, 1]
+        assert list_pow(ZZ, [1, 1], 1) == [1, 1]
+        assert len(seen) == 3 and [1] not in (x for pair in seen for x in pair)
 
 
 class TestDivmodXgcd:

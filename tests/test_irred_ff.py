@@ -5,9 +5,9 @@ import time
 
 import pytest
 
-from ringcert import irred_ff
+from ringcert import exactalg, irred_ff
 from ringcert.certio import serialize
-from ringcert.exactalg import GF, deg, drop_trailing_zeros, list_mul, poly_divmod
+from ringcert.exactalg import GF, deg, drop_trailing_zeros, list_mul, poly_divmod, poly_mod_pow
 from ringcert.irred_ff import (
     RabinCertificate,
     ReducibleWitness,
@@ -17,6 +17,7 @@ from ringcert.irred_ff import (
     verify_rabin,
     verify_reducible_witness,
 )
+from reference import factor_poly as plain_factor_poly
 from reference import generate_rabin as plain_generate_rabin
 from reference import is_irreducible, residue_chain
 
@@ -173,6 +174,78 @@ class TestGeneratorAgainstReference:
         cert = generate_rabin(f, 503, 2)
         assert isinstance(cert, RabinCertificate) and verify_rabin(cert).accepted
         assert len(calls) == cert.n * cert.s
+
+
+class TestFactorAgainstReference:
+    """`factor_poly` with the Frobenius table against the plain one kept in
+    tests/reference.py, which raises to every p-th power by `poly_mod_pow`."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 997, 1009, 2**31 - 1, 2**61 - 1, 10**12 + 39])
+    def test_same_factors_and_draws(self, p):
+        rng = random.Random(f"factor/{p}")
+        field = GF(p)
+
+        def poly(n):
+            return [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+
+        inputs = []
+        for n in range(1, 25):
+            inputs.append(poly(n))
+            # repeated factors: a^2 * b^3 * c of degree n
+            k = rng.randrange(n // 2 + 1)
+            m = rng.randrange((n - 2 * k) // 3 + 1)
+            f = list_mul(field, poly(n - 2 * k - 3 * m), exactalg.list_pow(field, poly(k), 2))
+            inputs.append(list_mul(field, f, exactalg.list_pow(field, poly(m), 3)))
+        if p <= 5:
+            # zero derivative: a p-th power times 1 + X^p
+            x_p = [1] + [0] * (p - 1) + [1]
+            inputs.append(list_mul(field, exactalg.list_pow(field, poly(3), p), x_p))
+
+        ours, theirs = random.Random(7), random.Random(7)
+        for f in inputs:
+            assert factor_poly(field, f, ours) == plain_factor_poly(field, f, theirs), f
+        assert ours.random() == theirs.random()
+        for f in inputs[-6:]:  # the derived seed
+            assert factor_poly(field, f) == plain_factor_poly(field, f), f
+
+    def test_one_frobenius_power_per_factorization(self, monkeypatch):
+        p = 2**61 - 1
+        f = _irreducible(p, 16, random.Random(16))
+        exponents = []
+
+        def counted(field, g, e, mod):
+            exponents.append(e)
+            return poly_mod_pow(field, g, e, mod)
+
+        monkeypatch.setattr(irred_ff, "poly_mod_pow", counted)
+        _unit, factors = factor_poly(GF(p), f)
+        assert len(factors) == 1 and factors[0][1] == 1 and deg(factors[0][0]) == 16
+        assert exponents.count(p) == 1
+
+
+class TestCheckIIWorkBound:
+    def test_base_p_forgery_forms_no_long_power(self, monkeypatch):
+        # t = p = 1000003, n = 4, one-term quotients, every h_i and h'_ij = X:
+        # checks (i) hold and (ii) claims f*1 + X = X^p.  Forming X^p would
+        # build about p coefficients; the file is under 500 bytes.
+        p, n = 1000003, 4
+        x = (0, 1)
+        forged = RabinCertificate(
+            p=p, n=n, t=p, s=1, L=(1, 0, 0, 0, 1), h=(x,) * (n + 1),
+            g=(((1,),),) * n, hprime=((x, x),) * n,
+            a=((), (), (1,), ()), b=((), (), (1,), ()),
+            n_factors=((2, 2),), n_factor_pratt=(None,),
+        )
+        assert len(serialize(forged)) < 500
+        real_mul = exactalg.list_mul
+
+        def bounded(dom, a, b):
+            assert max(len(a), len(b)) <= n + 1 + 1, "operand longer than n + len(g_ij) + 1"
+            return real_mul(dom, a, b)
+
+        monkeypatch.setattr(exactalg, "list_mul", bounded)
+        monkeypatch.setattr(irred_ff, "list_mul", bounded)
+        assert verify_rabin(forged).reason == "rabin/check-ii/i=0/j=0"
 
 
 class TestResidueChain:

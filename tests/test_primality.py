@@ -1,5 +1,11 @@
+import math
+import random
 import time
 
+import pytest
+
+import reference
+from ringcert import primality
 from ringcert.primality import (
     PrattCertificate,
     factorize,
@@ -29,6 +35,50 @@ def test_factorize():
     # needs rho: two eight-digit primes
     n = 10000019 * 10000079
     assert factorize(n) == [(10000019, 1), (10000079, 1)]
+
+
+@pytest.mark.parametrize("n", [
+    1, 999983**2, 999979 * 999983, 1000003**2, (2**61 - 1) * 7**5,
+    7 * 1000003 * 1000033, 2**10 * 3**5 * 999983 * (10**12 + 39),
+])
+def test_factorize_matches_wheel_loop(n):
+    """Same factors, and the same draws for rho, as the one-step wheel loop."""
+    ours, theirs = random.Random(n), random.Random(n)
+    assert factorize(n, ours) == reference.factorize(n, theirs)
+    assert ours.random() == theirs.random()
+
+
+def test_factorize_matches_wheel_loop_random():
+    rng = random.Random(5)
+    ours, theirs = random.Random(6), random.Random(6)
+    for bits in range(2, 72, 3):
+        for _ in range(4):
+            n = rng.getrandbits(bits) + 1
+            assert factorize(n, ours) == reference.factorize(n, theirs), n
+    assert ours.random() == theirs.random()
+
+
+def test_spans_cover_the_wheel_below_a_million():
+    starts = range(0, 10**6, primality._SPAN)
+    candidates = [d for start in starts for d in primality._span_candidates(start)]
+    assert candidates == [d for d in range(7, 10**6) if math.gcd(d, 30) == 1]
+    for start in starts:
+        assert primality._span_product(start) == math.prod(primality._span_candidates(start))
+
+
+def test_pratt_matches_wheel_loop(monkeypatch):
+    rng = random.Random(13)
+    primes = []
+    while len(primes) < 6:
+        P = rng.randrange(10**12, 10**15)
+        if is_probable_prime(P):
+            primes.append(P)
+    ours = random.Random(14)
+    certs = [generate_pratt(P, ours) for P in primes]
+    monkeypatch.setattr(primality, "factorize", reference.factorize)
+    theirs = random.Random(14)
+    assert certs == [generate_pratt(P, theirs) for P in primes]
+    assert ours.random() == theirs.random()
 
 
 def test_pratt_base_case():
