@@ -546,16 +546,3 @@ DEGREE5_FIXTURES = (
     "quintic_x5-8",
     "quintic_cos2pi11",
 )
-
-
-def fixtures_dir():
-    """Directory holding the shipped fixture files; override with the
-    RINGCERT_FIXTURES environment variable."""
-    import os
-    from pathlib import Path
-
-    override = os.environ.get("RINGCERT_FIXTURES")
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "fixtures"
-

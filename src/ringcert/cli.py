@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 
-from . import certio, irred_int, maximality, pipeline, primality
+from . import certio, irred_int, pipeline, primality
 from .irred_ff import RabinCertificate, ReducibleWitness, verify_rabin, verify_reducible_witness
 from .verdict import Verdict
 
@@ -40,8 +41,6 @@ def verify_certificate(obj) -> Verdict:
         return verify_reducible_witness(obj)
     if isinstance(obj, primality.PrattCertificate):
         return primality.verify_pratt(obj)
-    if isinstance(obj, maximality.DedekindCertificate):
-        return maximality.verify_dedekind(obj)
     if isinstance(obj, (certio.InputPolynomial, certio.InputOrderBasis)):
         raise ValueError("input files are not certificates")
     raise ValueError(
@@ -87,12 +86,9 @@ def _cmd_gen_irred(args) -> int:
     if not isinstance(obj, certio.InputPolynomial):
         print("gen irred expects an input/polynomial file", file=sys.stderr)
         return EXIT_MALFORMED
-    budget = irred_int.IntIrredBudget(lpfw_points=args.budget)
-    import random
-
     rng = random.Random(args.seed)
     try:
-        cert = irred_int.generate_int_irred(list(obj.coeffs), budget=budget, rng=rng)
+        cert = irred_int.generate_int_irred(list(obj.coeffs), rng=rng)
     except irred_int.NoCertificateFound as e:
         print(f"no certificate found: {e}", file=sys.stderr)
         return EXIT_REJECT
@@ -116,15 +112,12 @@ def _cmd_gen_bundle(args) -> int:
     ):
         print("gen bundle expects input/polynomial and input/order-basis files", file=sys.stderr)
         return EXIT_MALFORMED
-    budget = pipeline.BundleBudget(
-        irred=irred_int.IntIrredBudget(lpfw_points=args.budget), seed=args.seed
-    )
     try:
         bundle = pipeline.generate_bundle(
             list(poly.coeffs),
             basis.denominator,
             [list(c) for c in basis.columns],
-            budget=budget,
+            seed=args.seed,
             claimed_disc=args.disc,
         )
     except pipeline.BundleError as e:
@@ -178,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     g_irred = gen_sub.add_parser("irred", help="irreducibility over the integers")
     g_irred.add_argument("polyfile")
     g_irred.add_argument("-o", "--output")
-    g_irred.add_argument("--budget", type=int, default=10_000, help="LPFW evaluation points")
     g_irred.add_argument("--seed", type=int, default=0)
     g_irred.set_defaults(func=_cmd_gen_irred)
 
@@ -186,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     g_bundle.add_argument("polyfile")
     g_bundle.add_argument("basisfile")
     g_bundle.add_argument("-o", "--output")
-    g_bundle.add_argument("--budget", type=int, default=10_000, help="LPFW evaluation points")
     g_bundle.add_argument("--seed", type=int, default=0)
     g_bundle.add_argument("--disc", type=int, default=None,
                           help="embed a discriminant claim in the bundle")

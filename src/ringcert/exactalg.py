@@ -5,106 +5,58 @@ holds the coefficient of X^i.  The canonical form has no trailing zeros and
 the zero polynomial is the empty list.  Every operation here returns
 canonical lists, so polynomial equality is plain list equality.
 
-Coefficients live in one of three domains, passed explicitly to each
-operation:
+Coefficients are plain Python ints in one of two domains, passed explicitly
+to each operation:
 
-* ``ZZ``    -- arbitrary-precision integers (Python int)
-* ``QQ``    -- exact rationals (fractions.Fraction)
+* ``ZZ``    -- arbitrary-precision integers
 * ``GF(p)`` -- the prime field, residues stored as ints in [0, p)
 
-Products (`list_mul`, and through it `list_pow`, `poly_mod_pow` and
-`poly_xgcd`) use Kronecker substitution over all three domains: both factors
-are packed into one big integer with w-bit slots, CPython multiplies the two
-integers once, and the slots are read back.  The slot width comes from the
-exact bound min(len a, len b) * max|a_i| * max|b_j| on every product
-coefficient, plus a sign bit, so the integer convolution is exact.  GF(p)
-reduces it modulo p, which is exact for any modulus p >= 2, prime or not,
-and for unreduced or negative residues; QQ clears denominators into it.
-Packing and reading back split long lists in halves, so they cost
-O(m*w*log m) bit operations for m slots of w bits, not O(m*m*w).
-`list_pow` squares and multiplies from the top bit of the exponent, so no
-product has [1] as a factor; its first power only canonicalizes, and its
-results have the element types `list_mul` gives.
+The domain objects only name the domain (``p``, ``zero``, ``one`` and, over
+GF(p), ``inv``); they do no arithmetic.  Every list operation computes on
+plain ints and, over GF(p), reduces each output list once (`_canonical`),
+which is exact for any modulus p >= 2, prime or not, and for unreduced or
+negative inputs.
 
-Division (`poly_divmod`, and through it `poly_mod_pow`, `poly_gcd` and
-`poly_xgcd`) is schoolbook long division; only the generator divides.  Over
-GF(p) it runs on plain ints with one `% p` per quotient coefficient and
-reduces the remainder once at the end; over QQ it goes through the field's
-methods.
+Products (`list_mul`, and through it `list_pow`, `poly_mod_pow` and
+`poly_xgcd`) use Kronecker substitution: both factors are packed into one
+big integer with w-bit slots, CPython multiplies the two integers once, and
+the slots are read back.  The slot width comes from the exact bound
+min(len a, len b) * max|a_i| * max|b_j| on every product coefficient, plus a
+sign bit, so the integer convolution is exact.  Packing and reading back
+split long lists in halves, so they cost O(m*w*log m) bit operations for m
+slots of w bits, not O(m*m*w).  `list_pow` squares and multiplies from the
+top bit of the exponent, so no product has [1] as a factor; its first power
+only canonicalizes.
+
+Division is schoolbook long division.  Over GF(p) (`poly_divmod`, and
+through it `poly_mod_pow`, `poly_gcd` and `poly_xgcd`) each quotient
+coefficient costs one `% p` and the remainder is reduced once at the end;
+only the generator divides there.  Over Z, `poly_divmod_int` divides by
+lc(g) exactly at each step, or reports that it cannot.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from math import gcd
+from operator import add, neg, sub
 
 
 class IntegerRing:
-    """The ring of integers. Elements are Python ints."""
+    """The ring of integers."""
 
     zero = 0
     one = 1
-    is_field = False
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def from_int(self, k):
-        return k
 
     def __repr__(self):
         return "ZZ"
 
 
-class RationalField:
-    """The field of rationals. Elements are fractions.Fraction."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-    is_field = True
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
-
-    def from_int(self, k):
-        return Fraction(k)
-
-    def __repr__(self):
-        return "QQ"
-
-
 class PrimeField:
-    """The field with p elements, p prime. Elements are ints in [0, p).
+    """The field with p elements, p prime; residues are ints in [0, p).
 
     Primality of p is the caller's responsibility; certificates vouch for
-    it where it matters.  Mixing residues from different moduli cannot
-    happen silently because all arithmetic goes through one field object.
+    it where it matters.  `GF` keeps one object per modulus.
     """
-
-    is_field = True
 
     def __init__(self, p: int):
         if p < 2:
@@ -113,38 +65,16 @@ class PrimeField:
         self.zero = 0
         self.one = 1 % p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of zero in GF({self.p})")
         return pow(a, -1, self.p)
-
-    def from_int(self, k):
-        return k % self.p
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
 
     def __repr__(self):
         return f"GF({self.p})"
 
 
 ZZ = IntegerRing()
-QQ = RationalField()
 
 _gf_cache: dict[int, PrimeField] = {}
 
@@ -188,28 +118,38 @@ def lc(l: list):
     return l[-1]
 
 
+def _canonical(dom, l: list[int]) -> list[int]:
+    """The fresh list l, reduced modulo p over GF(p), without trailing zeros."""
+    if isinstance(dom, PrimeField):
+        p = dom.p
+        l = [c % p for c in l]
+    while l and not l[-1]:
+        l.pop()
+    return l
+
+
 def list_add(dom, a: list, b: list) -> list:
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] = dom.add(out[i], x)
-    return drop_trailing_zeros(out)
-
-
-def list_neg(dom, a: list) -> list:
-    return [dom.neg(x) for x in a]
+    out = list(map(add, a, b))
+    out += a[len(b):]
+    return _canonical(dom, out)
 
 
 def list_sub(dom, a: list, b: list) -> list:
-    return list_add(dom, a, list_neg(dom, b))
+    out = list(map(sub, a, b))
+    if len(a) >= len(b):
+        out += a[len(b):]
+    else:
+        out += map(neg, b[len(a):])
+    return _canonical(dom, out)
 
 
 def mul_pointwise(dom, c, l: list) -> list:
     """Scalar multiple c*l, canonicalized."""
     if c == 0:
         return []
-    return drop_trailing_zeros([dom.mul(c, x) for x in l])
+    return _canonical(dom, [c * x for x in l])
 
 
 _KRON_LEAF = 32  # slots packed or read back by one shift loop
@@ -276,8 +216,7 @@ def list_mul(dom, a: list, b: list) -> list:
     """Convolution product, canonicalized, as one integer product (`_kron_mul`).
 
     Over GF(p) the inputs are reduced first, which keeps the slots narrow, and
-    the integer convolution after.  Over QQ the denominators are cleared
-    first; every output entry is a Fraction.
+    the integer convolution after.
     """
     if not a or not b:
         return []
@@ -285,15 +224,7 @@ def list_mul(dom, a: list, b: list) -> list:
         p = dom.p
         a = [c % p for c in a]
         b = [c % p for c in b]
-        return drop_trailing_zeros([c % p for c in _kron_mul(a, b)])
-    if isinstance(dom, RationalField):
-        da = lcm(*(c.denominator for c in a))
-        db = lcm(*(c.denominator for c in b))
-        a = [c.numerator * (da // c.denominator) for c in a]
-        b = [c.numerator * (db // c.denominator) for c in b]
-        den = da * db
-        return drop_trailing_zeros([Fraction(c, den) for c in _kron_mul(a, b)])
-    return drop_trailing_zeros(_kron_mul(a, b))
+    return _canonical(dom, _kron_mul(a, b))
 
 
 def list_pow(dom, a: list, e: int) -> list:
@@ -307,11 +238,7 @@ def list_pow(dom, a: list, e: int) -> list:
     if e == 0:
         return [dom.one]
     if e == 1:
-        if isinstance(dom, PrimeField):
-            return drop_trailing_zeros([c % dom.p for c in a])
-        if isinstance(dom, RationalField):
-            return drop_trailing_zeros([Fraction(c) for c in a])
-        return drop_trailing_zeros(a)
+        return _canonical(dom, list(a))
     result = a
     for bit in bin(e)[3:]:
         result = list_mul(dom, result, result)
@@ -320,17 +247,16 @@ def list_pow(dom, a: list, e: int) -> list:
     return result
 
 
-def poly_eval(dom, f: list, x):
-    """Horner evaluation of f at x."""
-    acc = dom.zero
+def poly_eval(dom, f: list, x: int) -> int:
+    """f(x) by Horner's rule on integers, reduced once over GF(p)."""
+    acc = 0
     for c in reversed(f):
-        acc = dom.add(dom.mul(acc, x), c)
-    return acc
+        acc = acc * x + c
+    return acc % dom.p if isinstance(dom, PrimeField) else acc
 
 
 def formal_derivative(dom, f: list) -> list:
-    out = [dom.mul(dom.from_int(i), f[i]) for i in range(1, len(f))]
-    return drop_trailing_zeros(out)
+    return _canonical(dom, [i * f[i] for i in range(1, len(f))])
 
 
 def reduce_mod_p(f: list[int], p: int) -> list[int]:
@@ -338,36 +264,17 @@ def reduce_mod_p(f: list[int], p: int) -> list[int]:
     return drop_trailing_zeros([c % p for c in f])
 
 
-def poly_divmod(field, f: list, g: list) -> tuple[list, list]:
-    """Quotient and remainder of f by g over a field; g must be nonzero.
-
-    Over GF(p) both are reduced, canonical lists (`_divmod_fp`)."""
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not field.is_field:
-        raise TypeError("poly_divmod needs a field domain")
-    if isinstance(field, PrimeField):
-        return _divmod_fp(field.p, f, g)
-    inv_lead = field.inv(lc(g))
-    q = [field.zero] * max(len(f) - len(g) + 1, 0)
-    r = list(f)
-    while len(r) >= len(g):
-        c = field.mul(r[-1], inv_lead)
-        k = len(r) - len(g)
-        q[k] = c
-        for i in range(len(g)):
-            r[k + i] = field.sub(r[k + i], field.mul(c, g[i]))
-        r = drop_trailing_zeros(r)
-    return drop_trailing_zeros(q), drop_trailing_zeros(r)
-
-
-def _divmod_fp(p: int, f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
-    """`poly_divmod` over GF(p) on plain ints.
+def poly_divmod(field: PrimeField, f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by g over GF(p), both reduced and canonical.
 
     The inputs are reduced once.  The remainder row then holds unreduced
     integers: each quotient coefficient costs one `% p`, and the row is
-    reduced once at the end.  Raises ZeroDivisionError when lc(g) = 0 mod p.
+    reduced once at the end.  Raises ZeroDivisionError when g = 0 or
+    lc(g) = 0 mod p.
     """
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    p = field.p
     g = [c % p for c in g]
     if not g[-1]:
         raise ZeroDivisionError(f"inverse of zero in GF({p})")
@@ -383,6 +290,31 @@ def _divmod_fp(p: int, f: list[int], g: list[int]) -> tuple[list[int], list[int]
             for i in range(dg):
                 r[k + i] -= c * g[i]
     return drop_trailing_zeros(q), drop_trailing_zeros([c % p for c in r[:dg]])
+
+
+def poly_divmod_int(f: list[int], g: list[int]) -> tuple[list[int], list[int]] | None:
+    """Quotient and remainder of f by a canonical g over the integers.
+
+    Each step divides the leading coefficient of the running remainder by
+    lc(g); the first step where that division is not exact returns None, so
+    a monic g never gives None.  When g divides f in Z[X], the result is
+    (f / g, []).
+    """
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    lead = g[-1]
+    dg = len(g) - 1
+    r = list(f)
+    q = [0] * max(len(r) - dg, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c, rest = divmod(r[k + dg], lead)
+        if rest:
+            return None
+        q[k] = c
+        if c:
+            for i in range(dg):
+                r[k + i] -= c * g[i]
+    return drop_trailing_zeros(q), drop_trailing_zeros(r[:dg])
 
 
 def monic(field, f: list) -> list:
@@ -441,9 +373,4 @@ def poly_mod_pow(field, g: list, e: int, f: list) -> list:
 
 def content(f: list[int]) -> int:
     """Positive gcd of the integer coefficients (0 for the zero polynomial)."""
-    from math import gcd
-
-    g = 0
-    for c in f:
-        g = gcd(g, c)
-    return g
+    return gcd(*f)

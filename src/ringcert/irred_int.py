@@ -19,6 +19,7 @@ ringcert.primality and are re-exported here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -28,14 +29,13 @@ from fractions import Fraction
 from . import irred_ff, primality
 from .exactalg import (
     GF,
-    QQ,
     ZZ,
     content,
     deg,
     drop_trailing_zeros,
     lc,
     list_mul,
-    poly_divmod,
+    poly_divmod_int,
     poly_eval,
     reduce_mod_p,
 )
@@ -258,18 +258,20 @@ def verify_lpfw(cert: LPFWCertificate) -> Verdict:
 ANALYSIS_PRIMES = 12  # primes actually used per certificate
 ANALYSIS_PRIME_BOUND = 200
 LPFW_TRIAL_BOUND = 100_000  # strip prime factors below this from |f(m)|
+LPFW_POINTS = 10_000  # evaluation points LPFW tries before it gives up
 # the sparsest of this many factorizations: X^32+1 modulo a prime P = 1 (mod 64)
 # has 32 linear factors, so C(32,16) subsets of degree 16
 ZASSENHAUS_PRIMES = 3
 
 
-@dataclass
-class IntIrredBudget:
-    lpfw_points: int = 10_000       # evaluation points tried per scaling factor set
-
-
 class NoCertificateFound(Exception):
-    """Search budget exhausted without a certificate or a factor."""
+    """LPFW ran out of evaluation points without a certificate or a factor."""
+
+
+@functools.cache
+def _primes_to(bound: int) -> tuple[int, ...]:
+    """The primes <= bound, sieved on first use and kept."""
+    return tuple(primality.sieve_primes(bound))
 
 
 def _factorization_cert_mod_p(
@@ -302,7 +304,7 @@ def _degree_analysis_search(
     best_d = 1
     best_entries: list[FactorizationModP] = []
     used = 0
-    for p in primality.sieve_primes(ANALYSIS_PRIME_BOUND):
+    for p in _primes_to(ANALYSIS_PRIME_BOUND):
         if used >= ANALYSIS_PRIMES:
             break
         if lc(f) % p == 0:
@@ -331,7 +333,6 @@ def _lpfw_search(
     f: list[int],
     d: int,
     analysis: DegreeAnalysisCertificate | None,
-    budget: IntIrredBudget,
     rng: random.Random,
 ) -> LPFWCertificate | None:
     best = None  # (rho, r)
@@ -342,10 +343,10 @@ def _lpfw_search(
             best = (rho, r)
     rho, r = best
     m0 = math.ceil(rho + 1)
-    small_primes = primality.sieve_primes(LPFW_TRIAL_BOUND)
+    small_primes = _primes_to(LPFW_TRIAL_BOUND)
     tried = 0
     m_abs = m0
-    while tried < budget.lpfw_points:
+    while tried < LPFW_POINTS:
         for m in (m_abs, -m_abs):
             tried += 1
             value = abs(poly_eval(ZZ, f, m))
@@ -392,17 +393,20 @@ def _lpfw_search(
 
 
 def _rational_root_factor(f: list[int]) -> list[int] | None:
-    """A primitive linear factor from the rational root test, or None."""
+    """A primitive linear factor from the rational root test, or None.
+
+    A candidate root u/v in lowest terms is a root exactly when
+    v^n * f(u/v) = sum_i f_i * u^i * v^(n-i) vanishes."""
     if f[0] == 0:
         return [0, 1]
+    n = deg(f)
     a0, an = abs(f[0]), abs(lc(f))
     for u in sorted(_divisors(a0)):
         for v in sorted(_divisors(an)):
             if math.gcd(u, v) != 1:
                 continue
             for su in (1, -1):
-                root = Fraction(su * u, v)
-                if poly_eval(QQ, [Fraction(c) for c in f], root) == 0:
+                if sum(c * (su * u) ** i * v ** (n - i) for i, c in enumerate(f)) == 0:
                     return [-su * u, v]
     return None
 
@@ -421,10 +425,10 @@ def _divisors(n: int) -> list[int]:
 
 def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
     """f / g when g divides f over the integers, else None."""
-    q, r = poly_divmod(QQ, [Fraction(c) for c in f], [Fraction(c) for c in g])
-    if r or any(c.denominator != 1 for c in q):
+    qr = poly_divmod_int(f, g)
+    if qr is None or qr[1]:
         return None
-    return [int(c) for c in q]
+    return qr[0]
 
 
 def _zassenhaus_factor(f: list[int], allowed: set[int]) -> list[int] | None:
@@ -472,24 +476,20 @@ def _zassenhaus_factor(f: list[int], allowed: set[int]) -> list[int] | None:
 
 
 def generate_int_irred(
-    f: list[int],
-    budget: IntIrredBudget | None = None,
-    rng: random.Random | None = None,
+    f: list[int], rng: random.Random | None = None
 ) -> DegreeAnalysisCertificate | LPFWCertificate | ReducibleWitnessInt:
     """Certificate of irreducibility over the integers, or a factor witness.
 
     Degree analysis over small primes is preferred.  Otherwise the rational
     root test (when the analysis allows degree 1) and big-prime Zassenhaus
     either find a factor or show there is none, and LPFW proves
-    irreducibility.  Raises NoCertificateFound when LPFW runs out of
-    evaluation points, which is a statement about the budget, not about
-    reducibility.
+    irreducibility.  Raises NoCertificateFound when LPFW runs out of its
+    LPFW_POINTS evaluation points, which is a statement about the search,
+    not about reducibility.
     """
     f = drop_trailing_zeros(list(f))
     if deg(f) < 1:
         raise ValueError("degree must be positive")
-    if budget is None:
-        budget = IntIrredBudget()
     if rng is None:
         rng = random.Random(irred_ff._stable_seed(0x17ED, *f))
 
@@ -518,7 +518,7 @@ def generate_int_irred(
     if factor is not None:
         return ReducibleWitnessInt(tuple(f), tuple(factor), tuple(_exact_quotient(f, factor)))
 
-    lpfw = _lpfw_search(f, d, partial, budget, rng)
+    lpfw = _lpfw_search(f, d, partial, rng)
     if lpfw is not None:
         return lpfw
-    raise NoCertificateFound("no certificate within budget")
+    raise NoCertificateFound(f"no LPFW witness among {LPFW_POINTS} evaluation points")

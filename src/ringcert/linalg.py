@@ -163,24 +163,27 @@ def pattern_reduce_fp(
     return a, pivots
 
 
-def inverse_unimodular(m: list[list[int]]) -> list[list[int]]:
-    """The integer inverse of a square integer matrix of determinant +-1.
+def solve_fraction_free(m: list[list[int]], r: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(det m, det m * m^-1 * r) for a square integer matrix m and a matrix r
+    with as many rows, both integral.
 
-    A fraction-free Gauss-Jordan (Bareiss) on [m | I]: every division is
+    A fraction-free Gauss-Jordan (Bareiss) on [m | r]: every division is
     exact, so the entries stay integral, and at the end the left block is
-    d times the identity and the right block d times the inverse, with
-    d = +-det(m).  Raises ValueError unless d is a unit.
+    d times the identity and the right block d * m^-1 * r, with d = +-det(m)
+    (the sign counts the row swaps).  Raises ValueError when m is singular.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("inverse of a non-square matrix")
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    prev = 1
+    a = [list(row) + list(rhs) for row, rhs in zip(m, r)]
+    prev = sign = 1
     for k in range(n):
         pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
         if pivot is None:
             raise ValueError("singular matrix")
-        a[k], a[pivot] = a[pivot], a[k]
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
         rk = a[k]
         akk = rk[k]
         for i in range(n):
@@ -188,9 +191,17 @@ def inverse_unimodular(m: list[list[int]]) -> list[list[int]]:
                 aik = a[i][k]
                 a[i] = [(akk * x - aik * y) // prev for x, y in zip(a[i], rk)]
         prev = akk
-    if prev not in (1, -1):
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
+
+
+def inverse_unimodular(m: list[list[int]]) -> list[list[int]]:
+    """The integer inverse of a square integer matrix of determinant +-1:
+    `solve_fraction_free` with r = I.  Raises ValueError unless det m is a unit."""
+    n = len(m)
+    det, scaled = solve_fraction_free(m, [[int(i == j) for j in range(n)] for i in range(n)])
+    if det not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    return [[prev * x for x in row[n:]] for row in a]
+    return [[det * x for x in row] for row in scaled]
 
 
 def solve_upper_triangular(b: list[list[int]], rhs: list[int], den: int = 1) -> list[int] | None:

@@ -16,16 +16,18 @@ arithmetic in O happens on coordinate vectors against that table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .exactalg import (
     ZZ,
+    _canonical,
     deg,
     drop_trailing_zeros,
     get_d,
-    list_add,
     list_mul,
     list_sub,
     mul_pointwise,
+    poly_divmod_int,
 )
 from .linalg import solve_upper_triangular
 from .verdict import Verdict
@@ -68,8 +70,14 @@ def _basis_fault(n: int, columns) -> str | None:
     return None
 
 
-def _basis_rows(columns) -> list[list[int]]:
+def basis_rows(columns) -> list[list[int]]:
+    """The rows of B from its columns."""
     return [list(row) for row in zip(*columns)]
+
+
+def basis_combination(rows, coords) -> list[int]:
+    """B . coords as a canonical list: the polynomial sum_k coords[k] * b_k."""
+    return drop_trailing_zeros([sum(map(mul, row, coords)) for row in rows])
 
 
 def verify_order_builder(desc: OrderDescription) -> Verdict:
@@ -98,15 +106,13 @@ def verify_order_builder(desc: OrderDescription) -> Verdict:
     # every other term of its identity, so the identity fails; such witnesses
     # are rejected before they are multiplied.
     b = [_column_poly(desc, j) for j in range(n)]
+    rows = basis_rows(desc.basis_columns)
     for i in range(n):
         for j in range(i, n):
             witness = drop_trailing_zeros(list(desc.mul_witness[i][j - i]))
             if len(witness) >= n:
                 return Verdict.reject(f"order/identity/i={i}/j={j}")
-            coords = desc.mul_coords[i][j - i]
-            combo: list[int] = []
-            for k in range(n):
-                combo = list_add(ZZ, combo, mul_pointwise(ZZ, coords[k], b[k]))
+            combo = basis_combination(rows, desc.mul_coords[i][j - i])
             rhs = list_sub(ZZ, mul_pointwise(ZZ, desc.d, combo), list_mul(ZZ, T, witness))
             if list_mul(ZZ, b[i], b[j]) != rhs:
                 return Verdict.reject(f"order/identity/i={i}/j={j}")
@@ -116,10 +122,7 @@ def verify_order_builder(desc: OrderDescription) -> Verdict:
     witness = drop_trailing_zeros(list(desc.one_witness))
     if len(witness) >= n:
         return Verdict.reject("order/one")
-    combo = []
-    for k in range(n):
-        combo = list_add(ZZ, combo, mul_pointwise(ZZ, desc.one_coords[k], b[k]))
-    lhs = list_sub(ZZ, combo, list_mul(ZZ, T, witness))
+    lhs = list_sub(ZZ, basis_combination(rows, desc.one_coords), list_mul(ZZ, T, witness))
     if lhs != drop_trailing_zeros([desc.d]):
         return Verdict.reject("order/one")
     return Verdict.accept()
@@ -138,18 +141,22 @@ def times_table_of(desc: OrderDescription) -> TimesTable:
 
 
 def tt_mul(dom, tt: TimesTable, x: list, y: list) -> list:
-    """Product of coordinate vectors; short lists read as zero-padded."""
-    out: list = []
-    for i in range(min(len(x), tt.n)):
-        xi = x[i]
-        if xi == 0:
-            continue
-        for j in range(min(len(y), tt.n)):
-            yj = y[j]
-            if yj == 0:
-                continue
-            out = list_add(dom, out, mul_pointwise(dom, dom.mul(xi, yj), list(tt.table[i][j])))
-    return out
+    """Product of coordinate vectors; short lists read as zero-padded.
+
+    Entry k of the product is one integer sum of x_i*y_j*table[i][j][k],
+    reduced once over GF(p)."""
+    n, table = tt.n, tt.table
+    ys = [(j, yj) for j, yj in enumerate(y[:n]) if yj]
+    coeffs, vecs = [], []
+    for i, xi in enumerate(x[:n]):
+        if xi:
+            row = table[i]
+            for j, yj in ys:
+                coeffs.append(xi * yj)
+                vecs.append(row[j])
+    if not vecs:
+        return []
+    return _canonical(dom, [sum(map(mul, coeffs, col)) for col in zip(*vecs)])
 
 
 def tt_pow(dom, tt: TimesTable, x: list, e: int, one_coords: list | None = None) -> list:
@@ -210,7 +217,7 @@ def build_order_description(
     if fault:
         raise NotAnOrder(f"basis matrix must be upper triangular with nonzero diagonal ({fault})")
 
-    b_mat = _basis_rows(basis_columns)
+    b_mat = basis_rows(basis_columns)
     b_polys = [drop_trailing_zeros(list(c)) for c in basis_columns]
 
     mul_coords = []
@@ -220,7 +227,7 @@ def build_order_description(
         row_wit = []
         for j in range(i, n):
             prod = list_mul(ZZ, b_polys[i], b_polys[j])
-            q, rem = _divmod_by_monic_int(prod, T)
+            q, rem = poly_divmod_int(prod, T)
             coords = solve_upper_triangular(b_mat, [get_d(rem, k, 0) for k in range(n)], d)
             if coords is None:
                 raise NotAnOrder(f"product w_{i+1}*w_{j+1} leaves the span")
@@ -244,20 +251,6 @@ def build_order_description(
     )
 
 
-def _divmod_by_monic_int(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
-    """Division with remainder by a monic integer polynomial stays integral."""
-    q = [0] * max(len(f) - len(g) + 1, 0)
-    r = list(f)
-    while len(r) >= len(g):
-        c = r[-1]
-        k = len(r) - len(g)
-        q[k] = c
-        for i in range(len(g)):
-            r[k + i] -= c * g[i]
-        r = drop_trailing_zeros(r)
-    return drop_trailing_zeros(q), r
-
-
 def theta_coordinates(desc: OrderDescription) -> list[int] | None:
     """Coordinates of theta in the basis, or None when theta is outside O."""
     return element_coordinates(desc, [0, 1], 1)
@@ -265,6 +258,6 @@ def theta_coordinates(desc: OrderDescription) -> list[int] | None:
 
 def element_coordinates(desc: OrderDescription, poly_num: list[int], den: int) -> list[int] | None:
     """Coordinates of (1/den)*poly(theta) in the basis, or None if not in O."""
-    _, rem = _divmod_by_monic_int(poly_num, list(desc.T))
+    _, rem = poly_divmod_int(poly_num, list(desc.T))
     rhs = [get_d(rem, k, 0) * desc.d for k in range(desc.n)]
-    return solve_upper_triangular(_basis_rows(desc.basis_columns), rhs, den)
+    return solve_upper_triangular(basis_rows(desc.basis_columns), rhs, den)

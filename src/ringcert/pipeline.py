@@ -12,12 +12,10 @@ bundle means the order is the whole ring of integers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from . import irred_int, maximality, primality
 from .exactalg import (
-    QQ,
     ZZ,
     deg,
     drop_trailing_zeros,
@@ -26,9 +24,10 @@ from .exactalg import (
     list_mul,
     list_sub,
     mul_pointwise,
-    poly_xgcd,
+    poly_divmod_int,
 )
 from .irred_int import DegreeAnalysisCertificate, LPFWCertificate
+from .linalg import solve_fraction_free, transpose
 from .maximality import (
     DedekindCertificate,
     KernelWitness,
@@ -38,12 +37,14 @@ from .maximality import (
 from .orders import (
     NotAnOrder,
     OrderDescription,
+    basis_combination,
+    basis_rows,
     build_order_description,
     theta_coordinates,
     times_table_of,
     verify_order_builder,
 )
-from .resultants import check_order_discriminant, resultant
+from .resultants import check_order_discriminant, sylvester_matrix
 from .verdict import Verdict
 
 MaximalityCert = DedekindCertificate | PMaxShortCertificate | PMaxLongCertificate
@@ -110,15 +111,7 @@ def verify_bundle(bundle: CertificateBundle) -> Verdict:
     # theta inside the order: sum_k x_k b_k - T * witness = d * X
     if len(bundle.theta_coords) != n:
         return Verdict.reject("bundle/theta")
-    combo: list[int] = []
-    for k in range(n):
-        combo = list_add(
-            ZZ,
-            combo,
-            mul_pointwise(
-                ZZ, bundle.theta_coords[k], drop_trailing_zeros(list(desc.basis_columns[k]))
-            ),
-        )
+    combo = basis_combination(basis_rows(desc.basis_columns), bundle.theta_coords)
     # a witness of degree >= n puts a term of degree >= 2n into the identity
     witness = drop_trailing_zeros(list(bundle.theta_witness))
     if len(witness) > n:
@@ -211,34 +204,30 @@ class BundleError(Exception):
         self.report = report
 
 
-@dataclass
-class BundleBudget:
-    irred: irred_int.IntIrredBudget = dc_field(default_factory=irred_int.IntIrredBudget)
-    seed: int = 0
-
-
 def _bezout_witness(T: list[int]) -> tuple[list[int], list[int], int]:
-    """Integer a, b with a*T + b*T' = resultant(T, T'), nonzero for separable T."""
-    tprime = formal_derivative(ZZ, T)
-    res = resultant(ZZ, T, tprime)
-    if res == 0:
-        raise BundleError("defining polynomial is not separable")
-    tq = [Fraction(c) for c in T]
-    tpq = [Fraction(c) for c in tprime]
-    d, u, v = poly_xgcd(QQ, tq, tpq)
-    if d != [Fraction(1)]:
-        raise BundleError("defining polynomial is not separable")
-    a = [Fraction(res) * c for c in u]
-    b = [Fraction(res) * c for c in v]
-    assert all(c.denominator == 1 for c in a + b), "resultant-scaled cofactors must be integral"
-    return [int(c) for c in a], [int(c) for c in b], res
+    """Integer a, b with a*T + b*T' = N = resultant(T, T'), deg a < n - 1 and
+    deg b < n, for separable T of degree n.
+
+    The coefficient vector (a, b) times the Sylvester matrix S of T and T' is
+    the coefficient list of a*T + b*T', so (a, b) solves S^T x = N e_0, and
+    with N = det S that is det(S^T) * (S^T)^-1 * e_0: one fraction-free
+    solve gives N and (a, b) together.
+    """
+    n = deg(T)
+    s_t = transpose(sylvester_matrix(T, formal_derivative(ZZ, T)))
+    try:
+        res, x = solve_fraction_free(s_t, [[int(i == 0)] for i in range(len(s_t))])
+    except ValueError:
+        raise BundleError("defining polynomial is not separable") from None
+    x = [row[0] for row in x]
+    return drop_trailing_zeros(x[: n - 1]), drop_trailing_zeros(x[n - 1 :]), res
 
 
 def generate_bundle(
     T: list[int],
     d: int,
     basis_columns: list[list[int]],
-    budget: BundleBudget | None = None,
+    seed: int = 0,
     claimed_disc: int | None = None,
 ) -> CertificateBundle:
     """Assemble a bundle that verify_bundle accepts, or raise BundleError.
@@ -248,14 +237,12 @@ def generate_bundle(
     first and fall back to kernel certificates.  A provably nontrivial
     kernel at some p aborts with a NotMaximalReport attached.
     """
-    if budget is None:
-        budget = BundleBudget()
-    rng = random.Random(budget.seed)
+    rng = random.Random(seed)
     T = drop_trailing_zeros(list(T))
     if deg(T) < 1 or T[-1] != 1:
         raise BundleError("defining polynomial must be monic of positive degree")
 
-    irr = irred_int.generate_int_irred(T, budget=budget.irred, rng=rng)
+    irr = irred_int.generate_int_irred(T, rng=rng)
     if isinstance(irr, irred_int.ReducibleWitnessInt):
         raise BundleError(f"defining polynomial is reducible; factor {list(irr.factor)}")
 
@@ -267,9 +254,7 @@ def generate_bundle(
     theta = theta_coordinates(desc)
     if theta is None:
         raise BundleError("theta does not lie in the span of the basis")
-    from .orders import _divmod_by_monic_int
-
-    theta_q, _ = _divmod_by_monic_int([0, d], T)
+    theta_q, _ = poly_divmod_int([0, d], T)
     theta_witness = mul_pointwise(ZZ, -1, theta_q)
 
     bez_a, bez_b, n_value = _bezout_witness(T)

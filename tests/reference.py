@@ -69,6 +69,22 @@ def integral(xs) -> list[int] | None:
     return [int(x) for x in xs]
 
 
+def naive_det(m) -> int:
+    """Determinant by cofactor expansion along the first row."""
+    n = len(m)
+    if n == 0:
+        return 1
+    if n == 1:
+        return m[0][0]
+    total = 0
+    for j in range(n):
+        if m[0][j] == 0:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        total += (-1) ** j * m[0][j] * naive_det(minor)
+    return total
+
+
 def lattice_index(m, n) -> int:
     """[span m : span n] over Z, for m upper triangular with nonzero diagonal
     and every column of n in the span of m (asserted)."""
@@ -118,21 +134,22 @@ def is_irreducible(field: PrimeField, f: list[int]) -> bool:
 
 
 def divmod_by_field_calls(field, f: list, g: list) -> tuple[list, list]:
-    """Quotient and remainder of f by g over a field, one `field.mul` and
-    `field.sub` call per coefficient operation.  Entries of f that no step
-    reaches are returned as given, so an unreduced f over GF(p) may leave an
-    unreduced remainder."""
+    """Quotient and remainder of f by g over GF(p) as the former per-coefficient
+    field calls computed them: every product and difference reduced mod p on
+    its own.  Entries of f that no step reaches are returned as given, so an
+    unreduced f may leave an unreduced remainder."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
+    p = field.p
     inv_lead = field.inv(lc(g))
-    q = [field.zero] * max(len(f) - len(g) + 1, 0)
+    q = [0] * max(len(f) - len(g) + 1, 0)
     r = list(f)
     while len(r) >= len(g):
-        c = field.mul(r[-1], inv_lead)
+        c = r[-1] * inv_lead % p
         k = len(r) - len(g)
         q[k] = c
         for i in range(len(g)):
-            r[k + i] = field.sub(r[k + i], field.mul(c, g[i]))
+            r[k + i] = (r[k + i] - c * g[i]) % p
         r = drop_trailing_zeros(r)
     return drop_trailing_zeros(q), drop_trailing_zeros(r)
 

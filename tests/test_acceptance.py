@@ -17,7 +17,16 @@ import pytest
 
 from ringcert import certio, maximality
 from ringcert.cli import main as cli_main
-from ringcert.exactalg import GF, ZZ, deg, drop_trailing_zeros, get_d, list_mul, poly_divmod
+from ringcert.exactalg import (
+    GF,
+    ZZ,
+    deg,
+    drop_trailing_zeros,
+    get_d,
+    list_mul,
+    poly_divmod,
+    poly_divmod_int,
+)
 from ringcert.irred_ff import RabinCertificate, generate_rabin, verify_rabin, verify_reducible_witness
 from ringcert.irred_int import generate_int_irred, verify_lpfw
 from ringcert.maximality import generate_dedekind, generate_pmax, verify_dedekind
@@ -150,7 +159,6 @@ CUBIC_FIXTURES = {
 
 
 def test_criterion_6_times_table_oracle():
-    from ringcert.orders import _divmod_by_monic_int
     from reference import fraction_back_substitution, integral
 
     with criterion(6, "times-table products vs polynomial arithmetic", 10.0):
@@ -170,7 +178,7 @@ def test_criterion_6_times_table_oracle():
                 py = drop_trailing_zeros(
                     [sum(desc.basis_columns[k][i] * y[k] for k in range(n)) for i in range(n)]
                 )
-                _, rem = _divmod_by_monic_int(list_mul(ZZ, px, py), T)
+                _, rem = poly_divmod_int(list_mul(ZZ, px, py), T)
                 rhs = [get_d(rem, k, 0) for k in range(n)]
                 z = integral(fraction_back_substitution(b_mat, rhs, d))
                 assert z is not None and drop_trailing_zeros(z) == got

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -161,7 +162,7 @@ def _reseal(env):
 
 class TestFixtures:
     def test_shipped_files_parse(self):
-        d = certio.fixtures_dir()
+        d = Path(certio.__file__).parent / "fixtures"
         files = sorted(d.glob("*.json"))
         assert len(files) >= 15
         for path in files:
@@ -169,7 +170,7 @@ class TestFixtures:
             assert isinstance(obj, (certio.InputPolynomial, certio.InputOrderBasis))
 
     def test_registry_consistent_with_files(self):
-        d = certio.fixtures_dir()
+        d = Path(certio.__file__).parent / "fixtures"
         for name, fx in certio.FIXTURES.items():
             poly = certio.parse_file(d / f"{name}.poly.json")
             assert poly.coeffs == tuple(fx["T"])

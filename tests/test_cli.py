@@ -16,7 +16,7 @@ from ringcert.primality import generate_pratt
 
 @pytest.fixture()
 def fixture_files(tmp_path):
-    src = certio.fixtures_dir()
+    src = Path(certio.__file__).parent / "fixtures"
     for f in src.glob("*.json"):
         shutil.copy(f, tmp_path / f.name)
     return tmp_path
@@ -153,6 +153,14 @@ class TestVerifyRejection:
         code, _, err = run_cli(capsys, "verify", str(bad))
         assert code == 2
         assert "malformed" in err
+
+    def test_standalone_dedekind_exit_2(self, capsys):
+        # the criterion says nothing at a composite modulus and a standalone
+        # file certifies no prime, so only a bundle entry is checked
+        golden = Path(__file__).parent / "golden" / "dedekind.json"
+        code, _, err = run_cli(capsys, "verify", str(golden))
+        assert code == 2
+        assert "dedekind certificates are only meaningful inside a bundle" in err
 
     def test_missing_file_exit_2(self, fixture_files, capsys):
         code, _, err = run_cli(capsys, "verify", str(fixture_files / "nope.json"))

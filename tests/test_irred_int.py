@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 import time
 from fractions import Fraction
@@ -6,18 +7,14 @@ from fractions import Fraction
 import pytest
 
 from ringcert.exactalg import (
-    QQ,
     ZZ,
     content,
     deg,
     drop_trailing_zeros,
     list_mul,
-    poly_divmod,
-    poly_eval,
 )
 from ringcert.irred_int import (
     DegreeAnalysisCertificate,
-    IntIrredBudget,
     LPFWCertificate,
     ReducibleWitnessInt,
     cauchy_bound_scaled,
@@ -28,7 +25,30 @@ from ringcert.irred_int import (
     verify_lpfw,
     verify_reducible_witness_int,
 )
+from ringcert import irred_int, primality
 from ringcert.primality import generate_pratt
+
+
+def fraction_eval(f, x):
+    """f(x) for a rational x, by Horner's rule on Fractions."""
+    acc = Fraction(0)
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def divides_over_z(g, f):
+    """Whether g divides f in Z[X], by long division over Q."""
+    r = [Fraction(c) for c in f]
+    q = []
+    while len(r) >= len(g):
+        c = r[-1] / g[-1]
+        q.append(c)
+        k = len(r) - len(g)
+        for i, gi in enumerate(g):
+            r[k + i] -= c * gi
+        r = drop_trailing_zeros(r)
+    return not r and all(c.denominator == 1 for c in q)
 
 
 def brute_force_int_factor(f):
@@ -54,7 +74,7 @@ def brute_force_int_factor(f):
             if abs(f[-1]) % v:
                 continue
             for s in (1, -1):
-                if poly_eval(QQ, [Fraction(x) for x in f], Fraction(s * u, v)) == 0:
+                if fraction_eval(f, Fraction(s * u, v)) == 0:
                     return [-s * u, v]
     if n < 4:
         return None
@@ -70,8 +90,7 @@ def brute_force_int_factor(f):
                 g = [a0, a1, a2]
                 if deg(g) != 2 or content(g) != 1:
                     continue
-                q, r = poly_divmod(QQ, [Fraction(x) for x in f], [Fraction(x) for x in g])
-                if not r and all(x.denominator == 1 for x in q):
+                if divides_over_z(g, f):
                     return g
     return None
 
@@ -237,7 +256,6 @@ class TestGenerator:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_soundness_sampled_against_oracle(self, seed):
         rng = random.Random(seed)
-        budget = IntIrredBudget(lpfw_points=2000)
         checked = 0
         while checked < 60:
             n = rng.randrange(1, 5)
@@ -247,7 +265,7 @@ class TestGenerator:
                 continue
             checked += 1
             oracle_factor = brute_force_int_factor(f)
-            out = generate_int_irred(f, budget=budget, rng=random.Random(seed * 999 + checked))
+            out = generate_int_irred(f, rng=random.Random(seed * 999 + checked))
             if oracle_factor is None:
                 assert isinstance(out, (DegreeAnalysisCertificate, LPFWCertificate)), f
                 if isinstance(out, DegreeAnalysisCertificate):
@@ -278,6 +296,23 @@ class TestGenerator:
         cert = generate_int_irred([c, 0, 0, 0, 0, 0, 0, 0, 1])
         assert isinstance(cert, LPFWCertificate)
         assert verify_lpfw(cert).accepted
+
+
+def test_each_sieve_bound_sieved_once(monkeypatch):
+    # X^4 + 1 and X^4 - 10X^2 + 1 split modulo every prime, so both go through
+    # degree analysis and LPFW, which sieve to ANALYSIS_PRIME_BOUND and
+    # LPFW_TRIAL_BOUND
+    real, calls = primality.sieve_primes, []
+
+    def counted(limit):
+        calls.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(primality, "sieve_primes", counted)
+    monkeypatch.setattr(irred_int, "_primes_to", functools.cache(irred_int._primes_to.__wrapped__))
+    for f in ([1, 0, 0, 0, 1], [1, 0, -10, 0, 1]):
+        assert isinstance(generate_int_irred(f), LPFWCertificate)
+    assert sorted(calls) == [irred_int.ANALYSIS_PRIME_BOUND, irred_int.LPFW_TRIAL_BOUND]
 
 
 class TestReducibleWitnessVerification:

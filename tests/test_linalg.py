@@ -2,8 +2,13 @@ import random
 
 import pytest
 
-from ringcert.linalg import inverse_unimodular, solve_upper_triangular, transpose
-from reference import fraction_back_substitution, integral, solve_exact
+from ringcert.linalg import (
+    inverse_unimodular,
+    solve_fraction_free,
+    solve_upper_triangular,
+    transpose,
+)
+from reference import fraction_back_substitution, integral, naive_det, solve_exact
 
 
 def _triangular(rng, n, bound):
@@ -82,6 +87,27 @@ def test_unimodular_inverse_matches_fraction_reference(seed):
         inv = inverse_unimodular(m)
         unit_cols = [[int(i == j) for i in range(n)] for j in range(n)]
         assert transpose([integral(solve_exact(m, col)) for col in unit_cols]) == inv
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_fraction_free_solve_matches_fraction_reference(seed):
+    rng = random.Random(seed)
+    checked = 0
+    while checked < 60:
+        n = rng.randrange(1, 7)
+        k = rng.randrange(1, 4)
+        m = [[rng.choice((0, rng.randrange(-9, 10))) for _ in range(n)] for _ in range(n)]
+        r = [[rng.randrange(-50, 51) for _ in range(k)] for _ in range(n)]
+        det = naive_det(m)
+        if det == 0:
+            with pytest.raises(ValueError, match="singular"):
+                solve_fraction_free(m, r)
+            continue
+        checked += 1
+        got_det, got = solve_fraction_free(m, r)
+        assert got_det == det
+        cols = [solve_exact(m, [det * row[j] for row in r]) for j in range(k)]
+        assert transpose([integral(col) for col in cols]) == got
 
 
 def test_unimodular_inverse_rejects():

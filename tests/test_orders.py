@@ -4,7 +4,16 @@ import time
 
 import pytest
 
-from ringcert.exactalg import GF, ZZ, drop_trailing_zeros, get_d, list_mul
+from ringcert import certio
+from ringcert.exactalg import (
+    GF,
+    ZZ,
+    drop_trailing_zeros,
+    get_d,
+    list_mul,
+    poly_divmod_int,
+    reduce_mod_p,
+)
 from ringcert.orders import (
     NotAnOrder,
     build_order_description,
@@ -133,9 +142,7 @@ class TestTimesTableArithmetic:
             py = [sum(cubic.basis_columns[k][i] * y[k] for k in range(3)) for i in range(3)]
             prod = list_mul(ZZ, drop_trailing_zeros(px), drop_trailing_zeros(py))
             # reduce modulo T, then solve B * z = rem / d
-            from ringcert.orders import _divmod_by_monic_int
-
-            _, rem = _divmod_by_monic_int(prod, CUBIC_T)
+            _, rem = poly_divmod_int(prod, CUBIC_T)
             rhs = [get_d(rem, k, 0) for k in range(3)]
             z = integral(fraction_back_substitution(b_mat, rhs, CUBIC_D))
             assert z is not None and drop_trailing_zeros(z) == got
@@ -144,6 +151,24 @@ class TestTimesTableArithmetic:
         tt = reduce_table_mod_p(times_table_of(cubic), 3)
         f3 = GF(3)
         assert tt_mul(f3, tt, [0, 0, 1], [0, 0, 1]) == [1, 2, 1]
+
+
+    @pytest.mark.parametrize("p", [2, 3, 503])
+    def test_mod_p_product_is_reduced_integer_product(self, p):
+        field = GF(p)
+        rng = random.Random(p)
+        for name, fx in certio.FIXTURES.items():
+            if fx["columns"] is None:
+                continue
+            tt = times_table_of(build_order_description(list(fx["T"]), fx["d"], fx["columns"]))
+            tt_p = reduce_table_mod_p(tt, p)
+            n = tt.n
+            for _ in range(20):
+                x = [rng.randrange(-600, 600) for _ in range(rng.randrange(n + 1))]
+                y = [rng.randrange(-600, 600) for _ in range(rng.randrange(n + 1))]
+                want = reduce_mod_p(tt_mul(ZZ, tt, x, y), p)
+                got = tt_mul(field, tt_p, [c % p for c in x], [c % p for c in y])
+                assert got == want, (name, x, y)
 
 
 class TestElementCoordinates:

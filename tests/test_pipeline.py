@@ -1,11 +1,13 @@
 import dataclasses
+import random
 import time
 
 import pytest
 
-from ringcert.exactalg import ZZ, formal_derivative, list_add, list_mul, list_sub
+from ringcert import certio
+from ringcert.exactalg import ZZ, drop_trailing_zeros, formal_derivative, list_add, list_mul, list_sub
 from ringcert.maximality import DedekindCertificate
-from ringcert.pipeline import BundleError, generate_bundle, verify_bundle
+from ringcert.pipeline import BundleError, _bezout_witness, generate_bundle, verify_bundle
 
 CUBIC_3_10 = ([-10, -3, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]])
 CUBIC_30_80 = ([-80, -30, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [2, 0, 1]])
@@ -196,6 +198,45 @@ class TestHigherDegree:
         assert claim(bundle, 2**24).accepted
         kinds = {e.p: type(e.cert).__name__ for e in bundle.primes}
         assert kinds[2] in ("PMaxShortCertificate", "PMaxLongCertificate")
+
+
+def _bezout_inputs():
+    """Every fixture T, the benchmark's bundle anchors, and seeded random monic T."""
+    polys = [list(fx["T"]) for fx in certio.FIXTURES.values()]
+    polys += [[-1, -1] + [0] * (n - 2) + [1] for n in (12, 16, 20)]  # X^n - X - 1
+    polys += [[1] * p for p in (19, 29)]  # cyclotomic Phi_p
+    polys += [[2**n] + [0] * (n - 1) + [1] for n in (8, 16)]  # minimal polynomials of 2*zeta_2n
+    polys.append([1] + [0] * 7 + [1])
+    rng = random.Random(12)
+    for n in range(2, 13):
+        for _ in range(3):
+            polys.append([rng.randint(-20, 20) for _ in range(n)] + [1])
+    return polys
+
+
+class TestBezoutWitness:
+    def test_matches_sympy_resultant_times_gcdex(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def as_list(e):
+            return drop_trailing_zeros([int(c) for c in sympy.Poly(e, x).all_coeffs()[::-1]])
+
+        for T in _bezout_inputs():
+            t = sum(c * x**i for i, c in enumerate(T))
+            res = sympy.resultant(t, sympy.diff(t, x), x)
+            if res == 0:
+                with pytest.raises(BundleError, match="not separable"):
+                    _bezout_witness(T)
+                continue
+            s, u, h = sympy.gcdex(t, sympy.diff(t, x), x)
+            assert h == 1
+            want = (as_list(sympy.expand(res * s)), as_list(sympy.expand(res * u)), int(res))
+            assert _bezout_witness(T) == want, T
+
+    def test_inseparable_rejected(self):
+        with pytest.raises(BundleError, match="not separable"):
+            _bezout_witness([1, 2, 1])  # (X + 1)^2
 
 
 class TestDedekindPreference:

@@ -13,29 +13,14 @@ from ringcert.resultants import (
     resultant,
     sylvester_matrix,
 )
-from reference import lattice_index
+from reference import lattice_index, naive_det
 
 
 def poly_from_roots(dom, roots, lead=1):
-    f = [dom.from_int(lead)]
+    f = [lead]
     for r in roots:
-        f = list_mul(dom, f, [dom.neg(r), dom.one])
+        f = list_mul(dom, f, [-r, 1])
     return f
-
-
-def naive_det(m):
-    n = len(m)
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * naive_det(minor)
-    return total
 
 
 class TestResultant:
