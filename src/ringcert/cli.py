@@ -127,6 +127,9 @@ def _cmd_gen_bundle(args) -> int:
         else:
             print(f"generation failed: {e}", file=sys.stderr)
         return EXIT_REJECT
+    except irred_int.NoCertificateFound as e:
+        print(f"no certificate found: {e}", file=sys.stderr)
+        return EXIT_REJECT
     out = args.output or (args.polyfile + ".bundle.json")
     _write(out, bundle)
     print(f"bundle written to {out}")

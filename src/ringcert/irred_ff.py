@@ -15,6 +15,10 @@ Cantor-Zassenhaus equal-degree splitting.  Those p-th powers go through a
 Frobenius table (`_FrobeniusTable`): one `poly_mod_pow(X, p, f)` per
 factorization gives the rows X^(ip) mod f, and every later h^p mod g, for
 any g dividing f, is a sum of rows scaled by the h_i, reduced once.
+Where only the factor degrees are needed (`degree_pattern`), one
+distinct-degree sweep over the same table gives them without splitting,
+and the radical (`radical_fp`) comes from squarefree decomposition, with
+no factoring at all.
 """
 
 from __future__ import annotations
@@ -371,13 +375,56 @@ def factor_poly(
     return unit, [(list(k), m) for k, m in factors]
 
 
-def radical_fp(field: PrimeField, f: list[int], rng: random.Random | None = None) -> list[int]:
-    """Product of the distinct monic irreducible factors of f."""
-    _unit, factors = factor_poly(field, f, rng)
-    rad = [field.one]
-    for fac, _m in factors:
-        rad = list_mul(field, rad, fac)
-    return rad
+def radical_fp(field: PrimeField, f: list[int]) -> list[int]:
+    """Product of the distinct monic irreducible factors of f, by squarefree
+    decomposition (von zur Gathen & Gerhard, Modern Computer Algebra, 14.6).
+
+    For f = prod P_i^e_i, r = f / gcd(f, f') is the product of the P_i with
+    p not dividing e_i.  Stripping r's factors from the gcd leaves the P_i^e_i
+    with p | e_i, a p-th power, and the radical of its p-th root is the rest.
+    """
+    f = monic(field, f)
+    fp = formal_derivative(field, f)
+    if not fp:
+        return radical_fp(field, _frobenius_power(field, f)) if deg(f) > 0 else f
+    g = poly_gcd(field, f, fp)
+    r = poly_divmod(field, f, g)[0]
+    c = poly_gcd(field, g, r)
+    while deg(c) > 0:
+        g = poly_divmod(field, g, c)[0]
+        c = poly_gcd(field, g, c)
+    if deg(g) < 1:
+        return r
+    return list_mul(field, r, radical_fp(field, _frobenius_power(field, g)))
+
+
+def degree_pattern(field: PrimeField, f: list[int]) -> list[int] | None:
+    """Degrees of the irreducible factors of f, ascending, or None when f is
+    not squarefree.
+
+    One distinct-degree sweep (von zur Gathen & Gerhard, Algorithm 14.3) over
+    f's Frobenius table: the factors of degree d of what is left after the
+    lower degrees are removed make up its gcd with X^(p^d) - X.  No factor is
+    split and nothing is certified.
+    """
+    f = monic(field, f)
+    fp = formal_derivative(field, f)
+    if not fp or deg(poly_gcd(field, f, fp)) > 0:
+        return None if deg(f) > 0 else []
+    frob = _FrobeniusTable(field, f)
+    degrees: list[int] = []
+    rest, h, d = f, X_POLY, 0
+    while 2 * (d + 1) <= deg(rest):
+        d += 1
+        h = frob.power(h, rest)
+        g = poly_gcd(field, rest, list_sub(field, h, X_POLY))
+        if deg(g) > 0:
+            degrees += [d] * (deg(g) // d)
+            rest = poly_divmod(field, rest, g)[0]
+            h = poly_divmod(field, h, rest)[1]
+    if deg(rest) > 0:
+        degrees.append(deg(rest))
+    return degrees
 
 
 def choose_base(p: int, n: int) -> int:

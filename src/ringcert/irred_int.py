@@ -9,9 +9,13 @@ Two certificate flavors:
   beyond a certified root bound forces irreducibility once a lower bound d
   on factor degrees is known (d = 1 always works for primitive f).
 
-When degree analysis leaves room for a factor, the generator looks for one
-by the rational root test, if degree 1 is still possible, and by big-prime
-Zassenhaus (`_zassenhaus_factor`); finding none sends it to LPFW.
+The generator scans the small primes for the factor degrees of f mod p
+alone, by one distinct-degree sweep each (`irred_ff.degree_pattern`), and
+factors and certifies only a smallest subset of them that reaches the same
+degree bound.  When degree analysis leaves room for a factor, it factors f
+modulo one big prime P and looks for a factor there: by the rational root
+test on the linear factors mod P, if degree 1 is still possible, and by
+big-prime Zassenhaus (`_zassenhaus_factor`); finding none sends it to LPFW.
 
 Pratt primality certificates for the prime witnesses live in
 ringcert.primality and are re-exported here.
@@ -255,7 +259,7 @@ def verify_lpfw(cert: LPFWCertificate) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-ANALYSIS_PRIMES = 12  # primes actually used per certificate
+ANALYSIS_PRIMES = 12  # primes scanned per polynomial
 ANALYSIS_PRIME_BOUND = 200
 LPFW_TRIAL_BOUND = 100_000  # strip prime factors below this from |f(m)|
 LPFW_POINTS = 10_000  # evaluation points LPFW tries before it gives up
@@ -274,11 +278,14 @@ def _primes_to(bound: int) -> tuple[int, ...]:
     return tuple(primality.sieve_primes(bound))
 
 
+Factorization = tuple[int, list[tuple[list[int], int]]]  # factor_poly's (unit, factors)
+
+
 def _factorization_cert_mod_p(
-    f: list[int], p: int, rng: random.Random
+    f: list[int], p: int, rng: random.Random, factored: Factorization | None = None
 ) -> FactorizationModP:
     field = GF(p)
-    unit, factors = irred_ff.factor_poly(field, reduce_mod_p(f, p), rng)
+    unit, factors = factored or irred_ff.factor_poly(field, reduce_mod_p(f, p), rng)
     certs = []
     flat = []
     for fac, mult in factors:
@@ -289,44 +296,57 @@ def _factorization_cert_mod_p(
     return FactorizationModP(p, unit, tuple(flat), tuple(certs))
 
 
+def _scan_mod_p(f: list[int], p: int, rng: random.Random) -> tuple[set[int], Factorization | None]:
+    """The subset sums of the factor degrees of f mod p, and the full
+    factorization when f mod p is not squarefree (then it is made anyway)."""
+    field = GF(p)
+    fbar = reduce_mod_p(f, p)
+    degrees = irred_ff.degree_pattern(field, fbar)
+    if degrees is not None:
+        return subset_sums(degrees), None
+    factored = irred_ff.factor_poly(field, fbar, rng)
+    return subset_sums([deg(fac) for fac, mult in factored[1] for _ in range(mult)]), factored
+
+
 def _degree_analysis_search(
     f: list[int], rng: random.Random
-) -> tuple[DegreeAnalysisCertificate | None, int, DegreeAnalysisCertificate | None]:
+) -> tuple[int, DegreeAnalysisCertificate | None, set[int]]:
     """Try to prove irreducibility by degree analysis.
 
-    Returns (full certificate or None, best lower bound d, the partial
-    analysis achieving it).  Smaller primes first; primes dividing lc(f)
-    are skipped.
+    Scans up to ANALYSIS_PRIMES primes below ANALYSIS_PRIME_BOUND, smallest
+    first and skipping those dividing lc(f), for the factor degrees of f mod
+    p alone, until they force deg f.  Only a smallest subset of the scanned
+    primes that reaches the same bound d, the earliest in prime order among
+    those of its size, is factored and certified.
+
+    Returns (d, that analysis, or None when it proves no more than the
+    trivial d = 1 < deg f, the subset sums common to every scanned prime).
     """
     n = deg(f)
-    entries: list[FactorizationModP] = []
-    multisets: list[list[int]] = []
-    best_d = 1
-    best_entries: list[FactorizationModP] = []
-    used = 0
+    scanned: list[tuple[int, set[int], Factorization | None]] = []
+    common = set(range(n + 1))
     for p in _primes_to(ANALYSIS_PRIME_BOUND):
-        if used >= ANALYSIS_PRIMES:
+        if len(scanned) >= ANALYSIS_PRIMES:
             break
         if lc(f) % p == 0:
             continue
-        used += 1
-        fmp = _factorization_cert_mod_p(f, p, rng)
-        entries.append(fmp)
-        ds: list[int] = []
-        for coeffs, mult in fmp.factors:
-            ds.extend([deg(list(coeffs))] * mult)
-        multisets.append(ds)
-        d = degree_lower_bound(multisets)
-        if d > best_d:
-            best_d = d
-            best_entries = list(entries)
-        if d == n:
-            cert = DegreeAnalysisCertificate(tuple(f), tuple(entries))
-            return cert, d, cert
-    partial = (
-        DegreeAnalysisCertificate(tuple(f), tuple(best_entries)) if best_entries else None
+        sums, factored = _scan_mod_p(f, p, rng)
+        scanned.append((p, sums, factored))
+        common &= sums
+        if min(common - {0}) == n:
+            break
+    d = min(common - {0})
+    if not scanned or d == 1 < n:
+        return d, None, common
+    # combinations() lists the subsets of one size in prime order
+    subset = next(
+        subset
+        for size in range(1, len(scanned) + 1)
+        for subset in itertools.combinations(scanned, size)
+        if min(set.intersection(*(sums for _p, sums, _f in subset)) - {0}) == d
     )
-    return None, best_d, partial
+    entries = tuple(_factorization_cert_mod_p(f, p, rng, fac) for p, _s, fac in subset)
+    return d, DegreeAnalysisCertificate(tuple(f), entries), common
 
 
 def _lpfw_search(
@@ -392,35 +412,56 @@ def _lpfw_search(
     return None
 
 
-def _rational_root_factor(f: list[int]) -> list[int] | None:
+def _big_prime_factors(f: list[int]) -> tuple[int, list[list[int]]]:
+    """(P, the monic factors of f mod P, each once per multiplicity) for the
+    sparsest factorization over ZASSENHAUS_PRIMES primes P above twice the
+    Landau-Mignotte bound 2^n * ||f|| * |lc(f)|."""
+    bound = 2 ** deg(f) * (math.isqrt(sum(c * c for c in f)) + 1) * abs(lc(f))
+    P, best = 2 * bound, None
+    for _ in range(ZASSENHAUS_PRIMES):
+        P += 1
+        while not primality.is_probable_prime(P):
+            P += 1
+        # no rng: factor_poly derives its own seed, leaving the caller's draws as they were
+        _unit, found = irred_ff.factor_poly(GF(P), reduce_mod_p(f, P))
+        flat = [fac for fac, mult in found for _ in range(mult)]
+        if best is None or len(flat) < len(best[1]):
+            best = (P, flat)
+    return best
+
+
+def _symmetric(c: int, P: int) -> int:
+    """The representative of c mod P in (-P/2, P/2]."""
+    c %= P
+    return c - P if 2 * c > P else c
+
+
+def _rational_root_factor(f: list[int], P: int, factors: list[list[int]]) -> list[int] | None:
     """A primitive linear factor from the rational root test, or None.
 
-    A candidate root u/v in lowest terms is a root exactly when
-    v^n * f(u/v) = sum_i f_i * u^i * v^(n-i) vanishes."""
+    A root u/v of f in lowest terms has v | a = lc(f) and |u| <= |f(0)|, so
+    a*u/v is below P/2 in size and is the symmetric lift of a*r for the
+    linear factor X - r of f mod P with r = u/v mod P.  Each candidate is a
+    root exactly when v^n * f(u/v) = sum_i f_i * u^i * v^(n-i) vanishes;
+    the root with the smallest |u|, then the smallest v, positive first, is
+    taken.
+    """
     if f[0] == 0:
         return [0, 1]
-    n = deg(f)
-    a0, an = abs(f[0]), abs(lc(f))
-    for u in sorted(_divisors(a0)):
-        for v in sorted(_divisors(an)):
-            if math.gcd(u, v) != 1:
-                continue
-            for su in (1, -1):
-                if sum(c * (su * u) ** i * v ** (n - i) for i, c in enumerate(f)) == 0:
-                    return [-su * u, v]
-    return None
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    n, a = deg(f), lc(f)
+    roots = []
+    for g in factors:
+        if len(g) != 2:
+            continue
+        c = _symmetric(-a * g[0], P)
+        k = math.gcd(c, a) if a > 0 else -math.gcd(c, a)
+        u, v = c // k, a // k
+        if sum(fi * u**i * v ** (n - i) for i, fi in enumerate(f)) == 0:
+            roots.append((abs(u), v, u < 0))
+    if not roots:
+        return None
+    u, v, negative = min(roots)
+    return [u if negative else -u, v]
 
 
 def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
@@ -431,44 +472,32 @@ def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
     return qr[0]
 
 
-def _zassenhaus_factor(f: list[int], allowed: set[int]) -> list[int] | None:
+def _zassenhaus_factor(
+    f: list[int], allowed: set[int], P: int, factors: list[list[int]]
+) -> list[int] | None:
     """A primitive factor of f with degree in allowed, or None when there is none.
 
     Big-prime Zassenhaus (von zur Gathen & Gerhard, Modern Computer Algebra,
-    Algorithm 15.2): P exceeds twice the Landau-Mignotte bound, so a factor
-    scaled to leading coefficient lc(f) is the symmetric lift of lc(f) times
-    a sub-multiset product of the monic factors of f mod P.
+    Algorithm 15.2): P, with `factors` from `_big_prime_factors`, exceeds
+    twice the Landau-Mignotte bound, so a factor scaled to leading
+    coefficient lc(f) is the symmetric lift of lc(f) times a sub-multiset
+    product of the monic factors of f mod P.
     """
     if not allowed:
         return None
     a = lc(f)
-    bound = 2 ** deg(f) * (math.isqrt(sum(c * c for c in f)) + 1) * abs(a)
-    P, factors = 2 * bound, None
-    for _ in range(ZASSENHAUS_PRIMES):
-        P += 1
-        while not primality.is_probable_prime(P):
-            P += 1
-        # no rng: factor_poly derives its own seed, leaving the caller's draws as they were
-        _unit, found = irred_ff.factor_poly(GF(P), reduce_mod_p(f, P))
-        flat = [fac for fac, mult in found for _ in range(mult)]
-        if factors is None or len(flat) < len(factors):
-            field, factors = GF(P), flat
-
-    def lift(c: int) -> int:
-        c %= field.p
-        return c - field.p if 2 * c > field.p else c
-
+    field = GF(P)
     for size in range(1, len(factors)):
         for subset in itertools.combinations(factors, size):
             if sum(len(g) - 1 for g in subset) not in allowed:
                 continue
-            c0 = lift(a * math.prod(g[0] for g in subset))
+            c0 = _symmetric(a * math.prod(g[0] for g in subset), P)
             if c0 == 0 or (a * f[0]) % c0:
                 continue
             g = [a]
             for h in subset:
                 g = list_mul(field, g, h)
-            g = [lift(c) for c in g]
+            g = [_symmetric(c, P) for c in g]
             g = [c // content(g) for c in g]
             if _exact_quotient(f, g) is not None:
                 return g if g[-1] > 0 else [-c for c in g]
@@ -498,27 +527,25 @@ def generate_int_irred(
         cof = [x // c for x in f]
         return ReducibleWitnessInt(tuple(f), (c,), tuple(cof))
 
-    full, d, partial = _degree_analysis_search(f, rng)
-    if full is not None:
-        return full
+    d, analysis, common = _degree_analysis_search(f, rng)
+    if d == deg(f) and analysis is not None:
+        return analysis
 
-    # a factor, if one exists, has degree in the subset-sum intersection
-    allowed = set(range(1, deg(f) // 2 + 1))
-    if partial is not None:
-        allowed = allowed.intersection(*map(subset_sums, analysis_degree_multisets(partial)))
-    # the rational root test lists the divisors of f(0) and lc(f), so it runs
-    # only when the analysis leaves room for a linear factor
-    if 1 in allowed:
-        root_factor = _rational_root_factor(f)
-        if root_factor is not None:
-            cof = _exact_quotient(f, root_factor)
-            return ReducibleWitnessInt(tuple(f), tuple(root_factor), tuple(cof))
-        allowed.discard(1)
-    factor = _zassenhaus_factor(f, allowed)
-    if factor is not None:
-        return ReducibleWitnessInt(tuple(f), tuple(factor), tuple(_exact_quotient(f, factor)))
+    # a factor, if one exists, has a degree that every scanned prime allows
+    allowed = {k for k in common if 1 <= k <= deg(f) // 2}
+    if allowed:
+        P, factors = _big_prime_factors(f)
+        if 1 in allowed:
+            root_factor = _rational_root_factor(f, P, factors)
+            if root_factor is not None:
+                cof = _exact_quotient(f, root_factor)
+                return ReducibleWitnessInt(tuple(f), tuple(root_factor), tuple(cof))
+            allowed.discard(1)
+        factor = _zassenhaus_factor(f, allowed, P, factors)
+        if factor is not None:
+            return ReducibleWitnessInt(tuple(f), tuple(factor), tuple(_exact_quotient(f, factor)))
 
-    lpfw = _lpfw_search(f, d, partial, rng)
+    lpfw = _lpfw_search(f, d, analysis, rng)
     if lpfw is not None:
         return lpfw
     raise NoCertificateFound(f"no LPFW witness among {LPFW_POINTS} evaluation points")

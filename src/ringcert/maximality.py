@@ -142,15 +142,13 @@ def verify_dedekind(cert: DedekindCertificate) -> Verdict:
     return Verdict.accept()
 
 
-def generate_dedekind(
-    T: list[int], p: int, rng: random.Random | None = None
-) -> DedekindCertificate | None:
+def generate_dedekind(T: list[int], p: int) -> DedekindCertificate | None:
     """Build a Dedekind certificate at p, or None when the criterion fails."""
     field = GF(p)
     T = drop_trailing_zeros(list(T))
     n = deg(T)
     Tbar = reduce_mod_p(T, p)
-    rad = radical_fp(field, Tbar, rng)
+    rad = radical_fp(field, Tbar)
     hbar, rem = poly_divmod(field, Tbar, rad)
     assert not rem
     g = list(rad)

@@ -269,7 +269,7 @@ def generate_bundle(
             pratt = primality.generate_pratt(p, rng)
             if pratt is None:
                 raise BundleError(f"failed to certify prime {p}")
-        ded = maximality.generate_dedekind(T, p, rng)
+        ded = maximality.generate_dedekind(T, p)
         if ded is not None and maximality.verify_dedekind(ded).accepted:
             entries.append(PrimeEntry(p, e, pratt, ded))
             continue

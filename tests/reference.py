@@ -1,5 +1,6 @@
 """Slow, plainly correct computations that tests compare the program with."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -367,3 +368,25 @@ def factor_poly(
         stack.append(q)
     factors = sorted(out.items(), key=lambda kv: (len(kv[0]), kv[0]))
     return unit, [(list(k), m) for k, m in factors]
+
+
+def rational_root_factor(f: list[int]) -> list[int] | None:
+    """A primitive linear factor of f over the integers, or None: every root
+    u/v in lowest terms has u | f(0) and v | lc(f), so the divisors of both,
+    listed by trial division, are tried with the smallest u, then the
+    smallest v, positive first."""
+    if f[0] == 0:
+        return [0, 1]
+    n = deg(f)
+    for u in _divisors(abs(f[0])):
+        for v in _divisors(abs(lc(f))):
+            if math.gcd(u, v) != 1:
+                continue
+            for su in (1, -1):
+                if sum(c * (su * u) ** i * v ** (n - i) for i, c in enumerate(f)) == 0:
+                    return [-su * u, v]
+    return None
+
+
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]

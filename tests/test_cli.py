@@ -85,9 +85,10 @@ class TestGenAndVerify:
         assert not out.exists()
 
     def test_gen_irred_wide_constant_term_finishes(self, fixture_files, capsys):
-        # the rational root test lists the divisors of f(0) by trial division,
-        # so it must not run before degree analysis has proved irreducibility;
-        # a child process with a timeout fails the test instead of hanging it
+        # degree analysis proves X^2 - (10^30 + 57) irreducible, so nothing
+        # that grows with the constant term (no big-prime factoring, no LPFW
+        # search) may run first; a child process with a timeout fails the
+        # test instead of hanging it
         poly = fixture_files / "wide.poly.json"
         certio.write_file(poly, certio.InputPolynomial((-(10**30 + 57), 0, 1)))
         out = fixture_files / "wide.cert.json"
@@ -103,6 +104,42 @@ class TestGenAndVerify:
         assert certio.kind_of(certio.parse_file(out)) == "degree-analysis"
         code, _, _ = run_cli(capsys, "verify", str(out))
         assert code == 0
+
+    def test_gen_irred_square_of_wide_constant_reducible_fast(self, fixture_files, capsys):
+        # X^2 - c^2 splits modulo every prime; its rational roots come from
+        # the linear factors modulo one big prime, not from the divisors of
+        # c^2, which trial division would take hours to list
+        c = 10**15 + 37
+        poly = fixture_files / "square.poly.json"
+        certio.write_file(poly, certio.InputPolynomial((-c * c, 0, 1)))
+        out = fixture_files / "square.cert.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(ringcert.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, time; from ringcert.cli import main; "
+             "start = time.perf_counter(); code = main(sys.argv[1:]); "
+             "print(time.perf_counter() - start, file=sys.stderr); sys.exit(code)",
+             "gen", "irred", str(poly), "-o", str(out)],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0 and "reducible" in proc.stdout
+        assert float(proc.stderr) < 1.0
+        wit = certio.parse_file(out)
+        assert list(wit.factor) == [-c, 1] and list(wit.cofactor) == [c, 1]
+        code, _, _ = run_cli(capsys, "verify", str(out))
+        assert code == 0
+
+    def test_gen_bundle_without_certificate_exit_1(self, fixture_files, capsys, monkeypatch):
+        # X^4 + 1 splits modulo every prime, so it needs LPFW, here given no points
+        monkeypatch.setattr(irred_int, "LPFW_POINTS", 0)
+        poly = str(fixture_files / "quartic_x4+1.poly.json")
+        basis = str(fixture_files / "quartic_x4+1.basis.json")
+        out = fixture_files / "x4.bundle.json"
+        code, _, err = run_cli(capsys, "gen", "bundle", poly, basis, "-o", str(out))
+        assert code == 1
+        assert err == "no certificate found: no LPFW witness among 0 evaluation points\n"
+        assert not out.exists()
 
     def test_not_maximal_reported(self, fixture_files, capsys):
         poly = str(fixture_files / "cubic_x3-3x-10.poly.json")

@@ -1,18 +1,41 @@
 """Golden certificate files: one per registered kind, each of which must
 parse and re-serialize to exactly the bytes on disk, and which the
 generators in `golden/regenerate.py` must write again byte for byte.
+`golden/previous/` keeps the files as older generators wrote them; the
+verifier must still accept them.
 
 Runs under pytest, or on its own where pytest is not installed:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
 
-from ringcert import certio
+from ringcert import certio, cli
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+# `ringcert verify` exit codes: 0 accept, 2 for a kind with no standalone
+# meaning (checked only inside a bundle) or an input file
+VERIFY_EXIT = {
+    "bundle": 0,
+    "degree-analysis": 0,
+    "lpfw": 0,
+    "pratt": 0,
+    "rabin-ff": 0,
+    "reducible-ff": 0,
+    "reducible-int": 0,
+    "dedekind": 2,
+    "input/order-basis": 2,
+    "input/polynomial": 2,
+    "order": 2,
+    "pmax-long": 2,
+    "pmax-short": 2,
+}
 
 
 def _path(kind: str) -> Path:
@@ -47,8 +70,31 @@ def test_generators_reproduce_golden_files():
         assert certio.serialize(obj) == _path(kind).read_bytes(), kind
 
 
+def _verify_exit(path: Path) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(["verify", str(path)])
+
+
+def test_golden_files_get_their_verdicts():
+    assert set(VERIFY_EXIT) == set(certio._REGISTRY)
+    for kind, code in VERIFY_EXIT.items():
+        assert _verify_exit(_path(kind)) == code, kind
+
+
+def test_previous_golden_files_still_verify():
+    previous = sorted((GOLDEN / "previous").glob("*.json"))
+    assert previous
+    for path in previous:
+        kind = certio.kind_of(certio.parse(path.read_bytes()))
+        assert path.name == _path(kind).name
+        assert path.read_bytes() != _path(kind).read_bytes(), path.name
+        assert _verify_exit(path) == VERIFY_EXIT[kind], path.name
+
+
 if __name__ == "__main__":
     test_one_golden_file_per_kind()
     test_golden_files_round_trip()
     test_generators_reproduce_golden_files()
+    test_golden_files_get_their_verdicts()
+    test_previous_golden_files_still_verify()
     print(f"{len(certio._REGISTRY)} golden files round-trip and regenerate")

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from ringcert import exactalg, irred_ff
+from ringcert import exactalg, irred_ff, primality
 from ringcert.certio import serialize
 from ringcert.exactalg import GF, deg, drop_trailing_zeros, list_mul, poly_divmod, poly_mod_pow
 from ringcert.irred_ff import (
@@ -221,6 +221,72 @@ class TestFactorAgainstReference:
         _unit, factors = factor_poly(GF(p), f)
         assert len(factors) == 1 and factors[0][1] == 1 and deg(factors[0][0]) == 16
         assert exponents.count(p) == 1
+
+
+class TestDegreePattern:
+    """`degree_pattern`'s one distinct-degree sweep against the degrees of
+    `factor_poly`'s factors, None exactly when a factor repeats."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_factor_degrees(self, seed):
+        rng = random.Random(f"pattern/{seed}")
+        primes = primality.sieve_primes(200)
+        for n in range(1, 33):
+            p = rng.choice(primes)
+            field = GF(p)
+
+            def poly(m):
+                return [rng.randrange(p) for _ in range(m)] + [rng.randrange(1, p)]
+
+            k, j = rng.randrange(1, n + 1), rng.randrange(n // 2 + 1)
+            square = list_mul(field, poly(n - 2 * j), exactalg.list_pow(field, poly(j), 2))
+            for f in (poly(n), list_mul(field, poly(k - 1), poly(n - k)), square):
+                _unit, factors = factor_poly(field, f)
+                pattern = irred_ff.degree_pattern(field, f)
+                if all(m == 1 for _g, m in factors):
+                    assert pattern == sorted(deg(g) for g, _m in factors), (p, f)
+                else:
+                    assert pattern is None, (p, f)
+
+
+class TestRadical:
+    """`radical_fp` by squarefree decomposition against the product of
+    `factor_poly`'s distinct factors."""
+
+    @staticmethod
+    def _distinct_product(field, f):
+        rad = [1]
+        for g, _m in factor_poly(field, f)[1]:
+            rad = list_mul(field, rad, g)
+        return rad
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_multiplicities_divisible_by_p(self, p):
+        rng = random.Random(f"radical/{p}")
+        field = GF(p)
+        for _ in range(40):
+            f = [rng.randrange(1, p)]
+            for _ in range(rng.randrange(1, 4)):
+                g = [rng.randrange(p) for _ in range(rng.randrange(1, 4))] + [1]
+                e = rng.choice([1, 2, p - 1, p, p + 1, 2 * p, p * p, p * p + p])
+                f = list_mul(field, f, exactalg.list_pow(field, g, e))
+            assert irred_ff.radical_fp(field, f) == self._distinct_product(field, f), f
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_zero_derivative(self, p):
+        rng = random.Random(f"radical-frobenius/{p}")
+        field = GF(p)
+        for e in (p, p * p):
+            for _ in range(10):
+                g = [rng.randrange(p) for _ in range(rng.randrange(1, 5))] + [rng.randrange(1, p)]
+                f = exactalg.list_pow(field, g, e)
+                assert exactalg.formal_derivative(field, f) == []
+                assert irred_ff.radical_fp(field, f) == self._distinct_product(field, f), f
+        x_p2_plus_1 = [1] + [0] * (p * p - 1) + [1]  # (X + 1)^(p^2)
+        assert irred_ff.radical_fp(field, x_p2_plus_1) == [1, 1]
+
+    def test_constant(self):
+        assert irred_ff.radical_fp(GF(7), [3]) == [1]
 
 
 class TestCheckIIWorkBound:

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -25,8 +26,11 @@ from ringcert.irred_int import (
     verify_lpfw,
     verify_reducible_witness_int,
 )
-from ringcert import irred_int, primality
+from ringcert import certio, irred_int, primality
+from ringcert.exactalg import GF, reduce_mod_p
 from ringcert.primality import generate_pratt
+from reference import factor_poly as plain_factor_poly
+from reference import rational_root_factor as plain_rational_root_factor
 
 
 def fraction_eval(f, x):
@@ -296,6 +300,77 @@ class TestGenerator:
         cert = generate_int_irred([c, 0, 0, 0, 0, 0, 0, 0, 1])
         assert isinstance(cert, LPFWCertificate)
         assert verify_lpfw(cert).accepted
+
+
+# every fixture's T, X^n - X - 1 for n = 12, 16, 20, and Phi_19, Phi_29
+ANALYSIS_ANCHORS = [list(fx["T"]) for fx in certio.FIXTURES.values()] + [
+    [-1, -1] + [0] * (n - 2) + [1] for n in (12, 16, 20)
+] + [[1] * 19, [1] * 29]
+
+
+def _scanned_patterns(f):
+    """(p, factor degrees of f mod p) over the primes degree analysis scans,
+    from the plain factorizer in tests/reference.py."""
+    out = []
+    for p in primality.sieve_primes(irred_int.ANALYSIS_PRIME_BOUND):
+        if len(out) == irred_int.ANALYSIS_PRIMES:
+            break
+        if f[-1] % p == 0:
+            continue
+        _unit, factors = plain_factor_poly(GF(p), reduce_mod_p(f, p))
+        out.append((p, [deg(g) for g, m in factors for _ in range(m)]))
+        if degree_lower_bound([ds for _p, ds in out]) == deg(f):
+            break
+    return out
+
+
+class TestCertifiedPrimes:
+    @pytest.mark.parametrize("f", ANALYSIS_ANCHORS, ids=str)
+    def test_smallest_subset_of_scanned_primes(self, f):
+        out = generate_int_irred(f)
+        analysis = out if isinstance(out, DegreeAnalysisCertificate) else out.analysis
+        scanned = _scanned_patterns(f)
+        d = degree_lower_bound([ds for _p, ds in scanned])
+        if d == 1 < deg(f):
+            assert isinstance(out, LPFWCertificate) and analysis is None
+            return
+        # brute force: every subset, fewest primes first, the earliest in prime order
+        smallest = next(
+            sub
+            for size in range(1, len(scanned) + 1)
+            for sub in itertools.combinations(scanned, size)
+            if degree_lower_bound([ds for _p, ds in sub]) == d
+        )
+        assert [fmp.p for fmp in analysis.per_prime] == [p for p, _ds in smallest]
+        ok, got = irred_int.check_degree_analysis(analysis)
+        assert ok.accepted and got == d
+
+    def test_x20_minus_x_minus_1_needs_two_primes(self):
+        cert = generate_int_irred([-1, -1] + [0] * 18 + [1])
+        assert isinstance(cert, DegreeAnalysisCertificate)
+        assert [fmp.p for fmp in cert.per_prime] == [2, 5]
+        assert verify_degree_analysis(cert).accepted
+
+
+class TestRationalRoots:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_root_as_divisor_listing(self, seed):
+        """The root from the linear factors mod a big prime against the old
+        divisor-listing loop kept in tests/reference.py."""
+        rng = random.Random(f"roots/{seed}")
+        for _ in range(30):
+            f = [rng.randrange(-6, 7) for _ in range(rng.randrange(0, 3))] + [rng.randrange(1, 5)]
+            for _ in range(rng.randrange(0, 4)):
+                v = rng.randrange(1, 7)
+                f = list_mul(ZZ, f, [rng.randrange(-12, 13), v])
+            f = drop_trailing_zeros(f)
+            if deg(f) < 1 or content(f) != 1:
+                continue
+            if rng.randrange(3) == 0:
+                f = [-c for c in f]
+            P, factors = irred_int._big_prime_factors(f)
+            got = irred_int._rational_root_factor(f, P, factors)
+            assert got == plain_rational_root_factor(f), f
 
 
 def test_each_sieve_bound_sieved_once(monkeypatch):
