@@ -285,8 +285,8 @@ def _union_codec(members):
 
 
 # The order keeps its own layout: the ragged upper triangle of products is
-# one list of {"coords", "witness"} objects per row, and the row count and
-# basis width are checked against n.
+# one list of {"coords", "witness"} objects per row, or [] for the power
+# basis, and the row count and basis width are checked against n.
 
 _enc_matrix, _dec_matrix = _codec(tuple[tuple[int, ...], ...])
 
@@ -298,12 +298,8 @@ def _enc_order(desc: OrderDescription) -> dict:
         "d": _enc_int(desc.d),
         "basis_columns": _enc_matrix(desc.basis_columns),
         "products": [
-            [
-                {"coords": _enc_ints(desc.mul_coords[i][k]),
-                 "witness": _enc_ints(desc.mul_witness[i][k])}
-                for k in range(len(desc.mul_coords[i]))
-            ]
-            for i in range(desc.n)
+            [{"coords": _enc_ints(c), "witness": _enc_ints(w)} for c, w in zip(coords, witnesses)]
+            for coords, witnesses in zip(desc.mul_coords, desc.mul_witness)
         ],
         "one": {"coords": _enc_ints(desc.one_coords), "witness": _enc_ints(desc.one_witness)},
     }
@@ -312,8 +308,8 @@ def _enc_order(desc: OrderDescription) -> dict:
 def _dec_order(payload) -> OrderDescription:
     n = _dec_int(_field(payload, "n"))
     products = _field(payload, "products")
-    if not isinstance(products, list) or len(products) != n:
-        raise CertFormatError("products must have one row per basis element")
+    if not isinstance(products, list) or len(products) not in (0, n):
+        raise CertFormatError("products must be empty or have one row per basis element")
     mul_coords, mul_witness = [], []
     for i, row in enumerate(products):
         if not isinstance(row, list) or len(row) != n - i:

@@ -315,7 +315,8 @@ def _degree_analysis_search(
 
     Scans up to ANALYSIS_PRIMES primes below ANALYSIS_PRIME_BOUND, smallest
     first and skipping those dividing lc(f), for the factor degrees of f mod
-    p alone, until they force deg f.  Only a smallest subset of the scanned
+    p alone, until they force deg f; when every one of them divides lc(f),
+    the first larger prime that does not.  Only a smallest subset of the scanned
     primes that reaches the same bound d, the earliest in prime order among
     those of its size, is factored and certified.
 
@@ -335,6 +336,15 @@ def _degree_analysis_search(
         common &= sums
         if min(common - {0}) == n:
             break
+    if not scanned:
+        # every small prime divides lc f: take the first one beyond them
+        # that does not (the format allows primes below 10^6)
+        p = next((p for p in range(ANALYSIS_PRIME_BOUND + 1, primality.TRIAL_DIVISION_BOUND)
+                  if lc(f) % p and primality.is_prime_trial(p)), None)
+        if p is not None:
+            sums, factored = _scan_mod_p(f, p, rng)
+            scanned.append((p, sums, factored))
+            common &= sums
     d = min(common - {0})
     if not scanned or d == 1 < n:
         return d, None, common

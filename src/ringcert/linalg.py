@@ -43,29 +43,6 @@ def det_bareiss(m: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def det_fp(m: list[list[int]], p: int) -> int:
-    """Determinant over GF(p) by Gaussian elimination."""
-    a = [[x % p for x in row] for row in m]
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant of a non-square matrix")
-    det = 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            det = (-det) % p
-        det = (det * a[k][k]) % p
-        inv = pow(a[k][k], -1, p)
-        for i in range(k + 1, n):
-            if a[i][k]:
-                factor = (a[i][k] * inv) % p
-                a[i] = [(x - factor * y) % p for x, y in zip(a[i], a[k])]
-    return det
-
-
 def rref_fp(m: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form over GF(p); returns (rows, pivot columns).
 

@@ -9,8 +9,12 @@ the identity
     b_i * b_j = d * sum_k a_ijk * b_k - T * s_ij
 
 checked for i <= j, and membership of 1 by one more identity of the same
-shape.  A verified description yields a times table, and all further
-arithmetic in O happens on coordinate vectors against that table.
+shape.  The power basis (d = 1, B = I) may come without structure
+constants: Z[theta] is a ring because T is monic, and its table is
+theta^(i+j) mod T, read off one list of theta^k for k <= 2n - 2 (each the
+previous one shifted, minus its top coefficient times T).  A verified
+description yields a times table, and all further arithmetic in O happens
+on coordinate vectors against that table.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ class OrderDescription:
     T: tuple[int, ...]                      # monic, degree n
     d: int                                  # common denominator, nonzero
     basis_columns: tuple[tuple[int, ...], ...]  # column j = coeffs of b_j, len n
-    # ragged upper triangle: mul_coords[i][j-i] are the coordinates of w_i*w_j
+    # ragged upper triangle: mul_coords[i][j-i] are the coordinates of w_i*w_j;
+    # empty for the power basis, whose table is rebuilt from theta^k
     mul_coords: tuple[tuple[tuple[int, ...], ...], ...]
     mul_witness: tuple[tuple[tuple[int, ...], ...], ...]  # s_ij polynomials
     one_coords: tuple[int, ...]
@@ -70,6 +75,29 @@ def _basis_fault(n: int, columns) -> str | None:
     return None
 
 
+def _is_power_basis(d: int, columns) -> bool:
+    """d = 1 and B = I, for columns already of shape n x n."""
+    return d == 1 and all(
+        all(c == int(i == j) for i, c in enumerate(col)) for j, col in enumerate(columns)
+    )
+
+
+def theta_powers(T) -> list[tuple[int, ...]]:
+    """theta^k mod T as coordinate tuples of length n, for k = 0..2n-2 and T
+    monic of degree n: each is the previous one shifted up one degree, minus
+    its top coefficient times T, so no division happens."""
+    n = len(T) - 1
+    power = [1] + [0] * (n - 1)
+    out = [tuple(power)]
+    for _ in range(2 * n - 2):
+        top = power[-1]
+        power = [0] + power[:-1]
+        if top:
+            power = [c - top * t for c, t in zip(power, T)]  # stops before lc T
+        out.append(tuple(power))
+    return out
+
+
 def basis_rows(columns) -> list[list[int]]:
     """The rows of B from its columns."""
     return [list(row) for row in zip(*columns)]
@@ -78,6 +106,33 @@ def basis_rows(columns) -> list[list[int]]:
 def basis_combination(rows, coords) -> list[int]:
     """B . coords as a canonical list: the polynomial sum_k coords[k] * b_k."""
     return drop_trailing_zeros([sum(map(mul, row, coords)) for row in rows])
+
+
+def _products_fault(desc: OrderDescription, T: list[int], rows) -> str | None:
+    """The first failing shape or identity of the structure constants, or None."""
+    n = desc.n
+    if len(desc.mul_coords) != n or len(desc.mul_witness) != n:
+        return "products-shape"
+    for i in range(n):
+        if len(desc.mul_coords[i]) != n - i or len(desc.mul_witness[i]) != n - i:
+            return f"products-shape/i={i}"
+        if any(len(v) != n for v in desc.mul_coords[i]):
+            return f"products-shape/i={i}"
+
+    # A witness of degree >= n - 1 makes T * witness of degree >= 2n - 1, above
+    # every other term of its identity, so the identity fails; such witnesses
+    # are rejected before they are multiplied.
+    b = [_column_poly(desc, j) for j in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            witness = drop_trailing_zeros(list(desc.mul_witness[i][j - i]))
+            if len(witness) >= n:
+                return f"identity/i={i}/j={j}"
+            combo = basis_combination(rows, desc.mul_coords[i][j - i])
+            rhs = list_sub(ZZ, mul_pointwise(ZZ, desc.d, combo), list_mul(ZZ, T, witness))
+            if list_mul(ZZ, b[i], b[j]) != rhs:
+                return f"identity/i={i}/j={j}"
+    return None
 
 
 def verify_order_builder(desc: OrderDescription) -> Verdict:
@@ -94,28 +149,13 @@ def verify_order_builder(desc: OrderDescription) -> Verdict:
     fault = _basis_fault(n, desc.basis_columns)
     if fault:
         return Verdict.reject(f"order/{fault}")
-    if len(desc.mul_coords) != n or len(desc.mul_witness) != n:
-        return Verdict.reject("order/products-shape")
-    for i in range(n):
-        if len(desc.mul_coords[i]) != n - i or len(desc.mul_witness[i]) != n - i:
-            return Verdict.reject(f"order/products-shape/i={i}")
-        if any(len(v) != n for v in desc.mul_coords[i]):
-            return Verdict.reject(f"order/products-shape/i={i}")
-
-    # A witness of degree >= n - 1 makes T * witness of degree >= 2n - 1, above
-    # every other term of its identity, so the identity fails; such witnesses
-    # are rejected before they are multiplied.
-    b = [_column_poly(desc, j) for j in range(n)]
     rows = basis_rows(desc.basis_columns)
-    for i in range(n):
-        for j in range(i, n):
-            witness = drop_trailing_zeros(list(desc.mul_witness[i][j - i]))
-            if len(witness) >= n:
-                return Verdict.reject(f"order/identity/i={i}/j={j}")
-            combo = basis_combination(rows, desc.mul_coords[i][j - i])
-            rhs = list_sub(ZZ, mul_pointwise(ZZ, desc.d, combo), list_mul(ZZ, T, witness))
-            if list_mul(ZZ, b[i], b[j]) != rhs:
-                return Verdict.reject(f"order/identity/i={i}/j={j}")
+    # products may be empty only for the power basis, whose table
+    # times_table_of rebuilds; every other table is checked entry by entry
+    if desc.mul_coords or desc.mul_witness or not _is_power_basis(desc.d, desc.basis_columns):
+        fault = _products_fault(desc, T, rows)
+        if fault:
+            return Verdict.reject(f"order/{fault}")
 
     if len(desc.one_coords) != n:
         return Verdict.reject("order/one-shape")
@@ -129,8 +169,13 @@ def verify_order_builder(desc: OrderDescription) -> Verdict:
 
 
 def times_table_of(desc: OrderDescription) -> TimesTable:
-    """Symmetrized coordinate table; call only on a verified description."""
+    """Symmetrized coordinate table; call only on a verified description.
+    Without products the description is the power basis: table[i][j] is
+    theta^(i+j)."""
     n = desc.n
+    if not desc.mul_coords:
+        powers = theta_powers(desc.T)
+        return TimesTable(n, tuple(tuple(powers[i:i + n]) for i in range(n)))
     table = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -203,7 +248,8 @@ def build_order_description(
     """Find the structure constants and witnesses for a basis, or raise.
 
     Expects T monic of degree n, d nonzero, and B upper triangular with
-    nonzero diagonal (a Hermite-shaped basis).  Raises NotAnOrder when the
+    nonzero diagonal (a Hermite-shaped basis).  The power basis gets no
+    products (the verifier rebuilds them).  Raises NotAnOrder when the
     products w_i*w_j do not have integral coordinates, i.e. the span is not
     closed under multiplication, or when 1 is not in the span.
     """
@@ -216,6 +262,19 @@ def build_order_description(
     fault = _basis_fault(n, basis_columns)
     if fault:
         raise NotAnOrder(f"basis matrix must be upper triangular with nonzero diagonal ({fault})")
+
+    columns = tuple(tuple(c) for c in basis_columns)
+    if _is_power_basis(d, columns):
+        return OrderDescription(
+            n=n,
+            T=tuple(T),
+            d=d,
+            basis_columns=columns,
+            mul_coords=(),
+            mul_witness=(),
+            one_coords=(1,) + (0,) * (n - 1),
+            one_witness=(),
+        )
 
     b_mat = basis_rows(basis_columns)
     b_polys = [drop_trailing_zeros(list(c)) for c in basis_columns]
@@ -243,7 +302,7 @@ def build_order_description(
         n=n,
         T=tuple(T),
         d=d,
-        basis_columns=tuple(tuple(c) for c in basis_columns),
+        basis_columns=columns,
         mul_coords=tuple(mul_coords),
         mul_witness=tuple(mul_witness),
         one_coords=tuple(one),

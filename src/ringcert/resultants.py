@@ -1,25 +1,31 @@
-"""Resultants via Sylvester determinants, and discriminants built on them.
+"""Discriminants of polynomials and orders, and the Sylvester matrix.
 
-Convention: the Sylvester matrix of f (degree n) and g (degree m) is
-(m+n) x (m+n), rows holding ascending coefficient lists, the m shifted
-copies of f first, then the n shifted copies of g.  With this layout
+For T monic of degree n, disc(T) here is resultant(T, T') with no
+leading-coefficient scaling, which equals the norm of T'(theta): the
+determinant of multiplication by T'(theta) on the power basis.  Column k
+of that n x n matrix is sum_m T'_m theta^(k+m), read off the same list of
+theta^k mod T that rebuilds the power basis's times table.  With the
+Sylvester convention below this is
 
     resultant(f, g) = (-1)^(n*m) * lc(f)^m * lc(g)^n * prod (alpha_i - beta_j)
 
-over the roots alpha of f and beta of g, and the swap rule
-resultant(f, g) = (-1)^(n*m) * resultant(g, f) holds.  The discriminant of
-f is resultant(f, f') with no leading-coefficient scaling.
+at f = T, g = T', since n(n - 1) is even.  The Sylvester matrix of f
+(degree n) and g (degree m) is (m+n) x (m+n), rows holding ascending
+coefficient lists, the m shifted copies of f first, then the n shifted
+copies of g; the generator's Bezout witness solves against it.
 """
 
 from __future__ import annotations
 
-from .exactalg import PrimeField, ZZ, deg, formal_derivative
-from .linalg import det_bareiss, det_fp
-from .orders import OrderDescription
+from operator import mul
+
+from .exactalg import ZZ, deg, formal_derivative
+from .linalg import det_bareiss
+from .orders import OrderDescription, theta_powers
 from .verdict import Verdict
 
 
-def sylvester_matrix(f: list, g: list, zero=0) -> list[list]:
+def sylvester_matrix(f: list[int], g: list[int]) -> list[list[int]]:
     """Rows of shifted coefficients, f-rows first, ascending within each row."""
     n, m = deg(f), deg(g)
     if n < 0 or m < 0:
@@ -27,35 +33,30 @@ def sylvester_matrix(f: list, g: list, zero=0) -> list[list]:
     size = n + m
     rows = []
     for i in range(m):
-        row = [zero] * size
+        row = [0] * size
         for k, c in enumerate(f):
             row[i + k] = c
         rows.append(row)
     for i in range(n):
-        row = [zero] * size
+        row = [0] * size
         for k, c in enumerate(g):
             row[i + k] = c
         rows.append(row)
     return rows
 
 
-def resultant(dom, f: list, g: list):
-    """Determinant of the Sylvester matrix, exactly."""
-    s = sylvester_matrix(f, g, zero=dom.zero)
-    if not s:
-        return dom.one  # both constant: empty product
-    if isinstance(dom, PrimeField):
-        return det_fp(s, dom.p)
-    if dom is ZZ:
-        return det_bareiss(s)
-    raise TypeError(f"resultant not implemented over {dom!r}")
-
-
-def disc_poly(f: list[int]) -> int:
-    """resultant(f, f') over the integers; requires deg f >= 1."""
-    if deg(f) < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    return resultant(ZZ, f, formal_derivative(ZZ, f))
+def disc_poly(T: list[int]) -> int:
+    """resultant(T, T') for monic T of degree >= 1, as the Bareiss
+    determinant of multiplication by T'(theta) on the power basis."""
+    n = deg(T)
+    if n < 1 or T[-1] != 1:
+        raise ValueError("discriminant needs a monic polynomial of degree >= 1")
+    powers = theta_powers(T)
+    tprime = formal_derivative(ZZ, T)
+    # row k holds column k of the matrix: det M^t = det M
+    return det_bareiss([
+        [sum(map(mul, tprime, coord)) for coord in zip(*powers[k:k + n])] for k in range(n)
+    ])
 
 
 def power_basis_index(desc: OrderDescription) -> int:

@@ -17,6 +17,7 @@ from ringcert.exactalg import (
     list_sub,
     monic,
     poly_divmod,
+    poly_divmod_int,
     poly_gcd,
     poly_mod_pow,
     poly_xgcd,
@@ -31,6 +32,7 @@ from ringcert.irred_ff import (
     choose_base,
 )
 from ringcert.linalg import det_bareiss
+from ringcert.orders import OrderDescription
 
 
 def fraction_back_substitution(b, rhs, den=1) -> list[Fraction]:
@@ -84,6 +86,42 @@ def naive_det(m) -> int:
         minor = [row[:j] + row[j + 1 :] for row in m[1:]]
         total += (-1) ** j * m[0][j] * naive_det(minor)
     return total
+
+
+def resultant(field, f: list[int], g: list[int]) -> int:
+    """Determinant of the Sylvester matrix of f and g: ascending coefficient
+    rows, the deg g shifted copies of f first, then the deg f copies of g.
+    `field` is ZZ or a PrimeField; over GF(p) the integer determinant is
+    reduced mod p."""
+    n, m = deg(f), deg(g)
+    if n < 0 or m < 0:
+        raise ValueError("resultant of a zero polynomial")
+    rows = [[0] * i + list(f) + [0] * (m - 1 - i) for i in range(m)]
+    rows += [[0] * i + list(g) + [0] * (n - 1 - i) for i in range(n)]
+    det = det_bareiss(rows)
+    return det % field.p if isinstance(field, PrimeField) else det
+
+
+def power_basis_with_table(T: list[int]) -> OrderDescription:
+    """The power basis of monic T with a full product table, as older
+    generators wrote it: w_i*w_j = X^(i+j) reduced modulo T by long
+    division, the witness the negated quotient."""
+    n = deg(T)
+    coords, witnesses = [], []
+    for i in range(n):
+        quotients, remainders = zip(*(poly_divmod_int([0] * (i + j) + [1], T) for j in range(i, n)))
+        coords.append(tuple(tuple(r) + (0,) * (n - len(r)) for r in remainders))
+        witnesses.append(tuple(tuple(-c for c in q) for q in quotients))
+    return OrderDescription(
+        n=n,
+        T=tuple(T),
+        d=1,
+        basis_columns=tuple(tuple(int(i == j) for i in range(n)) for j in range(n)),
+        mul_coords=tuple(coords),
+        mul_witness=tuple(witnesses),
+        one_coords=(1,) + (0,) * (n - 1),
+        one_witness=(),
+    )
 
 
 def lattice_index(m, n) -> int:

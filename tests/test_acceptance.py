@@ -33,7 +33,7 @@ from ringcert.maximality import generate_dedekind, generate_pmax, verify_dedekin
 from ringcert.orders import build_order_description, times_table_of, tt_mul
 from ringcert.pipeline import BundleError, generate_bundle, verify_bundle
 from ringcert.primality import generate_pratt, verify_pratt
-from ringcert.resultants import resultant
+from reference import resultant
 
 
 @contextmanager

@@ -94,7 +94,8 @@ class TestMalformedInputs:
             certio.parse(json.dumps(env).encode())
 
     def test_ragged_products_rejected(self, sample_objects):
-        env = json.loads(certio.serialize(sample_objects["order"]))
+        # the bundle's order has d = 2, so it carries a full table
+        env = json.loads(certio.serialize(sample_objects["bundle"].order))
         env["payload"]["products"][0].pop()
         with pytest.raises(certio.CertFormatError, match="products"):
             certio.parse(_reseal(env))

@@ -130,6 +130,53 @@ class TestGenAndVerify:
         code, _, _ = run_cli(capsys, "verify", str(out))
         assert code == 0
 
+    def test_gen_irred_degree_one_beyond_small_primes(self, fixture_files, capsys):
+        # every prime below 200 divides lc f, so degree analysis continues
+        # with 211 instead of leaving a linear f to LPFW, whose Pratt
+        # certificate for an ~80-digit prime can stay in rho for minutes
+        c = 1
+        for q in range(2, 200):
+            if all(q % r for r in range(2, q)):
+                c *= q
+        poly = fixture_files / "linear.poly.json"
+        certio.write_file(poly, certio.InputPolynomial((1, c)))
+        out = fixture_files / "linear.cert.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(ringcert.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, time; from ringcert.cli import main; "
+             "start = time.perf_counter(); code = main(sys.argv[1:]); "
+             "print(time.perf_counter() - start, file=sys.stderr); sys.exit(code)",
+             "gen", "irred", str(poly), "-o", str(out)],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0 and "irreducible" in proc.stdout
+        assert float(proc.stderr) < 1.0
+        cert = certio.parse_file(out)
+        assert certio.kind_of(cert) == "degree-analysis"
+        assert [entry.p for entry in cert.per_prime] == [211]
+        code, _, _ = run_cli(capsys, "verify", str(out))
+        assert code == 0
+
+    def test_power_basis_bundle_without_products(self, fixture_files, capsys):
+        poly = str(fixture_files / "quintic_x5-x-1.poly.json")
+        basis = str(fixture_files / "quintic_x5-x-1.basis.json")
+        out = fixture_files / "power.bundle.json"
+        code, _, _ = run_cli(capsys, "gen", "bundle", poly, basis, "-o", str(out))
+        assert code == 0
+        env = json.loads(out.read_bytes())
+        assert env["payload"]["order"]["products"] == []
+        assert run_cli(capsys, "verify", str(out))[0] == 0
+        assert run_cli(capsys, "disc", str(out))[:2] == (0, "2869\n")
+        # the order on its own still certifies nothing
+        order = fixture_files / "power.order.json"
+        order.write_bytes(_reseal(
+            {"kind": "order", "payload": env["payload"]["order"], "schema_version": "1"}))
+        code, _, err = run_cli(capsys, "verify", str(order))
+        assert code == 2
+        assert "order certificates are only meaningful inside a bundle" in err
+
     def test_gen_bundle_without_certificate_exit_1(self, fixture_files, capsys, monkeypatch):
         # X^4 + 1 splits modulo every prime, so it needs LPFW, here given no points
         monkeypatch.setattr(irred_int, "LPFW_POINTS", 0)

@@ -10,8 +10,10 @@ Runs under pytest, or on its own where pytest is not installed:
 """
 
 import contextlib
+import hashlib
 import importlib.util
 import io
+import json
 from pathlib import Path
 
 from ringcert import certio, cli
@@ -91,10 +93,43 @@ def test_previous_golden_files_still_verify():
         assert _verify_exit(path) == VERIFY_EXIT[kind], path.name
 
 
+# A power-basis bundle as generators wrote it before the power basis lost
+# its product table: X^5 - X - 1, seed 0, no discriminant claim.
+PREVIOUS_POWER_BASIS = GOLDEN / "previous-power-basis" / "bundle.json"
+
+
+def test_previous_power_basis_bundle_still_verifies():
+    assert certio.parse(PREVIOUS_POWER_BASIS.read_bytes()).order.mul_coords
+    assert _verify_exit(PREVIOUS_POWER_BASIS) == 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["disc", str(PREVIOUS_POWER_BASIS)]) == 0
+    assert out.getvalue() == "2869\n"
+
+
+def test_power_basis_bundle_is_previous_without_products():
+    from ringcert.pipeline import generate_bundle
+
+    env = json.loads(PREVIOUS_POWER_BASIS.read_bytes())
+    env["payload"]["order"]["products"] = []
+    inner = {k: env[k] for k in ("kind", "payload", "schema_version")}
+    digest = hashlib.sha256(_canonical(inner)).hexdigest()
+    resealed = _canonical({**inner, "integrity": f"sha256:{digest}"}) + b"\n"
+    T = [int(c) for c in env["payload"]["T"]]
+    n = len(T) - 1
+    new = generate_bundle(T, 1, [[int(i == j) for i in range(n)] for j in range(n)])
+    assert certio.serialize(new) == resealed
+
+
+def _canonical(doc) -> bytes:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
 if __name__ == "__main__":
     test_one_golden_file_per_kind()
     test_golden_files_round_trip()
     test_generators_reproduce_golden_files()
     test_golden_files_get_their_verdicts()
     test_previous_golden_files_still_verify()
+    test_previous_power_basis_bundle_still_verifies()
+    test_power_basis_bundle_is_previous_without_products()
     print(f"{len(certio._REGISTRY)} golden files round-trip and regenerate")

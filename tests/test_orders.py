@@ -20,12 +20,13 @@ from ringcert.orders import (
     element_coordinates,
     reduce_table_mod_p,
     theta_coordinates,
+    theta_powers,
     times_table_of,
     tt_mul,
     tt_pow,
     verify_order_builder,
 )
-from reference import fraction_back_substitution, integral
+from reference import fraction_back_substitution, integral, power_basis_with_table
 
 # cubic field Q[X]/<X^3 - 3X - 10> with integral basis {1, a, (a - a^2)/2}
 CUBIC_T = [-10, -3, 0, 1]
@@ -181,3 +182,67 @@ class TestElementCoordinates:
 
     def test_outside(self, cubic):
         assert element_coordinates(cubic, [0, 0, 1], 2) is None  # a^2/2 not integral
+
+
+def _identity(n):
+    return [[int(i == j) for i in range(n)] for j in range(n)]
+
+
+def _power_basis_polys():
+    """Every fixture field's T, X^n - X - 1 (n = 12, 16, 20), Phi_19, Phi_29
+    and seeded monic T of degree 1-30."""
+    rng = random.Random(30)
+    polys = [list(fx["T"]) for fx in certio.FIXTURES.values() if fx["columns"] is not None]
+    polys += [[-1, -1] + [0] * (n - 2) + [1] for n in (12, 16, 20)]
+    polys += [[1] * 19, [1] * 29]
+    polys += [[rng.randrange(-50, 51) for _ in range(n)] + [1] for n in range(1, 31)]
+    return polys
+
+
+class TestPowerBasis:
+    def test_theta_table_equals_long_division_table(self):
+        for T in _power_basis_polys():
+            n = len(T) - 1
+            desc = build_order_description(T, 1, _identity(n))
+            assert desc.mul_coords == () and desc.mul_witness == ()
+            assert list(desc.one_coords) == [1] + [0] * (n - 1)
+            assert verify_order_builder(desc).accepted
+            full = power_basis_with_table(T)
+            assert verify_order_builder(full).accepted
+            assert times_table_of(desc) == times_table_of(full), T
+
+    def test_theta_powers_reduce_monomials(self):
+        for T in _power_basis_polys():
+            n = len(T) - 1
+            powers = theta_powers(T)
+            assert len(powers) == 2 * n - 1
+            for k, power in enumerate(powers):
+                _, rem = poly_divmod_int([0] * k + [1], T)
+                assert list(power) == [get_d(rem, i, 0) for i in range(n)], (T, k)
+
+    def test_empty_products_need_d_1_and_identity_basis(self, gauss):
+        # each basis spans Z[i], but only d = 1 with B = I may omit the table
+        for d, cols in ((2, [[2, 0], [0, 2]]), (-1, [[-1, 0], [0, -1]]), (1, [[1, 0], [1, 1]])):
+            desc = build_order_description(GAUSS_T, d, cols)
+            assert verify_order_builder(desc).accepted
+            bare = dataclasses.replace(desc, mul_coords=(), mul_witness=())
+            assert verify_order_builder(bare).reason == "order/products-shape", (d, cols)
+        half = dataclasses.replace(gauss, mul_witness=(((), ()), ((),)))
+        assert verify_order_builder(half).reason == "order/products-shape"
+
+    def test_empty_products_on_a_cubic_rejected(self, cubic):
+        bare = dataclasses.replace(cubic, mul_coords=(), mul_witness=())
+        assert verify_order_builder(bare).reason == "order/products-shape"
+
+    def test_power_basis_one_must_be_e0(self, gauss):
+        for desc in (gauss, power_basis_with_table(GAUSS_T)):
+            for one in ((0, 1), (2, 0), (-1, 0), (1, 1)):
+                bad = dataclasses.replace(desc, one_coords=one)
+                assert verify_order_builder(bad).reason == "order/one", one
+
+    def test_full_power_basis_table_checked_entry_by_entry(self):
+        full = power_basis_with_table([-1, -1, 0, 0, 0, 1])
+        rows = [list(row) for row in full.mul_coords]
+        rows[1][2] = (1,) + rows[1][2][1:]
+        bad = dataclasses.replace(full, mul_coords=tuple(tuple(row) for row in rows))
+        assert verify_order_builder(bad).reason == "order/identity/i=1/j=3"

@@ -3,17 +3,16 @@ import random
 import pytest
 
 from ringcert import certio
-from ringcert.exactalg import GF, ZZ, deg, drop_trailing_zeros, list_mul
+from ringcert.exactalg import GF, ZZ, deg, drop_trailing_zeros, formal_derivative, list_mul
 from ringcert.orders import build_order_description
 from ringcert.resultants import (
     check_order_discriminant,
     disc_order,
     disc_poly,
     power_basis_index,
-    resultant,
     sylvester_matrix,
 )
-from reference import lattice_index, naive_det
+from reference import lattice_index, naive_det, resultant
 
 
 def poly_from_roots(dom, roots, lead=1):
@@ -111,6 +110,20 @@ class TestDiscriminant:
         # X^2 + X + 1: b^2 - 4c = -3; this convention yields +3
         assert disc_poly([1, 1, 1]) == 3
 
+    def test_norm_route_matches_sylvester_determinant(self):
+        # det of multiplication by T'(theta) against the Sylvester oracle
+        rng = random.Random(1030)
+        polys = [[-1, -1] + [0] * (n - 2) + [1] for n in (12, 16, 20)] + [[1] * 19, [1] * 29]
+        polys += [[rng.randrange(-50, 51) for _ in range(n)] + [1] for n in range(1, 31)]
+        polys += [[rng.randrange(-3, 4) for _ in range(n)] + [1] for n in range(1, 31)]
+        for T in polys:
+            assert disc_poly(T) == resultant(ZZ, T, formal_derivative(ZZ, T)), T
+
+    def test_needs_monic_positive_degree(self):
+        for T in ([5], [1, 2], [3, 0, -1]):
+            with pytest.raises(ValueError):
+                disc_poly(T)
+
     def test_power_basis_bridge(self):
         # prod_{i<j} (a_i - a_j)^2 = (-1)^(n(n-1)/2) * disc(f) for split f
         for p in (5, 7, 11):
@@ -129,8 +142,6 @@ class TestDiscriminant:
 
 
 def disc_poly_fp(field, f):
-    from ringcert.exactalg import formal_derivative
-
     return resultant(field, f, formal_derivative(field, f))
 
 
