@@ -16,10 +16,10 @@ an (encode, decode) pair per type.  A dataclass is an object with one key
 per field, ``tuple[X, ...]`` an array, ``tuple[A, B]`` an array of exactly
 that length, ``Literal[...]`` one of its strings, ``X | None`` null or X,
 and a union of registered dataclasses ``{"kind": ..., "payload": ...}``.
-``_RENAMED`` and the order's own encoder and decoder are the exceptions.  Parsing validates
-formats and shapes before any verification runs, turns every malformed
-input into `CertFormatError`, and round-trips byte-exactly on canonical
-files.
+The order's own encoder and decoder are the one exception.  Parsing
+validates formats and shapes before any verification runs, turns every
+malformed input into `CertFormatError`, and round-trips byte-exactly on
+canonical files.
 """
 
 from __future__ import annotations
@@ -167,9 +167,6 @@ def _field(payload, name: str):
 
 _CODECS: dict = {int: (_enc_int, _dec_int), Fraction: (_enc_frac, _dec_frac)}
 
-# wire keys that differ from the field name
-_RENAMED = {(irred_int.FactorizationModP, "factor_certs"): "certs"}
-
 
 def _codec(tp):
     """The cached (encode, decode) pair of a type hint."""
@@ -203,27 +200,24 @@ def _build(tp):
 def _dataclass_codec(cls) -> None:
     """An object with one key per field.  Registered before its fields are
     compiled, so that recursive types (Pratt chains) refer to themselves."""
-    enc_items, dec_items = [], []
+    items = []  # (field name, encode, decode)
 
     def encode(obj):
-        return {key: enc(getattr(obj, name)) for name, key, enc in enc_items}
+        return {name: enc(getattr(obj, name)) for name, enc, _dec in items}
 
     def decode(v):
         if type(v) is not dict:
-            raise CertFormatError(f"missing field {dec_items[0][0]!r}")
+            raise CertFormatError(f"missing field {items[0][0]!r}")
         try:
-            return cls(*[dec(v[key]) for key, dec in dec_items])
+            return cls(*[dec(v[name]) for name, _enc, dec in items])
         except KeyError:
-            missing = next(key for key, _ in dec_items if key not in v)
+            missing = next(name for name, _enc, _dec in items if name not in v)
             raise CertFormatError(f"missing field {missing!r}") from None
 
     _CODECS[cls] = (encode, decode)
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
-        key = _RENAMED.get((cls, f.name), f.name)
-        enc, dec = _codec(hints[f.name])
-        enc_items.append((f.name, key, enc))
-        dec_items.append((key, dec))
+        items.append((f.name, *_codec(hints[f.name])))
 
 
 def _array_codec(enc, dec):

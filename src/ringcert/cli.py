@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
-from . import certio, irred_int, pipeline, primality
+from . import certio, irred_int, pipeline, primality, resultants
 from .irred_ff import RabinCertificate, ReducibleWitness, verify_rabin, verify_reducible_witness
 from .verdict import Verdict
 
@@ -86,9 +85,8 @@ def _cmd_gen_irred(args) -> int:
     if not isinstance(obj, certio.InputPolynomial):
         print("gen irred expects an input/polynomial file", file=sys.stderr)
         return EXIT_MALFORMED
-    rng = random.Random(args.seed)
     try:
-        cert = irred_int.generate_int_irred(list(obj.coeffs), rng=rng)
+        cert = irred_int.generate_int_irred(list(obj.coeffs))
     except irred_int.NoCertificateFound as e:
         print(f"no certificate found: {e}", file=sys.stderr)
         return EXIT_REJECT
@@ -117,7 +115,6 @@ def _cmd_gen_bundle(args) -> int:
             list(poly.coeffs),
             basis.denominator,
             [list(c) for c in basis.columns],
-            seed=args.seed,
             claimed_disc=args.disc,
         )
     except pipeline.BundleError as e:
@@ -155,9 +152,11 @@ def _cmd_disc(args) -> int:
     if not verdict:
         print(verdict.reason, file=sys.stderr)
         return EXIT_REJECT
-    from .resultants import disc_order
-
-    print(disc_order(obj.order))
+    # an accepted bundle's discriminant claim has been checked against the order
+    if obj.claimed_disc is not None:
+        print(obj.claimed_disc)
+    else:
+        print(resultants.disc_order(obj.order))
     return EXIT_ACCEPT
 
 
@@ -174,14 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
     g_irred = gen_sub.add_parser("irred", help="irreducibility over the integers")
     g_irred.add_argument("polyfile")
     g_irred.add_argument("-o", "--output")
-    g_irred.add_argument("--seed", type=int, default=0)
     g_irred.set_defaults(func=_cmd_gen_irred)
 
     g_bundle = gen_sub.add_parser("bundle", help="full ring-of-integers bundle")
     g_bundle.add_argument("polyfile")
     g_bundle.add_argument("basisfile")
     g_bundle.add_argument("-o", "--output")
-    g_bundle.add_argument("--seed", type=int, default=0)
     g_bundle.add_argument("--disc", type=int, default=None,
                           help="embed a discriminant claim in the bundle")
     g_bundle.set_defaults(func=_cmd_gen_bundle)

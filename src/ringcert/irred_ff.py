@@ -122,18 +122,13 @@ def verify_rabin(cert: RabinCertificate) -> Verdict:
     # factorization of n, with certified prime factors
     if len(cert.n_factors) != len(cert.n_factor_pratt):
         return Verdict.reject("rabin/factorization-shape")
-    prod = 1
     for (q, e), pratt in zip(cert.n_factors, cert.n_factor_pratt):
         if e < 1:
             return Verdict.reject(f"rabin/factorization/q={q}")
-        if abs(q) > 1 and e > n.bit_length():
-            prod = 0  # |q**e| > n, so the product cannot be n
-        else:
-            prod *= q**e
         ok = primality.certify_prime_for_verifier(q, pratt)
         if not ok:
             return ok.prefixed("rabin")
-    if prod != n:
+    if primality.prime_power_product(cert.n_factors, n) != n:
         return Verdict.reject("rabin/factorization")
 
     if len(cert.h) != n + 1:
@@ -256,15 +251,16 @@ class _FrobeniusTable:
 
 
 def find_factor(
-    field: PrimeField, f: list[int], rng: random.Random, frob: _FrobeniusTable | None = None
+    field: PrimeField, f: list[int], frob: _FrobeniusTable | None = None
 ) -> list[int] | None:
     """A monic nontrivial factor of f, or None when f is irreducible.
 
     Linear factors are searched by increasing root representative first so
     small witnesses come out deterministically; beyond that, distinct-degree
-    plus Cantor-Zassenhaus equal-degree splitting.  p-th powers go through
-    `frob`, the Frobenius table of a multiple of f; without one, f gets its
-    own.
+    plus Cantor-Zassenhaus equal-degree splitting, whose draws are seeded
+    from p and the monic f, so the factor is a function of f.  p-th powers
+    go through `frob`, the Frobenius table of a multiple of f; without one,
+    f gets its own.
     """
     p = field.p
     f = monic(field, f)
@@ -295,9 +291,8 @@ def find_factor(
         g = poly_gcd(field, f, list_sub(field, h, X_POLY))
         if deg(g) <= 0:
             continue
-        if deg(g) < n:
-            return _equal_degree_split(field, g, degree, rng, frob)
-        return _equal_degree_split(field, f, degree, rng, frob)
+        # g is monic and divides f, so g == f when their degrees agree
+        return _equal_degree_split(field, g, degree, random.Random(_stable_seed(p, *f)), frob)
     return None
 
 
@@ -339,19 +334,16 @@ def _equal_degree_split(
             return _equal_degree_split(field, g, d, rng, frob)
 
 
-def factor_poly(
-    field: PrimeField, f: list[int], rng: random.Random | None = None
-) -> tuple[int, list[tuple[list[int], int]]]:
+def factor_poly(field: PrimeField, f: list[int]) -> tuple[int, list[tuple[list[int], int]]]:
     """Full factorization over GF(p): (unit, [(monic irreducible, multiplicity)]).
 
-    Generator-side; deterministic for a given input via a derived seed.
+    Generator-side.  The complete factorization is unique and sorted, so it
+    does not depend on the factors `find_factor` happens to split off first.
     Every cofactor on the stack divides monic f, so one Frobenius table of
     f serves each `find_factor` call.
     """
     if not f:
         raise ValueError("cannot factor the zero polynomial")
-    if rng is None:
-        rng = random.Random(_stable_seed(field.p, *f))
     unit = f[-1] % field.p
     rest = monic(field, f)
     frob = _FrobeniusTable(field, rest)
@@ -361,7 +353,7 @@ def factor_poly(
         cur = stack.pop()
         if deg(cur) == 0:
             continue
-        fac = find_factor(field, cur, rng, frob)
+        fac = find_factor(field, cur, frob)
         if fac is None:
             key = tuple(cur)
             out[key] = out.get(key, 0) + 1
@@ -432,9 +424,9 @@ def choose_base(p: int, n: int) -> int:
     return p if (p <= 5 and n >= 8) else 2
 
 
-def _factor_witness(field: PrimeField, f: list[int], rng: random.Random) -> ReducibleWitness:
+def _factor_witness(field: PrimeField, f: list[int]) -> ReducibleWitness:
     """The factorization witness for an f that failed Rabin's test."""
-    fac = find_factor(field, monic(field, f), rng)
+    fac = find_factor(field, monic(field, f))
     assert fac is not None, "Rabin's test failed but no factor was found"
     q, r = poly_divmod(field, f, fac)
     assert not r
@@ -442,7 +434,7 @@ def _factor_witness(field: PrimeField, f: list[int], rng: random.Random) -> Redu
 
 
 def generate_rabin(
-    f: list[int], p: int, t: int | None = None, rng: random.Random | None = None
+    f: list[int], p: int, t: int | None = None
 ) -> RabinCertificate | ReducibleWitness:
     """Certificate for irreducible f over GF(p), or a factorization witness."""
     field = GF(p)
@@ -451,8 +443,6 @@ def generate_rabin(
     n = deg(f)
     if n <= 0:
         raise ValueError("degree must be positive")
-    if rng is None:
-        rng = random.Random(_stable_seed(p, n, *f))
     if t is None:
         t = choose_base(p, n)
     if t not in (2, p):
@@ -481,7 +471,7 @@ def generate_rabin(
                 hp[0] = list(X_POLY)
                 q, r = poly_divmod(field, list_sub(field, step, X_POLY), f)
                 if r:
-                    return _factor_witness(field, f, rng)
+                    return _factor_witness(field, f)
             else:
                 q, hp[j] = poly_divmod(field, step, f)
             grow[j] = tuple(q)
@@ -497,7 +487,7 @@ def generate_rabin(
         k = n // q
         d, u, v = poly_xgcd(field, f, list_sub(field, h[k], X_POLY))
         if d != [field.one]:
-            return _factor_witness(field, f, rng)
+            return _factor_witness(field, f)
         a_rows[k] = tuple(u)
         b_rows[k] = tuple(v)
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,7 +95,7 @@ class FactorizationModP:
     p: int
     unit: int
     factors: tuple[tuple[tuple[int, ...], int], ...]  # (coeffs, multiplicity)
-    factor_certs: tuple[irred_ff.RabinCertificate, ...]
+    certs: tuple[irred_ff.RabinCertificate, ...]
 
 
 @dataclass(frozen=True)
@@ -151,12 +150,12 @@ def _verify_factorization_mod_p(fmp: FactorizationModP, f: list[int]) -> Verdict
         return Verdict.reject(f"analysis/p={p}/divides-lc")
     fbar = reduce_mod_p(f, p)
     field = GF(p)
-    if len(fmp.factors) != len(fmp.factor_certs):
+    if len(fmp.factors) != len(fmp.certs):
         return Verdict.reject(f"analysis/p={p}/shape")
     if not (0 < fmp.unit < p):
         return Verdict.reject(f"analysis/p={p}/unit")
     prod = [fmp.unit]
-    for (coeffs, mult), cert in zip(fmp.factors, fmp.factor_certs):
+    for (coeffs, mult), cert in zip(fmp.factors, fmp.certs):
         if mult < 1:
             return Verdict.reject(f"analysis/p={p}/multiplicity")
         if cert.p != p or list(cert.L) != list(coeffs):
@@ -282,21 +281,21 @@ Factorization = tuple[int, list[tuple[list[int], int]]]  # factor_poly's (unit, 
 
 
 def _factorization_cert_mod_p(
-    f: list[int], p: int, rng: random.Random, factored: Factorization | None = None
+    f: list[int], p: int, factored: Factorization | None = None
 ) -> FactorizationModP:
     field = GF(p)
-    unit, factors = factored or irred_ff.factor_poly(field, reduce_mod_p(f, p), rng)
+    unit, factors = factored or irred_ff.factor_poly(field, reduce_mod_p(f, p))
     certs = []
     flat = []
     for fac, mult in factors:
-        out = irred_ff.generate_rabin(fac, p, rng=rng)
+        out = irred_ff.generate_rabin(fac, p)
         assert isinstance(out, irred_ff.RabinCertificate)
         flat.append((tuple(fac), mult))
         certs.append(out)
     return FactorizationModP(p, unit, tuple(flat), tuple(certs))
 
 
-def _scan_mod_p(f: list[int], p: int, rng: random.Random) -> tuple[set[int], Factorization | None]:
+def _scan_mod_p(f: list[int], p: int) -> tuple[set[int], Factorization | None]:
     """The subset sums of the factor degrees of f mod p, and the full
     factorization when f mod p is not squarefree (then it is made anyway)."""
     field = GF(p)
@@ -304,13 +303,11 @@ def _scan_mod_p(f: list[int], p: int, rng: random.Random) -> tuple[set[int], Fac
     degrees = irred_ff.degree_pattern(field, fbar)
     if degrees is not None:
         return subset_sums(degrees), None
-    factored = irred_ff.factor_poly(field, fbar, rng)
+    factored = irred_ff.factor_poly(field, fbar)
     return subset_sums([deg(fac) for fac, mult in factored[1] for _ in range(mult)]), factored
 
 
-def _degree_analysis_search(
-    f: list[int], rng: random.Random
-) -> tuple[int, DegreeAnalysisCertificate | None, set[int]]:
+def _degree_analysis_search(f: list[int]) -> tuple[int, DegreeAnalysisCertificate | None, set[int]]:
     """Try to prove irreducibility by degree analysis.
 
     Scans up to ANALYSIS_PRIMES primes below ANALYSIS_PRIME_BOUND, smallest
@@ -331,7 +328,7 @@ def _degree_analysis_search(
             break
         if lc(f) % p == 0:
             continue
-        sums, factored = _scan_mod_p(f, p, rng)
+        sums, factored = _scan_mod_p(f, p)
         scanned.append((p, sums, factored))
         common &= sums
         if min(common - {0}) == n:
@@ -342,7 +339,7 @@ def _degree_analysis_search(
         p = next((p for p in range(ANALYSIS_PRIME_BOUND + 1, primality.TRIAL_DIVISION_BOUND)
                   if lc(f) % p and primality.is_prime_trial(p)), None)
         if p is not None:
-            sums, factored = _scan_mod_p(f, p, rng)
+            sums, factored = _scan_mod_p(f, p)
             scanned.append((p, sums, factored))
             common &= sums
     d = min(common - {0})
@@ -355,15 +352,12 @@ def _degree_analysis_search(
         for subset in itertools.combinations(scanned, size)
         if min(set.intersection(*(sums for _p, sums, _f in subset)) - {0}) == d
     )
-    entries = tuple(_factorization_cert_mod_p(f, p, rng, fac) for p, _s, fac in subset)
+    entries = tuple(_factorization_cert_mod_p(f, p, fac) for p, _s, fac in subset)
     return d, DegreeAnalysisCertificate(tuple(f), entries), common
 
 
 def _lpfw_search(
-    f: list[int],
-    d: int,
-    analysis: DegreeAnalysisCertificate | None,
-    rng: random.Random,
+    f: list[int], d: int, analysis: DegreeAnalysisCertificate | None
 ) -> LPFWCertificate | None:
     best = None  # (rho, r)
     for k in range(-8, 9):
@@ -405,7 +399,7 @@ def _lpfw_search(
                 continue
             if not primality.is_probable_prime(P):
                 continue
-            pratt = generate_pratt(P, rng)
+            pratt = generate_pratt(P)
             if pratt is None:
                 continue
             return LPFWCertificate(
@@ -432,7 +426,6 @@ def _big_prime_factors(f: list[int]) -> tuple[int, list[list[int]]]:
         P += 1
         while not primality.is_probable_prime(P):
             P += 1
-        # no rng: factor_poly derives its own seed, leaving the caller's draws as they were
         _unit, found = irred_ff.factor_poly(GF(P), reduce_mod_p(f, P))
         flat = [fac for fac, mult in found for _ in range(mult)]
         if best is None or len(flat) < len(best[1]):
@@ -515,7 +508,7 @@ def _zassenhaus_factor(
 
 
 def generate_int_irred(
-    f: list[int], rng: random.Random | None = None
+    f: list[int],
 ) -> DegreeAnalysisCertificate | LPFWCertificate | ReducibleWitnessInt:
     """Certificate of irreducibility over the integers, or a factor witness.
 
@@ -529,15 +522,12 @@ def generate_int_irred(
     f = drop_trailing_zeros(list(f))
     if deg(f) < 1:
         raise ValueError("degree must be positive")
-    if rng is None:
-        rng = random.Random(irred_ff._stable_seed(0x17ED, *f))
-
     c = content(f)
     if c != 1:
         cof = [x // c for x in f]
         return ReducibleWitnessInt(tuple(f), (c,), tuple(cof))
 
-    d, analysis, common = _degree_analysis_search(f, rng)
+    d, analysis, common = _degree_analysis_search(f)
     if d == deg(f) and analysis is not None:
         return analysis
 
@@ -555,7 +545,7 @@ def generate_int_irred(
         if factor is not None:
             return ReducibleWitnessInt(tuple(f), tuple(factor), tuple(_exact_quotient(f, factor)))
 
-    lpfw = _lpfw_search(f, d, analysis, rng)
+    lpfw = _lpfw_search(f, d, analysis)
     if lpfw is not None:
         return lpfw
     raise NoCertificateFound(f"no LPFW witness among {LPFW_POINTS} evaluation points")

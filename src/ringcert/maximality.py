@@ -527,17 +527,16 @@ def _witness_images(tt: TimesTable, p: int, decompose, beta_w: list[int]) -> lis
 
 
 def _search_witness(
-    tt: TimesTable, p: int, V, W, decompose, budget: int, rng: random.Random | None
+    tt: TimesTable, p: int, V, W, decompose, budget: int
 ) -> tuple[list[int], list[int]] | None:
     """A witness element of the radical quotient on which multiplication by
     the whole order stays independent; None triggers the long certificate.
 
-    All 0/1 coordinate vectors are tried first, then random ones up to the
-    budget."""
+    All 0/1 coordinate vectors are tried first, then random ones, drawn from
+    a generator seeded with p, up to the budget."""
     r = tt.n
     m, n = len(V), len(W)
-    if rng is None:
-        rng = random.Random(0xBE7A + p)
+    rng = random.Random(0xBE7A + p)
     tried = 0
 
     def candidates():
@@ -558,17 +557,14 @@ def _search_witness(
 
 
 def generate_pmax(
-    tt: TimesTable,
-    p: int,
-    rng: random.Random | None = None,
-    prefer_long: bool = False,
+    tt: TimesTable, p: int
 ) -> PMaxShortCertificate | PMaxLongCertificate | KernelWitness:
     """A p-maximality certificate for the order behind tt, or a kernel witness
     proving that the order is not p-maximal.
 
-    The short form is preferred whenever a witness turns up; prefer_long
-    skips the witness search (the long form exists whenever the order is
-    p-maximal, so this only trades certificate size)."""
+    The short form is preferred whenever a witness turns up within
+    WITNESS_BUDGET candidates; otherwise the long form, which exists
+    whenever the order is p-maximal."""
     r = tt.n
     t = minimal_frobenius_exponent(p, r)
     vbar, nu, w_rows, u_rows, omega = frobenius_kernel_basis(tt, p, t)
@@ -588,9 +584,7 @@ def generate_pmax(
     W = [list(row) for row in w_rows]
 
     decompose = _vw_decomposer(V, W, p)
-    witness = None
-    if not prefer_long:
-        witness = _search_witness(tt, p, V, W, decompose, WITNESS_BUDGET, rng)
+    witness = _search_witness(tt, p, V, W, decompose, WITNESS_BUDGET)
     if witness is not None:
         beta, gamma = witness
         beta_w = _vw_combination(V, W, beta, gamma, p, r)

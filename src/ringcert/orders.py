@@ -204,14 +204,10 @@ def tt_mul(dom, tt: TimesTable, x: list, y: list) -> list:
     return _canonical(dom, [sum(map(mul, coeffs, col)) for col in zip(*vecs)])
 
 
-def tt_pow(dom, tt: TimesTable, x: list, e: int, one_coords: list | None = None) -> list:
-    """x^e by square and multiply over the times table."""
-    if e < 0:
-        raise ValueError("negative exponent")
-    if e == 0:
-        if one_coords is None:
-            raise ValueError("x^0 needs the coordinates of 1")
-        return drop_trailing_zeros(list(one_coords))
+def tt_pow(dom, tt: TimesTable, x: list, e: int) -> list:
+    """x^e for e >= 1 by square and multiply over the times table."""
+    if e < 1:
+        raise ValueError("exponent must be positive")
     result = None
     base = drop_trailing_zeros(list(x))
     while e:

@@ -11,7 +11,6 @@ bundle means the order is the whole ring of integers.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from . import irred_int, maximality, primality
@@ -125,7 +124,6 @@ def verify_bundle(bundle: CertificateBundle) -> Verdict:
         return Verdict.reject("bundle/separability/zero")
     if bundle.n_sign not in (1, -1):
         return Verdict.reject("bundle/prime-factorization/sign")
-    prod = bundle.n_sign
     seen: set[int] = set()
     for entry in bundle.primes:
         if entry.p in seen:
@@ -133,11 +131,8 @@ def verify_bundle(bundle: CertificateBundle) -> Verdict:
         seen.add(entry.p)
         if entry.exponent < 1:
             return Verdict.reject(f"bundle/prime-factorization/exponent/p={entry.p}")
-        if abs(entry.p) > 1 and entry.exponent > bundle.n_value.bit_length():
-            prod = 0  # |p**exponent| > |n_value|, so the product cannot match
-        else:
-            prod *= entry.p**entry.exponent
-    if prod != bundle.n_value:
+    factors = [(entry.p, entry.exponent) for entry in bundle.primes]
+    if bundle.n_sign * primality.prime_power_product(factors, bundle.n_value) != bundle.n_value:
         return Verdict.reject("bundle/prime-factorization")
     for entry in bundle.primes:
         ok = primality.certify_prime_for_verifier(entry.p, entry.pratt)
@@ -227,7 +222,6 @@ def generate_bundle(
     T: list[int],
     d: int,
     basis_columns: list[list[int]],
-    seed: int = 0,
     claimed_disc: int | None = None,
 ) -> CertificateBundle:
     """Assemble a bundle that verify_bundle accepts, or raise BundleError.
@@ -237,12 +231,11 @@ def generate_bundle(
     first and fall back to kernel certificates.  A provably nontrivial
     kernel at some p aborts with a NotMaximalReport attached.
     """
-    rng = random.Random(seed)
     T = drop_trailing_zeros(list(T))
     if deg(T) < 1 or T[-1] != 1:
         raise BundleError("defining polynomial must be monic of positive degree")
 
-    irr = irred_int.generate_int_irred(T, rng=rng)
+    irr = irred_int.generate_int_irred(T)
     if isinstance(irr, irred_int.ReducibleWitnessInt):
         raise BundleError(f"defining polynomial is reducible; factor {list(irr.factor)}")
 
@@ -259,21 +252,21 @@ def generate_bundle(
 
     bez_a, bez_b, n_value = _bezout_witness(T)
     sign = 1 if n_value > 0 else -1
-    factors = primality.factorize(abs(n_value), rng)
+    factors = primality.factorize(abs(n_value))
 
     tt = times_table_of(desc)
     entries: list[PrimeEntry] = []
     for p, e in factors:
         pratt = None
         if p >= primality.TRIAL_DIVISION_BOUND:
-            pratt = primality.generate_pratt(p, rng)
+            pratt = primality.generate_pratt(p)
             if pratt is None:
                 raise BundleError(f"failed to certify prime {p}")
         ded = maximality.generate_dedekind(T, p)
         if ded is not None and maximality.verify_dedekind(ded).accepted:
             entries.append(PrimeEntry(p, e, pratt, ded))
             continue
-        cert = maximality.generate_pmax(tt, p, rng=rng)
+        cert = maximality.generate_pmax(tt, p)
         if isinstance(cert, KernelWitness):
             raise BundleError(
                 f"order is not maximal at {p}",

@@ -127,17 +127,16 @@ def _span_product(start: int) -> int:
     return math.prod([math.prod(range(start + r, end, 30)) for r in _WHEEL])
 
 
-def factorize(n: int, rng: random.Random | None = None) -> list[tuple[int, int]]:
+def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as sorted (prime, exponent) pairs.
 
     Trial division below 10**6 first (`_span_candidates`), Pollard rho for
-    what remains.
+    what remains, seeded from n.
     Generator-side only.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
-    if rng is None:
-        rng = random.Random(0xF0F0 ^ n)
+    rng = random.Random(0xF0F0 ^ n)
     factors: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -163,6 +162,20 @@ def factorize(n: int, rng: random.Random | None = None) -> list[tuple[int, int]]
         stack.append(g)
         stack.append(m // g)
     return sorted(factors.items())
+
+
+def prime_power_product(factors, target: int) -> int:
+    """prod q**e over the (q, e) pairs, all e >= 1, to compare with target != 0.
+
+    Returns 0 instead when some |q| > 1 has e beyond target's bit length:
+    then |q**e| > |target|, the product cannot equal target, and the power
+    is never formed."""
+    prod = 1
+    for q, e in factors:
+        if abs(q) > 1 and e > target.bit_length():
+            return 0
+        prod *= q**e
+    return prod
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +206,10 @@ def verify_pratt(cert: PrattCertificate) -> Verdict:
         return Verdict.accept()
     if P % 2 == 0:
         return Verdict.reject(f"pratt/even/P={P}")
-    prod = 1
     for q, e, _sub in cert.factors:
         if q < 2 or e < 1:
             return Verdict.reject(f"pratt/factorization/P={P}/q={q}")
-        if e > (P - 1).bit_length():
-            prod = 0  # q >= 2, so q**e > P - 1 and the product cannot match
-        else:
-            prod *= q**e
-    if prod != P - 1:
+    if prime_power_product([(q, e) for q, e, _sub in cert.factors], P - 1) != P - 1:
         return Verdict.reject(f"pratt/factorization/P={P}")
     g = cert.witness
     if not (1 < g < P):
@@ -229,9 +237,7 @@ def verify_pratt(cert: PrattCertificate) -> Verdict:
     return Verdict.accept()
 
 
-def generate_pratt(
-    P: int, rng: random.Random | None = None, _cache: dict | None = None
-) -> PrattCertificate | None:
+def generate_pratt(P: int, _cache: dict | None = None) -> PrattCertificate | None:
     """Build a Pratt certificate for prime P; None if P is not prime."""
     if _cache is None:
         _cache = {}
@@ -245,12 +251,12 @@ def generate_pratt(
         return cert
     if not is_probable_prime(P):
         return None
-    fac = factorize(P - 1, rng)
+    fac = factorize(P - 1)
     entries = []
     for q, e in fac:
         sub = None
         if q != 2:
-            sub = generate_pratt(q, rng, _cache)
+            sub = generate_pratt(q, _cache)
             if sub is None:
                 return None
         entries.append((q, e, sub))

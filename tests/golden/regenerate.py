@@ -11,10 +11,10 @@ old file into `previous/`, where `tests/test_golden.py` checks that the
 verifier still accepts it.
 """
 
-import random
 from pathlib import Path
+from unittest import mock
 
-from ringcert import certio
+from ringcert import certio, maximality
 from ringcert.irred_ff import generate_rabin
 from ringcert.irred_int import generate_int_irred
 from ringcert.maximality import generate_dedekind, generate_pmax
@@ -32,18 +32,20 @@ _CUBIC = ([-122, -211, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]])
 
 
 def golden_objects() -> dict:
-    rng = random.Random
     order = build_order_description(*_CUBIC)
+    # with no witness search, generate_pmax writes the long form
+    with mock.patch.object(maximality, "WITNESS_BUDGET", 0):
+        pmax_long = generate_pmax(times_table_of(order), 2)
     return {
-        "rabin-ff": generate_rabin([2, 1, 0, 0, 0, 0, 1], 3, rng=rng(1)),
-        "reducible-ff": generate_rabin([3, 1, 0, 0, 0, 0, 1], 3, rng=rng(1)),
-        "degree-analysis": generate_int_irred([1, 0, 1], rng=rng(1)),
-        "lpfw": generate_int_irred([1, 0, 0, 0, 1], rng=rng(1)),
-        "reducible-int": generate_int_irred([-1, 0, 1], rng=rng(1)),
+        "rabin-ff": generate_rabin([2, 1, 0, 0, 0, 0, 1], 3),
+        "reducible-ff": generate_rabin([3, 1, 0, 0, 0, 0, 1], 3),
+        "degree-analysis": generate_int_irred([1, 0, 1]),
+        "lpfw": generate_int_irred([1, 0, 0, 0, 1]),
+        "reducible-int": generate_int_irred([-1, 0, 1]),
         "pratt": generate_pratt(1000003),
         "dedekind": generate_dedekind([-2, 0, 0, 1], 3),
-        "pmax-short": generate_pmax(times_table_of(order), 2, rng=rng(1)),
-        "pmax-long": generate_pmax(times_table_of(order), 2, prefer_long=True, rng=rng(1)),
+        "pmax-short": generate_pmax(times_table_of(order), 2),
+        "pmax-long": pmax_long,
         "order": order,
         "bundle": generate_bundle(*_CUBIC, claimed_disc=disc_order(order)),
         "input/polynomial": certio.InputPolynomial((3, 14, 15, 92, 65)),

@@ -252,7 +252,7 @@ def _mutation_sweep(obj, verify, rounds, rng) -> tuple[int, int]:
     return rejected, accepted
 
 
-def test_criterion_7_mutation_robustness():
+def test_criterion_7_mutation_robustness(monkeypatch):
     with criterion(7, "single-coefficient mutations are rejected", 60.0):
         rng = random.Random(0xC7)
         bundle = generate_bundle(
@@ -268,7 +268,8 @@ def test_criterion_7_mutation_robustness():
         dedekind = generate_dedekind([-10, -3, 0, 1], 3)
         pshort = generate_pmax(tt, 2)
         assert isinstance(pshort, maximality.PMaxShortCertificate) and pshort.m > 0
-        plong = generate_pmax(tt, 2, prefer_long=True)
+        monkeypatch.setattr(maximality, "WITNESS_BUDGET", 0)  # the long form
+        plong = generate_pmax(tt, 2)
         assert isinstance(plong, maximality.PMaxLongCertificate)
 
         from ringcert.irred_int import verify_degree_analysis

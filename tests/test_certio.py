@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ringcert import certio
+from ringcert import certio, maximality
 from ringcert.irred_int import generate_int_irred
 from ringcert.maximality import generate_pmax
 from ringcert.orders import build_order_description, times_table_of
@@ -20,9 +20,9 @@ def sample_objects():
     lpfw = generate_int_irred([1, 0, 0, 0, 1])
     analysis = generate_int_irred([1, 0, 1])
     desc = build_order_description([1, 0, 1], 1, [[1, 0], [0, 1]])
-    pmax_long = generate_pmax(
-        times_table_of(bundle.order), 2, prefer_long=True
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maximality, "WITNESS_BUDGET", 0)  # the long form
+        pmax_long = generate_pmax(times_table_of(bundle.order), 2)
     objs = {
         "bundle": bundle,
         "lpfw": lpfw,

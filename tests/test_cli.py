@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import ringcert
-from ringcert import certio, irred_int
+from ringcert import certio, irred_int, resultants
 from ringcert.cli import main
 from ringcert.primality import generate_pratt
+from ringcert.resultants import disc_order
 
 
 @pytest.fixture()
@@ -53,6 +54,21 @@ class TestGenAndVerify:
         code, stdout, _ = run_cli(capsys, "disc", out)
         assert code == 0
         assert stdout.strip() == "-16200"
+
+    def test_disc_computes_the_discriminant_once(self, capsys, monkeypatch):
+        # the golden bundle carries a claim, which verification already
+        # compared with the discriminant
+        calls = []
+
+        def counted(desc):
+            calls.append(desc)
+            return disc_order(desc)
+
+        monkeypatch.setattr(resultants, "disc_order", counted)
+        golden = Path(__file__).parent / "golden" / "bundle.json"
+        code, stdout, _ = run_cli(capsys, "disc", str(golden))
+        assert (code, stdout) == (0, "9293464\n")
+        assert len(calls) == 1
 
     def test_gen_irred_certificate(self, fixture_files, capsys):
         poly = str(fixture_files / "quartic_x4+1.poly.json")
@@ -267,12 +283,34 @@ class TestDeterminism:
         doc = json.loads(outputs[0])
         assert doc == {"accepted": True, "reason": "", "schema_version": "verdict-1"}
 
-    def test_gen_deterministic_given_seed(self, fixture_files, capsys):
+    def test_gen_output_depends_on_input_alone(self, fixture_files):
+        # two processes with different string hashing write the same bytes
         poly = str(fixture_files / "quintic_x5-4.poly.json")
         basis = str(fixture_files / "quintic_x5-4.basis.json")
         blobs = []
-        for name in ("a.json", "b.json"):
-            out = fixture_files / name
-            run_cli(capsys, "gen", "bundle", poly, basis, "-o", str(out), "--seed", "7")
-            blobs.append(out.read_bytes())
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(Path(ringcert.__file__).parents[1]), env.get("PYTHONPATH", "")])
+            outs = [fixture_files / f"h{hash_seed}.bundle.json",
+                    fixture_files / f"h{hash_seed}.cert.json"]
+            for argv in (["gen", "bundle", poly, basis, "-o", str(outs[0])],
+                         ["gen", "irred", poly, "-o", str(outs[1])]):
+                proc = subprocess.run(
+                    [sys.executable, "-c", "import sys; from ringcert.cli import main; "
+                     "sys.exit(main(sys.argv[1:]))", *argv],
+                    env=env, capture_output=True, text=True, timeout=60,
+                )
+                assert proc.returncode == 0, proc.stderr
+            blobs.append([out.read_bytes() for out in outs])
         assert blobs[0] == blobs[1]
+
+    def test_gen_seed_flag_rejected(self, fixture_files, capsys):
+        poly = str(fixture_files / "quintic_x5-4.poly.json")
+        basis = str(fixture_files / "quintic_x5-4.basis.json")
+        out = str(fixture_files / "seeded.bundle.json")
+        # argparse exits with status 2 on an unknown option
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "bundle", poly, basis, "-o", out, "--seed", "7"])
+        assert exc.value.code == 2 and "--seed" in capsys.readouterr().err
+        assert not Path(out).exists()

@@ -269,7 +269,7 @@ class TestGenerator:
                 continue
             checked += 1
             oracle_factor = brute_force_int_factor(f)
-            out = generate_int_irred(f, rng=random.Random(seed * 999 + checked))
+            out = generate_int_irred(f)
             if oracle_factor is None:
                 assert isinstance(out, (DegreeAnalysisCertificate, LPFWCertificate)), f
                 if isinstance(out, DegreeAnalysisCertificate):

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from ringcert import maximality
 from ringcert.certio import FIXTURES
 from ringcert.exactalg import GF, ZZ
 from ringcert.linalg import transpose
@@ -284,16 +285,18 @@ class TestPMaxCertificates:
             v = verify_pmax_long(table, 2, bad)
         assert not v.accepted and v.reason
 
-    def test_long_form_generates_and_verifies(self):
+    def test_long_form_generates_and_verifies(self, monkeypatch):
+        monkeypatch.setattr(maximality, "WITNESS_BUDGET", 0)
         for spec, p in [(CUBIC_3_10, 2), (CUBIC_30_80, 2), (CUBIC_30_80, 3)]:
             desc, table = order_and_table(spec)
-            cert = generate_pmax(table, p, prefer_long=True)
+            cert = generate_pmax(table, p)
             assert isinstance(cert, PMaxLongCertificate), (spec[0], p)
             assert verify_pmax_long(table, p, cert).accepted, (spec[0], p)
 
-    def test_long_form_mutation_rejected(self):
+    def test_long_form_mutation_rejected(self, monkeypatch):
+        monkeypatch.setattr(maximality, "WITNESS_BUDGET", 0)
         desc, table = order_and_table(CUBIC_3_10)
-        cert = generate_pmax(table, 2, prefer_long=True)
+        cert = generate_pmax(table, 2)
         assert isinstance(cert, PMaxLongCertificate)
         dd = [[list(b) for b in blk] for blk in cert.d]
         dd[0][0][0] += 1
@@ -336,7 +339,7 @@ class TestWitnessSearch:
         vbar, nu, w, u, omega = frobenius_kernel_basis(table, 2, t)
         if vbar:
             out = _search_witness(
-                table, 2, vbar, w, _vw_decomposer(vbar, w, 2), WITNESS_BUDGET, None)
+                table, 2, vbar, w, _vw_decomposer(vbar, w, 2), WITNESS_BUDGET)
             assert out is None or len(out[0]) == len(vbar)
 
 
@@ -357,7 +360,7 @@ FIXTURE_ORDERS = [name for name, fx in FIXTURES.items() if fx["columns"] is not 
 class TestDecomposer:
     @pytest.mark.parametrize("name", FIXTURE_ORDERS)
     @pytest.mark.parametrize("p", [2, 3, 5, 503])
-    def test_matches_fraction_solve(self, name, p):
+    def test_matches_fraction_solve(self, name, p, monkeypatch):
         fx = FIXTURES[name]
         _, table = order_and_table((list(fx["T"]), fx["d"], [list(c) for c in fx["columns"]]))
         r = table.n
@@ -379,7 +382,8 @@ class TestDecomposer:
 
         # every coordinate vector in both certificate forms
         short = generate_pmax(table, p)
-        long = generate_pmax(table, p, prefer_long=True)
+        monkeypatch.setattr(maximality, "WITNESS_BUDGET", 0)
+        long = generate_pmax(table, p)
         assert isinstance(short, PMaxShortCertificate)
         assert isinstance(long, PMaxLongCertificate)
         V, W = long.V, long.W

@@ -42,20 +42,16 @@ def test_factorize():
     7 * 1000003 * 1000033, 2**10 * 3**5 * 999983 * (10**12 + 39),
 ])
 def test_factorize_matches_wheel_loop(n):
-    """Same factors, and the same draws for rho, as the one-step wheel loop."""
-    ours, theirs = random.Random(n), random.Random(n)
-    assert factorize(n, ours) == reference.factorize(n, theirs)
-    assert ours.random() == theirs.random()
+    """Same factors as the one-step wheel loop, rho seeded from n on both sides."""
+    assert factorize(n) == reference.factorize(n)
 
 
 def test_factorize_matches_wheel_loop_random():
     rng = random.Random(5)
-    ours, theirs = random.Random(6), random.Random(6)
     for bits in range(2, 72, 3):
         for _ in range(4):
             n = rng.getrandbits(bits) + 1
-            assert factorize(n, ours) == reference.factorize(n, theirs), n
-    assert ours.random() == theirs.random()
+            assert factorize(n) == reference.factorize(n), n
 
 
 def test_spans_cover_the_wheel_below_a_million():
@@ -73,12 +69,9 @@ def test_pratt_matches_wheel_loop(monkeypatch):
         P = rng.randrange(10**12, 10**15)
         if is_probable_prime(P):
             primes.append(P)
-    ours = random.Random(14)
-    certs = [generate_pratt(P, ours) for P in primes]
+    certs = [generate_pratt(P) for P in primes]
     monkeypatch.setattr(primality, "factorize", reference.factorize)
-    theirs = random.Random(14)
-    assert certs == [generate_pratt(P, theirs) for P in primes]
-    assert ours.random() == theirs.random()
+    assert certs == [generate_pratt(P) for P in primes]
 
 
 def test_pratt_base_case():
