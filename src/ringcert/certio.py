@@ -16,10 +16,10 @@ an (encode, decode) pair per type.  A dataclass is an object with one key
 per field, ``tuple[X, ...]`` an array, ``tuple[A, B]`` an array of exactly
 that length, ``Literal[...]`` one of its strings, ``X | None`` null or X,
 and a union of registered dataclasses ``{"kind": ..., "payload": ...}``.
-The order's own encoder and decoder are the one exception.  Parsing
-validates formats and shapes before any verification runs, turns every
-malformed input into `CertFormatError`, and round-trips byte-exactly on
-canonical files.
+Parsing validates formats, and the shapes the type hints fix, before any
+verification runs; shapes that depend on another field, such as the
+order's n, are the verifier's to check.  It turns every malformed input
+into `CertFormatError` and round-trips byte-exactly on canonical files.
 """
 
 from __future__ import annotations
@@ -277,58 +277,6 @@ def _union_codec(members):
 
     return encode, decode
 
-
-# The order keeps its own layout: the ragged upper triangle of products is
-# one list of {"coords", "witness"} objects per row, or [] for the power
-# basis, and the row count and basis width are checked against n.
-
-_enc_matrix, _dec_matrix = _codec(tuple[tuple[int, ...], ...])
-
-
-def _enc_order(desc: OrderDescription) -> dict:
-    return {
-        "n": _enc_int(desc.n),
-        "T": _enc_ints(desc.T),
-        "d": _enc_int(desc.d),
-        "basis_columns": _enc_matrix(desc.basis_columns),
-        "products": [
-            [{"coords": _enc_ints(c), "witness": _enc_ints(w)} for c, w in zip(coords, witnesses)]
-            for coords, witnesses in zip(desc.mul_coords, desc.mul_witness)
-        ],
-        "one": {"coords": _enc_ints(desc.one_coords), "witness": _enc_ints(desc.one_witness)},
-    }
-
-
-def _dec_order(payload) -> OrderDescription:
-    n = _dec_int(_field(payload, "n"))
-    products = _field(payload, "products")
-    if not isinstance(products, list) or len(products) not in (0, n):
-        raise CertFormatError("products must be empty or have one row per basis element")
-    mul_coords, mul_witness = [], []
-    for i, row in enumerate(products):
-        if not isinstance(row, list) or len(row) != n - i:
-            raise CertFormatError(f"products row {i} must have {n - i} entries")
-        mul_coords.append(tuple(_dec_ints(_field(x, "coords")) for x in row))
-        mul_witness.append(tuple(_dec_ints(_field(x, "witness")) for x in row))
-    T = _dec_ints(_field(payload, "T"))
-    d = _dec_int(_field(payload, "d"))
-    basis_columns = _dec_matrix(_field(payload, "basis_columns"))
-    if any(len(c) != n for c in basis_columns):
-        raise CertFormatError("matrix row width mismatch")
-    one = _field(payload, "one")
-    return OrderDescription(
-        n=n,
-        T=T,
-        d=d,
-        basis_columns=basis_columns,
-        mul_coords=tuple(mul_coords),
-        mul_witness=tuple(mul_witness),
-        one_coords=_dec_ints(_field(one, "coords")),
-        one_witness=_dec_ints(_field(one, "witness")),
-    )
-
-
-_CODECS[OrderDescription] = (_enc_order, _dec_order)
 
 # A Pratt chain nests one payload per level, and encoding spends several
 # stack frames on each.  The outermost decoder bounds the depth first, so

@@ -196,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_MALFORMED

@@ -43,73 +43,20 @@ def det_bareiss(m: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def rref_fp(m: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over GF(p); returns (rows, pivot columns).
-
-    Zero rows are kept at the bottom so the caller can read off the rank.
-    """
-    a = [[x % p for x in row] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = pow(a[r][c], -1, p)
-        a[r] = [(x * inv) % p for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                factor = a[i][c]
-                a[i] = [(x - factor * y) % p for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
-
-
-def rank_fp(m: list[list[int]], p: int) -> int:
-    if not m:
-        return 0
-    _, pivots = rref_fp(m, p)
-    return len(pivots)
-
-
-def nullspace_fp(m: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Basis of {x : m . x = 0} over GF(p), one row per basis vector.
-
-    Each returned vector has 1 at its own free column and 0 at the other
-    free columns, so the collection directly exhibits its own linear
-    independence.  Returns (basis rows, free columns).
-    """
-    cols = len(m[0]) if m else 0
-    rref, pivots = rref_fp(m, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for c in free:
-        v = [0] * cols
-        v[c] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-rref[r][c]) % p
-        basis.append(v)
-    return basis, free
-
-
 def pattern_reduce_fp(
     m: list[list[int]], p: int, mirror: list[list[int]] | None = None
 ) -> tuple[list[list[int]], list[int]]:
     """Gauss-Jordan over GF(p) using only swaps and row additions (no scaling).
 
     Afterwards every nonzero row has a pivot column that is zero in all
-    other rows; pivot entries need not be 1.  When ``mirror`` is given, the
-    same operations are applied to it over the integers (multipliers lifted
-    to [0, p)), so the mirror transformation stays unimodular.
+    other rows; pivot entries need not be 1, so each pivot row is a nonzero
+    multiple of the reduced row echelon form's row, and the zero rows are
+    at the bottom.  When ``mirror`` is given, the same operations are
+    applied to it over the integers (multipliers lifted to [0, p)), so the
+    mirror transformation stays unimodular.
 
-    Returns (reduced rows, pivot column per row).  Raises ValueError if the
-    rows are linearly dependent.
+    Returns (reduced rows, pivot columns); the rows are linearly dependent
+    exactly when there are fewer pivots than rows.
     """
     a = [[x % p for x in row] for row in m]
     rows = len(a)
@@ -135,9 +82,32 @@ def pattern_reduce_fp(
         r += 1
         if r == rows:
             break
-    if r < rows:
-        raise ValueError("rows are linearly dependent")
     return a, pivots
+
+
+def rank_fp(m: list[list[int]], p: int) -> int:
+    return len(pattern_reduce_fp(m, p)[1])
+
+
+def nullspace_fp(m: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Basis of {x : m . x = 0} over GF(p), one row per basis vector.
+
+    Each returned vector has 1 at its own free column and 0 at the other
+    free columns, so the collection directly exhibits its own linear
+    independence.  Returns (basis rows, free columns).
+    """
+    cols = len(m[0]) if m else 0
+    rows, pivots = pattern_reduce_fp(m, p)
+    free = [c for c in range(cols) if c not in pivots]
+    invs = [pow(rows[r][pc], -1, p) for r, pc in enumerate(pivots)]
+    basis = []
+    for c in free:
+        v = [0] * cols
+        v[c] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = (-rows[r][c] * invs[r]) % p
+        basis.append(v)
+    return basis, free
 
 
 def solve_fraction_free(m: list[list[int]], r: list[list[int]]) -> tuple[int, list[list[int]]]:

@@ -467,13 +467,11 @@ def frobenius_kernel_basis(
         frob.append([(img[k] if k < len(img) else 0) for k in range(r)])
 
     vbar, nu = nullspace_fp(transpose(frob), p)
-    m = len(vbar)
-    if m + (r - m) != r:
-        raise AssertionError("rank accounting failure")
     complement = [c for c in range(r) if c not in nu]
     w_rows = [[1 if k == c else 0 for k in range(r)] for c in complement]
     u_rows = [list(frob[c]) for c in complement]
     u_patterned, omega = pattern_reduce_fp(u_rows, p, mirror=w_rows)
+    assert len(omega) == len(u_rows), "Frobenius images of the complement are dependent"
     return vbar, nu, w_rows, u_patterned, omega
 
 
@@ -620,12 +618,11 @@ def generate_pmax(
         return flat
 
     phi = [endo_row([0] * i + [1]) for i in range(r)]
-    if rank_fp(phi, p) < r:
-        kernel, _free = nullspace_fp(transpose(phi), p)
-        return KernelWitness(p, tuple(kernel[0]))
-
     X = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     _patterned, pivots = pattern_reduce_fp(phi, p, mirror=X)
+    if len(pivots) < r:
+        kernel, _free = nullspace_fp(transpose(phi), p)
+        return KernelWitness(p, tuple(kernel[0]))
     a_arr, c_arr, d_arr, e_arr = [], [], [], []
     for i in range(r):
         a_blocks, c_blocks, d_blocks, e_blocks = [], [], [], []

@@ -38,17 +38,21 @@ from .verdict import Verdict
 
 
 @dataclass(frozen=True)
+class ProductEntry:
+    coords: tuple[int, ...]   # coordinates of the product in the basis
+    witness: tuple[int, ...]  # the polynomial s of its identity
+
+
+@dataclass(frozen=True)
 class OrderDescription:
     n: int
     T: tuple[int, ...]                      # monic, degree n
     d: int                                  # common denominator, nonzero
     basis_columns: tuple[tuple[int, ...], ...]  # column j = coeffs of b_j, len n
-    # ragged upper triangle: mul_coords[i][j-i] are the coordinates of w_i*w_j;
-    # empty for the power basis, whose table is rebuilt from theta^k
-    mul_coords: tuple[tuple[tuple[int, ...], ...], ...]
-    mul_witness: tuple[tuple[tuple[int, ...], ...], ...]  # s_ij polynomials
-    one_coords: tuple[int, ...]
-    one_witness: tuple[int, ...]
+    # ragged upper triangle: products[i][j-i] is w_i*w_j; empty for the
+    # power basis, whose table is rebuilt from theta^k
+    products: tuple[tuple[ProductEntry, ...], ...]
+    one: ProductEntry
 
 
 @dataclass(frozen=True)
@@ -111,12 +115,10 @@ def basis_combination(rows, coords) -> list[int]:
 def _products_fault(desc: OrderDescription, T: list[int], rows) -> str | None:
     """The first failing shape or identity of the structure constants, or None."""
     n = desc.n
-    if len(desc.mul_coords) != n or len(desc.mul_witness) != n:
+    if len(desc.products) != n:
         return "products-shape"
-    for i in range(n):
-        if len(desc.mul_coords[i]) != n - i or len(desc.mul_witness[i]) != n - i:
-            return f"products-shape/i={i}"
-        if any(len(v) != n for v in desc.mul_coords[i]):
+    for i, row in enumerate(desc.products):
+        if len(row) != n - i or any(len(entry.coords) != n for entry in row):
             return f"products-shape/i={i}"
 
     # A witness of degree >= n - 1 makes T * witness of degree >= 2n - 1, above
@@ -125,10 +127,11 @@ def _products_fault(desc: OrderDescription, T: list[int], rows) -> str | None:
     b = [_column_poly(desc, j) for j in range(n)]
     for i in range(n):
         for j in range(i, n):
-            witness = drop_trailing_zeros(list(desc.mul_witness[i][j - i]))
+            entry = desc.products[i][j - i]
+            witness = drop_trailing_zeros(list(entry.witness))
             if len(witness) >= n:
                 return f"identity/i={i}/j={j}"
-            combo = basis_combination(rows, desc.mul_coords[i][j - i])
+            combo = basis_combination(rows, entry.coords)
             rhs = list_sub(ZZ, mul_pointwise(ZZ, desc.d, combo), list_mul(ZZ, T, witness))
             if list_mul(ZZ, b[i], b[j]) != rhs:
                 return f"identity/i={i}/j={j}"
@@ -152,17 +155,17 @@ def verify_order_builder(desc: OrderDescription) -> Verdict:
     rows = basis_rows(desc.basis_columns)
     # products may be empty only for the power basis, whose table
     # times_table_of rebuilds; every other table is checked entry by entry
-    if desc.mul_coords or desc.mul_witness or not _is_power_basis(desc.d, desc.basis_columns):
+    if desc.products or not _is_power_basis(desc.d, desc.basis_columns):
         fault = _products_fault(desc, T, rows)
         if fault:
             return Verdict.reject(f"order/{fault}")
 
-    if len(desc.one_coords) != n:
+    if len(desc.one.coords) != n:
         return Verdict.reject("order/one-shape")
-    witness = drop_trailing_zeros(list(desc.one_witness))
+    witness = drop_trailing_zeros(list(desc.one.witness))
     if len(witness) >= n:
         return Verdict.reject("order/one")
-    lhs = list_sub(ZZ, basis_combination(rows, desc.one_coords), list_mul(ZZ, T, witness))
+    lhs = list_sub(ZZ, basis_combination(rows, desc.one.coords), list_mul(ZZ, T, witness))
     if lhs != drop_trailing_zeros([desc.d]):
         return Verdict.reject("order/one")
     return Verdict.accept()
@@ -173,13 +176,13 @@ def times_table_of(desc: OrderDescription) -> TimesTable:
     Without products the description is the power basis: table[i][j] is
     theta^(i+j)."""
     n = desc.n
-    if not desc.mul_coords:
+    if not desc.products:
         powers = theta_powers(desc.T)
         return TimesTable(n, tuple(tuple(powers[i:i + n]) for i in range(n)))
     table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            vec = tuple(desc.mul_coords[i][j - i])
+    for i, row in enumerate(desc.products):
+        for j, entry in enumerate(row, start=i):
+            vec = tuple(entry.coords)
             table[i][j] = vec
             table[j][i] = vec
     return TimesTable(n, tuple(tuple(row) for row in table))
@@ -266,30 +269,24 @@ def build_order_description(
             T=tuple(T),
             d=d,
             basis_columns=columns,
-            mul_coords=(),
-            mul_witness=(),
-            one_coords=(1,) + (0,) * (n - 1),
-            one_witness=(),
+            products=(),
+            one=ProductEntry((1,) + (0,) * (n - 1), ()),
         )
 
     b_mat = basis_rows(basis_columns)
     b_polys = [drop_trailing_zeros(list(c)) for c in basis_columns]
 
-    mul_coords = []
-    mul_witness = []
+    products = []
     for i in range(n):
-        row_coords = []
-        row_wit = []
+        row = []
         for j in range(i, n):
             prod = list_mul(ZZ, b_polys[i], b_polys[j])
             q, rem = poly_divmod_int(prod, T)
             coords = solve_upper_triangular(b_mat, [get_d(rem, k, 0) for k in range(n)], d)
             if coords is None:
                 raise NotAnOrder(f"product w_{i+1}*w_{j+1} leaves the span")
-            row_coords.append(tuple(coords))
-            row_wit.append(tuple(mul_pointwise(ZZ, -1, q)))
-        mul_coords.append(tuple(row_coords))
-        mul_witness.append(tuple(row_wit))
+            row.append(ProductEntry(tuple(coords), tuple(mul_pointwise(ZZ, -1, q))))
+        products.append(tuple(row))
 
     one = solve_upper_triangular(b_mat, [d] + [0] * (n - 1))
     if one is None:
@@ -299,10 +296,8 @@ def build_order_description(
         T=tuple(T),
         d=d,
         basis_columns=columns,
-        mul_coords=tuple(mul_coords),
-        mul_witness=tuple(mul_witness),
-        one_coords=tuple(one),
-        one_witness=(),
+        products=tuple(products),
+        one=ProductEntry(tuple(one), ()),
     )
 
 

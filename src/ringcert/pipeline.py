@@ -263,7 +263,7 @@ def generate_bundle(
             if pratt is None:
                 raise BundleError(f"failed to certify prime {p}")
         ded = maximality.generate_dedekind(T, p)
-        if ded is not None and maximality.verify_dedekind(ded).accepted:
+        if ded is not None:
             entries.append(PrimeEntry(p, e, pratt, ded))
             continue
         cert = maximality.generate_pmax(tt, p)

@@ -32,7 +32,7 @@ from ringcert.irred_ff import (
     choose_base,
 )
 from ringcert.linalg import det_bareiss
-from ringcert.orders import OrderDescription
+from ringcert.orders import OrderDescription, ProductEntry
 
 
 def fraction_back_substitution(b, rhs, den=1) -> list[Fraction]:
@@ -88,6 +88,49 @@ def naive_det(m) -> int:
     return total
 
 
+def rref_fp(m: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over GF(p); returns (rows, pivot columns).
+
+    Zero rows are kept at the bottom so the caller can read off the rank.
+    """
+    a = [[x % p for x in row] for row in m]
+    rows = len(a)
+    cols = len(a[0]) if a else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [(x * inv) % p for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c]:
+                factor = a[i][c]
+                a[i] = [(x - factor * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots
+
+
+def nullspace_fp(m: list[list[int]], p: int) -> list[list[int]]:
+    """The basis of {x : m . x = 0} over GF(p) read off `rref_fp`: one
+    vector per free column, 1 there and 0 at the other free columns."""
+    cols = len(m[0]) if m else 0
+    rref, pivots = rref_fp(m, p)
+    basis = []
+    for c in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[c] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = (-rref[r][c]) % p
+        basis.append(v)
+    return basis
+
+
 def resultant(field, f: list[int], g: list[int]) -> int:
     """Determinant of the Sylvester matrix of f and g: ascending coefficient
     rows, the deg g shifted copies of f first, then the deg f copies of g.
@@ -107,20 +150,20 @@ def power_basis_with_table(T: list[int]) -> OrderDescription:
     generators wrote it: w_i*w_j = X^(i+j) reduced modulo T by long
     division, the witness the negated quotient."""
     n = deg(T)
-    coords, witnesses = [], []
+    products = []
     for i in range(n):
         quotients, remainders = zip(*(poly_divmod_int([0] * (i + j) + [1], T) for j in range(i, n)))
-        coords.append(tuple(tuple(r) + (0,) * (n - len(r)) for r in remainders))
-        witnesses.append(tuple(tuple(-c for c in q) for q in quotients))
+        products.append(tuple(
+            ProductEntry(tuple(r) + (0,) * (n - len(r)), tuple(-c for c in q))
+            for q, r in zip(quotients, remainders)
+        ))
     return OrderDescription(
         n=n,
         T=tuple(T),
         d=1,
         basis_columns=tuple(tuple(int(i == j) for i in range(n)) for j in range(n)),
-        mul_coords=tuple(coords),
-        mul_witness=tuple(witnesses),
-        one_coords=(1,) + (0,) * (n - 1),
-        one_witness=(),
+        products=tuple(products),
+        one=ProductEntry((1,) + (0,) * (n - 1), ()),
     )
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from ringcert import certio, maximality
+from ringcert.cli import main
 from ringcert.irred_int import generate_int_irred
 from ringcert.maximality import generate_pmax
 from ringcert.orders import build_order_description, times_table_of
@@ -93,12 +94,26 @@ class TestMalformedInputs:
         with pytest.raises(certio.CertFormatError, match="integrity"):
             certio.parse(json.dumps(env).encode())
 
-    def test_ragged_products_rejected(self, sample_objects):
-        # the bundle's order has d = 2, so it carries a full table
-        env = json.loads(certio.serialize(sample_objects["bundle"].order))
-        env["payload"]["products"][0].pop()
-        with pytest.raises(certio.CertFormatError, match="products"):
-            certio.parse(_reseal(env))
+    def test_ragged_products_rejected(self, sample_objects, tmp_path, capsys):
+        # shape faults of the order parse, and the verifier rejects them with
+        # a reason path; the bundle's order has d = 2, so it carries a full table
+        def ragged(order):
+            order["products"][0].pop()
+
+        def short_column(order):
+            order["basis_columns"][1].pop()
+
+        for tamper, reason in ((ragged, "bundle/order/products-shape/i=0"),
+                               (short_column, "bundle/order/B-shape")):
+            env = json.loads(certio.serialize(sample_objects["bundle"]))
+            tamper(env["payload"]["order"])
+            data = _reseal(env)
+            certio.parse(data)
+            path = tmp_path / f"{tamper.__name__}.bundle.json"
+            path.write_bytes(data)
+            assert main(["verify", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.splitlines()[-1] == reason and "Traceback" not in err
 
     def test_non_reduced_fraction_rejected(self, sample_objects):
         env = json.loads(certio.serialize(sample_objects["lpfw"]))

@@ -309,8 +309,21 @@ class TestDeterminism:
         poly = str(fixture_files / "quintic_x5-4.poly.json")
         basis = str(fixture_files / "quintic_x5-4.basis.json")
         out = str(fixture_files / "seeded.bundle.json")
-        # argparse exits with status 2 on an unknown option
-        with pytest.raises(SystemExit) as exc:
-            main(["gen", "bundle", poly, basis, "-o", out, "--seed", "7"])
-        assert exc.value.code == 2 and "--seed" in capsys.readouterr().err
+        # argparse rejects an unknown option with status 2
+        assert main(["gen", "bundle", poly, basis, "-o", out, "--seed", "7"]) == 2
+        assert "--seed" in capsys.readouterr().err
         assert not Path(out).exists()
+
+    def test_usage_errors_return_argparse_codes(self, capsys):
+        assert main(["verify"]) == 2
+        assert "certfile" in capsys.readouterr().err
+        assert main(["--help"]) == 0
+        assert "usage: ringcert" in capsys.readouterr().out
+        # the console script hands the code to sys.exit
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from ringcert.cli import main; sys.exit(main())",
+             "verify"],
+            env=dict(os.environ, PYTHONPATH=str(Path(ringcert.__file__).parents[1])),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr

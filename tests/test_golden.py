@@ -99,7 +99,7 @@ PREVIOUS_POWER_BASIS = GOLDEN / "previous-power-basis" / "bundle.json"
 
 
 def test_previous_power_basis_bundle_still_verifies():
-    assert certio.parse(PREVIOUS_POWER_BASIS.read_bytes()).order.mul_coords
+    assert certio.parse(PREVIOUS_POWER_BASIS.read_bytes()).order.products
     assert _verify_exit(PREVIOUS_POWER_BASIS) == 0
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

@@ -4,11 +4,21 @@ import pytest
 
 from ringcert.linalg import (
     inverse_unimodular,
+    nullspace_fp,
+    pattern_reduce_fp,
+    rank_fp,
     solve_fraction_free,
     solve_upper_triangular,
     transpose,
 )
-from reference import fraction_back_substitution, integral, naive_det, solve_exact
+from reference import (
+    fraction_back_substitution,
+    integral,
+    naive_det,
+    nullspace_fp as reference_nullspace_fp,
+    rref_fp,
+    solve_exact,
+)
 
 
 def _triangular(rng, n, bound):
@@ -117,3 +127,44 @@ def test_unimodular_inverse_rejects():
         inverse_unimodular([[1, 2], [2, 4]])
     with pytest.raises(ValueError, match="non-square"):
         inverse_unimodular([[1, 0]])
+
+
+def _low_rank(rng, p):
+    """A random matrix over Z of rank at most k mod p: k random rows, then
+    rows that are combinations of them, shuffled, entries lifted by
+    multiples of p."""
+    rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
+    k = rng.randrange(0, min(rows, cols) + 1)
+    basis = [[rng.randrange(p) for _ in range(cols)] for _ in range(k)]
+    m = [list(row) for row in basis]
+    while len(m) < rows:
+        coeffs = [rng.randrange(p) for _ in basis]
+        m.append([sum(c * row[j] for c, row in zip(coeffs, basis)) % p for j in range(cols)])
+    rng.shuffle(m)
+    return [[x + p * rng.randrange(-3, 4) for x in row] for row in m]
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 1000003])
+def test_gf_p_elimination_matches_rref_reference(p):
+    rng = random.Random(p)
+    ranks = set()
+    for _ in range(300):
+        m = _low_rank(rng, p)
+        reference, reference_pivots = rref_fp(m, p)
+        ranks.add((len(m) - len(reference_pivots), len(m[0]) - len(reference_pivots)))
+        assert rank_fp(m, p) == len(reference_pivots)
+        basis, free = nullspace_fp(m, p)
+        assert basis == reference_nullspace_fp(m, p)
+        assert free == [c for c in range(len(m[0])) if c not in reference_pivots]
+
+        mirror = [[int(i == j) for j in range(len(m))] for i in range(len(m))]
+        rows, pivots = pattern_reduce_fp(m, p, mirror=mirror)
+        assert pivots == reference_pivots
+        for row, ref, c in zip(rows, reference, pivots):
+            assert row[c] != 0 and row == [(row[c] * x) % p for x in ref]
+        assert all(not any(row) for row in rows[len(pivots):])
+        product = [[sum(a * b for a, b in zip(x, col)) % p for col in zip(*m)] for x in mirror]
+        assert product == rows
+    # full rank, rank deficient in rows only, in columns only, and in both
+    assert {(a > 0, b > 0) for a, b in ranks} == {(False, False), (True, False),
+                                                  (False, True), (True, True)}

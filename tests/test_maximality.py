@@ -33,6 +33,7 @@ from ringcert.orders import (
     tt_mul,
     tt_pow,
 )
+from ringcert.primality import sieve_primes
 from ringcert.resultants import disc_poly
 from reference import integral, lattice_index, solve_exact
 
@@ -102,6 +103,25 @@ class TestDedekind:
                     assert cert is not None, (T, p)
                     assert list(cert.h) in ([1],) or len(cert.h) >= 1
                     assert verify_dedekind(cert).accepted, (T, p)
+
+    def test_generated_certificates_verify(self):
+        # generate_dedekind returns None exactly when the criterion fails, so
+        # the bundle generator takes every certificate it returns unchecked
+        rng = random.Random(13)
+        primes = sieve_primes(10**5)
+        accepted = failed = 0
+        for _ in range(150):
+            n = rng.randrange(2, 10)
+            T = [rng.randrange(-6, 7) for _ in range(n)] + [1]
+            disc = disc_poly(T)
+            for p in (p for p in primes if disc and disc % p == 0):
+                cert = generate_dedekind(T, p)
+                if cert is None:
+                    failed += 1
+                    continue
+                assert verify_dedekind(cert).accepted, (T, p)
+                accepted += 1
+        assert accepted > 100 and failed > 10, (accepted, failed)
 
     def test_mutations_rejected(self):
         cert = generate_dedekind([-10, -3, 0, 1], 5)

@@ -16,6 +16,7 @@ from ringcert.exactalg import (
 )
 from ringcert.orders import (
     NotAnOrder,
+    ProductEntry,
     build_order_description,
     element_coordinates,
     reduce_table_mod_p,
@@ -53,28 +54,25 @@ class TestBuilder:
 
     def test_cubic_w3_squared(self, cubic):
         # ((a - a^2)/2)^2 = -5*w1 + 2*w2 - 2*w3
-        assert list(cubic.mul_coords[2][0]) == [-5, 2, -2]
+        assert list(cubic.products[2][0].coords) == [-5, 2, -2]
 
     def test_corrupt_structure_constant_rejected(self, cubic):
-        bad_coords = [list(map(list, row)) for row in cubic.mul_coords]
-        bad_coords[2][0][0] = -4
-        bad = dataclasses.replace(
-            cubic,
-            mul_coords=tuple(tuple(tuple(v) for v in row) for row in bad_coords),
-        )
+        rows = [list(row) for row in cubic.products]
+        rows[2][0] = dataclasses.replace(rows[2][0], coords=(-4,) + rows[2][0].coords[1:])
+        bad = dataclasses.replace(cubic, products=tuple(tuple(row) for row in rows))
         v = verify_order_builder(bad)
         assert not v.accepted and v.reason == "order/identity/i=2/j=2"
 
     def test_long_witness_rejected_quickly(self, cubic):
         witness = tuple(range(-5000, 5000)) + (10**4299,)
-        rows = [list(row) for row in cubic.mul_witness]
-        rows[0][1] = witness
-        bad = dataclasses.replace(cubic, mul_witness=tuple(tuple(row) for row in rows))
+        rows = [list(row) for row in cubic.products]
+        rows[0][1] = dataclasses.replace(rows[0][1], witness=witness)
+        bad = dataclasses.replace(cubic, products=tuple(tuple(row) for row in rows))
         start = time.perf_counter()
         v = verify_order_builder(bad)
         assert time.perf_counter() - start < 1.0
         assert v.reason == "order/identity/i=0/j=1"
-        bad = dataclasses.replace(cubic, one_witness=witness)
+        bad = dataclasses.replace(cubic, one=dataclasses.replace(cubic.one, witness=witness))
         assert verify_order_builder(bad).reason == "order/one"
 
     def test_non_ring_basis_raises(self):
@@ -87,7 +85,7 @@ class TestBuilder:
         assert tt.table == (((1, 0), (0, 1)), ((0, 1), (-1, 0)))
 
     def test_one_coords(self, cubic):
-        assert list(cubic.one_coords) == [1, 0, 0]
+        assert list(cubic.one.coords) == [1, 0, 0]
 
 
 class TestTimesTableArithmetic:
@@ -203,8 +201,8 @@ class TestPowerBasis:
         for T in _power_basis_polys():
             n = len(T) - 1
             desc = build_order_description(T, 1, _identity(n))
-            assert desc.mul_coords == () and desc.mul_witness == ()
-            assert list(desc.one_coords) == [1] + [0] * (n - 1)
+            assert desc.products == ()
+            assert list(desc.one.coords) == [1] + [0] * (n - 1)
             assert verify_order_builder(desc).accepted
             full = power_basis_with_table(T)
             assert verify_order_builder(full).accepted
@@ -224,24 +222,24 @@ class TestPowerBasis:
         for d, cols in ((2, [[2, 0], [0, 2]]), (-1, [[-1, 0], [0, -1]]), (1, [[1, 0], [1, 1]])):
             desc = build_order_description(GAUSS_T, d, cols)
             assert verify_order_builder(desc).accepted
-            bare = dataclasses.replace(desc, mul_coords=(), mul_witness=())
+            bare = dataclasses.replace(desc, products=())
             assert verify_order_builder(bare).reason == "order/products-shape", (d, cols)
-        half = dataclasses.replace(gauss, mul_witness=(((), ()), ((),)))
+        half = dataclasses.replace(gauss, products=((ProductEntry((1, 0), ()),) * 2,))
         assert verify_order_builder(half).reason == "order/products-shape"
 
     def test_empty_products_on_a_cubic_rejected(self, cubic):
-        bare = dataclasses.replace(cubic, mul_coords=(), mul_witness=())
+        bare = dataclasses.replace(cubic, products=())
         assert verify_order_builder(bare).reason == "order/products-shape"
 
     def test_power_basis_one_must_be_e0(self, gauss):
         for desc in (gauss, power_basis_with_table(GAUSS_T)):
             for one in ((0, 1), (2, 0), (-1, 0), (1, 1)):
-                bad = dataclasses.replace(desc, one_coords=one)
+                bad = dataclasses.replace(desc, one=ProductEntry(one, ()))
                 assert verify_order_builder(bad).reason == "order/one", one
 
     def test_full_power_basis_table_checked_entry_by_entry(self):
         full = power_basis_with_table([-1, -1, 0, 0, 0, 1])
-        rows = [list(row) for row in full.mul_coords]
-        rows[1][2] = (1,) + rows[1][2][1:]
-        bad = dataclasses.replace(full, mul_coords=tuple(tuple(row) for row in rows))
+        rows = [list(row) for row in full.products]
+        rows[1][2] = dataclasses.replace(rows[1][2], coords=(1,) + rows[1][2].coords[1:])
+        bad = dataclasses.replace(full, products=tuple(tuple(row) for row in rows))
         assert verify_order_builder(bad).reason == "order/identity/i=1/j=3"
