@@ -26,7 +26,9 @@ sign bit, so the integer convolution is exact.  Packing and reading back
 split long lists in halves, so they cost O(m*w*log m) bit operations for m
 slots of w bits, not O(m*m*w).  `list_pow` squares and multiplies from the
 top bit of the exponent, so no product has [1] as a factor; its first power
-only canonicalizes.
+only canonicalizes.  `packed_vanishes_mod_p` decides whether p divides every
+slot of a packed integer without reading a slot back: one exact division by
+p and two masks.
 
 Division is schoolbook long division.  Over GF(p) (`poly_divmod`, and
 through it `poly_mod_pow`, `poly_gcd` and `poly_xgcd`) each quotient
@@ -37,6 +39,7 @@ lc(g) exactly at each step, or reports that it cannot.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 from operator import add, neg, sub
 
@@ -194,6 +197,35 @@ def _kron_unpack(z: int, m: int, w: int, out: list[int]) -> None:
             d -= mask + 1
             z += 1
         out.append(d)
+
+
+@lru_cache(maxsize=16)
+def _slot_masks(m: int, w: int, v: int) -> tuple[int, int]:
+    """(2**(v-1) in every one of m w-bit slots, the top w - v bits of every slot)."""
+    ones = ((1 << (w * m)) - 1) // ((1 << w) - 1)
+    return ones << (v - 1), ones * ((1 << w) - (1 << v))
+
+
+def packed_vanishes_mod_p(z: int, p: int, m: int, w: int) -> bool:
+    """Whether p divides every digit d_k of z = sum_{k<m} d_k * 2**(w*k).
+
+    Requires w > bitlen(p) and |d_k| < 2**(w-2); no digit is read back.  Let
+    z = p*q + r and v = w - bitlen(p).  If every d_k = p*e_k, then r = 0 and
+    |e_k| < 2**(w-2) / 2**(bitlen(p)-1) = 2**(v-1), so q plus 2**(v-1) in
+    every slot lies in [0, 2**(w*m)) and leaves the top w - v bits of every
+    slot clear.  Conversely, those conditions give q digits e_k in
+    [-2**(v-1), 2**(v-1)), and z = sum p*e_k * 2**(w*k) with
+    |p*e_k| < 2**(bitlen(p)+v-1) = 2**(w-1).  The d_k and the p*e_k are then
+    two expansions of z with digits in [-2**(w-1), 2**(w-1)), and such an
+    expansion is unique (z mod 2**w fixes the lowest digit, and so on
+    upwards), so d_k = p*e_k.  Nothing here uses that p is prime.
+    """
+    q, r = divmod(z, p)
+    if r:
+        return False
+    beta, top = _slot_masks(m, w, w - p.bit_length())
+    q += beta
+    return 0 <= q < 1 << (w * m) and not q & top
 
 
 def _kron_mul(a: list[int], b: list[int]) -> list[int]:

@@ -5,9 +5,12 @@ Frobenius residues together with the intermediate values and quotients of a
 base-t square-and-multiply computation of each p-th power, plus Bezout
 pairs showing gcd(f, h_{n/q} - X) = 1 for the primes q dividing n.  The
 verifier re-checks everything with polynomial additions and multiplications
-only; it never divides.  In check (ii) it compares the degree each power
-product must have with the file's lists before forming the product, so a
-forged exponent base cannot make it build a power longer than the file.
+only; it does no polynomial division.  In check (ii) each chain step is one
+identity between packed integers, settled by one exact integer division by
+p and two masks, without reading a coefficient back.  It compares the degree
+each power product must have with the file's lists before forming the
+product, so a forged exponent base cannot make it build a power longer than
+the file.
 
 The generator divides.  It builds the chain with one division per step,
 and when Rabin's test fails it finds a factor by distinct-degree and
@@ -40,6 +43,7 @@ from .exactalg import (
     list_pow,
     list_sub,
     monic,
+    packed_vanishes_mod_p,
     poly_divmod,
     poly_gcd,
     poly_mod_pow,
@@ -151,29 +155,10 @@ def verify_rabin(cert: RabinCertificate) -> Verdict:
         if hp[i][0] != h[i + 1]:
             return Verdict.reject(f"rabin/check-i/i={i}")
 
-    # (ii) one square-and-multiply step per digit:
-    #      f*g_ij + h'_{ij} = (h'_{i,j+1})^t * h_i^{b_j}
-    #      Over a field the right side is 0 or of degree
-    #      t*deg h'_{i,j+1} + b_j*deg h_i.  That degree is compared with the
-    #      left side's first, so the right side is formed only when it is no
-    #      longer than the left side, whose length the file bounds.
-    for i in range(n):
-        hi = reduce_mod_p(h[i], p)
-        chain = [reduce_mod_p(x, p) for x in hp[i]]
-        for j in range(s):
-            lhs = list_add(field, list_mul(field, f, g[i][j]), chain[j])
-            top = chain[j + 1]
-            if not top or (digits[j] and not hi):
-                deg_rhs = -1
-            else:
-                deg_rhs = t * deg(top) + digits[j] * deg(hi)
-            if deg_rhs != deg(lhs):
-                return Verdict.reject(f"rabin/check-ii/i={i}/j={j}")
-            rhs = list_pow(field, top, t)
-            if digits[j]:
-                rhs = list_mul(field, rhs, list_pow(field, hi, digits[j]))
-            if lhs != rhs:
-                return Verdict.reject(f"rabin/check-ii/i={i}/j={j}")
+    # (ii) one square-and-multiply step per digit
+    ok = _check_chain_steps(p, t, digits, f, h, hp, g)
+    if not ok:
+        return ok
 
     # (iii) chain starts and ends at X
     if h[0] != X_POLY or h[n] != X_POLY:
@@ -195,6 +180,60 @@ def verify_rabin(cert: RabinCertificate) -> Verdict:
     for k in range(n):
         if k not in used and (cert.a[k] or cert.b[k]):
             return Verdict.reject(f"rabin/witness-shape/k={k}")
+    return Verdict.accept()
+
+
+def _check_chain_steps(p: int, t: int, digits: list[int], f, h, hp, g) -> Verdict:
+    """Check (ii): f*g_ij + h'_ij = (h'_{i,j+1})^t * h_i^(b_j) over GF(p).
+
+    Each identity is one packed-integer test: the difference D of its two
+    sides is formed in Kronecker form and `packed_vanishes_mod_p` decides
+    whether p divides every slot, so no product is read back.  Over a field
+    the right side is 0 or of degree t*deg h'_{i,j+1} + b_j*deg h_i.  That
+    degree is compared first with the longest left side the file allows, so
+    the right side is formed only when it is no longer than the file's
+    lists.  Its leading coefficient must not vanish mod p, which holds for
+    prime p and keeps the degree exact for any modulus.  Every digit b_j is
+    0 or 1, since the digits are those of p in base 2 or in base p.
+    """
+    field = GF(p)
+    for i in range(len(hp)):
+        hi = reduce_mod_p(h[i], p)
+        chain = [reduce_mod_p(x, p) for x in hp[i]]
+        quots = [reduce_mod_p(x, p) for x in g[i]]
+        # Every slot of D = F*G + C_j - R is a difference of nonnegative
+        # slots.  F*G has at most L products of residues per slot, at most
+        # L(p-1)^2, and C_j adds less than p.  For t = 2, T^2 has slots at
+        # most L(p-1)^2, and T^2*H at most L * L(p-1)^2 * (p-1); for t = p
+        # the right side is reduced, below p.  So every |slot| <= B, and
+        # `packed_vanishes_mod_p` needs two more bits per slot.
+        L = max(len(f), len(hi), *map(len, chain), *map(len, quots))
+        bound = L * L * (p - 1) ** 3 + L * (p - 1) ** 2 + p
+        w = bound.bit_length() + 2
+        # slots of the longest left side, and of every right side that
+        # passes the degree comparison
+        m = max(len(f) + max(map(len, quots), default=0) - 1, *map(len, chain))
+        F = _kron_pack(f, w)
+        H = _kron_pack(hi, w)
+        C = [_kron_pack(x, w) for x in chain]
+        for j in range(len(quots)):
+            top, b = chain[j + 1], digits[j]
+            if not top or (b and not hi):
+                deg_rhs, lead = -1, 1
+            else:
+                deg_rhs = t * deg(top) + b * deg(hi)
+                lead = pow(top[-1], t, p) * (hi[-1] if b else 1) % p
+            if not lead or deg_rhs > max(len(f) + len(quots[j]) - 2, len(chain[j]) - 1):
+                return Verdict.reject(f"rabin/check-ii/i={i}/j={j}")
+            if t == 2:
+                R = C[j + 1] * C[j + 1]
+                if b:
+                    R *= H
+            else:
+                # t = p: p's base-p digits are 0, 1, so s = 1 and b_0 = 0
+                R = _kron_pack(list_pow(field, top, t), w)
+            if not packed_vanishes_mod_p(F * _kron_pack(quots[j], w) + C[j] - R, p, m, w):
+                return Verdict.reject(f"rabin/check-ii/i={i}/j={j}")
     return Verdict.accept()
 
 

@@ -85,10 +85,6 @@ def pattern_reduce_fp(
     return a, pivots
 
 
-def rank_fp(m: list[list[int]], p: int) -> int:
-    return len(pattern_reduce_fp(m, p)[1])
-
-
 def nullspace_fp(m: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Basis of {x : m . x = 0} over GF(p), one row per basis vector.
 

@@ -42,7 +42,6 @@ from .linalg import (
     inverse_unimodular,
     nullspace_fp,
     pattern_reduce_fp,
-    rank_fp,
     transpose,
 )
 from .orders import TimesTable, reduce_table_mod_p, tt_mul, tt_pow
@@ -526,12 +525,14 @@ def _witness_images(tt: TimesTable, p: int, decompose, beta_w: list[int]) -> lis
 
 def _search_witness(
     tt: TimesTable, p: int, V, W, decompose, budget: int
-) -> tuple[list[int], list[int]] | None:
+) -> tuple[list[int], list[int], list[int], list[list[int]]] | None:
     """A witness element of the radical quotient on which multiplication by
     the whole order stays independent; None triggers the long certificate.
 
     All 0/1 coordinate vectors are tried first, then random ones, drawn from
-    a generator seeded with p, up to the budget."""
+    a generator seeded with p, up to the budget.  Each candidate's images
+    are eliminated once, with the identity as mirror, and the accepted one
+    comes back as (beta, gamma, pivot columns, mirror)."""
     r = tt.n
     m, n = len(V), len(W)
     rng = random.Random(0xBE7A + p)
@@ -549,8 +550,11 @@ def _search_witness(
         if tried > budget:
             return None
         beta_w = _vw_combination(V, W, beta, gamma, p, r)
-        if rank_fp(_witness_images(tt, p, decompose, beta_w), p) == r:
-            return beta, gamma
+        rho = _witness_images(tt, p, decompose, beta_w)
+        X = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+        _patterned, pivots = pattern_reduce_fp(rho, p, mirror=X)
+        if len(pivots) == r:
+            return beta, gamma, pivots, X
     return None
 
 
@@ -584,11 +588,8 @@ def generate_pmax(
     decompose = _vw_decomposer(V, W, p)
     witness = _search_witness(tt, p, V, W, decompose, WITNESS_BUDGET)
     if witness is not None:
-        beta, gamma = witness
+        beta, gamma, pivots, X = witness
         beta_w = _vw_combination(V, W, beta, gamma, p, r)
-        rho = _witness_images(tt, p, decompose, beta_w)
-        X = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-        _patterned, pivots = pattern_reduce_fp(rho, p, mirror=X)
         a_rows, c_rows = [], []
         for i in range(r):
             a_row, c_row = decompose(tt_mul(ZZ, tt, X[i], beta_w))

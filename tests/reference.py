@@ -21,6 +21,7 @@ from ringcert.exactalg import (
     poly_gcd,
     poly_mod_pow,
     poly_xgcd,
+    reduce_mod_p,
 )
 from ringcert.irred_ff import (
     X_POLY,
@@ -33,6 +34,7 @@ from ringcert.irred_ff import (
 )
 from ringcert.linalg import det_bareiss
 from ringcert.orders import OrderDescription, ProductEntry
+from ringcert.verdict import Verdict
 
 
 def fraction_back_substitution(b, rhs, den=1) -> list[Fraction]:
@@ -310,6 +312,32 @@ def generate_rabin(
         n_factors=tuple(n_factors),
         n_factor_pratt=tuple(pratt_list),
     )
+
+
+def check_chain_steps(p: int, t: int, digits: list[int], f, h, hp, g) -> Verdict:
+    """Rabin check (ii) on coefficient lists, the oracle for
+    `irred_ff._check_chain_steps`: every step's two sides are formed, reduced
+    and compared as lists.  The degree comparison comes first, so no power
+    longer than the left side is formed."""
+    field = GF(p)
+    for i in range(len(hp)):
+        hi = reduce_mod_p(h[i], p)
+        chain = [reduce_mod_p(x, p) for x in hp[i]]
+        for j in range(len(g[i])):
+            lhs = list_add(field, list_mul(field, f, g[i][j]), chain[j])
+            top = chain[j + 1]
+            if not top or (digits[j] and not hi):
+                deg_rhs = -1
+            else:
+                deg_rhs = t * deg(top) + digits[j] * deg(hi)
+            if deg_rhs != deg(lhs):
+                return Verdict.reject(f"rabin/check-ii/i={i}/j={j}")
+            rhs = list_pow(field, top, t)
+            if digits[j]:
+                rhs = list_mul(field, rhs, list_pow(field, hi, digits[j]))
+            if lhs != rhs:
+                return Verdict.reject(f"rabin/check-ii/i={i}/j={j}")
+    return Verdict.accept()
 
 
 def list_pow(dom, a: list, e: int) -> list:

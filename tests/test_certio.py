@@ -72,6 +72,28 @@ class TestMalformedInputs:
         with pytest.raises(certio.CertFormatError):
             certio.parse(_reseal(env))
 
+    def test_int_arrays_decode_as_entry_by_entry(self):
+        # the one-regex path for a whole array against `_INT_RE` per entry:
+        # same tuple, or the same error naming the same first bad entry
+        def per_entry(v):
+            for s in v:
+                if type(s) is not str or not certio._INT_RE.match(s):
+                    raise certio._int_error(s)
+            return tuple(map(int, v))
+
+        def outcome(decode, v):
+            try:
+                return decode(v)
+            except certio.CertFormatError as e:
+                return str(e)
+
+        entries = ["", ",", "1,2", "3\n", "-0", "01", "+1", "1_0", "9" * 4300, "9" * 4301,
+                   "-" + "9" * 4300, "0", "-7", "12", 5, None, ["1"], b"1"]
+        arrays = [[]] + [[e] for e in entries] + [["4", e] for e in entries]
+        arrays += [[e, "4"] for e in entries] + [["1", "2", "3"], ["1", "", "3"], ["", ""]]
+        for v in arrays:
+            assert outcome(certio._dec_ints, v) == outcome(per_entry, v), v
+
     def test_truncated_file_reports_offset(self, sample_objects):
         data = certio.serialize(sample_objects["bundle"])
         with pytest.raises(certio.CertFormatError, match="byte offset"):

@@ -21,6 +21,7 @@ from ringcert.exactalg import (
     list_sub,
     monic,
     mul_pointwise,
+    packed_vanishes_mod_p,
     poly_divmod,
     poly_divmod_int,
     poly_eval,
@@ -169,6 +170,45 @@ class TestKroneckerProduct:
         got = list_mul(ZZ, a, b)
         assert time.perf_counter() - start < 5.0
         assert got == schoolbook_mul(ZZ, a, b)
+
+
+class TestPackedVanishes:
+    """`packed_vanishes_mod_p` against reading every slot back."""
+
+    @staticmethod
+    def pack(digits, w):
+        return sum(d << (w * k) for k, d in enumerate(digits))
+
+    @pytest.mark.parametrize("p", [2, 3, 15, 503, 2**61 - 1], ids=["2", "3", "15", "503", "M61"])
+    def test_matches_slotwise_divisibility_at_the_digit_bound(self, p):
+        rng = random.Random(p)
+        for m in (1, 2, 3, 40):
+            for extra in (1, 2, 9, 70):
+                w = p.bit_length() + 1 + extra
+                top = (1 << (w - 2)) - 1  # the largest |d_k| allowed
+                edge = top - top % p    # the largest multiple of p allowed
+                for _ in range(40):
+                    digits = [rng.choice((top, -top, edge, -edge, 0, rng.randint(-top, top),
+                                          p * rng.randint(-(top // p), top // p)))
+                              for _ in range(m)]
+                    want = all(d % p == 0 for d in digits)
+                    got = packed_vanishes_mod_p(self.pack(digits, w), p, m, w)
+                    assert got == want, (p, m, w, digits)
+                    # a multiple of p in every slot, each at the bound
+                    digits = [rng.choice((edge, -edge)) for _ in range(m)]
+                    assert packed_vanishes_mod_p(self.pack(digits, w), p, m, w)
+
+    def test_integer_divisible_while_a_slot_is_not(self):
+        # 2^8 = 1 mod 3, so 1 + 2 * 2^8 = 513 = 3 * 171 with both slots prime to 3
+        z = self.pack([1, 2], 8)
+        assert z % 3 == 0
+        assert not packed_vanishes_mod_p(z, 3, 2, 8)
+        # a composite modulus is decided the same way: 2^22 = 4 mod 1023 = 3 * 11 * 31
+        w = 22
+        z = self.pack([-4, 1], w)
+        assert z % 1023 == 0
+        assert not packed_vanishes_mod_p(z, 1023, 2, w)
+        assert packed_vanishes_mod_p(self.pack([1023, -1023], w), 1023, 2, w)
 
 
 class TestListPow:

@@ -26,6 +26,7 @@ from ringcert.irred_ff import (
     verify_rabin,
     verify_reducible_witness,
 )
+from reference import check_chain_steps as plain_check_chain_steps
 from reference import factor_poly as plain_factor_poly
 from reference import generate_rabin as plain_generate_rabin
 from reference import is_irreducible, residue_chain
@@ -318,6 +319,134 @@ class TestCheckIIWorkBound:
         monkeypatch.setattr(exactalg, "list_mul", bounded)
         monkeypatch.setattr(irred_ff, "list_mul", bounded)
         assert verify_rabin(forged).reason == "rabin/check-ii/i=0/j=0"
+
+
+class TestCheckIIPacked:
+    """Check (ii) as packed-integer identities against the list-based
+    reference, verdict and reason path alike, on honest and mutated files."""
+
+    PRIMES = [2, 3, 5, 7, 15, 503, 2**61 - 1, 2**89 - 1]
+
+    @staticmethod
+    def chain_certificate(f, p, t):
+        """The Frobenius chain of monic f over Z/p for any p >= 2, unpinned:
+        h_n is X^(p^n) mod f, and the Bezout pairs are left empty."""
+        field = GF(p)
+        n = deg(f)
+        digits = base_digits(p, t)
+        s = len(digits) - 1
+        h, g_rows, hp_rows = [[0, 1]], [], []
+        for i in range(n):
+            hp = [None] * s + [exactalg.list_pow(field, h[i], digits[s])]
+            grow = [None] * s
+            for j in range(s - 1, -1, -1):
+                step = list_mul(field, exactalg.list_pow(field, hp[j + 1], t),
+                                exactalg.list_pow(field, h[i], digits[j]))
+                grow[j], hp[j] = poly_divmod(field, step, f)
+            h.append(hp[0])
+            g_rows.append(tuple(map(tuple, grow)))
+            hp_rows.append(tuple(map(tuple, hp)))
+        return RabinCertificate(
+            p=p, n=n, t=t, s=s, L=tuple(f), h=tuple(map(tuple, h)), g=tuple(g_rows),
+            hprime=tuple(hp_rows), a=((),) * n, b=((),) * n,
+            n_factors=tuple(primality.factorize(n)) if n > 1 else (),
+            n_factor_pratt=(None,) * len(primality.factorize(n)) if n > 1 else (),
+        )
+
+    def honest(self, rng, p, t):
+        """An honest file for a random monic f of degree 1-4: the generator's
+        when f is irreducible mod prime p, else the unpinned chain.  For
+        t = p > 503 no chain can be formed, and a t = 2 file relabelled to
+        base p, whose step claims X^p, stands in."""
+        n = rng.randint(1, 4)
+        f = [rng.randrange(p) for _ in range(n)] + [1]
+        if t == p > 503:
+            cert = self.chain_certificate(f, p, 2)
+            return dataclasses.replace(
+                cert, t=p, s=1, g=tuple((row[0],) for row in cert.g),
+                hprime=tuple((row[0], row[-1]) for row in cert.hprime))
+        if p != 15:
+            out = generate_rabin(f, p, t)
+            if isinstance(out, RabinCertificate):
+                return out
+        return self.chain_certificate(f, p, t)
+
+    @staticmethod
+    def mutate(rng, cert):
+        """One of: a coefficient +-1 or +-p, an unreduced or negative
+        coefficient, a trailing zero, a list one entry longer or shorter, or
+        two quotients swapped; in a quotient g_ij or a chain value h'_ij."""
+        p = cert.p
+        name = rng.choice(("g", "hprime"))
+        rows = [list(row) for row in getattr(cert, name)]
+        i = rng.randrange(len(rows))
+        j = rng.randrange(len(rows[i]))
+        x = list(rows[i][j])
+        kind = rng.choice(("+-1", "+-p", "unreduced", "trailing", "longer", "shorter", "swap"))
+        if kind == "swap":
+            i2 = rng.randrange(len(cert.g))
+            j2 = rng.randrange(len(cert.g[i2]))
+            g = [list(row) for row in cert.g]
+            g[i][min(j, len(g[i]) - 1)], g[i2][j2] = g[i2][j2], g[i][min(j, len(g[i]) - 1)]
+            return dataclasses.replace(cert, g=tuple(map(tuple, g))), kind
+        if kind == "trailing":
+            x.append(0)
+        elif kind == "longer":
+            x.append(rng.randrange(1, p))
+        elif kind == "shorter":
+            x = x[:-1]
+        elif x:
+            k = rng.randrange(len(x))
+            x[k] += {"+-1": rng.choice((-1, 1)), "+-p": rng.choice((-p, p)),
+                     "unreduced": p * rng.randint(-3, 3) or -p}[kind]
+        else:
+            x = [rng.choice((-1, 1, p, -p))]
+        rows[i][j] = tuple(x)
+        return dataclasses.replace(cert, **{name: tuple(map(tuple, rows))}), kind
+
+    @pytest.mark.parametrize("p", PRIMES, ids=str)
+    @pytest.mark.parametrize("base", ["2", "p"])
+    def test_same_verdicts_as_list_reference(self, p, base, monkeypatch):
+        rng = random.Random(_stable_seed(p, len(base)))
+        t = 2 if base == "2" else p
+        cases = []
+        for _ in range(8):
+            cert = self.honest(rng, p, t)
+            cases.append(cert)
+            cases += [self.mutate(rng, cert)[0] for _ in range(12)]
+        got = [verify_rabin(c) for c in cases]
+        monkeypatch.setattr(irred_ff, "_check_chain_steps", plain_check_chain_steps)
+        want = [verify_rabin(c) for c in cases]
+        for c, a, b in zip(cases, got, want):
+            assert (a.accepted, a.reason) == (b.accepted, b.reason), c
+        # most files get through check (i) to check (ii)
+        reached = [v for v in want if "check-i/" not in v.reason]
+        assert len(reached) > len(want) // 2
+        assert any("check-ii" in v.reason for v in want)
+        if p != 15 and (t == 2 or p <= 503):
+            assert any(v.accepted or "check-ii" not in v.reason for v in reached)
+
+    def test_check_ii_makes_no_list_product(self, monkeypatch):
+        # t = 2: the only list products left are check (iv)'s two per prime
+        # q | n, and each reads back one product
+        cert = generate_rabin([1, 1, 0, 0, 1], 2**31 - 1)
+        assert isinstance(cert, RabinCertificate) and cert.t == 2 and cert.s == 30
+        calls = {"list_mul": 0, "_kron_unpack": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for module in (exactalg, irred_ff):
+            for name in calls:
+                monkeypatch.setattr(module, name, counted(module, name))
+        assert verify_rabin(cert).accepted
+        assert calls == {"list_mul": 2 * len(cert.n_factors),
+                         "_kron_unpack": 2 * len(cert.n_factors)}
 
 
 class TestResidueChain:

@@ -6,7 +6,6 @@ from ringcert.linalg import (
     inverse_unimodular,
     nullspace_fp,
     pattern_reduce_fp,
-    rank_fp,
     solve_fraction_free,
     solve_upper_triangular,
     transpose,
@@ -152,7 +151,6 @@ def test_gf_p_elimination_matches_rref_reference(p):
         m = _low_rank(rng, p)
         reference, reference_pivots = rref_fp(m, p)
         ranks.add((len(m) - len(reference_pivots), len(m[0]) - len(reference_pivots)))
-        assert rank_fp(m, p) == len(reference_pivots)
         basis, free = nullspace_fp(m, p)
         assert basis == reference_nullspace_fp(m, p)
         assert free == [c for c in range(len(m[0])) if c not in reference_pivots]

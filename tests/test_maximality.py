@@ -362,6 +362,27 @@ class TestWitnessSearch:
                 table, 2, vbar, w, _vw_decomposer(vbar, w, 2), WITNESS_BUDGET)
             assert out is None or len(out[0]) == len(vbar)
 
+    def test_accepted_witness_is_eliminated_once(self, monkeypatch):
+        # X^3 - 211X - 122 at 2, the golden bundle's short-form prime: six
+        # candidates, each with its images built and reduced once, plus the
+        # kernel basis's pattern reduction
+        calls = {"_witness_images": 0, "eliminations": 0}
+
+        def counted(name, key):
+            real = getattr(maximality, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(maximality, name, wrapper)
+
+        counted("_witness_images", "_witness_images")
+        counted("pattern_reduce_fp", "eliminations")
+        desc = build_order_description([-122, -211, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]])
+        cert = generate_pmax(times_table_of(desc), 2)
+        assert isinstance(cert, PMaxShortCertificate)
+        assert calls == {"_witness_images": 6, "eliminations": 7}
+
 
 def _fraction_decomposition(V, W, p, y):
     """(a, c) with y = sum a_k V_k + p sum c_k W_k, from a Gauss-Jordan
