@@ -130,7 +130,11 @@ def _dec_int(s) -> int:
 
 
 def _enc_ints(t) -> list[str]:
-    return [str(int(c)) if -_INT_BOUND < c < _INT_BOUND else _enc_int(c) for c in t]
+    """One range check per array; `_enc_int` names the first entry too long.
+    int.__repr__ writes an int subclass such as bool as its integer value."""
+    if t and not (-_INT_BOUND < min(t) and max(t) < _INT_BOUND):
+        return [_enc_int(c) for c in t]
+    return list(map(int.__repr__, t))
 
 
 def _dec_ints(v) -> tuple[int, ...]:
@@ -338,17 +342,16 @@ def _canonical_inner(kind: str, payload: dict) -> bytes:
 
 
 def serialize(obj) -> bytes:
-    """Canonical bytes for any registered certificate or input object."""
+    """Canonical bytes for any registered certificate or input object.
+
+    The envelope is the inner object with the integrity key in front:
+    "integrity" sorts before "kind", "payload" and "schema_version", so the
+    payload is dumped once, for the digest and the file alike.
+    """
     kind = kind_of(obj)
-    payload = _CODECS[type(obj)][0](obj)
-    digest = hashlib.sha256(_canonical_inner(kind, payload)).hexdigest()
-    envelope = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": kind,
-        "payload": payload,
-        "integrity": f"sha256:{digest}",
-    }
-    return json.dumps(envelope, sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n"
+    inner = _canonical_inner(kind, _CODECS[type(obj)][0](obj))
+    digest = hashlib.sha256(inner).hexdigest()
+    return b'{"integrity":"sha256:' + digest.encode("ascii") + b'",' + inner[1:] + b"\n"
 
 
 def parse(data: bytes):

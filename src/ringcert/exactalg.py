@@ -30,18 +30,23 @@ only canonicalizes.  `packed_vanishes_mod_p` decides whether p divides every
 slot of a packed integer without reading a slot back: one exact division by
 p and two masks.
 
-Division is schoolbook long division.  Over GF(p) (`poly_divmod`, and
-through it `poly_mod_pow`, `poly_gcd` and `poly_xgcd`) each quotient
-coefficient costs one `% p` and the remainder is reduced once at the end;
-only the generator divides there.  Over Z, `poly_divmod_int` divides by
-lc(g) exactly at each step, or reports that it cannot.
+Over GF(p), `poly_divmod` is schoolbook long division (and through it
+`poly_gcd` and `poly_xgcd`): each quotient coefficient costs one `% p` and
+the remainder is reduced once at the end.  Where many divisions share one
+divisor, a `Modulus` of it inverts the reversed divisor once as a power
+series, and each division is then two Kronecker products: one for the
+quotient, one for the remainder.  `poly_mod_pow` reduces its products by
+one, and so do the generator's base-2 Rabin chain and Frobenius table
+(`irred_ff`).  Only the generator divides over GF(p).  Over Z,
+`poly_divmod_int` divides by lc(g) exactly at each step, or reports that it
+cannot.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 
 
 class IntegerRing:
@@ -324,6 +329,73 @@ def poly_divmod(field: PrimeField, f: list[int], g: list[int]) -> tuple[list[int
     return drop_trailing_zeros(q), drop_trailing_zeros([c % p for c in r[:dg]])
 
 
+class Modulus:
+    """Division over GF(p) by one fixed g through a precomputed inverse
+    (von zur Gathen & Gerhard, Modern Computer Algebra, 9.1).
+
+    With n = deg g and rev(g) = X^n * g(1/X), inv = rev(g)^(-1) mod X^(M+1)
+    exists when lc(g) is a unit mod p, and the quotient of an a of length
+    n + m, 1 <= m <= M + 1, is q_k = sum_{l >= k} a_{n+l} * inv_{l-k}: slot
+    M + k of the Kronecker product of a[n:] with inv reversed.  The
+    remainder is a[:n] - (q*g mod X^n), one more product.  Division by g
+    with a unit leading coefficient is unique, so `divmod` returns what
+    `poly_divmod` returns, and falls back to it for a quotient longer than
+    M + 1.  Building the kernel raises what `poly_divmod` by g raises: for
+    g = 0, lc(g) = 0 mod p, or lc(g) not a unit mod p.
+    """
+
+    def __init__(self, field: PrimeField, g: list[int], M: int):
+        if not g:
+            raise ZeroDivisionError("polynomial division by zero")
+        p = field.p
+        g = [c % p for c in g]
+        if not g[-1]:
+            raise ZeroDivisionError(f"inverse of zero in GF({p})")
+        inv_lead = pow(g[-1], -1, p)
+        n = len(g) - 1
+        rev = g[::-1]
+        # rev * inv = 1 mod X^(M+1), solved for inv_k one k at a time
+        inv = [inv_lead]
+        for k in range(1, M + 1):
+            lo = max(k - n, 0)
+            inv.append(-inv_lead * sum(map(mul, rev[1:k - lo + 1], reversed(inv[lo:k]))) % p)
+        # Every slot read back lies in (-B, B) for B = (M + 1)(p - 1)^2 + p:
+        # - a quotient slot sums at most M + 1 products of residues, so it
+        #   lies in [0, (M + 1)(p - 1)^2];
+        # - a remainder slot is a_k - (q*g)_k, where (q*g)_k, k < n, sums at
+        #   most min(n, M + 1) products of residues, so it lies in
+        #   (-(M + 1)(p - 1)^2, p).
+        # Every slot of a[n:] * inv reversed is in that range too, so the
+        # shift by M*w drops the slots below the quotient exactly.  The
+        # slots of q*g from n up may overflow, but they are masked off, and
+        # carries only go up.  `_kron_unpack` reads signed digits below
+        # 2^(w-1) in absolute value, hence the one more bit.
+        w = ((M + 1) * (p - 1) ** 2 + p).bit_length() + 1
+        self.field, self.g, self.n, self.M, self.width = field, g, n, M, w
+        self.inv_rev = _kron_pack(inv[::-1], w)
+        self.g_low = _kron_pack(g[:n], w)
+        self.low_mask = (1 << (n * w)) - 1
+
+    def divmod(self, a: list[int]) -> tuple[list[int], list[int]]:
+        """`poly_divmod(field, a, g)` for a reduced canonical a."""
+        n, w = self.n, self.width
+        m = len(a) - n
+        if m <= 0:
+            return [], list(a)
+        if m > self.M + 1:
+            return poly_divmod(self.field, a, self.g)
+        z = _kron_pack(a, w)
+        q: list[int] = []
+        _kron_unpack(((z >> (n * w)) * self.inv_rev) >> (self.M * w), m, w, q)
+        q = _canonical(self.field, q)
+        if not n:
+            return q, []
+        r: list[int] = []
+        low = (_kron_pack(q, w) * self.g_low) & self.low_mask
+        _kron_unpack((z & self.low_mask) - low, n, w, r)
+        return q, _canonical(self.field, r)
+
+
 def poly_divmod_int(f: list[int], g: list[int]) -> tuple[list[int], list[int]] | None:
     """Quotient and remainder of f by a canonical g over the integers.
 
@@ -387,19 +459,24 @@ def poly_gcd(field, f: list, g: list) -> list:
 
 
 def poly_mod_pow(field, g: list, e: int, f: list) -> list:
-    """g^e reduced modulo f, by square and multiply."""
+    """g^e reduced modulo f, by square and multiply.
+
+    Every product of two residues is reduced by one `Modulus` of f: its
+    quotient has at most deg f - 1 coefficients.
+    """
     if not f:
         raise ZeroDivisionError("zero modulus")
     if e < 0:
         raise ValueError("negative exponent")
+    mod = Modulus(field, f, max(len(f) - 3, 0))
     result = poly_divmod(field, [field.one], f)[1]
     base = poly_divmod(field, g, f)[1]
     while e:
         if e & 1:
-            result = poly_divmod(field, list_mul(field, result, base), f)[1]
+            result = mod.divmod(list_mul(field, result, base))[1]
         e >>= 1
         if e:
-            base = poly_divmod(field, list_mul(field, base, base), f)[1]
+            base = mod.divmod(list_mul(field, base, base))[1]
     return result
 
 

@@ -12,12 +12,18 @@ each power product must have with the file's lists before forming the
 product, so a forged exponent base cannot make it build a power longer than
 the file.
 
-The generator divides.  It builds the chain with one division per step,
-and when Rabin's test fails it finds a factor by distinct-degree and
+The generator divides.  It builds the chain with one division by f per
+step.  For base 2 each step is one packed product, read back and reduced
+once, and the division goes through one fixed-divisor kernel
+(`exactalg.Modulus`): the inverse of f reversed is computed once, and each
+quotient and remainder is then one Kronecker product.  Base-p steps divide
+by `poly_divmod`, since their quotients are about (p - 1)n long.  When
+Rabin's test fails the generator finds a factor by distinct-degree and
 Cantor-Zassenhaus equal-degree splitting.  Those p-th powers go through a
 Frobenius table (`_FrobeniusTable`): one `poly_mod_pow(X, p, f)` per
-factorization gives the rows X^(ip) mod f, and every later h^p mod g, for
-any g dividing f, is a sum of rows scaled by the h_i, reduced once.
+factorization gives the rows X^(ip) mod f, the kernel of f reduces the
+n - 2 row products, and every later h^p mod g, for any g dividing f, is a
+sum of rows scaled by the h_i, reduced once.
 Where only the factor degrees are needed (`degree_pattern`), one
 distinct-degree sweep over the same table gives them without splitting,
 and the radical (`radical_fp`) comes from squarefree decomposition, with
@@ -32,7 +38,9 @@ from dataclasses import dataclass
 from . import primality
 from .exactalg import (
     GF,
+    Modulus,
     PrimeField,
+    _canonical,
     _kron_pack,
     _kron_unpack,
     deg,
@@ -197,10 +205,15 @@ def _check_chain_steps(p: int, t: int, digits: list[int], f, h, hp, g) -> Verdic
     0 or 1, since the digits are those of p in base 2 or in base p.
     """
     field = GF(p)
+
+    def reduced(x):
+        # an honest file's lists are already reduced and canonical: no copy
+        return x if not x or (0 <= min(x) and max(x) < p and x[-1]) else reduce_mod_p(x, p)
+
     for i in range(len(hp)):
-        hi = reduce_mod_p(h[i], p)
-        chain = [reduce_mod_p(x, p) for x in hp[i]]
-        quots = [reduce_mod_p(x, p) for x in g[i]]
+        hi = reduced(h[i])
+        chain = [reduced(x) for x in hp[i]]
+        quots = [reduced(x) for x in g[i]]
         # Every slot of D = F*G + C_j - R is a difference of nonnegative
         # slots.  F*G has at most L products of residues per slot, at most
         # L(p-1)^2, and C_j adds less than p.  For t = 2, T^2 has slots at
@@ -261,9 +274,9 @@ class _FrobeniusTable:
 
     Over GF(p), h^p = sum_i h_i X^(ip), so the map is fixed by the rows
     X^(ip) mod f, i < n.  They come from one `poly_mod_pow(X, p, f)` and n - 2
-    products mod f, made on the first `power` call, and each row is packed
-    by `_kron_pack` into one integer whose slots hold a sum of n products
-    of residues.  One application is then n scalar products of big
+    products reduced by one `Modulus` of f, made on the first `power` call,
+    and each row is packed by `_kron_pack` into one integer whose slots hold
+    a sum of n products of residues.  One application is then n scalar products of big
     integers, one `_kron_unpack` and one division.  Every g dividing f
     shares the table, since h^p mod g = (h^p mod f) mod g.
     """
@@ -281,8 +294,9 @@ class _FrobeniusTable:
         if self.rows is None:
             xp = row = poly_mod_pow(field, X_POLY, field.p, f)
             self.rows = [_kron_pack([field.one], self.width), _kron_pack(xp, self.width)]
+            mod = Modulus(field, f, n - 2)
             for _ in range(n - 2):
-                row = poly_divmod(field, list_mul(field, row, xp), f)[1]
+                row = mod.divmod(list_mul(field, row, xp))[1]
                 self.rows.append(_kron_pack(row, self.width))
         out: list[int] = []
         _kron_unpack(sum(c * row for c, row in zip(h, self.rows) if c), n, self.width, out)
@@ -495,24 +509,54 @@ def generate_rabin(
     # the quotient is g_ij and the remainder h'_ij.  At the last step h'_ij
     # is X itself, so step - X is divided instead: X is not reduced mod f
     # when n = 1, and a nonzero remainder means h_n != X.
+    #
+    # For t = 2 every step T^2 * H^b is one packed product, read back and
+    # reduced once, and one `Modulus` of f divides it: T and H are residues,
+    # so the step has at most 3n - 2 coefficients and the quotient at most
+    # 2n - 2 (n = 1 starts from h_0 = X, which falls back).  The t = p steps
+    # divide by `poly_divmod`: their quotients are about (p - 1)n long, and
+    # an inverse that long costs more than it saves.
+    if t == 2:
+        divide = Modulus(field, f, max(2 * n - 3, 0)).divmod
+        # slots of T^2 are at most L(p-1)^2 and of T^2 * H at most L^2(p-1)^3,
+        # for L = max(n, 2) bounding len T and len H (h_0 = X when n = 1);
+        # one more bit is the sign bit `_kron_unpack` reads
+        width = (max(n, 2) ** 2 * (p - 1) ** 3).bit_length() + 1
+    else:
+        def divide(a):
+            return poly_divmod(field, a, f)
+
     h: list[list[int]] = [list(X_POLY)]
     g_rows = []
     hp_rows = []
     for i in range(n):
         hp = [None] * (s + 1)
         hp[s] = list_pow(field, h[i], digits[s])
+        if t == 2:
+            H = _kron_pack(h[i], width)
         grow = [None] * s
         for j in range(s - 1, -1, -1):
-            step = list_pow(field, hp[j + 1], t)
-            if digits[j]:
-                step = list_mul(field, step, list_pow(field, h[i], digits[j]))
+            top, b = hp[j + 1], digits[j]
+            if t != 2:
+                # t = p: p's base-p digits are 0, 1, so s = 1 and b_0 = 0
+                step = list_pow(field, top, t)
+            elif not top or (b and not h[i]):
+                step = []
+            else:
+                T = _kron_pack(top, width)
+                z, m = T * T, 2 * len(top) - 1
+                if b:
+                    z, m = z * H, m + len(h[i]) - 1
+                step = []
+                _kron_unpack(z, m, width, step)
+                step = _canonical(field, step)
             if i == n - 1 and j == 0:
                 hp[0] = list(X_POLY)
-                q, r = poly_divmod(field, list_sub(field, step, X_POLY), f)
+                q, r = divide(list_sub(field, step, X_POLY))
                 if r:
                     return _factor_witness(field, f)
             else:
-                q, hp[j] = poly_divmod(field, step, f)
+                q, hp[j] = divide(step)
             grow[j] = tuple(q)
         h.append(hp[0])
         g_rows.append(tuple(grow))

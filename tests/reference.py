@@ -19,7 +19,6 @@ from ringcert.exactalg import (
     poly_divmod,
     poly_divmod_int,
     poly_gcd,
-    poly_mod_pow,
     poly_xgcd,
     reduce_mod_p,
 )
@@ -194,6 +193,23 @@ def residue_chain(
         y = poly_divmod(field, y, f)[1]
         steps.append(y)
     return steps[-1], steps
+
+
+def poly_mod_pow(field: PrimeField, g: list[int], e: int, f: list[int]) -> list[int]:
+    """g^e mod f by square and multiply, every product divided by
+    `poly_divmod`, so the references do not go through the program's
+    fixed-divisor kernel."""
+    if not f:
+        raise ZeroDivisionError("zero modulus")
+    result = poly_divmod(field, [field.one], f)[1]
+    base = poly_divmod(field, g, f)[1]
+    while e:
+        if e & 1:
+            result = poly_divmod(field, list_mul(field, result, base), f)[1]
+        e >>= 1
+        if e:
+            base = poly_divmod(field, list_mul(field, base, base), f)[1]
+    return result
 
 
 def is_irreducible(field: PrimeField, f: list[int]) -> bool:

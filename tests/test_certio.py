@@ -49,6 +49,30 @@ class TestRoundTrip:
         for obj in sample_objects.values():
             assert certio.serialize(obj) == certio.serialize(obj)
 
+    def test_envelope_equals_two_dumps(self):
+        # `serialize` dumps the payload once and puts the integrity key in
+        # front; the bytes must equal the former envelope, in which the
+        # inner object was dumped for the digest and the envelope again
+        golden = Path(__file__).parent / "golden"
+        fixtures = Path(certio.__file__).parent / "fixtures"
+        stored = sorted(golden.glob("*.json")) + sorted(fixtures.glob("*.json"))
+        objs = [(certio.parse_file(path), path.read_bytes()) for path in stored]
+        for fx in certio.FIXTURES.values():
+            objs.append((certio.InputPolynomial(tuple(fx["T"])), None))
+            if fx["columns"] is not None:
+                columns = tuple(tuple(c) for c in fx["columns"])
+                objs.append((certio.InputOrderBasis(fx["d"], columns), None))
+        for obj, data in objs:
+            got = certio.serialize(obj)
+            if data is not None:
+                assert got == data
+            env = json.loads(got)
+            inner = {"kind": env["kind"], "payload": env["payload"], "schema_version": "1"}
+            blob = json.dumps(inner, sort_keys=True, separators=(",", ":")).encode("ascii")
+            env = dict(inner, integrity="sha256:" + hashlib.sha256(blob).hexdigest())
+            want = json.dumps(env, sort_keys=True, separators=(",", ":")).encode("ascii")
+            assert got == want + b"\n"
+
     def test_kind_tagging(self, sample_objects):
         for kind, obj in sample_objects.items():
             env = json.loads(certio.serialize(obj))

@@ -324,6 +324,64 @@ class TestDivmodXgcd:
                     assert poly_divmod(field, h, d)[1] == []
 
 
+class TestModulus:
+    """The fixed-divisor kernel against `poly_divmod` and the per-coefficient
+    division loop, with dividends whose slots reach the width's bound."""
+
+    @staticmethod
+    def dividends(p, length, rng):
+        if not length:
+            return [[]]
+        return [
+            [p - 1] * length,
+            [0] * (length - 1) + [p - 1],
+            [rng.randrange(p) for _ in range(length - 1)] + [rng.randrange(1, p)],
+        ]
+
+    @pytest.mark.parametrize(
+        "p", [2, 3, 15, 503, 2**61 - 1, 2**89 - 1], ids=["2", "3", "15", "503", "M61", "M89"]
+    )
+    def test_matches_divmod_at_the_slot_bound(self, p, monkeypatch):
+        rng = random.Random(f"modulus/{p}")
+        field = GF(p)
+        fallbacks = []
+
+        def counted(*args):
+            fallbacks.append(args)
+            return poly_divmod(*args)
+
+        monkeypatch.setattr(exactalg, "poly_divmod", counted)
+        for n in range(0, 17):
+            # lc = p - 1 is a unit for every p, and not 1 when p > 2; the
+            # second divisor has rev(g)^(-1) = -1/(1 - X), every entry p - 1,
+            # so the quotient slots reach (M + 1)(p - 1)^2
+            divisors = [
+                [rng.randrange(p) for _ in range(n)] + [p - 1],
+                [0] * (n - 1) + [1, p - 1] if n else [p - 1],
+            ]
+            for g in divisors:
+                # M as `poly_mod_pow` and the Rabin chain choose it, and wider
+                for M in sorted({0, max(n - 2, 0), max(2 * n - 3, 0), 2 * n}):
+                    mod = exactalg.Modulus(field, g, M)
+                    for length in range(n + M + 3):
+                        for a in self.dividends(p, length, rng):
+                            calls = len(fallbacks)
+                            got = mod.divmod(a)
+                            assert got == poly_divmod(field, a, g), (n, M, a, g)
+                            assert got == divmod_by_field_calls(field, a, g), (n, M, a, g)
+                            # only a quotient longer than M + 1 falls back
+                            assert len(fallbacks) - calls == (length > n + M + 1)
+
+    def test_raises_where_divmod_raises(self):
+        cases = [(GF(15), [1, 2, 3]), (GF(15), [4, 10]), (GF(7), [1, 7]), (GF(7), [1, 0]),
+                 (GF(7), [])]
+        for field, g in cases:
+            with pytest.raises((ZeroDivisionError, ValueError)) as want:
+                poly_divmod(field, [1, 2, 3, 4], g)
+            with pytest.raises(want.type):
+                exactalg.Modulus(field, g, 4)
+
+
 class TestIntegerDivision:
     def test_matches_sympy_div(self):
         """The quotient and remainder over Q when the quotient is integral,

@@ -135,8 +135,9 @@ class TestGeneratorAgainstReference:
     # t = 2 takes about log2(p) steps per h_i, so the large cases stop early
     @pytest.mark.parametrize("p,t,top", [
         (2, 2, 12), (3, 2, 12), (3, 3, 12), (5, 2, 12), (5, 5, 12),
-        (503, 2, 12), (503, 503, 6), (2**61 - 1, 2, 6),
-    ], ids=["2-2", "3-2", "3-3", "5-2", "5-5", "503-2", "503-503", "M61-2"])
+        (503, 2, 12), (503, 503, 6), (2**31 - 1, 2, 16), (2**61 - 1, 2, 6),
+        (2**89 - 1, 2, 8),
+    ], ids=["2-2", "3-2", "3-3", "5-2", "5-5", "503-2", "503-503", "M31-2", "M61-2", "M89-2"])
     def test_same_bytes_and_draws(self, p, t, top):
         rng = random.Random(f"rabin/{p}/{t}")
         field = GF(p)
@@ -173,18 +174,29 @@ class TestGeneratorAgainstReference:
         def no_search(*args):
             raise AssertionError("factor search on an irreducible input")
 
-        calls = []
+        schoolbook = []
 
         def counted(*args):
-            calls.append(args)
+            schoolbook.append(args)
             return poly_divmod(*args)
+
+        # one entry per kernel division: whether its quotient fits the
+        # kernel, so that it does not fall back to `poly_divmod`
+        kernel = []
+        kernel_divmod = exactalg.Modulus.divmod
+
+        def counted_kernel(self, a):
+            kernel.append(len(a) - self.n <= self.M + 1)
+            return kernel_divmod(self, a)
 
         monkeypatch.setattr(irred_ff, "find_factor", no_search)
         monkeypatch.setattr(irred_ff, "poly_divmod", counted)
+        monkeypatch.setattr(exactalg.Modulus, "divmod", counted_kernel)
         f = _irreducible(503, 6, random.Random(6))
         cert = generate_rabin(f, 503, 2)
         assert isinstance(cert, RabinCertificate) and verify_rabin(cert).accepted
-        assert len(calls) == cert.n * cert.s
+        assert kernel == [True] * (cert.n * cert.s)
+        assert schoolbook == []
 
 
 class TestFactorAgainstReference:
