@@ -9,6 +9,11 @@ Two routes:
   The short form carries a single witness element; the long form carries
   the full endomorphism matrices and always exists when O is p-maximal.
 
+The generator computes the kernel basis, then the matrix phi of that
+action, which decides p-maximality; only then does it search for a short
+witness, taking each candidate's images from phi's blocks, and when the
+search runs out it writes the long form from the same phi.
+
 Verification works entirely over the times table: products over Z,
 Frobenius powers over the table reduced mod p, and pivot-pattern reads for
 every linear-independence claim.  No kernels or determinants are ever
@@ -514,47 +519,62 @@ def _vw_decomposer(
 WITNESS_BUDGET = 512  # candidates _search_witness tries before the long form
 
 
-def _witness_images(tt: TimesTable, p: int, decompose, beta_w: list[int]) -> list[list[int]]:
-    """Coordinates mod p over {V, pW} of e_i * beta_w, one row per i."""
-    rho = []
+def _action_matrix(tt: TimesTable, p: int, V, W, decompose) -> list[list[int]]:
+    """phi, the action of O on the radical quotient: row i lists, for each
+    input u of V ++ pW in turn, the coordinates mod p over {V, pW} of
+    e_i * input_u.  The action is faithful exactly when the r rows are
+    independent."""
+    inputs = V + [[p * x for x in row] for row in W]
+    phi = []
     for i in range(tt.n):
-        a, c = decompose(tt_mul(ZZ, tt, [0] * i + [1], beta_w))
-        rho.append([x % p for x in a] + [x % p for x in c])
+        row = []
+        for x in inputs:
+            a_row, c_row = decompose(tt_mul(ZZ, tt, [0] * i + [1], x))
+            row.extend([v % p for v in a_row] + [v % p for v in c_row])
+        phi.append(row)
+    return phi
+
+
+def _candidate_images(phi: list[list[int]], p: int, coef: list[int]) -> list[list[int]]:
+    """Coordinates mod p over {V, pW} of e_i * beta_w, one row per i, for
+    beta_w = sum_u coef_u * input_u: decomposition is linear, so row i is
+    the same combination of the r blocks of phi's row i."""
+    r = len(phi)
+    terms = [(u * r, c) for u, c in enumerate(coef) if c]
+    rho = []
+    for row in phi:
+        acc = [0] * r
+        for s, c in terms:
+            acc = [x + c * y for x, y in zip(acc, row[s:s + r])]
+        rho.append([x % p for x in acc])
     return rho
 
 
 def _search_witness(
-    tt: TimesTable, p: int, V, W, decompose, budget: int
+    r: int, m: int, p: int, phi: list[list[int]], budget: int
 ) -> tuple[list[int], list[int], list[int], list[list[int]]] | None:
     """A witness element of the radical quotient on which multiplication by
     the whole order stays independent; None triggers the long certificate.
 
     All 0/1 coordinate vectors are tried first, then random ones, drawn from
     a generator seeded with p, up to the budget.  Each candidate's images
-    are eliminated once, with the identity as mirror, and the accepted one
-    comes back as (beta, gamma, pivot columns, mirror)."""
-    r = tt.n
-    m, n = len(V), len(W)
+    are combined from phi's blocks, with no product in the order, and
+    eliminated once with the identity as mirror; the accepted one comes back
+    as (beta, gamma, pivot columns, mirror)."""
     rng = random.Random(0xBE7A + p)
-    tried = 0
 
     def candidates():
         for bits in itertools.product(range(2), repeat=r):
             if any(bits):
-                yield list(bits[:m]), list(bits[m:])
+                yield list(bits)
         while True:
-            yield [rng.randrange(p) for _ in range(m)], [rng.randrange(p) for _ in range(n)]
+            yield [rng.randrange(p) for _ in range(r)]
 
-    for beta, gamma in candidates():
-        tried += 1
-        if tried > budget:
-            return None
-        beta_w = _vw_combination(V, W, beta, gamma, p, r)
-        rho = _witness_images(tt, p, decompose, beta_w)
+    for coef in itertools.islice(candidates(), budget):
         X = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-        _patterned, pivots = pattern_reduce_fp(rho, p, mirror=X)
+        _patterned, pivots = pattern_reduce_fp(_candidate_images(phi, p, coef), p, mirror=X)
         if len(pivots) == r:
-            return beta, gamma, pivots, X
+            return coef[:m], coef[m:], pivots, X
     return None
 
 
@@ -564,93 +584,64 @@ def generate_pmax(
     """A p-maximality certificate for the order behind tt, or a kernel witness
     proving that the order is not p-maximal.
 
-    The short form is preferred whenever a witness turns up within
-    WITNESS_BUDGET candidates; otherwise the long form, which exists
-    whenever the order is p-maximal."""
+    After the kernel basis, the action matrix phi decides.  Each candidate
+    witness's images are combinations of phi's blocks, so their rank is at
+    most phi's: when phi has rank < r no witness exists, and phi's left
+    kernel is the kernel witness, with no search.  Otherwise the short form
+    is preferred whenever a witness turns up within WITNESS_BUDGET
+    candidates, and the long form, which then exists, reuses phi's
+    elimination."""
     r = tt.n
     t = minimal_frobenius_exponent(p, r)
-    vbar, nu, w_rows, u_rows, omega = frobenius_kernel_basis(tt, p, t)
-    m = len(vbar)
+    V, nu, W, u_rows, omega = frobenius_kernel_basis(tt, p, t)
+    m = len(V)
     n = r - m
-
-    if m == 0:
-        return PMaxShortCertificate(
-            p=p, t=t, m=0, n=n,
-            V=(), W=tuple(tuple(row) for row in w_rows),
-            U=tuple(tuple(row) for row in u_rows),
-            nu=(), omega=tuple(omega),
-            X=(), beta=(), gamma=(), a=(), c=(), eta=(),
-        )
-
-    V = [list(row) for row in vbar]
-    W = [list(row) for row in w_rows]
-
-    decompose = _vw_decomposer(V, W, p)
-    witness = _search_witness(tt, p, V, W, decompose, WITNESS_BUDGET)
-    if witness is not None:
-        beta, gamma, pivots, X = witness
-        beta_w = _vw_combination(V, W, beta, gamma, p, r)
-        a_rows, c_rows = [], []
-        for i in range(r):
-            a_row, c_row = decompose(tt_mul(ZZ, tt, X[i], beta_w))
-            a_rows.append(tuple(a_row))
-            c_rows.append(tuple(c_row))
-        eta = tuple(("A", q) if q < m else ("B", q - m) for q in pivots)
-        return PMaxShortCertificate(
-            p=p, t=t, m=m, n=n,
-            V=tuple(tuple(row) for row in V),
-            W=tuple(tuple(row) for row in W),
-            U=tuple(tuple(row) for row in u_rows),
-            nu=tuple(nu), omega=tuple(omega),
-            X=tuple(tuple(row) for row in X),
-            beta=tuple(beta), gamma=tuple(gamma),
-            a=tuple(a_rows), c=tuple(c_rows),
-            eta=eta,
-        )
-
-    # long form: flatten the endomorphism matrices of multiplication by e_i
-    inputs = [list(row) for row in V] + [[p * x for x in row] for row in W]
-
-    def endo_row(x: list[int]) -> list[int]:
-        flat = []
-        for u in range(r):
-            a_row, c_row = decompose(tt_mul(ZZ, tt, x, inputs[u]))
-            flat.extend([v % p for v in a_row] + [v % p for v in c_row])
-        return flat
-
-    phi = [endo_row([0] * i + [1]) for i in range(r)]
-    X = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    _patterned, pivots = pattern_reduce_fp(phi, p, mirror=X)
-    if len(pivots) < r:
-        kernel, _free = nullspace_fp(transpose(phi), p)
-        return KernelWitness(p, tuple(kernel[0]))
-    a_arr, c_arr, d_arr, e_arr = [], [], [], []
-    for i in range(r):
-        a_blocks, c_blocks, d_blocks, e_blocks = [], [], [], []
-        for j in range(m):
-            a_row, c_row = decompose(tt_mul(ZZ, tt, X[i], V[j]))
-            a_blocks.append(tuple(a_row))
-            c_blocks.append(tuple(c_row))
-        for j in range(n):
-            d_row, e_row = decompose(tt_mul(ZZ, tt, X[i], inputs[m + j]))
-            d_blocks.append(tuple(d_row))
-            e_blocks.append(tuple(e_row))
-        a_arr.append(tuple(a_blocks))
-        c_arr.append(tuple(c_blocks))
-        d_arr.append(tuple(d_blocks))
-        e_arr.append(tuple(e_blocks))
-
-    def block_of(q: int) -> Pivot:
-        return ("A", q) if q < m else ("B", q - m)
-
-    eta_pairs = tuple((block_of(q // r), block_of(q % r)) for q in pivots)
-    return PMaxLongCertificate(
+    common = dict(
         p=p, t=t, m=m, n=n,
         V=tuple(tuple(row) for row in V),
         W=tuple(tuple(row) for row in W),
         U=tuple(tuple(row) for row in u_rows),
         nu=tuple(nu), omega=tuple(omega),
+    )
+    if m == 0:
+        return PMaxShortCertificate(**common, X=(), beta=(), gamma=(), a=(), c=(), eta=())
+
+    decompose = _vw_decomposer(V, W, p)
+    phi = _action_matrix(tt, p, V, W, decompose)
+    X = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    _patterned, pivots = pattern_reduce_fp(phi, p, mirror=X)
+    if len(pivots) < r:
+        kernel, _free = nullspace_fp(transpose(phi), p)
+        return KernelWitness(p, tuple(kernel[0]))
+
+    def block_of(q: int) -> Pivot:
+        return ("A", q) if q < m else ("B", q - m)
+
+    witness = _search_witness(r, m, p, phi, WITNESS_BUDGET)
+    if witness is not None:
+        beta, gamma, w_pivots, w_X = witness
+        beta_w = _vw_combination(V, W, beta, gamma, p, r)
+        a_rows, c_rows = zip(*(decompose(tt_mul(ZZ, tt, x, beta_w)) for x in w_X))
+        return PMaxShortCertificate(
+            **common,
+            X=tuple(tuple(row) for row in w_X),
+            beta=tuple(beta), gamma=tuple(gamma),
+            a=tuple(map(tuple, a_rows)), c=tuple(map(tuple, c_rows)),
+            eta=tuple(block_of(q) for q in w_pivots),
+        )
+
+    # long form: every product of a row of X with an input, over {V, pW}
+    a_arr, c_arr, d_arr, e_arr = [], [], [], []
+    for x in X:
+        a_blocks, c_blocks = zip(*(decompose(tt_mul(ZZ, tt, x, v)) for v in V))
+        d_blocks, e_blocks = zip(*(decompose(tt_mul(ZZ, tt, x, [p * y for y in w])) for w in W))
+        a_arr.append(tuple(map(tuple, a_blocks)))
+        c_arr.append(tuple(map(tuple, c_blocks)))
+        d_arr.append(tuple(map(tuple, d_blocks)))
+        e_arr.append(tuple(map(tuple, e_blocks)))
+    return PMaxLongCertificate(
+        **common,
         X=tuple(tuple(row) for row in X),
         a=tuple(a_arr), c=tuple(c_arr), d=tuple(d_arr), e=tuple(e_arr),
-        eta=eta_pairs,
+        eta=tuple((block_of(q // r), block_of(q % r)) for q in pivots),
     )

@@ -1,13 +1,15 @@
 """Slow, plainly correct computations that tests compare the program with."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
-from ringcert import primality
+from ringcert import linalg, primality
 from ringcert.exactalg import (
     GF,
     PrimeField,
+    ZZ,
     deg,
     drop_trailing_zeros,
     formal_derivative,
@@ -31,8 +33,17 @@ from ringcert.irred_ff import (
     base_digits,
     choose_base,
 )
-from ringcert.linalg import det_bareiss
-from ringcert.orders import OrderDescription, ProductEntry
+from ringcert.linalg import det_bareiss, pattern_reduce_fp, transpose
+from ringcert.maximality import (
+    KernelWitness,
+    PMaxLongCertificate,
+    PMaxShortCertificate,
+    _vw_combination,
+    _vw_decomposer,
+    frobenius_kernel_basis,
+    minimal_frobenius_exponent,
+)
+from ringcert.orders import OrderDescription, ProductEntry, TimesTable, tt_mul
 from ringcert.verdict import Verdict
 
 
@@ -515,3 +526,135 @@ def rational_root_factor(f: list[int]) -> list[int] | None:
 
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def witness_images(tt: TimesTable, p: int, decompose, beta_w: list[int]) -> list[list[int]]:
+    """Coordinates mod p over {V, pW} of e_i * beta_w, one row per i, each
+    from its own product and decomposition."""
+    rho = []
+    for i in range(tt.n):
+        a, c = decompose(tt_mul(ZZ, tt, [0] * i + [1], beta_w))
+        rho.append([x % p for x in a] + [x % p for x in c])
+    return rho
+
+
+def search_witness(tt: TimesTable, p: int, V, W, decompose, budget: int):
+    """The earlier witness search: every candidate's images come from r
+    products and decompositions.  All 0/1 coordinate vectors first, then
+    random ones from a generator seeded with p, up to the budget; returns
+    (beta, gamma, pivot columns, mirror) or None."""
+    r = tt.n
+    m, n = len(V), len(W)
+    rng = random.Random(0xBE7A + p)
+    tried = 0
+
+    def candidates():
+        for bits in itertools.product(range(2), repeat=r):
+            if any(bits):
+                yield list(bits[:m]), list(bits[m:])
+        while True:
+            yield [rng.randrange(p) for _ in range(m)], [rng.randrange(p) for _ in range(n)]
+
+    for beta, gamma in candidates():
+        tried += 1
+        if tried > budget:
+            return None
+        beta_w = _vw_combination(V, W, beta, gamma, p, r)
+        rho = witness_images(tt, p, decompose, beta_w)
+        X = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+        _patterned, pivots = pattern_reduce_fp(rho, p, mirror=X)
+        if len(pivots) == r:
+            return beta, gamma, pivots, X
+    return None
+
+
+def generate_pmax(tt: TimesTable, p: int, budget: int):
+    """The earlier p-maximality generator: search for a short witness
+    first, and only when the budget runs out build the action matrix phi,
+    which gives either a kernel witness or the long form."""
+    r = tt.n
+    t = minimal_frobenius_exponent(p, r)
+    vbar, nu, w_rows, u_rows, omega = frobenius_kernel_basis(tt, p, t)
+    m = len(vbar)
+    n = r - m
+
+    if m == 0:
+        return PMaxShortCertificate(
+            p=p, t=t, m=0, n=n,
+            V=(), W=tuple(tuple(row) for row in w_rows),
+            U=tuple(tuple(row) for row in u_rows),
+            nu=(), omega=tuple(omega),
+            X=(), beta=(), gamma=(), a=(), c=(), eta=(),
+        )
+
+    V = [list(row) for row in vbar]
+    W = [list(row) for row in w_rows]
+
+    decompose = _vw_decomposer(V, W, p)
+    witness = search_witness(tt, p, V, W, decompose, budget)
+    if witness is not None:
+        beta, gamma, pivots, X = witness
+        beta_w = _vw_combination(V, W, beta, gamma, p, r)
+        a_rows, c_rows = [], []
+        for i in range(r):
+            a_row, c_row = decompose(tt_mul(ZZ, tt, X[i], beta_w))
+            a_rows.append(tuple(a_row))
+            c_rows.append(tuple(c_row))
+        eta = tuple(("A", q) if q < m else ("B", q - m) for q in pivots)
+        return PMaxShortCertificate(
+            p=p, t=t, m=m, n=n,
+            V=tuple(tuple(row) for row in V),
+            W=tuple(tuple(row) for row in W),
+            U=tuple(tuple(row) for row in u_rows),
+            nu=tuple(nu), omega=tuple(omega),
+            X=tuple(tuple(row) for row in X),
+            beta=tuple(beta), gamma=tuple(gamma),
+            a=tuple(a_rows), c=tuple(c_rows),
+            eta=eta,
+        )
+
+    inputs = [list(row) for row in V] + [[p * x for x in row] for row in W]
+
+    def endo_row(x: list[int]) -> list[int]:
+        flat = []
+        for u in range(r):
+            a_row, c_row = decompose(tt_mul(ZZ, tt, x, inputs[u]))
+            flat.extend([v % p for v in a_row] + [v % p for v in c_row])
+        return flat
+
+    phi = [endo_row([0] * i + [1]) for i in range(r)]
+    X = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    _patterned, pivots = pattern_reduce_fp(phi, p, mirror=X)
+    if len(pivots) < r:
+        kernel, _free = linalg.nullspace_fp(transpose(phi), p)
+        return KernelWitness(p, tuple(kernel[0]))
+    a_arr, c_arr, d_arr, e_arr = [], [], [], []
+    for i in range(r):
+        a_blocks, c_blocks, d_blocks, e_blocks = [], [], [], []
+        for j in range(m):
+            a_row, c_row = decompose(tt_mul(ZZ, tt, X[i], V[j]))
+            a_blocks.append(tuple(a_row))
+            c_blocks.append(tuple(c_row))
+        for j in range(n):
+            d_row, e_row = decompose(tt_mul(ZZ, tt, X[i], inputs[m + j]))
+            d_blocks.append(tuple(d_row))
+            e_blocks.append(tuple(e_row))
+        a_arr.append(tuple(a_blocks))
+        c_arr.append(tuple(c_blocks))
+        d_arr.append(tuple(d_blocks))
+        e_arr.append(tuple(e_blocks))
+
+    def block_of(q: int):
+        return ("A", q) if q < m else ("B", q - m)
+
+    eta_pairs = tuple((block_of(q // r), block_of(q % r)) for q in pivots)
+    return PMaxLongCertificate(
+        p=p, t=t, m=m, n=n,
+        V=tuple(tuple(row) for row in V),
+        W=tuple(tuple(row) for row in W),
+        U=tuple(tuple(row) for row in u_rows),
+        nu=tuple(nu), omega=tuple(omega),
+        X=tuple(tuple(row) for row in X),
+        a=tuple(a_arr), c=tuple(c_arr), d=tuple(d_arr), e=tuple(e_arr),
+        eta=eta_pairs,
+    )

@@ -14,6 +14,8 @@ from ringcert.maximality import (
     PMaxLongCertificate,
     PMaxShortCertificate,
     WITNESS_BUDGET,
+    _action_matrix,
+    _candidate_images,
     _search_witness,
     _vw_combination,
     _vw_decomposer,
@@ -35,12 +37,33 @@ from ringcert.orders import (
 )
 from ringcert.primality import sieve_primes
 from ringcert.resultants import disc_poly
+import reference
 from reference import integral, lattice_index, solve_exact
 
 CUBIC_3_10 = ([-10, -3, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]])
 CUBIC_30_80 = ([-80, -30, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [2, 0, 1]])
 DEDEKIND_CUBIC = ([-8, -2, -1, 1], 2, [[2, 0, 0], [0, 2, 0], [0, 1, 1]])
 GAUSS = ([1, 0, 1], 1, [[1, 0], [0, 1]])
+FIXTURE_ORDERS = [name for name, fx in FIXTURES.items() if fx["columns"] is not None]
+NOT_MAXIMAL_AT_2 = {"power-x3-3x-10": [-10, -3, 0, 1], "power-x5-8": [-8, 0, 0, 0, 0, 1]}
+POWER_BASES = {**NOT_MAXIMAL_AT_2, "power-x6+2x-8": [-8, 2, 0, 0, 0, 0, 1]}
+
+
+def power_basis(T):
+    n = len(T) - 1
+    return (T, 1, [[int(i == j) for i in range(n)] for j in range(n)])
+
+
+def count_calls(monkeypatch, **names):
+    """Wrap each maximality function named in the values; the returned dict
+    counts its calls under the key."""
+    calls = dict.fromkeys(names, 0)
+    for key, name in names.items():
+        def wrapper(*args, real=getattr(maximality, name), key=key, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(maximality, name, wrapper)
+    return calls
 
 
 def order_and_table(spec):
@@ -358,30 +381,59 @@ class TestWitnessSearch:
         t = minimal_frobenius_exponent(2, 3)
         vbar, nu, w, u, omega = frobenius_kernel_basis(table, 2, t)
         if vbar:
-            out = _search_witness(
-                table, 2, vbar, w, _vw_decomposer(vbar, w, 2), WITNESS_BUDGET)
+            phi = _action_matrix(table, 2, vbar, w, _vw_decomposer(vbar, w, 2))
+            out = _search_witness(3, len(vbar), 2, phi, WITNESS_BUDGET)
             assert out is None or len(out[0]) == len(vbar)
 
     def test_accepted_witness_is_eliminated_once(self, monkeypatch):
-        # X^3 - 211X - 122 at 2, the golden bundle's short-form prime: six
-        # candidates, each with its images built and reduced once, plus the
-        # kernel basis's pattern reduction
-        calls = {"_witness_images": 0, "eliminations": 0}
-
-        def counted(name, key):
-            real = getattr(maximality, name)
-
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return real(*args, **kwargs)
-            monkeypatch.setattr(maximality, name, wrapper)
-
-        counted("_witness_images", "_witness_images")
-        counted("pattern_reduce_fp", "eliminations")
+        # X^3 - 211X - 122 at 2, the golden bundle's short-form prime: the
+        # kernel basis's pattern reduction, phi's, and six candidates, each
+        # with its images taken from phi and reduced once
+        calls = count_calls(
+            monkeypatch, candidates="_candidate_images", eliminations="pattern_reduce_fp")
         desc = build_order_description([-122, -211, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]])
         cert = generate_pmax(times_table_of(desc), 2)
         assert isinstance(cert, PMaxShortCertificate)
-        assert calls == {"_witness_images": 6, "eliminations": 7}
+        assert calls == {"candidates": 6, "eliminations": 8}
+
+    @pytest.mark.parametrize("name", NOT_MAXIMAL_AT_2)
+    def test_not_maximal_skips_the_search(self, name, monkeypatch):
+        # phi is singular, so no candidate can succeed: the kernel basis and
+        # phi are eliminated, and phi's left kernel is the answer
+        _, table = order_and_table(power_basis(NOT_MAXIMAL_AT_2[name]))
+        expected = reference.generate_pmax(table, 2, WITNESS_BUDGET)
+        assert isinstance(expected, KernelWitness)
+        calls = count_calls(
+            monkeypatch, candidates="_candidate_images", eliminations="pattern_reduce_fp")
+        assert generate_pmax(table, 2) == expected
+        assert calls == {"candidates": 0, "eliminations": 2}
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 503])
+    @pytest.mark.parametrize("name", [*FIXTURE_ORDERS, *POWER_BASES])
+    def test_matches_the_parent_generator(self, name, p, monkeypatch):
+        if name in POWER_BASES:
+            spec = power_basis(POWER_BASES[name])
+        else:
+            fx = FIXTURES[name]
+            spec = (list(fx["T"]), fx["d"], [list(c) for c in fx["columns"]])
+        _, table = order_and_table(spec)
+        r = table.n
+        for budget in (WITNESS_BUDGET, 0):
+            monkeypatch.setattr(maximality, "WITNESS_BUDGET", budget)
+            assert generate_pmax(table, p) == reference.generate_pmax(table, p, budget)
+
+        V, _nu, W, _u, _omega = frobenius_kernel_basis(table, p, minimal_frobenius_exponent(p, r))
+        if not V:
+            return  # unramified: no phi, no witness
+        decompose = _vw_decomposer(V, W, p)
+        phi = _action_matrix(table, p, V, W, decompose)
+        rng = random.Random(f"{name}/{p}")
+        for _ in range(20):
+            beta = [rng.randrange(-p, p) for _ in V]
+            gamma = [rng.randrange(-p, p) for _ in W]
+            beta_w = _vw_combination(V, W, beta, gamma, p, r)
+            assert (_candidate_images(phi, p, beta + gamma)
+                    == reference.witness_images(table, p, decompose, beta_w))
 
 
 def _fraction_decomposition(V, W, p, y):
@@ -394,8 +446,6 @@ def _fraction_decomposition(V, W, p, y):
     assert all(b % p == 0 for b in x[m:])
     return x[:m], [b // p for b in x[m:]]
 
-
-FIXTURE_ORDERS = [name for name, fx in FIXTURES.items() if fx["columns"] is not None]
 
 
 class TestDecomposer:
