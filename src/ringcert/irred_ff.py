@@ -17,17 +17,17 @@ step.  For base 2 each step is one packed product, read back and reduced
 once, and the division goes through one fixed-divisor kernel
 (`exactalg.Modulus`): the inverse of f reversed is computed once, and each
 quotient and remainder is then one Kronecker product.  Base-p steps divide
-by `poly_divmod`, since their quotients are about (p - 1)n long.  When
-Rabin's test fails the generator finds a factor by distinct-degree and
-Cantor-Zassenhaus equal-degree splitting.  Those p-th powers go through a
-Frobenius table (`_FrobeniusTable`): one `poly_mod_pow(X, p, f)` per
-factorization gives the rows X^(ip) mod f, the kernel of f reduces the
-n - 2 row products, and every later h^p mod g, for any g dividing f, is a
-sum of rows scaled by the h_i, reduced once.
-Where only the factor degrees are needed (`degree_pattern`), one
-distinct-degree sweep over the same table gives them without splitting,
-and the radical (`radical_fp`) comes from squarefree decomposition, with
-no factoring at all.
+by `poly_divmod`, since their quotients are about (p - 1)n long.
+
+When Rabin's test fails the generator finds a factor, and degree analysis
+over Z (`irred_int`) factors f mod p, in three stages (von zur Gathen &
+Gerhard, Modern Computer Algebra, 14.2-14.3 and 14.6): a squarefree split,
+one distinct-degree sweep per squarefree part (`distinct_degree_split`;
+`find_factor` stops at the first part), and Cantor-Zassenhaus splitting of
+each part into both halves of every split (`factor_poly`).  All p-th
+powers go through one Frobenius table of monic f (`_FrobeniusTable`), each
+application a sum of packed rows with no division.  The radical
+(`radical_fp`) is the product of the squarefree parts.
 """
 
 from __future__ import annotations
@@ -276,9 +276,11 @@ class _FrobeniusTable:
     X^(ip) mod f, i < n.  They come from one `poly_mod_pow(X, p, f)` and n - 2
     products reduced by one `Modulus` of f, made on the first `power` call,
     and each row is packed by `_kron_pack` into one integer whose slots hold
-    a sum of n products of residues.  One application is then n scalar products of big
-    integers, one `_kron_unpack` and one division.  Every g dividing f
-    shares the table, since h^p mod g = (h^p mod f) mod g.
+    a sum of n products of residues.  One application is then n scalar
+    products of big integers, one `_kron_unpack` and `_canonical`: a sum of
+    rows has degree < n, so no division.  Every g dividing f shares the
+    table, since h^p mod g = (h^p mod f) mod g; the caller's next gcd or
+    product reduces mod g.
     """
 
     def __init__(self, field: PrimeField, f: list[int]):
@@ -287,8 +289,8 @@ class _FrobeniusTable:
         self.width = (deg(f) * (field.p - 1) ** 2).bit_length() + 1
         self.rows: list[int] | None = None
 
-    def power(self, h: list[int], g: list[int]) -> list[int]:
-        """h^p mod g, for g dividing f and deg h < deg f."""
+    def power(self, h: list[int]) -> list[int]:
+        """h^p mod f, for a reduced h with deg h < deg f."""
         field, f = self.field, self.f
         n = deg(f)
         if self.rows is None:
@@ -300,20 +302,101 @@ class _FrobeniusTable:
                 self.rows.append(_kron_pack(row, self.width))
         out: list[int] = []
         _kron_unpack(sum(c * row for c, row in zip(h, self.rows) if c), n, self.width, out)
-        return poly_divmod(field, out, g)[1]
+        return _canonical(field, out)
 
 
-def find_factor(
-    field: PrimeField, f: list[int], frob: _FrobeniusTable | None = None
-) -> list[int] | None:
+def _squarefree_parts(field: PrimeField, f: list[int]) -> list[tuple[list[int], int]]:
+    """[(s, m)] with monic f = prod s^m, the s squarefree, nonconstant and
+    prime to each other (von zur Gathen & Gerhard, 14.6).
+
+    For f = prod P^e, c = gcd(f, f') holds P^(e-1) when p does not divide e
+    and P^e when it does, and w = f / c is the product of the first kind.
+    Peeling w against c one multiplicity at a time leaves in c the P^e with
+    p | e, a p-th power, whose p-th root is split the same way.
+    """
+    fp = formal_derivative(field, f)
+    c = poly_gcd(field, f, fp) if fp else f
+    w, m, parts = poly_divmod(field, f, c)[0], 1, []
+    while deg(w) > 0:
+        y = poly_gcd(field, w, c)
+        s = poly_divmod(field, w, y)[0]
+        if deg(s) > 0:
+            parts.append((s, m))
+        w, c, m = y, poly_divmod(field, c, y)[0], m + 1
+    if deg(c) > 0:
+        parts += [(s, m * field.p) for s, m in _squarefree_parts(field, _frobenius_power(field, c))]
+    return parts
+
+
+def _distinct_degree(field: PrimeField, f: list[int], frob: _FrobeniusTable):
+    """Yield (d, g_d) for d = 1, 2, ...: g_d is the product of the monic
+    irreducible factors of degree d of a squarefree monic f, when it is not 1.
+
+    One sweep (von zur Gathen & Gerhard, Algorithm 14.3) over `frob`, the
+    table of a multiple F of f.  It keeps h = X^(p^d) mod F, and the factors
+    of degree d of what is left of f after the lower degrees are removed
+    make up the gcd of h - X with that rest; the gcd's first division
+    reduces h mod the rest.  A rest of degree below 2(d + 1) is irreducible.
+    """
+    rest, h, d = f, X_POLY, 0
+    while 2 * (d + 1) <= deg(rest):
+        d += 1
+        h = frob.power(h)
+        g = poly_gcd(field, list_sub(field, h, X_POLY), rest)
+        if deg(g) > 0:
+            yield d, g
+            rest = poly_divmod(field, rest, g)[0]
+    if deg(rest) > 0:
+        yield deg(rest), rest
+
+
+def _equal_degree_split(
+    field: PrimeField, f: list[int], d: int, rng: random.Random, frob: _FrobeniusTable
+):
+    """Yield the irreducible factors of a monic f, all of whose factors have
+    degree d, by Cantor-Zassenhaus splitting (von zur Gathen & Gerhard,
+    Algorithm 14.8); `frob` is the Frobenius table of a multiple of f.
+    Each split is followed into its gcd half first, then into the cofactor,
+    so the first factor costs the draws of a search for one factor.
+    """
+    p = field.p
+    while deg(f) > d:
+        n = deg(f)
+        u = drop_trailing_zeros([rng.randrange(p) for _ in range(n)])
+        if deg(u) < 1:
+            continue
+        g = poly_gcd(field, f, u)
+        if not 0 < deg(g) < n:
+            if p == 2:
+                # trace map u + u^2 + ... + u^(2^(d-1)) splits over GF(2);
+                # deg u < n, so u is already reduced mod f
+                t = acc = u
+                for _ in range(d - 1):
+                    t = frob.power(t)
+                    acc = list_add(field, acc, t)
+                g = poly_gcd(field, acc, f)
+            else:
+                # u^((p^d - 1)/2) = (u * u^p * ... * u^(p^(d-1)))^((p - 1)/2)
+                conj = norm = u
+                for _ in range(d - 1):
+                    conj = frob.power(conj)
+                    norm = poly_divmod(field, list_mul(field, norm, conj), f)[1]
+                w = poly_mod_pow(field, norm, (p - 1) // 2, f)
+                g = poly_gcd(field, f, list_sub(field, w, [1]))
+        if 0 < deg(g) < n:
+            yield from _equal_degree_split(field, g, d, rng, frob)
+            f = poly_divmod(field, f, g)[0]
+    yield f
+
+
+def find_factor(field: PrimeField, f: list[int]) -> list[int] | None:
     """A monic nontrivial factor of f, or None when f is irreducible.
 
     Linear factors are searched by increasing root representative first so
-    small witnesses come out deterministically; beyond that, distinct-degree
-    plus Cantor-Zassenhaus equal-degree splitting, whose draws are seeded
-    from p and the monic f, so the factor is a function of f.  p-th powers
-    go through `frob`, the Frobenius table of a multiple of f; without one,
-    f gets its own.
+    small witnesses come out deterministically; beyond that, the first part
+    of the distinct-degree sweep, split by Cantor-Zassenhaus as far as its
+    first factor, with draws seeded from p and the monic f, so the factor
+    is a function of f.
     """
     p = field.p
     f = monic(field, f)
@@ -335,141 +418,66 @@ def find_factor(
     d = poly_gcd(field, f, fp)
     if 0 < deg(d) < n:
         return d
-    if frob is None:
-        frob = _FrobeniusTable(field, f)
-    # f squarefree with no linear factor: distinct-degree sweep
-    h = poly_divmod(field, X_POLY, f)[1]
-    for degree in range(1, n // 2 + 1):
-        h = frob.power(h, f)
-        g = poly_gcd(field, f, list_sub(field, h, X_POLY))
-        if deg(g) <= 0:
-            continue
-        # g is monic and divides f, so g == f when their degrees agree
-        return _equal_degree_split(field, g, degree, random.Random(_stable_seed(p, *f)), frob)
-    return None
+    frob = _FrobeniusTable(field, f)
+    degree, g = next(_distinct_degree(field, f, frob))
+    if degree == n:
+        return None
+    return next(_equal_degree_split(field, g, degree, random.Random(_stable_seed(p, *f)), frob))
 
 
-def _equal_degree_split(
-    field: PrimeField, f: list[int], d: int, rng: random.Random, frob: _FrobeniusTable
-) -> list[int]:
-    """An irreducible factor of f, all of whose factors have degree d; `frob`
-    is the Frobenius table of a multiple of f."""
-    p = field.p
-    n = deg(f)
-    if n == d:
-        return monic(field, f)
-    while True:
-        u = [rng.randrange(p) for _ in range(n)]
-        u = drop_trailing_zeros(u)
-        if deg(u) < 1:
-            continue
-        g = poly_gcd(field, f, u)
-        if 0 < deg(g) < n:
-            return _equal_degree_split(field, g, d, rng, frob)
-        if p == 2:
-            # trace map u + u^2 + ... + u^(2^(d-1)) splits over GF(2)
-            t = poly_divmod(field, u, f)[1]
-            acc = t
-            for _ in range(d - 1):
-                t = poly_mod_pow(field, t, 2, f)
-                acc = list_add(field, acc, t)
-            g = poly_gcd(field, f, acc)
-        else:
-            # u^((p^d - 1)/2) = (u * u^p * ... * u^(p^(d-1)))^((p - 1)/2),
-            # with deg u < n, so u is already reduced mod f
-            conj = norm = u
-            for _ in range(d - 1):
-                conj = frob.power(conj, f)
-                norm = poly_divmod(field, list_mul(field, norm, conj), f)[1]
-            w = poly_mod_pow(field, norm, (p - 1) // 2, f)
-            g = poly_gcd(field, f, list_sub(field, w, [1]))
-        if 0 < deg(g) < n:
-            return _equal_degree_split(field, g, d, rng, frob)
+@dataclass(frozen=True)
+class DistinctDegreeSplit:
+    """f = unit * prod g^m over the parts (m, d, g): g is the product of the
+    monic irreducible factors of degree d that divide f exactly m times.
+    `frob` is the Frobenius table of monic f."""
+
+    unit: int
+    frob: _FrobeniusTable
+    parts: tuple[tuple[int, int, list[int]], ...]
+
+    @property
+    def degrees(self) -> list[int]:
+        """The factor degrees, ascending, each as often as it divides f."""
+        return sorted(d for m, d, g in self.parts for _ in range(m * (deg(g) // d)))
 
 
-def factor_poly(field: PrimeField, f: list[int]) -> tuple[int, list[tuple[list[int], int]]]:
-    """Full factorization over GF(p): (unit, [(monic irreducible, multiplicity)]).
-
-    Generator-side.  The complete factorization is unique and sorted, so it
-    does not depend on the factors `find_factor` happens to split off first.
-    Every cofactor on the stack divides monic f, so one Frobenius table of
-    f serves each `find_factor` call.
-    """
+def distinct_degree_split(field: PrimeField, f: list[int]) -> DistinctDegreeSplit:
+    """The first two stages of factoring f over GF(p): its squarefree parts,
+    each split by one distinct-degree sweep over the table of monic f."""
     if not f:
         raise ValueError("cannot factor the zero polynomial")
-    unit = f[-1] % field.p
-    rest = monic(field, f)
-    frob = _FrobeniusTable(field, rest)
-    out: dict[tuple[int, ...], int] = {}
-    stack = [rest]
-    while stack:
-        cur = stack.pop()
-        if deg(cur) == 0:
-            continue
-        fac = find_factor(field, cur, frob)
-        if fac is None:
-            key = tuple(cur)
-            out[key] = out.get(key, 0) + 1
-            continue
-        q, r = poly_divmod(field, cur, fac)
-        if r:
-            raise AssertionError("factor does not divide")
-        stack.append(fac)
-        stack.append(q)
-    factors = sorted(out.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    return unit, [(list(k), m) for k, m in factors]
+    frob = _FrobeniusTable(field, monic(field, f))
+    parts = _squarefree_parts(field, frob.f)
+    return DistinctDegreeSplit(f[-1] % field.p, frob, tuple(
+        (m, d, g) for s, m in parts for d, g in _distinct_degree(field, s, frob)))
+
+
+def factor_poly(
+    field: PrimeField, f: list[int], split: DistinctDegreeSplit | None = None
+) -> tuple[int, list[tuple[list[int], int]]]:
+    """Full factorization over GF(p): (unit, [(monic irreducible, multiplicity)]).
+
+    Generator-side, in three stages: squarefree, distinct-degree
+    (`distinct_degree_split`; a caller that has f's split passes it as
+    `split`, and f is not read again) and equal-degree.  The complete factorization is unique and sorted, so
+    it does not depend on the draws of the equal-degree splits.
+    """
+    if split is None:
+        split = distinct_degree_split(field, f)
+    frob = split.frob
+    rng = random.Random(_stable_seed(field.p, *frob.f))
+    factors = [(fac, m) for m, d, g in split.parts
+               for fac in _equal_degree_split(field, g, d, rng, frob)]
+    return split.unit, sorted(factors, key=lambda fm: (len(fm[0]), fm[0]))
 
 
 def radical_fp(field: PrimeField, f: list[int]) -> list[int]:
-    """Product of the distinct monic irreducible factors of f, by squarefree
-    decomposition (von zur Gathen & Gerhard, Modern Computer Algebra, 14.6).
-
-    For f = prod P_i^e_i, r = f / gcd(f, f') is the product of the P_i with
-    p not dividing e_i.  Stripping r's factors from the gcd leaves the P_i^e_i
-    with p | e_i, a p-th power, and the radical of its p-th root is the rest.
-    """
-    f = monic(field, f)
-    fp = formal_derivative(field, f)
-    if not fp:
-        return radical_fp(field, _frobenius_power(field, f)) if deg(f) > 0 else f
-    g = poly_gcd(field, f, fp)
-    r = poly_divmod(field, f, g)[0]
-    c = poly_gcd(field, g, r)
-    while deg(c) > 0:
-        g = poly_divmod(field, g, c)[0]
-        c = poly_gcd(field, g, c)
-    if deg(g) < 1:
-        return r
-    return list_mul(field, r, radical_fp(field, _frobenius_power(field, g)))
-
-
-def degree_pattern(field: PrimeField, f: list[int]) -> list[int] | None:
-    """Degrees of the irreducible factors of f, ascending, or None when f is
-    not squarefree.
-
-    One distinct-degree sweep (von zur Gathen & Gerhard, Algorithm 14.3) over
-    f's Frobenius table: the factors of degree d of what is left after the
-    lower degrees are removed make up its gcd with X^(p^d) - X.  No factor is
-    split and nothing is certified.
-    """
-    f = monic(field, f)
-    fp = formal_derivative(field, f)
-    if not fp or deg(poly_gcd(field, f, fp)) > 0:
-        return None if deg(f) > 0 else []
-    frob = _FrobeniusTable(field, f)
-    degrees: list[int] = []
-    rest, h, d = f, X_POLY, 0
-    while 2 * (d + 1) <= deg(rest):
-        d += 1
-        h = frob.power(h, rest)
-        g = poly_gcd(field, rest, list_sub(field, h, X_POLY))
-        if deg(g) > 0:
-            degrees += [d] * (deg(g) // d)
-            rest = poly_divmod(field, rest, g)[0]
-            h = poly_divmod(field, h, rest)[1]
-    if deg(rest) > 0:
-        degrees.append(deg(rest))
-    return degrees
+    """Product of the distinct monic irreducible factors of f: of its
+    squarefree parts, with no factoring at all."""
+    rad = [field.one]
+    for s, _m in _squarefree_parts(field, monic(field, f)):
+        rad = list_mul(field, rad, s)
+    return rad
 
 
 def choose_base(p: int, n: int) -> int:

@@ -10,12 +10,15 @@ Two certificate flavors:
   on factor degrees is known (d = 1 always works for primitive f).
 
 The generator scans the small primes for the factor degrees of f mod p
-alone, by one distinct-degree sweep each (`irred_ff.degree_pattern`), and
-factors and certifies only a smallest subset of them that reaches the same
-degree bound.  When degree analysis leaves room for a factor, it factors f
-modulo one big prime P and looks for a factor there: by the rational root
-test on the linear factors mod P, if degree 1 is still possible, and by
-big-prime Zassenhaus (`_zassenhaus_factor`); finding none sends it to LPFW.
+alone, by the squarefree and distinct-degree stages of factoring
+(`irred_ff.distinct_degree_split`), and finishes the factorization and
+certifies only a smallest subset of them that reaches the same degree
+bound, from the splits the scan made.  When degree analysis leaves room
+for a factor, it ranks ZASSENHAUS_PRIMES big primes P by their
+distinct-degree splits, fully factors f modulo only the sparsest one, and
+looks for a factor there: by the rational root test on the linear factors
+mod P, if degree 1 is still possible, and by big-prime Zassenhaus
+(`_zassenhaus_factor`); finding none sends it to LPFW.
 
 Pratt primality certificates for the prime witnesses live in
 ringcert.primality and are re-exported here.
@@ -277,34 +280,14 @@ def _primes_to(bound: int) -> tuple[int, ...]:
     return tuple(primality.sieve_primes(bound))
 
 
-Factorization = tuple[int, list[tuple[list[int], int]]]  # factor_poly's (unit, factors)
-
-
 def _factorization_cert_mod_p(
-    f: list[int], p: int, factored: Factorization | None = None
+    f: list[int], p: int, split: irred_ff.DistinctDegreeSplit
 ) -> FactorizationModP:
-    field = GF(p)
-    unit, factors = factored or irred_ff.factor_poly(field, reduce_mod_p(f, p))
-    certs = []
-    flat = []
-    for fac, mult in factors:
-        out = irred_ff.generate_rabin(fac, p)
-        assert isinstance(out, irred_ff.RabinCertificate)
-        flat.append((tuple(fac), mult))
-        certs.append(out)
-    return FactorizationModP(p, unit, tuple(flat), tuple(certs))
-
-
-def _scan_mod_p(f: list[int], p: int) -> tuple[set[int], Factorization | None]:
-    """The subset sums of the factor degrees of f mod p, and the full
-    factorization when f mod p is not squarefree (then it is made anyway)."""
-    field = GF(p)
-    fbar = reduce_mod_p(f, p)
-    degrees = irred_ff.degree_pattern(field, fbar)
-    if degrees is not None:
-        return subset_sums(degrees), None
-    factored = irred_ff.factor_poly(field, fbar)
-    return subset_sums([deg(fac) for fac, mult in factored[1] for _ in range(mult)]), factored
+    """The certified factorization of f mod p, from the split the scan made."""
+    unit, factors = irred_ff.factor_poly(GF(p), reduce_mod_p(f, p), split)
+    certs = tuple(irred_ff.generate_rabin(fac, p) for fac, _m in factors)
+    assert all(isinstance(cert, irred_ff.RabinCertificate) for cert in certs)
+    return FactorizationModP(p, unit, tuple((tuple(fac), m) for fac, m in factors), certs)
 
 
 def _degree_analysis_search(f: list[int]) -> tuple[int, DegreeAnalysisCertificate | None, set[int]]:
@@ -321,27 +304,22 @@ def _degree_analysis_search(f: list[int]) -> tuple[int, DegreeAnalysisCertificat
     trivial d = 1 < deg f, the subset sums common to every scanned prime).
     """
     n = deg(f)
-    scanned: list[tuple[int, set[int], Factorization | None]] = []
+    scanned: list[tuple[int, set[int], irred_ff.DistinctDegreeSplit]] = []
     common = set(range(n + 1))
-    for p in _primes_to(ANALYSIS_PRIME_BOUND):
-        if len(scanned) >= ANALYSIS_PRIMES:
-            break
-        if lc(f) % p == 0:
-            continue
-        sums, factored = _scan_mod_p(f, p)
-        scanned.append((p, sums, factored))
+    primes = [p for p in _primes_to(ANALYSIS_PRIME_BOUND) if lc(f) % p][:ANALYSIS_PRIMES]
+    if not primes:
+        # every small prime divides lc f: take the first one beyond them
+        # that does not (the format allows primes below 10^6)
+        beyond = range(ANALYSIS_PRIME_BOUND + 1, primality.TRIAL_DIVISION_BOUND)
+        primes = itertools.islice(
+            (p for p in beyond if lc(f) % p and primality.is_prime_trial(p)), 1)
+    for p in primes:
+        split = irred_ff.distinct_degree_split(GF(p), reduce_mod_p(f, p))
+        sums = subset_sums(split.degrees)
+        scanned.append((p, sums, split))
         common &= sums
         if min(common - {0}) == n:
             break
-    if not scanned:
-        # every small prime divides lc f: take the first one beyond them
-        # that does not (the format allows primes below 10^6)
-        p = next((p for p in range(ANALYSIS_PRIME_BOUND + 1, primality.TRIAL_DIVISION_BOUND)
-                  if lc(f) % p and primality.is_prime_trial(p)), None)
-        if p is not None:
-            sums, factored = _scan_mod_p(f, p)
-            scanned.append((p, sums, factored))
-            common &= sums
     d = min(common - {0})
     if not scanned or d == 1 < n:
         return d, None, common
@@ -352,7 +330,7 @@ def _degree_analysis_search(f: list[int]) -> tuple[int, DegreeAnalysisCertificat
         for subset in itertools.combinations(scanned, size)
         if min(set.intersection(*(sums for _p, sums, _f in subset)) - {0}) == d
     )
-    entries = tuple(_factorization_cert_mod_p(f, p, fac) for p, _s, fac in subset)
+    entries = tuple(_factorization_cert_mod_p(f, p, split) for p, _s, split in subset)
     return d, DegreeAnalysisCertificate(tuple(f), entries), common
 
 
@@ -419,18 +397,22 @@ def _lpfw_search(
 def _big_prime_factors(f: list[int]) -> tuple[int, list[list[int]]]:
     """(P, the monic factors of f mod P, each once per multiplicity) for the
     sparsest factorization over ZASSENHAUS_PRIMES primes P above twice the
-    Landau-Mignotte bound 2^n * ||f|| * |lc(f)|."""
+    Landau-Mignotte bound 2^n * ||f|| * |lc(f)|.  The primes are ranked by
+    the factor counts of their distinct-degree splits, the first of the
+    sparsest is taken, and only its split is finished."""
     bound = 2 ** deg(f) * (math.isqrt(sum(c * c for c in f)) + 1) * abs(lc(f))
     P, best = 2 * bound, None
     for _ in range(ZASSENHAUS_PRIMES):
         P += 1
         while not primality.is_probable_prime(P):
             P += 1
-        _unit, found = irred_ff.factor_poly(GF(P), reduce_mod_p(f, P))
-        flat = [fac for fac, mult in found for _ in range(mult)]
-        if best is None or len(flat) < len(best[1]):
-            best = (P, flat)
-    return best
+        fbar = reduce_mod_p(f, P)
+        split = irred_ff.distinct_degree_split(GF(P), fbar)
+        if best is None or len(split.degrees) < len(best[2].degrees):
+            best = (P, fbar, split)
+    P, fbar, split = best
+    _unit, found = irred_ff.factor_poly(GF(P), fbar, split)
+    return P, [fac for fac, mult in found for _ in range(mult)]
 
 
 def _symmetric(c: int, P: int) -> int:

@@ -28,6 +28,7 @@ from ringcert.irred_ff import (
 )
 from reference import check_chain_steps as plain_check_chain_steps
 from reference import factor_poly as plain_factor_poly
+from reference import find_factor as plain_find_factor
 from reference import generate_rabin as plain_generate_rabin
 from reference import is_irreducible, residue_chain
 
@@ -242,9 +243,109 @@ class TestFactorAgainstReference:
         assert exponents.count(p) == 1
 
 
+def _parts_product(field, split):
+    """unit * prod g^m over the parts (m, d, g) of a `DistinctDegreeSplit`."""
+    prod = [split.unit]
+    for m, _d, g in split.parts:
+        prod = list_mul(field, prod, exactalg.list_pow(field, g, m))
+    return prod
+
+
+def _same_degree_product(field, p, d, k, rng):
+    """A product of k distinct monic irreducibles of degree d over GF(p)."""
+    out, seen = [1], set()
+    while len(seen) < k:
+        g = monic(field, _irreducible(p, d, rng))
+        if tuple(g) not in seen:
+            seen.add(tuple(g))
+            out = list_mul(field, out, g)
+    return out
+
+
+class TestThreeStages:
+    """The squarefree, distinct-degree and equal-degree stages against the
+    plain factorizer and factor search kept in tests/reference.py, on
+    inputs whose distinct-degree parts hold several factors of one degree,
+    so that the equal-degree stage recurses into both halves of its splits."""
+
+    PRIMES = [2, 3, 1009, 2**31 - 1, 2**61 - 1]
+
+    def _inputs(self, p):
+        rng = random.Random(f"stages/{p}")
+        field = GF(p)
+        # how many distinct irreducibles of degree 2, 3 and 4 to multiply;
+        # GF(2) has only 1, 2 and 3 of them, and GF(3) 3, 8 and 18
+        counts = {2: 1, 3: 2, 4: 3} if p == 2 else {2: 3, 3: 3, 4: 2}
+        inputs = []
+        for d, top in counts.items():
+            for k in range(2, top + 1) if top > 1 else [1]:
+                g = _same_degree_product(field, p, d, k, rng)
+                inputs.append(g)
+                # a second degree, a repeated factor and a non-monic lead
+                other = _same_degree_product(field, p, d + 1, 1, rng)
+                lead = [rng.randrange(1, p)]
+                inputs.append(list_mul(field, lead, list_mul(field, g, other)))
+                inputs.append(list_mul(field, g, list_mul(field, other, other)))
+        return inputs
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_factor_poly_matches_reference(self, p):
+        field = GF(p)
+        for f in self._inputs(p):
+            assert factor_poly(field, f) == plain_factor_poly(field, f), f
+            split = irred_ff.distinct_degree_split(field, f)
+            assert _parts_product(field, split) == f, f
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_find_factor_matches_reference(self, p):
+        field = GF(p)
+        several = 0
+        for f in self._inputs(p):
+            f = monic(field, f)
+            want = plain_find_factor(field, f, random.Random(_stable_seed(p, *f)))
+            assert irred_ff.find_factor(field, f) == want, f
+            _m, d, g = irred_ff.distinct_degree_split(field, f).parts[0]
+            several += deg(g) > d
+        assert several >= 3
+
+    def test_table_power_makes_no_division(self, monkeypatch):
+        p = 2**61 - 1
+        field = GF(p)
+        rng = random.Random("table-power")
+        f = monic(field, _same_degree_product(field, p, 3, 3, rng))
+
+        def no_division(*args):
+            raise AssertionError("poly_divmod in a table application")
+
+        monkeypatch.setattr(irred_ff, "poly_divmod", no_division)
+        frob = irred_ff._FrobeniusTable(field, f)
+        for _ in range(5):
+            h = drop_trailing_zeros([rng.randrange(p) for _ in range(deg(f))])
+            assert frob.power(h) == poly_mod_pow(field, h, p, f)
+
+    def test_gf2_split_squares_through_the_table(self, monkeypatch):
+        field = GF(2)
+        # the three quartic and two cubic irreducibles over GF(2)
+        f = [1]
+        for g in ([1, 1, 0, 0, 1], [1, 0, 0, 1, 1], [1, 1, 1, 1, 1], [1, 1, 0, 1], [1, 0, 1, 1]):
+            f = list_mul(field, f, g)
+        exponents = []
+
+        def counted(field, g, e, mod):
+            exponents.append(e)
+            return poly_mod_pow(field, g, e, mod)
+
+        monkeypatch.setattr(irred_ff, "poly_mod_pow", counted)
+        _unit, factors = factor_poly(field, f)
+        assert [deg(g) for g, _m in factors] == [3, 3, 4, 4, 4]
+        # the table's X^2 mod f, and no squaring in the trace maps
+        assert exponents == [2]
+
+
 class TestDegreePattern:
-    """`degree_pattern`'s one distinct-degree sweep against the degrees of
-    `factor_poly`'s factors, None exactly when a factor repeats."""
+    """`distinct_degree_split`'s factor degrees, one sweep per squarefree
+    part, against the degrees of the plain factorizer's factors, each as
+    often as it divides f; its parts multiply back to f."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_factor_degrees(self, seed):
@@ -260,12 +361,10 @@ class TestDegreePattern:
             k, j = rng.randrange(1, n + 1), rng.randrange(n // 2 + 1)
             square = list_mul(field, poly(n - 2 * j), exactalg.list_pow(field, poly(j), 2))
             for f in (poly(n), list_mul(field, poly(k - 1), poly(n - k)), square):
-                _unit, factors = factor_poly(field, f)
-                pattern = irred_ff.degree_pattern(field, f)
-                if all(m == 1 for _g, m in factors):
-                    assert pattern == sorted(deg(g) for g, _m in factors), (p, f)
-                else:
-                    assert pattern is None, (p, f)
+                _unit, factors = plain_factor_poly(field, f)
+                split = irred_ff.distinct_degree_split(field, f)
+                assert split.degrees == sorted(deg(g) for g, m in factors for _ in range(m)), (p, f)
+                assert _parts_product(field, split) == f, (p, f)
 
 
 class TestRadical:

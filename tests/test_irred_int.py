@@ -26,7 +26,7 @@ from ringcert.irred_int import (
     verify_lpfw,
     verify_reducible_witness_int,
 )
-from ringcert import certio, irred_int, primality
+from ringcert import certio, irred_ff, irred_int, primality
 from ringcert.exactalg import GF, reduce_mod_p
 from ringcert.primality import generate_pratt
 from reference import factor_poly as plain_factor_poly
@@ -350,6 +350,51 @@ class TestCertifiedPrimes:
         assert isinstance(cert, DegreeAnalysisCertificate)
         assert [fmp.p for fmp in cert.per_prime] == [2, 5]
         assert verify_degree_analysis(cert).accepted
+
+
+class TestOneSplitPerPrime:
+    """Each prime's squarefree and distinct-degree stages run once, and the
+    equal-degree stage only where a factorization is used."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        """The prime of every Frobenius table built, in order."""
+        built = []
+
+        class Counted(irred_ff._FrobeniusTable):
+            def __init__(self, field, g):
+                built.append(field.p)
+                super().__init__(field, g)
+
+        monkeypatch.setattr(irred_ff, "_FrobeniusTable", Counted)
+        return built
+
+    @pytest.mark.parametrize("f", ANALYSIS_ANCHORS, ids=str)
+    def test_one_frobenius_table_per_scanned_prime(self, tables, f):
+        _d, analysis, _common = irred_int._degree_analysis_search(f)
+        assert tables == [p for p, _ds in _scanned_patterns(f)]
+        if analysis is not None:
+            assert {fmp.p for fmp in analysis.per_prime} <= set(tables)
+
+    @pytest.mark.parametrize("f", [
+        [1, 0, 0, 0, 0, 0, 0, 0, 1], [1, 0, -10, 0, 1], [-1, -1, 0, 0, 0, 1],
+        list_mul(ZZ, [1, 0, 1], [1, 1, 0, 1]), list_mul(ZZ, [2, -3], [1, 0, 0, 5, 0, 1]),
+    ], ids=str)
+    def test_big_prime_factors_factors_one_prime(self, monkeypatch, tables, f):
+        factored, real = [], irred_ff.factor_poly
+
+        def counted(field, *args):
+            factored.append(field.p)
+            return real(field, *args)
+
+        monkeypatch.setattr(irred_ff, "factor_poly", counted)
+        P, factors = irred_int._big_prime_factors(f)
+        assert len(tables) == irred_int.ZASSENHAUS_PRIMES and factored == [P]
+        # the first of the sparsest factorizations, by the plain factorizer
+        flat = [[g for g, m in plain_factor_poly(GF(q), reduce_mod_p(f, q))[1] for _ in range(m)]
+                for q in tables]
+        k = min(range(len(flat)), key=lambda i: len(flat[i]))
+        assert (P, factors) == (tables[k], flat[k])
 
 
 class TestRationalRoots:
