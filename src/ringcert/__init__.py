@@ -2,9 +2,9 @@
 rings of integers, with a verifier that re-derives everything from exact
 arithmetic and trusts nothing the generator says."""
 
-from .exactalg import GF, ZZ
+from .exactalg import ZZ
 from .verdict import Verdict
 
 __version__ = "0.1.0"
 
-__all__ = ["GF", "ZZ", "Verdict", "__version__"]
+__all__ = ["ZZ", "Verdict", "__version__"]

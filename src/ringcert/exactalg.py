@@ -5,17 +5,19 @@ holds the coefficient of X^i.  The canonical form has no trailing zeros and
 the zero polynomial is the empty list.  Every operation here returns
 canonical lists, so polynomial equality is plain list equality.
 
-Coefficients are plain Python ints in one of two domains, passed explicitly
-to each operation:
+Coefficients are plain Python ints, and a domain is its modulus: every
+operation takes the p of Z/pZ as its first argument, as Mathlib indexes
+Z/nZ by n (``ZMod n``, with ``ZMod 0`` = Z).
 
-* ``ZZ``    -- arbitrary-precision integers
-* ``GF(p)`` -- the prime field, residues stored as ints in [0, p)
+* ``ZZ = 0`` -- Z/0Z, the arbitrary-precision integers
+* ``p > 0``  -- GF(p) for a prime p, residues stored as ints in [0, p)
 
-The domain objects only name the domain (``p``, ``zero``, ``one`` and, over
-GF(p), ``inv``); they do no arithmetic.  Every list operation computes on
-plain ints and, over GF(p), reduces each output list once (`_canonical`),
-which is exact for any modulus p >= 2, prime or not, and for unreduced or
-negative inputs.
+Every list operation computes on plain ints and, for p > 0, reduces each
+output list once (`_canonical`), which is exact for any modulus p >= 2,
+prime or not, and for unreduced or negative inputs.  Primality of p is the
+caller's responsibility: the verifiers certify p
+(`primality.certify_prime_for_verifier`) before they read a certificate
+over GF(p), and the generator picks its primes.
 
 Products (`list_mul`, and through it `list_pow`, `poly_mod_pow` and
 `poly_xgcd`) use Kronecker substitution: both factors are packed into one
@@ -49,49 +51,14 @@ from math import gcd
 from operator import add, mul, neg, sub
 
 
-class IntegerRing:
-    """The ring of integers."""
-
-    zero = 0
-    one = 1
-
-    def __repr__(self):
-        return "ZZ"
+ZZ = 0  # Z/0Z = Z
 
 
-class PrimeField:
-    """The field with p elements, p prime; residues are ints in [0, p).
-
-    Primality of p is the caller's responsibility; certificates vouch for
-    it where it matters.  `GF` keeps one object per modulus.
-    """
-
-    def __init__(self, p: int):
-        if p < 2:
-            raise ValueError(f"modulus must be >= 2, got {p}")
-        self.p = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"inverse of zero in GF({self.p})")
-        return pow(a, -1, self.p)
-
-    def __repr__(self):
-        return f"GF({self.p})"
-
-
-ZZ = IntegerRing()
-
-_gf_cache: dict[int, PrimeField] = {}
-
-
-def GF(p: int) -> PrimeField:
-    field = _gf_cache.get(p)
-    if field is None:
-        field = _gf_cache[p] = PrimeField(p)
-    return field
+def _inv(p: int, a: int) -> int:
+    """The inverse of a in GF(p)."""
+    if a % p == 0:
+        raise ZeroDivisionError(f"inverse of zero in GF({p})")
+    return pow(a, -1, p)
 
 
 # ---------------------------------------------------------------------------
@@ -126,38 +93,37 @@ def lc(l: list):
     return l[-1]
 
 
-def _canonical(dom, l: list[int]) -> list[int]:
+def _canonical(p: int, l: list[int]) -> list[int]:
     """The fresh list l, reduced modulo p over GF(p), without trailing zeros."""
-    if isinstance(dom, PrimeField):
-        p = dom.p
+    if p:
         l = [c % p for c in l]
     while l and not l[-1]:
         l.pop()
     return l
 
 
-def list_add(dom, a: list, b: list) -> list:
+def list_add(p: int, a: list, b: list) -> list:
     if len(a) < len(b):
         a, b = b, a
     out = list(map(add, a, b))
     out += a[len(b):]
-    return _canonical(dom, out)
+    return _canonical(p, out)
 
 
-def list_sub(dom, a: list, b: list) -> list:
+def list_sub(p: int, a: list, b: list) -> list:
     out = list(map(sub, a, b))
     if len(a) >= len(b):
         out += a[len(b):]
     else:
         out += map(neg, b[len(a):])
-    return _canonical(dom, out)
+    return _canonical(p, out)
 
 
-def mul_pointwise(dom, c, l: list) -> list:
+def mul_pointwise(p: int, c, l: list) -> list:
     """Scalar multiple c*l, canonicalized."""
     if c == 0:
         return []
-    return _canonical(dom, [c * x for x in l])
+    return _canonical(p, [c * x for x in l])
 
 
 _KRON_LEAF = 32  # slots packed or read back by one shift loop
@@ -249,7 +215,7 @@ def _kron_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def list_mul(dom, a: list, b: list) -> list:
+def list_mul(p: int, a: list, b: list) -> list:
     """Convolution product, canonicalized, as one integer product (`_kron_mul`).
 
     Over GF(p) the inputs are reduced first, which keeps the slots narrow, and
@@ -257,43 +223,42 @@ def list_mul(dom, a: list, b: list) -> list:
     """
     if not a or not b:
         return []
-    if isinstance(dom, PrimeField):
-        p = dom.p
+    if p:
         a = [c % p for c in a]
         b = [c % p for c in b]
-    return _canonical(dom, _kron_mul(a, b))
+    return _canonical(p, _kron_mul(a, b))
 
 
-def list_pow(dom, a: list, e: int) -> list:
+def list_pow(p: int, a: list, e: int) -> list:
     """Exact e-th power (no modulus), canonicalized like `list_mul`.
 
     Left-to-right square and multiply from the top bit of e, so no product
-    has [1] as a factor; e = 1 only canonicalizes a, and e = 0 gives [one].
+    has [1] as a factor; e = 1 only canonicalizes a, and e = 0 gives [1].
     """
     if e < 0:
         raise ValueError("negative exponent")
     if e == 0:
-        return [dom.one]
+        return [1]
     if e == 1:
-        return _canonical(dom, list(a))
+        return _canonical(p, list(a))
     result = a
     for bit in bin(e)[3:]:
-        result = list_mul(dom, result, result)
+        result = list_mul(p, result, result)
         if bit == "1":
-            result = list_mul(dom, result, a)
+            result = list_mul(p, result, a)
     return result
 
 
-def poly_eval(dom, f: list, x: int) -> int:
+def poly_eval(p: int, f: list, x: int) -> int:
     """f(x) by Horner's rule on integers, reduced once over GF(p)."""
     acc = 0
     for c in reversed(f):
         acc = acc * x + c
-    return acc % dom.p if isinstance(dom, PrimeField) else acc
+    return acc % p if p else acc
 
 
-def formal_derivative(dom, f: list) -> list:
-    return _canonical(dom, [i * f[i] for i in range(1, len(f))])
+def formal_derivative(p: int, f: list) -> list:
+    return _canonical(p, [i * f[i] for i in range(1, len(f))])
 
 
 def reduce_mod_p(f: list[int], p: int) -> list[int]:
@@ -301,7 +266,7 @@ def reduce_mod_p(f: list[int], p: int) -> list[int]:
     return drop_trailing_zeros([c % p for c in f])
 
 
-def poly_divmod(field: PrimeField, f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+def poly_divmod(p: int, f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
     """Quotient and remainder of f by g over GF(p), both reduced and canonical.
 
     The inputs are reduced once.  The remainder row then holds unreduced
@@ -311,7 +276,6 @@ def poly_divmod(field: PrimeField, f: list[int], g: list[int]) -> tuple[list[int
     """
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    p = field.p
     g = [c % p for c in g]
     if not g[-1]:
         raise ZeroDivisionError(f"inverse of zero in GF({p})")
@@ -344,10 +308,9 @@ class Modulus:
     g = 0, lc(g) = 0 mod p, or lc(g) not a unit mod p.
     """
 
-    def __init__(self, field: PrimeField, g: list[int], M: int):
+    def __init__(self, p: int, g: list[int], M: int):
         if not g:
             raise ZeroDivisionError("polynomial division by zero")
-        p = field.p
         g = [c % p for c in g]
         if not g[-1]:
             raise ZeroDivisionError(f"inverse of zero in GF({p})")
@@ -371,29 +334,29 @@ class Modulus:
         # carries only go up.  `_kron_unpack` reads signed digits below
         # 2^(w-1) in absolute value, hence the one more bit.
         w = ((M + 1) * (p - 1) ** 2 + p).bit_length() + 1
-        self.field, self.g, self.n, self.M, self.width = field, g, n, M, w
+        self.p, self.g, self.n, self.M, self.width = p, g, n, M, w
         self.inv_rev = _kron_pack(inv[::-1], w)
         self.g_low = _kron_pack(g[:n], w)
         self.low_mask = (1 << (n * w)) - 1
 
     def divmod(self, a: list[int]) -> tuple[list[int], list[int]]:
-        """`poly_divmod(field, a, g)` for a reduced canonical a."""
+        """`poly_divmod(p, a, g)` for a reduced canonical a."""
         n, w = self.n, self.width
         m = len(a) - n
         if m <= 0:
             return [], list(a)
         if m > self.M + 1:
-            return poly_divmod(self.field, a, self.g)
+            return poly_divmod(self.p, a, self.g)
         z = _kron_pack(a, w)
         q: list[int] = []
         _kron_unpack(((z >> (n * w)) * self.inv_rev) >> (self.M * w), m, w, q)
-        q = _canonical(self.field, q)
+        q = _canonical(self.p, q)
         if not n:
             return q, []
         r: list[int] = []
         low = (_kron_pack(q, w) * self.g_low) & self.low_mask
         _kron_unpack((z & self.low_mask) - low, n, w, r)
-        return q, _canonical(self.field, r)
+        return q, _canonical(self.p, r)
 
 
 def poly_divmod_int(f: list[int], g: list[int]) -> tuple[list[int], list[int]] | None:
@@ -421,44 +384,44 @@ def poly_divmod_int(f: list[int], g: list[int]) -> tuple[list[int], list[int]] |
     return drop_trailing_zeros(q), drop_trailing_zeros(r[:dg])
 
 
-def monic(field, f: list) -> list:
+def monic(p: int, f: list) -> list:
     """Scale f by the inverse of its leading coefficient."""
     if not f:
         raise ValueError("cannot normalize the zero polynomial")
-    return mul_pointwise(field, field.inv(lc(f)), f)
+    return mul_pointwise(p, _inv(p, lc(f)), f)
 
 
-def poly_xgcd(field, f: list, g: list) -> tuple[list, list, list]:
+def poly_xgcd(p: int, f: list, g: list) -> tuple[list, list, list]:
     """Extended gcd: returns (d, a, b) with d monic and a*f + b*g = d."""
     if not f and not g:
         raise ValueError("xgcd of two zero polynomials")
     r0, r1 = list(f), list(g)
-    s0, s1 = [field.one], []
-    t0, t1 = [], [field.one]
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
     while r1:
-        q, r = poly_divmod(field, r0, r1)
+        q, r = poly_divmod(p, r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, list_sub(field, s0, list_mul(field, q, s1))
-        t0, t1 = t1, list_sub(field, t0, list_mul(field, q, t1))
-    c = field.inv(lc(r0))
+        s0, s1 = s1, list_sub(p, s0, list_mul(p, q, s1))
+        t0, t1 = t1, list_sub(p, t0, list_mul(p, q, t1))
+    c = _inv(p, lc(r0))
     return (
-        mul_pointwise(field, c, r0),
-        mul_pointwise(field, c, s0),
-        mul_pointwise(field, c, t0),
+        mul_pointwise(p, c, r0),
+        mul_pointwise(p, c, s0),
+        mul_pointwise(p, c, t0),
     )
 
 
-def poly_gcd(field, f: list, g: list) -> list:
+def poly_gcd(p: int, f: list, g: list) -> list:
     if not f and not g:
         return []
     r0, r1 = list(f), list(g)
     while r1:
-        _, r = poly_divmod(field, r0, r1)
+        _, r = poly_divmod(p, r0, r1)
         r0, r1 = r1, r
-    return monic(field, r0)
+    return monic(p, r0)
 
 
-def poly_mod_pow(field, g: list, e: int, f: list) -> list:
+def poly_mod_pow(p: int, g: list, e: int, f: list) -> list:
     """g^e reduced modulo f, by square and multiply.
 
     Every product of two residues is reduced by one `Modulus` of f: its
@@ -468,15 +431,15 @@ def poly_mod_pow(field, g: list, e: int, f: list) -> list:
         raise ZeroDivisionError("zero modulus")
     if e < 0:
         raise ValueError("negative exponent")
-    mod = Modulus(field, f, max(len(f) - 3, 0))
-    result = poly_divmod(field, [field.one], f)[1]
-    base = poly_divmod(field, g, f)[1]
+    mod = Modulus(p, f, max(len(f) - 3, 0))
+    result = poly_divmod(p, [1], f)[1]
+    base = poly_divmod(p, g, f)[1]
     while e:
         if e & 1:
-            result = mod.divmod(list_mul(field, result, base))[1]
+            result = mod.divmod(list_mul(p, result, base))[1]
         e >>= 1
         if e:
-            base = mod.divmod(list_mul(field, base, base))[1]
+            base = mod.divmod(list_mul(p, base, base))[1]
     return result
 
 

@@ -37,9 +37,7 @@ from dataclasses import dataclass
 
 from . import primality
 from .exactalg import (
-    GF,
     Modulus,
-    PrimeField,
     _canonical,
     _kron_pack,
     _kron_unpack,
@@ -103,24 +101,35 @@ class ReducibleWitness:
 
 
 def verify_reducible_witness(wit: ReducibleWitness) -> Verdict:
-    field = GF(wit.p)
+    p = wit.p
+    if p < primality.TRIAL_DIVISION_BOUND:  # the format has no Pratt certificate for p
+        ok = primality.certify_prime_for_verifier(p, None)
+        if not ok:
+            return ok.prefixed("reducible-ff")
     f = list(wit.L)
     fac = list(wit.factor)
     if not (0 < deg(fac) < deg(f)):
         return Verdict.reject("reducible-ff/degree")
-    if list_mul(field, fac, list(wit.cofactor)) != f:
+    if list_mul(p, fac, list(wit.cofactor)) != f:
         return Verdict.reject("reducible-ff/product")
     return Verdict.accept()
 
 
 def verify_rabin(cert: RabinCertificate) -> Verdict:
-    """Check statements (i)-(iv); acceptance proves f irreducible over GF(p)."""
+    """Check statements (i)-(iv); acceptance proves f irreducible over GF(p).
+
+    The format has no Pratt certificate for p, so p is proven prime, by
+    trial division, only below TRIAL_DIVISION_BOUND.
+    """
     p, n, t, s = cert.p, cert.n, cert.t, cert.s
+    if p < primality.TRIAL_DIVISION_BOUND:
+        ok = primality.certify_prime_for_verifier(p, None)
+        if not ok:
+            return ok.prefixed("rabin")
     if n <= 0:
         return Verdict.reject("rabin/degree")
     if t not in (2, p):
         return Verdict.reject("rabin/base")
-    field = GF(p)
     f = list(cert.L)
     if any(not (0 <= c < p) for c in f):
         return Verdict.reject("rabin/coefficient-range")
@@ -158,7 +167,7 @@ def verify_rabin(cert: RabinCertificate) -> Verdict:
 
     # (i) chain endpoints: top of each chain is h_i^{b_s}, bottom is h_{i+1}
     for i in range(n):
-        if hp[i][s] != list_pow(field, h[i], digits[s]):
+        if hp[i][s] != list_pow(p, h[i], digits[s]):
             return Verdict.reject(f"rabin/check-i/i={i}")
         if hp[i][0] != h[i + 1]:
             return Verdict.reject(f"rabin/check-i/i={i}")
@@ -177,13 +186,13 @@ def verify_rabin(cert: RabinCertificate) -> Verdict:
     for q, _e in cert.n_factors:
         k = n // q
         used.add(k)
-        hm_minus_x = list_sub(field, h[k], X_POLY)
+        hm_minus_x = list_sub(p, h[k], X_POLY)
         lhs = list_add(
-            field,
-            list_mul(field, list(cert.a[k]), f),
-            list_mul(field, list(cert.b[k]), hm_minus_x),
+            p,
+            list_mul(p, list(cert.a[k]), f),
+            list_mul(p, list(cert.b[k]), hm_minus_x),
         )
-        if lhs != [field.one]:
+        if lhs != [1]:
             return Verdict.reject(f"rabin/check-iv/q={q}")
     for k in range(n):
         if k not in used and (cert.a[k] or cert.b[k]):
@@ -204,7 +213,6 @@ def _check_chain_steps(p: int, t: int, digits: list[int], f, h, hp, g) -> Verdic
     prime p and keeps the degree exact for any modulus.  Every digit b_j is
     0 or 1, since the digits are those of p in base 2 or in base p.
     """
-    field = GF(p)
 
     def reduced(x):
         # an honest file's lists are already reduced and canonical: no copy
@@ -244,7 +252,7 @@ def _check_chain_steps(p: int, t: int, digits: list[int], f, h, hp, g) -> Verdic
                     R *= H
             else:
                 # t = p: p's base-p digits are 0, 1, so s = 1 and b_0 = 0
-                R = _kron_pack(list_pow(field, top, t), w)
+                R = _kron_pack(list_pow(p, top, t), w)
             if not packed_vanishes_mod_p(F * _kron_pack(quots[j], w) + C[j] - R, p, m, w):
                 return Verdict.reject(f"rabin/check-ii/i={i}/j={j}")
     return Verdict.accept()
@@ -263,9 +271,8 @@ def _stable_seed(*parts: int) -> int:
     return h
 
 
-def _frobenius_power(field: PrimeField, f: list[int]) -> list[int]:
+def _frobenius_power(p: int, f: list[int]) -> list[int]:
     """For f with zero derivative over GF(p), the g with g^p = f."""
-    p = field.p
     return drop_trailing_zeros([f[i] for i in range(0, len(f), p)])
 
 
@@ -283,29 +290,29 @@ class _FrobeniusTable:
     product reduces mod g.
     """
 
-    def __init__(self, field: PrimeField, f: list[int]):
-        self.field = field
+    def __init__(self, p: int, f: list[int]):
+        self.p = p
         self.f = f
-        self.width = (deg(f) * (field.p - 1) ** 2).bit_length() + 1
+        self.width = (deg(f) * (p - 1) ** 2).bit_length() + 1
         self.rows: list[int] | None = None
 
     def power(self, h: list[int]) -> list[int]:
         """h^p mod f, for a reduced h with deg h < deg f."""
-        field, f = self.field, self.f
+        p, f = self.p, self.f
         n = deg(f)
         if self.rows is None:
-            xp = row = poly_mod_pow(field, X_POLY, field.p, f)
-            self.rows = [_kron_pack([field.one], self.width), _kron_pack(xp, self.width)]
-            mod = Modulus(field, f, n - 2)
+            xp = row = poly_mod_pow(p, X_POLY, p, f)
+            self.rows = [_kron_pack([1], self.width), _kron_pack(xp, self.width)]
+            mod = Modulus(p, f, n - 2)
             for _ in range(n - 2):
-                row = mod.divmod(list_mul(field, row, xp))[1]
+                row = mod.divmod(list_mul(p, row, xp))[1]
                 self.rows.append(_kron_pack(row, self.width))
         out: list[int] = []
         _kron_unpack(sum(c * row for c, row in zip(h, self.rows) if c), n, self.width, out)
-        return _canonical(field, out)
+        return _canonical(p, out)
 
 
-def _squarefree_parts(field: PrimeField, f: list[int]) -> list[tuple[list[int], int]]:
+def _squarefree_parts(p: int, f: list[int]) -> list[tuple[list[int], int]]:
     """[(s, m)] with monic f = prod s^m, the s squarefree, nonconstant and
     prime to each other (von zur Gathen & Gerhard, 14.6).
 
@@ -314,21 +321,21 @@ def _squarefree_parts(field: PrimeField, f: list[int]) -> list[tuple[list[int], 
     Peeling w against c one multiplicity at a time leaves in c the P^e with
     p | e, a p-th power, whose p-th root is split the same way.
     """
-    fp = formal_derivative(field, f)
-    c = poly_gcd(field, f, fp) if fp else f
-    w, m, parts = poly_divmod(field, f, c)[0], 1, []
+    fp = formal_derivative(p, f)
+    c = poly_gcd(p, f, fp) if fp else f
+    w, m, parts = poly_divmod(p, f, c)[0], 1, []
     while deg(w) > 0:
-        y = poly_gcd(field, w, c)
-        s = poly_divmod(field, w, y)[0]
+        y = poly_gcd(p, w, c)
+        s = poly_divmod(p, w, y)[0]
         if deg(s) > 0:
             parts.append((s, m))
-        w, c, m = y, poly_divmod(field, c, y)[0], m + 1
+        w, c, m = y, poly_divmod(p, c, y)[0], m + 1
     if deg(c) > 0:
-        parts += [(s, m * field.p) for s, m in _squarefree_parts(field, _frobenius_power(field, c))]
+        parts += [(s, m * p) for s, m in _squarefree_parts(p, _frobenius_power(p, c))]
     return parts
 
 
-def _distinct_degree(field: PrimeField, f: list[int], frob: _FrobeniusTable):
+def _distinct_degree(p: int, f: list[int], frob: _FrobeniusTable):
     """Yield (d, g_d) for d = 1, 2, ...: g_d is the product of the monic
     irreducible factors of degree d of a squarefree monic f, when it is not 1.
 
@@ -342,16 +349,16 @@ def _distinct_degree(field: PrimeField, f: list[int], frob: _FrobeniusTable):
     while 2 * (d + 1) <= deg(rest):
         d += 1
         h = frob.power(h)
-        g = poly_gcd(field, list_sub(field, h, X_POLY), rest)
+        g = poly_gcd(p, list_sub(p, h, X_POLY), rest)
         if deg(g) > 0:
             yield d, g
-            rest = poly_divmod(field, rest, g)[0]
+            rest = poly_divmod(p, rest, g)[0]
     if deg(rest) > 0:
         yield deg(rest), rest
 
 
 def _equal_degree_split(
-    field: PrimeField, f: list[int], d: int, rng: random.Random, frob: _FrobeniusTable
+    p: int, f: list[int], d: int, rng: random.Random, frob: _FrobeniusTable
 ):
     """Yield the irreducible factors of a monic f, all of whose factors have
     degree d, by Cantor-Zassenhaus splitting (von zur Gathen & Gerhard,
@@ -359,13 +366,12 @@ def _equal_degree_split(
     Each split is followed into its gcd half first, then into the cofactor,
     so the first factor costs the draws of a search for one factor.
     """
-    p = field.p
     while deg(f) > d:
         n = deg(f)
         u = drop_trailing_zeros([rng.randrange(p) for _ in range(n)])
         if deg(u) < 1:
             continue
-        g = poly_gcd(field, f, u)
+        g = poly_gcd(p, f, u)
         if not 0 < deg(g) < n:
             if p == 2:
                 # trace map u + u^2 + ... + u^(2^(d-1)) splits over GF(2);
@@ -373,23 +379,23 @@ def _equal_degree_split(
                 t = acc = u
                 for _ in range(d - 1):
                     t = frob.power(t)
-                    acc = list_add(field, acc, t)
-                g = poly_gcd(field, acc, f)
+                    acc = list_add(p, acc, t)
+                g = poly_gcd(p, acc, f)
             else:
                 # u^((p^d - 1)/2) = (u * u^p * ... * u^(p^(d-1)))^((p - 1)/2)
                 conj = norm = u
                 for _ in range(d - 1):
                     conj = frob.power(conj)
-                    norm = poly_divmod(field, list_mul(field, norm, conj), f)[1]
-                w = poly_mod_pow(field, norm, (p - 1) // 2, f)
-                g = poly_gcd(field, f, list_sub(field, w, [1]))
+                    norm = poly_divmod(p, list_mul(p, norm, conj), f)[1]
+                w = poly_mod_pow(p, norm, (p - 1) // 2, f)
+                g = poly_gcd(p, f, list_sub(p, w, [1]))
         if 0 < deg(g) < n:
-            yield from _equal_degree_split(field, g, d, rng, frob)
-            f = poly_divmod(field, f, g)[0]
+            yield from _equal_degree_split(p, g, d, rng, frob)
+            f = poly_divmod(p, f, g)[0]
     yield f
 
 
-def find_factor(field: PrimeField, f: list[int]) -> list[int] | None:
+def find_factor(p: int, f: list[int]) -> list[int] | None:
     """A monic nontrivial factor of f, or None when f is irreducible.
 
     Linear factors are searched by increasing root representative first so
@@ -398,8 +404,7 @@ def find_factor(field: PrimeField, f: list[int]) -> list[int] | None:
     first factor, with draws seeded from p and the monic f, so the factor
     is a function of f.
     """
-    p = field.p
-    f = monic(field, f)
+    f = monic(p, f)
     n = deg(f)
     if n <= 1:
         return None
@@ -412,17 +417,17 @@ def find_factor(field: PrimeField, f: list[int]) -> list[int] | None:
                 rem = (rem * r + c) % p
             if rem == 0:
                 return [(-r) % p, 1]
-    fp = formal_derivative(field, f)
+    fp = formal_derivative(p, f)
     if not fp:
-        return _frobenius_power(field, f)
-    d = poly_gcd(field, f, fp)
+        return _frobenius_power(p, f)
+    d = poly_gcd(p, f, fp)
     if 0 < deg(d) < n:
         return d
-    frob = _FrobeniusTable(field, f)
-    degree, g = next(_distinct_degree(field, f, frob))
+    frob = _FrobeniusTable(p, f)
+    degree, g = next(_distinct_degree(p, f, frob))
     if degree == n:
         return None
-    return next(_equal_degree_split(field, g, degree, random.Random(_stable_seed(p, *f)), frob))
+    return next(_equal_degree_split(p, g, degree, random.Random(_stable_seed(p, *f)), frob))
 
 
 @dataclass(frozen=True)
@@ -441,19 +446,19 @@ class DistinctDegreeSplit:
         return sorted(d for m, d, g in self.parts for _ in range(m * (deg(g) // d)))
 
 
-def distinct_degree_split(field: PrimeField, f: list[int]) -> DistinctDegreeSplit:
+def distinct_degree_split(p: int, f: list[int]) -> DistinctDegreeSplit:
     """The first two stages of factoring f over GF(p): its squarefree parts,
     each split by one distinct-degree sweep over the table of monic f."""
     if not f:
         raise ValueError("cannot factor the zero polynomial")
-    frob = _FrobeniusTable(field, monic(field, f))
-    parts = _squarefree_parts(field, frob.f)
-    return DistinctDegreeSplit(f[-1] % field.p, frob, tuple(
-        (m, d, g) for s, m in parts for d, g in _distinct_degree(field, s, frob)))
+    frob = _FrobeniusTable(p, monic(p, f))
+    parts = _squarefree_parts(p, frob.f)
+    return DistinctDegreeSplit(f[-1] % p, frob, tuple(
+        (m, d, g) for s, m in parts for d, g in _distinct_degree(p, s, frob)))
 
 
 def factor_poly(
-    field: PrimeField, f: list[int], split: DistinctDegreeSplit | None = None
+    p: int, f: list[int], split: DistinctDegreeSplit | None = None
 ) -> tuple[int, list[tuple[list[int], int]]]:
     """Full factorization over GF(p): (unit, [(monic irreducible, multiplicity)]).
 
@@ -463,20 +468,20 @@ def factor_poly(
     it does not depend on the draws of the equal-degree splits.
     """
     if split is None:
-        split = distinct_degree_split(field, f)
+        split = distinct_degree_split(p, f)
     frob = split.frob
-    rng = random.Random(_stable_seed(field.p, *frob.f))
+    rng = random.Random(_stable_seed(p, *frob.f))
     factors = [(fac, m) for m, d, g in split.parts
-               for fac in _equal_degree_split(field, g, d, rng, frob)]
+               for fac in _equal_degree_split(p, g, d, rng, frob)]
     return split.unit, sorted(factors, key=lambda fm: (len(fm[0]), fm[0]))
 
 
-def radical_fp(field: PrimeField, f: list[int]) -> list[int]:
+def radical_fp(p: int, f: list[int]) -> list[int]:
     """Product of the distinct monic irreducible factors of f: of its
     squarefree parts, with no factoring at all."""
-    rad = [field.one]
-    for s, _m in _squarefree_parts(field, monic(field, f)):
-        rad = list_mul(field, rad, s)
+    rad = [1]
+    for s, _m in _squarefree_parts(p, monic(p, f)):
+        rad = list_mul(p, rad, s)
     return rad
 
 
@@ -485,20 +490,19 @@ def choose_base(p: int, n: int) -> int:
     return p if (p <= 5 and n >= 8) else 2
 
 
-def _factor_witness(field: PrimeField, f: list[int]) -> ReducibleWitness:
+def _factor_witness(p: int, f: list[int]) -> ReducibleWitness:
     """The factorization witness for an f that failed Rabin's test."""
-    fac = find_factor(field, monic(field, f))
+    fac = find_factor(p, monic(p, f))
     assert fac is not None, "Rabin's test failed but no factor was found"
-    q, r = poly_divmod(field, f, fac)
+    q, r = poly_divmod(p, f, fac)
     assert not r
-    return ReducibleWitness(field.p, tuple(f), tuple(fac), tuple(q))
+    return ReducibleWitness(p, tuple(f), tuple(fac), tuple(q))
 
 
 def generate_rabin(
     f: list[int], p: int, t: int | None = None
 ) -> RabinCertificate | ReducibleWitness:
     """Certificate for irreducible f over GF(p), or a factorization witness."""
-    field = GF(p)
     f = [c % p for c in f]
     f = drop_trailing_zeros(f)
     n = deg(f)
@@ -525,21 +529,21 @@ def generate_rabin(
     # divide by `poly_divmod`: their quotients are about (p - 1)n long, and
     # an inverse that long costs more than it saves.
     if t == 2:
-        divide = Modulus(field, f, max(2 * n - 3, 0)).divmod
+        divide = Modulus(p, f, max(2 * n - 3, 0)).divmod
         # slots of T^2 are at most L(p-1)^2 and of T^2 * H at most L^2(p-1)^3,
         # for L = max(n, 2) bounding len T and len H (h_0 = X when n = 1);
         # one more bit is the sign bit `_kron_unpack` reads
         width = (max(n, 2) ** 2 * (p - 1) ** 3).bit_length() + 1
     else:
         def divide(a):
-            return poly_divmod(field, a, f)
+            return poly_divmod(p, a, f)
 
     h: list[list[int]] = [list(X_POLY)]
     g_rows = []
     hp_rows = []
     for i in range(n):
         hp = [None] * (s + 1)
-        hp[s] = list_pow(field, h[i], digits[s])
+        hp[s] = list_pow(p, h[i], digits[s])
         if t == 2:
             H = _kron_pack(h[i], width)
         grow = [None] * s
@@ -547,7 +551,7 @@ def generate_rabin(
             top, b = hp[j + 1], digits[j]
             if t != 2:
                 # t = p: p's base-p digits are 0, 1, so s = 1 and b_0 = 0
-                step = list_pow(field, top, t)
+                step = list_pow(p, top, t)
             elif not top or (b and not h[i]):
                 step = []
             else:
@@ -557,12 +561,12 @@ def generate_rabin(
                     z, m = z * H, m + len(h[i]) - 1
                 step = []
                 _kron_unpack(z, m, width, step)
-                step = _canonical(field, step)
+                step = _canonical(p, step)
             if i == n - 1 and j == 0:
                 hp[0] = list(X_POLY)
-                q, r = divide(list_sub(field, step, X_POLY))
+                q, r = divide(list_sub(p, step, X_POLY))
                 if r:
-                    return _factor_witness(field, f)
+                    return _factor_witness(p, f)
             else:
                 q, hp[j] = divide(step)
             grow[j] = tuple(q)
@@ -576,9 +580,9 @@ def generate_rabin(
     b_rows: list[tuple[int, ...]] = [()] * n
     for q, _e in n_factors:
         k = n // q
-        d, u, v = poly_xgcd(field, f, list_sub(field, h[k], X_POLY))
-        if d != [field.one]:
-            return _factor_witness(field, f)
+        d, u, v = poly_xgcd(p, f, list_sub(p, h[k], X_POLY))
+        if d != [1]:
+            return _factor_witness(p, f)
         a_rows[k] = tuple(u)
         b_rows[k] = tuple(v)
 

@@ -34,7 +34,6 @@ from fractions import Fraction
 
 from . import irred_ff, primality
 from .exactalg import (
-    GF,
     ZZ,
     content,
     deg,
@@ -152,7 +151,6 @@ def _verify_factorization_mod_p(fmp: FactorizationModP, f: list[int]) -> Verdict
     if lc(f) % p == 0:
         return Verdict.reject(f"analysis/p={p}/divides-lc")
     fbar = reduce_mod_p(f, p)
-    field = GF(p)
     if len(fmp.factors) != len(fmp.certs):
         return Verdict.reject(f"analysis/p={p}/shape")
     if not (0 < fmp.unit < p):
@@ -167,7 +165,7 @@ def _verify_factorization_mod_p(fmp: FactorizationModP, f: list[int]) -> Verdict
         if not ok:
             return ok.prefixed(f"analysis/p={p}")
         for _ in range(mult):
-            prod = list_mul(field, prod, list(coeffs))
+            prod = list_mul(p, prod, list(coeffs))
     if prod != fbar:
         return Verdict.reject(f"analysis/p={p}/product")
     return Verdict.accept()
@@ -284,7 +282,7 @@ def _factorization_cert_mod_p(
     f: list[int], p: int, split: irred_ff.DistinctDegreeSplit
 ) -> FactorizationModP:
     """The certified factorization of f mod p, from the split the scan made."""
-    unit, factors = irred_ff.factor_poly(GF(p), reduce_mod_p(f, p), split)
+    unit, factors = irred_ff.factor_poly(p, reduce_mod_p(f, p), split)
     certs = tuple(irred_ff.generate_rabin(fac, p) for fac, _m in factors)
     assert all(isinstance(cert, irred_ff.RabinCertificate) for cert in certs)
     return FactorizationModP(p, unit, tuple((tuple(fac), m) for fac, m in factors), certs)
@@ -314,7 +312,7 @@ def _degree_analysis_search(f: list[int]) -> tuple[int, DegreeAnalysisCertificat
         primes = itertools.islice(
             (p for p in beyond if lc(f) % p and primality.is_prime_trial(p)), 1)
     for p in primes:
-        split = irred_ff.distinct_degree_split(GF(p), reduce_mod_p(f, p))
+        split = irred_ff.distinct_degree_split(p, reduce_mod_p(f, p))
         sums = subset_sums(split.degrees)
         scanned.append((p, sums, split))
         common &= sums
@@ -407,11 +405,11 @@ def _big_prime_factors(f: list[int]) -> tuple[int, list[list[int]]]:
         while not primality.is_probable_prime(P):
             P += 1
         fbar = reduce_mod_p(f, P)
-        split = irred_ff.distinct_degree_split(GF(P), fbar)
+        split = irred_ff.distinct_degree_split(P, fbar)
         if best is None or len(split.degrees) < len(best[2].degrees):
             best = (P, fbar, split)
     P, fbar, split = best
-    _unit, found = irred_ff.factor_poly(GF(P), fbar, split)
+    _unit, found = irred_ff.factor_poly(P, fbar, split)
     return P, [fac for fac, mult in found for _ in range(mult)]
 
 
@@ -471,7 +469,6 @@ def _zassenhaus_factor(
     if not allowed:
         return None
     a = lc(f)
-    field = GF(P)
     for size in range(1, len(factors)):
         for subset in itertools.combinations(factors, size):
             if sum(len(g) - 1 for g in subset) not in allowed:
@@ -481,7 +478,7 @@ def _zassenhaus_factor(
                 continue
             g = [a]
             for h in subset:
-                g = list_mul(field, g, h)
+                g = list_mul(P, g, h)
             g = [_symmetric(c, P) for c in g]
             g = [c // content(g) for c in g]
             if _exact_quotient(f, g) is not None:

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 from .exactalg import (
-    GF,
     ZZ,
     deg,
     drop_trailing_zeros,
+    formal_derivative,
     list_add,
     list_mul,
     list_pow,
@@ -89,7 +89,6 @@ def verify_dedekind(cert: DedekindCertificate) -> Verdict:
         return Verdict.reject("dedekind/T-not-monic")
     if p < 2:
         return Verdict.reject("dedekind/modulus")
-    field = GF(p)
     if not _fp_range_ok(
         p,
         cert.a,
@@ -106,21 +105,21 @@ def verify_dedekind(cert: DedekindCertificate) -> Verdict:
     hbar = reduce_mod_p(list(cert.h), p)
     fbar = reduce_mod_p(list(cert.f), p)
 
-    if list_mul(field, gbar, list(cert.rad_quotient)) != Tbar:
+    if list_mul(p, gbar, list(cert.rad_quotient)) != Tbar:
         return Verdict.reject("dedekind/radical-divides")
     if not (1 <= cert.rad_power_exp <= n):
         return Verdict.reject("dedekind/radical-exponent")
-    if list_mul(field, Tbar, list(cert.rad_power_witness)) != list_pow(
-        field, gbar, cert.rad_power_exp
+    if list_mul(p, Tbar, list(cert.rad_power_witness)) != list_pow(
+        p, gbar, cert.rad_power_exp
     ):
         return Verdict.reject("dedekind/radical-power")
-    gprime = drop_trailing_zeros([(i * cert.g[i]) % p for i in range(1, len(cert.g))])
+    gprime = formal_derivative(p, list(cert.g))
     lhs = list_add(
-        field,
-        list_mul(field, list(cert.sqfree_u), gbar),
-        list_mul(field, list(cert.sqfree_v), gprime),
+        p,
+        list_mul(p, list(cert.sqfree_u), gbar),
+        list_mul(p, list(cert.sqfree_v), gprime),
     )
-    if lhs != [1 % p]:
+    if lhs != [1]:
         return Verdict.reject("dedekind/radical-squarefree")
 
     # T is monic, so p*f = g*h - T forces deg g + deg h = n; checking that
@@ -133,27 +132,26 @@ def verify_dedekind(cert: DedekindCertificate) -> Verdict:
         return Verdict.reject("dedekind/factor-identity")
 
     combo = list_add(
-        field,
-        list_mul(field, list(cert.a), fbar),
+        p,
+        list_mul(p, list(cert.a), fbar),
         list_add(
-            field,
-            list_mul(field, list(cert.b), gbar),
-            list_mul(field, list(cert.c), hbar),
+            p,
+            list_mul(p, list(cert.b), gbar),
+            list_mul(p, list(cert.c), hbar),
         ),
     )
-    if combo != [1 % p]:
+    if combo != [1]:
         return Verdict.reject("dedekind/gcd")
     return Verdict.accept()
 
 
 def generate_dedekind(T: list[int], p: int) -> DedekindCertificate | None:
     """Build a Dedekind certificate at p, or None when the criterion fails."""
-    field = GF(p)
     T = drop_trailing_zeros(list(T))
     n = deg(T)
     Tbar = reduce_mod_p(T, p)
-    rad = radical_fp(field, Tbar)
-    hbar, rem = poly_divmod(field, Tbar, rad)
+    rad = radical_fp(p, Tbar)
+    hbar, rem = poly_divmod(p, Tbar, rad)
     assert not rem
     g = list(rad)
     h = list(hbar)
@@ -162,19 +160,19 @@ def generate_dedekind(T: list[int], p: int) -> DedekindCertificate | None:
     f = [c // p for c in prod]
     fbar = reduce_mod_p(f, p)
 
-    d1, u1, v1 = poly_xgcd(field, fbar, rad)
-    d2, u2, v2 = poly_xgcd(field, d1, hbar)
-    if d2 != [1 % p]:
+    d1, u1, v1 = poly_xgcd(p, fbar, rad)
+    d2, u2, v2 = poly_xgcd(p, d1, hbar)
+    if d2 != [1]:
         return None
-    a = list_mul(field, u2, u1)
-    b = list_mul(field, u2, v1)
+    a = list_mul(p, u2, u1)
+    b = list_mul(p, u2, v1)
     c = v2
 
-    power = list_pow(field, rad, n)
-    wit, rem = poly_divmod(field, power, Tbar)
+    power = list_pow(p, rad, n)
+    wit, rem = poly_divmod(p, power, Tbar)
     assert not rem
-    dsq, su, sv = poly_xgcd(field, rad, drop_trailing_zeros([(i * rad[i]) % p for i in range(1, len(rad))]))
-    assert dsq == [1 % p]
+    dsq, su, sv = poly_xgcd(p, rad, formal_derivative(p, rad))
+    assert dsq == [1]
     return DedekindCertificate(
         T=tuple(T),
         p=p,
@@ -309,18 +307,17 @@ def _check_common(tt: TimesTable, p: int, cert, kind: str) -> Verdict | tuple:
         if not _pivot_pattern_ok(urows, cert.omega[i], i):
             return Verdict.reject(f"{kind}/check-ii/i={i}")
 
-    field = GF(p)
     tt_p = reduce_table_mod_p(tt, p)
     exponent = p**t
     for i in range(m):
-        z = tt_pow(field, tt_p, vbar[i], exponent)
+        z = tt_pow(p, tt_p, vbar[i], exponent)
         if z != []:
             return Verdict.reject(f"{kind}/check-iv/i={i}")
     for i in range(n):
-        z = tt_pow(field, tt_p, wbar[i], exponent)
+        z = tt_pow(p, tt_p, wbar[i], exponent)
         if z != drop_trailing_zeros(urows[i]):
             return Verdict.reject(f"{kind}/check-v/i={i}")
-    return (r, m, n, field)
+    return (r, m, n)
 
 
 def verify_pmax_short(tt: TimesTable, p: int, cert: PMaxShortCertificate) -> Verdict:
@@ -333,7 +330,7 @@ def verify_pmax_short(tt: TimesTable, p: int, cert: PMaxShortCertificate) -> Ver
     common = _check_common(tt, p, cert, "pmax-short")
     if isinstance(common, Verdict):
         return common
-    r, m, n, _field = common
+    r, m, n = common
 
     if m == 0:
         if cert.X or cert.beta or cert.gamma or cert.a or cert.c or cert.eta:
@@ -373,7 +370,7 @@ def verify_pmax_long(tt: TimesTable, p: int, cert: PMaxLongCertificate) -> Verdi
     common = _check_common(tt, p, cert, "pmax-long")
     if isinstance(common, Verdict):
         return common
-    r, m, n, _field = common
+    r, m, n = common
 
     if m == 0:
         if cert.X or cert.a or cert.c or cert.d or cert.e or cert.eta:
@@ -460,14 +457,13 @@ def frobenius_kernel_basis(
     every later decomposition over {V, pW} integral, and nu is exactly the
     set of columns where W is all zero.
     """
-    field = GF(p)
     tt_p = reduce_table_mod_p(tt, p)
     r = tt.n
     exponent = p**t
     frob = []
     for j in range(r):
         e_j = [0] * j + [1]
-        img = tt_pow(field, tt_p, e_j, exponent)
+        img = tt_pow(p, tt_p, e_j, exponent)
         frob.append([(img[k] if k < len(img) else 0) for k in range(r)])
 
     vbar, nu = nullspace_fp(transpose(frob), p)

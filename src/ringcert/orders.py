@@ -188,7 +188,7 @@ def times_table_of(desc: OrderDescription) -> TimesTable:
     return TimesTable(n, tuple(tuple(row) for row in table))
 
 
-def tt_mul(dom, tt: TimesTable, x: list, y: list) -> list:
+def tt_mul(p: int, tt: TimesTable, x: list, y: list) -> list:
     """Product of coordinate vectors; short lists read as zero-padded.
 
     Entry k of the product is one integer sum of x_i*y_j*table[i][j][k],
@@ -204,10 +204,10 @@ def tt_mul(dom, tt: TimesTable, x: list, y: list) -> list:
                 vecs.append(row[j])
     if not vecs:
         return []
-    return _canonical(dom, [sum(map(mul, coeffs, col)) for col in zip(*vecs)])
+    return _canonical(p, [sum(map(mul, coeffs, col)) for col in zip(*vecs)])
 
 
-def tt_pow(dom, tt: TimesTable, x: list, e: int) -> list:
+def tt_pow(p: int, tt: TimesTable, x: list, e: int) -> list:
     """x^e for e >= 1 by square and multiply over the times table."""
     if e < 1:
         raise ValueError("exponent must be positive")
@@ -215,10 +215,10 @@ def tt_pow(dom, tt: TimesTable, x: list, e: int) -> list:
     base = drop_trailing_zeros(list(x))
     while e:
         if e & 1:
-            result = base if result is None else tt_mul(dom, tt, result, base)
+            result = base if result is None else tt_mul(p, tt, result, base)
         e >>= 1
         if e:
-            base = tt_mul(dom, tt, base, base)
+            base = tt_mul(p, tt, base, base)
     return drop_trailing_zeros(result)
 
 

@@ -7,8 +7,6 @@ from fractions import Fraction
 
 from ringcert import linalg, primality
 from ringcert.exactalg import (
-    GF,
-    PrimeField,
     ZZ,
     deg,
     drop_trailing_zeros,
@@ -143,18 +141,17 @@ def nullspace_fp(m: list[list[int]], p: int) -> list[list[int]]:
     return basis
 
 
-def resultant(field, f: list[int], g: list[int]) -> int:
+def resultant(p: int, f: list[int], g: list[int]) -> int:
     """Determinant of the Sylvester matrix of f and g: ascending coefficient
     rows, the deg g shifted copies of f first, then the deg f copies of g.
-    `field` is ZZ or a PrimeField; over GF(p) the integer determinant is
-    reduced mod p."""
+    Over GF(p), p > 0, the integer determinant is reduced mod p."""
     n, m = deg(f), deg(g)
     if n < 0 or m < 0:
         raise ValueError("resultant of a zero polynomial")
     rows = [[0] * i + list(f) + [0] * (m - 1 - i) for i in range(m)]
     rows += [[0] * i + list(g) + [0] * (n - 1 - i) for i in range(n)]
     det = det_bareiss(rows)
-    return det % field.p if isinstance(field, PrimeField) else det
+    return det % p if p else det
 
 
 def power_basis_with_table(T: list[int]) -> OrderDescription:
@@ -188,7 +185,7 @@ def lattice_index(m, n) -> int:
 
 
 def residue_chain(
-    field: PrimeField, g: list[int], e: int, f: list[int], base: int = 2
+    p: int, g: list[int], e: int, f: list[int], base: int = 2
 ) -> tuple[list[int], list[list[int]]]:
     """g^e mod f via base-`base` square and multiply, reducing after every
     step.  Returns (final residue, intermediates [y_s, ..., y_0]); y_0 is
@@ -197,33 +194,33 @@ def residue_chain(
         raise ZeroDivisionError("zero modulus")
     digits = base_digits(e, base)
     s = len(digits) - 1
-    y = poly_divmod(field, list_pow(field, g, digits[s]), f)[1]
+    y = poly_divmod(p, list_pow(p, g, digits[s]), f)[1]
     steps = [y]
     for j in range(s - 1, -1, -1):
-        y = list_mul(field, list_pow(field, y, base), list_pow(field, g, digits[j]))
-        y = poly_divmod(field, y, f)[1]
+        y = list_mul(p, list_pow(p, y, base), list_pow(p, g, digits[j]))
+        y = poly_divmod(p, y, f)[1]
         steps.append(y)
     return steps[-1], steps
 
 
-def poly_mod_pow(field: PrimeField, g: list[int], e: int, f: list[int]) -> list[int]:
+def poly_mod_pow(p: int, g: list[int], e: int, f: list[int]) -> list[int]:
     """g^e mod f by square and multiply, every product divided by
     `poly_divmod`, so the references do not go through the program's
     fixed-divisor kernel."""
     if not f:
         raise ZeroDivisionError("zero modulus")
-    result = poly_divmod(field, [field.one], f)[1]
-    base = poly_divmod(field, g, f)[1]
+    result = poly_divmod(p, [1], f)[1]
+    base = poly_divmod(p, g, f)[1]
     while e:
         if e & 1:
-            result = poly_divmod(field, list_mul(field, result, base), f)[1]
+            result = poly_divmod(p, list_mul(p, result, base), f)[1]
         e >>= 1
         if e:
-            base = poly_divmod(field, list_mul(field, base, base), f)[1]
+            base = poly_divmod(p, list_mul(p, base, base), f)[1]
     return result
 
 
-def is_irreducible(field: PrimeField, f: list[int]) -> bool:
+def is_irreducible(p: int, f: list[int]) -> bool:
     """Rabin's criterion computed directly: X^(p^n) = X mod f, and
     gcd(f, X^(p^(n/q)) - X) = 1 for every prime q dividing n."""
     n = deg(f)
@@ -231,28 +228,28 @@ def is_irreducible(field: PrimeField, f: list[int]) -> bool:
         return False
     if n == 1:
         return True
-    p = field.p
-    powers = [poly_divmod(field, X_POLY, f)[1]]
+    powers = [poly_divmod(p, X_POLY, f)[1]]
     for _ in range(n):
-        powers.append(poly_mod_pow(field, powers[-1], p, f))
+        powers.append(poly_mod_pow(p, powers[-1], p, f))
     if powers[n] != powers[0]:
         return False
     for q, _e in factorize(n):
-        g = poly_gcd(field, f, list_sub(field, powers[n // q], X_POLY))
+        g = poly_gcd(p, f, list_sub(p, powers[n // q], X_POLY))
         if deg(g) != 0:
             return False
     return True
 
 
-def divmod_by_field_calls(field, f: list, g: list) -> tuple[list, list]:
+def divmod_by_field_calls(p: int, f: list, g: list) -> tuple[list, list]:
     """Quotient and remainder of f by g over GF(p) as the former per-coefficient
     field calls computed them: every product and difference reduced mod p on
     its own.  Entries of f that no step reaches are returned as given, so an
     unreduced f may leave an unreduced remainder."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    p = field.p
-    inv_lead = field.inv(lc(g))
+    if lc(g) % p == 0:
+        raise ZeroDivisionError(f"inverse of zero in GF({p})")
+    inv_lead = pow(lc(g), -1, p)
     q = [0] * max(len(f) - len(g) + 1, 0)
     r = list(f)
     while len(r) >= len(g):
@@ -272,7 +269,6 @@ def generate_rabin(
     plainly: a factor search first, then the Frobenius chain by `poly_mod_pow`,
     then each chain step of every h_i formed again and divided by f for its
     quotient."""
-    field = GF(p)
     f = drop_trailing_zeros([c % p for c in f])
     n = deg(f)
     if rng is None:
@@ -281,9 +277,9 @@ def generate_rabin(
         t = choose_base(p, n)
 
     if n > 1:
-        fac = find_factor(field, monic(field, f), rng)
+        fac = find_factor(p, monic(p, f), rng)
         if fac is not None:
-            q, r = poly_divmod(field, f, fac)
+            q, r = poly_divmod(p, f, fac)
             assert not r
             return ReducibleWitness(p, tuple(f), tuple(fac), tuple(q))
 
@@ -291,25 +287,25 @@ def generate_rabin(
     s = len(digits) - 1
     h: list[list[int]] = [list(X_POLY)]
     for i in range(1, n + 1):
-        h.append(list(X_POLY) if i == n else poly_mod_pow(field, h[i - 1], p, f))
+        h.append(list(X_POLY) if i == n else poly_mod_pow(p, h[i - 1], p, f))
 
     g_rows = []
     hp_rows = []
     for i in range(n):
         hp = [None] * (s + 1)
-        hp[s] = list_pow(field, h[i], digits[s])
+        hp[s] = list_pow(p, h[i], digits[s])
         for j in range(s - 1, 0, -1):
             step = list_mul(
-                field, list_pow(field, hp[j + 1], t), list_pow(field, h[i], digits[j])
+                p, list_pow(p, hp[j + 1], t), list_pow(p, h[i], digits[j])
             )
-            hp[j] = poly_divmod(field, step, f)[1]
+            hp[j] = poly_divmod(p, step, f)[1]
         hp[0] = h[i + 1]
         grow = []
         for j in range(s):
             num = list_mul(
-                field, list_pow(field, hp[j + 1], t), list_pow(field, h[i], digits[j])
+                p, list_pow(p, hp[j + 1], t), list_pow(p, h[i], digits[j])
             )
-            q, r = poly_divmod(field, list_sub(field, num, hp[j]), f)
+            q, r = poly_divmod(p, list_sub(p, num, hp[j]), f)
             assert not r, "chain step not divisible by f"
             grow.append(tuple(q))
         g_rows.append(tuple(grow))
@@ -324,8 +320,8 @@ def generate_rabin(
     b_rows: list[tuple[int, ...]] = [()] * n
     for q, _e in n_factors:
         k = n // q
-        d, u, v = poly_xgcd(field, f, list_sub(field, h[k], X_POLY))
-        assert d == [field.one], "not coprime; f should have been irreducible"
+        d, u, v = poly_xgcd(p, f, list_sub(p, h[k], X_POLY))
+        assert d == [1], "not coprime; f should have been irreducible"
         a_rows[k] = tuple(u)
         b_rows[k] = tuple(v)
 
@@ -346,12 +342,11 @@ def check_chain_steps(p: int, t: int, digits: list[int], f, h, hp, g) -> Verdict
     `irred_ff._check_chain_steps`: every step's two sides are formed, reduced
     and compared as lists.  The degree comparison comes first, so no power
     longer than the left side is formed."""
-    field = GF(p)
     for i in range(len(hp)):
         hi = reduce_mod_p(h[i], p)
         chain = [reduce_mod_p(x, p) for x in hp[i]]
         for j in range(len(g[i])):
-            lhs = list_add(field, list_mul(field, f, g[i][j]), chain[j])
+            lhs = list_add(p, list_mul(p, f, g[i][j]), chain[j])
             top = chain[j + 1]
             if not top or (digits[j] and not hi):
                 deg_rhs = -1
@@ -359,26 +354,26 @@ def check_chain_steps(p: int, t: int, digits: list[int], f, h, hp, g) -> Verdict
                 deg_rhs = t * deg(top) + digits[j] * deg(hi)
             if deg_rhs != deg(lhs):
                 return Verdict.reject(f"rabin/check-ii/i={i}/j={j}")
-            rhs = list_pow(field, top, t)
+            rhs = list_pow(p, top, t)
             if digits[j]:
-                rhs = list_mul(field, rhs, list_pow(field, hi, digits[j]))
+                rhs = list_mul(p, rhs, list_pow(p, hi, digits[j]))
             if lhs != rhs:
                 return Verdict.reject(f"rabin/check-ii/i={i}/j={j}")
     return Verdict.accept()
 
 
-def list_pow(dom, a: list, e: int) -> list:
+def list_pow(p: int, a: list, e: int) -> list:
     """Exact e-th power by right-to-left repeated squaring from [1]."""
     if e < 0:
         raise ValueError("negative exponent")
-    result = [dom.one]
+    result = [1]
     base = list(a)
     while e:
         if e & 1:
-            result = list_mul(dom, result, base)
+            result = list_mul(p, result, base)
         e >>= 1
         if e:
-            base = list_mul(dom, base, base)
+            base = list_mul(p, base, base)
     return result
 
 
@@ -417,12 +412,11 @@ def factorize(n: int, rng: random.Random | None = None) -> list[tuple[int, int]]
     return sorted(factors.items())
 
 
-def find_factor(field: PrimeField, f: list[int], rng: random.Random) -> list[int] | None:
+def find_factor(p: int, f: list[int], rng: random.Random) -> list[int] | None:
     """A monic nontrivial factor of f, or None when f is irreducible: a root
     scan for p <= 1000, then distinct-degree and Cantor-Zassenhaus splitting
     with every p-th power by `poly_mod_pow`."""
-    p = field.p
-    f = monic(field, f)
+    f = monic(p, f)
     n = deg(f)
     if n <= 1:
         return None
@@ -433,72 +427,71 @@ def find_factor(field: PrimeField, f: list[int], rng: random.Random) -> list[int
                 rem = (rem * r + c) % p
             if rem == 0:
                 return [(-r) % p, 1]
-    fp = formal_derivative(field, f)
+    fp = formal_derivative(p, f)
     if not fp:
-        return _frobenius_power(field, f)
-    d = poly_gcd(field, f, fp)
+        return _frobenius_power(p, f)
+    d = poly_gcd(p, f, fp)
     if 0 < deg(d) < n:
         return d
-    h = poly_divmod(field, X_POLY, f)[1]
+    h = poly_divmod(p, X_POLY, f)[1]
     for degree in range(1, n // 2 + 1):
-        h = poly_mod_pow(field, h, p, f)
-        g = poly_gcd(field, f, list_sub(field, h, X_POLY))
+        h = poly_mod_pow(p, h, p, f)
+        g = poly_gcd(p, f, list_sub(p, h, X_POLY))
         if deg(g) <= 0:
             continue
         if deg(g) < n:
-            return equal_degree_split(field, g, degree, rng)
-        return equal_degree_split(field, f, degree, rng)
+            return equal_degree_split(p, g, degree, rng)
+        return equal_degree_split(p, f, degree, rng)
     return None
 
 
-def equal_degree_split(field: PrimeField, f: list[int], d: int, rng: random.Random) -> list[int]:
+def equal_degree_split(p: int, f: list[int], d: int, rng: random.Random) -> list[int]:
     """An irreducible factor of f, all of whose factors have degree d, with
     u^((p^d - 1)/2) by one `poly_mod_pow`."""
-    p = field.p
     n = deg(f)
     if n == d:
-        return monic(field, f)
+        return monic(p, f)
     while True:
         u = drop_trailing_zeros([rng.randrange(p) for _ in range(n)])
         if deg(u) < 1:
             continue
-        g = poly_gcd(field, f, u)
+        g = poly_gcd(p, f, u)
         if 0 < deg(g) < n:
-            return equal_degree_split(field, g, d, rng)
+            return equal_degree_split(p, g, d, rng)
         if p == 2:
-            t = poly_divmod(field, u, f)[1]
+            t = poly_divmod(p, u, f)[1]
             acc = t
             for _ in range(d - 1):
-                t = poly_mod_pow(field, t, 2, f)
-                acc = list_add(field, acc, t)
-            g = poly_gcd(field, f, acc)
+                t = poly_mod_pow(p, t, 2, f)
+                acc = list_add(p, acc, t)
+            g = poly_gcd(p, f, acc)
         else:
-            w = poly_mod_pow(field, u, (p**d - 1) // 2, f)
-            g = poly_gcd(field, f, list_sub(field, w, [1]))
+            w = poly_mod_pow(p, u, (p**d - 1) // 2, f)
+            g = poly_gcd(p, f, list_sub(p, w, [1]))
         if 0 < deg(g) < n:
-            return equal_degree_split(field, g, d, rng)
+            return equal_degree_split(p, g, d, rng)
 
 
 def factor_poly(
-    field: PrimeField, f: list[int], rng: random.Random | None = None
+    p: int, f: list[int], rng: random.Random | None = None
 ) -> tuple[int, list[tuple[list[int], int]]]:
     """(unit, [(monic irreducible, multiplicity)]) over GF(p), by `find_factor`
     on each cofactor in turn."""
     if rng is None:
-        rng = random.Random(_stable_seed(field.p, *f))
-    unit = f[-1] % field.p
+        rng = random.Random(_stable_seed(p, *f))
+    unit = f[-1] % p
     out: dict[tuple[int, ...], int] = {}
-    stack = [monic(field, f)]
+    stack = [monic(p, f)]
     while stack:
         cur = stack.pop()
         if deg(cur) == 0:
             continue
-        fac = find_factor(field, cur, rng)
+        fac = find_factor(p, cur, rng)
         if fac is None:
             key = tuple(cur)
             out[key] = out.get(key, 0) + 1
             continue
-        q, r = poly_divmod(field, cur, fac)
+        q, r = poly_divmod(p, cur, fac)
         assert not r, "factor does not divide"
         stack.append(fac)
         stack.append(q)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 import ringcert
 from ringcert import certio, irred_int, resultants
 from ringcert.cli import main
+from ringcert.irred_ff import ReducibleWitness, generate_rabin
 from ringcert.primality import generate_pratt
 from ringcert.resultants import disc_order
 
@@ -261,6 +263,21 @@ class TestVerifyRejection:
         code, _, err = run_cli(capsys, "verify", str(golden))
         assert code == 2
         assert "dedekind certificates are only meaningful inside a bundle" in err
+
+    @pytest.mark.parametrize("p", [-7, 0, 1, 15])
+    @pytest.mark.parametrize("kind", ["rabin", "reducible-ff"])
+    def test_standalone_modulus_not_prime_exit_1(self, tmp_path, capsys, kind, p):
+        # every identity in these files holds over Z/15 (and the factorization
+        # over Z), so only the check that p is prime rejects them
+        if kind == "rabin":
+            cert = dataclasses.replace(generate_rabin([1, 0, 1], 15), p=p)
+        else:
+            cert = ReducibleWitness(p, (2, 3, 1), (1, 1), (2, 1))
+        path = tmp_path / "cert.json"
+        certio.write_file(str(path), cert)
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == 1
+        assert err.splitlines()[-1] == f"{kind}/prime/composite/p={p}"
 
     def test_missing_file_exit_2(self, fixture_files, capsys):
         code, _, err = run_cli(capsys, "verify", str(fixture_files / "nope.json"))

@@ -8,7 +8,6 @@ import pytest
 from ringcert import exactalg, irred_ff, primality
 from ringcert.certio import serialize
 from ringcert.exactalg import (
-    GF,
     deg,
     drop_trailing_zeros,
     list_mul,
@@ -35,7 +34,6 @@ from reference import is_irreducible, residue_chain
 
 def brute_force_irreducible(p, f):
     """Trial division by every monic polynomial of degree 1..deg(f)//2."""
-    field = GF(p)
     n = deg(f)
     if n <= 0:
         return False
@@ -44,7 +42,7 @@ def brute_force_irreducible(p, f):
     for d in range(1, n // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
             g = list(tail) + [1]
-            if poly_divmod(field, f, g)[1] == []:
+            if poly_divmod(p, f, g)[1] == []:
                 return False
     return True
 
@@ -86,7 +84,7 @@ class TestGenerateVerify:
         out = generate_rabin([-1, 0, 1], 3)
         assert isinstance(out, ReducibleWitness)
         assert list(out.factor) == [2, 1]  # X - 1
-        assert list_mul(GF(3), list(out.factor), list(out.cofactor)) == [2, 0, 1]
+        assert list_mul(3, list(out.factor), list(out.cofactor)) == [2, 0, 1]
 
     def test_mutated_h_end_rejected_at_check_iii(self):
         cert = generate_rabin([1, 0, 1], 3)
@@ -125,7 +123,7 @@ def _irreducible(p, n, rng):
     """A random irreducible polynomial of degree n over GF(p), not monic."""
     while True:
         f = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
-        if is_irreducible(GF(p), f):
+        if is_irreducible(p, f):
             return f
 
 
@@ -141,7 +139,6 @@ class TestGeneratorAgainstReference:
     ], ids=["2-2", "3-2", "3-3", "5-2", "5-5", "503-2", "503-503", "M31-2", "M61-2", "M89-2"])
     def test_same_bytes_and_draws(self, p, t, top):
         rng = random.Random(f"rabin/{p}/{t}")
-        field = GF(p)
         inputs = []
         for n in range(1, top + 1):
             inputs.append(_irreducible(p, n, rng))
@@ -151,11 +148,11 @@ class TestGeneratorAgainstReference:
                 # a square factor: fails at h_n = X
                 lin = [rng.randrange(p), 1]
                 rest = [rng.randrange(p) for _ in range(n - 2)] + [rng.randrange(1, p)]
-                inputs.append(list_mul(field, list_mul(field, lin, lin), rest))
+                inputs.append(list_mul(p, list_mul(p, lin, lin), rest))
         # factors of degrees 1, 2 and 3: h_6 = X, but gcd(f, h_3 - X) != 1
         f = [1]
         for d in (1, 2, 3):
-            f = list_mul(field, f, _irreducible(p, d, rng))
+            f = list_mul(p, f, _irreducible(p, d, rng))
         inputs.append(f)
 
         kinds = set()
@@ -163,7 +160,7 @@ class TestGeneratorAgainstReference:
             got = generate_rabin(f, p, t)
             # the factor comes from find_factor, which seeds its split from
             # p and the monic f
-            seed = _stable_seed(p, *monic(field, drop_trailing_zeros([c % p for c in f])))
+            seed = _stable_seed(p, *monic(p, drop_trailing_zeros([c % p for c in f])))
             want = plain_generate_rabin(f, p, t, rng=random.Random(seed))
             assert serialize(got) == serialize(want), f
             kinds.add(type(got))
@@ -207,7 +204,6 @@ class TestFactorAgainstReference:
     @pytest.mark.parametrize("p", [2, 3, 5, 997, 1009, 2**31 - 1, 2**61 - 1, 10**12 + 39])
     def test_same_factors_and_draws(self, p):
         rng = random.Random(f"factor/{p}")
-        field = GF(p)
 
         def poly(n):
             return [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
@@ -218,47 +214,47 @@ class TestFactorAgainstReference:
             # repeated factors: a^2 * b^3 * c of degree n
             k = rng.randrange(n // 2 + 1)
             m = rng.randrange((n - 2 * k) // 3 + 1)
-            f = list_mul(field, poly(n - 2 * k - 3 * m), exactalg.list_pow(field, poly(k), 2))
-            inputs.append(list_mul(field, f, exactalg.list_pow(field, poly(m), 3)))
+            f = list_mul(p, poly(n - 2 * k - 3 * m), exactalg.list_pow(p, poly(k), 2))
+            inputs.append(list_mul(p, f, exactalg.list_pow(p, poly(m), 3)))
         if p <= 5:
             # zero derivative: a p-th power times 1 + X^p
             x_p = [1] + [0] * (p - 1) + [1]
-            inputs.append(list_mul(field, exactalg.list_pow(field, poly(3), p), x_p))
+            inputs.append(list_mul(p, exactalg.list_pow(p, poly(3), p), x_p))
 
         for f in inputs:
-            assert factor_poly(field, f) == plain_factor_poly(field, f), f
+            assert factor_poly(p, f) == plain_factor_poly(p, f), f
 
     def test_one_frobenius_power_per_factorization(self, monkeypatch):
         p = 2**61 - 1
         f = _irreducible(p, 16, random.Random(16))
         exponents = []
 
-        def counted(field, g, e, mod):
+        def counted(p, g, e, mod):
             exponents.append(e)
-            return poly_mod_pow(field, g, e, mod)
+            return poly_mod_pow(p, g, e, mod)
 
         monkeypatch.setattr(irred_ff, "poly_mod_pow", counted)
-        _unit, factors = factor_poly(GF(p), f)
+        _unit, factors = factor_poly(p, f)
         assert len(factors) == 1 and factors[0][1] == 1 and deg(factors[0][0]) == 16
         assert exponents.count(p) == 1
 
 
-def _parts_product(field, split):
+def _parts_product(p, split):
     """unit * prod g^m over the parts (m, d, g) of a `DistinctDegreeSplit`."""
     prod = [split.unit]
     for m, _d, g in split.parts:
-        prod = list_mul(field, prod, exactalg.list_pow(field, g, m))
+        prod = list_mul(p, prod, exactalg.list_pow(p, g, m))
     return prod
 
 
-def _same_degree_product(field, p, d, k, rng):
+def _same_degree_product(p, d, k, rng):
     """A product of k distinct monic irreducibles of degree d over GF(p)."""
     out, seen = [1], set()
     while len(seen) < k:
-        g = monic(field, _irreducible(p, d, rng))
+        g = monic(p, _irreducible(p, d, rng))
         if tuple(g) not in seen:
             seen.add(tuple(g))
-            out = list_mul(field, out, g)
+            out = list_mul(p, out, g)
     return out
 
 
@@ -272,71 +268,66 @@ class TestThreeStages:
 
     def _inputs(self, p):
         rng = random.Random(f"stages/{p}")
-        field = GF(p)
         # how many distinct irreducibles of degree 2, 3 and 4 to multiply;
         # GF(2) has only 1, 2 and 3 of them, and GF(3) 3, 8 and 18
         counts = {2: 1, 3: 2, 4: 3} if p == 2 else {2: 3, 3: 3, 4: 2}
         inputs = []
         for d, top in counts.items():
             for k in range(2, top + 1) if top > 1 else [1]:
-                g = _same_degree_product(field, p, d, k, rng)
+                g = _same_degree_product(p, d, k, rng)
                 inputs.append(g)
                 # a second degree, a repeated factor and a non-monic lead
-                other = _same_degree_product(field, p, d + 1, 1, rng)
+                other = _same_degree_product(p, d + 1, 1, rng)
                 lead = [rng.randrange(1, p)]
-                inputs.append(list_mul(field, lead, list_mul(field, g, other)))
-                inputs.append(list_mul(field, g, list_mul(field, other, other)))
+                inputs.append(list_mul(p, lead, list_mul(p, g, other)))
+                inputs.append(list_mul(p, g, list_mul(p, other, other)))
         return inputs
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_factor_poly_matches_reference(self, p):
-        field = GF(p)
         for f in self._inputs(p):
-            assert factor_poly(field, f) == plain_factor_poly(field, f), f
-            split = irred_ff.distinct_degree_split(field, f)
-            assert _parts_product(field, split) == f, f
+            assert factor_poly(p, f) == plain_factor_poly(p, f), f
+            split = irred_ff.distinct_degree_split(p, f)
+            assert _parts_product(p, split) == f, f
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_find_factor_matches_reference(self, p):
-        field = GF(p)
         several = 0
         for f in self._inputs(p):
-            f = monic(field, f)
-            want = plain_find_factor(field, f, random.Random(_stable_seed(p, *f)))
-            assert irred_ff.find_factor(field, f) == want, f
-            _m, d, g = irred_ff.distinct_degree_split(field, f).parts[0]
+            f = monic(p, f)
+            want = plain_find_factor(p, f, random.Random(_stable_seed(p, *f)))
+            assert irred_ff.find_factor(p, f) == want, f
+            _m, d, g = irred_ff.distinct_degree_split(p, f).parts[0]
             several += deg(g) > d
         assert several >= 3
 
     def test_table_power_makes_no_division(self, monkeypatch):
         p = 2**61 - 1
-        field = GF(p)
         rng = random.Random("table-power")
-        f = monic(field, _same_degree_product(field, p, 3, 3, rng))
+        f = monic(p, _same_degree_product(p, 3, 3, rng))
 
         def no_division(*args):
             raise AssertionError("poly_divmod in a table application")
 
         monkeypatch.setattr(irred_ff, "poly_divmod", no_division)
-        frob = irred_ff._FrobeniusTable(field, f)
+        frob = irred_ff._FrobeniusTable(p, f)
         for _ in range(5):
             h = drop_trailing_zeros([rng.randrange(p) for _ in range(deg(f))])
-            assert frob.power(h) == poly_mod_pow(field, h, p, f)
+            assert frob.power(h) == poly_mod_pow(p, h, p, f)
 
     def test_gf2_split_squares_through_the_table(self, monkeypatch):
-        field = GF(2)
         # the three quartic and two cubic irreducibles over GF(2)
         f = [1]
         for g in ([1, 1, 0, 0, 1], [1, 0, 0, 1, 1], [1, 1, 1, 1, 1], [1, 1, 0, 1], [1, 0, 1, 1]):
-            f = list_mul(field, f, g)
+            f = list_mul(2, f, g)
         exponents = []
 
-        def counted(field, g, e, mod):
+        def counted(p, g, e, mod):
             exponents.append(e)
-            return poly_mod_pow(field, g, e, mod)
+            return poly_mod_pow(p, g, e, mod)
 
         monkeypatch.setattr(irred_ff, "poly_mod_pow", counted)
-        _unit, factors = factor_poly(field, f)
+        _unit, factors = factor_poly(2, f)
         assert [deg(g) for g, _m in factors] == [3, 3, 4, 4, 4]
         # the table's X^2 mod f, and no squaring in the trace maps
         assert exponents == [2]
@@ -353,18 +344,17 @@ class TestDegreePattern:
         primes = primality.sieve_primes(200)
         for n in range(1, 33):
             p = rng.choice(primes)
-            field = GF(p)
 
             def poly(m):
                 return [rng.randrange(p) for _ in range(m)] + [rng.randrange(1, p)]
 
             k, j = rng.randrange(1, n + 1), rng.randrange(n // 2 + 1)
-            square = list_mul(field, poly(n - 2 * j), exactalg.list_pow(field, poly(j), 2))
-            for f in (poly(n), list_mul(field, poly(k - 1), poly(n - k)), square):
-                _unit, factors = plain_factor_poly(field, f)
-                split = irred_ff.distinct_degree_split(field, f)
+            square = list_mul(p, poly(n - 2 * j), exactalg.list_pow(p, poly(j), 2))
+            for f in (poly(n), list_mul(p, poly(k - 1), poly(n - k)), square):
+                _unit, factors = plain_factor_poly(p, f)
+                split = irred_ff.distinct_degree_split(p, f)
                 assert split.degrees == sorted(deg(g) for g, m in factors for _ in range(m)), (p, f)
-                assert _parts_product(field, split) == f, (p, f)
+                assert _parts_product(p, split) == f, (p, f)
 
 
 class TestRadical:
@@ -372,39 +362,37 @@ class TestRadical:
     `factor_poly`'s distinct factors."""
 
     @staticmethod
-    def _distinct_product(field, f):
+    def _distinct_product(p, f):
         rad = [1]
-        for g, _m in factor_poly(field, f)[1]:
-            rad = list_mul(field, rad, g)
+        for g, _m in factor_poly(p, f)[1]:
+            rad = list_mul(p, rad, g)
         return rad
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_multiplicities_divisible_by_p(self, p):
         rng = random.Random(f"radical/{p}")
-        field = GF(p)
         for _ in range(40):
             f = [rng.randrange(1, p)]
             for _ in range(rng.randrange(1, 4)):
                 g = [rng.randrange(p) for _ in range(rng.randrange(1, 4))] + [1]
                 e = rng.choice([1, 2, p - 1, p, p + 1, 2 * p, p * p, p * p + p])
-                f = list_mul(field, f, exactalg.list_pow(field, g, e))
-            assert irred_ff.radical_fp(field, f) == self._distinct_product(field, f), f
+                f = list_mul(p, f, exactalg.list_pow(p, g, e))
+            assert irred_ff.radical_fp(p, f) == self._distinct_product(p, f), f
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_zero_derivative(self, p):
         rng = random.Random(f"radical-frobenius/{p}")
-        field = GF(p)
         for e in (p, p * p):
             for _ in range(10):
                 g = [rng.randrange(p) for _ in range(rng.randrange(1, 5))] + [rng.randrange(1, p)]
-                f = exactalg.list_pow(field, g, e)
-                assert exactalg.formal_derivative(field, f) == []
-                assert irred_ff.radical_fp(field, f) == self._distinct_product(field, f), f
+                f = exactalg.list_pow(p, g, e)
+                assert exactalg.formal_derivative(p, f) == []
+                assert irred_ff.radical_fp(p, f) == self._distinct_product(p, f), f
         x_p2_plus_1 = [1] + [0] * (p * p - 1) + [1]  # (X + 1)^(p^2)
-        assert irred_ff.radical_fp(field, x_p2_plus_1) == [1, 1]
+        assert irred_ff.radical_fp(p, x_p2_plus_1) == [1, 1]
 
     def test_constant(self):
-        assert irred_ff.radical_fp(GF(7), [3]) == [1]
+        assert irred_ff.radical_fp(7, [3]) == [1]
 
 
 class TestCheckIIWorkBound:
@@ -423,9 +411,9 @@ class TestCheckIIWorkBound:
         assert len(serialize(forged)) < 500
         real_mul = exactalg.list_mul
 
-        def bounded(dom, a, b):
+        def bounded(p, a, b):
             assert max(len(a), len(b)) <= n + 1 + 1, "operand longer than n + len(g_ij) + 1"
-            return real_mul(dom, a, b)
+            return real_mul(p, a, b)
 
         monkeypatch.setattr(exactalg, "list_mul", bounded)
         monkeypatch.setattr(irred_ff, "list_mul", bounded)
@@ -442,18 +430,17 @@ class TestCheckIIPacked:
     def chain_certificate(f, p, t):
         """The Frobenius chain of monic f over Z/p for any p >= 2, unpinned:
         h_n is X^(p^n) mod f, and the Bezout pairs are left empty."""
-        field = GF(p)
         n = deg(f)
         digits = base_digits(p, t)
         s = len(digits) - 1
         h, g_rows, hp_rows = [[0, 1]], [], []
         for i in range(n):
-            hp = [None] * s + [exactalg.list_pow(field, h[i], digits[s])]
+            hp = [None] * s + [exactalg.list_pow(p, h[i], digits[s])]
             grow = [None] * s
             for j in range(s - 1, -1, -1):
-                step = list_mul(field, exactalg.list_pow(field, hp[j + 1], t),
-                                exactalg.list_pow(field, h[i], digits[j]))
-                grow[j], hp[j] = poly_divmod(field, step, f)
+                step = list_mul(p, exactalg.list_pow(p, hp[j + 1], t),
+                                exactalg.list_pow(p, h[i], digits[j]))
+                grow[j], hp[j] = poly_divmod(p, step, f)
             h.append(hp[0])
             g_rows.append(tuple(map(tuple, grow)))
             hp_rows.append(tuple(map(tuple, hp)))
@@ -525,9 +512,20 @@ class TestCheckIIPacked:
             cert = self.honest(rng, p, t)
             cases.append(cert)
             cases += [self.mutate(rng, cert)[0] for _ in range(12)]
-        got = [verify_rabin(c) for c in cases]
+
+        def verify(c):
+            if p != 15:
+                return verify_rabin(c)
+            # verify_rabin rejects the composite modulus before check (ii),
+            # so check (ii) is called on the lists verify_rabin would pass
+            assert verify_rabin(c).reason == "rabin/prime/composite/p=15"
+            hp, g = ([[list(x) for x in row] for row in rows] for rows in (c.hprime, c.g))
+            return irred_ff._check_chain_steps(
+                p, t, base_digits(p, t), list(c.L), [list(x) for x in c.h], hp, g)
+
+        got = [verify(c) for c in cases]
         monkeypatch.setattr(irred_ff, "_check_chain_steps", plain_check_chain_steps)
-        want = [verify_rabin(c) for c in cases]
+        want = [verify(c) for c in cases]
         for c, a, b in zip(cases, got, want):
             assert (a.accepted, a.reason) == (b.accepted, b.reason), c
         # most files get through check (i) to check (ii)
@@ -562,27 +560,24 @@ class TestCheckIIPacked:
 
 class TestResidueChain:
     def test_example(self):
-        f3 = GF(3)
-        y, steps = residue_chain(f3, [0, 1], 9, [1, 0, 1])
+        y, steps = residue_chain(3, [0, 1], 9, [1, 0, 1])
         assert y == [0, 1]
         assert steps[-1] == y
 
     def test_e_one_and_zero(self):
-        f3 = GF(3)
-        assert residue_chain(f3, [2, 1], 1, [1, 0, 1])[0] == [2, 1]
-        assert residue_chain(f3, [2, 1], 0, [1, 0, 1])[0] == [1]
+        assert residue_chain(3, [2, 1], 1, [1, 0, 1])[0] == [2, 1]
+        assert residue_chain(3, [2, 1], 0, [1, 0, 1])[0] == [1]
 
     def test_matches_mod_pow(self):
         rng = random.Random(7)
-        f5 = GF(5)
         f = [2, 0, 1, 1]
         for _ in range(40):
             g = drop_trailing_zeros([rng.randrange(5) for _ in range(4)])
             e = rng.randrange(0, 200)
-            y, _ = residue_chain(f5, g, e, f)
+            y, _ = residue_chain(5, g, e, f)
             naive = [1]
             for _ in range(e):
-                naive = poly_divmod(f5, list_mul(f5, naive, g), f)[1]
+                naive = poly_divmod(5, list_mul(5, naive, g), f)[1]
             assert y == naive
 
 
@@ -603,31 +598,29 @@ class TestSoundness:
     def test_check_ii_implies_frobenius_step(self):
         # independent check that each h_{i+1} is h_i^p modulo f
         p = 5
-        field = GF(p)
         f = [3, 3, 0, 4, 1]
         assert brute_force_irreducible(p, f)
         cert = generate_rabin(f, p)
         assert isinstance(cert, RabinCertificate)
         for i in range(cert.n):
-            expected, _ = residue_chain(field, list(cert.h[i]), p, f)
-            actual = poly_divmod(field, list(cert.h[i + 1]), f)[1]
+            expected, _ = residue_chain(p, list(cert.h[i]), p, f)
+            actual = poly_divmod(p, list(cert.h[i + 1]), f)[1]
             assert actual == expected
 
     def test_factor_poly_reconstructs(self):
         rng = random.Random(3)
         for p in (2, 3, 5, 7):
-            field = GF(p)
             for _ in range(25):
                 f = drop_trailing_zeros([rng.randrange(p) for _ in range(rng.randrange(2, 8))])
                 if deg(f) < 1:
                     continue
-                unit, factors = factor_poly(field, f)
+                unit, factors = factor_poly(p, f)
                 prod = [unit]
                 for fac, mult in factors:
-                    assert is_irreducible(field, fac)
+                    assert is_irreducible(p, fac)
                     assert fac[-1] == 1
                     for _ in range(mult):
-                        prod = list_mul(field, prod, fac)
+                        prod = list_mul(p, prod, fac)
                 assert prod == f
 
 

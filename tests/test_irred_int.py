@@ -27,7 +27,7 @@ from ringcert.irred_int import (
     verify_reducible_witness_int,
 )
 from ringcert import certio, irred_ff, irred_int, primality
-from ringcert.exactalg import GF, reduce_mod_p
+from ringcert.exactalg import reduce_mod_p
 from ringcert.primality import generate_pratt
 from reference import factor_poly as plain_factor_poly
 from reference import rational_root_factor as plain_rational_root_factor
@@ -317,7 +317,7 @@ def _scanned_patterns(f):
             break
         if f[-1] % p == 0:
             continue
-        _unit, factors = plain_factor_poly(GF(p), reduce_mod_p(f, p))
+        _unit, factors = plain_factor_poly(p, reduce_mod_p(f, p))
         out.append((p, [deg(g) for g, m in factors for _ in range(m)]))
         if degree_lower_bound([ds for _p, ds in out]) == deg(f):
             break
@@ -362,9 +362,9 @@ class TestOneSplitPerPrime:
         built = []
 
         class Counted(irred_ff._FrobeniusTable):
-            def __init__(self, field, g):
-                built.append(field.p)
-                super().__init__(field, g)
+            def __init__(self, p, g):
+                built.append(p)
+                super().__init__(p, g)
 
         monkeypatch.setattr(irred_ff, "_FrobeniusTable", Counted)
         return built
@@ -383,15 +383,15 @@ class TestOneSplitPerPrime:
     def test_big_prime_factors_factors_one_prime(self, monkeypatch, tables, f):
         factored, real = [], irred_ff.factor_poly
 
-        def counted(field, *args):
-            factored.append(field.p)
-            return real(field, *args)
+        def counted(p, *args):
+            factored.append(p)
+            return real(p, *args)
 
         monkeypatch.setattr(irred_ff, "factor_poly", counted)
         P, factors = irred_int._big_prime_factors(f)
         assert len(tables) == irred_int.ZASSENHAUS_PRIMES and factored == [P]
         # the first of the sparsest factorizations, by the plain factorizer
-        flat = [[g for g, m in plain_factor_poly(GF(q), reduce_mod_p(f, q))[1] for _ in range(m)]
+        flat = [[g for g, m in plain_factor_poly(q, reduce_mod_p(f, q))[1] for _ in range(m)]
                 for q in tables]
         k = min(range(len(flat)), key=lambda i: len(flat[i]))
         assert (P, factors) == (tables[k], flat[k])

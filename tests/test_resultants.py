@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ringcert import certio
-from ringcert.exactalg import GF, ZZ, deg, drop_trailing_zeros, formal_derivative, list_mul
+from ringcert.exactalg import ZZ, deg, drop_trailing_zeros, formal_derivative, list_mul
 from ringcert.orders import build_order_description
 from ringcert.resultants import (
     check_order_discriminant,
@@ -15,10 +15,10 @@ from ringcert.resultants import (
 from reference import lattice_index, naive_det, resultant
 
 
-def poly_from_roots(dom, roots, lead=1):
+def poly_from_roots(p, roots, lead=1):
     f = [lead]
     for r in roots:
-        f = list_mul(dom, f, [-r, 1])
+        f = list_mul(p, f, [-r, 1])
     return f
 
 
@@ -46,7 +46,6 @@ class TestResultant:
 
     @pytest.mark.parametrize("p", [5, 7, 11])
     def test_product_form_oracle(self, p):
-        field = GF(p)
         rng = random.Random(p * 31)
         for _ in range(150):
             n = rng.randrange(1, 4)
@@ -55,38 +54,36 @@ class TestResultant:
             b = rng.randrange(1, p)
             alphas = [rng.randrange(p) for _ in range(n)]
             betas = [rng.randrange(p) for _ in range(m)]
-            f = poly_from_roots(field, alphas, a)
-            g = poly_from_roots(field, betas, b)
+            f = poly_from_roots(p, alphas, a)
+            g = poly_from_roots(p, betas, b)
             prod = 1
             for x in alphas:
                 for y in betas:
                     prod = (prod * (x - y)) % p
             expected = (pow(-1, n * m, p) * pow(a, m, p) * pow(b, n, p) * prod) % p
-            assert resultant(field, f, g) == expected
+            assert resultant(p, f, g) == expected
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_swap_rule(self, p):
-        field = GF(p)
         rng = random.Random(p)
         for _ in range(80):
             f = drop_trailing_zeros([rng.randrange(p) for _ in range(rng.randrange(1, 5))])
             g = drop_trailing_zeros([rng.randrange(p) for _ in range(rng.randrange(1, 5))])
             if deg(f) < 0 or deg(g) < 0:
                 continue
-            lhs = resultant(field, f, g)
-            rhs = (pow(-1, deg(f) * deg(g), p) * resultant(field, g, f)) % p
+            lhs = resultant(p, f, g)
+            rhs = (pow(-1, deg(f) * deg(g), p) * resultant(p, g, f)) % p
             assert lhs == rhs
 
     @pytest.mark.parametrize("p", [7, 11])
     def test_common_root_dichotomy(self, p):
-        field = GF(p)
         rng = random.Random(p + 1)
         for _ in range(80):
             alphas = [rng.randrange(p) for _ in range(rng.randrange(1, 4))]
             betas = [rng.randrange(p) for _ in range(rng.randrange(1, 4))]
-            f = poly_from_roots(field, alphas)
-            g = poly_from_roots(field, betas)
-            r = resultant(field, f, g)
+            f = poly_from_roots(p, alphas)
+            g = poly_from_roots(p, betas)
+            r = resultant(p, f, g)
             if set(alphas) & set(betas):
                 assert r == 0
             else:
@@ -127,22 +124,21 @@ class TestDiscriminant:
     def test_power_basis_bridge(self):
         # prod_{i<j} (a_i - a_j)^2 = (-1)^(n(n-1)/2) * disc(f) for split f
         for p in (5, 7, 11):
-            field = GF(p)
             rng = random.Random(p * 13)
             for _ in range(60):
                 n = rng.randrange(2, 5)
                 roots = rng.sample(range(p), n)
-                f = poly_from_roots(field, roots)
+                f = poly_from_roots(p, roots)
                 prod = 1
                 for i in range(n):
                     for j in range(i + 1, n):
                         prod = (prod * (roots[i] - roots[j]) ** 2) % p
                 sign = pow(-1, n * (n - 1) // 2, p)
-                assert (sign * disc_poly_fp(field, f)) % p == prod
+                assert (sign * disc_poly_fp(p, f)) % p == prod
 
 
-def disc_poly_fp(field, f):
-    return resultant(field, f, formal_derivative(field, f))
+def disc_poly_fp(p, f):
+    return resultant(p, f, formal_derivative(p, f))
 
 
 class TestOrderDiscriminant:
