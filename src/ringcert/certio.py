@@ -490,11 +490,3 @@ FIXTURES: dict[str, dict] = {
         "notes": "Root-bound worked example: scaled bound at r = 1/2 equals 249/130.",
     },
 }
-
-DEGREE5_FIXTURES = (
-    "quintic_x5-x-1",
-    "quintic_x5-2",
-    "quintic_x5-4",
-    "quintic_x5-8",
-    "quintic_cos2pi11",
-)

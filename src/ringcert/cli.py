@@ -120,7 +120,7 @@ def _cmd_gen_bundle(args) -> int:
         )
     except pipeline.BundleError as e:
         if e.report is not None:
-            coords = list(e.report.kernel_coords)
+            coords = list(e.report.coords)
             print(f"not maximal at {e.report.p}: kernel element {coords}", file=sys.stderr)
         else:
             print(f"generation failed: {e}", file=sys.stderr)

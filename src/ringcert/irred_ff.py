@@ -107,7 +107,7 @@ def verify_reducible_witness(wit: ReducibleWitness) -> Verdict:
         if not ok:
             return ok.prefixed("reducible-ff")
     f = list(wit.L)
-    fac = list(wit.factor)
+    fac = reduce_mod_p(list(wit.factor), p)
     if not (0 < deg(fac) < deg(f)):
         return Verdict.reject("reducible-ff/degree")
     if list_mul(p, fac, list(wit.cofactor)) != f:

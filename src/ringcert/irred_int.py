@@ -19,9 +19,6 @@ distinct-degree splits, fully factors f modulo only the sparsest one, and
 looks for a factor there: by the rational root test on the linear factors
 mod P, if degree 1 is still possible, and by big-prime Zassenhaus
 (`_zassenhaus_factor`); finding none sends it to LPFW.
-
-Pratt primality certificates for the prime witnesses live in
-ringcert.primality and are re-exported here.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from .exactalg import (
     poly_eval,
     reduce_mod_p,
 )
-from .primality import PrattCertificate, generate_pratt, verify_pratt  # noqa: F401
+from .primality import PrattCertificate, generate_pratt, verify_pratt
 from .verdict import Verdict
 
 
@@ -128,11 +125,11 @@ class ReducibleWitnessInt:
 
 
 def verify_reducible_witness_int(wit: ReducibleWitnessInt) -> Verdict:
-    f, fac, cof = list(wit.f), list(wit.factor), list(wit.cofactor)
+    f = list(wit.f)
+    fac, cof = drop_trailing_zeros(list(wit.factor)), drop_trailing_zeros(list(wit.cofactor))
     # Z[X] has no zero divisors: nonzero factors of the wrong lengths cannot
     # multiply to f, so reject them before a product sized by the certificate
-    n_fac, n_cof = len(drop_trailing_zeros(fac)), len(drop_trailing_zeros(cof))
-    if n_fac and n_cof and n_fac + n_cof - 1 != len(f):
+    if fac and cof and len(fac) + len(cof) - 1 != len(f):
         return Verdict.reject("reducible-int/product")
     if list_mul(ZZ, fac, cof) != f:
         return Verdict.reject("reducible-int/product")
@@ -155,7 +152,9 @@ def _verify_factorization_mod_p(fmp: FactorizationModP, f: list[int]) -> Verdict
         return Verdict.reject(f"analysis/p={p}/shape")
     if not (0 < fmp.unit < p):
         return Verdict.reject(f"analysis/p={p}/unit")
-    prod = [fmp.unit]
+    # over GF(p) the product has degree sum(mult * deg): once that passes
+    # deg fbar the product cannot match, so no more factors are multiplied
+    prod, prod_deg = [fmp.unit], 0
     for (coeffs, mult), cert in zip(fmp.factors, fmp.certs):
         if mult < 1:
             return Verdict.reject(f"analysis/p={p}/multiplicity")
@@ -164,9 +163,11 @@ def _verify_factorization_mod_p(fmp: FactorizationModP, f: list[int]) -> Verdict
         ok = irred_ff.verify_rabin(cert)
         if not ok:
             return ok.prefixed(f"analysis/p={p}")
-        for _ in range(mult):
-            prod = list_mul(p, prod, list(coeffs))
-    if prod != fbar:
+        prod_deg += mult * deg(list(coeffs))
+        if prod_deg <= deg(fbar):
+            for _ in range(mult):
+                prod = list_mul(p, prod, list(coeffs))
+    if prod_deg != deg(fbar) or prod != fbar:
         return Verdict.reject(f"analysis/p={p}/product")
     return Verdict.accept()
 
@@ -218,7 +219,7 @@ def check_degree_analysis(cert: DegreeAnalysisCertificate) -> tuple[Verdict, int
 
 def verify_lpfw(cert: LPFWCertificate) -> Verdict:
     f = list(cert.f)
-    if deg(f) < 1:
+    if deg(f) < 1 or drop_trailing_zeros(f) != f:
         return Verdict.reject("lpfw/degree")
     if content(f) != 1:
         return Verdict.reject("lpfw/not-primitive")

@@ -9,10 +9,11 @@ Two routes:
   The short form carries a single witness element; the long form carries
   the full endomorphism matrices and always exists when O is p-maximal.
 
-The generator computes the kernel basis, then the matrix phi of that
-action, which decides p-maximality; only then does it search for a short
-witness, taking each candidate's images from phi's blocks, and when the
-search runs out it writes the long form from the same phi.
+The generator computes the kernel basis, then the integer matrix phi of
+that action, whose rank mod p decides p-maximality; only then does it
+search for a short witness, taking each candidate's images from phi's
+blocks.  Either form's products are combinations of phi's rows, so no form
+is written with a product in the order.
 
 Verification works entirely over the times table: products over Z,
 Frobenius powers over the table reduced mod p, and pivot-pattern reads for
@@ -243,10 +244,22 @@ class KernelWitness:
     coords: tuple[int, ...]
 
 
-def _pivot_pattern_ok(rows: list[list[int]], col: int, owner: int) -> bool:
-    if rows[owner][col] == 0:
-        return False
-    return all(rows[j][col] == 0 for j in range(len(rows)) if j != owner)
+def _pivot_index(pivot, m: int, n: int) -> int | None:
+    """The coordinate over V ++ pW that pivot names: ("A", k) is k and
+    ("B", k) is m + k; None when k is out of its block's range or the tag is
+    unknown.  The inverse of `_pivot_of`."""
+    tag, k = pivot
+    offset, size = {"A": (0, m), "B": (m, n)}.get(tag, (0, 0))
+    return offset + k if 0 <= k < size else None
+
+
+def _pivot_of(q: int, m: int) -> Pivot:
+    return ("A", q) if q < m else ("B", q - m)
+
+
+def _pivot_pattern_ok(column: list[int], owner: int) -> bool:
+    """column is nonzero at owner and zero everywhere else."""
+    return column[owner] != 0 and not any(x for j, x in enumerate(column) if j != owner)
 
 
 def _matrix_shape_ok(mat, rows: int, cols: int) -> bool:
@@ -258,22 +271,14 @@ def _vw_combination(
 ) -> list[int]:
     """sum_k a_k * V[k] + p * sum_k c_k * W[k] as an exact integer vector."""
     out = [0] * r
-    for k, coef in enumerate(a_row):
+    for coef, row in itertools.chain(zip(a_row, V), zip([p * c for c in c_row], W)):
         if coef:
-            for j in range(r):
-                out[j] += coef * V[k][j]
-    for k, coef in enumerate(c_row):
-        if coef:
-            for j in range(r):
-                out[j] += p * coef * W[k][j]
+            out = [x + coef * y for x, y in zip(out, row)]
     return out
 
 
-def _check_common(tt: TimesTable, p: int, cert, kind: str) -> Verdict | tuple:
-    """Shared dimension checks and statements (i), (ii), (iv), (v).
-
-    Returns a Verdict on failure, or the tuple of reusable intermediates.
-    """
+def _check_common(tt: TimesTable, p: int, cert, kind: str) -> Verdict:
+    """Shared dimension checks and statements (i), (ii), (iv), (v)."""
     r = tt.n
     m, n, t = cert.m, cert.n, cert.t
     if cert.p != p:
@@ -301,10 +306,10 @@ def _check_common(tt: TimesTable, p: int, cert, kind: str) -> Verdict | tuple:
     urows = [list(row) for row in cert.U]
 
     for i in range(m):
-        if not _pivot_pattern_ok(vbar, cert.nu[i], i):
+        if not _pivot_pattern_ok([row[cert.nu[i]] for row in vbar], i):
             return Verdict.reject(f"{kind}/check-i/i={i}")
     for i in range(n):
-        if not _pivot_pattern_ok(urows, cert.omega[i], i):
+        if not _pivot_pattern_ok([row[cert.omega[i]] for row in urows], i):
             return Verdict.reject(f"{kind}/check-ii/i={i}")
 
     tt_p = reduce_table_mod_p(tt, p)
@@ -317,7 +322,7 @@ def _check_common(tt: TimesTable, p: int, cert, kind: str) -> Verdict | tuple:
         z = tt_pow(p, tt_p, wbar[i], exponent)
         if z != drop_trailing_zeros(urows[i]):
             return Verdict.reject(f"{kind}/check-v/i={i}")
-    return (r, m, n)
+    return Verdict.accept()
 
 
 def verify_pmax_short(tt: TimesTable, p: int, cert: PMaxShortCertificate) -> Verdict:
@@ -327,10 +332,10 @@ def verify_pmax_short(tt: TimesTable, p: int, cert: PMaxShortCertificate) -> Ver
     statements (ii) and (v) alone already force p-maximality; the witness
     fields must then be empty.
     """
-    common = _check_common(tt, p, cert, "pmax-short")
-    if isinstance(common, Verdict):
-        return common
-    r, m, n = common
+    ok = _check_common(tt, p, cert, "pmax-short")
+    if not ok:
+        return ok
+    r, m, n = tt.n, cert.m, cert.n
 
     if m == 0:
         if cert.X or cert.beta or cert.gamma or cert.a or cert.c or cert.eta:
@@ -344,16 +349,11 @@ def verify_pmax_short(tt: TimesTable, p: int, cert: PMaxShortCertificate) -> Ver
     if not _matrix_shape_ok(cert.a, r, m) or not _matrix_shape_ok(cert.c, r, n):
         return Verdict.reject("pmax-short/shape")
 
-    abar = [[x % p for x in row] for row in cert.a]
-    cbar = [[x % p for x in row] for row in cert.c]
-    for i, (kind_tag, k) in enumerate(cert.eta):
-        if kind_tag == "A":
-            if not (0 <= k < m) or not _pivot_pattern_ok(abar, k, i):
-                return Verdict.reject(f"pmax-short/check-iii/i={i}")
-        elif kind_tag == "B":
-            if not (0 <= k < n) or not _pivot_pattern_ok(cbar, k, i):
-                return Verdict.reject(f"pmax-short/check-iii/i={i}")
-        else:
+    # (iii): row i of [a | c] owns the column its pivot names
+    ac_bar = [[x % p for x in (*a_row, *c_row)] for a_row, c_row in zip(cert.a, cert.c)]
+    for i, pivot in enumerate(cert.eta):
+        q = _pivot_index(pivot, m, n)
+        if q is None or not _pivot_pattern_ok([row[q] for row in ac_bar], i):
             return Verdict.reject(f"pmax-short/check-iii/i={i}")
 
     beta_w = _vw_combination(cert.V, cert.W, list(cert.beta), list(cert.gamma), p, r)
@@ -367,10 +367,10 @@ def verify_pmax_short(tt: TimesTable, p: int, cert: PMaxShortCertificate) -> Ver
 
 def verify_pmax_long(tt: TimesTable, p: int, cert: PMaxLongCertificate) -> Verdict:
     """Statements (i)-(vii) of the long certificate."""
-    common = _check_common(tt, p, cert, "pmax-long")
-    if isinstance(common, Verdict):
-        return common
-    r, m, n = common
+    ok = _check_common(tt, p, cert, "pmax-long")
+    if not ok:
+        return ok
+    r, m, n = tt.n, cert.m, cert.n
 
     if m == 0:
         if cert.X or cert.a or cert.c or cert.d or cert.e or cert.eta:
@@ -383,46 +383,31 @@ def verify_pmax_long(tt: TimesTable, p: int, cert: PMaxLongCertificate) -> Verdi
         if len(arr) != r or any(not _matrix_shape_ok(block, rows, cols) for block in arr):
             return Verdict.reject("pmax-long/shape")
 
+    # pairs[i][u]: the claimed coordinates over V ++ pW of x_i * input_u,
+    # for the inputs V ++ pW
+    pairs = [
+        [(*a, *c) for a, c in zip(a_i, c_i)] + [(*d, *e) for d, e in zip(d_i, e_i)]
+        for a_i, c_i, d_i, e_i in zip(cert.a, cert.c, cert.d, cert.e)
+    ]
     # (iii): each certificate row owns one matrix-entry position
     for i, (eta_in, eta_out) in enumerate(cert.eta):
-        tag_in, u = eta_in
-        tag_out, v = eta_out
-        if tag_in not in ("A", "B") or tag_out not in ("A", "B"):
-            return Verdict.reject(f"pmax-long/check-iii/i={i}")
-        if tag_in == "A" and not (0 <= u < m):
-            return Verdict.reject(f"pmax-long/check-iii/i={i}")
-        if tag_in == "B" and not (0 <= u < n):
-            return Verdict.reject(f"pmax-long/check-iii/i={i}")
-        if tag_out == "A" and not (0 <= v < m):
-            return Verdict.reject(f"pmax-long/check-iii/i={i}")
-        if tag_out == "B" and not (0 <= v < n):
-            return Verdict.reject(f"pmax-long/check-iii/i={i}")
-        if (tag_in, tag_out) == ("A", "A"):
-            col = [cert.a[j][u][v] % p for j in range(r)]
-        elif (tag_in, tag_out) == ("A", "B"):
-            col = [cert.c[j][u][v] % p for j in range(r)]
-        elif (tag_in, tag_out) == ("B", "A"):
-            col = [cert.d[j][u][v] % p for j in range(r)]
-        else:
-            col = [cert.e[j][u][v] % p for j in range(r)]
-        if col[i] == 0 or any(col[j] != 0 for j in range(r) if j != i):
+        u, v = _pivot_index(eta_in, m, n), _pivot_index(eta_out, m, n)
+        if u is None or v is None or not _pivot_pattern_ok(
+            [row[u][v] % p for row in pairs], i
+        ):
             return Verdict.reject(f"pmax-long/check-iii/i={i}")
 
-    # (vi): x_i * v_j expands over the V block and p times the W block
-    for i in range(r):
-        for j in range(m):
-            lhs = tt_mul(ZZ, tt, list(cert.X[i]), list(cert.V[j]))
-            rhs = _vw_combination(cert.V, cert.W, list(cert.a[i][j]), list(cert.c[i][j]), p, r)
-            if lhs != drop_trailing_zeros(rhs):
-                return Verdict.reject(f"pmax-long/check-vi/i={i}/j={j}")
-    # (vii): x_i * (p w_j) likewise
-    for i in range(r):
-        for j in range(n):
-            pw = [p * x for x in cert.W[j]]
-            lhs = tt_mul(ZZ, tt, list(cert.X[i]), pw)
-            rhs = _vw_combination(cert.V, cert.W, list(cert.d[i][j]), list(cert.e[i][j]), p, r)
-            if lhs != drop_trailing_zeros(rhs):
-                return Verdict.reject(f"pmax-long/check-vii/i={i}/j={j}")
+    # (vi) for the inputs v_j, then (vii) for the inputs p w_j: x_i * input
+    # expands over the V block and p times the W block
+    inputs = [list(row) for row in cert.V] + [[p * x for x in row] for row in cert.W]
+    for check, first, stop in (("vi", 0, m), ("vii", m, r)):
+        for i in range(r):
+            for u in range(first, stop):
+                lhs = tt_mul(ZZ, tt, list(cert.X[i]), inputs[u])
+                pair = pairs[i][u]
+                rhs = _vw_combination(cert.V, cert.W, pair[:m], pair[m:], p, r)
+                if lhs != drop_trailing_zeros(rhs):
+                    return Verdict.reject(f"pmax-long/check-{check}/i={i}/j={u - first}")
     return Verdict.accept()
 
 
@@ -517,24 +502,25 @@ WITNESS_BUDGET = 512  # candidates _search_witness tries before the long form
 
 def _action_matrix(tt: TimesTable, p: int, V, W, decompose) -> list[list[int]]:
     """phi, the action of O on the radical quotient: row i lists, for each
-    input u of V ++ pW in turn, the coordinates mod p over {V, pW} of
+    input u of V ++ pW in turn, the integer coordinates over {V, pW} of
     e_i * input_u.  The action is faithful exactly when the r rows are
-    independent."""
+    independent mod p."""
     inputs = V + [[p * x for x in row] for row in W]
     phi = []
     for i in range(tt.n):
         row = []
         for x in inputs:
             a_row, c_row = decompose(tt_mul(ZZ, tt, [0] * i + [1], x))
-            row.extend([v % p for v in a_row] + [v % p for v in c_row])
+            row.extend(a_row + c_row)
         phi.append(row)
     return phi
 
 
 def _candidate_images(phi: list[list[int]], p: int, coef: list[int]) -> list[list[int]]:
-    """Coordinates mod p over {V, pW} of e_i * beta_w, one row per i, for
-    beta_w = sum_u coef_u * input_u: decomposition is linear, so row i is
-    the same combination of the r blocks of phi's row i."""
+    """Coordinates over {V, pW} of e_i * beta_w, one row per i, for
+    beta_w = sum_u coef_u * input_u, reduced mod p unless p is ZZ:
+    decomposition is linear, so row i is the same combination of the r
+    blocks of phi's row i."""
     r = len(phi)
     terms = [(u * r, c) for u, c in enumerate(coef) if c]
     rho = []
@@ -542,8 +528,13 @@ def _candidate_images(phi: list[list[int]], p: int, coef: list[int]) -> list[lis
         acc = [0] * r
         for s, c in terms:
             acc = [x + c * y for x, y in zip(acc, row[s:s + r])]
-        rho.append([x % p for x in acc])
+        rho.append([x % p for x in acc] if p else acc)
     return rho
+
+
+def _mat_mul(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*y))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in x]
 
 
 def _search_witness(
@@ -602,42 +593,37 @@ def generate_pmax(
     if m == 0:
         return PMaxShortCertificate(**common, X=(), beta=(), gamma=(), a=(), c=(), eta=())
 
-    decompose = _vw_decomposer(V, W, p)
-    phi = _action_matrix(tt, p, V, W, decompose)
+    phi = _action_matrix(tt, p, V, W, _vw_decomposer(V, W, p))
+    phi_p = [[x % p for x in row] for row in phi]
     X = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    _patterned, pivots = pattern_reduce_fp(phi, p, mirror=X)
+    _patterned, pivots = pattern_reduce_fp(phi_p, p, mirror=X)
     if len(pivots) < r:
-        kernel, _free = nullspace_fp(transpose(phi), p)
+        kernel, _free = nullspace_fp(transpose(phi_p), p)
         return KernelWitness(p, tuple(kernel[0]))
 
-    def block_of(q: int) -> Pivot:
-        return ("A", q) if q < m else ("B", q - m)
-
-    witness = _search_witness(r, m, p, phi, WITNESS_BUDGET)
+    witness = _search_witness(r, m, p, phi_p, WITNESS_BUDGET)
     if witness is not None:
+        # decomposition is Z-linear, so row i of [a | c] is row i of the
+        # mirror times the witness's integer images
         beta, gamma, w_pivots, w_X = witness
-        beta_w = _vw_combination(V, W, beta, gamma, p, r)
-        a_rows, c_rows = zip(*(decompose(tt_mul(ZZ, tt, x, beta_w)) for x in w_X))
+        ac = _mat_mul(w_X, _candidate_images(phi, ZZ, beta + gamma))
         return PMaxShortCertificate(
             **common,
             X=tuple(tuple(row) for row in w_X),
             beta=tuple(beta), gamma=tuple(gamma),
-            a=tuple(map(tuple, a_rows)), c=tuple(map(tuple, c_rows)),
-            eta=tuple(block_of(q) for q in w_pivots),
+            a=tuple(tuple(row[:m]) for row in ac), c=tuple(tuple(row[m:]) for row in ac),
+            eta=tuple(_pivot_of(q, m) for q in w_pivots),
         )
 
-    # long form: every product of a row of X with an input, over {V, pW}
-    a_arr, c_arr, d_arr, e_arr = [], [], [], []
-    for x in X:
-        a_blocks, c_blocks = zip(*(decompose(tt_mul(ZZ, tt, x, v)) for v in V))
-        d_blocks, e_blocks = zip(*(decompose(tt_mul(ZZ, tt, x, [p * y for y in w])) for w in W))
-        a_arr.append(tuple(map(tuple, a_blocks)))
-        c_arr.append(tuple(map(tuple, c_blocks)))
-        d_arr.append(tuple(map(tuple, d_blocks)))
-        e_arr.append(tuple(map(tuple, e_blocks)))
+    # long form: X is the mirror of phi's elimination, and block u of row i
+    # of X.phi is x_i * input_u over {V, pW}
+    blocks = [[row[u:u + r] for u in range(0, r * r, r)] for row in _mat_mul(X, phi)]
     return PMaxLongCertificate(
         **common,
         X=tuple(tuple(row) for row in X),
-        a=tuple(a_arr), c=tuple(c_arr), d=tuple(d_arr), e=tuple(e_arr),
-        eta=tuple((block_of(q // r), block_of(q % r)) for q in pivots),
+        a=tuple(tuple(tuple(b[:m]) for b in bl[:m]) for bl in blocks),
+        c=tuple(tuple(tuple(b[m:]) for b in bl[:m]) for bl in blocks),
+        d=tuple(tuple(tuple(b[:m]) for b in bl[m:]) for bl in blocks),
+        e=tuple(tuple(tuple(b[m:]) for b in bl[m:]) for bl in blocks),
+        eta=tuple((_pivot_of(q // r, m), _pivot_of(q % r, m)) for q in pivots),
     )

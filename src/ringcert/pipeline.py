@@ -72,14 +72,6 @@ class CertificateBundle:
     claimed_disc: int | None = None
 
 
-@dataclass(frozen=True)
-class NotMaximalReport:
-    """Generator outcome when the basis provably misses an integral element."""
-
-    p: int
-    kernel_coords: tuple[int, ...]
-
-
 def verify_bundle(bundle: CertificateBundle) -> Verdict:
     """Re-check every component; acceptance means the order is the full ring
     of integers of Q[X]/<T>."""
@@ -141,31 +133,21 @@ def verify_bundle(bundle: CertificateBundle) -> Verdict:
 
     # one maximality certificate per prime, checked over the times table
     tt = times_table_of(desc)
-
-    def check_entry(entry: PrimeEntry) -> Verdict:
-        cert = entry.cert
-        if isinstance(cert, DedekindCertificate):
-            if list(cert.T) != T or cert.p != entry.p:
-                return Verdict.reject(f"bundle/p={entry.p}/binding")
-            return maximality.verify_dedekind(cert).prefixed(f"bundle/p={entry.p}")
-        if isinstance(cert, PMaxShortCertificate):
-            if cert.p != entry.p:
-                return Verdict.reject(f"bundle/p={entry.p}/binding")
-            return maximality.verify_pmax_short(tt, entry.p, cert).prefixed(
-                f"bundle/p={entry.p}"
-            )
-        if isinstance(cert, PMaxLongCertificate):
-            if cert.p != entry.p:
-                return Verdict.reject(f"bundle/p={entry.p}/binding")
-            return maximality.verify_pmax_long(tt, entry.p, cert).prefixed(
-                f"bundle/p={entry.p}"
-            )
-        return Verdict.reject(f"bundle/p={entry.p}/unknown-kind")
-
+    verifiers = {
+        DedekindCertificate: maximality.verify_dedekind,
+        PMaxShortCertificate: lambda cert: maximality.verify_pmax_short(tt, cert.p, cert),
+        PMaxLongCertificate: lambda cert: maximality.verify_pmax_long(tt, cert.p, cert),
+    }
     for entry in bundle.primes:
-        v = check_entry(entry)
-        if not v:
-            return v
+        cert = entry.cert
+        verify = verifiers.get(type(cert))
+        if verify is None:
+            return Verdict.reject(f"bundle/p={entry.p}/unknown-kind")
+        if cert.p != entry.p or (isinstance(cert, DedekindCertificate) and list(cert.T) != T):
+            return Verdict.reject(f"bundle/p={entry.p}/binding")
+        ok = verify(cert)
+        if not ok:
+            return ok.prefixed(f"bundle/p={entry.p}")
 
     # the separability identity itself; a and b must have the degrees of the
     # extended-gcd cofactors, deg a < n - 1 and deg b < n, which bounds the
@@ -194,7 +176,7 @@ def verify_bundle(bundle: CertificateBundle) -> Verdict:
 class BundleError(Exception):
     """Generation failed: reducible T, bad basis, or budget exhaustion."""
 
-    def __init__(self, message: str, report: NotMaximalReport | None = None):
+    def __init__(self, message: str, report: KernelWitness | None = None):
         super().__init__(message)
         self.report = report
 
@@ -229,7 +211,7 @@ def generate_bundle(
     Strategy: certify irreducibility of T, build the order, take
     N = resultant(T, T'), then per prime p | N try the Dedekind criterion
     first and fall back to kernel certificates.  A provably nontrivial
-    kernel at some p aborts with a NotMaximalReport attached.
+    kernel at some p aborts with the KernelWitness attached.
     """
     T = drop_trailing_zeros(list(T))
     if deg(T) < 1 or T[-1] != 1:
@@ -268,10 +250,7 @@ def generate_bundle(
             continue
         cert = maximality.generate_pmax(tt, p)
         if isinstance(cert, KernelWitness):
-            raise BundleError(
-                f"order is not maximal at {p}",
-                report=NotMaximalReport(p, cert.coords),
-            )
+            raise BundleError(f"order is not maximal at {p}", report=cert)
         entries.append(PrimeEntry(p, e, pratt, cert))
 
     bundle = CertificateBundle(

@@ -79,7 +79,7 @@ def test_criterion_3_non_monogenic_cubic():
             generate_bundle([-10, -3, 0, 1], 1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert exc.value.report is not None
         assert exc.value.report.p == 2
-        assert any(x % 2 for x in exc.value.report.kernel_coords)
+        assert any(x % 2 for x in exc.value.report.coords)
 
 
 def _brute_force_irreducible(p, f):
@@ -288,10 +288,19 @@ def test_criterion_7_mutation_robustness(monkeypatch):
             assert rejected == 100, kind
 
 
+DEGREE5_FIXTURES = (
+    "quintic_x5-x-1",
+    "quintic_x5-2",
+    "quintic_x5-4",
+    "quintic_x5-8",
+    "quintic_cos2pi11",
+)
+
+
 def test_criterion_8_degree5_bundles():
     with criterion(8, "five degree-5 bundles generate and verify", 600.0):
         forms = {}
-        for name in certio.DEGREE5_FIXTURES:
+        for name in DEGREE5_FIXTURES:
             fx = certio.FIXTURES[name]
             t0 = time.perf_counter()
             bundle = generate_bundle(

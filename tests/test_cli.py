@@ -279,6 +279,62 @@ class TestVerifyRejection:
         assert code == 1
         assert err.splitlines()[-1] == f"{kind}/prime/composite/p={p}"
 
+    @pytest.mark.parametrize("cert,reason", [
+        # the constant 1, written [1, 0], passed for a factor of degree 1
+        (ReducibleWitness(3, (1, 0, 1), (1, 0), (1, 0, 1)), "reducible-ff/degree"),
+        # X^2 + 1 is irreducible over Z (`generate_int_irred` proves it)
+        (irred_int.ReducibleWitnessInt((1, 0, 1), (1, 0), (1, 0, 1)),
+         "reducible-int/factor-unit"),
+        (irred_int.ReducibleWitnessInt((1, 0, 1), (-1, 0), (-1, 0, -1)),
+         "reducible-int/factor-unit"),
+    ])
+    def test_padded_unit_factor_rejected(self, tmp_path, capsys, cert, reason):
+        path = tmp_path / "cert.json"
+        certio.write_file(str(path), cert)
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == 1
+        assert err.splitlines()[-1] == reason
+
+    def test_lpfw_padded_polynomial_rejected(self, tmp_path, capsys):
+        # f = X^4 + 1 written with a zero leading coefficient: its Cauchy
+        # bound would divide by that coefficient
+        env = json.loads((Path(__file__).parent / "golden" / "lpfw.json").read_bytes())
+        env["payload"]["f"].append("0")
+        env["payload"]["analysis"] = None
+        path = tmp_path / "lpfw.json"
+        path.write_bytes(_reseal(env))
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == 1
+        assert err.splitlines()[-1] == "lpfw/degree"
+
+    @pytest.mark.parametrize("kind", ["degree-analysis", "bundle"])
+    def test_huge_multiplicity_rejected_without_the_product(
+        self, tmp_path, capsys, monkeypatch, kind
+    ):
+        # the factor's multiplicity, raised to 10^12, would cost 10^12
+        # products; the degree sum exceeds deg f after the first factor
+        env = json.loads((Path(__file__).parent / "golden" / f"{kind}.json").read_bytes())
+        analysis = env["payload"]
+        if kind == "bundle":
+            analysis = analysis["irreducibility"]["payload"]
+        fmp = analysis["per_prime"][0]
+        fmp["factors"][0][1] = str(10**12)
+        path = tmp_path / f"{kind}.json"
+        path.write_bytes(_reseal(env))
+        calls = 0
+
+        def counted(*args, real=irred_int.list_mul):
+            nonlocal calls
+            calls += 1
+            if calls > 100:
+                raise AssertionError("the factorization check multiplies without a bound")
+            return real(*args)
+
+        monkeypatch.setattr(irred_int, "list_mul", counted)
+        code, _, err = run_cli(capsys, "disc" if kind == "bundle" else "verify", str(path))
+        assert code == 1
+        assert err.splitlines()[-1].endswith(f"analysis/p={fmp['p']}/product")
+
     def test_missing_file_exit_2(self, fixture_files, capsys):
         code, _, err = run_cli(capsys, "verify", str(fixture_files / "nope.json"))
         assert code == 2

@@ -387,13 +387,14 @@ class TestWitnessSearch:
     def test_accepted_witness_is_eliminated_once(self, monkeypatch):
         # X^3 - 211X - 122 at 2, the golden bundle's short-form prime: the
         # kernel basis's pattern reduction, phi's, and six candidates, each
-        # with its images taken from phi and reduced once
+        # with its images taken from phi and reduced once; the accepted
+        # witness's integer images, from phi once more, write a and c
         calls = count_calls(
             monkeypatch, candidates="_candidate_images", eliminations="pattern_reduce_fp")
         desc = build_order_description([-122, -211, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]])
         cert = generate_pmax(times_table_of(desc), 2)
         assert isinstance(cert, PMaxShortCertificate)
-        assert calls == {"candidates": 6, "eliminations": 8}
+        assert calls == {"candidates": 6 + 1, "eliminations": 2 + 6}
 
     @pytest.mark.parametrize("name", NOT_MAXIMAL_AT_2)
     def test_not_maximal_skips_the_search(self, name, monkeypatch):
@@ -489,3 +490,84 @@ class TestDecomposer:
                 y = tt_mul(ZZ, table, list(long.X[i]), [p * x for x in W[j]])
                 assert ([list(long.d[i][j]), list(long.e[i][j])]
                         == list(_fraction_decomposition(V, W, p, y)))
+
+
+def _integer_paths(value, prefix=()):
+    """The index path of every integer in a nested tuple."""
+    if isinstance(value, int):
+        yield prefix
+    else:
+        for i, item in enumerate(value):
+            yield from _integer_paths(item, prefix + (i,))
+
+
+def _bumped(value, path):
+    """value with the integer at path raised by one."""
+    if not path:
+        return value + 1
+    i, *rest = path
+    return value[:i] + (_bumped(value[i], rest),) + value[i + 1:]
+
+
+def _moved_pivots(pivot, m, n):
+    """The pivot moved just past its block, to an unknown tag, and to the
+    other block at the same k."""
+    tag, k = pivot
+    return [(tag, m if tag == "A" else n), ("C", k), ("B" if tag == "A" else "A", k)]
+
+
+class TestKernelReasonPaths:
+    """Every single edit of a kernel certificate fails at the check that
+    reads the edited field, at the row that holds it."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_single_edits(self, p, monkeypatch):
+        checked = 0
+        for name in FIXTURE_ORDERS:
+            fx = FIXTURES[name]
+            _, table = order_and_table((list(fx["T"]), fx["d"], [list(c) for c in fx["columns"]]))
+            monkeypatch.setattr(maximality, "WITNESS_BUDGET", WITNESS_BUDGET)
+            short = generate_pmax(table, p)
+            if short.m == 0:
+                continue
+            monkeypatch.setattr(maximality, "WITNESS_BUDGET", 0)
+            long = generate_pmax(table, p)
+            for cert, kind, verify in ((short, "pmax-short", verify_pmax_short),
+                                       (long, "pmax-long", verify_pmax_long)):
+                assert verify(table, p, cert).accepted
+                m, n = cert.m, cert.n
+
+                def reason(**fields):
+                    v = verify(table, p, dataclasses.replace(cert, **fields))
+                    assert not v.accepted, fields
+                    return v.reason
+
+                for i, entry in enumerate(cert.eta):
+                    slots = [entry] if kind == "pmax-short" else list(entry)
+                    for s, pivot in enumerate(slots):
+                        for moved in _moved_pivots(pivot, m, n):
+                            slots_moved = slots[:s] + [moved] + slots[s + 1:]
+                            new = moved if kind == "pmax-short" else tuple(slots_moved)
+                            if new == entry:
+                                continue
+                            eta = cert.eta[:i] + (new,) + cert.eta[i + 1:]
+                            assert reason(eta=eta) == f"{kind}/check-iii/i={i}"
+                            checked += 1
+                for field in ("a", "c", "d", "e", "X"):
+                    if not hasattr(cert, field):
+                        continue
+                    value = getattr(cert, field)
+                    for path in _integer_paths(value):
+                        got = reason(**{field: _bumped(value, path)})
+                        checked += 1
+                        if field == "X":
+                            # x_i times beta_w, or times v_0, moves off its claim
+                            row = f"i={path[0]}" if kind == "pmax-short" else f"i={path[0]}/j=0"
+                            assert got == f"{kind}/check-vi/{row}"
+                            continue
+                        if got.startswith(f"{kind}/check-iii/"):
+                            continue
+                        row = f"i={path[0]}" if kind == "pmax-short" else f"i={path[0]}/j={path[1]}"
+                        check = "vii" if field in ("d", "e") else "vi"
+                        assert got == f"{kind}/check-{check}/{row}", (field, path)
+        assert checked > 0

@@ -64,7 +64,7 @@ class TestBundleRoundTrip:
             generate_bundle([-10, -3, 0, 1], 1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert exc.value.report is not None
         assert exc.value.report.p == 2
-        assert any(exc.value.report.kernel_coords)
+        assert any(exc.value.report.coords)
 
     def test_reducible_t_rejected(self):
         with pytest.raises(BundleError, match="reducible"):
