@@ -32,16 +32,15 @@ only canonicalizes.  `packed_vanishes_mod_p` decides whether p divides every
 slot of a packed integer without reading a slot back: one exact division by
 p and two masks.
 
-Over GF(p), `poly_divmod` is schoolbook long division (and through it
-`poly_gcd` and `poly_xgcd`): each quotient coefficient costs one `% p` and
-the remainder is reduced once at the end.  Where many divisions share one
-divisor, a `Modulus` of it inverts the reversed divisor once as a power
-series, and each division is then two Kronecker products: one for the
-quotient, one for the remainder.  `poly_mod_pow` reduces its products by
-one, and so do the generator's base-2 Rabin chain and Frobenius table
-(`irred_ff`).  Only the generator divides over GF(p).  Over Z,
-`poly_divmod_int` divides by lc(g) exactly at each step, or reports that it
-cannot.
+One long division, `poly_divmod`, serves Z and GF(p) (and through it
+`poly_gcd` and `poly_xgcd`): over GF(p) each quotient coefficient costs one
+`% p` and the remainder is reduced once at the end; over Z each step
+divides by lc(g) exactly, or reports that it cannot.  Where many divisions
+share one divisor over GF(p), a `Modulus` of it inverts the reversed
+divisor once as a power series, and each division is then two Kronecker
+products: one for the quotient, one for the remainder.  `poly_mod_pow`
+reduces its products by one, and so do the generator's base-2 Rabin chain
+and Frobenius table (`irred_ff`).  Only the generator divides over GF(p).
 """
 
 from __future__ import annotations
@@ -72,13 +71,6 @@ def drop_trailing_zeros(l: list) -> list:
     while k > 0 and l[k - 1] == 0:
         k -= 1
     return list(l[:k])
-
-
-def get_d(l: list, i: int, default=0):
-    """The i-th entry of l, or default when i is out of bounds."""
-    if 0 <= i < len(l):
-        return l[i]
-    return default
 
 
 def deg(l: list) -> int:
@@ -266,31 +258,43 @@ def reduce_mod_p(f: list[int], p: int) -> list[int]:
     return drop_trailing_zeros([c % p for c in f])
 
 
-def poly_divmod(p: int, f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of f by g over GF(p), both reduced and canonical.
+def poly_divmod(p: int, f: list[int], g: list[int]) -> tuple[list[int], list[int]] | None:
+    """Quotient and remainder of f by g over Z/pZ, both canonical.
 
-    The inputs are reduced once.  The remainder row then holds unreduced
-    integers: each quotient coefficient costs one `% p`, and the row is
-    reduced once at the end.  Raises ZeroDivisionError when g = 0 or
-    lc(g) = 0 mod p.
+    Schoolbook long division on a row of unreduced integers.  Over GF(p)
+    the inputs are reduced once, each quotient coefficient costs one `% p`,
+    and the row is reduced once at the end; raises ZeroDivisionError when
+    lc(g) = 0 mod p.  Over Z each step divides by lc(g) exactly, and the
+    first step where that division is not exact returns None, so a monic g
+    never gives None; when g divides f in Z[X], the result is (f / g, []).
+    Raises ZeroDivisionError when g = 0.
     """
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    g = [c % p for c in g]
-    if not g[-1]:
-        raise ZeroDivisionError(f"inverse of zero in GF({p})")
-    inv_lead = pow(g[-1], -1, p)
-    r = [c % p for c in f]
+    if p:
+        g = [c % p for c in g]
+        if not g[-1]:
+            raise ZeroDivisionError(f"inverse of zero in GF({p})")
+        inv_lead = pow(g[-1], -1, p)
+        r = [c % p for c in f]
+    else:
+        r = list(f)
+    lead = g[-1]
     dg = len(g) - 1
     q = [0] * max(len(r) - dg, 0)
     for k in range(len(q) - 1, -1, -1):
-        c = r[k + dg] * inv_lead % p
+        if p:
+            c = r[k + dg] * inv_lead % p
+        else:
+            c, rest = divmod(r[k + dg], lead)
+            if rest:
+                return None
         q[k] = c
         if c:
-            # r[k + dg] is now 0 mod p and is not read again
+            # r[k + dg] is now 0 (mod p) and is not read again
             for i in range(dg):
                 r[k + i] -= c * g[i]
-    return drop_trailing_zeros(q), drop_trailing_zeros([c % p for c in r[:dg]])
+    return drop_trailing_zeros(q), _canonical(p, r[:dg])
 
 
 class Modulus:
@@ -357,31 +361,6 @@ class Modulus:
         low = (_kron_pack(q, w) * self.g_low) & self.low_mask
         _kron_unpack((z & self.low_mask) - low, n, w, r)
         return q, _canonical(self.p, r)
-
-
-def poly_divmod_int(f: list[int], g: list[int]) -> tuple[list[int], list[int]] | None:
-    """Quotient and remainder of f by a canonical g over the integers.
-
-    Each step divides the leading coefficient of the running remainder by
-    lc(g); the first step where that division is not exact returns None, so
-    a monic g never gives None.  When g divides f in Z[X], the result is
-    (f / g, []).
-    """
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead = g[-1]
-    dg = len(g) - 1
-    r = list(f)
-    q = [0] * max(len(r) - dg, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c, rest = divmod(r[k + dg], lead)
-        if rest:
-            return None
-        q[k] = c
-        if c:
-            for i in range(dg):
-                r[k + i] -= c * g[i]
-    return drop_trailing_zeros(q), drop_trailing_zeros(r[:dg])
 
 
 def monic(p: int, f: list) -> list:

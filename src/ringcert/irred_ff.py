@@ -457,18 +457,15 @@ def distinct_degree_split(p: int, f: list[int]) -> DistinctDegreeSplit:
         (m, d, g) for s, m in parts for d, g in _distinct_degree(p, s, frob)))
 
 
-def factor_poly(
-    p: int, f: list[int], split: DistinctDegreeSplit | None = None
-) -> tuple[int, list[tuple[list[int], int]]]:
+def factor_poly(p: int, split: DistinctDegreeSplit) -> tuple[int, list[tuple[list[int], int]]]:
     """Full factorization over GF(p): (unit, [(monic irreducible, multiplicity)]).
 
-    Generator-side, in three stages: squarefree, distinct-degree
-    (`distinct_degree_split`; a caller that has f's split passes it as
-    `split`, and f is not read again) and equal-degree.  The complete factorization is unique and sorted, so
-    it does not depend on the draws of the equal-degree splits.
+    Generator-side, in three stages: the caller's `distinct_degree_split`
+    of f holds the squarefree and distinct-degree stages, and each of its
+    parts is split here by equal degree.  The complete factorization is
+    unique and sorted, so it does not depend on the draws of the
+    equal-degree splits.
     """
-    if split is None:
-        split = distinct_degree_split(p, f)
     frob = split.frob
     rng = random.Random(_stable_seed(p, *frob.f))
     factors = [(fac, m) for m, d, g in split.parts

@@ -37,7 +37,7 @@ from .exactalg import (
     drop_trailing_zeros,
     lc,
     list_mul,
-    poly_divmod_int,
+    poly_divmod,
     poly_eval,
     reduce_mod_p,
 )
@@ -279,11 +279,9 @@ def _primes_to(bound: int) -> tuple[int, ...]:
     return tuple(primality.sieve_primes(bound))
 
 
-def _factorization_cert_mod_p(
-    f: list[int], p: int, split: irred_ff.DistinctDegreeSplit
-) -> FactorizationModP:
-    """The certified factorization of f mod p, from the split the scan made."""
-    unit, factors = irred_ff.factor_poly(p, reduce_mod_p(f, p), split)
+def _factorization_cert_mod_p(p: int, split: irred_ff.DistinctDegreeSplit) -> FactorizationModP:
+    """The certified factorization of f mod p, from the split of f the scan made."""
+    unit, factors = irred_ff.factor_poly(p, split)
     certs = tuple(irred_ff.generate_rabin(fac, p) for fac, _m in factors)
     assert all(isinstance(cert, irred_ff.RabinCertificate) for cert in certs)
     return FactorizationModP(p, unit, tuple((tuple(fac), m) for fac, m in factors), certs)
@@ -329,7 +327,7 @@ def _degree_analysis_search(f: list[int]) -> tuple[int, DegreeAnalysisCertificat
         for subset in itertools.combinations(scanned, size)
         if min(set.intersection(*(sums for _p, sums, _f in subset)) - {0}) == d
     )
-    entries = tuple(_factorization_cert_mod_p(f, p, split) for p, _s, split in subset)
+    entries = tuple(_factorization_cert_mod_p(p, split) for p, _s, split in subset)
     return d, DegreeAnalysisCertificate(tuple(f), entries), common
 
 
@@ -405,12 +403,11 @@ def _big_prime_factors(f: list[int]) -> tuple[int, list[list[int]]]:
         P += 1
         while not primality.is_probable_prime(P):
             P += 1
-        fbar = reduce_mod_p(f, P)
-        split = irred_ff.distinct_degree_split(P, fbar)
-        if best is None or len(split.degrees) < len(best[2].degrees):
-            best = (P, fbar, split)
-    P, fbar, split = best
-    _unit, found = irred_ff.factor_poly(P, fbar, split)
+        split = irred_ff.distinct_degree_split(P, reduce_mod_p(f, P))
+        if best is None or len(split.degrees) < len(best[1].degrees):
+            best = (P, split)
+    P, split = best
+    _unit, found = irred_ff.factor_poly(P, split)
     return P, [fac for fac, mult in found for _ in range(mult)]
 
 
@@ -450,7 +447,7 @@ def _rational_root_factor(f: list[int], P: int, factors: list[list[int]]) -> lis
 
 def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
     """f / g when g divides f over the integers, else None."""
-    qr = poly_divmod_int(f, g)
+    qr = poly_divmod(ZZ, f, g)
     if qr is None or qr[1]:
         return None
     return qr[0]

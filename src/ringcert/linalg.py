@@ -11,36 +11,45 @@ def transpose(m: list[list]) -> list[list]:
     return [list(col) for col in zip(*m)] if m else []
 
 
-def det_bareiss(m: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free Bareiss elimination.
+def _bareiss(m: list[list[int]], r: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """Fraction-free forward elimination (Bareiss 1968) of [m | r], for a
+    square integer m and a matrix r with as many rows.
 
-    Intermediate entries stay integral (each division is exact), which keeps
-    the cost polynomial instead of the exponential blowup of cofactor
-    expansion.
+    Returns (det m, rows).  Every division is exact, so the entries stay
+    integral and polynomial in size.  Rows are only swapped and combined,
+    so a solution x of m.x = r also solves the eliminated rows, whose first
+    len(m) columns are upper triangular (the entries below the diagonal are
+    left as they were and never read).  A singular m gives (0, rows),
+    stopped at the first column with no pivot.
     """
-    a = [list(row) for row in m]
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("non-square matrix")
+    a = [[*row, *rhs] for row, rhs in zip(m, r)]
+    width = len(a[0]) if a else 0
+    sign = prev = 1
+    for k in range(n):
+        rk = a[k]
+        if not rk[k]:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot is None:
+                return 0, a
+            a[k], a[pivot] = a[pivot], rk
+            rk = a[k]
+            sign = -sign
+        akk = rk[k]
+        for ai in a[k + 1:]:
+            aik = ai[k]
+            for j in range(k + 1, width):
+                ai[j] = (akk * ai[j] - aik * rk[j]) // prev
+        prev = akk
+    return sign * prev, a
+
+
+def det_bareiss(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix: `_bareiss`'s last pivot times
+    the sign of its row swaps, or 0 when the matrix is singular."""
+    return _bareiss(m, [()] * len(m))[0]
 
 
 def pattern_reduce_fp(
@@ -107,34 +116,20 @@ def nullspace_fp(m: list[list[int]], p: int) -> tuple[list[list[int]], list[int]
 
 
 def solve_fraction_free(m: list[list[int]], r: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """(det m, det m * m^-1 * r) for a square integer matrix m and a matrix r
-    with as many rows, both integral.
+    """(d, d * m^-1 * r) with d = det m, for a square integer matrix m and a
+    matrix r with as many rows, both integral.
 
-    A fraction-free Gauss-Jordan (Bareiss) on [m | r]: every division is
-    exact, so the entries stay integral, and at the end the left block is
-    d times the identity and the right block d * m^-1 * r, with d = +-det(m)
-    (the sign counts the row swaps).  Raises ValueError when m is singular.
+    `_bareiss` eliminates [m | r] to an upper triangular u with right-hand
+    side s, and `solve_upper_triangular` solves u.x = d * s one column at a
+    time, from the last row up.  By Cramer's rule d * m^-1 * r is integral,
+    so every division is exact.  Raises ValueError when m is singular.
     """
+    d, u = _bareiss(m, r)
+    if not d:
+        raise ValueError("singular matrix")
     n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("inverse of a non-square matrix")
-    a = [list(row) + list(rhs) for row, rhs in zip(m, r)]
-    prev = sign = 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        rk = a[k]
-        akk = rk[k]
-        for i in range(n):
-            if i != k:
-                aik = a[i][k]
-                a[i] = [(akk * x - aik * y) // prev for x, y in zip(a[i], rk)]
-        prev = akk
-    return sign * prev, [[sign * x for x in row[n:]] for row in a]
+    cols = zip(*(row[n:] for row in u))
+    return d, transpose([solve_upper_triangular(u, [d * s for s in col]) for col in cols])
 
 
 def inverse_unimodular(m: list[list[int]]) -> list[list[int]]:

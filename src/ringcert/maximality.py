@@ -433,14 +433,13 @@ def frobenius_kernel_basis(
     Returns (V rows over GF(p) with pivot pattern, their pivot columns nu,
     W rows over Z, U = Frobenius images of W with pivot pattern, omega).
 
-    With the columns ordered (nu, complement), the stacked integer matrix
-    [V; W] is the block matrix [[I, A], [0, M]]: each V row is 1 at its own
+    The stacked integer matrix [V; W] is unimodular, which keeps every
+    later decomposition over {V, pW} integral: each V row is 1 at its own
     free column and 0 at the other free columns, and W starts as the unit
     rows of the complement columns, which the mirror of `pattern_reduce_fp`
-    only swaps and adds integer multiples of, so W stays zero on nu and its
-    n x n block M is unimodular.  Hence [V; W] is unimodular, which keeps
-    every later decomposition over {V, pW} integral, and nu is exactly the
-    set of columns where W is all zero.
+    only swaps and adds integer multiples of, so with the columns ordered
+    (nu, complement) [V; W] is block upper triangular with unimodular
+    diagonal blocks I and M.
     """
     tt_p = reduce_table_mod_p(tt, p)
     r = tt.n
@@ -465,34 +464,20 @@ def _vw_decomposer(
 ) -> Callable[[list[int]], tuple[list[int], list[int]]]:
     """The map y -> integer (a, c) with y = sum a_k V_k + p sum c_k W_k.
 
-    By the block shape [[I, A], [0, M]] of [V; W] (see
-    `frobenius_kernel_basis`), a = y[nu] and b = (y[comp] - a.A).M^-1, so
-    one integer inverse of M serves every product.  y must lie in the
-    radical lattice, that is p | b (asserted); then c = b / p.  The input y
-    may omit trailing zeros.
+    [V; W] is unimodular (see `frobenius_kernel_basis`), so y times its
+    integer inverse is the unique integer (a, b) with y = a.V + b.W, and one
+    inverse serves every product.  y must lie in the radical lattice, that
+    is p | b (asserted); then c = b / p.  The input y may omit trailing
+    zeros.
     """
-    r = len((V or W)[0])
-    nu = [j for j in range(r) if not any(row[j] for row in W)]
-    comp = [j for j in range(r) if j not in nu]
-    assert [[row[j] for j in nu] for row in V] == [
-        [int(i == k) for k in range(len(nu))] for i in range(len(V))
-    ], "[V; W] is not in block form"
-    m_inv = inverse_unimodular([[row[j] for j in comp] for row in W])
-    # b_l = sum_i y[comp_i] M^-1[i][l] - sum_k y[nu_k] (A.M^-1)[k][l]
-    b_cols = []
-    for l in range(len(comp)):
-        col = [0] * r
-        for i, j in enumerate(comp):
-            col[j] = m_inv[i][l]
-        for k, j in enumerate(nu):
-            col[j] = -sum(V[k][comp[i]] * m_inv[i][l] for i in range(len(comp)))
-        b_cols.append(col)
+    r, m = len((V or W)[0]), len(V)
+    cols = list(zip(*inverse_unimodular(V + W)))
 
     def decompose(y: list[int]) -> tuple[list[int], list[int]]:
         y = y + [0] * (r - len(y))
-        b = [sum(map(operator.mul, y, col)) for col in b_cols]
-        assert all(x % p == 0 for x in b), "element outside the radical lattice"
-        return [y[j] for j in nu], [x // p for x in b]
+        ab = [sum(map(operator.mul, y, col)) for col in cols]
+        assert all(x % p == 0 for x in ab[m:]), "element outside the radical lattice"
+        return ab[:m], [x // p for x in ab[m:]]
 
     return decompose
 

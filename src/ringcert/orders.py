@@ -27,11 +27,10 @@ from .exactalg import (
     _canonical,
     deg,
     drop_trailing_zeros,
-    get_d,
     list_mul,
     list_sub,
     mul_pointwise,
-    poly_divmod_int,
+    poly_divmod,
 )
 from .linalg import solve_upper_triangular
 from .verdict import Verdict
@@ -281,8 +280,8 @@ def build_order_description(
         row = []
         for j in range(i, n):
             prod = list_mul(ZZ, b_polys[i], b_polys[j])
-            q, rem = poly_divmod_int(prod, T)
-            coords = solve_upper_triangular(b_mat, [get_d(rem, k, 0) for k in range(n)], d)
+            q, rem = poly_divmod(ZZ, prod, T)
+            coords = solve_upper_triangular(b_mat, rem + [0] * (n - len(rem)), d)
             if coords is None:
                 raise NotAnOrder(f"product w_{i+1}*w_{j+1} leaves the span")
             row.append(ProductEntry(tuple(coords), tuple(mul_pointwise(ZZ, -1, q))))
@@ -308,6 +307,6 @@ def theta_coordinates(desc: OrderDescription) -> list[int] | None:
 
 def element_coordinates(desc: OrderDescription, poly_num: list[int], den: int) -> list[int] | None:
     """Coordinates of (1/den)*poly(theta) in the basis, or None if not in O."""
-    _, rem = poly_divmod_int(poly_num, list(desc.T))
-    rhs = [get_d(rem, k, 0) * desc.d for k in range(desc.n)]
+    _, rem = poly_divmod(ZZ, poly_num, list(desc.T))
+    rhs = [c * desc.d for c in rem + [0] * (desc.n - len(rem))]
     return solve_upper_triangular(basis_rows(desc.basis_columns), rhs, den)

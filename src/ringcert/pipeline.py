@@ -23,7 +23,7 @@ from .exactalg import (
     list_mul,
     list_sub,
     mul_pointwise,
-    poly_divmod_int,
+    poly_divmod,
 )
 from .irred_int import DegreeAnalysisCertificate, LPFWCertificate
 from .linalg import solve_fraction_free, transpose
@@ -229,7 +229,7 @@ def generate_bundle(
     theta = theta_coordinates(desc)
     if theta is None:
         raise BundleError("theta does not lie in the span of the basis")
-    theta_q, _ = poly_divmod_int([0, d], T)
+    theta_q, _ = poly_divmod(ZZ, [0, d], T)
     theta_witness = mul_pointwise(ZZ, -1, theta_q)
 
     bez_a, bez_b, n_value = _bezout_witness(T)

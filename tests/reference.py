@@ -17,7 +17,6 @@ from ringcert.exactalg import (
     list_sub,
     monic,
     poly_divmod,
-    poly_divmod_int,
     poly_gcd,
     poly_xgcd,
     reduce_mod_p,
@@ -161,7 +160,7 @@ def power_basis_with_table(T: list[int]) -> OrderDescription:
     n = deg(T)
     products = []
     for i in range(n):
-        quotients, remainders = zip(*(poly_divmod_int([0] * (i + j) + [1], T) for j in range(i, n)))
+        quotients, remainders = zip(*(poly_divmod(ZZ, [0] * (i + j) + [1], T) for j in range(i, n)))
         products.append(tuple(
             ProductEntry(tuple(r) + (0,) * (n - len(r)), tuple(-c for c in q))
             for q, r in zip(quotients, remainders)

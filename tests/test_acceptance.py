@@ -21,10 +21,8 @@ from ringcert.exactalg import (
     ZZ,
     deg,
     drop_trailing_zeros,
-    get_d,
     list_mul,
     poly_divmod,
-    poly_divmod_int,
 )
 from ringcert.irred_ff import RabinCertificate, generate_rabin, verify_rabin, verify_reducible_witness
 from ringcert.irred_int import generate_int_irred, verify_lpfw
@@ -175,8 +173,8 @@ def test_criterion_6_times_table_oracle():
                 py = drop_trailing_zeros(
                     [sum(desc.basis_columns[k][i] * y[k] for k in range(n)) for i in range(n)]
                 )
-                _, rem = poly_divmod_int(list_mul(ZZ, px, py), T)
-                rhs = [get_d(rem, k, 0) for k in range(n)]
+                _, rem = poly_divmod(ZZ, list_mul(ZZ, px, py), T)
+                rhs = rem + [0] * (n - len(rem))
                 z = integral(fraction_back_substitution(b_mat, rhs, d))
                 assert z is not None and drop_trailing_zeros(z) == got
 

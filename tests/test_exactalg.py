@@ -13,7 +13,6 @@ from ringcert.exactalg import (
     deg,
     drop_trailing_zeros,
     formal_derivative,
-    get_d,
     list_add,
     list_mul,
     list_pow,
@@ -22,7 +21,6 @@ from ringcert.exactalg import (
     mul_pointwise,
     packed_vanishes_mod_p,
     poly_divmod,
-    poly_divmod_int,
     poly_eval,
     poly_gcd,
     poly_mod_pow,
@@ -76,11 +74,6 @@ class TestListArithmetic:
         assert mul_pointwise(ZZ, 2, [1, 3]) == [2, 6]
         assert mul_pointwise(ZZ, 0, [1, 3]) == []
         assert mul_pointwise(ZZ, -1, [1, -1]) == [-1, 1]
-
-    def test_get_d_examples(self):
-        assert get_d([4, 5], 1, 0) == 5
-        assert get_d([4, 5], 7, 0) == 0
-        assert get_d([], 0, 9) == 9
 
     @given(int_lists, int_lists)
     def test_add_commutes(self, a, b):
@@ -400,7 +393,7 @@ class TestIntegerDivision:
             f = drop_trailing_zeros(f)
             q, r = sympy.div(as_expr(f), as_expr(g), x, domain="QQ")
             q, r = as_list(q), as_list(r)
-            got = poly_divmod_int(f, g)
+            got = poly_divmod(ZZ, f, g)
             if all(c.q == 1 for c in q):
                 integral += 1
                 assert got == ([int(c) for c in q], [int(c) for c in r]), (f, g)
@@ -410,7 +403,16 @@ class TestIntegerDivision:
 
     def test_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            poly_divmod_int([1, 2], [])
+            poly_divmod(ZZ, [1, 2], [])
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 503])
+    @given(f=int_lists, g=int_lists)
+    def test_monic_division_reduces_to_gf_p(self, p, f, g):
+        # by a monic g the division over Z never fails, and reducing its
+        # quotient and remainder mod p gives the division over GF(p)
+        g = g + [1]
+        q, r = poly_divmod(ZZ, f, g)
+        assert (reduce_mod_p(q, p), reduce_mod_p(r, p)) == poly_divmod(p, f, g)
 
 
 class TestReductionEvalDerivative:
