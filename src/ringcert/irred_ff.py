@@ -27,7 +27,8 @@ one distinct-degree sweep per squarefree part (`distinct_degree_split`;
 each part into both halves of every split (`factor_poly`).  All p-th
 powers go through one Frobenius table of monic f (`_FrobeniusTable`), each
 application a sum of packed rows with no division.  The radical
-(`radical_fp`) is the product of the squarefree parts.
+(`radical_fp`) is the product of the squarefree parts, and the largest of
+their multiplicities is the smallest power of the radical that f divides.
 """
 
 from __future__ import annotations
@@ -473,13 +474,15 @@ def factor_poly(p: int, split: DistinctDegreeSplit) -> tuple[int, list[tuple[lis
     return split.unit, sorted(factors, key=lambda fm: (len(fm[0]), fm[0]))
 
 
-def radical_fp(p: int, f: list[int]) -> list[int]:
-    """Product of the distinct monic irreducible factors of f: of its
-    squarefree parts, with no factoring at all."""
-    rad = [1]
-    for s, _m in _squarefree_parts(p, monic(p, f)):
-        rad = list_mul(p, rad, s)
-    return rad
+def radical_fp(p: int, f: list[int]) -> tuple[list[int], int]:
+    """(rad, e): the product rad of the distinct monic irreducible factors
+    of f, and their largest multiplicity e, the smallest e with f | rad^e
+    (0 for a constant f).  Both are read off one squarefree decomposition,
+    as its parts' product and their largest multiplicity, with no factoring."""
+    rad, e = [1], 0
+    for s, m in _squarefree_parts(p, monic(p, f)):
+        rad, e = list_mul(p, rad, s), max(e, m)
+    return rad, e
 
 
 def choose_base(p: int, n: int) -> int:

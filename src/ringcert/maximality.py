@@ -69,8 +69,8 @@ class DedekindCertificate:
     b: tuple[int, ...]
     c: tuple[int, ...]
     rad_quotient: tuple[int, ...]       # (T mod p) / gbar
-    rad_power_exp: int                  # n_r with T | g^{n_r} mod p
-    rad_power_witness: tuple[int, ...]  # gbar^{n_r} / (T mod p)
+    rad_power_exp: int                  # e <= n with T | g^e mod p
+    rad_power_witness: tuple[int, ...]  # gbar^e / (T mod p)
     sqfree_u: tuple[int, ...]           # u*gbar + v*gbar' = 1
     sqfree_v: tuple[int, ...]
 
@@ -147,11 +147,15 @@ def verify_dedekind(cert: DedekindCertificate) -> Verdict:
 
 
 def generate_dedekind(T: list[int], p: int) -> DedekindCertificate | None:
-    """Build a Dedekind certificate at p, or None when the criterion fails."""
+    """Build a Dedekind certificate at p, or None when the criterion fails.
+
+    The radical power is the smallest that T mod p divides: its exponent is
+    the largest multiplicity of an irreducible factor of T mod p, read off
+    the same squarefree decomposition that gives the radical.
+    """
     T = drop_trailing_zeros(list(T))
-    n = deg(T)
     Tbar = reduce_mod_p(T, p)
-    rad = radical_fp(p, Tbar)
+    rad, e = radical_fp(p, Tbar)
     hbar, rem = poly_divmod(p, Tbar, rad)
     assert not rem
     g = list(rad)
@@ -169,7 +173,7 @@ def generate_dedekind(T: list[int], p: int) -> DedekindCertificate | None:
     b = list_mul(p, u2, v1)
     c = v2
 
-    power = list_pow(p, rad, n)
+    power = list_pow(p, rad, e)
     wit, rem = poly_divmod(p, power, Tbar)
     assert not rem
     dsq, su, sv = poly_xgcd(p, rad, formal_derivative(p, rad))
@@ -184,7 +188,7 @@ def generate_dedekind(T: list[int], p: int) -> DedekindCertificate | None:
         b=tuple(b),
         c=tuple(c),
         rad_quotient=tuple(hbar),
-        rad_power_exp=n,
+        rad_power_exp=e,
         rad_power_witness=tuple(wit),
         sqfree_u=tuple(su),
         sqfree_v=tuple(sv),

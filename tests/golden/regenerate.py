@@ -7,8 +7,9 @@ when the format changes on purpose:
     PYTHONPATH=src python tests/golden/regenerate.py
 
 or when a generator change writes a kind differently; then first copy the
-old file into `previous/`, where `tests/test_golden.py` checks that the
-verifier still accepts it.
+old file into `previous/`, or into a new `previous-*/` directory beside
+it when `previous/` already holds that kind; `tests/test_golden.py` checks
+that the verifier still accepts every file there.
 """
 
 from pathlib import Path

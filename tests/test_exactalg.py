@@ -312,6 +312,17 @@ class TestDivmodXgcd:
                 if h:
                     assert poly_divmod(p, h, d)[1] == []
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 503])
+    @given(f=int_lists, g=int_lists, h=int_lists)
+    def test_gcd_is_xgcd_d(self, p, f, g, h):
+        # the Euclidean gcd against the d that xgcd builds with its
+        # cofactors, on reduced f*h and g*h so that d is often not 1
+        f, g = list_mul(p, f, h), list_mul(p, g, h)
+        if not f and not g:
+            assert poly_gcd(p, f, g) == []
+        else:
+            assert poly_gcd(p, f, g) == poly_xgcd(p, f, g)[0]
+
 
 class TestModulus:
     """The fixed-divisor kernel against `poly_divmod` and the per-coefficient

@@ -1,8 +1,8 @@
 """Golden certificate files: one per registered kind, each of which must
 parse and re-serialize to exactly the bytes on disk, and which the
 generators in `golden/regenerate.py` must write again byte for byte.
-`golden/previous/` keeps the files as older generators wrote them; the
-verifier must still accept them.
+The `golden/previous*/` directories keep files as older generators wrote
+them; the verifier must still accept them.
 
 Runs under pytest, or on its own where pytest is not installed:
 
@@ -84,9 +84,11 @@ def test_golden_files_get_their_verdicts():
 
 
 def test_previous_golden_files_still_verify():
-    previous = sorted((GOLDEN / "previous").glob("*.json"))
-    assert previous
-    for path in previous:
+    directories = sorted(d for d in GOLDEN.glob("previous*") if d.is_dir())
+    assert directories
+    for directory in directories:
+        assert sorted(directory.glob("*.json")), directory.name
+    for path in sorted(GOLDEN.glob("previous*/*.json")):
         kind = certio.kind_of(certio.parse(path.read_bytes()))
         assert path.name == _path(kind).name
         assert path.read_bytes() != _path(kind).read_bytes(), path.name
@@ -107,15 +109,28 @@ def test_previous_power_basis_bundle_still_verifies():
     assert out.getvalue() == "2869\n"
 
 
+# The Dedekind entries of X^5 - X - 1 at the smallest radical exponent: p
+# -> (e, g^e / T mod p), with e the largest multiplicity in sympy's
+# `Poly(T, modulus=p).factor_list()` and the witness from `sympy.div`
+# (computed once; the previous file has e = 5 at both primes)
+RADICAL_POWERS = {19: (2, [10, 13, 7, 1]), 151: (2, [96, 33, 73, 1])}
+
+
 def test_power_basis_bundle_is_previous_without_products():
     from ringcert.pipeline import generate_bundle
 
     env = json.loads(PREVIOUS_POWER_BASIS.read_bytes())
     env["payload"]["order"]["products"] = []
+    T = [int(c) for c in env["payload"]["T"]]
+    primes = env["payload"]["primes"]
+    dedekind = [entry["cert"]["payload"] for entry in primes if entry["cert"]["kind"] == "dedekind"]
+    assert sorted(int(ded["p"]) for ded in dedekind) == sorted(RADICAL_POWERS)
+    for ded in dedekind:
+        e, witness = RADICAL_POWERS[int(ded["p"])]
+        ded["rad_power_exp"], ded["rad_power_witness"] = str(e), [str(c) for c in witness]
     inner = {k: env[k] for k in ("kind", "payload", "schema_version")}
     digest = hashlib.sha256(_canonical(inner)).hexdigest()
     resealed = _canonical({**inner, "integrity": f"sha256:{digest}"}) + b"\n"
-    T = [int(c) for c in env["payload"]["T"]]
     n = len(T) - 1
     new = generate_bundle(T, 1, [[int(i == j) for i in range(n)] for j in range(n)])
     assert certio.serialize(new) == resealed

@@ -360,14 +360,14 @@ class TestDegreePattern:
 
 class TestRadical:
     """`radical_fp` by squarefree decomposition against the product of
-    `factor_poly`'s distinct factors."""
+    `factor_poly`'s distinct factors and their largest multiplicity."""
 
     @staticmethod
     def _distinct_product(p, f):
-        rad = [1]
-        for g, _m in factor_poly(p, irred_ff.distinct_degree_split(p, f))[1]:
-            rad = list_mul(p, rad, g)
-        return rad
+        rad, e = [1], 0
+        for g, m in factor_poly(p, irred_ff.distinct_degree_split(p, f))[1]:
+            rad, e = list_mul(p, rad, g), max(e, m)
+        return rad, e
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_multiplicities_divisible_by_p(self, p):
@@ -390,10 +390,10 @@ class TestRadical:
                 assert exactalg.formal_derivative(p, f) == []
                 assert irred_ff.radical_fp(p, f) == self._distinct_product(p, f), f
         x_p2_plus_1 = [1] + [0] * (p * p - 1) + [1]  # (X + 1)^(p^2)
-        assert irred_ff.radical_fp(p, x_p2_plus_1) == [1, 1]
+        assert irred_ff.radical_fp(p, x_p2_plus_1) == ([1, 1], p * p)
 
     def test_constant(self):
-        assert irred_ff.radical_fp(7, [3]) == [1]
+        assert irred_ff.radical_fp(7, [3]) == ([1], 0)
 
 
 class TestCheckIIWorkBound:

@@ -6,7 +6,7 @@ import pytest
 
 from ringcert import maximality
 from ringcert.certio import FIXTURES
-from ringcert.exactalg import ZZ
+from ringcert.exactalg import ZZ, list_pow, poly_divmod, reduce_mod_p
 from ringcert.linalg import transpose
 from ringcert.maximality import (
     DedekindCertificate,
@@ -70,6 +70,24 @@ def order_and_table(spec):
     T, d, cols = spec
     desc = build_order_description(T, d, cols)
     return desc, times_table_of(desc)
+
+
+@pytest.fixture(scope="module")
+def dedekind_below_n():
+    """Generated certificates whose radical exponent is below n: X^5 - X - 1
+    at 19 and 151, and seeded random T at the primes of disc(T)."""
+    certs = [generate_dedekind([-1, -1, 0, 0, 0, 1], p) for p in (19, 151)]
+    rng = random.Random(21)
+    for _ in range(80):
+        n = rng.randrange(3, 9)
+        T = [rng.randrange(-6, 7) for _ in range(n)] + [1]
+        disc = disc_poly(T)
+        for p in (2, 3, 5, 7):
+            if disc and disc % p == 0:
+                certs.append(generate_dedekind(T, p))
+    certs = [c for c in certs if c is not None and c.rad_power_exp < len(c.T) - 1]
+    assert len(certs) > 40 and max(c.rad_power_exp for c in certs) >= 3
+    return certs
 
 
 class TestDedekind:
@@ -145,6 +163,44 @@ class TestDedekind:
                 assert verify_dedekind(cert).accepted, (T, p)
                 accepted += 1
         assert accepted > 100 and failed > 10, (accepted, failed)
+
+    @staticmethod
+    def _with_exponent(cert, e):
+        """cert with radical exponent e and the floor quotient
+        gbar^e // (T mod p) as its witness."""
+        p = cert.p
+        power = list_pow(p, reduce_mod_p(list(cert.g), p), e)
+        witness = poly_divmod(p, power, reduce_mod_p(list(cert.T), p))[0]
+        return dataclasses.replace(cert, rad_power_exp=e, rad_power_witness=tuple(witness))
+
+    def test_exponent_is_the_largest_multiplicity(self, dedekind_below_n):
+        # against sympy's factorization of T mod p; the exponent is the
+        # smallest, since gbar^(e - 1) leaves a remainder mod T
+        sympy = pytest.importorskip("sympy")
+        for cert in dedekind_below_n:
+            T, p, e = list(cert.T), cert.p, cert.rad_power_exp
+            poly = sympy.Poly(T[::-1], sympy.Symbol("x"), modulus=p)
+            assert e == max(m for _f, m in poly.factor_list()[1]), (T, p)
+            gbar = reduce_mod_p(list(cert.g), p)
+            assert poly_divmod(p, list_pow(p, gbar, e - 1), reduce_mod_p(T, p))[1], (T, p)
+
+    def test_exponent_n_still_accepted(self, dedekind_below_n):
+        # the entry as generators wrote it before: exponent n, witness
+        # gbar^n / (T mod p)
+        for cert in dedekind_below_n:
+            assert verify_dedekind(self._with_exponent(cert, len(cert.T) - 1)).accepted
+
+    def test_exponent_below_the_multiplicity_rejected(self, dedekind_below_n):
+        for cert in dedekind_below_n:
+            if cert.rad_power_exp >= 2:
+                v = verify_dedekind(self._with_exponent(cert, cert.rad_power_exp - 1))
+                assert v.reason == "dedekind/radical-power", (cert.T, cert.p)
+
+    def test_exponent_out_of_range_rejected(self, dedekind_below_n):
+        for cert in dedekind_below_n:
+            for e in (0, len(cert.T)):
+                v = verify_dedekind(self._with_exponent(cert, e))
+                assert v.reason == "dedekind/radical-exponent", (cert.T, cert.p, e)
 
     def test_mutations_rejected(self):
         cert = generate_dedekind([-10, -3, 0, 1], 5)

@@ -1,11 +1,22 @@
+import contextlib
 import dataclasses
+import io
 import random
 import time
+from math import prod
 
 import pytest
 
-from ringcert import certio
-from ringcert.exactalg import ZZ, drop_trailing_zeros, formal_derivative, list_add, list_mul, list_sub
+from ringcert import certio, cli
+from ringcert.exactalg import (
+    ZZ,
+    drop_trailing_zeros,
+    formal_derivative,
+    list_add,
+    list_mul,
+    list_sub,
+    poly_divmod,
+)
 from ringcert.maximality import DedekindCertificate
 from ringcert.pipeline import BundleError, _bezout_witness, generate_bundle, verify_bundle
 
@@ -198,6 +209,49 @@ class TestHigherDegree:
         assert claim(bundle, 2**24).accepted
         kinds = {e.p: type(e.cert).__name__ for e in bundle.primes}
         assert kinds[2] in ("PMaxShortCertificate", "PMaxLongCertificate")
+
+
+def _cyclotomic(m: int) -> list[int]:
+    """Phi_m = (X^m - 1) / prod_{d | m, d < m} Phi_d over Z."""
+    phi = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            phi, rem = poly_divmod(ZZ, phi, _cyclotomic(d))
+            assert rem == []
+    return phi
+
+
+def _prime_powers(m: int) -> dict[int, int]:
+    out, q = {}, 2
+    while m > 1:
+        while m % q == 0:
+            out[q], m = out.get(q, 0) + 1, m // q
+        q += 1
+    return out
+
+
+@pytest.mark.parametrize("m", [8, 9, 12, 15, 16, 20, 21, 24, 25, 27, 28, 36])
+def test_cyclotomic_power_basis_closed_form(m, tmp_path):
+    # Z[zeta_m] is the ring of integers of Q(zeta_m), whose discriminant is
+    # (-1)^(phi/2) m^phi / prod_{p | m} p^(phi/(p-1)), phi = phi(m); and
+    # Phi_m = Phi_m'^phi(p^k) mod p at p^k || m, Phi_m' squarefree mod p,
+    # so every entry is Dedekind with radical exponent phi(p^k)
+    T = _cyclotomic(m)
+    n = len(T) - 1
+    powers = _prime_powers(m)
+    assert n == m * prod(p - 1 for p in powers) // prod(powers)
+    disc = (-1) ** (n // 2) * m**n // prod(p ** (n // (p - 1)) for p in powers)
+    bundle = generate_bundle(T, 1, [[int(i == j) for i in range(n)] for j in range(n)])
+    assert verify_bundle(bundle).accepted
+    path = tmp_path / "bundle.json"
+    certio.write_file(path, bundle)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["disc", str(path)]) == 0
+    assert out.getvalue() == f"{disc}\n"
+    assert {e.p: e.cert.rad_power_exp for e in bundle.primes} == {
+        p: (p - 1) * p ** (k - 1) for p, k in powers.items()
+    }
 
 
 def _bezout_inputs():
