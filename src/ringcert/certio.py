@@ -18,8 +18,10 @@ that length, ``Literal[...]`` one of its strings, ``X | None`` null or X,
 and a union of registered dataclasses ``{"kind": ..., "payload": ...}``.
 Parsing validates formats, and the shapes the type hints fix, before any
 verification runs; shapes that depend on another field, such as the
-order's n, are the verifier's to check.  It turns every malformed input
-into `CertFormatError` and round-trips byte-exactly on canonical files.
+order's products against the degree of T, are the verifier's to check.
+Payload keys that name no field are ignored, so files that still carry a
+dropped field parse.  It turns every malformed input into
+`CertFormatError` and round-trips byte-exactly on canonical files.
 """
 
 from __future__ import annotations

@@ -107,11 +107,9 @@ class DegreeAnalysisCertificate:
 class LPFWCertificate:
     f: tuple[int, ...]
     analysis: DegreeAnalysisCertificate | None  # None means the trivial bound d = 1
-    r: Fraction
-    rho: Fraction
+    r: Fraction  # scale of the root bound rho = cauchy_bound_scaled(f, r)
     m: int
-    s: int
-    P: int
+    P: int       # a prime dividing f(m)
     pratt: PrattCertificate
 
 
@@ -234,16 +232,15 @@ def verify_lpfw(cert: LPFWCertificate) -> Verdict:
     r = Fraction(cert.r)
     if r <= 0:
         return Verdict.reject("lpfw/scale")
-    rho = Fraction(cert.rho)
-    if rho != cauchy_bound_scaled(f, r):
-        return Verdict.reject("lpfw/cauchy-bound")
+    rho = cauchy_bound_scaled(f, r)
     m = cert.m
     if abs(m) < rho + 1:
         return Verdict.reject("lpfw/evaluation-point")
-    s, P = cert.s, cert.P
-    if s < 1 or P < 2:
+    P = cert.P
+    if P < 2:
         return Verdict.reject("lpfw/witness-range")
-    if abs(poly_eval(ZZ, f, m)) != s * P:
+    s, rest = divmod(abs(poly_eval(ZZ, f, m)), P)
+    if rest or s < 1:
         return Verdict.reject("lpfw/value-product")
     if Fraction(s) >= (abs(m) - rho) ** d:
         return Verdict.reject("lpfw/cofactor-bound")
@@ -381,9 +378,7 @@ def _lpfw_search(
                 f=tuple(f),
                 analysis=analysis,
                 r=r,
-                rho=rho,
                 m=m,
-                s=s,
                 P=P,
                 pratt=pratt,
             )

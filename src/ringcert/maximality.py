@@ -60,15 +60,12 @@ from .verdict import Verdict
 
 @dataclass(frozen=True)
 class DedekindCertificate:
-    T: tuple[int, ...]
-    p: int
     g: tuple[int, ...]  # lift of the radical of T mod p
     h: tuple[int, ...]  # lift of (T mod p) / (g mod p)
     f: tuple[int, ...]  # (g*h - T) / p over Z
     a: tuple[int, ...]  # cofactors over GF(p): a*fbar + b*gbar + c*hbar = 1
     b: tuple[int, ...]
     c: tuple[int, ...]
-    rad_quotient: tuple[int, ...]       # (T mod p) / gbar
     rad_power_exp: int                  # e <= n with T | g^e mod p
     rad_power_witness: tuple[int, ...]  # gbar^e / (T mod p)
     sqfree_u: tuple[int, ...]           # u*gbar + v*gbar' = 1
@@ -79,23 +76,18 @@ def _fp_range_ok(p: int, *polys: tuple[int, ...]) -> bool:
     return all(all(0 <= c < p for c in poly) for poly in polys)
 
 
-def verify_dedekind(cert: DedekindCertificate) -> Verdict:
+def verify_dedekind(T: list[int], p: int, cert: DedekindCertificate) -> Verdict:
     """Acceptance certifies that p does not divide the index of Z[theta] in
     the maximal order, hence p-maximality of any full-rank order containing
-    theta.  Primality of p is certified upstream."""
-    T = list(cert.T)
-    p = cert.p
+    theta.  T monic of positive degree and p prime are the caller's checks.
+
+    gbar * hbar = T mod p needs no witness: it is p*f = g*h - T read mod p."""
     n = deg(T)
-    if n < 1 or T[-1] != 1:
-        return Verdict.reject("dedekind/T-not-monic")
-    if p < 2:
-        return Verdict.reject("dedekind/modulus")
     if not _fp_range_ok(
         p,
         cert.a,
         cert.b,
         cert.c,
-        cert.rad_quotient,
         cert.rad_power_witness,
         cert.sqfree_u,
         cert.sqfree_v,
@@ -106,8 +98,6 @@ def verify_dedekind(cert: DedekindCertificate) -> Verdict:
     hbar = reduce_mod_p(list(cert.h), p)
     fbar = reduce_mod_p(list(cert.f), p)
 
-    if list_mul(p, gbar, list(cert.rad_quotient)) != Tbar:
-        return Verdict.reject("dedekind/radical-divides")
     if not (1 <= cert.rad_power_exp <= n):
         return Verdict.reject("dedekind/radical-exponent")
     if list_mul(p, Tbar, list(cert.rad_power_witness)) != list_pow(
@@ -179,15 +169,12 @@ def generate_dedekind(T: list[int], p: int) -> DedekindCertificate | None:
     dsq, su, sv = poly_xgcd(p, rad, formal_derivative(p, rad))
     assert dsq == [1]
     return DedekindCertificate(
-        T=tuple(T),
-        p=p,
         g=tuple(g),
         h=tuple(h),
         f=tuple(f),
         a=tuple(a),
         b=tuple(b),
         c=tuple(c),
-        rad_quotient=tuple(hbar),
         rad_power_exp=e,
         rad_power_witness=tuple(wit),
         sqfree_u=tuple(su),
@@ -204,10 +191,6 @@ Pivot = tuple[Literal["A", "B"], int]  # ("A", k) points into the V block, ("B",
 
 @dataclass(frozen=True)
 class PMaxShortCertificate:
-    p: int
-    t: int
-    m: int
-    n: int
     V: tuple[tuple[int, ...], ...]      # m x r over Z
     W: tuple[tuple[int, ...], ...]      # n x r over Z
     U: tuple[tuple[int, ...], ...]      # n x r over GF(p)
@@ -223,10 +206,6 @@ class PMaxShortCertificate:
 
 @dataclass(frozen=True)
 class PMaxLongCertificate:
-    p: int
-    t: int
-    m: int
-    n: int
     V: tuple[tuple[int, ...], ...]
     W: tuple[tuple[int, ...], ...]
     U: tuple[tuple[int, ...], ...]
@@ -282,16 +261,12 @@ def _vw_combination(
 
 
 def _check_common(tt: TimesTable, p: int, cert, kind: str) -> Verdict:
-    """Shared dimension checks and statements (i), (ii), (iv), (v)."""
+    """Shared dimension checks and statements (i), (ii), (iv), (v).  The
+    kernel has m = len(V) rows and its complement n = len(W)."""
     r = tt.n
-    m, n, t = cert.m, cert.n, cert.t
-    if cert.p != p:
-        return Verdict.reject(f"{kind}/modulus")
-    if m < 0 or n < 1 or m + n != r:
+    m, n = len(cert.V), len(cert.W)
+    if n < 1 or m + n != r:
         return Verdict.reject(f"{kind}/dims")
-    # minimality of t bounds the verifier's exponentiation work
-    if t != minimal_frobenius_exponent(p, r):
-        return Verdict.reject(f"{kind}/exponent")
     if not _matrix_shape_ok(cert.V, m, r) or not _matrix_shape_ok(cert.W, n, r):
         return Verdict.reject(f"{kind}/shape")
     if not _matrix_shape_ok(cert.U, n, r):
@@ -317,7 +292,7 @@ def _check_common(tt: TimesTable, p: int, cert, kind: str) -> Verdict:
             return Verdict.reject(f"{kind}/check-ii/i={i}")
 
     tt_p = reduce_table_mod_p(tt, p)
-    exponent = p**t
+    exponent = p ** minimal_frobenius_exponent(p, r)
     for i in range(m):
         z = tt_pow(p, tt_p, vbar[i], exponent)
         if z != []:
@@ -339,7 +314,7 @@ def verify_pmax_short(tt: TimesTable, p: int, cert: PMaxShortCertificate) -> Ver
     ok = _check_common(tt, p, cert, "pmax-short")
     if not ok:
         return ok
-    r, m, n = tt.n, cert.m, cert.n
+    r, m, n = tt.n, len(cert.V), len(cert.W)
 
     if m == 0:
         if cert.X or cert.beta or cert.gamma or cert.a or cert.c or cert.eta:
@@ -374,7 +349,7 @@ def verify_pmax_long(tt: TimesTable, p: int, cert: PMaxLongCertificate) -> Verdi
     ok = _check_common(tt, p, cert, "pmax-long")
     if not ok:
         return ok
-    r, m, n = tt.n, cert.m, cert.n
+    r, m, n = tt.n, len(cert.V), len(cert.W)
 
     if m == 0:
         if cert.X or cert.a or cert.c or cert.d or cert.e or cert.eta:
@@ -568,12 +543,9 @@ def generate_pmax(
     candidates, and the long form, which then exists, reuses phi's
     elimination."""
     r = tt.n
-    t = minimal_frobenius_exponent(p, r)
-    V, nu, W, u_rows, omega = frobenius_kernel_basis(tt, p, t)
+    V, nu, W, u_rows, omega = frobenius_kernel_basis(tt, p, minimal_frobenius_exponent(p, r))
     m = len(V)
-    n = r - m
     common = dict(
-        p=p, t=t, m=m, n=n,
         V=tuple(tuple(row) for row in V),
         W=tuple(tuple(row) for row in W),
         U=tuple(tuple(row) for row in u_rows),

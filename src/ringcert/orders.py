@@ -44,7 +44,6 @@ class ProductEntry:
 
 @dataclass(frozen=True)
 class OrderDescription:
-    n: int
     T: tuple[int, ...]                      # monic, degree n
     d: int                                  # common denominator, nonzero
     basis_columns: tuple[tuple[int, ...], ...]  # column j = coeffs of b_j, len n
@@ -52,6 +51,10 @@ class OrderDescription:
     # power basis, whose table is rebuilt from theta^k
     products: tuple[tuple[ProductEntry, ...], ...]
     one: ProductEntry
+
+    @property
+    def n(self) -> int:
+        return len(self.T) - 1
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,7 @@ def verify_order_builder(desc: OrderDescription) -> Verdict:
     a subring of K containing 1, hence an order inside the ring of integers."""
     n = desc.n
     T = list(desc.T)
-    if deg(T) != n or n < 1:
+    if n < 1:
         return Verdict.reject("order/T-degree")
     if T[-1] != 1:
         return Verdict.reject("order/T-not-monic")
@@ -264,7 +267,6 @@ def build_order_description(
     columns = tuple(tuple(c) for c in basis_columns)
     if _is_power_basis(d, columns):
         return OrderDescription(
-            n=n,
             T=tuple(T),
             d=d,
             basis_columns=columns,
@@ -291,7 +293,6 @@ def build_order_description(
     if one is None:
         raise NotAnOrder("1 is not in the span of the basis")
     return OrderDescription(
-        n=n,
         T=tuple(T),
         d=d,
         basis_columns=columns,

@@ -66,8 +66,7 @@ class CertificateBundle:
     theta_witness: tuple[int, ...]  # sum x_k b_k - T*witness = d*X
     bezout_a: tuple[int, ...]      # a*T + b*T' = N
     bezout_b: tuple[int, ...]
-    n_value: int                   # N, nonzero
-    n_sign: int                    # +1 or -1; N = sign * prod p^e
+    n_value: int                   # N, nonzero; |N| = prod p^e
     primes: tuple[PrimeEntry, ...]
     claimed_disc: int | None = None
 
@@ -114,8 +113,6 @@ def verify_bundle(bundle: CertificateBundle) -> Verdict:
     # factorization of N with certified primes
     if bundle.n_value == 0:
         return Verdict.reject("bundle/separability/zero")
-    if bundle.n_sign not in (1, -1):
-        return Verdict.reject("bundle/prime-factorization/sign")
     seen: set[int] = set()
     for entry in bundle.primes:
         if entry.p in seen:
@@ -124,28 +121,24 @@ def verify_bundle(bundle: CertificateBundle) -> Verdict:
         if entry.exponent < 1:
             return Verdict.reject(f"bundle/prime-factorization/exponent/p={entry.p}")
     factors = [(entry.p, entry.exponent) for entry in bundle.primes]
-    if bundle.n_sign * primality.prime_power_product(factors, bundle.n_value) != bundle.n_value:
+    if primality.prime_power_product(factors, bundle.n_value) != abs(bundle.n_value):
         return Verdict.reject("bundle/prime-factorization")
     for entry in bundle.primes:
         ok = primality.certify_prime_for_verifier(entry.p, entry.pratt)
         if not ok:
             return ok.prefixed("bundle")
 
-    # one maximality certificate per prime, checked over the times table
+    # one maximality certificate per prime: Dedekind's on T, the kernel
+    # forms over the times table; each takes T or the table, and p, from here
     tt = times_table_of(desc)
     verifiers = {
-        DedekindCertificate: maximality.verify_dedekind,
-        PMaxShortCertificate: lambda cert: maximality.verify_pmax_short(tt, cert.p, cert),
-        PMaxLongCertificate: lambda cert: maximality.verify_pmax_long(tt, cert.p, cert),
+        DedekindCertificate: (maximality.verify_dedekind, T),
+        PMaxShortCertificate: (maximality.verify_pmax_short, tt),
+        PMaxLongCertificate: (maximality.verify_pmax_long, tt),
     }
     for entry in bundle.primes:
-        cert = entry.cert
-        verify = verifiers.get(type(cert))
-        if verify is None:
-            return Verdict.reject(f"bundle/p={entry.p}/unknown-kind")
-        if cert.p != entry.p or (isinstance(cert, DedekindCertificate) and list(cert.T) != T):
-            return Verdict.reject(f"bundle/p={entry.p}/binding")
-        ok = verify(cert)
+        verify, over = verifiers[type(entry.cert)]
+        ok = verify(over, entry.p, entry.cert)
         if not ok:
             return ok.prefixed(f"bundle/p={entry.p}")
 
@@ -233,7 +226,6 @@ def generate_bundle(
     theta_witness = mul_pointwise(ZZ, -1, theta_q)
 
     bez_a, bez_b, n_value = _bezout_witness(T)
-    sign = 1 if n_value > 0 else -1
     factors = primality.factorize(abs(n_value))
 
     tt = times_table_of(desc)
@@ -262,7 +254,6 @@ def generate_bundle(
         bezout_a=tuple(bez_a),
         bezout_b=tuple(bez_b),
         n_value=n_value,
-        n_sign=sign,
         primes=tuple(entries),
         claimed_disc=claimed_disc,
     )

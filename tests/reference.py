@@ -166,7 +166,6 @@ def power_basis_with_table(T: list[int]) -> OrderDescription:
             for q, r in zip(quotients, remainders)
         ))
     return OrderDescription(
-        n=n,
         T=tuple(T),
         d=1,
         basis_columns=tuple(tuple(int(i == j) for i in range(n)) for j in range(n)),
@@ -325,7 +324,7 @@ def generate_rabin(
         b_rows[k] = tuple(v)
 
     return RabinCertificate(
-        p=p, n=n, t=t, s=s, L=tuple(f),
+        p=p, n=n, t=t, L=tuple(f),
         h=tuple(tuple(x) for x in h),
         g=tuple(g_rows),
         hprime=tuple(hp_rows),
@@ -572,7 +571,6 @@ def generate_pmax(tt: TimesTable, p: int, budget: int):
 
     if m == 0:
         return PMaxShortCertificate(
-            p=p, t=t, m=0, n=n,
             V=(), W=tuple(tuple(row) for row in w_rows),
             U=tuple(tuple(row) for row in u_rows),
             nu=(), omega=tuple(omega),
@@ -594,7 +592,6 @@ def generate_pmax(tt: TimesTable, p: int, budget: int):
             c_rows.append(tuple(c_row))
         eta = tuple(("A", q) if q < m else ("B", q - m) for q in pivots)
         return PMaxShortCertificate(
-            p=p, t=t, m=m, n=n,
             V=tuple(tuple(row) for row in V),
             W=tuple(tuple(row) for row in W),
             U=tuple(tuple(row) for row in u_rows),
@@ -641,7 +638,6 @@ def generate_pmax(tt: TimesTable, p: int, budget: int):
 
     eta_pairs = tuple((block_of(q // r), block_of(q % r)) for q in pivots)
     return PMaxLongCertificate(
-        p=p, t=t, m=m, n=n,
         V=tuple(tuple(row) for row in V),
         W=tuple(tuple(row) for row in W),
         U=tuple(tuple(row) for row in u_rows),

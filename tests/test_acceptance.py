@@ -262,7 +262,7 @@ def test_criterion_7_mutation_robustness(monkeypatch):
         pratt = generate_pratt(257)
         dedekind = generate_dedekind([-10, -3, 0, 1], 3)
         pshort = generate_pmax(tt, 2)
-        assert isinstance(pshort, maximality.PMaxShortCertificate) and pshort.m > 0
+        assert isinstance(pshort, maximality.PMaxShortCertificate) and pshort.V
         monkeypatch.setattr(maximality, "WITNESS_BUDGET", 0)  # the long form
         plong = generate_pmax(tt, 2)
         assert isinstance(plong, maximality.PMaxLongCertificate)
@@ -274,7 +274,7 @@ def test_criterion_7_mutation_robustness(monkeypatch):
             ("degree-analysis", analysis, verify_degree_analysis),
             ("lpfw", lpfw, verify_lpfw),
             ("pratt", pratt, verify_pratt),
-            ("dedekind", dedekind, verify_dedekind),
+            ("dedekind", dedekind, lambda c: verify_dedekind([-10, -3, 0, 1], 3, c)),
             ("pmax-short", pshort, lambda c: maximality.verify_pmax_short(tt, 2, c)),
             ("pmax-long", plong, lambda c: maximality.verify_pmax_long(tt, 2, c)),
             ("bundle", bundle, verify_bundle),

@@ -1,5 +1,8 @@
+import dataclasses
 import hashlib
 import json
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -220,6 +223,79 @@ def _reseal(env):
     blob = json.dumps(inner, sort_keys=True, separators=(",", ":")).encode()
     env["integrity"] = "sha256:" + hashlib.sha256(blob).hexdigest()
     return json.dumps(env, sort_keys=True, separators=(",", ":")).encode()
+
+
+class TestUnknownKeys:
+    """Payload keys that name no field are ignored, which keeps files that
+    still carry a field dropped from the format verifying."""
+
+    def test_unknown_key_parses_to_the_same_object(self, sample_objects):
+        for kind, obj in sample_objects.items():
+            data = certio.serialize(obj)
+            env = json.loads(data)
+            env["payload"]["no_such_field"] = "1"
+            if kind == "bundle":
+                env["payload"]["order"]["no_such_field"] = []
+            back = certio.parse(_reseal(env))
+            assert back == obj, kind
+            assert certio.serialize(back) == data, kind
+
+
+PREVIOUS_RECOMPUTED = Path(__file__).parent / "golden" / "previous-recomputed-fields"
+
+
+def _maximality_entry(kind):
+    """The payload of a bundle's first prime entry of a maximality kind."""
+    return lambda payload: next(
+        e["cert"]["payload"] for e in payload["primes"] if e["cert"]["kind"] == kind)
+
+
+def _plus_one(rational: str) -> str:
+    x = Fraction(rational) + 1
+    return f"{x.numerator}/{x.denominator}"
+
+
+# an earlier-format file with one of its dropped fields set to a wrong
+# value: (file, the payload holding the field, the field, its new value)
+WRONG_DROPPED_FIELDS = {
+    "n_sign-flipped": ("bundle.json", lambda payload: payload, "n_sign", lambda v: str(-int(v))),
+    "rho-plus-1": ("lpfw.json", lambda payload: payload, "rho", _plus_one),
+    "rad_quotient-bumped": ("bundle.json", _maximality_entry("dedekind"), "rad_quotient",
+                            lambda v: [str(int(v[0]) + 1)] + v[1:]),
+    "dedekind-T-of-x3-2": ("bundle.json", _maximality_entry("dedekind"), "T",
+                           lambda v: ["-2", "0", "0", "1"]),
+    "pmax-t-plus-1": ("bundle.json", _maximality_entry("pmax-short"), "t",
+                      lambda v: str(int(v) + 1)),
+    "rabin-s-plus-1": ("rabin-ff.json", lambda payload: payload, "s", lambda v: str(int(v) + 1)),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_DROPPED_FIELDS)
+def test_wrong_dropped_field_gets_the_verdict_of_the_rest(case, tmp_path, capsys):
+    name, holder, key, wrong = WRONG_DROPPED_FIELDS[case]
+    path = PREVIOUS_RECOMPUTED / name
+    env = json.loads(path.read_bytes())
+    fields = holder(env["payload"])
+    fields[key] = wrong(fields[key])
+    forged = tmp_path / name
+    forged.write_bytes(_reseal(env))
+    assert forged.read_bytes() != path.read_bytes()
+    assert certio.parse_file(forged) == certio.parse_file(path)
+    assert main(["verify", str(forged)]) == main(["verify", str(path)]) == 0
+
+
+FORMAT_MD = Path(__file__).parents[1] / "docs" / "FORMAT.md"
+
+
+def test_format_doc_lists_every_payload_field():
+    # each kind's section opens with one line naming its fields in
+    # backticks, so a field added or dropped on one side only fails here
+    doc = FORMAT_MD.read_text()
+    for kind, cls in certio._REGISTRY.items():
+        section = re.search(rf"^### {re.escape(kind)}\n(.*)$", doc, re.MULTILINE)
+        assert section and section.group(1).startswith("Fields: "), kind
+        listed = re.findall(r"`([^`]+)`", section.group(1))
+        assert sorted(listed) == sorted(f.name for f in dataclasses.fields(cls)), kind
 
 
 class TestFixtures:

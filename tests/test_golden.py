@@ -120,24 +120,69 @@ def test_power_basis_bundle_is_previous_without_products():
     from ringcert.pipeline import generate_bundle
 
     env = json.loads(PREVIOUS_POWER_BASIS.read_bytes())
+    _drop_fields("bundle", env["payload"])
     env["payload"]["order"]["products"] = []
     T = [int(c) for c in env["payload"]["T"]]
-    primes = env["payload"]["primes"]
-    dedekind = [entry["cert"]["payload"] for entry in primes if entry["cert"]["kind"] == "dedekind"]
-    assert sorted(int(ded["p"]) for ded in dedekind) == sorted(RADICAL_POWERS)
-    for ded in dedekind:
-        e, witness = RADICAL_POWERS[int(ded["p"])]
+    dedekind = {int(entry["p"]): entry["cert"]["payload"] for entry in env["payload"]["primes"]
+                if entry["cert"]["kind"] == "dedekind"}
+    assert sorted(dedekind) == sorted(RADICAL_POWERS)
+    for p, ded in dedekind.items():
+        e, witness = RADICAL_POWERS[p]
         ded["rad_power_exp"], ded["rad_power_witness"] = str(e), [str(c) for c in witness]
-    inner = {k: env[k] for k in ("kind", "payload", "schema_version")}
-    digest = hashlib.sha256(_canonical(inner)).hexdigest()
-    resealed = _canonical({**inner, "integrity": f"sha256:{digest}"}) + b"\n"
     n = len(T) - 1
     new = generate_bundle(T, 1, [[int(i == j) for i in range(n)] for j in range(n)])
-    assert certio.serialize(new) == resealed
+    assert certio.serialize(new) == _reseal(env["kind"], env["payload"])
 
 
 def _canonical(doc) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _reseal(kind: str, payload: dict) -> bytes:
+    inner = {"kind": kind, "payload": payload, "schema_version": certio.SCHEMA_VERSION}
+    digest = hashlib.sha256(_canonical(inner)).hexdigest()
+    return _canonical({**inner, "integrity": f"sha256:{digest}"}) + b"\n"
+
+
+# Payload keys that earlier generators wrote and the verifier now computes
+# from other fields or takes from the enclosing bundle, by the kind of the
+# payload that held them
+DROPPED_FIELDS = {
+    "bundle": ("n_sign",),
+    "order": ("n",),
+    "dedekind": ("T", "p", "rad_quotient"),
+    "pmax-short": ("p", "t", "m", "n"),
+    "pmax-long": ("p", "t", "m", "n"),
+    "lpfw": ("rho", "s"),
+    "rabin-ff": ("s",),
+}
+
+
+def _drop_fields(kind: str, payload: dict) -> None:
+    """Delete the dropped keys from an earlier-format payload and the
+    payloads nested in it, in place; a KeyError if one is missing."""
+    for key in DROPPED_FIELDS.get(kind, ()):
+        del payload[key]
+    if kind == "bundle":
+        _drop_fields("order", payload["order"])
+        for tagged in [payload["irreducibility"]] + [entry["cert"] for entry in payload["primes"]]:
+            _drop_fields(tagged["kind"], tagged["payload"])
+    elif kind == "lpfw" and payload["analysis"] is not None:
+        _drop_fields("degree-analysis", payload["analysis"])
+    elif kind == "degree-analysis":
+        for cert in (c for entry in payload["per_prime"] for c in entry["certs"]):
+            _drop_fields("rabin-ff", cert)
+
+
+PREVIOUS_RECOMPUTED = GOLDEN / "previous-recomputed-fields"
+
+
+def test_previous_recomputed_fields_are_the_golden_files_without_them():
+    for path in sorted(PREVIOUS_RECOMPUTED.glob("*.json")):
+        env = json.loads(path.read_bytes())
+        _drop_fields(env["kind"], env["payload"])
+        assert _reseal(env["kind"], env["payload"]) == _path(env["kind"]).read_bytes(), path.name
+
 
 if __name__ == "__main__":
     test_one_golden_file_per_kind()
@@ -147,4 +192,5 @@ if __name__ == "__main__":
     test_previous_golden_files_still_verify()
     test_previous_power_basis_bundle_still_verifies()
     test_power_basis_bundle_is_previous_without_products()
+    test_previous_recomputed_fields_are_the_golden_files_without_them()
     print(f"{len(certio._REGISTRY)} golden files round-trip and regenerate")

@@ -98,7 +98,7 @@ class TestGenerateVerify:
     def test_base_t_equals_p(self):
         cert = generate_rabin([1, 0, 1], 3, t=3)
         assert isinstance(cert, RabinCertificate)
-        assert cert.t == 3 and cert.s == 1
+        assert cert.t == 3 and all(len(row) == 1 for row in cert.g)
         assert verify_rabin(cert).accepted
 
     def test_huge_factor_exponent_rejected_quickly(self):
@@ -193,7 +193,7 @@ class TestGeneratorAgainstReference:
         f = _irreducible(503, 6, random.Random(6))
         cert = generate_rabin(f, 503, 2)
         assert isinstance(cert, RabinCertificate) and verify_rabin(cert).accepted
-        assert kernel == [True] * (cert.n * cert.s)
+        assert kernel == [True] * sum(map(len, cert.g))
         assert schoolbook == []
 
 
@@ -404,7 +404,7 @@ class TestCheckIIWorkBound:
         p, n = 1000003, 4
         x = (0, 1)
         forged = RabinCertificate(
-            p=p, n=n, t=p, s=1, L=(1, 0, 0, 0, 1), h=(x,) * (n + 1),
+            p=p, n=n, t=p, L=(1, 0, 0, 0, 1), h=(x,) * (n + 1),
             g=(((1,),),) * n, hprime=((x, x),) * n,
             a=((), (), (1,), ()), b=((), (), (1,), ()),
             n_factors=((2, 2),), n_factor_pratt=(None,),
@@ -446,7 +446,7 @@ class TestCheckIIPacked:
             g_rows.append(tuple(map(tuple, grow)))
             hp_rows.append(tuple(map(tuple, hp)))
         return RabinCertificate(
-            p=p, n=n, t=t, s=s, L=tuple(f), h=tuple(map(tuple, h)), g=tuple(g_rows),
+            p=p, n=n, t=t, L=tuple(f), h=tuple(map(tuple, h)), g=tuple(g_rows),
             hprime=tuple(hp_rows), a=((),) * n, b=((),) * n,
             n_factors=tuple(primality.factorize(n)) if n > 1 else (),
             n_factor_pratt=(None,) * len(primality.factorize(n)) if n > 1 else (),
@@ -462,7 +462,7 @@ class TestCheckIIPacked:
         if t == p > 503:
             cert = self.chain_certificate(f, p, 2)
             return dataclasses.replace(
-                cert, t=p, s=1, g=tuple((row[0],) for row in cert.g),
+                cert, t=p, g=tuple((row[0],) for row in cert.g),
                 hprime=tuple((row[0], row[-1]) for row in cert.hprime))
         if p != 15:
             out = generate_rabin(f, p, t)
@@ -540,7 +540,7 @@ class TestCheckIIPacked:
         # t = 2: the only list products left are check (iv)'s two per prime
         # q | n, and each reads back one product
         cert = generate_rabin([1, 1, 0, 0, 1], 2**31 - 1)
-        assert isinstance(cert, RabinCertificate) and cert.t == 2 and cert.s == 30
+        assert isinstance(cert, RabinCertificate) and cert.t == 2 and len(cert.g[0]) == 30
         calls = {"list_mul": 0, "_kron_unpack": 0}
 
         def counted(module, name):

@@ -1,6 +1,8 @@
 import dataclasses
 import functools
+import hashlib
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -161,40 +163,42 @@ class TestCauchyBound:
 
 
 class TestLPFWVerification:
-    def _trivial_cert(self, f, r, m, s, P):
+    def _trivial_cert(self, f, r, m, P):
         return LPFWCertificate(
-            f=tuple(f),
-            analysis=None,
-            r=Fraction(r),
-            rho=cauchy_bound_scaled(f, Fraction(r)),
-            m=m,
-            s=s,
-            P=P,
-            pratt=generate_pratt(P),
-        )
+            f=tuple(f), analysis=None, r=Fraction(r), m=m, P=P, pratt=generate_pratt(P))
 
     def test_accept_x2_plus_1(self):
-        cert = self._trivial_cert([1, 0, 1], 1, 4, 1, 17)
+        cert = self._trivial_cert([1, 0, 1], 1, 4, 17)
         assert verify_lpfw(cert).accepted
 
     def test_reject_small_point(self):
-        cert = self._trivial_cert([1, 0, 1], 1, 3, 2, 5)
+        # f(3) = 2 * 5, and the cofactor 2 is not below |3| - rho = 1
+        cert = self._trivial_cert([1, 0, 1], 1, 3, 5)
         v = verify_lpfw(cert)
         assert not v.accepted and v.reason == "lpfw/cofactor-bound"
 
     def test_reject_imprimitive(self):
-        cert = self._trivial_cert([2, 2], 1, 5, 4, 3)
+        cert = self._trivial_cert([2, 2], 1, 5, 3)
         v = verify_lpfw(cert)
         assert not v.accepted and v.reason == "lpfw/not-primitive"
 
-    def test_reject_wrong_rho(self):
-        cert = self._trivial_cert([1, 0, 1], 1, 4, 1, 17)
-        bad = dataclasses.replace(cert, rho=cert.rho + 1)
-        v = verify_lpfw(bad)
-        assert not v.accepted and v.reason == "lpfw/cauchy-bound"
+    def test_claimed_rho_is_not_read(self):
+        # X^2 + 1 at r = 1 has rho = 2.  An earlier-format file claiming
+        # rho = 1/2 puts m = 2, with f(2) = 5 prime, outside its own bound
+        # and the cofactor 1 below |m| - 1/2; the verifier computes rho,
+        # and 2 lies inside 2 + 1
+        cert = self._trivial_cert([1, 0, 1], 1, 2, 5)
+        payload = json.loads(certio.serialize(cert))["payload"]
+        payload.update(rho="1/2", s="1")
+        inner = certio._canonical_inner("lpfw", payload)
+        envelope = {"integrity": "sha256:" + hashlib.sha256(inner).hexdigest(),
+                    "kind": "lpfw", "payload": payload, "schema_version": certio.SCHEMA_VERSION}
+        assert certio.parse(json.dumps(envelope).encode()) == cert
+        v = verify_lpfw(cert)
+        assert not v.accepted and v.reason == "lpfw/evaluation-point"
 
     def test_reject_wrong_product(self):
-        cert = self._trivial_cert([1, 0, 1], 1, 4, 1, 17)
+        cert = self._trivial_cert([1, 0, 1], 1, 4, 17)
         bad = dataclasses.replace(cert, m=5)
         v = verify_lpfw(bad)
         assert not v.accepted and v.reason == "lpfw/value-product"

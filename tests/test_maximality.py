@@ -1,10 +1,12 @@
 import dataclasses
+import hashlib
+import json
 import random
 import time
 
 import pytest
 
-from ringcert import maximality
+from ringcert import certio, maximality
 from ringcert.certio import FIXTURES
 from ringcert.exactalg import ZZ, list_pow, poly_divmod, reduce_mod_p
 from ringcert.linalg import transpose
@@ -76,17 +78,16 @@ def order_and_table(spec):
 def dedekind_below_n():
     """Generated certificates whose radical exponent is below n: X^5 - X - 1
     at 19 and 151, and seeded random T at the primes of disc(T)."""
-    certs = [generate_dedekind([-1, -1, 0, 0, 0, 1], p) for p in (19, 151)]
+    entries = [([-1, -1, 0, 0, 0, 1], p) for p in (19, 151)]
     rng = random.Random(21)
     for _ in range(80):
         n = rng.randrange(3, 9)
         T = [rng.randrange(-6, 7) for _ in range(n)] + [1]
         disc = disc_poly(T)
-        for p in (2, 3, 5, 7):
-            if disc and disc % p == 0:
-                certs.append(generate_dedekind(T, p))
-    certs = [c for c in certs if c is not None and c.rad_power_exp < len(c.T) - 1]
-    assert len(certs) > 40 and max(c.rad_power_exp for c in certs) >= 3
+        entries += [(T, p) for p in (2, 3, 5, 7) if disc and disc % p == 0]
+    certs = [(T, p, generate_dedekind(T, p)) for T, p in entries]
+    certs = [(T, p, c) for T, p, c in certs if c is not None and c.rad_power_exp < len(T) - 1]
+    assert len(certs) > 40 and max(c.rad_power_exp for _T, _p, c in certs) >= 3
     return certs
 
 
@@ -95,25 +96,23 @@ class TestDedekind:
         cert = generate_dedekind([1, -1, 1], 2)
         assert cert is not None
         assert list(cert.h) == [1]
-        assert verify_dedekind(cert).accepted
+        assert verify_dedekind([1, -1, 1], 2, cert).accepted
 
     def test_irreducible_reduction_hand_built(self):
         # T = X^2 - X + 1 at p = 2: take g = T itself, h = 1, f = 0
         cert = DedekindCertificate(
-            T=(1, -1, 1), p=2,
             g=(1, -1, 1), h=(1,), f=(),
             a=(), b=(), c=(1,),
-            rad_quotient=(1,),
             rad_power_exp=2,
             rad_power_witness=(1, 1, 1),
             sqfree_u=(), sqfree_v=(1,),
         )
-        assert verify_dedekind(cert).accepted
+        assert verify_dedekind([1, -1, 1], 2, cert).accepted
 
     def test_squarefree_reduction_accepts(self):
         cert = generate_dedekind([-10, -3, 0, 1], 5)
         assert cert is not None
-        assert verify_dedekind(cert).accepted
+        assert verify_dedekind([-10, -3, 0, 1], 5, cert).accepted
 
     def test_x_squared_at_2_fails(self):
         assert generate_dedekind([0, 0, 1], 2) is None
@@ -129,7 +128,7 @@ class TestDedekind:
 
     def test_accepts_at_3_for_anchor(self):
         cert = generate_dedekind([-10, -3, 0, 1], 3)
-        assert cert is not None and verify_dedekind(cert).accepted
+        assert cert is not None and verify_dedekind([-10, -3, 0, 1], 3, cert).accepted
 
     def test_squarefree_primes_always_work(self):
         rng = random.Random(2)
@@ -143,7 +142,7 @@ class TestDedekind:
                     cert = generate_dedekind(T, p)
                     assert cert is not None, (T, p)
                     assert list(cert.h) in ([1],) or len(cert.h) >= 1
-                    assert verify_dedekind(cert).accepted, (T, p)
+                    assert verify_dedekind(T, p, cert).accepted, (T, p)
 
     def test_generated_certificates_verify(self):
         # generate_dedekind returns None exactly when the criterion fails, so
@@ -160,25 +159,24 @@ class TestDedekind:
                 if cert is None:
                     failed += 1
                     continue
-                assert verify_dedekind(cert).accepted, (T, p)
+                assert verify_dedekind(T, p, cert).accepted, (T, p)
                 accepted += 1
         assert accepted > 100 and failed > 10, (accepted, failed)
 
     @staticmethod
-    def _with_exponent(cert, e):
+    def _with_exponent(T, p, cert, e):
         """cert with radical exponent e and the floor quotient
         gbar^e // (T mod p) as its witness."""
-        p = cert.p
         power = list_pow(p, reduce_mod_p(list(cert.g), p), e)
-        witness = poly_divmod(p, power, reduce_mod_p(list(cert.T), p))[0]
+        witness = poly_divmod(p, power, reduce_mod_p(T, p))[0]
         return dataclasses.replace(cert, rad_power_exp=e, rad_power_witness=tuple(witness))
 
     def test_exponent_is_the_largest_multiplicity(self, dedekind_below_n):
         # against sympy's factorization of T mod p; the exponent is the
         # smallest, since gbar^(e - 1) leaves a remainder mod T
         sympy = pytest.importorskip("sympy")
-        for cert in dedekind_below_n:
-            T, p, e = list(cert.T), cert.p, cert.rad_power_exp
+        for T, p, cert in dedekind_below_n:
+            e = cert.rad_power_exp
             poly = sympy.Poly(T[::-1], sympy.Symbol("x"), modulus=p)
             assert e == max(m for _f, m in poly.factor_list()[1]), (T, p)
             gbar = reduce_mod_p(list(cert.g), p)
@@ -187,34 +185,34 @@ class TestDedekind:
     def test_exponent_n_still_accepted(self, dedekind_below_n):
         # the entry as generators wrote it before: exponent n, witness
         # gbar^n / (T mod p)
-        for cert in dedekind_below_n:
-            assert verify_dedekind(self._with_exponent(cert, len(cert.T) - 1)).accepted
+        for T, p, cert in dedekind_below_n:
+            assert verify_dedekind(T, p, self._with_exponent(T, p, cert, len(T) - 1)).accepted
 
     def test_exponent_below_the_multiplicity_rejected(self, dedekind_below_n):
-        for cert in dedekind_below_n:
+        for T, p, cert in dedekind_below_n:
             if cert.rad_power_exp >= 2:
-                v = verify_dedekind(self._with_exponent(cert, cert.rad_power_exp - 1))
-                assert v.reason == "dedekind/radical-power", (cert.T, cert.p)
+                v = verify_dedekind(T, p, self._with_exponent(T, p, cert, cert.rad_power_exp - 1))
+                assert v.reason == "dedekind/radical-power", (T, p)
 
     def test_exponent_out_of_range_rejected(self, dedekind_below_n):
-        for cert in dedekind_below_n:
-            for e in (0, len(cert.T)):
-                v = verify_dedekind(self._with_exponent(cert, e))
-                assert v.reason == "dedekind/radical-exponent", (cert.T, cert.p, e)
+        for T, p, cert in dedekind_below_n:
+            for e in (0, len(T)):
+                v = verify_dedekind(T, p, self._with_exponent(T, p, cert, e))
+                assert v.reason == "dedekind/radical-exponent", (T, p, e)
 
     def test_mutations_rejected(self):
         cert = generate_dedekind([-10, -3, 0, 1], 5)
         rng = random.Random(8)
         rejected = 0
         for _ in range(120):
-            field_name = rng.choice(["g", "h", "f", "a", "b", "c", "rad_quotient"])
+            field_name = rng.choice(["g", "h", "f", "a", "b", "c", "rad_power_witness"])
             val = list(getattr(cert, field_name))
             if not val:
                 val = [0]
             i = rng.randrange(len(val))
             val[i] += rng.randrange(1, 5)
             bad = dataclasses.replace(cert, **{field_name: tuple(val)})
-            v = verify_dedekind(bad)
+            v = verify_dedekind([-10, -3, 0, 1], 5, bad)
             if not v.accepted:
                 assert v.reason
                 rejected += 1
@@ -234,7 +232,7 @@ class TestDedekind:
         wide = dataclasses.replace(cert, g=tuple(g), f=tuple(f))
         assert len(g) == 2000 and len(str(p * k)) == 4300
         start = time.perf_counter()
-        v = verify_dedekind(wide)
+        v = verify_dedekind(T, p, wide)
         assert time.perf_counter() - start < 1.0
         assert v.reason == "dedekind/factor-identity"
 
@@ -339,23 +337,39 @@ class TestPMaxCertificates:
         _, table = order_and_table(GAUSS)
         cert = generate_pmax(table, 5)
         assert isinstance(cert, PMaxShortCertificate)
-        assert cert.m == 0 and cert.X == ()
+        assert cert.V == () and cert.X == ()
         assert verify_pmax_short(table, 5, cert).accepted
 
-    def test_non_minimal_exponent_rejected(self):
-        # an oversized t would let a hostile certificate stall the verifier
+    def test_exponent_is_the_minimal_one(self, monkeypatch):
+        # an oversized t would let a hostile certificate stall the verifier,
+        # so the verifier takes the smallest t with p^t >= r itself; a file
+        # in the earlier format whose "t" claims more parses to the same
+        # certificate and is raised to p^t for the minimal t only
         _, table = order_and_table(CUBIC_3_10)
         cert = generate_pmax(table, 2)
         assert isinstance(cert, PMaxShortCertificate)
-        bloated = dataclasses.replace(cert, t=cert.t + 1)
-        v = verify_pmax_short(table, 2, bloated)
-        assert not v.accepted and v.reason == "pmax-short/exponent"
+        t = minimal_frobenius_exponent(2, table.n)
+        payload = json.loads(certio.serialize(cert))["payload"]
+        payload.update(p="2", t=str(t + 1), m=str(len(cert.V)), n=str(len(cert.W)))
+        digest = hashlib.sha256(certio._canonical_inner("pmax-short", payload)).hexdigest()
+        envelope = {"integrity": f"sha256:{digest}", "kind": "pmax-short",
+                    "payload": payload, "schema_version": certio.SCHEMA_VERSION}
+        assert certio.parse(json.dumps(envelope).encode()) == cert
+        exponents = []
+
+        def recorded(p, tt, x, e):
+            exponents.append(e)
+            return tt_pow(p, tt, x, e)
+
+        monkeypatch.setattr(maximality, "tt_pow", recorded)
+        assert verify_pmax_short(table, 2, cert).accepted
+        assert exponents and set(exponents) == {2**t}
 
     def test_pivot_scaling_invariance(self):
         # scaling a V row by a unit keeps the pivot pattern alive
         desc, table = order_and_table(CUBIC_3_10)
         cert = generate_pmax(table, 3)
-        if isinstance(cert, PMaxShortCertificate) and cert.m > 0:
+        if isinstance(cert, PMaxShortCertificate) and cert.V:
             v = [list(r) for r in cert.V]
             v[0] = [2 * x for x in v[0]]
             bad = dataclasses.replace(cert, V=tuple(tuple(r) for r in v))
@@ -584,14 +598,14 @@ class TestKernelReasonPaths:
             _, table = order_and_table((list(fx["T"]), fx["d"], [list(c) for c in fx["columns"]]))
             monkeypatch.setattr(maximality, "WITNESS_BUDGET", WITNESS_BUDGET)
             short = generate_pmax(table, p)
-            if short.m == 0:
+            if not short.V:
                 continue
             monkeypatch.setattr(maximality, "WITNESS_BUDGET", 0)
             long = generate_pmax(table, p)
             for cert, kind, verify in ((short, "pmax-short", verify_pmax_short),
                                        (long, "pmax-long", verify_pmax_long)):
                 assert verify(table, p, cert).accepted
-                m, n = cert.m, cert.n
+                m, n = len(cert.V), len(cert.W)
 
                 def reason(**fields):
                     v = verify(table, p, dataclasses.replace(cert, **fields))

@@ -211,6 +211,13 @@ class TestHigherDegree:
         assert kinds[2] in ("PMaxShortCertificate", "PMaxLongCertificate")
 
 
+def _cli(*args) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
 def _cyclotomic(m: int) -> list[int]:
     """Phi_m = (X^m - 1) / prod_{d | m, d < m} Phi_d over Z."""
     phi = [-1] + [0] * (m - 1) + [1]
@@ -245,13 +252,33 @@ def test_cyclotomic_power_basis_closed_form(m, tmp_path):
     assert verify_bundle(bundle).accepted
     path = tmp_path / "bundle.json"
     certio.write_file(path, bundle)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        assert cli.main(["disc", str(path)]) == 0
-    assert out.getvalue() == f"{disc}\n"
+    assert _cli("disc", str(path)) == (0, f"{disc}\n", "")
     assert {e.p: e.cert.rad_power_exp for e in bundle.primes} == {
         p: (p - 1) * p ** (k - 1) for p, k in powers.items()
     }
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 6, 7, 10, 11, 17, 19, 26, 30, 35])
+def test_pure_cubic_closed_form(m, tmp_path):
+    # Dedekind's pure cubic fields Q(cbrt m), m squarefree: Z[theta] is the
+    # ring of integers, of discriminant -27 m^2, unless m = +-1 (mod 9);
+    # then Z[theta] has index 3, and Z + Z theta + Z (1 +- theta + theta^2)/3,
+    # with the sign of m mod 9, has discriminant -3 m^2
+    poly, basis, bundle = (str(tmp_path / name) for name in ("T.json", "B.json", "bundle.json"))
+    certio.write_file(poly, certio.InputPolynomial((-m, 0, 0, 1)))
+    certio.write_file(basis, certio.InputOrderBasis(1, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+    code, _out, err = _cli("gen", "bundle", poly, basis, "-o", bundle)
+    sign = {1: 1, 8: -1}.get(m % 9)
+    if sign is None:
+        assert code == 0, err
+        disc = -27 * m**2
+    else:
+        assert code == 1 and "not maximal at 3" in err, err
+        certio.write_file(basis, certio.InputOrderBasis(3, ((3, 0, 0), (0, 3, 0), (1, sign, 1))))
+        assert _cli("gen", "bundle", poly, basis, "-o", bundle)[0] == 0
+        disc = -3 * m**2
+    assert _cli("verify", bundle)[0] == 0
+    assert _cli("disc", bundle) == (0, f"{disc}\n", "")
 
 
 def _bezout_inputs():
