@@ -2,7 +2,7 @@
 
     ringcert gen irred <polyfile>            irreducibility certificate or factor
     ringcert gen bundle <polyfile> <basisfile>   full ring-of-integers bundle
-    ringcert verify <certfile>               exit 0 accept / 1 reject / 2 malformed
+    ringcert verify <certfile>               exit 0 accept / 1 reject / 2 malformed or unreadable
     ringcert disc <bundlefile>               print the order discriminant
 
 Verification is the trust boundary: it re-checks everything in the file and
@@ -68,6 +68,9 @@ def _load(path):
     except FileNotFoundError:
         print(f"no such file: {path}", file=sys.stderr)
         raise SystemExit(EXIT_MALFORMED)
+    except OSError as e:
+        print(f"cannot read {path}: {e.strerror or e}", file=sys.stderr)
+        raise SystemExit(EXIT_MALFORMED)
     except certio.CertFormatError as e:
         print(f"malformed input: {e}", file=sys.stderr)
         raise SystemExit(EXIT_MALFORMED)
@@ -76,6 +79,9 @@ def _load(path):
 def _write(path, obj) -> None:
     try:
         certio.write_file(path, obj)
+    except OSError as e:
+        print(f"cannot write {path}: {e.strerror or e}", file=sys.stderr)
+        raise SystemExit(EXIT_MALFORMED)
     except certio.CertFormatError as e:
         print(f"cannot write {path}: {e}", file=sys.stderr)
         raise SystemExit(EXIT_MALFORMED)

@@ -10,7 +10,9 @@ identity between packed integers, settled by one exact integer division by
 p and two masks, without reading a coefficient back.  It compares the degree
 each power product must have with the file's lists before forming the
 product, so a forged exponent base cannot make it build a power longer than
-the file.
+the file.  A base-p step raises nothing to the p-th power: over GF(p),
+h^p = h(X^p), the coefficients of h spread p slots apart, so base p files,
+whose quotients are about (p - 1)n long, cost work linear in their bytes.
 
 The generator divides.  It builds the chain with one division by f per
 step.  For base 2 each step is one packed product, read back and reduced
@@ -47,7 +49,6 @@ from .exactalg import (
     formal_derivative,
     list_add,
     list_mul,
-    list_pow,
     list_sub,
     monic,
     packed_vanishes_mod_p,
@@ -164,9 +165,10 @@ def verify_rabin(cert: RabinCertificate) -> Verdict:
     hp = [[list(x) for x in row] for row in cert.hprime]
     g = [[list(x) for x in row] for row in cert.g]
 
-    # (i) chain endpoints: top of each chain is h_i^{b_s}, bottom is h_{i+1}
+    # (i) chain endpoints: top of each chain is h_i^{b_s} = h_i (p's top
+    # digit b_s is 1 in either base), bottom is h_{i+1}
     for i in range(n):
-        if hp[i][s] != list_pow(p, h[i], digits[s]):
+        if hp[i][s] != _canonical(p, list(h[i])):
             return Verdict.reject(f"rabin/check-i/i={i}")
         if hp[i][0] != h[i + 1]:
             return Verdict.reject(f"rabin/check-i/i={i}")
@@ -208,9 +210,14 @@ def _check_chain_steps(p: int, t: int, digits: list[int], f, h, hp, g) -> Verdic
     the right side is 0 or of degree t*deg h'_{i,j+1} + b_j*deg h_i.  That
     degree is compared first with the longest left side the file allows, so
     the right side is formed only when it is no longer than the file's
-    lists.  Its leading coefficient must not vanish mod p, which holds for
-    prime p and keeps the degree exact for any modulus.  Every digit b_j is
-    0 or 1, since the digits are those of p in base 2 or in base p.
+    lists.  Every digit b_j is 0 or 1, since the digits are those of p in
+    base 2 or in base p.  For t = 2 the right side's leading coefficient
+    must not vanish mod p, which holds for prime p and keeps the degree
+    exact for any modulus.  For t = p the right side is taken as h(X^p) for
+    h = h'_{i,1}: over GF(p), h^p = h(X^p) (von zur Gathen & Gerhard, Modern
+    Computer Algebra, 14.2), so it is h's packing with p slots per
+    coefficient, and base p files, whose quotients are about (p - 1)n long,
+    are checked with work linear in their bytes.
     """
 
     def reduced(x):
@@ -225,10 +232,13 @@ def _check_chain_steps(p: int, t: int, digits: list[int], f, h, hp, g) -> Verdic
         # slots.  F*G has at most L products of residues per slot, at most
         # L(p-1)^2, and C_j adds less than p.  For t = 2, T^2 has slots at
         # most L(p-1)^2, and T^2*H at most L * L(p-1)^2 * (p-1); for t = p
-        # the right side is reduced, below p.  So every |slot| <= B, and
-        # `packed_vanishes_mod_p` needs two more bits per slot.
+        # the right side h(X^p) is reduced, below p.  So every |slot| <= B,
+        # and `packed_vanishes_mod_p` needs two more bits per slot.
         L = max(len(f), len(hi), *map(len, chain), *map(len, quots))
-        bound = L * L * (p - 1) ** 3 + L * (p - 1) ** 2 + p
+        if t == 2:
+            bound = L * L * (p - 1) ** 3 + L * (p - 1) ** 2 + p
+        else:
+            bound = L * (p - 1) ** 2 + 2 * p
         w = bound.bit_length() + 2
         # slots of the longest left side, and of every right side that
         # passes the degree comparison
@@ -240,9 +250,13 @@ def _check_chain_steps(p: int, t: int, digits: list[int], f, h, hp, g) -> Verdic
             top, b = chain[j + 1], digits[j]
             if not top or (b and not hi):
                 deg_rhs, lead = -1, 1
+            elif t == 2:
+                deg_rhs = 2 * deg(top) + b * deg(hi)
+                lead = pow(top[-1], 2, p) * (hi[-1] if b else 1) % p
             else:
-                deg_rhs = t * deg(top) + b * deg(hi)
-                lead = pow(top[-1], t, p) * (hi[-1] if b else 1) % p
+                # t = p: p's base-p digits are 0, 1, so s = 1 and b_0 = 0;
+                # top is reduced and canonical, so its lead is nonzero
+                deg_rhs, lead = p * deg(top), top[-1]
             if not lead or deg_rhs > max(len(f) + len(quots[j]) - 2, len(chain[j]) - 1):
                 return Verdict.reject(f"rabin/check-ii/i={i}/j={j}")
             if t == 2:
@@ -250,8 +264,7 @@ def _check_chain_steps(p: int, t: int, digits: list[int], f, h, hp, g) -> Verdic
                 if b:
                     R *= H
             else:
-                # t = p: p's base-p digits are 0, 1, so s = 1 and b_0 = 0
-                R = _kron_pack(list_pow(p, top, t), w)
+                R = _kron_pack(top, w * p)
             if not packed_vanishes_mod_p(F * _kron_pack(quots[j], w) + C[j] - R, p, m, w):
                 return Verdict.reject(f"rabin/check-ii/i={i}/j={j}")
     return Verdict.accept()
@@ -484,7 +497,8 @@ def radical_fp(p: int, f: list[int]) -> tuple[list[int], int]:
 
 
 def choose_base(p: int, n: int) -> int:
-    """Exponent base heuristic: p-th powers are cheap when p is tiny and n large."""
+    """Exponent base heuristic: base p files hold quotients about (p - 1)n
+    long, so base p only when p is tiny and n large."""
     return p if (p <= 5 and n >= 8) else 2
 
 
@@ -541,15 +555,17 @@ def generate_rabin(
     hp_rows = []
     for i in range(n):
         hp = [None] * (s + 1)
-        hp[s] = list_pow(p, h[i], digits[s])
+        hp[s] = h[i]  # h_i^(b_s), and b_s = 1 in either base
         if t == 2:
             H = _kron_pack(h[i], width)
         grow = [None] * s
         for j in range(s - 1, -1, -1):
             top, b = hp[j + 1], digits[j]
             if t != 2:
-                # t = p: p's base-p digits are 0, 1, so s = 1 and b_0 = 0
-                step = list_pow(p, top, t)
+                # t = p: p's base-p digits are 0, 1, so s = 1 and b_0 = 0,
+                # and over GF(p) the step top^p is top(X^p)
+                step = [0] * (p * len(top) - p + 1) if top else []
+                step[::p] = top
             elif not top or (b and not h[i]):
                 step = []
             else:

@@ -340,6 +340,20 @@ class TestVerifyRejection:
         assert code == 2
         assert "no such file" in err
 
+    @pytest.mark.parametrize("command", ["verify", "disc"])
+    def test_directory_input_exit_2(self, tmp_path, capsys, command):
+        code, out, err = run_cli(capsys, command, str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"cannot read {tmp_path}: ") and err.count("\n") == 1
+
+    def test_output_in_missing_directory_exit_2(self, fixture_files, capsys):
+        out = fixture_files / "missing" / "x.json"
+        code, _, err = run_cli(capsys, "gen", "irred",
+                               str(fixture_files / "quartic_x4+1.poly.json"), "-o", str(out))
+        assert code == 2
+        assert err.startswith(f"cannot write {out}: ") and err.count("\n") == 1
+        assert not out.parent.exists()
+
 
 class TestDeterminism:
     def test_json_verdict_thread_independent(self, fixture_files, capsys):

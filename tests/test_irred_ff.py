@@ -8,6 +8,7 @@ import pytest
 from ringcert import exactalg, irred_ff, primality
 from ringcert.certio import serialize
 from ringcert.exactalg import (
+    _kron_pack,
     deg,
     drop_trailing_zeros,
     list_mul,
@@ -421,6 +422,74 @@ class TestCheckIIWorkBound:
         assert verify_rabin(forged).reason == "rabin/check-ii/i=0/j=0"
 
 
+class TestBasePByFrobenius:
+    """Base-p steps take h^p as h(X^p): the coefficients of h, p slots apart."""
+
+    X4_X_5 = [5, 1, 0, 0, 1]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 503])
+    def test_strided_power_is_the_power(self, p):
+        # oracle: the literal p-th power, by square and multiply
+        rng = random.Random(p)
+        w = 40
+        for _ in range(20):
+            h = drop_trailing_zeros([rng.randrange(p) for _ in range(rng.randint(0, 6))])
+            power = exactalg.list_pow(p, h, p)
+            strided = [0] * (p * len(h) - p + 1) if h else []
+            strided[::p] = h
+            assert strided == power
+            assert _kron_pack(h, w * p) == _kron_pack(power, w)
+
+    @pytest.fixture()
+    def no_power_in_check_ii(self, monkeypatch):
+        """list_pow and list_mul raise while check (ii) runs."""
+        inside = []
+        real_check = irred_ff._check_chain_steps
+
+        def check(*args):
+            inside.append(True)
+            try:
+                return real_check(*args)
+            finally:
+                inside.pop()
+
+        def guarded(real):
+            def wrapper(*args):
+                assert not inside, f"{real.__name__} inside check (ii)"
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(irred_ff, "_check_chain_steps", check)
+        for name in ("list_pow", "list_mul"):
+            real = getattr(exactalg, name)
+            monkeypatch.setattr(exactalg, name, guarded(real))
+            monkeypatch.setattr(irred_ff, name, guarded(real), raising=False)
+
+    def honest_file(self):
+        cert = generate_rabin(self.X4_X_5, 503, t=503)
+        assert isinstance(cert, RabinCertificate) and cert.t == 503
+        assert len(serialize(cert)) == 29657
+        return cert
+
+    def test_honest_file_accepted_without_a_power(self, no_power_in_check_ii):
+        assert verify_rabin(self.honest_file()).accepted
+
+    def test_bumped_last_quotient_rejected(self, no_power_in_check_ii):
+        cert = self.honest_file()
+        g = [[list(x) for x in row] for row in cert.g]
+        g[3][0][0] = (g[3][0][0] + 1) % 503
+        forged = dataclasses.replace(cert, g=tuple(tuple(map(tuple, row)) for row in g))
+        assert verify_rabin(forged).reason == "rabin/check-ii/i=3/j=0"
+
+    def test_generator_forms_no_power(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("list_pow called")
+
+        monkeypatch.setattr(exactalg, "list_pow", refuse)
+        monkeypatch.setattr(irred_ff, "list_pow", refuse, raising=False)
+        assert isinstance(generate_rabin(self.X4_X_5, 503, t=503), RabinCertificate)
+
+
 class TestCheckIIPacked:
     """Check (ii) as packed-integer identities against the list-based
     reference, verdict and reason path alike, on honest and mutated files."""
@@ -514,11 +583,19 @@ class TestCheckIIPacked:
             cases.append(cert)
             cases += [self.mutate(rng, cert)[0] for _ in range(12)]
 
+        if p == t == 15:
+            # check (ii) for base p takes h^p as h(X^p), an identity only
+            # for prime p; verify_rabin rejects p = 15 before check (ii)
+            for c in cases:
+                assert verify_rabin(c).reason == "rabin/prime/composite/p=15"
+            return
+
         def verify(c):
             if p != 15:
                 return verify_rabin(c)
             # verify_rabin rejects the composite modulus before check (ii),
             # so check (ii) is called on the lists verify_rabin would pass
+            # (`packed_vanishes_mod_p` needs no prime)
             assert verify_rabin(c).reason == "rabin/prime/composite/p=15"
             hp, g = ([[list(x) for x in row] for row in rows] for rows in (c.hprime, c.g))
             return irred_ff._check_chain_steps(
