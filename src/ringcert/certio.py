@@ -20,7 +20,8 @@ Parsing validates formats, and the shapes the type hints fix, before any
 verification runs; shapes that depend on another field, such as the
 order's products against the degree of T, are the verifier's to check.
 Payload keys that name no field are ignored, so files that still carry a
-dropped field parse.  It turns every malformed input into
+dropped field parse, and a field with a default may be left out, so files
+written before it was added parse.  It turns every malformed input into
 `CertFormatError` and round-trips byte-exactly on canonical files.
 """
 
@@ -215,9 +216,12 @@ def _build(tp):
 
 
 def _dataclass_codec(cls) -> None:
-    """An object with one key per field.  Registered before its fields are
-    compiled, so that recursive types (Pratt chains) refer to themselves."""
+    """An object with one key per field; a missing key takes its field's
+    default, if it has one.  Registered before its fields are compiled, so
+    that recursive types (Pratt chains) refer to themselves."""
     items = []  # (field name, encode, decode)
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)
+                if f.default is not dataclasses.MISSING}
 
     def encode(obj):
         return {name: enc(getattr(obj, name)) for name, enc, _dec in items}
@@ -226,9 +230,11 @@ def _dataclass_codec(cls) -> None:
         if type(v) is not dict:
             raise CertFormatError(f"missing field {items[0][0]!r}")
         try:
-            return cls(*[dec(v[name]) for name, _enc, dec in items])
+            return cls(*[dec(v[name]) if name in v else defaults[name]
+                         for name, _enc, dec in items])
         except KeyError:
-            missing = next(name for name, _enc, _dec in items if name not in v)
+            missing = next(name for name, _enc, _dec in items
+                           if name not in v and name not in defaults)
             raise CertFormatError(f"missing field {missing!r}") from None
 
     _CODECS[cls] = (encode, decode)

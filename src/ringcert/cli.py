@@ -16,7 +16,7 @@ import functools
 import json
 import sys
 
-from . import certio, irred_int, pipeline, primality, resultants
+from . import certio, irred_int, pipeline, primality
 from .irred_ff import RabinCertificate, ReducibleWitness, verify_rabin, verify_reducible_witness
 from .verdict import Verdict
 
@@ -155,15 +155,11 @@ def _cmd_disc(args) -> int:
     if not isinstance(obj, pipeline.CertificateBundle):
         print("disc expects a bundle file", file=sys.stderr)
         return EXIT_MALFORMED
-    verdict = pipeline.verify_bundle(obj)
+    verdict, disc = pipeline.verify_bundle_with_disc(obj)
     if not verdict:
         print(verdict.reason, file=sys.stderr)
         return EXIT_REJECT
-    # an accepted bundle's discriminant claim has been checked against the order
-    if obj.claimed_disc is not None:
-        print(obj.claimed_disc)
-    else:
-        print(resultants.disc_order(obj.order))
+    print(disc)
     return EXIT_ACCEPT
 
 

@@ -75,11 +75,9 @@ def cauchy_bound_scaled(f: list[int], r: Fraction) -> Fraction:
     if r <= 0:
         raise ValueError("scaling factor must be positive")
     an = abs(f[n])
-    best = Fraction(0)
-    for i in range(n):
-        term = Fraction(abs(f[i]), an) / r ** (n - i)
-        if term > best:
-            best = term
+    # r^(n-i) runs to n times the size of r: formed for nonzero a_i only
+    best = max((Fraction(abs(c), an) / r ** (n - i) for i, c in enumerate(f[:n]) if c),
+               default=Fraction(0))
     return r * (1 + best)
 
 
@@ -232,8 +230,12 @@ def verify_lpfw(cert: LPFWCertificate) -> Verdict:
     r = Fraction(cert.r)
     if r <= 0:
         return Verdict.reject("lpfw/scale")
-    rho = cauchy_bound_scaled(f, r)
     m = cert.m
+    # rho >= r, so a point with |m| < r + 1 fails before rho, whose powers of
+    # r can run to n times the size of r, is formed
+    if abs(m) < r + 1:
+        return Verdict.reject("lpfw/evaluation-point")
+    rho = cauchy_bound_scaled(f, r)
     if abs(m) < rho + 1:
         return Verdict.reject("lpfw/evaluation-point")
     P = cert.P

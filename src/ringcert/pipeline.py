@@ -4,16 +4,18 @@ integers of Q[X]/<T>.
 A bundle chains together: an irreducibility certificate for T, the order
 builder for the basis, membership of theta, a separability witness
 a*T + b*T' = N with a certified factorization of N, and one maximality
-certificate per prime factor of N.  Any prime not dividing N is
-automatically fine (T stays separable mod p there), so acceptance of the
-bundle means the order is the whole ring of integers.
+certificate per prime factor p of N with p^2 | disc(O).  Any prime not
+dividing N is automatically fine (T stays separable mod p there), and
+since disc(O) = [O_K : O]^2 disc(K), no prime with p^2 not dividing
+disc(O) divides [O_K : O]; so acceptance of the bundle means the order is
+the whole ring of integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import irred_int, maximality, primality
+from . import irred_int, maximality, primality, resultants
 from .exactalg import (
     ZZ,
     deg,
@@ -43,7 +45,7 @@ from .orders import (
     times_table_of,
     verify_order_builder,
 )
-from .resultants import check_order_discriminant, sylvester_matrix
+from .resultants import power_basis_index, sylvester_matrix
 from .verdict import Verdict
 
 MaximalityCert = DedekindCertificate | PMaxShortCertificate | PMaxLongCertificate
@@ -58,6 +60,16 @@ class PrimeEntry:
 
 
 @dataclass(frozen=True)
+class FactorEntry:
+    """A prime factor of N whose square does not divide disc(O): it does
+    not divide [O_K : O], so it needs no maximality certificate."""
+
+    p: int
+    exponent: int
+    pratt: primality.PrattCertificate | None  # required for large p
+
+
+@dataclass(frozen=True)
 class CertificateBundle:
     T: tuple[int, ...]
     irreducibility: DegreeAnalysisCertificate | LPFWCertificate
@@ -66,69 +78,89 @@ class CertificateBundle:
     theta_witness: tuple[int, ...]  # sum x_k b_k - T*witness = d*X
     bezout_a: tuple[int, ...]      # a*T + b*T' = N
     bezout_b: tuple[int, ...]
-    n_value: int                   # N, nonzero; |N| = prod p^e
-    primes: tuple[PrimeEntry, ...]
+    n_value: int                   # N, nonzero; |N| = prod p^e over both lists
+    primes: tuple[PrimeEntry, ...]  # every prime of N with p^2 | disc(O), maybe others
+    free_primes: tuple[FactorEntry, ...] = ()  # the rest: p^2 does not divide disc(O)
     claimed_disc: int | None = None
 
 
 def verify_bundle(bundle: CertificateBundle) -> Verdict:
     """Re-check every component; acceptance means the order is the full ring
     of integers of Q[X]/<T>."""
+    return verify_bundle_with_disc(bundle)[0]
+
+
+def verify_bundle_with_disc(bundle: CertificateBundle) -> tuple[Verdict, int | None]:
+    """`verify_bundle`'s verdict, and disc(O) when the bundle is accepted:
+    the checks compute it once, for the free primes and the claim."""
     T = list(bundle.T)
     n = deg(T)
     if n < 1 or T[-1] != 1:
-        return Verdict.reject("bundle/T-not-monic")
+        return Verdict.reject("bundle/T-not-monic"), None
 
     # irreducibility of T, bound to the same coefficients
     irr = bundle.irreducibility
     if list(irr.f) != T:
-        return Verdict.reject("bundle/irred/binding")
+        return Verdict.reject("bundle/irred/binding"), None
     if isinstance(irr, LPFWCertificate):
         ok = irred_int.verify_lpfw(irr)
     else:
         ok = irred_int.verify_degree_analysis(irr)
     if not ok:
-        return ok.prefixed("bundle/irred")
+        return ok.prefixed("bundle/irred"), None
 
     # the order description
     desc = bundle.order
     if list(desc.T) != T:
-        return Verdict.reject("bundle/order/binding")
+        return Verdict.reject("bundle/order/binding"), None
     ok = verify_order_builder(desc)
     if not ok:
-        return ok.prefixed("bundle")
+        return ok.prefixed("bundle"), None
 
     # theta inside the order: sum_k x_k b_k - T * witness = d * X
     if len(bundle.theta_coords) != n:
-        return Verdict.reject("bundle/theta")
+        return Verdict.reject("bundle/theta"), None
     combo = basis_combination(basis_rows(desc.basis_columns), bundle.theta_coords)
     # a witness of degree >= n puts a term of degree >= 2n into the identity
     witness = drop_trailing_zeros(list(bundle.theta_witness))
     if len(witness) > n:
-        return Verdict.reject("bundle/theta")
+        return Verdict.reject("bundle/theta"), None
     combo = list_sub(ZZ, combo, list_mul(ZZ, T, witness))
     if combo != [0, desc.d]:
-        return Verdict.reject("bundle/theta")
+        return Verdict.reject("bundle/theta"), None
 
-    # factorization of N with certified primes
+    # disc(O) = (-1)^(n(n-1)/2) disc(T) / [O : Z[theta]]^2, from T and the
+    # order alone, now that theta is known to lie in O
+    try:
+        disc = resultants.disc_order(desc)
+    except ValueError as e:
+        return Verdict.reject(f"bundle/disc/{e}"), None
+
+    # N's factorization over both prime lists, every prime certified
     if bundle.n_value == 0:
-        return Verdict.reject("bundle/separability/zero")
+        return Verdict.reject("bundle/separability/zero"), None
+    entries = bundle.primes + bundle.free_primes
     seen: set[int] = set()
-    for entry in bundle.primes:
+    for entry in entries:
         if entry.p in seen:
-            return Verdict.reject(f"bundle/prime-factorization/duplicate/p={entry.p}")
+            return Verdict.reject(f"bundle/prime-factorization/duplicate/p={entry.p}"), None
         seen.add(entry.p)
         if entry.exponent < 1:
-            return Verdict.reject(f"bundle/prime-factorization/exponent/p={entry.p}")
-    factors = [(entry.p, entry.exponent) for entry in bundle.primes]
+            return Verdict.reject(f"bundle/prime-factorization/exponent/p={entry.p}"), None
+    factors = [(entry.p, entry.exponent) for entry in entries]
     if primality.prime_power_product(factors, bundle.n_value) != abs(bundle.n_value):
-        return Verdict.reject("bundle/prime-factorization")
-    for entry in bundle.primes:
+        return Verdict.reject("bundle/prime-factorization"), None
+    for entry in entries:
         ok = primality.certify_prime_for_verifier(entry.p, entry.pratt)
         if not ok:
-            return ok.prefixed("bundle")
+            return ok.prefixed("bundle"), None
+    # disc(O) = [O_K : O]^2 disc(K): a prime whose square does not divide
+    # disc(O) does not divide the index, and needs no certificate
+    for entry in bundle.free_primes:
+        if disc % (entry.p * entry.p) == 0:
+            return Verdict.reject(f"bundle/p={entry.p}/needs-certificate"), None
 
-    # one maximality certificate per prime: Dedekind's on T, the kernel
+    # one maximality certificate per certified prime: Dedekind's on T, the kernel
     # forms over the times table; each takes T or the table, and p, from here
     tt = times_table_of(desc)
     verifiers = {
@@ -140,7 +172,7 @@ def verify_bundle(bundle: CertificateBundle) -> Verdict:
         verify, over = verifiers[type(entry.cert)]
         ok = verify(over, entry.p, entry.cert)
         if not ok:
-            return ok.prefixed(f"bundle/p={entry.p}")
+            return ok.prefixed(f"bundle/p={entry.p}"), None
 
     # the separability identity itself; a and b must have the degrees of the
     # extended-gcd cofactors, deg a < n - 1 and deg b < n, which bounds the
@@ -148,17 +180,16 @@ def verify_bundle(bundle: CertificateBundle) -> Verdict:
     bez_a = drop_trailing_zeros(list(bundle.bezout_a))
     bez_b = drop_trailing_zeros(list(bundle.bezout_b))
     if len(bez_a) >= n or len(bez_b) > n:
-        return Verdict.reject("bundle/separability")
+        return Verdict.reject("bundle/separability"), None
     tprime = formal_derivative(ZZ, T)
     lhs = list_add(ZZ, list_mul(ZZ, bez_a, T), list_mul(ZZ, bez_b, tprime))
     if lhs != drop_trailing_zeros([bundle.n_value]):
-        return Verdict.reject("bundle/separability")
+        return Verdict.reject("bundle/separability"), None
 
-    if bundle.claimed_disc is not None:
-        ok = check_order_discriminant(desc, bundle.claimed_disc)
-        if not ok:
-            return ok.prefixed("bundle")
-    return Verdict.accept()
+    if bundle.claimed_disc is not None and bundle.claimed_disc != disc:
+        reason = f"bundle/disc-claim/mismatch/claimed={bundle.claimed_disc}/det-route={disc}"
+        return Verdict.reject(reason), None
+    return Verdict.accept(), disc
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +233,9 @@ def generate_bundle(
     """Assemble a bundle that verify_bundle accepts, or raise BundleError.
 
     Strategy: certify irreducibility of T, build the order, take
-    N = resultant(T, T'), then per prime p | N try the Dedekind criterion
-    first and fall back to kernel certificates.  A provably nontrivial
+    N = resultant(T, T'), then per prime p | N with p^2 | disc(O) try the
+    Dedekind criterion first and fall back to kernel certificates; the
+    other primes of N go to `free_primes` with no certificate.  A provably nontrivial
     kernel at some p aborts with the KernelWitness attached.
     """
     T = drop_trailing_zeros(list(T))
@@ -229,13 +261,20 @@ def generate_bundle(
     factors = primality.factorize(abs(n_value))
 
     tt = times_table_of(desc)
+    # |disc(O)| = |N| / [O : Z[theta]]^2, with no determinant; a prime that
+    # divides [O_K : O] has p^2 | disc(O), so none of them is left free
+    disc_abs = abs(n_value) // power_basis_index(desc) ** 2
     entries: list[PrimeEntry] = []
+    free: list[FactorEntry] = []
     for p, e in factors:
         pratt = None
         if p >= primality.TRIAL_DIVISION_BOUND:
             pratt = primality.generate_pratt(p)
             if pratt is None:
                 raise BundleError(f"failed to certify prime {p}")
+        if disc_abs % (p * p):
+            free.append(FactorEntry(p, e, pratt))
+            continue
         ded = maximality.generate_dedekind(T, p)
         if ded is not None:
             entries.append(PrimeEntry(p, e, pratt, ded))
@@ -255,6 +294,7 @@ def generate_bundle(
         bezout_b=tuple(bez_b),
         n_value=n_value,
         primes=tuple(entries),
+        free_primes=tuple(free),
         claimed_disc=claimed_disc,
     )
     check = verify_bundle(bundle)

@@ -22,7 +22,6 @@ from operator import mul
 from .exactalg import ZZ, deg, formal_derivative
 from .linalg import det_bareiss
 from .orders import OrderDescription, theta_powers
-from .verdict import Verdict
 
 
 def sylvester_matrix(f: list[int], g: list[int]) -> list[list[int]]:
@@ -89,15 +88,3 @@ def disc_order(desc: OrderDescription) -> int:
     if rest:
         raise ValueError("discriminant division is not exact")
     return value
-
-
-def check_order_discriminant(desc: OrderDescription, claimed: int) -> Verdict:
-    """Compare a claimed discriminant with disc_order's exact value, under
-    disc_order's precondition."""
-    try:
-        value = disc_order(desc)
-    except ValueError as e:
-        return Verdict.reject(f"disc-claim/{e}")
-    if value != claimed:
-        return Verdict.reject(f"disc-claim/mismatch/claimed={claimed}/det-route={value}")
-    return Verdict.accept()

@@ -26,10 +26,14 @@ from ringcert.resultants import disc_order
 
 HERE = Path(__file__).parent
 
-# X^3 - 211X - 122 with basis {1, a, (a - a^2)/2}: a pmax-short entry at 2,
-# Dedekind entries elsewhere, one prime above 10^6 (so a Pratt chain) and a
-# discriminant claim, which together reach every optional bundle field.
+# X^3 - 211X - 122 with basis {1, a, (a - a^2)/2}: the order and its
+# kernel certificates at 2.
 _CUBIC = ([-122, -211, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]])
+# X^3 + 489X - 30 with the same basis: disc(O) = -2^2 * 3^3 * 1082743, so a
+# pmax-short entry at 2, a Dedekind entry at 3 (T is Eisenstein there), a
+# free prime above 10^6 (so a Pratt chain) and a discriminant claim, which
+# together reach every optional bundle field.
+_BUNDLE_CUBIC = ([-30, 489, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]])
 
 
 def golden_objects() -> dict:
@@ -48,7 +52,8 @@ def golden_objects() -> dict:
         "pmax-short": generate_pmax(times_table_of(order), 2),
         "pmax-long": pmax_long,
         "order": order,
-        "bundle": generate_bundle(*_CUBIC, claimed_disc=disc_order(order)),
+        "bundle": generate_bundle(
+            *_BUNDLE_CUBIC, claimed_disc=disc_order(build_order_description(*_BUNDLE_CUBIC))),
         "input/polynomial": certio.InputPolynomial((3, 14, 15, 92, 65)),
         "input/order-basis": certio.InputOrderBasis(2, ((2, 0, 0), (0, 2, 0), (0, 1, -1))),
     }

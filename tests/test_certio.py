@@ -241,6 +241,25 @@ class TestUnknownKeys:
             assert certio.serialize(back) == data, kind
 
 
+class TestMissingKeys:
+    """A missing key takes its field's default, which keeps files written
+    before a field was added verifying; a field with no default is required."""
+
+    def test_missing_key_takes_the_default(self):
+        golden = certio.parse_file(Path(__file__).parent / "golden" / "bundle.json")
+        assert golden.free_primes and golden.claimed_disc is not None
+        env = json.loads(certio.serialize(golden))
+        del env["payload"]["free_primes"], env["payload"]["claimed_disc"]
+        back = certio.parse(_reseal(env))
+        assert back == dataclasses.replace(golden, free_primes=(), claimed_disc=None)
+
+    def test_missing_key_without_default_is_malformed(self, sample_objects):
+        env = json.loads(certio.serialize(sample_objects["bundle"]))
+        del env["payload"]["primes"]
+        with pytest.raises(certio.CertFormatError, match="missing field 'primes'"):
+            certio.parse(_reseal(env))
+
+
 PREVIOUS_RECOMPUTED = Path(__file__).parent / "golden" / "previous-recomputed-fields"
 
 

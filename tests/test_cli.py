@@ -57,9 +57,18 @@ class TestGenAndVerify:
         assert code == 0
         assert stdout.strip() == "-16200"
 
-    def test_disc_computes_the_discriminant_once(self, capsys, monkeypatch):
-        # the golden bundle carries a claim, which verification already
-        # compared with the discriminant
+    def test_disc_computes_the_discriminant_once(self, fixture_files, capsys, monkeypatch):
+        # verification computes disc(O) for the free primes and the claim,
+        # and `disc` prints that value: the golden bundle carries a claim,
+        # X^5 - X - 1 on its power basis none, and both primes of its
+        # discriminant 2869 = 19 * 151 are free
+        poly = str(fixture_files / "quintic_x5-x-1.poly.json")
+        basis = str(fixture_files / "quintic_x5-x-1.basis.json")
+        quintic = str(fixture_files / "quintic.bundle.json")
+        assert run_cli(capsys, "gen", "bundle", poly, basis, "-o", quintic)[0] == 0
+        bundle = certio.parse_file(quintic)
+        assert bundle.claimed_disc is None and bundle.primes == ()
+        assert [entry.p for entry in bundle.free_primes] == [19, 151]
         calls = []
 
         def counted(desc):
@@ -68,9 +77,11 @@ class TestGenAndVerify:
 
         monkeypatch.setattr(resultants, "disc_order", counted)
         golden = Path(__file__).parent / "golden" / "bundle.json"
-        code, stdout, _ = run_cli(capsys, "disc", str(golden))
-        assert (code, stdout) == (0, "9293464\n")
-        assert len(calls) == 1
+        for path, disc in ((golden, certio.parse_file(golden).claimed_disc), (quintic, 2869)):
+            calls.clear()
+            code, stdout, _ = run_cli(capsys, "disc", str(path))
+            assert (code, stdout) == (0, f"{disc}\n")
+            assert len(calls) == 1
 
     def test_gen_irred_certificate(self, fixture_files, capsys):
         poly = str(fixture_files / "quartic_x4+1.poly.json")
@@ -353,6 +364,29 @@ class TestVerifyRejection:
         assert code == 2
         assert err.startswith(f"cannot write {out}: ") and err.count("\n") == 1
         assert not out.parent.exists()
+
+    def test_verify_lpfw_huge_scale_rejects_fast(self, fixture_files):
+        # X^200 + 1 with r = 10^4299 and the golden file's m = 4: rho >= r,
+        # so |m| < r + 1 rejects before r^200, 859800 digits, and the bound
+        # on it are formed (13 s when they were)
+        lpfw = certio.parse_file(Path(__file__).parent / "golden" / "lpfw.json")
+        forged = dataclasses.replace(lpfw, f=(1,) + (0,) * 199 + (1,), r=10**4299, analysis=None)
+        path = fixture_files / "lpfw-huge-r.json"
+        certio.write_file(path, forged)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(ringcert.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, time; from ringcert.cli import main; "
+             "start = time.perf_counter(); code = main(sys.argv[1:]); "
+             "print(time.perf_counter() - start, file=sys.stderr); sys.exit(code)",
+             "verify", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        reason, elapsed = proc.stderr.splitlines()[-2:]
+        assert reason == "lpfw/evaluation-point"
+        assert float(elapsed) < 2.0
 
 
 class TestDeterminism:

@@ -109,28 +109,43 @@ def test_previous_power_basis_bundle_still_verifies():
     assert out.getvalue() == "2869\n"
 
 
-# The Dedekind entries of X^5 - X - 1 at the smallest radical exponent: p
-# -> (e, g^e / T mod p), with e the largest multiplicity in sympy's
-# `Poly(T, modulus=p).factor_list()` and the witness from `sympy.div`
-# (computed once; the previous file has e = 5 at both primes)
-RADICAL_POWERS = {19: (2, [10, 13, 7, 1]), 151: (2, [96, 33, 73, 1])}
+def _move_to_free_primes(payload: dict, primes: set[int]) -> None:
+    """Move an earlier bundle payload's entries at `primes` to its free
+    primes, without their maximality certificates, in place."""
+    moved = [entry for entry in payload["primes"] if int(entry["p"]) in primes]
+    assert len(moved) == len(primes)
+    payload["primes"] = [entry for entry in payload["primes"] if entry not in moved]
+    payload["free_primes"] = [{key: entry[key] for key in ("p", "exponent", "pratt")}
+                              for entry in moved]
 
 
 def test_power_basis_bundle_is_previous_without_products():
+    # disc(O) = 2869 = 19 * 151 is squarefree, so neither prime keeps its
+    # Dedekind entry
     from ringcert.pipeline import generate_bundle
 
     env = json.loads(PREVIOUS_POWER_BASIS.read_bytes())
     _drop_fields("bundle", env["payload"])
     env["payload"]["order"]["products"] = []
+    _move_to_free_primes(env["payload"], {19, 151})
     T = [int(c) for c in env["payload"]["T"]]
-    dedekind = {int(entry["p"]): entry["cert"]["payload"] for entry in env["payload"]["primes"]
-                if entry["cert"]["kind"] == "dedekind"}
-    assert sorted(dedekind) == sorted(RADICAL_POWERS)
-    for p, ded in dedekind.items():
-        e, witness = RADICAL_POWERS[p]
-        ded["rad_power_exp"], ded["rad_power_witness"] = str(e), [str(c) for c in witness]
     n = len(T) - 1
     new = generate_bundle(T, 1, [[int(i == j) for i in range(n)] for j in range(n)])
+    assert certio.serialize(new) == _reseal(env["kind"], env["payload"])
+
+
+# The golden bundle as generators wrote it while every prime of N carried a
+# maximality certificate: X^3 - 211X - 122, disc(O) = 9293464 = 2^3 * 1161683
+PREVIOUS_EVERY_PRIME_CERTIFIED = GOLDEN / "previous-every-prime-certified" / "bundle.json"
+
+
+def test_every_prime_certified_bundle_is_previous_with_free_primes():
+    from ringcert.pipeline import generate_bundle
+
+    env = json.loads(PREVIOUS_EVERY_PRIME_CERTIFIED.read_bytes())
+    _move_to_free_primes(env["payload"], {1161683})
+    T = [int(c) for c in env["payload"]["T"]]
+    new = generate_bundle(T, 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]], claimed_disc=9293464)
     assert certio.serialize(new) == _reseal(env["kind"], env["payload"])
 
 
@@ -178,10 +193,16 @@ PREVIOUS_RECOMPUTED = GOLDEN / "previous-recomputed-fields"
 
 
 def test_previous_recomputed_fields_are_the_golden_files_without_them():
+    # the golden bundle was regenerated since, for its free primes: the
+    # file without the fields is its copy from before that
     for path in sorted(PREVIOUS_RECOMPUTED.glob("*.json")):
         env = json.loads(path.read_bytes())
         _drop_fields(env["kind"], env["payload"])
-        assert _reseal(env["kind"], env["payload"]) == _path(env["kind"]).read_bytes(), path.name
+        if env["kind"] == "bundle":
+            want = PREVIOUS_EVERY_PRIME_CERTIFIED.read_bytes()
+        else:
+            want = _path(env["kind"]).read_bytes()
+        assert _reseal(env["kind"], env["payload"]) == want, path.name
 
 
 if __name__ == "__main__":
@@ -192,5 +213,6 @@ if __name__ == "__main__":
     test_previous_golden_files_still_verify()
     test_previous_power_basis_bundle_still_verifies()
     test_power_basis_bundle_is_previous_without_products()
+    test_every_prime_certified_bundle_is_previous_with_free_primes()
     test_previous_recomputed_fields_are_the_golden_files_without_them()
     print(f"{len(certio._REGISTRY)} golden files round-trip and regenerate")

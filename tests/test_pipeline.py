@@ -7,7 +7,7 @@ from math import prod
 
 import pytest
 
-from ringcert import certio, cli
+from ringcert import certio, cli, resultants
 from ringcert.exactalg import (
     ZZ,
     drop_trailing_zeros,
@@ -18,7 +18,14 @@ from ringcert.exactalg import (
     poly_divmod,
 )
 from ringcert.maximality import DedekindCertificate
-from ringcert.pipeline import BundleError, _bezout_witness, generate_bundle, verify_bundle
+from ringcert.pipeline import (
+    BundleError,
+    FactorEntry,
+    _bezout_witness,
+    generate_bundle,
+    verify_bundle,
+    verify_bundle_with_disc,
+)
 
 CUBIC_3_10 = ([-10, -3, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]])
 CUBIC_30_80 = ([-80, -30, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [2, 0, 1]])
@@ -94,14 +101,15 @@ class TestBundleRoundTrip:
     def test_prime_above_trial_bound_needs_pratt(self):
         # disc(X^2 + 1000033) = -4 * 1000033 with 1000033 prime above the
         # verifier's trial-division bound, so a Pratt certificate rides along
+        # (a free prime: its square does not divide the discriminant)
         bundle = generate_bundle([1000033, 0, 1], 1, [[1, 0], [0, 1]])
         assert verify_bundle(bundle).accepted
-        big = [e for e in bundle.primes if e.p == 1000033]
-        assert big and big[0].pratt is not None
-        stripped = dataclasses.replace(big[0], pratt=None)
-        others = tuple(e for e in bundle.primes if e.p != 1000033)
-        v = verify_bundle(dataclasses.replace(bundle, primes=others + (stripped,)))
-        assert not v.accepted and "missing-certificate" in v.reason
+        assert [e.p for e in bundle.primes] == [2]
+        (big,) = bundle.free_primes
+        assert big.p == 1000033 and big.pratt is not None
+        stripped = dataclasses.replace(big, pratt=None)
+        v = verify_bundle(dataclasses.replace(bundle, free_primes=(stripped,)))
+        assert v.reason == "bundle/prime/missing-certificate/p=1000033"
 
 
 class TestBundleRejection:
@@ -172,6 +180,20 @@ class TestBundleRejection:
         v = verify_bundle(bad)
         assert not v.accepted and v.reason == "bundle/irred/binding"
 
+    def test_certified_prime_moved_to_free_primes(self, bundle_3_10):
+        # disc(O) = -648 = -2^3 * 3^4: both primes need their certificate
+        for k, entry in enumerate(bundle_3_10.primes):
+            rest = bundle_3_10.primes[:k] + bundle_3_10.primes[k + 1:]
+            free = (FactorEntry(entry.p, entry.exponent, entry.pratt),)
+            v = verify_bundle(dataclasses.replace(bundle_3_10, primes=rest, free_primes=free))
+            assert v.reason == f"bundle/p={entry.p}/needs-certificate"
+
+    def test_prime_in_both_lists(self, bundle_3_10):
+        entry = bundle_3_10.primes[1]
+        free = (FactorEntry(entry.p, entry.exponent, entry.pratt),)
+        v = verify_bundle(dataclasses.replace(bundle_3_10, free_primes=free))
+        assert v.reason == f"bundle/prime-factorization/duplicate/p={entry.p}"
+
     def test_threads_do_not_change_verdict(self, bundle_3_10):
         assert verify_bundle(bundle_3_10).accepted
         pruned = dataclasses.replace(bundle_3_10, primes=bundle_3_10.primes[1:])
@@ -209,6 +231,25 @@ class TestHigherDegree:
         assert claim(bundle, 2**24).accepted
         kinds = {e.p: type(e.cert).__name__ for e in bundle.primes}
         assert kinds[2] in ("PMaxShortCertificate", "PMaxLongCertificate")
+
+
+def _assert_prime_split(bundle, disc):
+    """Every prime of N carries a maximality certificate exactly when its
+    square divides disc(O), and disc(O) is the expected value."""
+    assert resultants.disc_order(bundle.order) == disc
+    assert all(disc % (e.p * e.p) == 0 for e in bundle.primes)
+    assert all(disc % (e.p * e.p) != 0 for e in bundle.free_primes)
+    assert verify_bundle_with_disc(bundle) == (verify_bundle(bundle), disc)
+
+
+def test_fixture_bundles_certify_exactly_the_primes_squared_in_disc():
+    # the textbook discriminants recorded with the fixtures
+    for name, fx in certio.FIXTURES.items():
+        if fx["columns"] is None:
+            continue
+        bundle = generate_bundle(list(fx["T"]), fx["d"], [list(c) for c in fx["columns"]])
+        assert verify_bundle(bundle).accepted, name
+        _assert_prime_split(bundle, fx["disc"])
 
 
 def _cli(*args) -> tuple[int, str, str]:
@@ -253,6 +294,7 @@ def test_cyclotomic_power_basis_closed_form(m, tmp_path):
     path = tmp_path / "bundle.json"
     certio.write_file(path, bundle)
     assert _cli("disc", str(path)) == (0, f"{disc}\n", "")
+    _assert_prime_split(bundle, disc)
     assert {e.p: e.cert.rad_power_exp for e in bundle.primes} == {
         p: (p - 1) * p ** (k - 1) for p, k in powers.items()
     }
@@ -279,6 +321,7 @@ def test_pure_cubic_closed_form(m, tmp_path):
         disc = -3 * m**2
     assert _cli("verify", bundle)[0] == 0
     assert _cli("disc", bundle) == (0, f"{disc}\n", "")
+    _assert_prime_split(certio.parse_file(bundle), disc)
 
 
 def _bezout_inputs():

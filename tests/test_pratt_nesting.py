@@ -39,7 +39,8 @@ def test_chain_above_limit_is_malformed():
 
 def test_limit_applies_inside_a_bundle():
     env = json.loads((Path(__file__).parent / "golden" / "bundle.json").read_bytes())
-    entry = next(e for e in env["payload"]["primes"] if e["pratt"] is not None)
+    payload = env["payload"]
+    entry = next(e for e in payload["primes"] + payload["free_primes"] if e["pratt"] is not None)
     deep = json.loads(certio.serialize(chain(certio.MAX_PRATT_DEPTH + 1)))
     entry["pratt"] = deep["payload"]
     digest = hashlib.sha256(certio._canonical_inner("bundle", env["payload"])).hexdigest()
