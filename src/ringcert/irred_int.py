@@ -101,6 +101,9 @@ class DegreeAnalysisCertificate:
     per_prime: tuple[FactorizationModP, ...]
 
 
+LPFW_SCALE_BITS = 64  # largest bit length of r's numerator and denominator
+
+
 @dataclass(frozen=True)
 class LPFWCertificate:
     f: tuple[int, ...]
@@ -235,6 +238,10 @@ def verify_lpfw(cert: LPFWCertificate) -> Verdict:
     # r can run to n times the size of r, is formed
     if abs(m) < r + 1:
         return Verdict.reject("lpfw/evaluation-point")
+    # for the same reason r's size is bounded; the generator writes r = 2^k
+    # with |k| <= 8
+    if max(r.numerator.bit_length(), r.denominator.bit_length()) > LPFW_SCALE_BITS:
+        return Verdict.reject("lpfw/scale")
     rho = cauchy_bound_scaled(f, r)
     if abs(m) < rho + 1:
         return Verdict.reject("lpfw/evaluation-point")
@@ -333,6 +340,16 @@ def _degree_analysis_search(f: list[int]) -> tuple[int, DegreeAnalysisCertificat
 def _lpfw_search(
     f: list[int], d: int, analysis: DegreeAnalysisCertificate | None
 ) -> LPFWCertificate | None:
+    """An LPFW certificate for f with degree bound d, or None.
+
+    Takes the scale r = 2^k, |k| <= 8, with the smallest root bound rho, and
+    tries m = ceil(rho + 1), then -m, m + 1, ... for up to LPFW_POINTS
+    points.  `primality.strip_small_primes` takes the primes below
+    LPFW_TRIAL_BOUND out of |f(m)| and leaves P, the witness candidate, or
+    1 when |f(m)| is fully smooth, and then its largest stripped prime is
+    P.  The point is taken when s = |f(m)| / P < (|m| - rho)^d and P has a
+    Pratt certificate.
+    """
     best = None  # (rho, r)
     for k in range(-8, 9):
         r = Fraction(2) ** k
@@ -341,7 +358,6 @@ def _lpfw_search(
             best = (rho, r)
     rho, r = best
     m0 = math.ceil(rho + 1)
-    small_primes = _primes_to(LPFW_TRIAL_BOUND)
     tried = 0
     m_abs = m0
     while tried < LPFW_POINTS:
@@ -351,25 +367,10 @@ def _lpfw_search(
             if value < 2:
                 continue
             bound = (abs(m) - rho) ** d
-            # strip small primes; what remains is the prime witness candidate
-            s = 1
-            rest = value
-            largest_stripped = 0
-            for q in small_primes:
-                if q * q > rest:
-                    break
-                while rest % q == 0:
-                    s *= q
-                    rest //= q
-                    largest_stripped = q
-            if rest == 1:
-                # fully smooth: the largest prime factor plays the witness
-                P = max(largest_stripped, 1)
-                if P < 2:
-                    continue
-                s, rest = value // P, P
-            P = rest
-            if Fraction(s) >= bound or s < 1:
+            stripped, rest = primality.strip_small_primes(value, LPFW_TRIAL_BOUND)
+            P = rest if rest > 1 else stripped[-1][0]
+            s = value // P
+            if Fraction(s) >= bound:
                 continue
             if not primality.is_probable_prime(P):
                 continue

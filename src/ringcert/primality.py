@@ -4,6 +4,12 @@ The verifier side accepts primes below TRIAL_DIVISION_BOUND by direct trial
 division and insists on a Pratt certificate beyond that.  Miller-Rabin and
 Pollard rho are generator-side search tools only; nothing a verifier
 concludes ever rests on them.
+
+The generator's factoring goes through one small-prime stripping routine,
+`strip_small_primes`: `factorize` calls it below 10**6 ahead of Pollard rho,
+and the LPFW search (`irred_int._lpfw_search`) below its own trial bound.
+It stops as soon as the cofactor is a Miller-Rabin probable prime, so a
+number that is a few small primes times a large prime costs no sweep.
 """
 
 from __future__ import annotations
@@ -104,9 +110,9 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
             return g
 
 
-# factorize trial-divides by the d prime to 30 with 7 <= d < _TRIAL_LIMIT,
-# span by span: a span of _SPAN integers is skipped when n is prime to the
-# product of its candidates.
+# strip_small_primes trial-divides by 2, 3, 5 and by the d prime to 30 with
+# 7 <= d < _TRIAL_LIMIT, span by span: a span of _SPAN integers is skipped
+# when n is prime to the product of its candidates.
 _TRIAL_LIMIT = 10**6
 _SPAN = 1920  # 64 turns of the mod-30 wheel
 _WHEEL = (1, 7, 11, 13, 17, 19, 23, 29)
@@ -120,36 +126,74 @@ def _span_candidates(start: int) -> list[int]:
 
 @functools.cache
 def _span_product(start: int) -> int:
-    """Product of the span's candidates, made when factorize first reaches it
+    """Product of the span's candidates, made when a sweep first reaches it
     (521 spans, about 650 KB when all are made).  It goes one wheel residue
     at a time, which halves the cost; residue 1 adds only a factor 1 at 0."""
     end = min(start + _SPAN, _TRIAL_LIMIT)
     return math.prod([math.prod(range(start + r, end, 30)) for r in _WHEEL])
 
 
+def _divide_out(n: int, d: int, stripped: list[tuple[int, int]]) -> int:
+    """n with every factor d taken out, recording (d, e) in stripped if e > 0."""
+    e = 0
+    while n % d == 0:
+        n //= d
+        e += 1
+    if e:
+        stripped.append((d, e))
+    return n
+
+
+def strip_small_primes(n: int, limit: int) -> tuple[list[tuple[int, int]], int]:
+    """(the primes d < limit <= 10**6 divided out of n >= 1, as ascending
+    (d, exponent) pairs, the cofactor that is left).
+
+    Divides by 2, 3, 5, then by the wheel candidates span by span
+    (`_span_product`), in ascending order while d * d <= the cofactor: when
+    that stops it, the cofactor is 1 or prime and is not divided out.  The
+    sweep also stops as soon as the cofactor is a Miller-Rabin probable
+    prime, tested before it and after each span that divided the cofactor.
+    Otherwise every prime factor of the cofactor is at least limit.
+    Generator-side only.
+    """
+    stripped: list[tuple[int, int]] = []
+    for d in (2, 3, 5):
+        if d * d > n:
+            return stripped, n
+        n = _divide_out(n, d, stripped)
+    if is_probable_prime(n):
+        return stripped, n
+    for start in range(0, limit, _SPAN):
+        if start * start > n:
+            break
+        g = math.gcd(n, _span_product(start))  # the candidates dividing n divide g
+        if g == 1:
+            continue
+        for d in _span_candidates(start):
+            if d >= limit or d * d > n:
+                return stripped, n
+            if g % d == 0:
+                n = _divide_out(n, d, stripped)
+                g = math.gcd(g, n)
+                if g == 1:
+                    break
+        if is_probable_prime(n):
+            break
+    return stripped, n
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as sorted (prime, exponent) pairs.
 
-    Trial division below 10**6 first (`_span_candidates`), Pollard rho for
-    what remains, seeded from n.
+    `strip_small_primes` below 10**6 first, which stops at a probable-prime
+    cofactor, then Pollard rho, seeded from n, for what remains.
     Generator-side only.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     rng = random.Random(0xF0F0 ^ n)
-    factors: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    start = 0
-    while start * start <= n and start < _TRIAL_LIMIT:
-        if math.gcd(n, _span_product(start)) > 1:
-            for d in _span_candidates(start):
-                while n % d == 0:
-                    factors[d] = factors.get(d, 0) + 1
-                    n //= d
-        start += _SPAN
+    stripped, n = strip_small_primes(n, _TRIAL_LIMIT)
+    factors = dict(stripped)
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

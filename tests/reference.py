@@ -1,5 +1,6 @@
 """Slow, plainly correct computations that tests compare the program with."""
 
+import functools
 import itertools
 import math
 import random
@@ -373,6 +374,33 @@ def list_pow(p: int, a: list, e: int) -> list:
         if e:
             base = list_mul(p, base, base)
     return result
+
+
+def next_prime(n: int) -> int:
+    """The first probable prime >= n."""
+    while not primality.is_probable_prime(n):
+        n += 1
+    return n
+
+
+def lpfw_strip(value: int, bound: int) -> tuple[int, int, int]:
+    """(s, rest, largest stripped prime, 0 if none) for value = s * rest:
+    the LPFW search's per-prime loop, which divides out each prime q <= bound
+    in ascending order while q * q <= rest."""
+    s, rest, largest = 1, value, 0
+    for q in _sieved(bound):
+        if q * q > rest:
+            break
+        while rest % q == 0:
+            s *= q
+            rest //= q
+            largest = q
+    return s, rest, largest
+
+
+@functools.cache
+def _sieved(bound: int) -> list[int]:
+    return primality.sieve_primes(bound)
 
 
 def factorize(n: int, rng: random.Random | None = None) -> list[tuple[int, int]]:

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -365,14 +366,10 @@ class TestVerifyRejection:
         assert err.startswith(f"cannot write {out}: ") and err.count("\n") == 1
         assert not out.parent.exists()
 
-    def test_verify_lpfw_huge_scale_rejects_fast(self, fixture_files):
-        # X^200 + 1 with r = 10^4299 and the golden file's m = 4: rho >= r,
-        # so |m| < r + 1 rejects before r^200, 859800 digits, and the bound
-        # on it are formed (13 s when they were)
-        lpfw = certio.parse_file(Path(__file__).parent / "golden" / "lpfw.json")
-        forged = dataclasses.replace(lpfw, f=(1,) + (0,) * 199 + (1,), r=10**4299, analysis=None)
-        path = fixture_files / "lpfw-huge-r.json"
-        certio.write_file(path, forged)
+    @staticmethod
+    def _verify_timed(path):
+        """(exit code, last reason line, seconds in cli.main) of `verify path`
+        in a fresh interpreter."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(Path(ringcert.__file__).parents[1]), env.get("PYTHONPATH", "")])
@@ -383,10 +380,34 @@ class TestVerifyRejection:
              "verify", str(path)],
             env=env, capture_output=True, text=True, timeout=60,
         )
-        assert proc.returncode == 1
         reason, elapsed = proc.stderr.splitlines()[-2:]
-        assert reason == "lpfw/evaluation-point"
-        assert float(elapsed) < 2.0
+        return proc.returncode, reason, float(elapsed)
+
+    def test_verify_lpfw_huge_scale_rejects_fast(self, fixture_files):
+        # X^200 + 1 with r = 10^4299 and the golden file's m = 4: rho >= r,
+        # so |m| < r + 1 rejects before r^200, 859800 digits, and the bound
+        # on it are formed (13 s when they were)
+        lpfw = certio.parse_file(Path(__file__).parent / "golden" / "lpfw.json")
+        forged = dataclasses.replace(lpfw, f=(1,) + (0,) * 199 + (1,), r=10**4299, analysis=None)
+        path = fixture_files / "lpfw-huge-r.json"
+        certio.write_file(path, forged)
+        code, reason, elapsed = self._verify_timed(path)
+        assert (code, reason) == (1, "lpfw/evaluation-point")
+        assert elapsed < 2.0
+
+    def test_verify_lpfw_scale_near_one_rejects_fast(self, fixture_files):
+        # X^200 + ... + 1 with r = (10^4299 + 1) / 10^4299 and m = 10^4299 + 2
+        # passes |m| >= r + 1; r's 14282-bit numerator and denominator are
+        # rejected before rho, whose 200 terms each have about 200 times
+        # r's digits, is formed (110 s while it was)
+        lpfw = certio.parse_file(Path(__file__).parent / "golden" / "lpfw.json")
+        forged = dataclasses.replace(lpfw, f=(1,) * 201, r=Fraction(10**4299 + 1, 10**4299),
+                                     m=10**4299 + 2, analysis=None)
+        path = fixture_files / "lpfw-scale.json"
+        certio.write_file(path, forged)
+        code, reason, elapsed = self._verify_timed(path)
+        assert (code, reason) == (1, "lpfw/scale")
+        assert elapsed < 1.0
 
 
 class TestDeterminism:

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -32,6 +33,7 @@ from ringcert import certio, irred_ff, irred_int, primality
 from ringcert.exactalg import reduce_mod_p
 from ringcert.primality import generate_pratt
 from reference import factor_poly as plain_factor_poly
+from reference import lpfw_strip, next_prime
 from reference import rational_root_factor as plain_rational_root_factor
 
 
@@ -202,6 +204,53 @@ class TestLPFWVerification:
         bad = dataclasses.replace(cert, m=5)
         v = verify_lpfw(bad)
         assert not v.accepted and v.reason == "lpfw/value-product"
+
+    @pytest.mark.parametrize("r, scale", [
+        (Fraction(2**64), True), (Fraction(1, 2**64), True),
+        (Fraction(2**64 - 1), False), (Fraction(2**64 - 1, 2**64 - 3), False),
+    ])
+    def test_scale_bits_bounded(self, r, scale):
+        # f(m) = 2^130 + 1 has no prime factor 17: whatever passes the scale
+        # check is rejected later
+        cert = dataclasses.replace(self._trivial_cert([1, 0, 1], 1, 4, 17), m=2**65, r=r)
+        v = verify_lpfw(cert)
+        assert not v.accepted and (v.reason == "lpfw/scale") == scale
+
+
+class TestLPFWStripping:
+    """primality.strip_small_primes at LPFW_TRIAL_BOUND gives the (s, rest,
+    largest stripped prime) of the LPFW search's per-prime loop."""
+
+    @staticmethod
+    def _values():
+        rng = random.Random(25)
+        small = primality.sieve_primes(irred_int.LPFW_TRIAL_BOUND)
+
+        def prime(bits):
+            return next_prime(rng.randrange(2, 2**bits))
+
+        values = list(range(1, 10_001))
+        for _ in range(2500):
+            # smooth values, primes and semiprimes
+            values.append(math.prod(rng.choices(small, k=rng.randint(1, 6))))
+            values.append(prime(rng.randint(2, 64)))
+            values.append(prime(rng.randint(2, 40)) * prime(rng.randint(2, 40)))
+            # the last small prime q leaves a prime rest below q^2
+            i = rng.randrange(1, len(small))
+            q = small[i]
+            smooth = math.prod(rng.choices(small[:i], k=rng.randint(0, 3)))
+            values.append(smooth * q ** rng.randint(1, 3) * next_prime(
+                rng.randrange(q + 1, q * q)))
+        return values
+
+    def test_matches_per_prime_loop(self):
+        values = self._values()
+        assert len(values) >= 20_000
+        for value in values:
+            stripped, rest = primality.strip_small_primes(value, irred_int.LPFW_TRIAL_BOUND)
+            s = math.prod(d**e for d, e in stripped)
+            largest = stripped[-1][0] if stripped else 0
+            assert (s, rest, largest) == lpfw_strip(value, irred_int.LPFW_TRIAL_BOUND), value
 
 
 class TestDegreeAnalysisPrimes:
@@ -424,8 +473,8 @@ class TestRationalRoots:
 
 def test_each_sieve_bound_sieved_once(monkeypatch):
     # X^4 + 1 and X^4 - 10X^2 + 1 split modulo every prime, so both go through
-    # degree analysis and LPFW, which sieve to ANALYSIS_PRIME_BOUND and
-    # LPFW_TRIAL_BOUND
+    # degree analysis, which sieves to ANALYSIS_PRIME_BOUND, and LPFW, which
+    # strips small primes by primality.strip_small_primes and sieves nothing
     real, calls = primality.sieve_primes, []
 
     def counted(limit):
@@ -436,7 +485,7 @@ def test_each_sieve_bound_sieved_once(monkeypatch):
     monkeypatch.setattr(irred_int, "_primes_to", functools.cache(irred_int._primes_to.__wrapped__))
     for f in ([1, 0, 0, 0, 1], [1, 0, -10, 0, 1]):
         assert isinstance(generate_int_irred(f), LPFWCertificate)
-    assert sorted(calls) == [irred_int.ANALYSIS_PRIME_BOUND, irred_int.LPFW_TRIAL_BOUND]
+    assert calls == [irred_int.ANALYSIS_PRIME_BOUND]
 
 
 class TestReducibleWitnessVerification:

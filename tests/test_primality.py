@@ -54,6 +54,55 @@ def test_factorize_matches_wheel_loop_random():
             assert factorize(n) == reference.factorize(n), n
 
 
+def _factorize_exits():
+    """Seeded n reaching each way out of factorize: 1, a cofactor that
+    d * d > n leaves, a probable-prime cofactor after small factors, prime
+    powers, factors on both sides of 10**6, and two primes above 10**6 that
+    only rho splits."""
+    rng = random.Random(25)
+    small = sieve_primes(10**6)
+    values = [1, 2, 14, 77, 1001, 999983**2, 999983**3, 7**20, 1000003**2]
+    for _ in range(6):
+        smooth = math.prod(rng.choices(small, k=rng.randint(1, 4)))
+        big = reference.next_prime(rng.randrange(10**30, 10**40))
+        above = [reference.next_prime(rng.randrange(10**6, 10**6 + 10**4)) for _ in range(2)]
+        values += [
+            smooth * big,
+            rng.choice(small) ** rng.randint(2, 5),
+            smooth * above[0],
+            smooth * above[0] * above[1],
+            above[0] * above[1],
+        ]
+    return values
+
+
+@pytest.mark.parametrize("n", _factorize_exits())
+def test_factorize_matches_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    assert factorize(n) == sorted(sympy.factorint(n).items())
+
+
+@pytest.mark.parametrize("middle, spans", [
+    ((), 0),                   # 2 * 3 * P: P is tested prime before the sweep
+    ((7,), 1),                 # the first span divides, then P is tested prime
+    ((1000003, 1000033), 521),  # a composite cofactor: every span below 10**6
+])
+def test_sweep_stops_at_a_prime_cofactor(monkeypatch, middle, spans):
+    """The sweep ends at a probable-prime cofactor; one that went on while
+    d * d <= n would visit all 521 spans for 2 * 3 * P."""
+    P = reference.next_prime(10**39)
+    real, calls = primality._span_product, []
+
+    def counted(start):
+        calls.append(start)
+        return real(start)
+
+    monkeypatch.setattr(primality, "_span_product", counted)
+    primes = (2, 3) + middle + (P,)
+    assert factorize(math.prod(primes)) == [(q, 1) for q in primes]
+    assert len(calls) == spans
+
+
 def test_spans_cover_the_wheel_below_a_million():
     starts = range(0, 10**6, primality._SPAN)
     candidates = [d for start in starts for d in primality._span_candidates(start)]
