@@ -1,16 +1,18 @@
 """Irreducibility certificates for polynomials over prime fields.
 
-A certificate for f of degree n over GF(p) carries a chain h_0..h_n of
-Frobenius residues together with the intermediate values and quotients of a
-base-t square-and-multiply computation of each p-th power, plus Bezout
-pairs showing gcd(f, h_{n/q} - X) = 1 for the primes q dividing n.  The
-verifier re-checks everything with polynomial additions and multiplications
-only; it does no polynomial division.  In check (ii) each chain step is one
-identity between packed integers, settled by one exact integer division by
-p and two masks, without reading a coefficient back.  It compares the degree
-each power product must have with the file's lists before forming the
-product, so a forged exponent base cannot make it build a power longer than
-the file.  A base-p step raises nothing to the p-th power: over GF(p),
+A certificate for f of degree n over GF(p) carries the intermediate values
+and quotients of a base-t square-and-multiply computation of each p-th
+power along the chain h_0..h_n of Frobenius residues, plus Bezout pairs
+showing gcd(f, h_{n/q} - X) = 1 for the primes q dividing n.  Each h_i is
+stated once, as the top value of its own step chain (and h_n as the bottom
+of the last), and the verifier finds the primes q | n by trial division.
+The verifier re-checks everything with polynomial additions and
+multiplications only; it does no polynomial division.  In check (ii) each
+chain step is one identity between packed integers, settled by one exact
+integer division by p and two masks, without reading a coefficient back.
+It compares the degree each power product must have with the file's lists
+before forming the product, so a forged exponent base cannot make it build
+a power longer than the file.  A base-p step raises nothing to the p-th power: over GF(p),
 h^p = h(X^p), the coefficients of h spread p slots apart, so base p files,
 whose quotients are about (p - 1)n long, cost work linear in their bytes.
 
@@ -82,13 +84,11 @@ class RabinCertificate:
     n: int
     t: int          # exponent base, 2 or p; p has s+1 base-t digits
     L: tuple[int, ...]                      # coefficients of f over GF(p)
-    h: tuple[tuple[int, ...], ...]          # n+1 residues
     g: tuple[tuple[tuple[int, ...], ...], ...]       # n x s quotients
-    hprime: tuple[tuple[tuple[int, ...], ...], ...]  # n x (s+1) chain values
+    # n x (s+1) chain values: hprime[i][s] is h_i, and hprime[n-1][0] is h_n
+    hprime: tuple[tuple[tuple[int, ...], ...], ...]
     a: tuple[tuple[int, ...], ...]          # n Bezout cofactors (sparse)
     b: tuple[tuple[int, ...], ...]
-    n_factors: tuple[tuple[int, int], ...]  # (prime, exponent) with product n
-    n_factor_pratt: tuple[primality.PrattCertificate | None, ...]
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,10 @@ def verify_rabin(cert: RabinCertificate) -> Verdict:
     """Check statements (i)-(iv); acceptance proves f irreducible over GF(p).
 
     The format has no Pratt certificate for p, so p is proven prime, by
-    trial division, only below TRIAL_DIVISION_BOUND.
+    trial division, only below TRIAL_DIVISION_BOUND.  Each chain end h_i is
+    stated once, as the top hprime[i][s] of its chain, and h_n as the
+    bottom hprime[n-1][0] of the last.  The primes of n come from trial
+    division, which the file bounds: L holds n + 1 entries.
     """
     p, n, t = cert.p, cert.n, cert.t
     if p < primality.TRIAL_DIVISION_BOUND:
@@ -140,20 +143,6 @@ def verify_rabin(cert: RabinCertificate) -> Verdict:
     digits = base_digits(p, t)
     s = len(digits) - 1
 
-    # factorization of n, with certified prime factors
-    if len(cert.n_factors) != len(cert.n_factor_pratt):
-        return Verdict.reject("rabin/factorization-shape")
-    for (q, e), pratt in zip(cert.n_factors, cert.n_factor_pratt):
-        if e < 1:
-            return Verdict.reject(f"rabin/factorization/q={q}")
-        ok = primality.certify_prime_for_verifier(q, pratt)
-        if not ok:
-            return ok.prefixed("rabin")
-    if primality.prime_power_product(cert.n_factors, n) != n:
-        return Verdict.reject("rabin/factorization")
-
-    if len(cert.h) != n + 1:
-        return Verdict.reject("rabin/shape/h")
     if len(cert.g) != n or any(len(row) != s for row in cert.g):
         return Verdict.reject("rabin/shape/g")
     if len(cert.hprime) != n or any(len(row) != s + 1 for row in cert.hprime):
@@ -161,16 +150,15 @@ def verify_rabin(cert: RabinCertificate) -> Verdict:
     if len(cert.a) != n or len(cert.b) != n:
         return Verdict.reject("rabin/shape/bezout")
 
-    h = [list(row) for row in cert.h]
     hp = [[list(x) for x in row] for row in cert.hprime]
     g = [[list(x) for x in row] for row in cert.g]
+    h = [row[s] for row in hp] + [hp[n - 1][0]]
 
-    # (i) chain endpoints: top of each chain is h_i^{b_s} = h_i (p's top
-    # digit b_s is 1 in either base), bottom is h_{i+1}
+    # (i) chain links: the top of chain i is h_i^{b_s} = h_i (p's top digit
+    # b_s is 1 in either base), in canonical form, where h_0 = X and h_i is
+    # the bottom of chain i - 1 for i > 0
     for i in range(n):
-        if hp[i][s] != _canonical(p, list(h[i])):
-            return Verdict.reject(f"rabin/check-i/i={i}")
-        if hp[i][0] != h[i + 1]:
+        if hp[i][s] != (_canonical(p, list(hp[i - 1][0])) if i else X_POLY):
             return Verdict.reject(f"rabin/check-i/i={i}")
 
     # (ii) one square-and-multiply step per digit
@@ -178,13 +166,13 @@ def verify_rabin(cert: RabinCertificate) -> Verdict:
     if not ok:
         return ok
 
-    # (iii) chain starts and ends at X
-    if h[0] != X_POLY or h[n] != X_POLY:
+    # (iii) the chain ends at X
+    if h[n] != X_POLY:
         return Verdict.reject("rabin/check-iii")
 
     # (iv) coprimality with h_{n/q} - X for each prime q | n
     used = set()
-    for q, _e in cert.n_factors:
+    for q in primality.prime_factors_trial(n):
         k = n // q
         used.add(k)
         hm_minus_x = list_sub(p, h[k], X_POLY)
@@ -589,10 +577,9 @@ def generate_rabin(
         hp_rows.append(tuple(tuple(x) for x in hp))
 
     # Rabin's test: h_n = X above, and gcd(f, h_{n/q} - X) = 1 for each prime q | n
-    n_factors = primality.factorize(n) if n > 1 else []
     a_rows: list[tuple[int, ...]] = [()] * n
     b_rows: list[tuple[int, ...]] = [()] * n
-    for q, _e in n_factors:
+    for q in primality.prime_factors_trial(n):
         k = n // q
         d, u, v = poly_xgcd(p, f, list_sub(p, h[k], X_POLY))
         if d != [1]:
@@ -600,24 +587,13 @@ def generate_rabin(
         a_rows[k] = tuple(u)
         b_rows[k] = tuple(v)
 
-    pratt_list: list[primality.PrattCertificate | None] = []
-    for q, _e in n_factors:
-        if q < primality.TRIAL_DIVISION_BOUND:
-            pratt_list.append(None)
-        else:
-            pratt_list.append(primality.generate_pratt(q))
-
-    cert = RabinCertificate(
+    return RabinCertificate(
         p=p,
         n=n,
         t=t,
         L=tuple(f),
-        h=tuple(tuple(x) for x in h),
         g=tuple(g_rows),
         hprime=tuple(hp_rows),
         a=tuple(a_rows),
         b=tuple(b_rows),
-        n_factors=tuple(n_factors),
-        n_factor_pratt=tuple(pratt_list),
     )
-    return cert

@@ -41,7 +41,7 @@ from .exactalg import (
     poly_eval,
     reduce_mod_p,
 )
-from .primality import PrattCertificate, generate_pratt, verify_pratt
+from .primality import PrattCertificate, generate_pratt
 from .verdict import Verdict
 
 
@@ -111,7 +111,7 @@ class LPFWCertificate:
     r: Fraction  # scale of the root bound rho = cauchy_bound_scaled(f, r)
     m: int
     P: int       # a prime dividing f(m)
-    pratt: PrattCertificate
+    pratt: PrattCertificate | None  # required for P >= 10^6
 
 
 @dataclass(frozen=True)
@@ -246,18 +246,14 @@ def verify_lpfw(cert: LPFWCertificate) -> Verdict:
     if abs(m) < rho + 1:
         return Verdict.reject("lpfw/evaluation-point")
     P = cert.P
-    if P < 2:
-        return Verdict.reject("lpfw/witness-range")
+    ok = primality.certify_prime_for_verifier(P, cert.pratt)
+    if not ok:
+        return ok.prefixed("lpfw")
     s, rest = divmod(abs(poly_eval(ZZ, f, m)), P)
     if rest or s < 1:
         return Verdict.reject("lpfw/value-product")
     if Fraction(s) >= (abs(m) - rho) ** d:
         return Verdict.reject("lpfw/cofactor-bound")
-    if cert.pratt.P != P:
-        return Verdict.reject("lpfw/prime-binding")
-    ok = verify_pratt(cert.pratt)
-    if not ok:
-        return ok.prefixed("lpfw")
     return Verdict.accept()
 
 
@@ -347,8 +343,9 @@ def _lpfw_search(
     points.  `primality.strip_small_primes` takes the primes below
     LPFW_TRIAL_BOUND out of |f(m)| and leaves P, the witness candidate, or
     1 when |f(m)| is fully smooth, and then its largest stripped prime is
-    P.  The point is taken when s = |f(m)| / P < (|m| - rho)^d and P has a
-    Pratt certificate.
+    P; it also settles whether P is prime.  The point is taken when
+    s = |f(m)| / P < (|m| - rho)^d and P is prime, with a Pratt certificate
+    when P >= 10^6.
     """
     best = None  # (rho, r)
     for k in range(-8, 9):
@@ -367,16 +364,18 @@ def _lpfw_search(
             if value < 2:
                 continue
             bound = (abs(m) - rho) ** d
-            stripped, rest = primality.strip_small_primes(value, LPFW_TRIAL_BOUND)
-            P = rest if rest > 1 else stripped[-1][0]
+            stripped, rest, prime = primality.strip_small_primes(value, LPFW_TRIAL_BOUND)
+            if rest > 1 and not prime:
+                continue
+            P = rest if prime else stripped[-1][0]
             s = value // P
             if Fraction(s) >= bound:
                 continue
-            if not primality.is_probable_prime(P):
-                continue
-            pratt = generate_pratt(P)
-            if pratt is None:
-                continue
+            pratt = None
+            if P >= primality.TRIAL_DIVISION_BOUND:
+                pratt = generate_pratt(P)
+                if pratt is None:
+                    continue
             return LPFWCertificate(
                 f=tuple(f),
                 analysis=analysis,

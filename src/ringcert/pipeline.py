@@ -4,8 +4,10 @@ integers of Q[X]/<T>.
 A bundle chains together: an irreducibility certificate for T, the order
 builder for the basis, membership of theta, a separability witness
 a*T + b*T' = N with a certified factorization of N, and one maximality
-certificate per prime factor p of N with p^2 | disc(O).  Any prime not
-dividing N is automatically fine (T stays separable mod p there), and
+certificate per prime factor p of N with p^2 | disc(O).  N = disc(T) is
+not written: the verifier computes it once, by `resultants.disc_poly`, and
+uses it for disc(O), the factorization and the separability identity.
+Any prime not dividing N is automatically fine (T stays separable mod p there), and
 since disc(O) = [O_K : O]^2 disc(K), no prime with p^2 not dividing
 disc(O) divides [O_K : O]; so acceptance of the bundle means the order is
 the whole ring of integers.
@@ -76,9 +78,8 @@ class CertificateBundle:
     order: OrderDescription
     theta_coords: tuple[int, ...]
     theta_witness: tuple[int, ...]  # sum x_k b_k - T*witness = d*X
-    bezout_a: tuple[int, ...]      # a*T + b*T' = N
+    bezout_a: tuple[int, ...]      # a*T + b*T' = N = disc(T), nonzero
     bezout_b: tuple[int, ...]
-    n_value: int                   # N, nonzero; |N| = prod p^e over both lists
     primes: tuple[PrimeEntry, ...]  # every prime of N with p^2 | disc(O), maybe others
     free_primes: tuple[FactorEntry, ...] = ()  # the rest: p^2 does not divide disc(O)
     claimed_disc: int | None = None
@@ -129,16 +130,17 @@ def verify_bundle_with_disc(bundle: CertificateBundle) -> tuple[Verdict, int | N
     if combo != [0, desc.d]:
         return Verdict.reject("bundle/theta"), None
 
-    # disc(O) = (-1)^(n(n-1)/2) disc(T) / [O : Z[theta]]^2, from T and the
-    # order alone, now that theta is known to lie in O
+    # N = disc(T), computed once; disc(O) = (-1)^(n(n-1)/2) N / [O : Z[theta]]^2,
+    # from T and the order alone, now that theta is known to lie in O
+    N = resultants.disc_poly(T)
+    if N == 0:
+        return Verdict.reject("bundle/separability/zero"), None
     try:
-        disc = resultants.disc_order(desc)
+        disc = resultants.disc_order(desc, N)
     except ValueError as e:
         return Verdict.reject(f"bundle/disc/{e}"), None
 
     # N's factorization over both prime lists, every prime certified
-    if bundle.n_value == 0:
-        return Verdict.reject("bundle/separability/zero"), None
     entries = bundle.primes + bundle.free_primes
     seen: set[int] = set()
     for entry in entries:
@@ -148,7 +150,7 @@ def verify_bundle_with_disc(bundle: CertificateBundle) -> tuple[Verdict, int | N
         if entry.exponent < 1:
             return Verdict.reject(f"bundle/prime-factorization/exponent/p={entry.p}"), None
     factors = [(entry.p, entry.exponent) for entry in entries]
-    if primality.prime_power_product(factors, bundle.n_value) != abs(bundle.n_value):
+    if primality.prime_power_product(factors, N) != abs(N):
         return Verdict.reject("bundle/prime-factorization"), None
     for entry in entries:
         ok = primality.certify_prime_for_verifier(entry.p, entry.pratt)
@@ -183,7 +185,7 @@ def verify_bundle_with_disc(bundle: CertificateBundle) -> tuple[Verdict, int | N
         return Verdict.reject("bundle/separability"), None
     tprime = formal_derivative(ZZ, T)
     lhs = list_add(ZZ, list_mul(ZZ, bez_a, T), list_mul(ZZ, bez_b, tprime))
-    if lhs != drop_trailing_zeros([bundle.n_value]):
+    if lhs != [N]:
         return Verdict.reject("bundle/separability"), None
 
     if bundle.claimed_disc is not None and bundle.claimed_disc != disc:
@@ -257,13 +259,13 @@ def generate_bundle(
     theta_q, _ = poly_divmod(ZZ, [0, d], T)
     theta_witness = mul_pointwise(ZZ, -1, theta_q)
 
-    bez_a, bez_b, n_value = _bezout_witness(T)
-    factors = primality.factorize(abs(n_value))
+    bez_a, bez_b, N = _bezout_witness(T)
+    factors = primality.factorize(abs(N))
 
     tt = times_table_of(desc)
     # |disc(O)| = |N| / [O : Z[theta]]^2, with no determinant; a prime that
     # divides [O_K : O] has p^2 | disc(O), so none of them is left free
-    disc_abs = abs(n_value) // power_basis_index(desc) ** 2
+    disc_abs = abs(N) // power_basis_index(desc) ** 2
     entries: list[PrimeEntry] = []
     free: list[FactorEntry] = []
     for p, e in factors:
@@ -292,7 +294,6 @@ def generate_bundle(
         theta_witness=tuple(theta_witness),
         bezout_a=tuple(bez_a),
         bezout_b=tuple(bez_b),
-        n_value=n_value,
         primes=tuple(entries),
         free_primes=tuple(free),
         claimed_disc=claimed_disc,

@@ -1,15 +1,18 @@
 """Primality: trial division, deterministic Miller-Rabin, Pratt certificates.
 
-The verifier side accepts primes below TRIAL_DIVISION_BOUND by direct trial
-division and insists on a Pratt certificate beyond that.  Miller-Rabin and
-Pollard rho are generator-side search tools only; nothing a verifier
-concludes ever rests on them.
+The verifier has one primality rule, `certify_prime_for_verifier(q, pratt)`,
+for every prime a file names, the factors inside a Pratt chain included:
+trial division below TRIAL_DIVISION_BOUND, a Pratt certificate beyond it.
+So a chain carries a nested chain only for its factors q >= 10**6.
+Miller-Rabin and Pollard rho are generator-side search tools only; nothing
+a verifier concludes ever rests on them.
 
 The generator's factoring goes through one small-prime stripping routine,
 `strip_small_primes`: `factorize` calls it below 10**6 ahead of Pollard rho,
 and the LPFW search (`irred_int._lpfw_search`) below its own trial bound.
 It stops as soon as the cofactor is a Miller-Rabin probable prime, so a
-number that is a few small primes times a large prime costs no sweep.
+number that is a few small primes times a large prime costs no sweep, and
+it says whether the cofactor is known prime, so no caller tests it again.
 """
 
 from __future__ import annotations
@@ -27,20 +30,25 @@ TRIAL_DIVISION_BOUND = 10**6
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def is_prime_trial(n: int) -> bool:
-    """Trial division up to sqrt(n). Deterministic, for small n."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
+def prime_factors_trial(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division up
+    to the square root of what is left.  Deterministic, for small n."""
+    out = []
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 2
-    return True
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def is_prime_trial(n: int) -> bool:
+    """Trial division up to sqrt(n). Deterministic, for small n."""
+    return n >= 2 and prime_factors_trial(n) == [n]
 
 
 def is_probable_prime(n: int) -> bool:
@@ -144,61 +152,69 @@ def _divide_out(n: int, d: int, stripped: list[tuple[int, int]]) -> int:
     return n
 
 
-def strip_small_primes(n: int, limit: int) -> tuple[list[tuple[int, int]], int]:
+def strip_small_primes(n: int, limit: int) -> tuple[list[tuple[int, int]], int, bool]:
     """(the primes d < limit <= 10**6 divided out of n >= 1, as ascending
-    (d, exponent) pairs, the cofactor that is left).
+    (d, exponent) pairs, the cofactor that is left, whether it is prime).
 
-    Divides by 2, 3, 5, then by the wheel candidates span by span
+    The cofactor is 1, a prime, or a composite whose prime factors are all
+    at least limit, and the sweep settles which, so no caller tests it
+    again.  Divides by 2, 3, 5, then by the wheel candidates span by span
     (`_span_product`), in ascending order while d * d <= the cofactor: when
     that stops it, the cofactor is 1 or prime and is not divided out.  The
     sweep also stops as soon as the cofactor is a Miller-Rabin probable
-    prime, tested before it and after each span that divided the cofactor.
-    Otherwise every prime factor of the cofactor is at least limit.
+    prime, tested before it and after each span that divided the cofactor,
+    so a cofactor left at the end has been tested composite.
     Generator-side only.
     """
     stripped: list[tuple[int, int]] = []
     for d in (2, 3, 5):
         if d * d > n:
-            return stripped, n
+            return stripped, n, n > 1
         n = _divide_out(n, d, stripped)
     if is_probable_prime(n):
-        return stripped, n
+        return stripped, n, True
     for start in range(0, limit, _SPAN):
         if start * start > n:
-            break
+            return stripped, n, n > 1
         g = math.gcd(n, _span_product(start))  # the candidates dividing n divide g
         if g == 1:
             continue
+        before = n
         for d in _span_candidates(start):
-            if d >= limit or d * d > n:
-                return stripped, n
+            if d >= limit:
+                break
+            if d * d > n:
+                return stripped, n, n > 1
             if g % d == 0:
                 n = _divide_out(n, d, stripped)
                 g = math.gcd(g, n)
                 if g == 1:
                     break
-        if is_probable_prime(n):
-            break
-    return stripped, n
+        if n != before and is_probable_prime(n):
+            return stripped, n, True
+    return stripped, n, False
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as sorted (prime, exponent) pairs.
 
-    `strip_small_primes` below 10**6 first, which stops at a probable-prime
-    cofactor, then Pollard rho, seeded from n, for what remains.
-    Generator-side only.
+    `strip_small_primes` below 10**6 first, which settles whether its
+    cofactor is prime, then Pollard rho, seeded from n, for a composite
+    cofactor.  Generator-side only.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     rng = random.Random(0xF0F0 ^ n)
-    stripped, n = strip_small_primes(n, _TRIAL_LIMIT)
+    stripped, n, prime = strip_small_primes(n, _TRIAL_LIMIT)
     factors = dict(stripped)
-    stack = [n] if n > 1 else []
+    stack = []
+    if prime:
+        factors[n] = 1
+    elif n > 1:
+        g = _pollard_rho(n, rng)
+        stack = [g, n // g]
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_probable_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
@@ -231,9 +247,11 @@ def prime_power_product(factors, target: int) -> int:
 class PrattCertificate:
     """Recursive primality certificate.
 
-    ``factors`` lists (q, e, sub) over the prime factorization of P - 1,
-    where sub is the nested certificate for q (None exactly when q == 2).
-    P == 2 is the base case: witness 1, empty factor list.
+    ``factors`` lists (q, e, sub) over the prime factorization of P - 1.
+    Each q is proven prime by `certify_prime_for_verifier(q, sub)`: sub is
+    the nested certificate for q when q >= TRIAL_DIVISION_BOUND, and None,
+    or ignored, below it.  P == 2 is the base case: witness 1, empty factor
+    list.
     """
 
     P: int
@@ -242,7 +260,7 @@ class PrattCertificate:
 
 
 def verify_pratt(cert: PrattCertificate) -> Verdict:
-    """Check the Pratt conditions recursively."""
+    """Check the Pratt conditions, each factor q by the one primality rule."""
     P = cert.P
     if P < 2:
         return Verdict.reject(f"pratt/range/P={P}")
@@ -267,22 +285,17 @@ def verify_pratt(cert: PrattCertificate) -> Verdict:
         seen.add(q)
         if pow(g, (P - 1) // q, P) == 1:
             return Verdict.reject(f"pratt/order/P={P}/q={q}")
-        if q == 2:
-            if sub is not None and sub.P != 2:
-                return Verdict.reject(f"pratt/sub-mismatch/P={P}/q={q}")
-            continue
-        if sub is None:
-            return Verdict.reject(f"pratt/missing-sub/P={P}/q={q}")
-        if sub.P != q:
-            return Verdict.reject(f"pratt/sub-mismatch/P={P}/q={q}")
-        inner = verify_pratt(sub)
-        if not inner:
-            return inner.prefixed(f"pratt/q={q}")
+        ok = certify_prime_for_verifier(q, sub)
+        if not ok:
+            return ok.prefixed("pratt")
     return Verdict.accept()
 
 
 def generate_pratt(P: int, _cache: dict | None = None) -> PrattCertificate | None:
-    """Build a Pratt certificate for prime P; None if P is not prime."""
+    """Build a Pratt certificate for a probable prime P, such as `factorize`
+    returns; None if P is not prime, which the witness search finds by the
+    smallest prime factor of P at the latest.  A factor q of P - 1 gets a
+    nested certificate only when q >= 10**6."""
     if _cache is None:
         _cache = {}
     if P in _cache:
@@ -293,13 +306,10 @@ def generate_pratt(P: int, _cache: dict | None = None) -> PrattCertificate | Non
         cert = PrattCertificate(2, 1, ())
         _cache[P] = cert
         return cert
-    if not is_probable_prime(P):
-        return None
-    fac = factorize(P - 1)
     entries = []
-    for q, e in fac:
+    for q, e in factorize(P - 1):
         sub = None
-        if q != 2:
+        if q >= TRIAL_DIVISION_BOUND:
             sub = generate_pratt(q, _cache)
             if sub is None:
                 return None
@@ -315,10 +325,10 @@ def generate_pratt(P: int, _cache: dict | None = None) -> PrattCertificate | Non
 
 
 def certify_prime_for_verifier(p: int, pratt: PrattCertificate | None) -> Verdict:
-    """Verifier-side primality policy.
+    """The verifier's one primality rule, for every prime a file names.
 
-    Primes below TRIAL_DIVISION_BOUND are checked by trial division; larger
-    ones must come with a Pratt certificate.
+    Primes below TRIAL_DIVISION_BOUND are checked by trial division, and
+    `pratt` is not read; larger ones must come with a Pratt certificate.
     """
     if p < TRIAL_DIVISION_BOUND:
         if is_prime_trial(p):

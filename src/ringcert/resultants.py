@@ -13,6 +13,9 @@ at f = T, g = T', since n(n - 1) is even.  The Sylvester matrix of f
 (degree n) and g (degree m) is (m+n) x (m+n), rows holding ascending
 coefficient lists, the m shifted copies of f first, then the n shifted
 copies of g; the generator's Bezout witness solves against it.
+
+A bundle does not state disc(T): the verifier computes it once, here, and
+derives disc(O) from that value (`disc_order`).
 """
 
 from __future__ import annotations
@@ -71,8 +74,9 @@ def power_basis_index(desc: OrderDescription) -> int:
     return index
 
 
-def disc_order(desc: OrderDescription) -> int:
-    """disc(O) = (-1)^(n(n-1)/2) * disc(T) / index^2, with exact division.
+def disc_order(desc: OrderDescription, disc_t: int) -> int:
+    """disc(O) = (-1)^(n(n-1)/2) * disc_t / index^2, with exact division,
+    for disc_t = disc_poly(T), which the caller computes once.
 
     Call only on a verified description whose theta-membership the caller
     has verified too (`verify_bundle` checks the bundle's theta witness
@@ -80,9 +84,7 @@ def disc_order(desc: OrderDescription) -> int:
     inconsistent inputs.
     """
     n = desc.n
-    signed = disc_poly(list(desc.T))
-    if n * (n - 1) // 2 % 2:
-        signed = -signed
+    signed = -disc_t if n * (n - 1) // 2 % 2 else disc_t
     idx = power_basis_index(desc)
     value, rest = divmod(signed, idx * idx)
     if rest:

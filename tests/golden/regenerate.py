@@ -22,7 +22,7 @@ from ringcert.maximality import generate_dedekind, generate_pmax
 from ringcert.orders import build_order_description, times_table_of
 from ringcert.pipeline import generate_bundle
 from ringcert.primality import generate_pratt
-from ringcert.resultants import disc_order
+from ringcert.resultants import disc_order, disc_poly
 
 HERE = Path(__file__).parent
 
@@ -53,7 +53,8 @@ def golden_objects() -> dict:
         "pmax-long": pmax_long,
         "order": order,
         "bundle": generate_bundle(
-            *_BUNDLE_CUBIC, claimed_disc=disc_order(build_order_description(*_BUNDLE_CUBIC))),
+            *_BUNDLE_CUBIC, claimed_disc=disc_order(
+                build_order_description(*_BUNDLE_CUBIC), disc_poly(_BUNDLE_CUBIC[0]))),
         "input/polynomial": certio.InputPolynomial((3, 14, 15, 92, 65)),
         "input/order-basis": certio.InputOrderBasis(2, ((2, 0, 0), (0, 2, 0), (0, 1, -1))),
     }

@@ -310,14 +310,9 @@ def generate_rabin(
         g_rows.append(tuple(grow))
         hp_rows.append(tuple(tuple(x) for x in hp))
 
-    n_factors = factorize(n) if n > 1 else []
-    pratt_list = [
-        None if q < primality.TRIAL_DIVISION_BOUND else primality.generate_pratt(q)
-        for q, _e in n_factors
-    ]
     a_rows: list[tuple[int, ...]] = [()] * n
     b_rows: list[tuple[int, ...]] = [()] * n
-    for q, _e in n_factors:
+    for q, _e in (factorize(n) if n > 1 else []):
         k = n // q
         d, u, v = poly_xgcd(p, f, list_sub(p, h[k], X_POLY))
         assert d == [1], "not coprime; f should have been irreducible"
@@ -326,13 +321,10 @@ def generate_rabin(
 
     return RabinCertificate(
         p=p, n=n, t=t, L=tuple(f),
-        h=tuple(tuple(x) for x in h),
         g=tuple(g_rows),
         hprime=tuple(hp_rows),
         a=tuple(a_rows),
         b=tuple(b_rows),
-        n_factors=tuple(n_factors),
-        n_factor_pratt=tuple(pratt_list),
     )
 
 

@@ -15,7 +15,7 @@ from ringcert import certio, irred_int, resultants
 from ringcert.cli import main
 from ringcert.irred_ff import ReducibleWitness, generate_rabin
 from ringcert.primality import generate_pratt
-from ringcert.resultants import disc_order
+from ringcert.resultants import disc_poly
 
 
 @pytest.fixture()
@@ -72,11 +72,11 @@ class TestGenAndVerify:
         assert [entry.p for entry in bundle.free_primes] == [19, 151]
         calls = []
 
-        def counted(desc):
-            calls.append(desc)
-            return disc_order(desc)
+        def counted(T):
+            calls.append(T)
+            return disc_poly(T)
 
-        monkeypatch.setattr(resultants, "disc_order", counted)
+        monkeypatch.setattr(resultants, "disc_poly", counted)
         golden = Path(__file__).parent / "golden" / "bundle.json"
         for path, disc in ((golden, certio.parse_file(golden).claimed_disc), (quintic, 2869)):
             calls.clear()

@@ -126,6 +126,7 @@ def test_power_basis_bundle_is_previous_without_products():
 
     env = json.loads(PREVIOUS_POWER_BASIS.read_bytes())
     _drop_fields("bundle", env["payload"])
+    _one_prime_rule("bundle", env["payload"])
     env["payload"]["order"]["products"] = []
     _move_to_free_primes(env["payload"], {19, 151})
     T = [int(c) for c in env["payload"]["T"]]
@@ -143,6 +144,7 @@ def test_every_prime_certified_bundle_is_previous_with_free_primes():
     from ringcert.pipeline import generate_bundle
 
     env = json.loads(PREVIOUS_EVERY_PRIME_CERTIFIED.read_bytes())
+    _one_prime_rule("bundle", env["payload"])
     _move_to_free_primes(env["payload"], {1161683})
     T = [int(c) for c in env["payload"]["T"]]
     new = generate_bundle(T, 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]], claimed_disc=9293464)
@@ -157,6 +159,28 @@ def _reseal(kind: str, payload: dict) -> bytes:
     inner = {"kind": kind, "payload": payload, "schema_version": certio.SCHEMA_VERSION}
     digest = hashlib.sha256(_canonical(inner)).hexdigest()
     return _canonical({**inner, "integrity": f"sha256:{digest}"}) + b"\n"
+
+
+def _walk(kind: str, payload: dict, visit) -> None:
+    """Call visit(kind, payload) on a payload and then on every payload
+    nested in it, with each one's kind; visit may edit in place."""
+    visit(kind, payload)
+    nested = []
+    if kind == "bundle":
+        nested.append(("order", payload["order"]))
+        nested.append((payload["irreducibility"]["kind"], payload["irreducibility"]["payload"]))
+        nested += [(entry["cert"]["kind"], entry["cert"]["payload"]) for entry in payload["primes"]]
+        nested += [("pratt", entry["pratt"])
+                   for entry in payload["primes"] + payload.get("free_primes", [])]
+    elif kind == "lpfw":
+        nested += [("degree-analysis", payload["analysis"]), ("pratt", payload["pratt"])]
+    elif kind == "degree-analysis":
+        nested += [("rabin-ff", cert) for entry in payload["per_prime"] for cert in entry["certs"]]
+    elif kind == "pratt":
+        nested += [("pratt", sub) for _q, _e, sub in payload["factors"]]
+    for inner_kind, inner in nested:
+        if inner is not None:
+            _walk(inner_kind, inner, visit)
 
 
 # Payload keys that earlier generators wrote and the verifier now computes
@@ -176,32 +200,70 @@ DROPPED_FIELDS = {
 def _drop_fields(kind: str, payload: dict) -> None:
     """Delete the dropped keys from an earlier-format payload and the
     payloads nested in it, in place; a KeyError if one is missing."""
-    for key in DROPPED_FIELDS.get(kind, ()):
-        del payload[key]
-    if kind == "bundle":
-        _drop_fields("order", payload["order"])
-        for tagged in [payload["irreducibility"]] + [entry["cert"] for entry in payload["primes"]]:
-            _drop_fields(tagged["kind"], tagged["payload"])
-    elif kind == "lpfw" and payload["analysis"] is not None:
-        _drop_fields("degree-analysis", payload["analysis"])
-    elif kind == "degree-analysis":
-        for cert in (c for entry in payload["per_prime"] for c in entry["certs"]):
-            _drop_fields("rabin-ff", cert)
+    def visit(kind, payload):
+        for key in DROPPED_FIELDS.get(kind, ()):
+            del payload[key]
+
+    _walk(kind, payload, visit)
+
+
+# Payload keys that generators wrote until each chain fact was stated once:
+# the Rabin chain ends h (the chains' own tops), the factorization of n
+# (trial division of n = len(L) - 1) and disc(T) (the verifier's own
+# determinant)
+STATED_TWICE = {
+    "rabin-ff": ("h", "n_factors", "n_factor_pratt"),
+    "bundle": ("n_value",),
+}
+
+
+def _one_prime_rule(kind: str, payload: dict) -> None:
+    """Turn a payload written before the one primality rule into the
+    current format, in place: delete the STATED_TWICE keys, and null every
+    Pratt sub-certificate and every lpfw `pratt` whose prime is below 10^6,
+    which trial division now proves; a KeyError if a key is missing."""
+    def visit(kind, payload):
+        for key in STATED_TWICE.get(kind, ()):
+            del payload[key]
+        if kind == "pratt":
+            for entry in payload["factors"]:
+                if int(entry[0]) < 10**6:
+                    entry[2] = None
+        elif kind == "lpfw" and int(payload["P"]) < 10**6:
+            payload["pratt"] = None
+
+    _walk(kind, payload, visit)
+
+
+PREVIOUS_ONE_PRIME_RULE = GOLDEN / "previous-one-prime-rule"
+
+
+def test_golden_files_are_previous_with_each_fact_stated_once():
+    # the golden files that changed with the one primality rule are their
+    # copies from before it with exactly those keys deleted or nulled
+    changed = sorted(path.name for path in PREVIOUS_ONE_PRIME_RULE.glob("*.json"))
+    assert changed == ["bundle.json", "degree-analysis.json", "lpfw.json", "pratt.json",
+                       "rabin-ff.json"]
+    for name in changed:
+        env = json.loads((PREVIOUS_ONE_PRIME_RULE / name).read_bytes())
+        _one_prime_rule(env["kind"], env["payload"])
+        assert _reseal(env["kind"], env["payload"]) == (GOLDEN / name).read_bytes(), name
 
 
 PREVIOUS_RECOMPUTED = GOLDEN / "previous-recomputed-fields"
 
 
 def test_previous_recomputed_fields_are_the_golden_files_without_them():
-    # the golden bundle was regenerated since, for its free primes: the
-    # file without the fields is its copy from before that
+    # the golden files were regenerated since, for the free primes and the
+    # one primality rule: the file without the fields is its copy from
+    # before those
     for path in sorted(PREVIOUS_RECOMPUTED.glob("*.json")):
         env = json.loads(path.read_bytes())
         _drop_fields(env["kind"], env["payload"])
         if env["kind"] == "bundle":
             want = PREVIOUS_EVERY_PRIME_CERTIFIED.read_bytes()
         else:
-            want = _path(env["kind"]).read_bytes()
+            want = (PREVIOUS_ONE_PRIME_RULE / path.name).read_bytes()
         assert _reseal(env["kind"], env["payload"]) == want, path.name
 
 
@@ -214,5 +276,6 @@ if __name__ == "__main__":
     test_previous_power_basis_bundle_still_verifies()
     test_power_basis_bundle_is_previous_without_products()
     test_every_prime_certified_bundle_is_previous_with_free_primes()
+    test_golden_files_are_previous_with_each_fact_stated_once()
     test_previous_recomputed_fields_are_the_golden_files_without_them()
     print(f"{len(certio._REGISTRY)} golden files round-trip and regenerate")

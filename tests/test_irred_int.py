@@ -219,7 +219,8 @@ class TestLPFWVerification:
 
 class TestLPFWStripping:
     """primality.strip_small_primes at LPFW_TRIAL_BOUND gives the (s, rest,
-    largest stripped prime) of the LPFW search's per-prime loop."""
+    largest stripped prime) of the LPFW search's per-prime loop, and calls
+    rest prime only when it is."""
 
     @staticmethod
     def _values():
@@ -247,10 +248,12 @@ class TestLPFWStripping:
         values = self._values()
         assert len(values) >= 20_000
         for value in values:
-            stripped, rest = primality.strip_small_primes(value, irred_int.LPFW_TRIAL_BOUND)
+            stripped, rest, prime = primality.strip_small_primes(
+                value, irred_int.LPFW_TRIAL_BOUND)
             s = math.prod(d**e for d, e in stripped)
             largest = stripped[-1][0] if stripped else 0
             assert (s, rest, largest) == lpfw_strip(value, irred_int.LPFW_TRIAL_BOUND), value
+            assert not prime or (rest > 1 and primality.is_probable_prime(rest)), value
 
 
 class TestDegreeAnalysisPrimes:

@@ -52,8 +52,8 @@ class TestBundleRoundTrip:
         assert verify_bundle(bundle_3_10).accepted
 
     def test_cubic_3_10_prime_coverage(self, bundle_3_10):
-        # resultant(T, T') = 2592 = 2^5 * 3^4
-        assert bundle_3_10.n_value in (2592, -2592)
+        # resultant(T, T') = 2592 = 2^5 * 3^4, which the verifier computes
+        assert resultants.disc_poly(list(bundle_3_10.T)) == 2592
         assert [(e.p, e.exponent) for e in bundle_3_10.primes] == [(2, 5), (3, 4)]
 
     def test_cubic_3_10_dedekind_where_possible(self, bundle_3_10):
@@ -71,7 +71,7 @@ class TestBundleRoundTrip:
         bundle = generate_bundle(*QUAD)
         assert verify_bundle(bundle).accepted
         # disc(T) = -3, so N = resultant(T, T') = 3 in absolute value
-        assert abs(bundle.n_value) == 3
+        assert abs(resultants.disc_poly(list(bundle.T))) == 3
         assert all(
             isinstance(e.cert, DedekindCertificate) for e in bundle.primes
         )
@@ -151,7 +151,7 @@ class TestBundleRejection:
             b = list_sub(ZZ, list(bundle_3_10.bezout_b), [0] * 10**4 + [c * t for t in T])
             if c == 7:
                 lhs = list_add(ZZ, list_mul(ZZ, a, T), list_mul(ZZ, b, tprime))
-                assert lhs == [bundle_3_10.n_value]
+                assert lhs == [resultants.disc_poly(T)]
             start = time.perf_counter()
             v = verify_bundle(dataclasses.replace(bundle_3_10, bezout_a=a, bezout_b=b))
             assert time.perf_counter() - start < 1.0
@@ -236,7 +236,7 @@ class TestHigherDegree:
 def _assert_prime_split(bundle, disc):
     """Every prime of N carries a maximality certificate exactly when its
     square divides disc(O), and disc(O) is the expected value."""
-    assert resultants.disc_order(bundle.order) == disc
+    assert resultants.disc_order(bundle.order, resultants.disc_poly(list(bundle.T))) == disc
     assert all(disc % (e.p * e.p) == 0 for e in bundle.primes)
     assert all(disc % (e.p * e.p) != 0 for e in bundle.free_primes)
     assert verify_bundle_with_disc(bundle) == (verify_bundle(bundle), disc)
@@ -319,6 +319,28 @@ def test_pure_cubic_closed_form(m, tmp_path):
         certio.write_file(basis, certio.InputOrderBasis(3, ((3, 0, 0), (0, 3, 0), (1, sign, 1))))
         assert _cli("gen", "bundle", poly, basis, "-o", bundle)[0] == 0
         disc = -3 * m**2
+    assert _cli("verify", bundle)[0] == 0
+    assert _cli("disc", bundle) == (0, f"{disc}\n", "")
+    _assert_prime_split(certio.parse_file(bundle), disc)
+
+
+@pytest.mark.parametrize("d", [-11, -7, -5, -3, -2, -1, 2, 3, 5, 6, 7, 13])
+def test_quadratic_closed_form(d, tmp_path):
+    # Q(sqrt d), d squarefree: the ring of integers is Z[theta], theta^2 = d,
+    # of discriminant 4d when d = 2, 3 (mod 4), and Z[(1 + theta)/2], of
+    # discriminant d, when d = 1 (mod 4), where Z[theta] has index 2
+    poly, basis, bundle = (str(tmp_path / name) for name in ("T.json", "B.json", "bundle.json"))
+    certio.write_file(poly, certio.InputPolynomial((-d, 0, 1)))
+    certio.write_file(basis, certio.InputOrderBasis(1, ((1, 0), (0, 1))))
+    code, _out, err = _cli("gen", "bundle", poly, basis, "-o", bundle)
+    if d % 4 == 1:
+        assert code == 1 and "not maximal at 2" in err, err
+        certio.write_file(basis, certio.InputOrderBasis(2, ((2, 0), (1, 1))))
+        assert _cli("gen", "bundle", poly, basis, "-o", bundle)[0] == 0
+        disc = d
+    else:
+        assert code == 0, err
+        disc = 4 * d
     assert _cli("verify", bundle)[0] == 0
     assert _cli("disc", bundle) == (0, f"{disc}\n", "")
     _assert_prime_split(certio.parse_file(bundle), disc)

@@ -82,6 +82,48 @@ def test_factorize_matches_sympy(n):
     assert factorize(n) == sorted(sympy.factorint(n).items())
 
 
+def _counted_probable_prime(monkeypatch):
+    """The values `is_probable_prime` is called on, in order, from now on."""
+    real, calls = primality.is_probable_prime, []
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(primality, "is_probable_prime", counted)
+    return calls
+
+
+def test_factorize_tests_no_value_twice(monkeypatch):
+    # strip_small_primes settles whether its cofactor is prime, so the rho
+    # stack does not Miller-Rabin test it again: a value is tested once,
+    # or once per time rho splits it off as a repeated prime factor
+    expected = {n: dict(factorize(n)) for n in _factorize_exits()}
+    calls = _counted_probable_prime(monkeypatch)
+    for n, factors in expected.items():
+        calls.clear()
+        factorize(n)
+        assert all(calls.count(v) <= factors.get(v, 1) for v in calls), n
+
+
+def test_power_basis_gen_tests_each_value_once(monkeypatch):
+    # X^20 - X - 1 on its power basis: 52 calls on 26 values while each
+    # cofactor was tested again by its caller, and generate_pratt tested
+    # each prime it was given
+    from ringcert.pipeline import generate_bundle
+
+    calls = _counted_probable_prime(monkeypatch)
+    n = 20
+    generate_bundle([-1, -1] + [0] * (n - 2) + [1], 1,
+                    [[int(i == j) for i in range(n)] for j in range(n)])
+    assert len(calls) == len(set(calls)) == 10
+
+
+def test_prime_factors_trial():
+    for n in range(1, 3000):
+        assert primality.prime_factors_trial(n) == [q for q, _e in factorize(n)], n
+
+
 @pytest.mark.parametrize("middle, spans", [
     ((), 0),                   # 2 * 3 * P: P is tested prime before the sweep
     ((7,), 1),                 # the first span divides, then P is tested prime
@@ -156,6 +198,39 @@ def test_pratt_huge_exponent_rejected_quickly():
     v = verify_pratt(cert)
     assert time.perf_counter() - start < 1.0
     assert v.reason == "pratt/factorization/P=17"
+
+
+def test_flat_chain_with_composite_factor_rejected():
+    # 31 - 1 = 2 * 15 and 3 has order 30 mod 31, so every condition but
+    # the primality of 15 holds; trial division finds 15 composite
+    cert = PrattCertificate(31, 3, ((2, 1, None), (15, 1, None)))
+    assert verify_pratt(cert).reason == "pratt/prime/composite/p=15"
+
+
+def test_chain_without_sub_above_the_bound_rejected():
+    P = 36 * 1000003 + 1  # prime, and 1000003 is prime too
+    assert is_probable_prime(P) and is_probable_prime(1000003)
+    cert = generate_pratt(P)
+    assert verify_pratt(cert).accepted
+    assert [q for q, _e, sub in cert.factors if sub is not None] == [1000003]
+    flat = PrattCertificate(P, cert.witness, tuple((q, e, None) for q, e, _sub in cert.factors))
+    assert verify_pratt(flat).reason == "pratt/prime/missing-certificate/p=1000003"
+
+
+def test_generated_chains_nest_only_above_the_bound():
+    def subs(cert):
+        for q, _e, sub in cert.factors:
+            assert (sub is not None) == (q >= primality.TRIAL_DIVISION_BOUND), (cert.P, q)
+            if sub is not None:
+                assert sub.P == q
+                subs(sub)
+
+    rng = random.Random(26)
+    for _ in range(6):
+        P = reference.next_prime(rng.randrange(10**20, 10**30))
+        cert = generate_pratt(P)
+        assert verify_pratt(cert).accepted
+        subs(cert)
 
 
 def test_generate_matches_sieve_exhaustively():
