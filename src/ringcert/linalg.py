@@ -46,12 +46,6 @@ def _bareiss(m: list[list[int]], r: list[list[int]]) -> tuple[int, list[list[int
     return sign * prev, a
 
 
-def det_bareiss(m: list[list[int]]) -> int:
-    """Determinant of a square integer matrix: `_bareiss`'s last pivot times
-    the sign of its row swaps, or 0 when the matrix is singular."""
-    return _bareiss(m, [()] * len(m))[0]
-
-
 def pattern_reduce_fp(
     m: list[list[int]], p: int, mirror: list[list[int]] | None = None
 ) -> tuple[list[list[int]], list[int]]:

@@ -31,7 +31,7 @@ from ringcert.irred_ff import (
     base_digits,
     choose_base,
 )
-from ringcert.linalg import det_bareiss, pattern_reduce_fp, transpose
+from ringcert.linalg import pattern_reduce_fp, transpose
 from ringcert.maximality import (
     KernelWitness,
     PMaxLongCertificate,
@@ -96,6 +96,27 @@ def naive_det(m) -> int:
         minor = [row[:j] + row[j + 1 :] for row in m[1:]]
         total += (-1) ** j * m[0][j] * naive_det(minor)
     return total
+
+
+def det_bareiss(m) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss 1968): every division is exact, so sizes stay polynomial where
+    `naive_det` is exponential."""
+    a = [list(row) for row in m]
+    n = len(a)
+    sign = prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * prev
 
 
 def rref_fp(m: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from ringcert.linalg import (
-    det_bareiss,
     inverse_unimodular,
     nullspace_fp,
     pattern_reduce_fp,
@@ -109,7 +108,6 @@ def test_fraction_free_solve_matches_fraction_reference(seed):
         m = [[rng.choice((0, rng.randrange(-9, 10))) for _ in range(n)] for _ in range(n)]
         r = [[rng.randrange(-50, 51) for _ in range(k)] for _ in range(n)]
         det = naive_det(m)
-        assert det_bareiss(m) == det, m
         if det == 0:
             with pytest.raises(ValueError, match="singular"):
                 solve_fraction_free(m, r)

@@ -40,7 +40,7 @@ from ringcert.orders import (
 from ringcert.primality import sieve_primes
 from ringcert.resultants import disc_poly
 import reference
-from reference import integral, lattice_index, solve_exact
+from reference import det_bareiss, integral, lattice_index, solve_exact
 
 CUBIC_3_10 = ([-10, -3, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]])
 CUBIC_30_80 = ([-80, -30, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [2, 0, 1]])
@@ -264,8 +264,6 @@ class TestFrobeniusKernel:
         assert len(vbar) == 1  # 2 ramifies in Z[i]
 
     def test_unimodular_stack(self):
-        from ringcert.linalg import det_bareiss
-
         for spec, p in [(CUBIC_3_10, 2), (CUBIC_30_80, 2), (DEDEKIND_CUBIC, 2)]:
             _, table = order_and_table(spec)
             t = minimal_frobenius_exponent(p, table.n)

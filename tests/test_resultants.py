@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ringcert import certio
-from ringcert.exactalg import ZZ, deg, drop_trailing_zeros, formal_derivative, list_mul
+from ringcert import certio, resultants
+from ringcert.exactalg import ZZ, deg, drop_trailing_zeros, formal_derivative, list_mul, poly_divmod
 from ringcert.orders import build_order_description
 from ringcert.resultants import (
     disc_order,
@@ -106,8 +108,8 @@ class TestDiscriminant:
         # X^2 + X + 1: b^2 - 4c = -3; this convention yields +3
         assert disc_poly([1, 1, 1]) == 3
 
-    def test_norm_route_matches_sylvester_determinant(self):
-        # det of multiplication by T'(theta) against the Sylvester oracle
+    def test_subresultant_route_matches_sylvester_determinant(self):
+        # the remainder sequence against the Sylvester oracle
         rng = random.Random(1030)
         polys = [[-1, -1] + [0] * (n - 2) + [1] for n in (12, 16, 20)] + [[1] * 19, [1] * 29]
         polys += [[rng.randrange(-50, 51) for _ in range(n)] + [1] for n in range(1, 31)]
@@ -134,6 +136,123 @@ class TestDiscriminant:
                         prod = (prod * (roots[i] - roots[j]) ** 2) % p
                 sign = pow(-1, n * (n - 1) // 2, p)
                 assert (sign * disc_poly_fp(p, f)) % p == prod
+
+
+def _sympy_resultant(T):
+    """resultant(T, T') from sympy's discriminant, which is
+    (-1)^(n(n-1)/2) * resultant(T, T') for monic T of degree n."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    n = deg(T)
+    disc = int(sympy.discriminant(sympy.Poly(T[::-1], x)))
+    return -disc if n * (n - 1) // 2 % 2 else disc
+
+
+def _check_oracles(T):
+    got = disc_poly(T)
+    assert got == resultant(ZZ, T, formal_derivative(ZZ, T)), T
+    assert got == _sympy_resultant(T), T
+    return got
+
+
+coefficients = st.integers(min_value=-50, max_value=50)
+
+
+def monic(lo, hi, coeffs=coefficients):
+    """Monic integer polynomials of degree lo..hi."""
+    return st.integers(min_value=lo, max_value=hi).flatmap(
+        lambda n: st.lists(coeffs, min_size=n, max_size=n).map(lambda c: c + [1]))
+
+
+@st.composite
+def sparse_trinomials(draw):
+    """X^n + a X^k + b: the degree gaps give abnormal remainder steps."""
+    n = draw(st.integers(min_value=2, max_value=24))
+    k = draw(st.integers(min_value=1, max_value=n - 1))
+    T = [0] * (n + 1)
+    T[0], T[k], T[n] = draw(coefficients), draw(coefficients), 1
+    return T
+
+
+@st.composite
+def derivative_with_content(draw):
+    """T' with content q > 1: q | n and q divides every lower coefficient."""
+    n = draw(st.integers(min_value=2, max_value=16))
+    q = draw(st.sampled_from([q for q in range(2, n + 1) if n % q == 0]))
+    return [q * c for c in draw(st.lists(coefficients, min_size=n, max_size=n))] + [1]
+
+
+@st.composite
+def repeated_factor(draw):
+    """F^2 * G with F of degree >= 1: T and T' share F, so N = 0."""
+    small = st.integers(min_value=-9, max_value=9)
+    f, g = draw(monic(1, 6, small)), draw(monic(0, 6, small))
+    return list_mul(ZZ, list_mul(ZZ, f, f), g)
+
+
+class TestDiscriminantOracles:
+    """disc_poly against the Sylvester determinant (`reference.resultant`),
+    sympy's discriminant, and closed forms."""
+
+    # the Sylvester oracle is a (2n - 1) x (2n - 1) determinant: degree
+    # <= 24 keeps each draw to a few milliseconds
+    @settings(max_examples=60, deadline=None)
+    @given(monic(1, 24))
+    def test_dense(self, T):
+        _check_oracles(T)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_trinomials())
+    def test_sparse(self, T):
+        _check_oracles(T)
+
+    @settings(max_examples=40, deadline=None)
+    @given(derivative_with_content())
+    @example([2, 0, 0, 0, 1])
+    @example([3, 0, 0, 3, 0, 0, 1])
+    def test_derivative_with_content(self, T):
+        _check_oracles(T)
+
+    @settings(max_examples=40, deadline=None)
+    @given(repeated_factor())
+    def test_repeated_factor(self, T):
+        assert _check_oracles(T) == 0
+
+    @staticmethod
+    def trinomial(n, a, b):
+        """resultant(X^n + aX + b, its derivative), n >= 2."""
+        return n**n * b ** (n - 1) + (-1) ** (n - 1) * (n - 1) ** (n - 1) * a**n
+
+    def test_trinomial_formula_at_small_degree(self):
+        assert self.trinomial(2, 1, 1) == 4 * 1 - 1**2 == 3 == disc_poly([1, 1, 1])
+        assert self.trinomial(3, -30, -80) == 64800 == disc_poly([-80, -30, 0, 1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=2, max_value=1000), st.integers(-10**6, 10**6),
+           st.integers(-10**6, 10**6))
+    @example(2, 1, 1)
+    @example(3, 1, 1)
+    @example(1000, -1, -1)
+    def test_trinomial_closed_form(self, n, a, b):
+        T = [b, a] + [0] * (n - 2) + [1]
+        assert disc_poly(T) == self.trinomial(n, a, b)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_cyclotomic(self, p):
+        # disc(Phi_p) = (-1)^((p-1)/2) p^(p-2), classically signed
+        n = p - 1
+        sign = -1 if n * (n - 1) // 2 % 2 else 1
+        assert sign * disc_poly([1] * p) == (-1) ** ((p - 1) // 2) * p ** (p - 2)
+
+    def test_inexact_division_is_an_internal_error(self, monkeypatch):
+        # a pseudo-remainder off by one: the division by g * h^delta = 9 in
+        # the second step of X^3 - 30X - 80 is no longer exact
+        def off_by_one(p, f, g):
+            q, r = poly_divmod(p, f, g)
+            return q, [r[0] + 1] + r[1:]
+        monkeypatch.setattr(resultants, "poly_divmod", off_by_one)
+        with pytest.raises(ArithmeticError, match="not exact"):
+            disc_poly([-80, -30, 0, 1])
 
 
 def disc_poly_fp(p, f):
