@@ -23,12 +23,13 @@ once, and the division goes through one fixed-divisor kernel
 quotient and remainder is then one Kronecker product.  Base-p steps divide
 by `poly_divmod`, since their quotients are about (p - 1)n long.
 
-When Rabin's test fails the generator finds a factor, and degree analysis
-over Z (`irred_int`) factors f mod p, in three stages (von zur Gathen &
-Gerhard, Modern Computer Algebra, 14.2-14.3 and 14.6): a squarefree split,
-one distinct-degree sweep per squarefree part (`distinct_degree_split`;
-`find_factor` stops at the first part), and Cantor-Zassenhaus splitting of
-each part into both halves of every split (`factor_poly`).  All p-th
+Both the factor a failed Rabin test writes and degree analysis over Z
+(`irred_int`) come from one factorization of f mod p, in three stages (von
+zur Gathen & Gerhard, Modern Computer Algebra, 14.2-14.3 and 14.6): a
+squarefree split, one distinct-degree sweep per squarefree part
+(`distinct_degree_split`), and Cantor-Zassenhaus splitting of each part
+into both halves of every split (`factor_poly`).  The witness names the
+first factor, the smallest by (degree, coefficients).  All p-th
 powers go through one Frobenius table of monic f (`_FrobeniusTable`), each
 application a sum of packed rows with no division.  The radical
 (`radical_fp`) is the product of the squarefree parts, and the largest of
@@ -363,8 +364,7 @@ def _equal_degree_split(
     """Yield the irreducible factors of a monic f, all of whose factors have
     degree d, by Cantor-Zassenhaus splitting (von zur Gathen & Gerhard,
     Algorithm 14.8); `frob` is the Frobenius table of a multiple of f.
-    Each split is followed into its gcd half first, then into the cofactor,
-    so the first factor costs the draws of a search for one factor.
+    The order of the factors depends on the draws; `factor_poly` sorts them.
     """
     while deg(f) > d:
         n = deg(f)
@@ -393,41 +393,6 @@ def _equal_degree_split(
             yield from _equal_degree_split(p, g, d, rng, frob)
             f = poly_divmod(p, f, g)[0]
     yield f
-
-
-def find_factor(p: int, f: list[int]) -> list[int] | None:
-    """A monic nontrivial factor of f, or None when f is irreducible.
-
-    Linear factors are searched by increasing root representative first so
-    small witnesses come out deterministically; beyond that, the first part
-    of the distinct-degree sweep, split by Cantor-Zassenhaus as far as its
-    first factor, with draws seeded from p and the monic f, so the factor
-    is a function of f.
-    """
-    f = monic(p, f)
-    n = deg(f)
-    if n <= 1:
-        return None
-    # exhaustive root scan only for small p; it makes small factors come out
-    # in a fixed order, and larger p is covered by the distinct-degree sweep
-    if p <= 1000:
-        for r in range(p):
-            rem = 0
-            for c in reversed(f):
-                rem = (rem * r + c) % p
-            if rem == 0:
-                return [(-r) % p, 1]
-    fp = formal_derivative(p, f)
-    if not fp:
-        return _frobenius_power(p, f)
-    d = poly_gcd(p, f, fp)
-    if 0 < deg(d) < n:
-        return d
-    frob = _FrobeniusTable(p, f)
-    degree, g = next(_distinct_degree(p, f, frob))
-    if degree == n:
-        return None
-    return next(_equal_degree_split(p, g, degree, random.Random(_stable_seed(p, *f)), frob))
 
 
 @dataclass(frozen=True)
@@ -491,9 +456,9 @@ def choose_base(p: int, n: int) -> int:
 
 
 def _factor_witness(p: int, f: list[int]) -> ReducibleWitness:
-    """The factorization witness for an f that failed Rabin's test."""
-    fac = find_factor(p, monic(p, f))
-    assert fac is not None, "Rabin's test failed but no factor was found"
+    """The factorization witness for an f that failed Rabin's test: its
+    smallest monic irreducible factor, by (degree, coefficients)."""
+    fac = factor_poly(p, distinct_degree_split(p, f))[1][0][0]
     q, r = poly_divmod(p, f, fac)
     assert not r
     return ReducibleWitness(p, tuple(f), tuple(fac), tuple(q))

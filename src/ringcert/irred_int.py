@@ -16,9 +16,8 @@ certifies only a smallest subset of them that reaches the same degree
 bound, from the splits the scan made.  When degree analysis leaves room
 for a factor, it ranks ZASSENHAUS_PRIMES big primes P by their
 distinct-degree splits, fully factors f modulo only the sparsest one, and
-looks for a factor there: by the rational root test on the linear factors
-mod P, if degree 1 is still possible, and by big-prime Zassenhaus
-(`_zassenhaus_factor`); finding none sends it to LPFW.
+looks for a factor there by big-prime Zassenhaus (`_zassenhaus_factor`),
+linear factors included; finding none sends it to LPFW.
 """
 
 from __future__ import annotations
@@ -414,34 +413,6 @@ def _symmetric(c: int, P: int) -> int:
     return c - P if 2 * c > P else c
 
 
-def _rational_root_factor(f: list[int], P: int, factors: list[list[int]]) -> list[int] | None:
-    """A primitive linear factor from the rational root test, or None.
-
-    A root u/v of f in lowest terms has v | a = lc(f) and |u| <= |f(0)|, so
-    a*u/v is below P/2 in size and is the symmetric lift of a*r for the
-    linear factor X - r of f mod P with r = u/v mod P.  Each candidate is a
-    root exactly when v^n * f(u/v) = sum_i f_i * u^i * v^(n-i) vanishes;
-    the root with the smallest |u|, then the smallest v, positive first, is
-    taken.
-    """
-    if f[0] == 0:
-        return [0, 1]
-    n, a = deg(f), lc(f)
-    roots = []
-    for g in factors:
-        if len(g) != 2:
-            continue
-        c = _symmetric(-a * g[0], P)
-        k = math.gcd(c, a) if a > 0 else -math.gcd(c, a)
-        u, v = c // k, a // k
-        if sum(fi * u**i * v ** (n - i) for i, fi in enumerate(f)) == 0:
-            roots.append((abs(u), v, u < 0))
-    if not roots:
-        return None
-    u, v, negative = min(roots)
-    return [u if negative else -u, v]
-
-
 def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
     """f / g when g divides f over the integers, else None."""
     qr = poly_divmod(ZZ, f, g)
@@ -459,12 +430,19 @@ def _zassenhaus_factor(
     Algorithm 15.2): P, with `factors` from `_big_prime_factors`, exceeds
     twice the Landau-Mignotte bound, so a factor scaled to leading
     coefficient lc(f) is the symmetric lift of lc(f) times a sub-multiset
-    product of the monic factors of f mod P.
+    product of the monic factors of f mod P.  Subsets are tried by size
+    from 1 upwards, and `factors` lists the linear ones first, so a
+    rational root gives a linear factor first.  A subset of more than
+    max(allowed) factors has a degree above every allowed one.  The filter
+    on the constant term skips the factor X, which is returned at once when
+    f(0) = 0.
     """
     if not allowed:
         return None
+    if f[0] == 0:
+        return [0, 1]
     a = lc(f)
-    for size in range(1, len(factors)):
+    for size in range(1, min(max(allowed) + 1, len(factors))):
         for subset in itertools.combinations(factors, size):
             if sum(len(g) - 1 for g in subset) not in allowed:
                 continue
@@ -486,9 +464,8 @@ def generate_int_irred(
 ) -> DegreeAnalysisCertificate | LPFWCertificate | ReducibleWitnessInt:
     """Certificate of irreducibility over the integers, or a factor witness.
 
-    Degree analysis over small primes is preferred.  Otherwise the rational
-    root test (when the analysis allows degree 1) and big-prime Zassenhaus
-    either find a factor or show there is none, and LPFW proves
+    Degree analysis over small primes is preferred.  Otherwise big-prime
+    Zassenhaus either finds a factor or shows there is none, and LPFW proves
     irreducibility.  Raises NoCertificateFound when LPFW runs out of its
     LPFW_POINTS evaluation points, which is a statement about the search,
     not about reducibility.
@@ -509,12 +486,6 @@ def generate_int_irred(
     allowed = {k for k in common if 1 <= k <= deg(f) // 2}
     if allowed:
         P, factors = _big_prime_factors(f)
-        if 1 in allowed:
-            root_factor = _rational_root_factor(f, P, factors)
-            if root_factor is not None:
-                cof = _exact_quotient(f, root_factor)
-                return ReducibleWitnessInt(tuple(f), tuple(root_factor), tuple(cof))
-            allowed.discard(1)
         factor = _zassenhaus_factor(f, allowed, P, factors)
         if factor is not None:
             return ReducibleWitnessInt(tuple(f), tuple(factor), tuple(_exact_quotient(f, factor)))

@@ -283,22 +283,22 @@ def divmod_by_field_calls(p: int, f: list, g: list) -> tuple[list, list]:
 
 
 def generate_rabin(
-    f: list[int], p: int, t: int | None = None, rng: random.Random | None = None
+    f: list[int], p: int, t: int | None = None
 ) -> RabinCertificate | ReducibleWitness:
     """Rabin certificate or factorization witness for f over GF(p), built
-    plainly: a factor search first, then the Frobenius chain by `poly_mod_pow`,
-    then each chain step of every h_i formed again and divided by f for its
-    quotient."""
+    plainly: the factorization first, whose smallest factor by (degree,
+    coefficients) is the witness when f is reducible, then the Frobenius
+    chain by `poly_mod_pow`, then each chain step of every h_i formed again
+    and divided by f for its quotient."""
     f = drop_trailing_zeros([c % p for c in f])
     n = deg(f)
-    if rng is None:
-        rng = random.Random(_stable_seed(p, n, *f))
     if t is None:
         t = choose_base(p, n)
 
     if n > 1:
-        fac = find_factor(p, monic(p, f), rng)
-        if fac is not None:
+        _unit, factors = factor_poly(p, f)
+        if factors != [(monic(p, f), 1)]:
+            fac = factors[0][0]
             q, r = poly_divmod(p, f, fac)
             assert not r
             return ReducibleWitness(p, tuple(f), tuple(fac), tuple(q))

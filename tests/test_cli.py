@@ -136,9 +136,10 @@ class TestGenAndVerify:
         assert code == 0
 
     def test_gen_irred_square_of_wide_constant_reducible_fast(self, fixture_files, capsys):
-        # X^2 - c^2 splits modulo every prime; its rational roots come from
-        # the linear factors modulo one big prime, not from the divisors of
-        # c^2, which trial division would take hours to list
+        # X^2 - c^2 splits modulo every prime; its linear factor comes from
+        # Zassenhaus over the linear factors modulo one big prime, not from
+        # the divisors of c^2, which trial division would take hours to list;
+        # X + c is the first of them, since c < P - c
         c = 10**15 + 37
         poly = fixture_files / "square.poly.json"
         certio.write_file(poly, certio.InputPolynomial((-c * c, 0, 1)))
@@ -156,7 +157,7 @@ class TestGenAndVerify:
         assert proc.returncode == 0 and "reducible" in proc.stdout
         assert float(proc.stderr) < 1.0
         wit = certio.parse_file(out)
-        assert list(wit.factor) == [-c, 1] and list(wit.cofactor) == [c, 1]
+        assert list(wit.factor) == [c, 1] and list(wit.cofactor) == [-c, 1]
         code, _, _ = run_cli(capsys, "verify", str(out))
         assert code == 0
 
@@ -411,7 +412,7 @@ class TestVerifyRejection:
 
 
 class TestDeterminism:
-    def test_json_verdict_thread_independent(self, fixture_files, capsys):
+    def test_json_verdict_repeatable(self, fixture_files, capsys):
         poly = str(fixture_files / "cubic_x3-3x-10.poly.json")
         basis = str(fixture_files / "cubic_x3-3x-10.basis.json")
         out = str(fixture_files / "det.bundle.json")

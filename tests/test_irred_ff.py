@@ -27,7 +27,6 @@ from ringcert.irred_ff import (
 )
 from reference import check_chain_steps as plain_check_chain_steps
 from reference import factor_poly as plain_factor_poly
-from reference import find_factor as plain_find_factor
 from reference import generate_rabin as plain_generate_rabin
 from reference import is_irreducible, residue_chain
 
@@ -90,7 +89,8 @@ class TestGenerateVerify:
     def test_x2_minus_1_mod_3_factor(self):
         out = generate_rabin([-1, 0, 1], 3)
         assert isinstance(out, ReducibleWitness)
-        assert list(out.factor) == [2, 1]  # X - 1
+        # X^2 - 1 = (X + 1)(X + 2): the smaller factor by coefficients
+        assert list(out.factor) == [1, 1]
         assert list_mul(3, list(out.factor), list(out.cofactor)) == [2, 0, 1]
 
     def test_mutated_h_end_rejected_at_check_iii(self):
@@ -156,19 +156,16 @@ class TestGeneratorAgainstReference:
         kinds = set()
         for f in inputs:
             got = generate_rabin(f, p, t)
-            # the factor comes from find_factor, which seeds its split from
-            # p and the monic f
-            seed = _stable_seed(p, *monic(p, drop_trailing_zeros([c % p for c in f])))
-            want = plain_generate_rabin(f, p, t, rng=random.Random(seed))
+            want = plain_generate_rabin(f, p, t)
             assert serialize(got) == serialize(want), f
             kinds.add(type(got))
         assert kinds == {RabinCertificate, ReducibleWitness}
 
     def test_one_division_per_chain_step(self, monkeypatch):
         # the chain gives h_n = X and the Bezout pairs the gcds, so an
-        # irreducible f needs no factor search
+        # irreducible f needs no factorization
         def no_search(*args):
-            raise AssertionError("factor search on an irreducible input")
+            raise AssertionError("factorization of an irreducible input")
 
         schoolbook = []
 
@@ -185,7 +182,8 @@ class TestGeneratorAgainstReference:
             kernel.append(len(a) - self.n <= self.M + 1)
             return kernel_divmod(self, a)
 
-        monkeypatch.setattr(irred_ff, "find_factor", no_search)
+        monkeypatch.setattr(irred_ff, "distinct_degree_split", no_search)
+        monkeypatch.setattr(irred_ff, "factor_poly", no_search)
         monkeypatch.setattr(irred_ff, "poly_divmod", counted)
         monkeypatch.setattr(exactalg.Modulus, "divmod", counted_kernel)
         f = _irreducible(503, 6, random.Random(6))
@@ -193,6 +191,39 @@ class TestGeneratorAgainstReference:
         assert isinstance(cert, RabinCertificate) and verify_rabin(cert).accepted
         assert kernel == [True] * sum(map(len, cert.g))
         assert schoolbook == []
+
+
+class TestReducibleWitnessFactor:
+    """A failed Rabin test writes the first factor of the plain factorizer
+    in tests/reference.py, the smallest monic irreducible factor by
+    (degree, coefficients), and the witness verifies."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 503, 2**31 - 1])
+    def test_first_factor_of_reference_factorization(self, p):
+        rng = random.Random(f"witness/{p}")
+
+        def poly(n):
+            return [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+
+        inputs = [poly(n) for n in range(2, 9) for _ in range(4)]
+        # repeated factors, and products of two factors of one degree
+        inputs += [list_mul(p, exactalg.list_pow(p, poly(d), 2), poly(3)) for d in (1, 2)]
+        inputs += [list_mul(p, _irreducible(p, d, rng), _irreducible(p, d, rng)) for d in (1, 2, 3)]
+        if p <= 5:
+            # zero derivative: f = g(X^p)
+            inputs.append([c for c in poly(2) for c in [c] + [0] * (p - 1)][:-(p - 1)])
+        reducible = 0
+        for f in inputs:
+            out = generate_rabin(f, p)
+            _unit, factors = plain_factor_poly(p, f)
+            if factors == [(monic(p, f), 1)]:
+                assert isinstance(out, RabinCertificate), f
+                continue
+            reducible += 1
+            assert isinstance(out, ReducibleWitness), f
+            assert list(out.factor) == factors[0][0], f
+            assert verify_reducible_witness(out).accepted, f
+        assert reducible >= 10
 
 
 class TestFactorAgainstReference:
@@ -259,7 +290,7 @@ def _same_degree_product(p, d, k, rng):
 
 class TestThreeStages:
     """The squarefree, distinct-degree and equal-degree stages against the
-    plain factorizer and factor search kept in tests/reference.py, on
+    plain factorizer kept in tests/reference.py, on
     inputs whose distinct-degree parts hold several factors of one degree,
     so that the equal-degree stage recurses into both halves of its splits."""
 
@@ -288,17 +319,6 @@ class TestThreeStages:
             split = irred_ff.distinct_degree_split(p, f)
             assert factor_poly(p, split) == plain_factor_poly(p, f), f
             assert _parts_product(p, split) == f, f
-
-    @pytest.mark.parametrize("p", PRIMES)
-    def test_find_factor_matches_reference(self, p):
-        several = 0
-        for f in self._inputs(p):
-            f = monic(p, f)
-            want = plain_find_factor(p, f, random.Random(_stable_seed(p, *f)))
-            assert irred_ff.find_factor(p, f) == want, f
-            _m, d, g = irred_ff.distinct_degree_split(p, f).parts[0]
-            several += deg(g) > d
-        assert several >= 3
 
     def test_table_power_makes_no_division(self, monkeypatch):
         p = 2**61 - 1

@@ -454,10 +454,39 @@ class TestOneSplitPerPrime:
 
 
 class TestRationalRoots:
+    """Zassenhaus tries the linear factors mod its big prime first, so the
+    witness is linear exactly when the divisor-listing rational root test
+    kept in tests/reference.py finds a root."""
+
+    @staticmethod
+    def _check(f):
+        out = generate_int_irred(f)
+        root = plain_rational_root_factor(f)
+        if root is None:
+            assert not (isinstance(out, ReducibleWitnessInt) and deg(list(out.factor)) == 1), f
+        else:
+            assert isinstance(out, ReducibleWitnessInt), f
+            assert deg(list(out.factor)) == 1, f
+        if isinstance(out, ReducibleWitnessInt):
+            assert verify_reducible_witness_int(out).accepted, f
+        return out
+
+    @pytest.mark.parametrize("f", [
+        [1, -5, 6],         # (2X - 1)(3X - 1), no integer root
+        [0, -1, 0, 1],      # X^3 - X
+        [0, 1, 0, 1],       # X(X^2 + 1)
+        [0, 0, 3, 2],       # X^2 (2X + 3)
+        [-1, 0, 1],         # X^2 - 1
+        [3, 5, 6, 3, 1],    # (X^2 + X + 1)(X^2 + 2X + 3), no root
+    ], ids=["6X^2-5X+1", "X^3-X", "X^3+X", "2X^3+3X^2", "X^2-1", "two-quadratics"])
+    def test_examples(self, f):
+        out = self._check(f)
+        if f[0] == 0:
+            assert list(out.factor) == [0, 1]
+
     @pytest.mark.parametrize("seed", range(4))
     def test_same_root_as_divisor_listing(self, seed):
-        """The root from the linear factors mod a big prime against the old
-        divisor-listing loop kept in tests/reference.py."""
+        """Seeded products of linear factors and a small cofactor."""
         rng = random.Random(f"roots/{seed}")
         for _ in range(30):
             f = [rng.randrange(-6, 7) for _ in range(rng.randrange(0, 3))] + [rng.randrange(1, 5)]
@@ -465,13 +494,11 @@ class TestRationalRoots:
                 v = rng.randrange(1, 7)
                 f = list_mul(ZZ, f, [rng.randrange(-12, 13), v])
             f = drop_trailing_zeros(f)
-            if deg(f) < 1 or content(f) != 1:
+            if deg(f) < 2 or content(f) != 1:
                 continue
             if rng.randrange(3) == 0:
                 f = [-c for c in f]
-            P, factors = irred_int._big_prime_factors(f)
-            got = irred_int._rational_root_factor(f, P, factors)
-            assert got == plain_rational_root_factor(f), f
+            self._check(f)
 
 
 def test_each_sieve_bound_sieved_once(monkeypatch):
