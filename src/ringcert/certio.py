@@ -10,12 +10,16 @@ floats anywhere), rationals are "num/den" in lowest terms with positive
 denominator, polynomials are ascending coefficient arrays, matrices
 row-major.
 
-The payload layout comes from the certificate dataclasses themselves: one
-codec reads each type's fields and type hints once, at import, and builds
-an (encode, decode) pair per type.  A dataclass is an object with one key
-per field, ``tuple[X, ...]`` an array, ``tuple[A, B]`` an array of exactly
-that length, ``Literal[...]`` one of its strings, ``X | None`` null or X,
-and a union of registered dataclasses ``{"kind": ..., "payload": ...}``.
+The payload layout comes from the certificate records themselves, each a
+`typing.NamedTuple`: one codec reads each type's fields and type hints
+once, at import, and builds an (encode, decode) pair per type.  A record is
+an object with one key per field, ``tuple[X, ...]`` an array, ``tuple[A,
+B]`` an array of exactly that length, ``Literal[...]`` one of its strings,
+``X | None`` null or X, and a union of registered records ``{"kind": ...,
+"payload": ...}``.  The modules that define records evaluate their
+annotations (no ``from __future__ import annotations``), since a string
+annotation costs each record field a compiled forward reference at import;
+only the Pratt chain's self-reference is a string.
 Parsing validates formats, and the shapes the type hints fix, before any
 verification runs; shapes that depend on another field, such as the
 order's products against the degree of T, are the verifier's to check.
@@ -25,15 +29,11 @@ written before it was added parse.  It turns every malformed input into
 `CertFormatError` and round-trips byte-exactly on canonical files.
 """
 
-from __future__ import annotations
-
-import dataclasses
 import hashlib
 import json
 import re
 import types
 import typing
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -62,21 +62,13 @@ class CertFormatError(Exception):
 # input files share the same envelope grammar
 
 
-@dataclass(frozen=True)
-class InputPolynomial:
+class InputPolynomial(typing.NamedTuple):
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
-
-@dataclass(frozen=True)
-class InputOrderBasis:
+class InputOrderBasis(typing.NamedTuple):
     denominator: int
     columns: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(tuple(c) for c in self.columns))
 
 
 _REGISTRY: dict[str, type] = {
@@ -189,8 +181,8 @@ _CODECS: dict = {int: (_enc_int, _dec_int), Fraction: (_enc_frac, _dec_frac)}
 def _codec(tp):
     """The cached (encode, decode) pair of a type hint."""
     if tp not in _CODECS:
-        if dataclasses.is_dataclass(tp):
-            _dataclass_codec(tp)
+        if hasattr(tp, "_fields"):
+            _record_codec(tp)
         else:
             _CODECS[tp] = _build(tp)
     return _CODECS[tp]
@@ -215,16 +207,15 @@ def _build(tp):
     raise TypeError(f"no wire format for {tp!r}")
 
 
-def _dataclass_codec(cls) -> None:
+def _record_codec(cls) -> None:
     """An object with one key per field; a missing key takes its field's
     default, if it has one.  Registered before its fields are compiled, so
     that recursive types (Pratt chains) refer to themselves."""
     items = []  # (field name, encode, decode)
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)
-                if f.default is not dataclasses.MISSING}
+    defaults = cls._field_defaults
 
     def encode(obj):
-        return {name: enc(getattr(obj, name)) for name, enc, _dec in items}
+        return {name: enc(x) for (name, enc, _dec), x in zip(items, obj)}
 
     def decode(v):
         if type(v) is not dict:
@@ -239,8 +230,8 @@ def _dataclass_codec(cls) -> None:
 
     _CODECS[cls] = (encode, decode)
     hints = typing.get_type_hints(cls)
-    for f in dataclasses.fields(cls):
-        items.append((f.name, *_codec(hints[f.name])))
+    for name in cls._fields:
+        items.append((name, *_codec(hints[name])))
 
 
 def _array_codec(enc, dec):
@@ -311,7 +302,7 @@ def _union_codec(members):
 MAX_PRATT_DEPTH = 64  # a chain whose factors carry no sub-certificate has depth 1
 
 _before_pratt = set(_CODECS)
-_dataclass_codec(primality.PrattCertificate)
+_record_codec(primality.PrattCertificate)
 _enc_pratt, _dec_pratt_unchecked = _CODECS[primality.PrattCertificate]
 for _tp in set(_CODECS) - _before_pratt:
     del _CODECS[_tp]

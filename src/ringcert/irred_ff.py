@@ -36,10 +36,8 @@ application a sum of packed rows with no division.  The radical
 their multiplicities is the smallest power of the radical that f divides.
 """
 
-from __future__ import annotations
-
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import primality
 from .exactalg import (
@@ -79,8 +77,7 @@ def base_digits(n: int, t: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class RabinCertificate:
+class RabinCertificate(NamedTuple):
     p: int
     n: int
     t: int          # exponent base, 2 or p; p has s+1 base-t digits
@@ -92,8 +89,7 @@ class RabinCertificate:
     b: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class ReducibleWitness:
+class ReducibleWitness(NamedTuple):
     """A nontrivial factorization f = factor * cofactor, checkable by one product."""
 
     p: int
@@ -395,8 +391,7 @@ def _equal_degree_split(
     yield f
 
 
-@dataclass(frozen=True)
-class DistinctDegreeSplit:
+class DistinctDegreeSplit(NamedTuple):
     """f = unit * prod g^m over the parts (m, d, g): g is the product of the
     monic irreducible factors of degree d that divide f exactly m times.
     `frob` is the Frobenius table of monic f."""

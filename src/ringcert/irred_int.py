@@ -20,13 +20,11 @@ looks for a factor there by big-prime Zassenhaus (`_zassenhaus_factor`),
 linear factors included; finding none sends it to LPFW.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import irred_ff, primality
 from .exactalg import (
@@ -80,8 +78,7 @@ def cauchy_bound_scaled(f: list[int], r: Fraction) -> Fraction:
     return r * (1 + best)
 
 
-@dataclass(frozen=True)
-class FactorizationModP:
+class FactorizationModP(NamedTuple):
     """Certified factorization of f modulo one prime.
 
     f mod p  ==  unit * prod factor_i ^ multiplicity_i, every factor monic
@@ -94,8 +91,7 @@ class FactorizationModP:
     certs: tuple[irred_ff.RabinCertificate, ...]
 
 
-@dataclass(frozen=True)
-class DegreeAnalysisCertificate:
+class DegreeAnalysisCertificate(NamedTuple):
     f: tuple[int, ...]
     per_prime: tuple[FactorizationModP, ...]
 
@@ -103,8 +99,7 @@ class DegreeAnalysisCertificate:
 LPFW_SCALE_BITS = 64  # largest bit length of r's numerator and denominator
 
 
-@dataclass(frozen=True)
-class LPFWCertificate:
+class LPFWCertificate(NamedTuple):
     f: tuple[int, ...]
     analysis: DegreeAnalysisCertificate | None  # None means the trivial bound d = 1
     r: Fraction  # scale of the root bound rho = cauchy_bound_scaled(f, r)
@@ -113,8 +108,7 @@ class LPFWCertificate:
     pratt: PrattCertificate | None  # required for P >= 10^6
 
 
-@dataclass(frozen=True)
-class ReducibleWitnessInt:
+class ReducibleWitnessInt(NamedTuple):
     """f = factor * cofactor over the integers, both nonunits."""
 
     f: tuple[int, ...]

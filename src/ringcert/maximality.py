@@ -21,13 +21,10 @@ every linear-independence claim.  No kernels or determinants are ever
 computed by the verifier.
 """
 
-from __future__ import annotations
-
 import itertools
 import operator
 import random
-from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Literal, NamedTuple
 
 from .exactalg import (
     ZZ,
@@ -58,8 +55,7 @@ from .verdict import Verdict
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DedekindCertificate:
+class DedekindCertificate(NamedTuple):
     g: tuple[int, ...]  # lift of the radical of T mod p
     h: tuple[int, ...]  # lift of (T mod p) / (g mod p)
     f: tuple[int, ...]  # (g*h - T) / p over Z
@@ -189,8 +185,7 @@ def generate_dedekind(T: list[int], p: int) -> DedekindCertificate | None:
 Pivot = tuple[Literal["A", "B"], int]  # ("A", k) points into the V block, ("B", k) into pW
 
 
-@dataclass(frozen=True)
-class PMaxShortCertificate:
+class PMaxShortCertificate(NamedTuple):
     V: tuple[tuple[int, ...], ...]      # m x r over Z
     W: tuple[tuple[int, ...], ...]      # n x r over Z
     U: tuple[tuple[int, ...], ...]      # n x r over GF(p)
@@ -204,8 +199,7 @@ class PMaxShortCertificate:
     eta: tuple[Pivot, ...]              # r pivot positions
 
 
-@dataclass(frozen=True)
-class PMaxLongCertificate:
+class PMaxLongCertificate(NamedTuple):
     V: tuple[tuple[int, ...], ...]
     W: tuple[tuple[int, ...], ...]
     U: tuple[tuple[int, ...], ...]
@@ -219,8 +213,7 @@ class PMaxLongCertificate:
     eta: tuple[tuple[Pivot, Pivot], ...]        # r (input, output) pairs
 
 
-@dataclass(frozen=True)
-class KernelWitness:
+class KernelWitness(NamedTuple):
     """Evidence of non-maximality: a nonzero element of ker(phi) at p."""
 
     p: int

@@ -17,10 +17,8 @@ description yields a times table, and all further arithmetic in O happens
 on coordinate vectors against that table.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .exactalg import (
     ZZ,
@@ -36,14 +34,12 @@ from .linalg import solve_upper_triangular
 from .verdict import Verdict
 
 
-@dataclass(frozen=True)
-class ProductEntry:
+class ProductEntry(NamedTuple):
     coords: tuple[int, ...]   # coordinates of the product in the basis
     witness: tuple[int, ...]  # the polynomial s of its identity
 
 
-@dataclass(frozen=True)
-class OrderDescription:
+class OrderDescription(NamedTuple):
     T: tuple[int, ...]                      # monic, degree n
     d: int                                  # common denominator, nonzero
     basis_columns: tuple[tuple[int, ...], ...]  # column j = coeffs of b_j, len n
@@ -57,8 +53,7 @@ class OrderDescription:
         return len(self.T) - 1
 
 
-@dataclass(frozen=True)
-class TimesTable:
+class TimesTable(NamedTuple):
     n: int
     table: tuple[tuple[tuple[int, ...], ...], ...]  # table[i][j] = coords of w_i*w_j
 

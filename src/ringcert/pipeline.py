@@ -13,9 +13,7 @@ disc(O) divides [O_K : O]; so acceptance of the bundle means the order is
 the whole ring of integers.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import irred_int, maximality, primality, resultants
 from .exactalg import (
@@ -53,16 +51,14 @@ from .verdict import Verdict
 MaximalityCert = DedekindCertificate | PMaxShortCertificate | PMaxLongCertificate
 
 
-@dataclass(frozen=True)
-class PrimeEntry:
+class PrimeEntry(NamedTuple):
     p: int
     exponent: int
     pratt: primality.PrattCertificate | None  # required for large p
     cert: MaximalityCert
 
 
-@dataclass(frozen=True)
-class FactorEntry:
+class FactorEntry(NamedTuple):
     """A prime factor of N whose square does not divide disc(O): it does
     not divide [O_K : O], so it needs no maximality certificate."""
 
@@ -71,8 +67,7 @@ class FactorEntry:
     pratt: primality.PrattCertificate | None  # required for large p
 
 
-@dataclass(frozen=True)
-class CertificateBundle:
+class CertificateBundle(NamedTuple):
     T: tuple[int, ...]
     irreducibility: DegreeAnalysisCertificate | LPFWCertificate
     order: OrderDescription

@@ -15,12 +15,10 @@ number that is a few small primes times a large prime costs no sweep, and
 it says whether the cofactor is known prime, so no caller tests it again.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .verdict import Verdict
 
@@ -243,8 +241,7 @@ def prime_power_product(factors, target: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrattCertificate:
+class PrattCertificate(NamedTuple):
     """Recursive primality certificate.
 
     ``factors`` lists (q, e, sub) over the prime factorization of P - 1.
@@ -256,7 +253,7 @@ class PrattCertificate:
 
     P: int
     witness: int
-    factors: tuple[tuple[int, int, PrattCertificate | None], ...]
+    factors: "tuple[tuple[int, int, PrattCertificate | None], ...]"
 
 
 def verify_pratt(cert: PrattCertificate) -> Verdict:

@@ -5,13 +5,10 @@ Paths are stable strings meant for tooling; verifiers always report the
 first failure in a fixed deterministic order.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     accepted: bool
     reason: str = ""
 

@@ -1,12 +1,14 @@
 """Slow, plainly correct computations that tests compare the program with."""
 
 import functools
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
-from ringcert import linalg, primality
+from ringcert import certio, linalg, primality
 from ringcert.exactalg import (
     ZZ,
     deg,
@@ -687,3 +689,38 @@ def generate_pmax(tt: TimesTable, p: int, budget: int):
         a=tuple(a_arr), c=tuple(c_arr), d=tuple(d_arr), e=tuple(e_arr),
         eta=eta_pairs,
     )
+
+
+def _canonical(doc) -> bytes:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+def reseal(kind: str, payload) -> bytes:
+    """The canonical file of a hand-edited payload: the envelope written
+    from the format's rules alone, with its integrity digest recomputed, so
+    that parsing gets past the digest to the payload's own checks."""
+    inner = {"kind": kind, "payload": payload, "schema_version": certio.SCHEMA_VERSION}
+    digest = hashlib.sha256(_canonical(inner)).hexdigest()
+    return _canonical({**inner, "integrity": f"sha256:{digest}"}) + b"\n"
+
+
+def class_mismatch(a, b, path: str = "") -> str | None:
+    """The first place where a and b differ in class or value, or None.
+
+    A record is a tuple, and tuple equality ignores the class, so two
+    records of different classes with equal fields compare equal; this walk
+    compares the class at every node.
+    """
+    if type(a) is not type(b):
+        return f"{path or '.'}: {type(a).__name__} != {type(b).__name__}"
+    if not isinstance(a, (tuple, list)):
+        return None if a == b else f"{path or '.'}: {a!r} != {b!r}"
+    if len(a) != len(b):
+        return f"{path or '.'}: {len(a)} != {len(b)} entries"
+    labels = [f".{name}" for name in a._fields] if hasattr(a, "_fields") else [
+        f"[{i}]" for i in range(len(a))]
+    for label, x, y in zip(labels, a, b):
+        found = class_mismatch(x, y, path + label)
+        if found:
+            return found
+    return None

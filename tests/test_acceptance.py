@@ -5,7 +5,6 @@ complete.  Every tolerance is exact (integer or rational equality); the
 only numeric limits are the per-criterion wall-clock budgets.
 """
 
-import dataclasses
 import itertools
 import json
 import random
@@ -30,7 +29,7 @@ from ringcert.maximality import generate_dedekind, generate_pmax, verify_dedekin
 from ringcert.orders import build_order_description, times_table_of, tt_mul
 from ringcert.pipeline import BundleError, generate_bundle, verify_bundle
 from ringcert.primality import generate_pratt, verify_pratt
-from reference import resultant
+from reference import reseal, resultant
 
 
 @contextmanager
@@ -64,7 +63,7 @@ def test_criterion_2_discriminant_anchor():
             [-80, -30, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [2, 0, 1]]
         )
         assert verify_bundle(bundle).accepted
-        assert verify_bundle(dataclasses.replace(bundle, claimed_disc=-16200)).accepted
+        assert verify_bundle(bundle._replace(claimed_disc=-16200)).accepted
 
 
 def test_criterion_3_non_monogenic_cubic():
@@ -208,19 +207,6 @@ def _mutate_at(payload, path, delta=1):
     node[path[-1]] = str(int(node[path[-1]]) + delta)
 
 
-def _reseal(env):
-    import hashlib
-
-    inner = {
-        "kind": env["kind"],
-        "payload": env["payload"],
-        "schema_version": env["schema_version"],
-    }
-    blob = json.dumps(inner, sort_keys=True, separators=(",", ":")).encode()
-    env["integrity"] = "sha256:" + hashlib.sha256(blob).hexdigest()
-    return json.dumps(env, sort_keys=True, separators=(",", ":")).encode()
-
-
 def _mutation_sweep(obj, verify, rounds, rng) -> tuple[int, int]:
     """Mutate one integer leaf at a time; count (rejected, accepted)."""
     base = json.loads(certio.serialize(obj))
@@ -231,7 +217,7 @@ def _mutation_sweep(obj, verify, rounds, rng) -> tuple[int, int]:
         env = json.loads(certio.serialize(obj))
         path = paths[rng.randrange(len(paths))]
         _mutate_at(env["payload"], path)
-        data = _reseal(env)
+        data = reseal(env["kind"], env["payload"])
         try:
             mutant = certio.parse(data)
         except certio.CertFormatError as e:
@@ -305,7 +291,7 @@ def test_criterion_8_degree5_bundles():
                 list(fx["T"]), fx["d"], [list(c) for c in fx["columns"]]
             )
             assert verify_bundle(bundle).accepted, name
-            claimed = dataclasses.replace(bundle, claimed_disc=fx["disc"])
+            claimed = bundle._replace(claimed_disc=fx["disc"])
             assert verify_bundle(claimed).accepted, name
             dt = time.perf_counter() - t0
             assert dt < 120.0, f"{name} took {dt:.1f}s"
@@ -337,7 +323,7 @@ def test_criterion_9_verdict_determinism(tmp_path):
             int(env["payload"]["theta_coords"][0]) + 1
         )
         bad = tmp_path / "forged.bundle.json"
-        bad.write_bytes(_reseal(env))
+        bad.write_bytes(reseal(env["kind"], env["payload"]))
         files.append(bad)
 
         import io

@@ -1,7 +1,9 @@
-import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,11 +11,19 @@ import pytest
 
 from ringcert import certio, maximality
 from ringcert.cli import main
-from ringcert.irred_int import generate_int_irred
-from ringcert.maximality import generate_pmax
+from ringcert.irred_int import DegreeAnalysisCertificate, generate_int_irred
+from ringcert.maximality import (
+    DedekindCertificate,
+    PMaxShortCertificate,
+    generate_pmax,
+)
 from ringcert.orders import build_order_description, times_table_of
 from ringcert.pipeline import generate_bundle
-from ringcert.primality import generate_pratt
+from ringcert.primality import PrattCertificate, generate_pratt
+from ringcert.verdict import Verdict
+from reference import class_mismatch, reseal
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +56,7 @@ class TestRoundTrip:
             data = certio.serialize(obj)
             back = certio.parse(data)
             assert back == obj, kind
+            assert class_mismatch(back, obj) is None, kind
             assert certio.serialize(back) == data, kind
 
     def test_deterministic_bytes(self, sample_objects):
@@ -70,11 +81,7 @@ class TestRoundTrip:
             if data is not None:
                 assert got == data
             env = json.loads(got)
-            inner = {"kind": env["kind"], "payload": env["payload"], "schema_version": "1"}
-            blob = json.dumps(inner, sort_keys=True, separators=(",", ":")).encode("ascii")
-            env = dict(inner, integrity="sha256:" + hashlib.sha256(blob).hexdigest())
-            want = json.dumps(env, sort_keys=True, separators=(",", ":")).encode("ascii")
-            assert got == want + b"\n"
+            assert got == reseal(env["kind"], env["payload"])
 
     def test_kind_tagging(self, sample_objects):
         for kind, obj in sample_objects.items():
@@ -84,12 +91,64 @@ class TestRoundTrip:
             assert env["integrity"].startswith("sha256:")
 
 
+class TestRecords:
+    """Every record is a `typing.NamedTuple`: a tuple, so `==` compares the
+    fields and not the class, which these tests check on their own."""
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(certio.__file__).parents[1]))
+        code = "import sys, ringcert.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "[]\n"
+
+    def test_records_are_named_tuples(self):
+        for cls in [*certio._REGISTRY.values(), Verdict]:
+            assert issubclass(cls, tuple) and hasattr(cls, "_fields"), cls.__name__
+
+    def test_nested_records_keep_their_classes(self):
+        bundle = certio.parse_file(GOLDEN / "bundle.json")
+        assert type(bundle.irreducibility) is DegreeAnalysisCertificate
+        assert [type(entry.cert) for entry in bundle.primes] == [
+            PMaxShortCertificate, DedekindCertificate]
+        assert [type(entry.pratt) for entry in bundle.free_primes] == [PrattCertificate]
+        # 2000303 - 1 = 2 * 1000151, and 1000151 is past trial division
+        pratt = generate_pratt(2000303)
+        assert [type(sub) for _q, _e, sub in pratt.factors] == [type(None), PrattCertificate]
+        for obj in (bundle, pratt):
+            back = certio.parse(certio.serialize(obj))
+            assert back == obj
+            assert class_mismatch(back, obj) is None
+
+    def test_fields_are_read_only(self, sample_objects):
+        for kind, obj in sample_objects.items():
+            with pytest.raises(AttributeError):
+                setattr(obj, obj._fields[0], None)
+        with pytest.raises(AttributeError):
+            Verdict.accept().accepted = False
+
+    def test_inputs_from_lists_write_the_same_bytes(self):
+        # as perfbench/run.py builds them, from a manifest's JSON lists
+        for fx in certio.FIXTURES.values():
+            T = list(fx["T"])
+            assert certio.serialize(certio.InputPolynomial(T)) == certio.serialize(
+                certio.InputPolynomial(tuple(T)))
+            if fx["columns"] is None:
+                continue
+            columns = [list(c) for c in fx["columns"]]
+            want = certio.serialize(
+                certio.InputOrderBasis(fx["d"], tuple(tuple(c) for c in columns)))
+            assert certio.serialize(certio.InputOrderBasis(fx["d"], columns)) == want
+            assert certio.serialize(
+                certio.InputOrderBasis(fx["d"], [tuple(c) for c in columns])) == want
+
+
 class TestMalformedInputs:
     def test_scientific_notation_rejected(self, sample_objects):
         data = certio.serialize(sample_objects["input/polynomial"])
         env = json.loads(data)
         env["payload"]["coeffs"][0] = "1e5"
-        bad = _reseal(env)
+        bad = reseal(env["kind"], env["payload"])
         with pytest.raises(certio.CertFormatError, match="decimal"):
             certio.parse(bad)
 
@@ -97,7 +156,7 @@ class TestMalformedInputs:
         env = json.loads(certio.serialize(sample_objects["input/polynomial"]))
         env["payload"]["coeffs"][0] = "007"
         with pytest.raises(certio.CertFormatError):
-            certio.parse(_reseal(env))
+            certio.parse(reseal(env["kind"], env["payload"]))
 
     def test_int_arrays_decode_as_entry_by_entry(self):
         # the one-regex path for a whole array against `_INT_RE` per entry:
@@ -156,7 +215,7 @@ class TestMalformedInputs:
                                (short_column, "bundle/order/B-shape")):
             env = json.loads(certio.serialize(sample_objects["bundle"]))
             tamper(env["payload"]["order"])
-            data = _reseal(env)
+            data = reseal(env["kind"], env["payload"])
             certio.parse(data)
             path = tmp_path / f"{tamper.__name__}.bundle.json"
             path.write_bytes(data)
@@ -168,7 +227,7 @@ class TestMalformedInputs:
         env = json.loads(certio.serialize(sample_objects["lpfw"]))
         env["payload"]["r"] = "2/4"
         with pytest.raises(certio.CertFormatError, match="lowest terms"):
-            certio.parse(_reseal(env))
+            certio.parse(reseal(env["kind"], env["payload"]))
 
     def test_json_number_over_digit_limit_rejected(self):
         data = b'{"kind":"pratt","payload":' + b"7" * 5000 + b',"schema_version":"1"}'
@@ -194,7 +253,7 @@ class TestMalformedInputs:
         env = json.loads(certio.serialize(sample_objects["pratt"]))
         env["payload"]["P"] = "257\n"
         with pytest.raises(certio.CertFormatError, match="decimal"):
-            certio.parse(_reseal(env))
+            certio.parse(reseal(env["kind"], env["payload"]))
 
     def test_deep_pratt_chain_parses_or_is_malformed(self):
         # a chain nested past the recursion limit is malformed, never a crash
@@ -213,18 +272,6 @@ class TestMalformedInputs:
                 assert cert.P == 7
 
 
-def _reseal(env):
-    """Recompute the digest so parsing exercises validation, not integrity."""
-    inner = {
-        "kind": env["kind"],
-        "payload": env["payload"],
-        "schema_version": env["schema_version"],
-    }
-    blob = json.dumps(inner, sort_keys=True, separators=(",", ":")).encode()
-    env["integrity"] = "sha256:" + hashlib.sha256(blob).hexdigest()
-    return json.dumps(env, sort_keys=True, separators=(",", ":")).encode()
-
-
 class TestUnknownKeys:
     """Payload keys that name no field are ignored, which keeps files that
     still carry a field dropped from the format verifying."""
@@ -236,7 +283,7 @@ class TestUnknownKeys:
             env["payload"]["no_such_field"] = "1"
             if kind == "bundle":
                 env["payload"]["order"]["no_such_field"] = []
-            back = certio.parse(_reseal(env))
+            back = certio.parse(reseal(env["kind"], env["payload"]))
             assert back == obj, kind
             assert certio.serialize(back) == data, kind
 
@@ -250,17 +297,14 @@ class TestMissingKeys:
         assert golden.free_primes and golden.claimed_disc is not None
         env = json.loads(certio.serialize(golden))
         del env["payload"]["free_primes"], env["payload"]["claimed_disc"]
-        back = certio.parse(_reseal(env))
-        assert back == dataclasses.replace(golden, free_primes=(), claimed_disc=None)
+        back = certio.parse(reseal(env["kind"], env["payload"]))
+        assert back == golden._replace(free_primes=(), claimed_disc=None)
 
     def test_missing_key_without_default_is_malformed(self, sample_objects):
         env = json.loads(certio.serialize(sample_objects["bundle"]))
         del env["payload"]["primes"]
         with pytest.raises(certio.CertFormatError, match="missing field 'primes'"):
-            certio.parse(_reseal(env))
-
-
-GOLDEN = Path(__file__).parent / "golden"
+            certio.parse(reseal(env["kind"], env["payload"]))
 
 
 def _maximality_entry(kind):
@@ -325,7 +369,7 @@ def test_wrong_dropped_field_gets_the_verdict_of_the_rest(case, tmp_path, capsys
     fields = holder(env["payload"])
     fields[key] = wrong(fields[key])
     forged = tmp_path / path.name
-    forged.write_bytes(_reseal(env))
+    forged.write_bytes(reseal(env["kind"], env["payload"]))
     assert forged.read_bytes() != path.read_bytes()
     if case not in NOT_READ:
         assert certio.parse_file(forged) == certio.parse_file(path)
@@ -343,7 +387,7 @@ def test_format_doc_lists_every_payload_field():
         section = re.search(rf"^### {re.escape(kind)}\n(.*)$", doc, re.MULTILINE)
         assert section and section.group(1).startswith("Fields: "), kind
         listed = re.findall(r"`([^`]+)`", section.group(1))
-        assert sorted(listed) == sorted(f.name for f in dataclasses.fields(cls)), kind
+        assert sorted(listed) == sorted(cls._fields), kind
 
 
 class TestFixtures:

@@ -10,13 +10,13 @@ Runs under pytest, or on its own where pytest is not installed:
 """
 
 import contextlib
-import hashlib
 import importlib.util
 import io
 import json
 from pathlib import Path
 
 from ringcert import certio, cli
+from reference import class_mismatch, reseal
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -69,7 +69,12 @@ def test_generators_reproduce_golden_files():
     objects = _regenerate().golden_objects()
     assert set(objects) == set(certio._REGISTRY)
     for kind, obj in objects.items():
-        assert certio.serialize(obj) == _path(kind).read_bytes(), kind
+        data = _path(kind).read_bytes()
+        assert certio.serialize(obj) == data, kind
+        # records compare as tuples, so == alone would miss a wrong class
+        back = certio.parse(data)
+        assert back == obj, kind
+        assert class_mismatch(back, obj) is None, (kind, class_mismatch(back, obj))
 
 
 def _verify_exit(path: Path) -> int:
@@ -132,7 +137,7 @@ def test_power_basis_bundle_is_previous_without_products():
     T = [int(c) for c in env["payload"]["T"]]
     n = len(T) - 1
     new = generate_bundle(T, 1, [[int(i == j) for i in range(n)] for j in range(n)])
-    assert certio.serialize(new) == _reseal(env["kind"], env["payload"])
+    assert certio.serialize(new) == reseal(env["kind"], env["payload"])
 
 
 # The golden bundle as generators wrote it while every prime of N carried a
@@ -148,17 +153,7 @@ def test_every_prime_certified_bundle_is_previous_with_free_primes():
     _move_to_free_primes(env["payload"], {1161683})
     T = [int(c) for c in env["payload"]["T"]]
     new = generate_bundle(T, 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]], claimed_disc=9293464)
-    assert certio.serialize(new) == _reseal(env["kind"], env["payload"])
-
-
-def _canonical(doc) -> bytes:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-
-
-def _reseal(kind: str, payload: dict) -> bytes:
-    inner = {"kind": kind, "payload": payload, "schema_version": certio.SCHEMA_VERSION}
-    digest = hashlib.sha256(_canonical(inner)).hexdigest()
-    return _canonical({**inner, "integrity": f"sha256:{digest}"}) + b"\n"
+    assert certio.serialize(new) == reseal(env["kind"], env["payload"])
 
 
 def _walk(kind: str, payload: dict, visit) -> None:
@@ -247,7 +242,7 @@ def test_golden_files_are_previous_with_each_fact_stated_once():
     for name in changed:
         env = json.loads((PREVIOUS_ONE_PRIME_RULE / name).read_bytes())
         _one_prime_rule(env["kind"], env["payload"])
-        assert _reseal(env["kind"], env["payload"]) == (GOLDEN / name).read_bytes(), name
+        assert reseal(env["kind"], env["payload"]) == (GOLDEN / name).read_bytes(), name
 
 
 PREVIOUS_RECOMPUTED = GOLDEN / "previous-recomputed-fields"
@@ -264,7 +259,7 @@ def test_previous_recomputed_fields_are_the_golden_files_without_them():
             want = PREVIOUS_EVERY_PRIME_CERTIFIED.read_bytes()
         else:
             want = (PREVIOUS_ONE_PRIME_RULE / path.name).read_bytes()
-        assert _reseal(env["kind"], env["payload"]) == want, path.name
+        assert reseal(env["kind"], env["payload"]) == want, path.name
 
 
 if __name__ == "__main__":

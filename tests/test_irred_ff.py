@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -97,7 +96,7 @@ class TestGenerateVerify:
         cert = generate_rabin([1, 0, 1], 3)
         hprime = [list(row) for row in cert.hprime]
         hprime[-1][0] = (1, 1)  # h_n = X + 1
-        bad = dataclasses.replace(cert, hprime=tuple(map(tuple, hprime)))
+        bad = cert._replace(hprime=tuple(map(tuple, hprime)))
         v = verify_rabin(bad)
         assert not v.accepted
         assert v.reason.startswith("rabin/check-i")
@@ -494,7 +493,7 @@ class TestBasePByFrobenius:
         cert = self.honest_file()
         g = [[list(x) for x in row] for row in cert.g]
         g[3][0][0] = (g[3][0][0] + 1) % 503
-        forged = dataclasses.replace(cert, g=tuple(tuple(map(tuple, row)) for row in g))
+        forged = cert._replace(g=tuple(tuple(map(tuple, row)) for row in g))
         assert verify_rabin(forged).reason == "rabin/check-ii/i=3/j=0"
 
     def test_generator_forms_no_power(self, monkeypatch):
@@ -544,9 +543,8 @@ class TestCheckIIPacked:
         f = [rng.randrange(p) for _ in range(n)] + [1]
         if t == p > 503:
             cert = self.chain_certificate(f, p, 2)
-            return dataclasses.replace(
-                cert, t=p, g=tuple((row[0],) for row in cert.g),
-                hprime=tuple((row[0], row[-1]) for row in cert.hprime))
+            return cert._replace(t=p, g=tuple((row[0],) for row in cert.g),
+                                 hprime=tuple((row[0], row[-1]) for row in cert.hprime))
         if p != 15:
             out = generate_rabin(f, p, t)
             if isinstance(out, RabinCertificate):
@@ -570,7 +568,7 @@ class TestCheckIIPacked:
             j2 = rng.randrange(len(cert.g[i2]))
             g = [list(row) for row in cert.g]
             g[i][min(j, len(g[i]) - 1)], g[i2][j2] = g[i2][j2], g[i][min(j, len(g[i]) - 1)]
-            return dataclasses.replace(cert, g=tuple(map(tuple, g))), kind
+            return cert._replace(g=tuple(map(tuple, g))), kind
         if kind == "trailing":
             x.append(0)
         elif kind == "longer":
@@ -584,7 +582,7 @@ class TestCheckIIPacked:
         else:
             x = [rng.choice((-1, 1, p, -p))]
         rows[i][j] = tuple(x)
-        return dataclasses.replace(cert, **{name: tuple(map(tuple, rows))}), kind
+        return cert._replace(**{name: tuple(map(tuple, rows))}), kind
 
     @pytest.mark.parametrize("p", PRIMES, ids=str)
     @pytest.mark.parametrize("base", ["2", "p"])
@@ -754,17 +752,17 @@ def _mutate_one_coefficient(cert, rng):
         return tuple(drop_trailing_zeros(poly))
 
     if name == "L":
-        return dataclasses.replace(cert, L=mutate_poly(val))
+        return cert._replace(L=mutate_poly(val))
     if name in ("g", "hprime"):
         rows = [list(r) for r in val]
         i = rng.randrange(len(rows))
         j = rng.randrange(len(rows[i]))
         rows[i][j] = mutate_poly(rows[i][j])
-        return dataclasses.replace(cert, **{name: tuple(tuple(r) for r in rows)})
+        return cert._replace(**{name: tuple(tuple(r) for r in rows)})
     rows = list(val)
     nonempty = [i for i, r in enumerate(rows) if r]
     if not nonempty:
         return None
     i = rng.choice(nonempty)
     rows[i] = mutate_poly(rows[i])
-    return dataclasses.replace(cert, **{name: tuple(rows)})
+    return cert._replace(**{name: tuple(rows)})

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -201,7 +200,7 @@ class TestLPFWVerification:
 
     def test_reject_wrong_product(self):
         cert = self._trivial_cert([1, 0, 1], 1, 4, 17)
-        bad = dataclasses.replace(cert, m=5)
+        bad = cert._replace(m=5)
         v = verify_lpfw(bad)
         assert not v.accepted and v.reason == "lpfw/value-product"
 
@@ -212,7 +211,7 @@ class TestLPFWVerification:
     def test_scale_bits_bounded(self, r, scale):
         # f(m) = 2^130 + 1 has no prime factor 17: whatever passes the scale
         # check is rejected later
-        cert = dataclasses.replace(self._trivial_cert([1, 0, 1], 1, 4, 17), m=2**65, r=r)
+        cert = self._trivial_cert([1, 0, 1], 1, 4, 17)._replace(m=2**65, r=r)
         v = verify_lpfw(cert)
         assert not v.accepted and (v.reason == "lpfw/scale") == scale
 
@@ -264,9 +263,7 @@ class TestDegreeAnalysisPrimes:
         return cert
 
     def _with_prime(self, cert, p):
-        return dataclasses.replace(
-            cert, per_prime=(dataclasses.replace(cert.per_prime[0], p=p),)
-        )
+        return cert._replace(per_prime=(cert.per_prime[0]._replace(p=p),))
 
     def test_composite_p_rejected(self, analysis):
         assert verify_degree_analysis(analysis).accepted

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -169,7 +168,7 @@ class TestDedekind:
         gbar^e // (T mod p) as its witness."""
         power = list_pow(p, reduce_mod_p(list(cert.g), p), e)
         witness = poly_divmod(p, power, reduce_mod_p(T, p))[0]
-        return dataclasses.replace(cert, rad_power_exp=e, rad_power_witness=tuple(witness))
+        return cert._replace(rad_power_exp=e, rad_power_witness=tuple(witness))
 
     def test_exponent_is_the_largest_multiplicity(self, dedekind_below_n):
         # against sympy's factorization of T mod p; the exponent is the
@@ -211,7 +210,7 @@ class TestDedekind:
                 val = [0]
             i = rng.randrange(len(val))
             val[i] += rng.randrange(1, 5)
-            bad = dataclasses.replace(cert, **{field_name: tuple(val)})
+            bad = cert._replace(**{field_name: tuple(val)})
             v = verify_dedekind([-10, -3, 0, 1], 5, bad)
             if not v.accepted:
                 assert v.reason
@@ -229,7 +228,7 @@ class TestDedekind:
         f = list(cert.f) + [0] * (1999 + len(cert.h) - len(cert.f))
         for i, hi in enumerate(cert.h):
             f[1999 + i] += k * hi
-        wide = dataclasses.replace(cert, g=tuple(g), f=tuple(f))
+        wide = cert._replace(g=tuple(g), f=tuple(f))
         assert len(g) == 2000 and len(str(p * k)) == 4300
         start = time.perf_counter()
         v = verify_dedekind(T, p, wide)
@@ -370,7 +369,7 @@ class TestPMaxCertificates:
         if isinstance(cert, PMaxShortCertificate) and cert.V:
             v = [list(r) for r in cert.V]
             v[0] = [2 * x for x in v[0]]
-            bad = dataclasses.replace(cert, V=tuple(tuple(r) for r in v))
+            bad = cert._replace(V=tuple(tuple(r) for r in v))
             out = verify_pmax_short(table, 3, bad)
             # pattern checks (i)/(iv) still pass; (vi) ties V exactly, so
             # the doubled row must surface there if anywhere
@@ -383,16 +382,14 @@ class TestPMaxCertificates:
         if isinstance(cert, PMaxShortCertificate):
             c = [list(r) for r in cert.c]
             c[0][0] += 1
-            bad = dataclasses.replace(cert, c=tuple(tuple(r) for r in c))
+            bad = cert._replace(c=tuple(tuple(r) for r in c))
             v = verify_pmax_short(table, 2, bad)
         else:
             c = [[list(b) for b in blk] for blk in cert.c]
             if not c or not c[0] or not c[0][0]:
                 pytest.skip("no c entries in this fixture")
             c[0][0][0] += 1
-            bad = dataclasses.replace(
-                cert, c=tuple(tuple(tuple(b) for b in blk) for blk in c)
-            )
+            bad = cert._replace(c=tuple(tuple(tuple(b) for b in blk) for blk in c))
             v = verify_pmax_long(table, 2, bad)
         assert not v.accepted and v.reason
 
@@ -411,9 +408,7 @@ class TestPMaxCertificates:
         assert isinstance(cert, PMaxLongCertificate)
         dd = [[list(b) for b in blk] for blk in cert.d]
         dd[0][0][0] += 1
-        bad = dataclasses.replace(
-            cert, d=tuple(tuple(tuple(b) for b in blk) for blk in dd)
-        )
+        bad = cert._replace(d=tuple(tuple(tuple(b) for b in blk) for blk in dd))
         v = verify_pmax_long(table, 2, bad)
         assert not v.accepted and v.reason.startswith("pmax-long/check-")
 
@@ -606,7 +601,7 @@ class TestKernelReasonPaths:
                 m, n = len(cert.V), len(cert.W)
 
                 def reason(**fields):
-                    v = verify(table, p, dataclasses.replace(cert, **fields))
+                    v = verify(table, p, cert._replace(**fields))
                     assert not v.accepted, fields
                     return v.reason
 

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import time
 
@@ -56,21 +55,21 @@ class TestBuilder:
 
     def test_corrupt_structure_constant_rejected(self, cubic):
         rows = [list(row) for row in cubic.products]
-        rows[2][0] = dataclasses.replace(rows[2][0], coords=(-4,) + rows[2][0].coords[1:])
-        bad = dataclasses.replace(cubic, products=tuple(tuple(row) for row in rows))
+        rows[2][0] = rows[2][0]._replace(coords=(-4,) + rows[2][0].coords[1:])
+        bad = cubic._replace(products=tuple(tuple(row) for row in rows))
         v = verify_order_builder(bad)
         assert not v.accepted and v.reason == "order/identity/i=2/j=2"
 
     def test_long_witness_rejected_quickly(self, cubic):
         witness = tuple(range(-5000, 5000)) + (10**4299,)
         rows = [list(row) for row in cubic.products]
-        rows[0][1] = dataclasses.replace(rows[0][1], witness=witness)
-        bad = dataclasses.replace(cubic, products=tuple(tuple(row) for row in rows))
+        rows[0][1] = rows[0][1]._replace(witness=witness)
+        bad = cubic._replace(products=tuple(tuple(row) for row in rows))
         start = time.perf_counter()
         v = verify_order_builder(bad)
         assert time.perf_counter() - start < 1.0
         assert v.reason == "order/identity/i=0/j=1"
-        bad = dataclasses.replace(cubic, one=dataclasses.replace(cubic.one, witness=witness))
+        bad = cubic._replace(one=cubic.one._replace(witness=witness))
         assert verify_order_builder(bad).reason == "order/one"
 
     def test_non_ring_basis_raises(self):
@@ -218,24 +217,24 @@ class TestPowerBasis:
         for d, cols in ((2, [[2, 0], [0, 2]]), (-1, [[-1, 0], [0, -1]]), (1, [[1, 0], [1, 1]])):
             desc = build_order_description(GAUSS_T, d, cols)
             assert verify_order_builder(desc).accepted
-            bare = dataclasses.replace(desc, products=())
+            bare = desc._replace(products=())
             assert verify_order_builder(bare).reason == "order/products-shape", (d, cols)
-        half = dataclasses.replace(gauss, products=((ProductEntry((1, 0), ()),) * 2,))
+        half = gauss._replace(products=((ProductEntry((1, 0), ()),) * 2,))
         assert verify_order_builder(half).reason == "order/products-shape"
 
     def test_empty_products_on_a_cubic_rejected(self, cubic):
-        bare = dataclasses.replace(cubic, products=())
+        bare = cubic._replace(products=())
         assert verify_order_builder(bare).reason == "order/products-shape"
 
     def test_power_basis_one_must_be_e0(self, gauss):
         for desc in (gauss, power_basis_with_table(GAUSS_T)):
             for one in ((0, 1), (2, 0), (-1, 0), (1, 1)):
-                bad = dataclasses.replace(desc, one=ProductEntry(one, ()))
+                bad = desc._replace(one=ProductEntry(one, ()))
                 assert verify_order_builder(bad).reason == "order/one", one
 
     def test_full_power_basis_table_checked_entry_by_entry(self):
         full = power_basis_with_table([-1, -1, 0, 0, 0, 1])
         rows = [list(row) for row in full.products]
-        rows[1][2] = dataclasses.replace(rows[1][2], coords=(1,) + rows[1][2].coords[1:])
-        bad = dataclasses.replace(full, products=tuple(tuple(row) for row in rows))
+        rows[1][2] = rows[1][2]._replace(coords=(1,) + rows[1][2].coords[1:])
+        bad = full._replace(products=tuple(tuple(row) for row in rows))
         assert verify_order_builder(bad).reason == "order/identity/i=1/j=3"

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import random
 import time
@@ -34,7 +33,7 @@ QUAD = ([1, -1, 1], 1, [[1, 0], [0, 1]])
 
 def claim(bundle, disc):
     """Verify the bundle with a discriminant claim attached."""
-    return verify_bundle(dataclasses.replace(bundle, claimed_disc=disc))
+    return verify_bundle(bundle._replace(claimed_disc=disc))
 
 
 @pytest.fixture(scope="module")
@@ -107,37 +106,35 @@ class TestBundleRoundTrip:
         assert [e.p for e in bundle.primes] == [2]
         (big,) = bundle.free_primes
         assert big.p == 1000033 and big.pratt is not None
-        stripped = dataclasses.replace(big, pratt=None)
-        v = verify_bundle(dataclasses.replace(bundle, free_primes=(stripped,)))
+        stripped = big._replace(pratt=None)
+        v = verify_bundle(bundle._replace(free_primes=(stripped,)))
         assert v.reason == "bundle/prime/missing-certificate/p=1000033"
 
 
 class TestBundleRejection:
     def test_missing_prime_entry(self, bundle_3_10):
-        pruned = dataclasses.replace(bundle_3_10, primes=bundle_3_10.primes[1:])
+        pruned = bundle_3_10._replace(primes=bundle_3_10.primes[1:])
         v = verify_bundle(pruned)
         assert not v.accepted
         assert v.reason == "bundle/prime-factorization"
 
     def test_wrong_exponent(self, bundle_3_10):
-        entry = dataclasses.replace(bundle_3_10.primes[0], exponent=4)
+        entry = bundle_3_10.primes[0]._replace(exponent=4)
         v = verify_bundle(
-            dataclasses.replace(bundle_3_10, primes=(entry,) + bundle_3_10.primes[1:])
+            bundle_3_10._replace(primes=(entry,) + bundle_3_10.primes[1:])
         )
         assert not v.accepted and v.reason == "bundle/prime-factorization"
 
     def test_huge_exponent_rejected_quickly(self, bundle_3_10):
-        entry = dataclasses.replace(bundle_3_10.primes[0], exponent=10**12)
-        bad = dataclasses.replace(bundle_3_10, primes=(entry,) + bundle_3_10.primes[1:])
+        entry = bundle_3_10.primes[0]._replace(exponent=10**12)
+        bad = bundle_3_10._replace(primes=(entry,) + bundle_3_10.primes[1:])
         start = time.perf_counter()
         v = verify_bundle(bad)
         assert time.perf_counter() - start < 1.0
         assert v.reason == "bundle/prime-factorization"
 
     def test_mutated_bezout(self, bundle_3_10):
-        bad = dataclasses.replace(
-            bundle_3_10, bezout_a=tuple(x + 1 for x in bundle_3_10.bezout_a)
-        )
+        bad = bundle_3_10._replace(bezout_a=tuple(x + 1 for x in bundle_3_10.bezout_a))
         v = verify_bundle(bad)
         assert not v.accepted and v.reason == "bundle/separability"
 
@@ -153,13 +150,13 @@ class TestBundleRejection:
                 lhs = list_add(ZZ, list_mul(ZZ, a, T), list_mul(ZZ, b, tprime))
                 assert lhs == [resultants.disc_poly(T)]
             start = time.perf_counter()
-            v = verify_bundle(dataclasses.replace(bundle_3_10, bezout_a=a, bezout_b=b))
+            v = verify_bundle(bundle_3_10._replace(bezout_a=a, bezout_b=b))
             assert time.perf_counter() - start < 1.0
             assert v.reason == "bundle/separability"
 
     def test_long_theta_witness_rejected_quickly(self, bundle_3_10):
         witness = tuple(range(-5000, 5000)) + (-(10**4299),)
-        bad = dataclasses.replace(bundle_3_10, theta_witness=witness)
+        bad = bundle_3_10._replace(theta_witness=witness)
         start = time.perf_counter()
         v = verify_bundle(bad)
         assert time.perf_counter() - start < 1.0
@@ -168,15 +165,15 @@ class TestBundleRejection:
     def test_swapped_maximality_prime(self, bundle_3_10):
         # rebind the p=3 certificate under the p=2 entry
         e2, e3 = bundle_3_10.primes
-        forged = dataclasses.replace(e2, cert=e3.cert)
+        forged = e2._replace(cert=e3.cert)
         v = verify_bundle(
-            dataclasses.replace(bundle_3_10, primes=(forged, e3))
+            bundle_3_10._replace(primes=(forged, e3))
         )
         assert not v.accepted and v.reason.startswith("bundle/p=2")
 
     def test_foreign_irreducibility_certificate(self, bundle_3_10):
         other = generate_bundle(*CUBIC_30_80)
-        bad = dataclasses.replace(bundle_3_10, irreducibility=other.irreducibility)
+        bad = bundle_3_10._replace(irreducibility=other.irreducibility)
         v = verify_bundle(bad)
         assert not v.accepted and v.reason == "bundle/irred/binding"
 
@@ -185,13 +182,13 @@ class TestBundleRejection:
         for k, entry in enumerate(bundle_3_10.primes):
             rest = bundle_3_10.primes[:k] + bundle_3_10.primes[k + 1:]
             free = (FactorEntry(entry.p, entry.exponent, entry.pratt),)
-            v = verify_bundle(dataclasses.replace(bundle_3_10, primes=rest, free_primes=free))
+            v = verify_bundle(bundle_3_10._replace(primes=rest, free_primes=free))
             assert v.reason == f"bundle/p={entry.p}/needs-certificate"
 
     def test_prime_in_both_lists(self, bundle_3_10):
         entry = bundle_3_10.primes[1]
         free = (FactorEntry(entry.p, entry.exponent, entry.pratt),)
-        v = verify_bundle(dataclasses.replace(bundle_3_10, free_primes=free))
+        v = verify_bundle(bundle_3_10._replace(free_primes=free))
         assert v.reason == f"bundle/prime-factorization/duplicate/p={entry.p}"
 
 
