@@ -14,12 +14,12 @@ The payload layout comes from the certificate records themselves, each a
 `typing.NamedTuple`: one codec reads each type's fields and type hints
 once, at import, and builds an (encode, decode) pair per type.  A record is
 an object with one key per field, ``tuple[X, ...]`` an array, ``tuple[A,
-B]`` an array of exactly that length, ``Literal[...]`` one of its strings,
-``X | None`` null or X, and a union of registered records ``{"kind": ...,
-"payload": ...}``.  The modules that define records evaluate their
-annotations (no ``from __future__ import annotations``), since a string
-annotation costs each record field a compiled forward reference at import;
-only the Pratt chain's self-reference is a string.
+B]`` an array of exactly that length, ``X | None`` null or X, and a union
+of registered records ``{"kind": ..., "payload": ...}``.  The modules that
+define records evaluate their annotations (no ``from __future__ import
+annotations``), since a string annotation costs each record field a
+compiled forward reference at import; only the Pratt chain's
+self-reference is a string.
 Parsing validates formats, and the shapes the type hints fix, before any
 verification runs; shapes that depend on another field, such as the
 order's products against the degree of T, are the verifier's to check.
@@ -196,8 +196,6 @@ def _build(tp):
         return _array_codec(*_codec(args[0]))
     if origin is tuple:
         return _fixed_codec(args)
-    if origin is typing.Literal:
-        return _literal_codec(args)
     if origin in (typing.Union, types.UnionType):
         members = tuple(a for a in args if a is not type(None))
         if len(members) == 1 < len(args):
@@ -259,15 +257,6 @@ def _fixed_codec(items):
         return tuple([dec(x) for dec, x in zip(decs, v)])
 
     return encode, decode
-
-
-def _literal_codec(allowed):
-    def decode(v):
-        if v not in allowed:
-            raise CertFormatError(f"expected one of {list(allowed)}, got {v!r}")
-        return v
-
-    return (lambda v: v), decode
 
 
 def _optional_codec(enc, dec):

@@ -5,6 +5,8 @@ Two certificate flavors:
 * degree analysis: factor f modulo several primes, certify every factor
   irreducible, and intersect the subset sums of the factor degrees.  If the
   smallest achievable nonzero degree is deg f, no proper factor can exist.
+  The factors are monic, so the unit of each factorization is lc(f) mod p,
+  which the verifier takes from f.
 * large-prime-factor witness (LPFW): a prime value |f(m)| at a point m
   beyond a certified root bound forces irreducibility once a lower bound d
   on factor degrees is known (d = 1 always works for primitive f).
@@ -81,12 +83,12 @@ def cauchy_bound_scaled(f: list[int], r: Fraction) -> Fraction:
 class FactorizationModP(NamedTuple):
     """Certified factorization of f modulo one prime.
 
-    f mod p  ==  unit * prod factor_i ^ multiplicity_i, every factor monic
-    irreducible with its own certificate.
+    f mod p  ==  lc(f) * prod factor_i ^ multiplicity_i, every factor
+    irreducible with its own certificate; the product of the factors is
+    monic, since the unit is not written but taken as lc(f) mod p.
     """
 
     p: int
-    unit: int
     factors: tuple[tuple[tuple[int, ...], int], ...]  # (coeffs, multiplicity)
     certs: tuple[irred_ff.RabinCertificate, ...]
 
@@ -142,11 +144,9 @@ def _verify_factorization_mod_p(fmp: FactorizationModP, f: list[int]) -> Verdict
     fbar = reduce_mod_p(f, p)
     if len(fmp.factors) != len(fmp.certs):
         return Verdict.reject(f"analysis/p={p}/shape")
-    if not (0 < fmp.unit < p):
-        return Verdict.reject(f"analysis/p={p}/unit")
     # over GF(p) the product has degree sum(mult * deg): once that passes
     # deg fbar the product cannot match, so no more factors are multiplied
-    prod, prod_deg = [fmp.unit], 0
+    prod, prod_deg = [fbar[-1]], 0
     for (coeffs, mult), cert in zip(fmp.factors, fmp.certs):
         if mult < 1:
             return Verdict.reject(f"analysis/p={p}/multiplicity")
@@ -276,10 +276,10 @@ def _primes_to(bound: int) -> tuple[int, ...]:
 
 def _factorization_cert_mod_p(p: int, split: irred_ff.DistinctDegreeSplit) -> FactorizationModP:
     """The certified factorization of f mod p, from the split of f the scan made."""
-    unit, factors = irred_ff.factor_poly(p, split)
+    _unit, factors = irred_ff.factor_poly(p, split)
     certs = tuple(irred_ff.generate_rabin(fac, p) for fac, _m in factors)
     assert all(isinstance(cert, irred_ff.RabinCertificate) for cert in certs)
-    return FactorizationModP(p, unit, tuple((tuple(fac), m) for fac, m in factors), certs)
+    return FactorizationModP(p, tuple((tuple(fac), m) for fac, m in factors), certs)
 
 
 def _degree_analysis_search(f: list[int]) -> tuple[int, DegreeAnalysisCertificate | None, set[int]]:

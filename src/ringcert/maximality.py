@@ -16,15 +16,18 @@ blocks.  Either form's products are combinations of phi's rows, so no form
 is written with a product in the order.
 
 Verification works entirely over the times table: products over Z,
-Frobenius powers over the table reduced mod p, and pivot-pattern reads for
-every linear-independence claim.  No kernels or determinants are ever
-computed by the verifier.
+Frobenius powers over the table reduced mod p, and, for every
+linear-independence claim, a check that each row owns a column: one where
+it is nonzero and every other row is zero.  Such rows are independent, and
+the owned columns are found in one pass over the matrix, so a certificate
+names no pivots.  No kernels or determinants are ever computed by the
+verifier.
 """
 
 import itertools
 import operator
 import random
-from typing import Callable, Literal, NamedTuple
+from typing import Callable, NamedTuple
 
 from .exactalg import (
     ZZ,
@@ -182,35 +185,26 @@ def generate_dedekind(T: list[int], p: int) -> DedekindCertificate | None:
 # kernel certificates
 # ---------------------------------------------------------------------------
 
-Pivot = tuple[Literal["A", "B"], int]  # ("A", k) points into the V block, ("B", k) into pW
-
-
 class PMaxShortCertificate(NamedTuple):
     V: tuple[tuple[int, ...], ...]      # m x r over Z
     W: tuple[tuple[int, ...], ...]      # n x r over Z
     U: tuple[tuple[int, ...], ...]      # n x r over GF(p)
-    nu: tuple[int, ...]                 # m pivot columns for V mod p
-    omega: tuple[int, ...]              # n pivot columns for U
     X: tuple[tuple[int, ...], ...]      # r x r over Z
     beta: tuple[int, ...]               # m witness coordinates
     gamma: tuple[int, ...]              # n witness coordinates
     a: tuple[tuple[int, ...], ...]      # r x m over Z
     c: tuple[tuple[int, ...], ...]      # r x n over Z
-    eta: tuple[Pivot, ...]              # r pivot positions
 
 
 class PMaxLongCertificate(NamedTuple):
     V: tuple[tuple[int, ...], ...]
     W: tuple[tuple[int, ...], ...]
     U: tuple[tuple[int, ...], ...]
-    nu: tuple[int, ...]
-    omega: tuple[int, ...]
     X: tuple[tuple[int, ...], ...]
     a: tuple[tuple[tuple[int, ...], ...], ...]  # r x m x m
     c: tuple[tuple[tuple[int, ...], ...], ...]  # r x m x n
     d: tuple[tuple[tuple[int, ...], ...], ...]  # r x n x m
     e: tuple[tuple[tuple[int, ...], ...], ...]  # r x n x n
-    eta: tuple[tuple[Pivot, Pivot], ...]        # r (input, output) pairs
 
 
 class KernelWitness(NamedTuple):
@@ -220,22 +214,18 @@ class KernelWitness(NamedTuple):
     coords: tuple[int, ...]
 
 
-def _pivot_index(pivot, m: int, n: int) -> int | None:
-    """The coordinate over V ++ pW that pivot names: ("A", k) is k and
-    ("B", k) is m + k; None when k is out of its block's range or the tag is
-    unknown.  The inverse of `_pivot_of`."""
-    tag, k = pivot
-    offset, size = {"A": (0, m), "B": (m, n)}.get(tag, (0, 0))
-    return offset + k if 0 <= k < size else None
+def _unowned_row(rows: list[list[int]]) -> int | None:
+    """The first row that owns no column, or None when every row owns one.
 
-
-def _pivot_of(q: int, m: int) -> Pivot:
-    return ("A", q) if q < m else ("B", q - m)
-
-
-def _pivot_pattern_ok(column: list[int], owner: int) -> bool:
-    """column is nonzero at owner and zero everywhere else."""
-    return column[owner] != 0 and not any(x for j, x in enumerate(column) if j != owner)
+    Row i owns column j when row i is nonzero there and every other row is
+    zero; distinct rows own distinct columns, so rows that each own one are
+    linearly independent.  One pass over the matrix."""
+    owned = set()
+    for column in zip(*rows):
+        nonzero = [i for i, x in enumerate(column) if x]
+        if len(nonzero) == 1:
+            owned.add(nonzero[0])
+    return next((i for i in range(len(rows)) if i not in owned), None)
 
 
 def _matrix_shape_ok(mat, rows: int, cols: int) -> bool:
@@ -266,23 +256,18 @@ def _check_common(tt: TimesTable, p: int, cert, kind: str) -> Verdict:
         return Verdict.reject(f"{kind}/shape")
     if any(not (0 <= x < p) for row in cert.U for x in row):
         return Verdict.reject(f"{kind}/coefficient-range")
-    if len(cert.nu) != m or len(cert.omega) != n:
-        return Verdict.reject(f"{kind}/shape")
-    if any(not (0 <= x < r) for x in cert.nu) or any(
-        not (0 <= x < r) for x in cert.omega
-    ):
-        return Verdict.reject(f"{kind}/pivot-range")
 
     vbar = [[x % p for x in row] for row in cert.V]
     wbar = [[x % p for x in row] for row in cert.W]
     urows = [list(row) for row in cert.U]
 
-    for i in range(m):
-        if not _pivot_pattern_ok([row[cert.nu[i]] for row in vbar], i):
-            return Verdict.reject(f"{kind}/check-i/i={i}")
-    for i in range(n):
-        if not _pivot_pattern_ok([row[cert.omega[i]] for row in urows], i):
-            return Verdict.reject(f"{kind}/check-ii/i={i}")
+    # (i) and (ii): the rows of V mod p, and of U, each own a column
+    i = _unowned_row(vbar)
+    if i is not None:
+        return Verdict.reject(f"{kind}/check-i/i={i}")
+    i = _unowned_row(urows)
+    if i is not None:
+        return Verdict.reject(f"{kind}/check-ii/i={i}")
 
     tt_p = reduce_table_mod_p(tt, p)
     exponent = p ** minimal_frobenius_exponent(p, r)
@@ -310,23 +295,21 @@ def verify_pmax_short(tt: TimesTable, p: int, cert: PMaxShortCertificate) -> Ver
     r, m, n = tt.n, len(cert.V), len(cert.W)
 
     if m == 0:
-        if cert.X or cert.beta or cert.gamma or cert.a or cert.c or cert.eta:
+        if cert.X or cert.beta or cert.gamma or cert.a or cert.c:
             return Verdict.reject("pmax-short/simplified-shape")
         return Verdict.accept()
 
     if not _matrix_shape_ok(cert.X, r, r):
         return Verdict.reject("pmax-short/shape")
-    if len(cert.beta) != m or len(cert.gamma) != n or len(cert.eta) != r:
+    if len(cert.beta) != m or len(cert.gamma) != n:
         return Verdict.reject("pmax-short/shape")
     if not _matrix_shape_ok(cert.a, r, m) or not _matrix_shape_ok(cert.c, r, n):
         return Verdict.reject("pmax-short/shape")
 
-    # (iii): row i of [a | c] owns the column its pivot names
-    ac_bar = [[x % p for x in (*a_row, *c_row)] for a_row, c_row in zip(cert.a, cert.c)]
-    for i, pivot in enumerate(cert.eta):
-        q = _pivot_index(pivot, m, n)
-        if q is None or not _pivot_pattern_ok([row[q] for row in ac_bar], i):
-            return Verdict.reject(f"pmax-short/check-iii/i={i}")
+    # (iii): the rows of [a | c] mod p each own a column
+    i = _unowned_row([[x % p for x in (*a_row, *c_row)] for a_row, c_row in zip(cert.a, cert.c)])
+    if i is not None:
+        return Verdict.reject(f"pmax-short/check-iii/i={i}")
 
     beta_w = _vw_combination(cert.V, cert.W, list(cert.beta), list(cert.gamma), p, r)
     for i in range(r):
@@ -345,11 +328,11 @@ def verify_pmax_long(tt: TimesTable, p: int, cert: PMaxLongCertificate) -> Verdi
     r, m, n = tt.n, len(cert.V), len(cert.W)
 
     if m == 0:
-        if cert.X or cert.a or cert.c or cert.d or cert.e or cert.eta:
+        if cert.X or cert.a or cert.c or cert.d or cert.e:
             return Verdict.reject("pmax-long/simplified-shape")
         return Verdict.accept()
 
-    if not _matrix_shape_ok(cert.X, r, r) or len(cert.eta) != r:
+    if not _matrix_shape_ok(cert.X, r, r):
         return Verdict.reject("pmax-long/shape")
     for arr, rows, cols in ((cert.a, m, m), (cert.c, m, n), (cert.d, n, m), (cert.e, n, n)):
         if len(arr) != r or any(not _matrix_shape_ok(block, rows, cols) for block in arr):
@@ -361,13 +344,10 @@ def verify_pmax_long(tt: TimesTable, p: int, cert: PMaxLongCertificate) -> Verdi
         [(*a, *c) for a, c in zip(a_i, c_i)] + [(*d, *e) for d, e in zip(d_i, e_i)]
         for a_i, c_i, d_i, e_i in zip(cert.a, cert.c, cert.d, cert.e)
     ]
-    # (iii): each certificate row owns one matrix-entry position
-    for i, (eta_in, eta_out) in enumerate(cert.eta):
-        u, v = _pivot_index(eta_in, m, n), _pivot_index(eta_out, m, n)
-        if u is None or v is None or not _pivot_pattern_ok(
-            [row[u][v] % p for row in pairs], i
-        ):
-            return Verdict.reject(f"pmax-long/check-iii/i={i}")
+    # (iii): the rows of pairs mod p, each flattened, each own an entry
+    i = _unowned_row([[x % p for pair in row for x in pair] for row in pairs])
+    if i is not None:
+        return Verdict.reject(f"pmax-long/check-iii/i={i}")
 
     # (vi) for the inputs v_j, then (vii) for the inputs p w_j: x_i * input
     # expands over the V block and p times the W block
@@ -399,11 +379,11 @@ def minimal_frobenius_exponent(p: int, r: int) -> int:
 
 def frobenius_kernel_basis(
     tt: TimesTable, p: int, t: int
-) -> tuple[list[list[int]], list[int], list[list[int]], list[list[int]], list[int]]:
+) -> tuple[list[list[int]], list[int], list[list[int]], list[list[int]]]:
     """Kernel and complement data for the iterated Frobenius on O/pO.
 
     Returns (V rows over GF(p) with pivot pattern, their pivot columns nu,
-    W rows over Z, U = Frobenius images of W with pivot pattern, omega).
+    W rows over Z, U = Frobenius images of W with pivot pattern).
 
     The stacked integer matrix [V; W] is unimodular, which keeps every
     later decomposition over {V, pW} integral: each V row is 1 at its own
@@ -428,7 +408,7 @@ def frobenius_kernel_basis(
     u_rows = [list(frob[c]) for c in complement]
     u_patterned, omega = pattern_reduce_fp(u_rows, p, mirror=w_rows)
     assert len(omega) == len(u_rows), "Frobenius images of the complement are dependent"
-    return vbar, nu, w_rows, u_patterned, omega
+    return vbar, nu, w_rows, u_patterned
 
 
 def _vw_decomposer(
@@ -496,7 +476,7 @@ def _mat_mul(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
 
 def _search_witness(
     r: int, m: int, p: int, phi: list[list[int]], budget: int
-) -> tuple[list[int], list[int], list[int], list[list[int]]] | None:
+) -> tuple[list[int], list[int], list[list[int]]] | None:
     """A witness element of the radical quotient on which multiplication by
     the whole order stays independent; None triggers the long certificate.
 
@@ -504,7 +484,7 @@ def _search_witness(
     a generator seeded with p, up to the budget.  Each candidate's images
     are combined from phi's blocks, with no product in the order, and
     eliminated once with the identity as mirror; the accepted one comes back
-    as (beta, gamma, pivot columns, mirror)."""
+    as (beta, gamma, mirror)."""
     rng = random.Random(0xBE7A + p)
 
     def candidates():
@@ -518,7 +498,7 @@ def _search_witness(
         X = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
         _patterned, pivots = pattern_reduce_fp(_candidate_images(phi, p, coef), p, mirror=X)
         if len(pivots) == r:
-            return coef[:m], coef[m:], pivots, X
+            return coef[:m], coef[m:], X
     return None
 
 
@@ -536,16 +516,15 @@ def generate_pmax(
     candidates, and the long form, which then exists, reuses phi's
     elimination."""
     r = tt.n
-    V, nu, W, u_rows, omega = frobenius_kernel_basis(tt, p, minimal_frobenius_exponent(p, r))
+    V, _nu, W, u_rows = frobenius_kernel_basis(tt, p, minimal_frobenius_exponent(p, r))
     m = len(V)
     common = dict(
         V=tuple(tuple(row) for row in V),
         W=tuple(tuple(row) for row in W),
         U=tuple(tuple(row) for row in u_rows),
-        nu=tuple(nu), omega=tuple(omega),
     )
     if m == 0:
-        return PMaxShortCertificate(**common, X=(), beta=(), gamma=(), a=(), c=(), eta=())
+        return PMaxShortCertificate(**common, X=(), beta=(), gamma=(), a=(), c=())
 
     phi = _action_matrix(tt, p, V, W, _vw_decomposer(V, W, p))
     phi_p = [[x % p for x in row] for row in phi]
@@ -559,14 +538,13 @@ def generate_pmax(
     if witness is not None:
         # decomposition is Z-linear, so row i of [a | c] is row i of the
         # mirror times the witness's integer images
-        beta, gamma, w_pivots, w_X = witness
+        beta, gamma, w_X = witness
         ac = _mat_mul(w_X, _candidate_images(phi, ZZ, beta + gamma))
         return PMaxShortCertificate(
             **common,
             X=tuple(tuple(row) for row in w_X),
             beta=tuple(beta), gamma=tuple(gamma),
             a=tuple(tuple(row[:m]) for row in ac), c=tuple(tuple(row[m:]) for row in ac),
-            eta=tuple(_pivot_of(q, m) for q in w_pivots),
         )
 
     # long form: X is the mirror of phi's elimination, and block u of row i
@@ -579,5 +557,4 @@ def generate_pmax(
         c=tuple(tuple(tuple(b[m:]) for b in bl[:m]) for bl in blocks),
         d=tuple(tuple(tuple(b[:m]) for b in bl[m:]) for bl in blocks),
         e=tuple(tuple(tuple(b[m:]) for b in bl[m:]) for bl in blocks),
-        eta=tuple((_pivot_of(q // r, m), _pivot_of(q % r, m)) for q in pivots),
     )

@@ -8,11 +8,13 @@ the identity
 
     b_i * b_j = d * sum_k a_ijk * b_k - T * s_ij
 
-checked for i <= j, and membership of 1 by one more identity of the same
-shape.  The power basis (d = 1, B = I) may come without structure
-constants: Z[theta] is a ring because T is monic, and its table is
-theta^(i+j) mod T, read off one list of theta^k for k <= 2n - 2 (each the
-previous one shifted, minus its top coefficient times T).  A verified
+checked for i <= j.  B is triangular, so back-substituting d*e_0 through
+it gives d / B_00 and zeros: 1 lies in O exactly when B_00 divides d, and
+no identity is written for it.  The power basis (d = 1, B = I) may come
+without structure constants: Z[theta] is a ring because T is monic, and
+its table is theta^(i+j) mod T, read off one list of theta^k for
+k <= 2n - 2 (each the previous one shifted, minus its top coefficient
+times T).  A verified
 description yields a times table, and all further arithmetic in O happens
 on coordinate vectors against that table.
 """
@@ -46,7 +48,6 @@ class OrderDescription(NamedTuple):
     # ragged upper triangle: products[i][j-i] is w_i*w_j; empty for the
     # power basis, whose table is rebuilt from theta^k
     products: tuple[tuple[ProductEntry, ...], ...]
-    one: ProductEntry
 
     @property
     def n(self) -> int:
@@ -157,13 +158,7 @@ def verify_order_builder(desc: OrderDescription) -> Verdict:
         if fault:
             return Verdict.reject(f"order/{fault}")
 
-    if len(desc.one.coords) != n:
-        return Verdict.reject("order/one-shape")
-    witness = drop_trailing_zeros(list(desc.one.witness))
-    if len(witness) >= n:
-        return Verdict.reject("order/one")
-    lhs = list_sub(ZZ, basis_combination(rows, desc.one.coords), list_mul(ZZ, T, witness))
-    if lhs != drop_trailing_zeros([desc.d]):
+    if desc.d % desc.basis_columns[0][0]:
         return Verdict.reject("order/one")
     return Verdict.accept()
 
@@ -247,7 +242,8 @@ def build_order_description(
     nonzero diagonal (a Hermite-shaped basis).  The power basis gets no
     products (the verifier rebuilds them).  Raises NotAnOrder when the
     products w_i*w_j do not have integral coordinates, i.e. the span is not
-    closed under multiplication, or when 1 is not in the span.
+    closed under multiplication, or when 1 is not in the span, that is
+    when B_00 does not divide d.
     """
     T = drop_trailing_zeros(list(T))
     n = deg(T)
@@ -261,13 +257,7 @@ def build_order_description(
 
     columns = tuple(tuple(c) for c in basis_columns)
     if _is_power_basis(d, columns):
-        return OrderDescription(
-            T=tuple(T),
-            d=d,
-            basis_columns=columns,
-            products=(),
-            one=ProductEntry((1,) + (0,) * (n - 1), ()),
-        )
+        return OrderDescription(T=tuple(T), d=d, basis_columns=columns, products=())
 
     b_mat = basis_rows(basis_columns)
     b_polys = [drop_trailing_zeros(list(c)) for c in basis_columns]
@@ -283,17 +273,9 @@ def build_order_description(
                 raise NotAnOrder(f"product w_{i+1}*w_{j+1} leaves the span")
             row.append(ProductEntry(tuple(coords), tuple(mul_pointwise(ZZ, -1, q))))
         products.append(tuple(row))
-
-    one = solve_upper_triangular(b_mat, [d] + [0] * (n - 1))
-    if one is None:
+    if d % basis_columns[0][0]:
         raise NotAnOrder("1 is not in the span of the basis")
-    return OrderDescription(
-        T=tuple(T),
-        d=d,
-        basis_columns=columns,
-        products=tuple(products),
-        one=ProductEntry(tuple(one), ()),
-    )
+    return OrderDescription(T=tuple(T), d=d, basis_columns=columns, products=tuple(products))
 
 
 def theta_coordinates(desc: OrderDescription) -> list[int] | None:

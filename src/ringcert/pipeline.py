@@ -3,10 +3,14 @@ integers of Q[X]/<T>.
 
 A bundle chains together: an irreducibility certificate for T, the order
 builder for the basis, membership of theta, a separability witness
-a*T + b*T' = N with a certified factorization of N, and one maximality
+a*T + b*T' = N with the certified primes of N, and one maximality
 certificate per prime factor p of N with p^2 | disc(O).  N = disc(T) is
 not written: the verifier computes it once, by `resultants.disc_poly`, and
 uses it for disc(O), the factorization and the separability identity.
+Nothing the verifier finds in time linear in what it reads is written
+either: theta's coordinates come from back-substituting d*X + T*witness
+through the triangular basis, and each prime's exponent from dividing it
+out of |N|, which must leave 1.
 Any prime not dividing N is automatically fine (T stays separable mod p there), and
 since disc(O) = [O_K : O]^2 disc(K), no prime with p^2 not dividing
 disc(O) divides [O_K : O]; so acceptance of the bundle means the order is
@@ -28,7 +32,7 @@ from .exactalg import (
     poly_divmod,
 )
 from .irred_int import DegreeAnalysisCertificate, LPFWCertificate
-from .linalg import solve_fraction_free, transpose
+from .linalg import solve_fraction_free, solve_upper_triangular
 from .maximality import (
     DedekindCertificate,
     KernelWitness,
@@ -38,14 +42,14 @@ from .maximality import (
 from .orders import (
     NotAnOrder,
     OrderDescription,
-    basis_combination,
     basis_rows,
     build_order_description,
     theta_coordinates,
+    theta_powers,
     times_table_of,
     verify_order_builder,
 )
-from .resultants import power_basis_index, sylvester_matrix
+from .resultants import power_basis_index
 from .verdict import Verdict
 
 MaximalityCert = DedekindCertificate | PMaxShortCertificate | PMaxLongCertificate
@@ -53,7 +57,6 @@ MaximalityCert = DedekindCertificate | PMaxShortCertificate | PMaxLongCertificat
 
 class PrimeEntry(NamedTuple):
     p: int
-    exponent: int
     pratt: primality.PrattCertificate | None  # required for large p
     cert: MaximalityCert
 
@@ -63,7 +66,6 @@ class FactorEntry(NamedTuple):
     not divide [O_K : O], so it needs no maximality certificate."""
 
     p: int
-    exponent: int
     pratt: primality.PrattCertificate | None  # required for large p
 
 
@@ -71,8 +73,7 @@ class CertificateBundle(NamedTuple):
     T: tuple[int, ...]
     irreducibility: DegreeAnalysisCertificate | LPFWCertificate
     order: OrderDescription
-    theta_coords: tuple[int, ...]
-    theta_witness: tuple[int, ...]  # sum x_k b_k - T*witness = d*X
+    theta_witness: tuple[int, ...]  # d*X + T*witness lies in the span of B
     bezout_a: tuple[int, ...]      # a*T + b*T' = N = disc(T), nonzero
     bezout_b: tuple[int, ...]
     primes: tuple[PrimeEntry, ...]  # every prime of N with p^2 | disc(O), maybe others
@@ -113,16 +114,16 @@ def verify_bundle_with_disc(bundle: CertificateBundle) -> tuple[Verdict, int | N
     if not ok:
         return ok.prefixed("bundle"), None
 
-    # theta inside the order: sum_k x_k b_k - T * witness = d * X
-    if len(bundle.theta_coords) != n:
-        return Verdict.reject("bundle/theta"), None
-    combo = basis_combination(basis_rows(desc.basis_columns), bundle.theta_coords)
-    # a witness of degree >= n puts a term of degree >= 2n into the identity
+    # theta inside the order: d*X + T*witness = sum_k x_k b_k for integers
+    # x_k, found by back-substitution through the triangular B; a witness of
+    # degree >= n puts a term of degree >= 2n into the left side
     witness = drop_trailing_zeros(list(bundle.theta_witness))
     if len(witness) > n:
         return Verdict.reject("bundle/theta"), None
-    combo = list_sub(ZZ, combo, list_mul(ZZ, T, witness))
-    if combo != [0, desc.d]:
+    target = list_add(ZZ, [0, desc.d], list_mul(ZZ, T, witness))
+    if len(target) > n or solve_upper_triangular(
+        basis_rows(desc.basis_columns), target + [0] * (n - len(target))
+    ) is None:
         return Verdict.reject("bundle/theta"), None
 
     # N = disc(T), computed once; disc(O) = (-1)^(n(n-1)/2) N / [O : Z[theta]]^2,
@@ -135,17 +136,17 @@ def verify_bundle_with_disc(bundle: CertificateBundle) -> tuple[Verdict, int | N
     except ValueError as e:
         return Verdict.reject(f"bundle/disc/{e}"), None
 
-    # N's factorization over both prime lists, every prime certified
+    # N's factorization over both prime lists, every prime certified: each
+    # listed p divides what is left of |N| and is divided out in full, and
+    # nothing is left at the end; a prime listed twice divides no more
+    rest = abs(N)
     entries = bundle.primes + bundle.free_primes
-    seen: set[int] = set()
     for entry in entries:
-        if entry.p in seen:
-            return Verdict.reject(f"bundle/prime-factorization/duplicate/p={entry.p}"), None
-        seen.add(entry.p)
-        if entry.exponent < 1:
-            return Verdict.reject(f"bundle/prime-factorization/exponent/p={entry.p}"), None
-    factors = [(entry.p, entry.exponent) for entry in entries]
-    if primality.prime_power_product(factors, N) != abs(N):
+        if entry.p < 2 or rest % entry.p:
+            return Verdict.reject(f"bundle/prime-factorization/p={entry.p}"), None
+        while rest % entry.p == 0:
+            rest //= entry.p
+    if rest != 1:
         return Verdict.reject("bundle/prime-factorization"), None
     for entry in entries:
         ok = primality.certify_prime_for_verifier(entry.p, entry.pratt)
@@ -204,21 +205,27 @@ class BundleError(Exception):
 
 def _bezout_witness(T: list[int]) -> tuple[list[int], list[int], int]:
     """Integer a, b with a*T + b*T' = N = resultant(T, T'), deg a < n - 1 and
-    deg b < n, for separable T of degree n.
+    deg b < n, for separable T of degree n; the pair is unique.
 
-    The coefficient vector (a, b) times the Sylvester matrix S of T and T' is
-    the coefficient list of a*T + b*T', so (a, b) solves S^T x = N e_0, and
-    with N = det S that is det(S^T) * (S^T)^-1 * e_0: one fraction-free
-    solve gives N and (a, b) together.
+    M, the multiplication by T'(theta) on the power basis, has column j
+    theta^j * T'(theta), read off `theta_powers`, and det M is the norm of
+    T'(theta), which is N.  So b(theta) * T'(theta) = N is M.b = N e_0, and
+    one n x n fraction-free solve gives N and b together; then T divides
+    N - b*T' exactly, and the quotient is a.  T must be monic.
     """
     n = deg(T)
-    s_t = transpose(sylvester_matrix(T, formal_derivative(ZZ, T)))
+    tprime = formal_derivative(ZZ, T)
+    powers = theta_powers(T)
+    m = [[sum(c * powers[j + k][i] for k, c in enumerate(tprime)) for j in range(n)]
+         for i in range(n)]
     try:
-        res, x = solve_fraction_free(s_t, [[int(i == 0)] for i in range(len(s_t))])
+        res, x = solve_fraction_free(m, [[int(i == 0)] for i in range(n)])
     except ValueError:
         raise BundleError("defining polynomial is not separable") from None
-    x = [row[0] for row in x]
-    return drop_trailing_zeros(x[: n - 1]), drop_trailing_zeros(x[n - 1 :]), res
+    b = drop_trailing_zeros([row[0] for row in x])
+    a, rest = poly_divmod(ZZ, list_sub(ZZ, [res], list_mul(ZZ, b, tprime)), T)
+    assert not rest
+    return a, b, res
 
 
 def generate_bundle(
@@ -248,8 +255,7 @@ def generate_bundle(
     except NotAnOrder as e:
         raise BundleError(f"basis does not span an order: {e}") from e
 
-    theta = theta_coordinates(desc)
-    if theta is None:
+    if theta_coordinates(desc) is None:
         raise BundleError("theta does not lie in the span of the basis")
     theta_q, _ = poly_divmod(ZZ, [0, d], T)
     theta_witness = mul_pointwise(ZZ, -1, theta_q)
@@ -263,29 +269,28 @@ def generate_bundle(
     disc_abs = abs(N) // power_basis_index(desc) ** 2
     entries: list[PrimeEntry] = []
     free: list[FactorEntry] = []
-    for p, e in factors:
+    for p, _e in factors:
         pratt = None
         if p >= primality.TRIAL_DIVISION_BOUND:
             pratt = primality.generate_pratt(p)
             if pratt is None:
                 raise BundleError(f"failed to certify prime {p}")
         if disc_abs % (p * p):
-            free.append(FactorEntry(p, e, pratt))
+            free.append(FactorEntry(p, pratt))
             continue
         ded = maximality.generate_dedekind(T, p)
         if ded is not None:
-            entries.append(PrimeEntry(p, e, pratt, ded))
+            entries.append(PrimeEntry(p, pratt, ded))
             continue
         cert = maximality.generate_pmax(tt, p)
         if isinstance(cert, KernelWitness):
             raise BundleError(f"order is not maximal at {p}", report=cert)
-        entries.append(PrimeEntry(p, e, pratt, cert))
+        entries.append(PrimeEntry(p, pratt, cert))
 
     bundle = CertificateBundle(
         T=tuple(T),
         irreducibility=irr,
         order=desc,
-        theta_coords=tuple(theta),
         theta_witness=tuple(theta_witness),
         bezout_a=tuple(bez_a),
         bezout_b=tuple(bez_b),

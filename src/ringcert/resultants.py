@@ -1,17 +1,16 @@
-"""Discriminants of polynomials and orders, and the Sylvester matrix.
+"""Discriminants of polynomials and orders.
 
 For T monic of degree n, disc(T) here is resultant(T, T') with no
 leading-coefficient scaling, which equals the norm of T'(theta).
 `disc_poly` computes it by the subresultant polynomial remainder sequence
 (Collins 1967, Brown and Traub 1971) in O(n^2) coefficient operations.
-With the Sylvester convention below this is
+This is
 
     resultant(f, g) = (-1)^(n*m) * lc(f)^m * lc(g)^n * prod (alpha_i - beta_j)
 
-at f = T, g = T', since n(n - 1) is even.  The Sylvester matrix of f
-(degree n) and g (degree m) is (m+n) x (m+n), rows holding ascending
-coefficient lists, the m shifted copies of f first, then the n shifted
-copies of g; the generator's Bezout witness solves against it.
+at f = T, g = T', since n(n - 1) is even: the determinant of the Sylvester
+matrix whose rows hold ascending coefficient lists, the m = deg g shifted
+copies of f first, then the n shifted copies of g.
 
 A bundle does not state disc(T): the verifier computes it once, here, and
 derives disc(O) from that value (`disc_order`).
@@ -21,26 +20,6 @@ from __future__ import annotations
 
 from .exactalg import ZZ, deg, formal_derivative, poly_divmod
 from .orders import OrderDescription
-
-
-def sylvester_matrix(f: list[int], g: list[int]) -> list[list[int]]:
-    """Rows of shifted coefficients, f-rows first, ascending within each row."""
-    n, m = deg(f), deg(g)
-    if n < 0 or m < 0:
-        raise ValueError("resultant of a zero polynomial")
-    size = n + m
-    rows = []
-    for i in range(m):
-        row = [0] * size
-        for k, c in enumerate(f):
-            row[i + k] = c
-        rows.append(row)
-    for i in range(n):
-        row = [0] * size
-        for k, c in enumerate(g):
-            row[i + k] = c
-        rows.append(row)
-    return rows
 
 
 def disc_poly(T: list[int]) -> int:

@@ -164,16 +164,20 @@ def nullspace_fp(m: list[list[int]], p: int) -> list[list[int]]:
     return basis
 
 
-def resultant(p: int, f: list[int], g: list[int]) -> int:
-    """Determinant of the Sylvester matrix of f and g: ascending coefficient
-    rows, the deg g shifted copies of f first, then the deg f copies of g.
-    Over GF(p), p > 0, the integer determinant is reduced mod p."""
+def sylvester_matrix(f: list[int], g: list[int]) -> list[list[int]]:
+    """Ascending coefficient rows, the deg g shifted copies of f first, then
+    the deg f copies of g."""
     n, m = deg(f), deg(g)
     if n < 0 or m < 0:
         raise ValueError("resultant of a zero polynomial")
     rows = [[0] * i + list(f) + [0] * (m - 1 - i) for i in range(m)]
-    rows += [[0] * i + list(g) + [0] * (n - 1 - i) for i in range(n)]
-    det = det_bareiss(rows)
+    return rows + [[0] * i + list(g) + [0] * (n - 1 - i) for i in range(n)]
+
+
+def resultant(p: int, f: list[int], g: list[int]) -> int:
+    """Determinant of the Sylvester matrix of f and g.  Over GF(p), p > 0,
+    the integer determinant is reduced mod p."""
+    det = det_bareiss(sylvester_matrix(f, g))
     return det % p if p else det
 
 
@@ -194,7 +198,6 @@ def power_basis_with_table(T: list[int]) -> OrderDescription:
         d=1,
         basis_columns=tuple(tuple(int(i == j) for i in range(n)) for j in range(n)),
         products=tuple(products),
-        one=ProductEntry((1,) + (0,) * (n - 1), ()),
     )
 
 
@@ -608,7 +611,7 @@ def generate_pmax(tt: TimesTable, p: int, budget: int):
     which gives either a kernel witness or the long form."""
     r = tt.n
     t = minimal_frobenius_exponent(p, r)
-    vbar, nu, w_rows, u_rows, omega = frobenius_kernel_basis(tt, p, t)
+    vbar, _nu, w_rows, u_rows = frobenius_kernel_basis(tt, p, t)
     m = len(vbar)
     n = r - m
 
@@ -616,8 +619,7 @@ def generate_pmax(tt: TimesTable, p: int, budget: int):
         return PMaxShortCertificate(
             V=(), W=tuple(tuple(row) for row in w_rows),
             U=tuple(tuple(row) for row in u_rows),
-            nu=(), omega=tuple(omega),
-            X=(), beta=(), gamma=(), a=(), c=(), eta=(),
+            X=(), beta=(), gamma=(), a=(), c=(),
         )
 
     V = [list(row) for row in vbar]
@@ -626,23 +628,20 @@ def generate_pmax(tt: TimesTable, p: int, budget: int):
     decompose = _vw_decomposer(V, W, p)
     witness = search_witness(tt, p, V, W, decompose, budget)
     if witness is not None:
-        beta, gamma, pivots, X = witness
+        beta, gamma, _pivots, X = witness
         beta_w = _vw_combination(V, W, beta, gamma, p, r)
         a_rows, c_rows = [], []
         for i in range(r):
             a_row, c_row = decompose(tt_mul(ZZ, tt, X[i], beta_w))
             a_rows.append(tuple(a_row))
             c_rows.append(tuple(c_row))
-        eta = tuple(("A", q) if q < m else ("B", q - m) for q in pivots)
         return PMaxShortCertificate(
             V=tuple(tuple(row) for row in V),
             W=tuple(tuple(row) for row in W),
             U=tuple(tuple(row) for row in u_rows),
-            nu=tuple(nu), omega=tuple(omega),
             X=tuple(tuple(row) for row in X),
             beta=tuple(beta), gamma=tuple(gamma),
             a=tuple(a_rows), c=tuple(c_rows),
-            eta=eta,
         )
 
     inputs = [list(row) for row in V] + [[p * x for x in row] for row in W]
@@ -675,19 +674,12 @@ def generate_pmax(tt: TimesTable, p: int, budget: int):
         c_arr.append(tuple(c_blocks))
         d_arr.append(tuple(d_blocks))
         e_arr.append(tuple(e_blocks))
-
-    def block_of(q: int):
-        return ("A", q) if q < m else ("B", q - m)
-
-    eta_pairs = tuple((block_of(q // r), block_of(q % r)) for q in pivots)
     return PMaxLongCertificate(
         V=tuple(tuple(row) for row in V),
         W=tuple(tuple(row) for row in W),
         U=tuple(tuple(row) for row in u_rows),
-        nu=tuple(nu), omega=tuple(omega),
         X=tuple(tuple(row) for row in X),
         a=tuple(a_arr), c=tuple(c_arr), d=tuple(d_arr), e=tuple(e_arr),
-        eta=eta_pairs,
     )
 
 

@@ -180,11 +180,9 @@ def test_criterion_6_times_table_oracle():
 
 # --- criterion 7: mutation robustness over serialized certificates --------
 
-# structural index metadata is not a coefficient: re-pointing a pivot can
-# land on another valid pattern, base-2 and base-p digit chains coincide for
-# p = 3, and kernel-lattice rows V/W admit equivalent lifts; all other
-# fields are fair game
-_MUTATION_EXCLUDED_KEYS = {"nu", "omega", "eta", "t", "V", "W"}
+# base-2 and base-p digit chains coincide for p = 3, and kernel-lattice rows
+# V/W admit equivalent lifts; all other fields are fair game
+_MUTATION_EXCLUDED_KEYS = {"t", "V", "W"}
 
 
 def _int_leaf_paths(node, prefix=()):
@@ -319,9 +317,7 @@ def test_criterion_9_verdict_determinism(tmp_path):
             files.append(path)
         # also pin deterministic rejection output on a forged file
         env = json.loads(files[0].read_bytes())
-        env["payload"]["theta_coords"][0] = str(
-            int(env["payload"]["theta_coords"][0]) + 1
-        )
+        env["payload"]["theta_witness"].append("1")
         bad = tmp_path / "forged.bundle.json"
         bad.write_bytes(reseal(env["kind"], env["payload"]))
         files.append(bad)

@@ -230,7 +230,7 @@ class TestVerifyRejection:
         out = fixture_files / "q.bundle.json"
         run_cli(capsys, "gen", "bundle", poly, basis, "-o", str(out))
         env = json.loads(out.read_bytes())
-        env["payload"]["theta_coords"] = ["1", "2"]
+        env["payload"]["theta_witness"] = ["1", "2"]
         out.write_bytes(reseal(env["kind"], env["payload"]))
         code, _, err = run_cli(capsys, "verify", str(out))
         assert code == 1

@@ -120,7 +120,7 @@ def _move_to_free_primes(payload: dict, primes: set[int]) -> None:
     moved = [entry for entry in payload["primes"] if int(entry["p"]) in primes]
     assert len(moved) == len(primes)
     payload["primes"] = [entry for entry in payload["primes"] if entry not in moved]
-    payload["free_primes"] = [{key: entry[key] for key in ("p", "exponent", "pratt")}
+    payload["free_primes"] = [{key: value for key, value in entry.items() if key != "cert"}
                               for entry in moved]
 
 
@@ -132,6 +132,7 @@ def test_power_basis_bundle_is_previous_without_products():
     env = json.loads(PREVIOUS_POWER_BASIS.read_bytes())
     _drop_fields("bundle", env["payload"])
     _one_prime_rule("bundle", env["payload"])
+    _drop_derived_facts("bundle", env["payload"])
     env["payload"]["order"]["products"] = []
     _move_to_free_primes(env["payload"], {19, 151})
     T = [int(c) for c in env["payload"]["T"]]
@@ -150,6 +151,7 @@ def test_every_prime_certified_bundle_is_previous_with_free_primes():
 
     env = json.loads(PREVIOUS_EVERY_PRIME_CERTIFIED.read_bytes())
     _one_prime_rule("bundle", env["payload"])
+    _drop_derived_facts("bundle", env["payload"])
     _move_to_free_primes(env["payload"], {1161683})
     T = [int(c) for c in env["payload"]["T"]]
     new = generate_bundle(T, 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]], claimed_disc=9293464)
@@ -235,13 +237,58 @@ PREVIOUS_ONE_PRIME_RULE = GOLDEN / "previous-one-prime-rule"
 
 def test_golden_files_are_previous_with_each_fact_stated_once():
     # the golden files that changed with the one primality rule are their
-    # copies from before it with exactly those keys deleted or nulled
+    # copies from before it with exactly those keys deleted or nulled, and
+    # then the derived facts dropped
     changed = sorted(path.name for path in PREVIOUS_ONE_PRIME_RULE.glob("*.json"))
     assert changed == ["bundle.json", "degree-analysis.json", "lpfw.json", "pratt.json",
                        "rabin-ff.json"]
     for name in changed:
         env = json.loads((PREVIOUS_ONE_PRIME_RULE / name).read_bytes())
         _one_prime_rule(env["kind"], env["payload"])
+        _drop_derived_facts(env["kind"], env["payload"])
+        assert reseal(env["kind"], env["payload"]) == (GOLDEN / name).read_bytes(), name
+
+
+# Payload keys that generators wrote until the verifier derived them where
+# it checks them: the kernel forms' pivot lists, the order's `one` (B_00
+# divides d), the bundle's theta coordinates (back-substituted), each
+# listed prime's exponent (divided out of |N|) and each per-prime unit of a
+# degree analysis (lc(f) mod p)
+DERIVED_FACTS = {
+    "order": ("one",),
+    "pmax-short": ("nu", "omega", "eta"),
+    "pmax-long": ("nu", "omega", "eta"),
+    "bundle": ("theta_coords",),
+}
+
+
+def _drop_derived_facts(kind: str, payload: dict) -> None:
+    """Delete the DERIVED_FACTS keys, every bundle prime entry's `exponent`
+    and every per-prime `unit` from a payload and the payloads nested in
+    it, in place; a KeyError if one is missing."""
+    def visit(kind, payload):
+        for key in DERIVED_FACTS.get(kind, ()):
+            del payload[key]
+        if kind == "bundle":
+            for entry in payload["primes"] + payload.get("free_primes", []):
+                del entry["exponent"]
+        elif kind == "degree-analysis":
+            for entry in payload["per_prime"]:
+                del entry["unit"]
+
+    _walk(kind, payload, visit)
+
+
+PREVIOUS_DERIVED_FACTS = GOLDEN / "previous-derived-facts"
+
+
+def test_golden_files_are_previous_without_derived_facts():
+    changed = sorted(path.name for path in PREVIOUS_DERIVED_FACTS.glob("*.json"))
+    assert changed == ["bundle.json", "degree-analysis.json", "lpfw.json", "order.json",
+                       "pmax-long.json", "pmax-short.json"]
+    for name in changed:
+        env = json.loads((PREVIOUS_DERIVED_FACTS / name).read_bytes())
+        _drop_derived_facts(env["kind"], env["payload"])
         assert reseal(env["kind"], env["payload"]) == (GOLDEN / name).read_bytes(), name
 
 
@@ -272,5 +319,6 @@ if __name__ == "__main__":
     test_power_basis_bundle_is_previous_without_products()
     test_every_prime_certified_bundle_is_previous_with_free_primes()
     test_golden_files_are_previous_with_each_fact_stated_once()
+    test_golden_files_are_previous_without_derived_facts()
     test_previous_recomputed_fields_are_the_golden_files_without_them()
     print(f"{len(certio._REGISTRY)} golden files round-trip and regenerate")

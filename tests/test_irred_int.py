@@ -270,6 +270,25 @@ class TestDegreeAnalysisPrimes:
         v = verify_degree_analysis(self._with_prime(analysis, 15))
         assert v.reason == "analysis/p=15/not-prime"
 
+    def test_factor_product_must_be_monic(self, analysis):
+        # the unit is not written: f mod p = lc(f) * the factor product, so
+        # the factors multiply to a monic polynomial.  2X^2 + 2 is
+        # irreducible mod 3 with its own Rabin certificate, but lc(f) = 1
+        # times it is not X^2 + 1
+        (fmp,) = analysis.per_prime
+        assert fmp.p == 3 and fmp.factors == (((1, 0, 1), 1),)
+        cert = irred_ff.generate_rabin([2, 0, 2], 3)
+        assert irred_ff.verify_rabin(cert).accepted
+        scaled = fmp._replace(factors=(((2, 0, 2), 1),), certs=(cert,))
+        v = verify_degree_analysis(analysis._replace(per_prime=(scaled,)))
+        assert v.reason == "analysis/p=3/product"
+        # a leading coefficient other than 1 is f's own: 2X^2 + 1 mod 3
+        # and mod 5 is 2 times a monic product
+        wide = generate_int_irred([1, 0, 2])
+        assert isinstance(wide, DegreeAnalysisCertificate)
+        assert all(entry.factors[0][0][-1] == 1 for entry in wide.per_prime)
+        assert verify_degree_analysis(wide).accepted
+
     def test_large_prime_rejected_quickly(self, analysis):
         # primes from 10^6 up need a Pratt certificate, which this field
         # cannot carry; trial division to sqrt(p) would take about a second

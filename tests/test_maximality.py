@@ -242,14 +242,14 @@ class TestFrobeniusKernel:
         table = TimesTable(2, (((1, 0), (0, 1)), ((0, 1), (0, 0))))
         t = minimal_frobenius_exponent(2, 2)
         assert t == 1
-        vbar, nu, w, u, omega = frobenius_kernel_basis(table, 2, t)
+        vbar, nu, w, u = frobenius_kernel_basis(table, 2, t)
         assert vbar == [[0, 1]] and nu == [1]
 
     def test_field_case(self):
         # linear T: O/pO is the prime field, Frobenius injective
         desc = build_order_description([3, 1], 1, [[1]])
         table = times_table_of(desc)
-        vbar, nu, w, u, omega = frobenius_kernel_basis(table, 5, minimal_frobenius_exponent(5, 1))
+        vbar, nu, w, u = frobenius_kernel_basis(table, 5, minimal_frobenius_exponent(5, 1))
         assert vbar == []
 
     def test_gauss_split_prime(self):
@@ -266,7 +266,7 @@ class TestFrobeniusKernel:
         for spec, p in [(CUBIC_3_10, 2), (CUBIC_30_80, 2), (DEDEKIND_CUBIC, 2)]:
             _, table = order_and_table(spec)
             t = minimal_frobenius_exponent(p, table.n)
-            vbar, nu, w, u, omega = frobenius_kernel_basis(table, p, t)
+            vbar, nu, w, u = frobenius_kernel_basis(table, p, t)
             stacked = [list(r) for r in vbar] + [list(r) for r in w]
             assert abs(det_bareiss(stacked)) == 1
 
@@ -441,7 +441,7 @@ class TestWitnessSearch:
     def test_witness_none_is_normal(self):
         desc, table = order_and_table(CUBIC_3_10)
         t = minimal_frobenius_exponent(2, 3)
-        vbar, nu, w, u, omega = frobenius_kernel_basis(table, 2, t)
+        vbar, nu, w, u = frobenius_kernel_basis(table, 2, t)
         if vbar:
             phi = _action_matrix(table, 2, vbar, w, _vw_decomposer(vbar, w, 2))
             out = _search_witness(3, len(vbar), 2, phi, WITNESS_BUDGET)
@@ -485,7 +485,7 @@ class TestWitnessSearch:
             monkeypatch.setattr(maximality, "WITNESS_BUDGET", budget)
             assert generate_pmax(table, p) == reference.generate_pmax(table, p, budget)
 
-        V, _nu, W, _u, _omega = frobenius_kernel_basis(table, p, minimal_frobenius_exponent(p, r))
+        V, _nu, W, _u = frobenius_kernel_basis(table, p, minimal_frobenius_exponent(p, r))
         if not V:
             return  # unramified: no phi, no witness
         decompose = _vw_decomposer(V, W, p)
@@ -518,7 +518,7 @@ class TestDecomposer:
         fx = FIXTURES[name]
         _, table = order_and_table((list(fx["T"]), fx["d"], [list(c) for c in fx["columns"]]))
         r = table.n
-        vbar, _nu, w, _u, _omega = frobenius_kernel_basis(
+        vbar, _nu, w, _u = frobenius_kernel_basis(
             table, p, minimal_frobenius_exponent(p, r))
         if not vbar:
             return  # unramified: nothing is decomposed
@@ -572,16 +572,56 @@ def _bumped(value, path):
     return value[:i] + (_bumped(value[i], rest),) + value[i + 1:]
 
 
-def _moved_pivots(pivot, m, n):
-    """The pivot moved just past its block, to an unknown tag, and to the
-    other block at the same k."""
-    tag, k = pivot
-    return [(tag, m if tag == "A" else n), ("C", k), ("B" if tag == "A" else "A", k)]
+def _scaled_row(rows, i, p):
+    """rows with row i, a vector or a block of them, times p."""
+    return rows[:i] + (_scaled(rows[i], p),) + rows[i + 1:]
+
+
+def _scaled(value, p):
+    return value * p if isinstance(value, int) else tuple(_scaled(x, p) for x in value)
+
+
+def _copied_row(rows, i, k):
+    """rows with row k replaced by row i."""
+    return rows[:k] + (rows[i],) + rows[k + 1:]
 
 
 class TestKernelReasonPaths:
     """Every single edit of a kernel certificate fails at the check that
     reads the edited field, at the row that holds it."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_rows_owning_no_column(self, p, monkeypatch):
+        # (i) and (ii): a row of V that is zero mod p, a zero row of U, or
+        # a row copied over another, owns no column, and the first such row
+        # is named; nothing else in the certificate is edited
+        checked = 0
+        for name in FIXTURE_ORDERS:
+            fx = FIXTURES[name]
+            _, table = order_and_table((list(fx["T"]), fx["d"], [list(c) for c in fx["columns"]]))
+            short = generate_pmax(table, p)
+            monkeypatch.setattr(maximality, "WITNESS_BUDGET", 0)
+            long = generate_pmax(table, p)
+            monkeypatch.setattr(maximality, "WITNESS_BUDGET", WITNESS_BUDGET)
+            forms = [(short, "pmax-short", verify_pmax_short)]
+            if short.V:  # with no kernel both forms are the short one
+                forms.append((long, "pmax-long", verify_pmax_long))
+            for cert, kind, verify in forms:
+                assert verify(table, p, cert).accepted
+                for field, check, zero in (("V", "i", lambda row: tuple(p * x for x in row)),
+                                           ("U", "ii", lambda row: (0,) * len(row))):
+                    rows = getattr(cert, field)
+                    for i in range(len(rows)):
+                        zeroed = rows[:i] + (zero(rows[i]),) + rows[i + 1:]
+                        v = verify(table, p, cert._replace(**{field: zeroed}))
+                        assert v.reason == f"{kind}/check-{check}/i={i}", (name, field, i)
+                        checked += 1
+                        if len(rows) > 1:
+                            k = (i + 1) % len(rows)
+                            v = verify(table, p, cert._replace(**{field: _copied_row(rows, i, k)}))
+                            assert v.reason == f"{kind}/check-{check}/i={min(i, k)}"
+                            checked += 1
+        assert checked > 0
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_single_edits(self, p, monkeypatch):
@@ -605,17 +645,18 @@ class TestKernelReasonPaths:
                     assert not v.accepted, fields
                     return v.reason
 
-                for i, entry in enumerate(cert.eta):
-                    slots = [entry] if kind == "pmax-short" else list(entry)
-                    for s, pivot in enumerate(slots):
-                        for moved in _moved_pivots(pivot, m, n):
-                            slots_moved = slots[:s] + [moved] + slots[s + 1:]
-                            new = moved if kind == "pmax-short" else tuple(slots_moved)
-                            if new == entry:
-                                continue
-                            eta = cert.eta[:i] + (new,) + cert.eta[i + 1:]
-                            assert reason(eta=eta) == f"{kind}/check-iii/i={i}"
-                            checked += 1
+                # (iii): a row of [a | c], or of the long form's flattened
+                # blocks, owns no column when it is zero mod p, and two
+                # equal rows own none either
+                blocks = [f for f in ("a", "c", "d", "e") if hasattr(cert, f)]
+                r = table.n
+                for i in range(r):
+                    scaled = {f: _scaled_row(getattr(cert, f), i, p) for f in blocks}
+                    assert reason(**scaled) == f"{kind}/check-iii/i={i}"
+                    k = (i + 1) % r
+                    copied = {f: _copied_row(getattr(cert, f), i, k) for f in blocks}
+                    assert reason(**copied) == f"{kind}/check-iii/i={min(i, k)}"
+                    checked += 2
                 for field in ("a", "c", "d", "e", "X"):
                     if not hasattr(cert, field):
                         continue

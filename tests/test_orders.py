@@ -13,6 +13,7 @@ from ringcert.exactalg import (
 )
 from ringcert.orders import (
     NotAnOrder,
+    OrderDescription,
     ProductEntry,
     build_order_description,
     element_coordinates,
@@ -69,8 +70,6 @@ class TestBuilder:
         v = verify_order_builder(bad)
         assert time.perf_counter() - start < 1.0
         assert v.reason == "order/identity/i=0/j=1"
-        bad = cubic._replace(one=cubic.one._replace(witness=witness))
-        assert verify_order_builder(bad).reason == "order/one"
 
     def test_non_ring_basis_raises(self):
         # {1, a, a^2/2} is not closed under multiplication
@@ -81,8 +80,12 @@ class TestBuilder:
         tt = times_table_of(gauss)
         assert tt.table == (((1, 0), (0, 1)), ((0, 1), (-1, 0)))
 
-    def test_one_coords(self, cubic):
-        assert list(cubic.one.coords) == [1, 0, 0]
+    def test_one_needs_b00_to_divide_d(self, cubic):
+        # B is triangular, so d*e_0 back-substitutes to d / B_00: 1 is in O
+        # exactly when B_00 divides d (the cubic's B_00 = d = 2)
+        assert cubic.basis_columns[0][0] == cubic.d == 2
+        with pytest.raises(NotAnOrder, match="1 is not in the span"):
+            build_order_description(GAUSS_T, 1, [[2, 0], [0, 2]])
 
 
 class TestTimesTableArithmetic:
@@ -197,7 +200,6 @@ class TestPowerBasis:
             n = len(T) - 1
             desc = build_order_description(T, 1, _identity(n))
             assert desc.products == ()
-            assert list(desc.one.coords) == [1] + [0] * (n - 1)
             assert verify_order_builder(desc).accepted
             full = power_basis_with_table(T)
             assert verify_order_builder(full).accepted
@@ -226,11 +228,17 @@ class TestPowerBasis:
         bare = cubic._replace(products=())
         assert verify_order_builder(bare).reason == "order/products-shape"
 
-    def test_power_basis_one_must_be_e0(self, gauss):
-        for desc in (gauss, power_basis_with_table(GAUSS_T)):
-            for one in ((0, 1), (2, 0), (-1, 0), (1, 1)):
-                bad = desc._replace(one=ProductEntry(one, ()))
-                assert verify_order_builder(bad).reason == "order/one", one
+    def test_one_outside_a_closed_span_rejected(self):
+        # c*Z[i] = span{c, c*i}, d = 1, is closed under multiplication with
+        # every product identity exact (c*i * c*i = -c * c + c^2 * T), but
+        # 1 lies in it only when B_00 = c divides d = 1
+        for c in (1, -1, 2, 3, -2):
+            desc = OrderDescription(
+                T=tuple(GAUSS_T), d=1, basis_columns=((c, 0), (0, c)),
+                products=((ProductEntry((c, 0), ()), ProductEntry((0, c), ())),
+                          (ProductEntry((-c, 0), (-c * c,)),)))
+            v = verify_order_builder(desc)
+            assert v.accepted if c in (1, -1) else v.reason == "order/one", c
 
     def test_full_power_basis_table_checked_entry_by_entry(self):
         full = power_basis_with_table([-1, -1, 0, 0, 0, 1])

@@ -17,6 +17,7 @@ from ringcert.exactalg import (
     poly_divmod,
 )
 from ringcert.maximality import DedekindCertificate
+from ringcert.orders import build_order_description, verify_order_builder
 from ringcert.pipeline import (
     BundleError,
     FactorEntry,
@@ -53,7 +54,7 @@ class TestBundleRoundTrip:
     def test_cubic_3_10_prime_coverage(self, bundle_3_10):
         # resultant(T, T') = 2592 = 2^5 * 3^4, which the verifier computes
         assert resultants.disc_poly(list(bundle_3_10.T)) == 2592
-        assert [(e.p, e.exponent) for e in bundle_3_10.primes] == [(2, 5), (3, 4)]
+        assert [e.p for e in bundle_3_10.primes] == [2, 3]
 
     def test_cubic_3_10_dedekind_where_possible(self, bundle_3_10):
         kinds = {e.p: type(e.cert).__name__ for e in bundle_3_10.primes}
@@ -118,20 +119,28 @@ class TestBundleRejection:
         assert not v.accepted
         assert v.reason == "bundle/prime-factorization"
 
-    def test_wrong_exponent(self, bundle_3_10):
-        entry = bundle_3_10.primes[0]._replace(exponent=4)
-        v = verify_bundle(
-            bundle_3_10._replace(primes=(entry,) + bundle_3_10.primes[1:])
-        )
-        assert not v.accepted and v.reason == "bundle/prime-factorization"
+    def test_listed_prime_must_divide_what_is_left(self, bundle_3_10):
+        # N = 2592 = 2^5 * 3^4: each listed prime is divided out of |N| in
+        # full, so one below 2, one that does not divide N, one listed twice
+        # and a composite whose primes came before it are each named
+        e2, e3 = bundle_3_10.primes
+        for p in (5, 7, 1, 0, -2, 2 * 3):
+            entry = FactorEntry(p, None)
+            v = verify_bundle(bundle_3_10._replace(free_primes=(entry,)))
+            assert v.reason == f"bundle/prime-factorization/p={p}", p
+        v = verify_bundle(bundle_3_10._replace(primes=(e2, e3, e2)))
+        assert v.reason == "bundle/prime-factorization/p=2"
 
-    def test_huge_exponent_rejected_quickly(self, bundle_3_10):
-        entry = bundle_3_10.primes[0]._replace(exponent=10**12)
+    def test_huge_listed_prime_rejected_quickly(self, bundle_3_10):
+        # a prime entry's exponent is not written, so the work of the
+        # factorization check is bounded by the divisions of |N| alone
+        p = 10**4299 + 1
+        entry = bundle_3_10.primes[0]._replace(p=p)
         bad = bundle_3_10._replace(primes=(entry,) + bundle_3_10.primes[1:])
         start = time.perf_counter()
         v = verify_bundle(bad)
         assert time.perf_counter() - start < 1.0
-        assert v.reason == "bundle/prime-factorization"
+        assert v.reason == f"bundle/prime-factorization/p={p}"
 
     def test_mutated_bezout(self, bundle_3_10):
         bad = bundle_3_10._replace(bezout_a=tuple(x + 1 for x in bundle_3_10.bezout_a))
@@ -162,6 +171,24 @@ class TestBundleRejection:
         assert time.perf_counter() - start < 1.0
         assert v.reason == "bundle/theta"
 
+    def test_tampered_theta_witness_rejected(self, bundle_3_10):
+        # theta's coordinates are not written: d*X + T*witness must
+        # back-substitute through B, and any nonzero witness lifts it to
+        # degree >= n
+        assert bundle_3_10.theta_witness == ()
+        for witness in ((1,), (-2,), (0, 1), (2, 0, 0, 1)):
+            v = verify_bundle(bundle_3_10._replace(theta_witness=witness))
+            assert v.reason == "bundle/theta", witness
+
+    def test_theta_outside_the_order_rejected(self):
+        # Z[2i] = span{1, 2i} is an order of Q(i) without theta = i: X
+        # does not back-substitute through B = diag(1, 2)
+        gauss = generate_bundle([1, 0, 1], 1, [[1, 0], [0, 1]])
+        order = build_order_description([1, 0, 1], 1, [[1, 0], [0, 2]])
+        assert verify_order_builder(order).accepted
+        v = verify_bundle(gauss._replace(order=order))
+        assert v.reason == "bundle/theta"
+
     def test_swapped_maximality_prime(self, bundle_3_10):
         # rebind the p=3 certificate under the p=2 entry
         e2, e3 = bundle_3_10.primes
@@ -181,15 +208,15 @@ class TestBundleRejection:
         # disc(O) = -648 = -2^3 * 3^4: both primes need their certificate
         for k, entry in enumerate(bundle_3_10.primes):
             rest = bundle_3_10.primes[:k] + bundle_3_10.primes[k + 1:]
-            free = (FactorEntry(entry.p, entry.exponent, entry.pratt),)
+            free = (FactorEntry(entry.p, entry.pratt),)
             v = verify_bundle(bundle_3_10._replace(primes=rest, free_primes=free))
             assert v.reason == f"bundle/p={entry.p}/needs-certificate"
 
     def test_prime_in_both_lists(self, bundle_3_10):
         entry = bundle_3_10.primes[1]
-        free = (FactorEntry(entry.p, entry.exponent, entry.pratt),)
+        free = (FactorEntry(entry.p, entry.pratt),)
         v = verify_bundle(bundle_3_10._replace(free_primes=free))
-        assert v.reason == f"bundle/prime-factorization/duplicate/p={entry.p}"
+        assert v.reason == f"bundle/prime-factorization/p={entry.p}"
 
 
 class TestHigherDegree:
@@ -339,8 +366,10 @@ def test_quadratic_closed_form(d, tmp_path):
 
 
 def _bezout_inputs():
-    """Every fixture T, the benchmark's bundle anchors, and seeded random monic T."""
-    polys = [list(fx["T"]) for fx in certio.FIXTURES.values()]
+    """Every monic fixture T, the benchmark's bundle anchors, and seeded
+    random monic T: `generate_bundle` refuses any other T before it asks
+    for the pair, and the route through theta's powers needs T monic."""
+    polys = [list(fx["T"]) for fx in certio.FIXTURES.values() if fx["T"][-1] == 1]
     polys += [[-1, -1] + [0] * (n - 2) + [1] for n in (12, 16, 20)]  # X^n - X - 1
     polys += [[1] * p for p in (19, 29)]  # cyclotomic Phi_p
     polys += [[2**n] + [0] * (n - 1) + [1] for n in (8, 16)]  # minimal polynomials of 2*zeta_2n

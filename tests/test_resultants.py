@@ -7,13 +7,8 @@ from hypothesis import strategies as st
 from ringcert import certio, resultants
 from ringcert.exactalg import ZZ, deg, drop_trailing_zeros, formal_derivative, list_mul, poly_divmod
 from ringcert.orders import build_order_description
-from ringcert.resultants import (
-    disc_order,
-    disc_poly,
-    power_basis_index,
-    sylvester_matrix,
-)
-from reference import lattice_index, naive_det, resultant
+from ringcert.resultants import disc_order, disc_poly, power_basis_index
+from reference import lattice_index, naive_det, resultant, sylvester_matrix
 
 
 def poly_from_roots(p, roots, lead=1):
