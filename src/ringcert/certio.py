@@ -21,8 +21,9 @@ annotations``), since a string annotation costs each record field a
 compiled forward reference at import; only the Pratt chain's
 self-reference is a string.
 Parsing validates formats, and the shapes the type hints fix, before any
-verification runs; shapes that depend on another field, such as the
-order's products against the degree of T, are the verifier's to check.
+verification runs; shapes that depend on another field or on the
+enclosing bundle, such as the order's basis and products against the
+degree of the bundle's T, are the verifier's to check.
 Payload keys that name no field are ignored, so files that still carry a
 dropped field parse, and a field with a default may be left out, so files
 written before it was added parse.  It turns every malformed input into

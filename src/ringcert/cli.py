@@ -50,7 +50,7 @@ def verify_certificate(obj) -> Verdict:
 
 def _emit_verdict(v: Verdict, as_json: bool) -> int:
     if as_json:
-        doc = {"schema_version": "verdict-1", **v.to_json_dict()}
+        doc = {"schema_version": "verdict-1", **v._asdict()}
         sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     if v.accepted:
         if not as_json:

@@ -2,21 +2,23 @@
 
 An order O in K = Q[X]/<T> of degree n is presented by a denominator d and
 an upper-triangular integer matrix B whose column j holds the coefficients
-of b_j = d*w_j as a polynomial in theta.  Closure under multiplication is
-certified by structure constants a_ijk and witness polynomials s_ij through
-the identity
+of b_j = d*w_j as a polynomial in theta; T comes from the caller.  Closure
+under multiplication is certified by one witness polynomial s_ij for each
+i <= j: y = b_i*b_j + T*s_ij must have degree below n and back-substitute
+through B with denominator d to integers a_ijk, so that
 
-    b_i * b_j = d * sum_k a_ijk * b_k - T * s_ij
+    b_i * b_j = d * sum_k a_ijk * b_k - T * s_ij.
 
-checked for i <= j.  B is triangular, so back-substituting d*e_0 through
-it gives d / B_00 and zeros: 1 lies in O exactly when B_00 divides d, and
-no identity is written for it.  The power basis (d = 1, B = I) may come
-without structure constants: Z[theta] is a ring because T is monic, and
-its table is theta^(i+j) mod T, read off one list of theta^k for
-k <= 2n - 2 (each the previous one shifted, minus its top coefficient
-times T).  A verified
-description yields a times table, and all further arithmetic in O happens
-on coordinate vectors against that table.
+The a_ijk are not written: the check derives them, and they are the times
+table.  A wrong s_ij adds T times a nonzero polynomial to y, of degree at
+least n, so the degree bound leaves exactly one witness.  B is triangular,
+so back-substituting d*e_0 through it gives d / B_00 and zeros: 1 lies in
+O exactly when B_00 divides d, and no identity is written for it.  The
+power basis (d = 1, B = I) may come without witnesses: Z[theta] is a ring
+because T is monic, and its table is theta^(i+j) mod T, read off one list
+of theta^k for k <= 2n - 2 (each the previous one shifted, minus its top
+coefficient times T).  All further arithmetic in O happens on coordinate
+vectors against the times table.
 """
 
 from operator import mul
@@ -27,8 +29,8 @@ from .exactalg import (
     _canonical,
     deg,
     drop_trailing_zeros,
+    list_add,
     list_mul,
-    list_sub,
     mul_pointwise,
     poly_divmod,
 )
@@ -37,12 +39,10 @@ from .verdict import Verdict
 
 
 class ProductEntry(NamedTuple):
-    coords: tuple[int, ...]   # coordinates of the product in the basis
     witness: tuple[int, ...]  # the polynomial s of its identity
 
 
 class OrderDescription(NamedTuple):
-    T: tuple[int, ...]                      # monic, degree n
     d: int                                  # common denominator, nonzero
     basis_columns: tuple[tuple[int, ...], ...]  # column j = coeffs of b_j, len n
     # ragged upper triangle: products[i][j-i] is w_i*w_j; empty for the
@@ -51,16 +51,12 @@ class OrderDescription(NamedTuple):
 
     @property
     def n(self) -> int:
-        return len(self.T) - 1
+        return len(self.basis_columns)
 
 
 class TimesTable(NamedTuple):
     n: int
     table: tuple[tuple[tuple[int, ...], ...], ...]  # table[i][j] = coords of w_i*w_j
-
-
-def _column_poly(desc: OrderDescription, j: int) -> list[int]:
-    return drop_trailing_zeros(list(desc.basis_columns[j]))
 
 
 def _basis_fault(n: int, columns) -> str | None:
@@ -105,79 +101,60 @@ def basis_rows(columns) -> list[list[int]]:
     return [list(row) for row in zip(*columns)]
 
 
-def basis_combination(rows, coords) -> list[int]:
-    """B . coords as a canonical list: the polynomial sum_k coords[k] * b_k."""
-    return drop_trailing_zeros([sum(map(mul, row, coords)) for row in rows])
+def _product_coords(b_i, b_j, witness, T, rows, d) -> tuple[int, ...] | None:
+    """The coordinates of w_i*w_j read off its identity, or None when the
+    identity fails: y = b_i*b_j + T*witness must have degree below
+    n = len(rows) and back-substitute through B with denominator d to
+    integers.  A witness of degree >= n - 1 makes T*witness of degree
+    >= 2n - 1, above b_i*b_j, so it is refused before it is multiplied."""
+    n = len(rows)
+    witness = drop_trailing_zeros(list(witness))
+    if len(witness) >= n:
+        return None
+    y = list_add(ZZ, list_mul(ZZ, b_i, b_j), list_mul(ZZ, T, witness))
+    if len(y) > n:
+        return None
+    coords = solve_upper_triangular(rows, y + [0] * (n - len(y)), d)
+    return None if coords is None else tuple(coords)
 
 
-def _products_fault(desc: OrderDescription, T: list[int], rows) -> str | None:
-    """The first failing shape or identity of the structure constants, or None."""
-    n = desc.n
-    if len(desc.products) != n:
-        return "products-shape"
-    for i, row in enumerate(desc.products):
-        if len(row) != n - i or any(len(entry.coords) != n for entry in row):
-            return f"products-shape/i={i}"
-
-    # A witness of degree >= n - 1 makes T * witness of degree >= 2n - 1, above
-    # every other term of its identity, so the identity fails; such witnesses
-    # are rejected before they are multiplied.
-    b = [_column_poly(desc, j) for j in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            entry = desc.products[i][j - i]
-            witness = drop_trailing_zeros(list(entry.witness))
-            if len(witness) >= n:
-                return f"identity/i={i}/j={j}"
-            combo = basis_combination(rows, entry.coords)
-            rhs = list_sub(ZZ, mul_pointwise(ZZ, desc.d, combo), list_mul(ZZ, T, witness))
-            if list_mul(ZZ, b[i], b[j]) != rhs:
-                return f"identity/i={i}/j={j}"
-    return None
-
-
-def verify_order_builder(desc: OrderDescription) -> Verdict:
-    """Check the whole description; acceptance certifies that the basis spans
-    a subring of K containing 1, hence an order inside the ring of integers."""
-    n = desc.n
-    T = list(desc.T)
-    if n < 1:
-        return Verdict.reject("order/T-degree")
-    if T[-1] != 1:
-        return Verdict.reject("order/T-not-monic")
+def verify_order_builder(desc: OrderDescription, T) -> tuple[Verdict, TimesTable | None]:
+    """Check the description over T, monic of degree n >= 1 (the caller's
+    check).  Acceptance certifies that the basis spans a subring of K
+    containing 1, hence an order inside the ring of integers, and comes with
+    the order's times table; a rejection comes with None."""
+    T = list(T)
+    n = len(T) - 1
     if desc.d == 0:
-        return Verdict.reject("order/denominator-zero")
+        return Verdict.reject("order/denominator-zero"), None
     fault = _basis_fault(n, desc.basis_columns)
     if fault:
-        return Verdict.reject(f"order/{fault}")
-    rows = basis_rows(desc.basis_columns)
-    # products may be empty only for the power basis, whose table
-    # times_table_of rebuilds; every other table is checked entry by entry
-    if desc.products or not _is_power_basis(desc.d, desc.basis_columns):
-        fault = _products_fault(desc, T, rows)
-        if fault:
-            return Verdict.reject(f"order/{fault}")
+        return Verdict.reject(f"order/{fault}"), None
+
+    # products may be empty only for the power basis, whose table is
+    # theta^(i+j); every other table is derived entry by entry
+    if not desc.products and _is_power_basis(desc.d, desc.basis_columns):
+        powers = theta_powers(T)
+        table = [powers[i:i + n] for i in range(n)]
+    else:
+        if len(desc.products) != n:
+            return Verdict.reject("order/products-shape"), None
+        for i, row in enumerate(desc.products):
+            if len(row) != n - i:
+                return Verdict.reject(f"order/products-shape/i={i}"), None
+        rows = basis_rows(desc.basis_columns)
+        b = [drop_trailing_zeros(list(c)) for c in desc.basis_columns]
+        table = [[None] * n for _ in range(n)]
+        for i, row in enumerate(desc.products):
+            for j, entry in enumerate(row, start=i):
+                coords = _product_coords(b[i], b[j], entry.witness, T, rows, desc.d)
+                if coords is None:
+                    return Verdict.reject(f"order/identity/i={i}/j={j}"), None
+                table[i][j] = table[j][i] = coords
 
     if desc.d % desc.basis_columns[0][0]:
-        return Verdict.reject("order/one")
-    return Verdict.accept()
-
-
-def times_table_of(desc: OrderDescription) -> TimesTable:
-    """Symmetrized coordinate table; call only on a verified description.
-    Without products the description is the power basis: table[i][j] is
-    theta^(i+j)."""
-    n = desc.n
-    if not desc.products:
-        powers = theta_powers(desc.T)
-        return TimesTable(n, tuple(tuple(powers[i:i + n]) for i in range(n)))
-    table = [[None] * n for _ in range(n)]
-    for i, row in enumerate(desc.products):
-        for j, entry in enumerate(row, start=i):
-            vec = tuple(entry.coords)
-            table[i][j] = vec
-            table[j][i] = vec
-    return TimesTable(n, tuple(tuple(row) for row in table))
+        return Verdict.reject("order/one"), None
+    return Verdict.accept(), TimesTable(n, tuple(map(tuple, table)))
 
 
 def tt_mul(p: int, tt: TimesTable, x: list, y: list) -> list:
@@ -225,66 +202,49 @@ def reduce_table_mod_p(tt: TimesTable, p: int) -> TimesTable:
 
 
 # ---------------------------------------------------------------------------
-# generator side: structure constants from a raw basis
+# generator side: product witnesses for a raw basis
 # ---------------------------------------------------------------------------
 
 
 class NotAnOrder(Exception):
-    """The given basis does not span a ring (or fails shape constraints)."""
+    """T is not monic, or the basis matrix is not n x n."""
 
 
 def build_order_description(
     T: list[int], d: int, basis_columns: list[list[int]]
 ) -> OrderDescription:
-    """Find the structure constants and witnesses for a basis, or raise.
+    """The description of a basis, with each product's witness: the negated
+    quotient of b_i*b_j by T.  The power basis gets no witnesses (the
+    verifier rebuilds its table).
 
-    Expects T monic of degree n, d nonzero, and B upper triangular with
-    nonzero diagonal (a Hermite-shaped basis).  The power basis gets no
-    products (the verifier rebuilds them).  Raises NotAnOrder when the
-    products w_i*w_j do not have integral coordinates, i.e. the span is not
-    closed under multiplication, or when 1 is not in the span, that is
-    when B_00 does not divide d.
+    Only T monic of degree n and B of shape n x n are checked, since the
+    division needs them; whether the basis spans an order is
+    `verify_order_builder`'s to decide.  Raises NotAnOrder otherwise.
     """
     T = drop_trailing_zeros(list(T))
     n = deg(T)
     if n < 1 or T[-1] != 1:
         raise NotAnOrder("defining polynomial must be monic of positive degree")
-    if d == 0:
-        raise NotAnOrder("denominator must be nonzero")
-    fault = _basis_fault(n, basis_columns)
-    if fault:
-        raise NotAnOrder(f"basis matrix must be upper triangular with nonzero diagonal ({fault})")
+    if len(basis_columns) != n or any(len(c) != n for c in basis_columns):
+        raise NotAnOrder(f"basis matrix must be {n} x {n}")
 
     columns = tuple(tuple(c) for c in basis_columns)
     if _is_power_basis(d, columns):
-        return OrderDescription(T=tuple(T), d=d, basis_columns=columns, products=())
+        return OrderDescription(d=d, basis_columns=columns, products=())
 
-    b_mat = basis_rows(basis_columns)
     b_polys = [drop_trailing_zeros(list(c)) for c in basis_columns]
-
     products = []
     for i in range(n):
         row = []
         for j in range(i, n):
-            prod = list_mul(ZZ, b_polys[i], b_polys[j])
-            q, rem = poly_divmod(ZZ, prod, T)
-            coords = solve_upper_triangular(b_mat, rem + [0] * (n - len(rem)), d)
-            if coords is None:
-                raise NotAnOrder(f"product w_{i+1}*w_{j+1} leaves the span")
-            row.append(ProductEntry(tuple(coords), tuple(mul_pointwise(ZZ, -1, q))))
+            q, _ = poly_divmod(ZZ, list_mul(ZZ, b_polys[i], b_polys[j]), T)
+            row.append(ProductEntry(tuple(mul_pointwise(ZZ, -1, q))))
         products.append(tuple(row))
-    if d % basis_columns[0][0]:
-        raise NotAnOrder("1 is not in the span of the basis")
-    return OrderDescription(T=tuple(T), d=d, basis_columns=columns, products=tuple(products))
+    return OrderDescription(d=d, basis_columns=columns, products=tuple(products))
 
 
-def theta_coordinates(desc: OrderDescription) -> list[int] | None:
+def theta_coordinates(desc: OrderDescription, T) -> list[int] | None:
     """Coordinates of theta in the basis, or None when theta is outside O."""
-    return element_coordinates(desc, [0, 1], 1)
-
-
-def element_coordinates(desc: OrderDescription, poly_num: list[int], den: int) -> list[int] | None:
-    """Coordinates of (1/den)*poly(theta) in the basis, or None if not in O."""
-    _, rem = poly_divmod(ZZ, poly_num, list(desc.T))
+    _, rem = poly_divmod(ZZ, [0, 1], list(T))
     rhs = [c * desc.d for c in rem + [0] * (desc.n - len(rem))]
-    return solve_upper_triangular(basis_rows(desc.basis_columns), rhs, den)
+    return solve_upper_triangular(basis_rows(desc.basis_columns), rhs)

@@ -1,16 +1,18 @@
 """The global driver: prove that a supplied basis spans the full ring of
 integers of Q[X]/<T>.
 
-A bundle chains together: an irreducibility certificate for T, the order
-builder for the basis, membership of theta, a separability witness
-a*T + b*T' = N with the certified primes of N, and one maximality
-certificate per prime factor p of N with p^2 | disc(O).  N = disc(T) is
-not written: the verifier computes it once, by `resultants.disc_poly`, and
-uses it for disc(O), the factorization and the separability identity.
+A bundle chains together: an irreducibility certificate for T, the basis
+of the order with one witness per product, membership of theta, a
+separability witness a*T + b*T' = N with the certified primes of N, and
+one maximality certificate per prime factor p of N with p^2 | disc(O).
+N = disc(T) is not written: the verifier computes it once, by
+`resultants.disc_poly`, and uses it for disc(O), the factorization and
+the separability identity.
 Nothing the verifier finds in time linear in what it reads is written
 either: theta's coordinates come from back-substituting d*X + T*witness
-through the triangular basis, and each prime's exponent from dividing it
-out of |N|, which must leave 1.
+through the triangular basis, each product's coordinates, the times table,
+from back-substituting its identity the same way, and each prime's
+exponent from dividing it out of |N|, which must leave 1.
 Any prime not dividing N is automatically fine (T stays separable mod p there), and
 since disc(O) = [O_K : O]^2 disc(K), no prime with p^2 not dividing
 disc(O) divides [O_K : O]; so acceptance of the bundle means the order is
@@ -46,7 +48,6 @@ from .orders import (
     build_order_description,
     theta_coordinates,
     theta_powers,
-    times_table_of,
     verify_order_builder,
 )
 from .resultants import power_basis_index
@@ -106,11 +107,9 @@ def verify_bundle_with_disc(bundle: CertificateBundle) -> tuple[Verdict, int | N
     if not ok:
         return ok.prefixed("bundle/irred"), None
 
-    # the order description
+    # the order description over T, which yields the order's times table
     desc = bundle.order
-    if list(desc.T) != T:
-        return Verdict.reject("bundle/order/binding"), None
-    ok = verify_order_builder(desc)
+    ok, tt = verify_order_builder(desc, T)
     if not ok:
         return ok.prefixed("bundle"), None
 
@@ -160,7 +159,6 @@ def verify_bundle_with_disc(bundle: CertificateBundle) -> tuple[Verdict, int | N
 
     # one maximality certificate per certified prime: Dedekind's on T, the kernel
     # forms over the times table; each takes T or the table, and p, from here
-    tt = times_table_of(desc)
     verifiers = {
         DedekindCertificate: (maximality.verify_dedekind, T),
         PMaxShortCertificate: (maximality.verify_pmax_short, tt),
@@ -236,7 +234,8 @@ def generate_bundle(
 ) -> CertificateBundle:
     """Assemble a bundle that verify_bundle accepts, or raise BundleError.
 
-    Strategy: certify irreducibility of T, build the order, take
+    Strategy: certify irreducibility of T, build the order and check it,
+    which gives its times table, take
     N = resultant(T, T'), then per prime p | N with p^2 | disc(O) try the
     Dedekind criterion first and fall back to kernel certificates; the
     other primes of N go to `free_primes` with no certificate.  A provably nontrivial
@@ -254,8 +253,11 @@ def generate_bundle(
         desc = build_order_description(T, d, basis_columns)
     except NotAnOrder as e:
         raise BundleError(f"basis does not span an order: {e}") from e
+    ok, tt = verify_order_builder(desc, T)
+    if not ok:
+        raise BundleError(f"basis does not span an order: {ok.reason}")
 
-    if theta_coordinates(desc) is None:
+    if theta_coordinates(desc, T) is None:
         raise BundleError("theta does not lie in the span of the basis")
     theta_q, _ = poly_divmod(ZZ, [0, d], T)
     theta_witness = mul_pointwise(ZZ, -1, theta_q)
@@ -263,7 +265,6 @@ def generate_bundle(
     bez_a, bez_b, N = _bezout_witness(T)
     factors = primality.factorize(abs(N))
 
-    tt = times_table_of(desc)
     # |disc(O)| = |N| / [O : Z[theta]]^2, with no determinant; a prime that
     # divides [O_K : O] has p^2 | disc(O), so none of them is left free
     disc_abs = abs(N) // power_basis_index(desc) ** 2

@@ -31,5 +31,3 @@ class Verdict(NamedTuple):
     def __bool__(self) -> bool:
         return self.accepted
 
-    def to_json_dict(self) -> dict:
-        return {"accepted": self.accepted, "reason": self.reason}

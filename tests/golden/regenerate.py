@@ -19,7 +19,7 @@ from ringcert import certio, maximality
 from ringcert.irred_ff import generate_rabin
 from ringcert.irred_int import generate_int_irred
 from ringcert.maximality import generate_dedekind, generate_pmax
-from ringcert.orders import build_order_description, times_table_of
+from ringcert.orders import build_order_description, verify_order_builder
 from ringcert.pipeline import generate_bundle
 from ringcert.primality import generate_pratt
 from ringcert.resultants import disc_order, disc_poly
@@ -38,9 +38,10 @@ _BUNDLE_CUBIC = ([-30, 489, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]])
 
 def golden_objects() -> dict:
     order = build_order_description(*_CUBIC)
+    _, table = verify_order_builder(order, _CUBIC[0])
     # with no witness search, generate_pmax writes the long form
     with mock.patch.object(maximality, "WITNESS_BUDGET", 0):
-        pmax_long = generate_pmax(times_table_of(order), 2)
+        pmax_long = generate_pmax(table, 2)
     return {
         "rabin-ff": generate_rabin([2, 1, 0, 0, 0, 0, 1], 3),
         "reducible-ff": generate_rabin([3, 1, 0, 0, 0, 0, 1], 3),
@@ -49,7 +50,7 @@ def golden_objects() -> dict:
         "reducible-int": generate_int_irred([-1, 0, 1]),
         "pratt": generate_pratt(1000003),
         "dedekind": generate_dedekind([-2, 0, 0, 1], 3),
-        "pmax-short": generate_pmax(times_table_of(order), 2),
+        "pmax-short": generate_pmax(table, 2),
         "pmax-long": pmax_long,
         "order": order,
         "bundle": generate_bundle(

@@ -183,18 +183,16 @@ def resultant(p: int, f: list[int], g: list[int]) -> int:
 
 def power_basis_with_table(T: list[int]) -> OrderDescription:
     """The power basis of monic T with a full product table, as older
-    generators wrote it: w_i*w_j = X^(i+j) reduced modulo T by long
-    division, the witness the negated quotient."""
+    generators wrote it: each witness is the negated quotient of X^(i+j)
+    by T, from long division."""
     n = deg(T)
     products = []
     for i in range(n):
-        quotients, remainders = zip(*(poly_divmod(ZZ, [0] * (i + j) + [1], T) for j in range(i, n)))
         products.append(tuple(
-            ProductEntry(tuple(r) + (0,) * (n - len(r)), tuple(-c for c in q))
-            for q, r in zip(quotients, remainders)
+            ProductEntry(tuple(-c for c in poly_divmod(ZZ, [0] * (i + j) + [1], T)[0]))
+            for j in range(i, n)
         ))
     return OrderDescription(
-        T=tuple(T),
         d=1,
         basis_columns=tuple(tuple(int(i == j) for i in range(n)) for j in range(n)),
         products=tuple(products),

@@ -26,7 +26,7 @@ from ringcert.exactalg import (
 from ringcert.irred_ff import RabinCertificate, generate_rabin, verify_rabin, verify_reducible_witness
 from ringcert.irred_int import generate_int_irred, verify_lpfw
 from ringcert.maximality import generate_dedekind, generate_pmax, verify_dedekind
-from ringcert.orders import build_order_description, times_table_of, tt_mul
+from ringcert.orders import build_order_description, tt_mul, verify_order_builder
 from ringcert.pipeline import BundleError, generate_bundle, verify_bundle
 from ringcert.primality import generate_pratt, verify_pratt
 from reference import reseal, resultant
@@ -158,7 +158,7 @@ def test_criterion_6_times_table_oracle():
     with criterion(6, "times-table products vs polynomial arithmetic", 10.0):
         for name, (T, d, cols) in CUBIC_FIXTURES.items():
             desc = build_order_description(T, d, cols)
-            tt = times_table_of(desc)
+            tt = verify_order_builder(desc, T)[1]
             n = desc.n
             b_mat = [[desc.basis_columns[j][i] for j in range(n)] for i in range(n)]
             rng = random.Random(sum(map(ord, name)))
@@ -237,7 +237,7 @@ def test_criterion_7_mutation_robustness(monkeypatch):
         bundle = generate_bundle(
             [-10, -3, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]]
         )
-        tt = times_table_of(bundle.order)
+        tt = verify_order_builder(bundle.order, bundle.T)[1]
 
         rabin = generate_rabin([3, 3, 0, 4, 1], 5)
         assert isinstance(rabin, RabinCertificate)

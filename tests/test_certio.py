@@ -17,7 +17,7 @@ from ringcert.maximality import (
     PMaxShortCertificate,
     generate_pmax,
 )
-from ringcert.orders import build_order_description, times_table_of
+from ringcert.orders import build_order_description, verify_order_builder
 from ringcert.pipeline import generate_bundle
 from ringcert.primality import PrattCertificate, generate_pratt
 from ringcert.verdict import Verdict
@@ -36,7 +36,7 @@ def sample_objects():
     desc = build_order_description([1, 0, 1], 1, [[1, 0], [0, 1]])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(maximality, "WITNESS_BUDGET", 0)  # the long form
-        pmax_long = generate_pmax(times_table_of(bundle.order), 2)
+        pmax_long = generate_pmax(verify_order_builder(bundle.order, bundle.T)[1], 2)
     objs = {
         "bundle": bundle,
         "lpfw": lpfw,

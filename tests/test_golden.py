@@ -133,6 +133,7 @@ def test_power_basis_bundle_is_previous_without_products():
     _drop_fields("bundle", env["payload"])
     _one_prime_rule("bundle", env["payload"])
     _drop_derived_facts("bundle", env["payload"])
+    _drop_order_copies("bundle", env["payload"])
     env["payload"]["order"]["products"] = []
     _move_to_free_primes(env["payload"], {19, 151})
     T = [int(c) for c in env["payload"]["T"]]
@@ -152,6 +153,7 @@ def test_every_prime_certified_bundle_is_previous_with_free_primes():
     env = json.loads(PREVIOUS_EVERY_PRIME_CERTIFIED.read_bytes())
     _one_prime_rule("bundle", env["payload"])
     _drop_derived_facts("bundle", env["payload"])
+    _drop_order_copies("bundle", env["payload"])
     _move_to_free_primes(env["payload"], {1161683})
     T = [int(c) for c in env["payload"]["T"]]
     new = generate_bundle(T, 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]], claimed_disc=9293464)
@@ -238,7 +240,7 @@ PREVIOUS_ONE_PRIME_RULE = GOLDEN / "previous-one-prime-rule"
 def test_golden_files_are_previous_with_each_fact_stated_once():
     # the golden files that changed with the one primality rule are their
     # copies from before it with exactly those keys deleted or nulled, and
-    # then the derived facts dropped
+    # then the derived facts and the order's copies dropped
     changed = sorted(path.name for path in PREVIOUS_ONE_PRIME_RULE.glob("*.json"))
     assert changed == ["bundle.json", "degree-analysis.json", "lpfw.json", "pratt.json",
                        "rabin-ff.json"]
@@ -246,6 +248,7 @@ def test_golden_files_are_previous_with_each_fact_stated_once():
         env = json.loads((PREVIOUS_ONE_PRIME_RULE / name).read_bytes())
         _one_prime_rule(env["kind"], env["payload"])
         _drop_derived_facts(env["kind"], env["payload"])
+        _drop_order_copies(env["kind"], env["payload"])
         assert reseal(env["kind"], env["payload"]) == (GOLDEN / name).read_bytes(), name
 
 
@@ -289,6 +292,35 @@ def test_golden_files_are_previous_without_derived_facts():
     for name in changed:
         env = json.loads((PREVIOUS_DERIVED_FACTS / name).read_bytes())
         _drop_derived_facts(env["kind"], env["payload"])
+        _drop_order_copies(env["kind"], env["payload"])
+        assert reseal(env["kind"], env["payload"]) == (GOLDEN / name).read_bytes(), name
+
+
+def _drop_order_copies(kind: str, payload: dict) -> None:
+    """Delete what generators wrote until the verifier derived the times
+    table, from a payload and the payloads nested in it, in place: the
+    order's copy of T, which the verifier takes from the bundle, and each
+    product's `coords`, which it back-substitutes from the witness; a
+    KeyError if one is missing."""
+    def visit(kind, payload):
+        if kind == "order":
+            del payload["T"]
+            for row in payload["products"]:
+                for entry in row:
+                    del entry["coords"]
+
+    _walk(kind, payload, visit)
+
+
+PREVIOUS_ORDER_WITNESS = GOLDEN / "previous-order-witness"
+
+
+def test_golden_files_are_previous_without_order_copies():
+    changed = sorted(path.name for path in PREVIOUS_ORDER_WITNESS.glob("*.json"))
+    assert changed == ["bundle.json", "order.json"]
+    for name in changed:
+        env = json.loads((PREVIOUS_ORDER_WITNESS / name).read_bytes())
+        _drop_order_copies(env["kind"], env["payload"])
         assert reseal(env["kind"], env["payload"]) == (GOLDEN / name).read_bytes(), name
 
 
@@ -320,5 +352,6 @@ if __name__ == "__main__":
     test_every_prime_certified_bundle_is_previous_with_free_primes()
     test_golden_files_are_previous_with_each_fact_stated_once()
     test_golden_files_are_previous_without_derived_facts()
+    test_golden_files_are_previous_without_order_copies()
     test_previous_recomputed_fields_are_the_golden_files_without_them()
     print(f"{len(certio._REGISTRY)} golden files round-trip and regenerate")

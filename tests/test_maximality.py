@@ -32,9 +32,9 @@ from ringcert.orders import (
     TimesTable,
     build_order_description,
     reduce_table_mod_p,
-    times_table_of,
     tt_mul,
     tt_pow,
+    verify_order_builder,
 )
 from ringcert.primality import sieve_primes
 from ringcert.resultants import disc_poly
@@ -70,7 +70,7 @@ def count_calls(monkeypatch, **names):
 def order_and_table(spec):
     T, d, cols = spec
     desc = build_order_description(T, d, cols)
-    return desc, times_table_of(desc)
+    return desc, verify_order_builder(desc, T)[1]
 
 
 @pytest.fixture(scope="module")
@@ -247,8 +247,7 @@ class TestFrobeniusKernel:
 
     def test_field_case(self):
         # linear T: O/pO is the prime field, Frobenius injective
-        desc = build_order_description([3, 1], 1, [[1]])
-        table = times_table_of(desc)
+        _, table = order_and_table(([3, 1], 1, [[1]]))
         vbar, nu, w, u = frobenius_kernel_basis(table, 5, minimal_frobenius_exponent(5, 1))
         assert vbar == []
 
@@ -315,19 +314,14 @@ class TestPMaxCertificates:
 
     def test_power_basis_not_maximal_at_2(self):
         # Z[alpha] inside the 3-10 cubic has index 2
-        desc = build_order_description(
-            [-10, -3, 0, 1], 1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        )
-        table = times_table_of(desc)
+        _, table = order_and_table(([-10, -3, 0, 1], 1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
         out = generate_pmax(table, 2)
         assert isinstance(out, KernelWitness)
         assert any(x % 2 for x in out.coords)
 
     def test_dedekind_cubic_power_basis_not_maximal_at_2(self):
-        desc = build_order_description(
-            [-8, -2, -1, 1], 1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        )
-        out = generate_pmax(times_table_of(desc), 2)
+        _, table = order_and_table(([-8, -2, -1, 1], 1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+        out = generate_pmax(table, 2)
         assert isinstance(out, KernelWitness)
 
     def test_unramified_simplified_form(self):
@@ -432,8 +426,7 @@ class TestPMaxCertificates:
 
 class TestWitnessSearch:
     def test_rank_one_case(self):
-        desc = build_order_description([3, 1], 1, [[1]])
-        table = times_table_of(desc)
+        _, table = order_and_table(([3, 1], 1, [[1]]))
         cert = generate_pmax(table, 3)
         assert isinstance(cert, PMaxShortCertificate)
         assert verify_pmax_short(table, 3, cert).accepted
@@ -454,8 +447,8 @@ class TestWitnessSearch:
         # witness's integer images, from phi once more, write a and c
         calls = count_calls(
             monkeypatch, candidates="_candidate_images", eliminations="pattern_reduce_fp")
-        desc = build_order_description([-122, -211, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]])
-        cert = generate_pmax(times_table_of(desc), 2)
+        _, table = order_and_table(([-122, -211, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]]))
+        cert = generate_pmax(table, 2)
         assert isinstance(cert, PMaxShortCertificate)
         assert calls == {"candidates": 6 + 1, "eliminations": 2 + 6}
 

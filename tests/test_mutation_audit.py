@@ -9,17 +9,26 @@ their module verifiers, on the order and defining polynomial that
 `golden/regenerate.py` built them for.  A mutant must be rejected with a
 reason path, and nothing may raise.  An accepted mutant is either a
 soundness fault or a field the verifier does not need; the only exceptions
-are the truth-preserving edits in `ALLOWED`, each with its reason.
+are the truth-preserving edits in `ALLOWED`, each with its reason.  A
+bumped coefficient of an order's product witness must fail that product's
+identity.
+
+A single bump also breaks the row's own statement, so it cannot show that
+the kernel forms' independence checks (i)-(iii) run.  The row edits can:
+row k copied over row i, or a row of V times p, keeps every row's statement
+true and leaves one row owning no column, and the reason must name that
+check and row.
 """
 
 import contextlib
 import io
+import itertools
 import json
 import re
 from pathlib import Path
 
 from ringcert import certio, cli, maximality
-from ringcert.orders import build_order_description, times_table_of, verify_order_builder
+from ringcert.orders import build_order_description, verify_order_builder
 from reference import reseal
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -27,9 +36,9 @@ GOLDEN = Path(__file__).parent / "golden"
 # the order and the pmax forms were built over X^3 - 211X - 122 with basis
 # {1, a, (a - a^2)/2} at p = 2, the Dedekind entry over X^3 - 2 at p = 3
 _CUBIC = ([-122, -211, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]])
-_TABLE = times_table_of(build_order_description(*_CUBIC))
+_TABLE = verify_order_builder(build_order_description(*_CUBIC), _CUBIC[0])[1]
 MODULE_VERIFIERS = {
-    "order": verify_order_builder,
+    "order": lambda desc: verify_order_builder(desc, _CUBIC[0])[0],
     "pmax-short": lambda cert: maximality.verify_pmax_short(_TABLE, 2, cert),
     "pmax-long": lambda cert: maximality.verify_pmax_long(_TABLE, 2, cert),
     "dedekind": lambda cert: maximality.verify_dedekind([-2, 0, 0, 1], 3, cert),
@@ -75,6 +84,22 @@ def _mutants(kind: str):
         holder[key] = old
 
 
+def _witness_reason(kind: str, path) -> str | None:
+    """The reason path a bumped product-witness coefficient at path must
+    get: the identity of that product, w_i * w_j with j = i + k.  None for
+    every other leaf."""
+    if kind == "bundle" and path[:1] == ("order",):
+        prefix, path = "bundle/", path[1:]
+    elif kind == "order":
+        prefix = ""
+    else:
+        return None
+    if path[:1] != ("products",):
+        return None
+    i, k = path[1:3]
+    return f"{prefix}order/identity/i={i}/j={i + k}"
+
+
 def _cli_verdict(data: bytes, tmp_path: Path) -> dict:
     path = tmp_path / "mutant.json"
     path.write_bytes(data)
@@ -100,6 +125,8 @@ def test_every_bumped_integer_is_rejected(tmp_path):
                 allowed.append((kind, path))
             elif accepted or not REASON_PATH.fullmatch(reason):
                 wrong.append((kind, path, reason))
+            elif _witness_reason(kind, path) not in (None, reason):
+                wrong.append((kind, path, reason))
             else:
                 rejected += 1
     assert wrong == []
@@ -113,4 +140,47 @@ def test_every_bumped_integer_is_rejected(tmp_path):
         ("lpfw", ("analysis", *certs, 1, "t")),
         ("rabin-ff", ("t",)),
     ]
-    assert rejected == 391 + 136 - len(allowed)
+    assert rejected == 369 + 114 - len(allowed)
+
+
+# the rows that state one fact each, copied together: V's rows (check i);
+# U's with W's (check ii); X's with its claimed coordinates, a and c, and
+# for the long form d and e too (check iii)
+ROW_GROUPS = (("i", ("V",)), ("ii", ("U", "W")), ("iii", ("X", "a", "c", "d", "e")))
+
+
+def _row_edits(kind: str):
+    """(check, row, resealed bytes) for the golden kernel certificate of
+    kind: every copy of row k over row i != k of a row group, which makes
+    row min(i, k) own no column, and every row of V times p = 2, which is
+    zero mod p and so owns none; each keeps that row's statement true."""
+    payload = json.loads((GOLDEN / f"{kind}.json").read_bytes())["payload"]
+
+    def edited(fields, i, row_of):
+        copy = json.loads(json.dumps(payload))
+        for f in fields:
+            copy[f][i] = row_of(copy[f])
+        return reseal(kind, copy)
+
+    for check, fields in ROW_GROUPS:
+        fields = [f for f in fields if f in payload]
+        for i, k in itertools.permutations(range(len(payload[fields[0]])), 2):
+            yield check, min(i, k), edited(fields, i, lambda rows: rows[k])
+    for i in range(len(payload["V"])):
+        yield "i", i, edited(["V"], i, lambda rows: [str(2 * int(x)) for x in rows[i]])
+
+
+def test_row_edits_fail_their_independence_check():
+    # the edited row owns no column and every other row keeps its own, so
+    # that row is the reason; a skipped check would let the edit through to
+    # a later check or to acceptance
+    checks = []
+    for kind in ("pmax-short", "pmax-long"):
+        for check, i, data in _row_edits(kind):
+            v = MODULE_VERIFIERS[kind](certio.parse(data))
+            assert v.reason == f"{kind}/check-{check}/i={i}", (kind, check, i, v)
+            checks.append(check)
+    # the golden forms have one kernel row, so V has no pair of rows to
+    # copy and is only scaled; two complement rows give two copies per
+    # form, three rows of X six
+    assert checks == (["ii"] * 2 + ["iii"] * 6 + ["i"]) * 2

@@ -8,23 +8,22 @@ from ringcert.exactalg import (
     ZZ,
     drop_trailing_zeros,
     list_mul,
+    list_sub,
     poly_divmod,
     reduce_mod_p,
 )
 from ringcert.orders import (
-    NotAnOrder,
     OrderDescription,
     ProductEntry,
     build_order_description,
-    element_coordinates,
     reduce_table_mod_p,
     theta_coordinates,
     theta_powers,
-    times_table_of,
     tt_mul,
     tt_pow,
     verify_order_builder,
 )
+from ringcert.pipeline import BundleError, generate_bundle
 from reference import fraction_back_substitution, integral, power_basis_with_table
 
 # cubic field Q[X]/<X^3 - 3X - 10> with integral basis {1, a, (a - a^2)/2}
@@ -46,77 +45,114 @@ def gauss():
     return build_order_description(GAUSS_T, 1, GAUSS_B)
 
 
+@pytest.fixture(scope="module")
+def cubic_table(cubic):
+    return verify_order_builder(cubic, CUBIC_T)[1]
+
+
+@pytest.fixture(scope="module")
+def gauss_table(gauss):
+    return verify_order_builder(gauss, GAUSS_T)[1]
+
+
+def _with_witness(desc, i, j, witness):
+    """desc with the witness of w_i*w_j, i <= j, replaced."""
+    rows = [list(row) for row in desc.products]
+    rows[i][j - i] = ProductEntry(tuple(witness))
+    return desc._replace(products=tuple(map(tuple, rows)))
+
+
 class TestBuilder:
     def test_cubic_fixture_verifies(self, cubic):
-        assert verify_order_builder(cubic).accepted
+        v, tt = verify_order_builder(cubic, CUBIC_T)
+        assert v.accepted and tt.n == 3
 
-    def test_cubic_w3_squared(self, cubic):
-        # ((a - a^2)/2)^2 = -5*w1 + 2*w2 - 2*w3
-        assert list(cubic.products[2][0].coords) == [-5, 2, -2]
+    def test_cubic_w3_squared(self, cubic_table):
+        # ((a - a^2)/2)^2 = -5*w1 + 2*w2 - 2*w3, derived from its witness
+        assert cubic_table.table[2][2] == (-5, 2, -2)
 
-    def test_corrupt_structure_constant_rejected(self, cubic):
-        rows = [list(row) for row in cubic.products]
-        rows[2][0] = rows[2][0]._replace(coords=(-4,) + rows[2][0].coords[1:])
-        bad = cubic._replace(products=tuple(tuple(row) for row in rows))
-        v = verify_order_builder(bad)
-        assert not v.accepted and v.reason == "order/identity/i=2/j=2"
+    def test_bumped_witness_rejected(self, cubic):
+        # a witness off by c*X^k moves y by c*X^k*T, of degree n + k >= n
+        n = cubic.n
+        for i in range(n):
+            for j in range(i, n):
+                honest = list(cubic.products[i][j - i].witness)
+                for k in range(n - 1):
+                    for c in (1, -1):
+                        bumped = honest + [0] * (k + 1 - len(honest))
+                        bumped[k] += c
+                        v, tt = verify_order_builder(_with_witness(cubic, i, j, bumped), CUBIC_T)
+                        assert v.reason == f"order/identity/i={i}/j={j}" and tt is None
 
     def test_long_witness_rejected_quickly(self, cubic):
         witness = tuple(range(-5000, 5000)) + (10**4299,)
-        rows = [list(row) for row in cubic.products]
-        rows[0][1] = rows[0][1]._replace(witness=witness)
-        bad = cubic._replace(products=tuple(tuple(row) for row in rows))
+        bad = _with_witness(cubic, 0, 1, witness)
         start = time.perf_counter()
-        v = verify_order_builder(bad)
+        v, _ = verify_order_builder(bad, CUBIC_T)
         assert time.perf_counter() - start < 1.0
         assert v.reason == "order/identity/i=0/j=1"
 
     def test_non_ring_basis_raises(self):
-        # {1, a, a^2/2} is not closed under multiplication
-        with pytest.raises(NotAnOrder):
-            build_order_description(CUBIC_T, 2, [[2, 0, 0], [0, 2, 0], [0, 0, 1]])
+        # {1, a, a^2/2} is not closed under multiplication: w_1*w_2 = a^3/2
+        # = 5 + 3a/2; the generator leaves that to the verifier's check
+        with pytest.raises(BundleError, match="order/identity/i=1/j=2$"):
+            generate_bundle(CUBIC_T, 2, [[2, 0, 0], [0, 2, 0], [0, 0, 1]])
 
-    def test_gauss_table(self, gauss):
-        tt = times_table_of(gauss)
-        assert tt.table == (((1, 0), (0, 1)), ((0, 1), (-1, 0)))
+    def test_gauss_table(self, gauss_table):
+        assert gauss_table.table == (((1, 0), (0, 1)), ((0, 1), (-1, 0)))
 
     def test_one_needs_b00_to_divide_d(self, cubic):
         # B is triangular, so d*e_0 back-substitutes to d / B_00: 1 is in O
-        # exactly when B_00 divides d (the cubic's B_00 = d = 2)
+        # exactly when B_00 divides d (the cubic's B_00 = d = 2); 2*Z[i] has
+        # every product identity exact
         assert cubic.basis_columns[0][0] == cubic.d == 2
-        with pytest.raises(NotAnOrder, match="1 is not in the span"):
-            build_order_description(GAUSS_T, 1, [[2, 0], [0, 2]])
+        desc = build_order_description(GAUSS_T, 1, [[2, 0], [0, 2]])
+        assert verify_order_builder(desc, GAUSS_T) == ((False, "order/one"), None)
+        with pytest.raises(BundleError, match="order/one$"):
+            generate_bundle(GAUSS_T, 1, [[2, 0], [0, 2]])
+
+    def test_half_theta_basis_rejected(self, tmp_path):
+        # {1, theta/2} in Q(i): d = 2, columns (2, 0) and (0, 1), with the
+        # honest witness of (theta/2)^2 = -1/4, which is not integral
+        desc = build_order_description(GAUSS_T, 2, [[2, 0], [0, 1]])
+        assert desc.products[1][0].witness == (-1,)
+        path = tmp_path / "order.json"
+        certio.write_file(path, desc)
+        v, tt = verify_order_builder(certio.parse_file(path), GAUSS_T)
+        assert v.reason == "order/identity/i=1/j=1" and tt is None
+
+    def test_basis_of_another_degree_rejected(self, cubic):
+        # the order carries no T of its own: it is checked over the caller's
+        assert verify_order_builder(cubic, [1, 0, 0, 0, 1])[0].reason == "order/B-shape"
 
 
 class TestTimesTableArithmetic:
-    def test_gauss_i_squared(self, gauss):
-        tt = times_table_of(gauss)
-        assert tt_mul(ZZ, tt, [0, 1], [0, 1]) == [-1]
+    def test_gauss_i_squared(self, gauss_table):
+        assert tt_mul(ZZ, gauss_table, [0, 1], [0, 1]) == [-1]
 
-    def test_gauss_i_fourth(self, gauss):
-        tt = times_table_of(gauss)
-        assert tt_pow(ZZ, tt, [0, 1], 4) == [1]
+    def test_gauss_i_fourth(self, gauss_table):
+        assert tt_pow(ZZ, gauss_table, [0, 1], 4) == [1]
 
-    def test_unit_row(self, cubic):
-        tt = times_table_of(cubic)
+    def test_unit_row(self, cubic_table):
+        tt = cubic_table
         rng = random.Random(1)
         for _ in range(20):
             x = [rng.randrange(-9, 10) for _ in range(3)]
             assert tt_mul(ZZ, tt, [1], x) == drop_trailing_zeros(x)
 
-    def test_cubic_w3_squared_via_table(self, cubic):
-        tt = times_table_of(cubic)
+    def test_cubic_w3_squared_via_table(self, cubic_table):
+        tt = cubic_table
         assert tt_mul(ZZ, tt, [0, 0, 1], [0, 0, 1]) == [-5, 2, -2]
         assert tt_pow(ZZ, tt, [0, 0, 1], 2) == [-5, 2, -2]
 
-    def test_pow_edge_cases(self, cubic):
-        tt = times_table_of(cubic)
+    def test_pow_edge_cases(self, cubic_table):
+        tt = cubic_table
         assert tt_pow(ZZ, tt, [3, 1, 2], 1) == [3, 1, 2]
         with pytest.raises(ValueError):
             tt_pow(ZZ, tt, [3, 1, 2], 0)
 
-    def test_ring_laws_random(self, cubic):
-        tt = times_table_of(cubic)
+    def test_ring_laws_random(self, cubic_table):
+        tt = cubic_table
         rng = random.Random(9)
         for _ in range(60):
             x, y, z = (
@@ -127,9 +163,9 @@ class TestTimesTableArithmetic:
             rhs = tt_mul(ZZ, tt, tt_mul(ZZ, tt, x, y), z)
             assert lhs == rhs
 
-    def test_oracle_polynomial_route(self, cubic):
+    def test_oracle_polynomial_route(self, cubic, cubic_table):
         # multiply via Q[X] mod T and re-express against the basis
-        tt = times_table_of(cubic)
+        tt = cubic_table
         rng = random.Random(4)
         b_mat = [[cubic.basis_columns[j][i] for j in range(3)] for i in range(3)]
         for _ in range(100):
@@ -145,8 +181,8 @@ class TestTimesTableArithmetic:
             z = integral(fraction_back_substitution(b_mat, rhs, CUBIC_D))
             assert z is not None and drop_trailing_zeros(z) == got
 
-    def test_mod_p_table(self, cubic):
-        tt = reduce_table_mod_p(times_table_of(cubic), 3)
+    def test_mod_p_table(self, cubic_table):
+        tt = reduce_table_mod_p(cubic_table, 3)
         assert tt_mul(3, tt, [0, 0, 1], [0, 0, 1]) == [1, 2, 1]
 
 
@@ -156,7 +192,8 @@ class TestTimesTableArithmetic:
         for name, fx in certio.FIXTURES.items():
             if fx["columns"] is None:
                 continue
-            tt = times_table_of(build_order_description(list(fx["T"]), fx["d"], fx["columns"]))
+            T = list(fx["T"])
+            tt = verify_order_builder(build_order_description(T, fx["d"], fx["columns"]), T)[1]
             tt_p = reduce_table_mod_p(tt, p)
             n = tt.n
             for _ in range(20):
@@ -169,14 +206,16 @@ class TestTimesTableArithmetic:
 
 class TestElementCoordinates:
     def test_theta_in_cubic(self, cubic):
-        assert theta_coordinates(cubic) == [0, 1, 0]
+        assert theta_coordinates(cubic, CUBIC_T) == [0, 1, 0]
 
-    def test_w3_roundtrip(self, cubic):
-        # (X - X^2)/2 has coordinates e_3
-        assert element_coordinates(cubic, [0, 1, -1], 2) == [0, 0, 1]
+    def test_w3_roundtrip(self, cubic, cubic_table):
+        # theta - theta^2 = 2*w3, with theta^2 from the derived table
+        theta = theta_coordinates(cubic, CUBIC_T)
+        assert list_sub(ZZ, theta, tt_mul(ZZ, cubic_table, theta, theta)) == [0, 0, 2]
 
-    def test_outside(self, cubic):
-        assert element_coordinates(cubic, [0, 0, 1], 2) is None  # a^2/2 not integral
+    def test_outside(self):
+        # Z[2i] = span{1, 2i} does not hold theta = i
+        assert theta_coordinates(build_order_description(GAUSS_T, 1, [[1, 0], [0, 2]]), GAUSS_T) is None
 
 
 def _identity(n):
@@ -200,10 +239,11 @@ class TestPowerBasis:
             n = len(T) - 1
             desc = build_order_description(T, 1, _identity(n))
             assert desc.products == ()
-            assert verify_order_builder(desc).accepted
-            full = power_basis_with_table(T)
-            assert verify_order_builder(full).accepted
-            assert times_table_of(desc) == times_table_of(full), T
+            v, rebuilt = verify_order_builder(desc, T)
+            assert v.accepted
+            v, derived = verify_order_builder(power_basis_with_table(T), T)
+            assert v.accepted
+            assert rebuilt == derived, T
 
     def test_theta_powers_reduce_monomials(self):
         for T in _power_basis_polys():
@@ -218,15 +258,15 @@ class TestPowerBasis:
         # each basis spans Z[i], but only d = 1 with B = I may omit the table
         for d, cols in ((2, [[2, 0], [0, 2]]), (-1, [[-1, 0], [0, -1]]), (1, [[1, 0], [1, 1]])):
             desc = build_order_description(GAUSS_T, d, cols)
-            assert verify_order_builder(desc).accepted
+            assert verify_order_builder(desc, GAUSS_T)[0].accepted
             bare = desc._replace(products=())
-            assert verify_order_builder(bare).reason == "order/products-shape", (d, cols)
-        half = gauss._replace(products=((ProductEntry((1, 0), ()),) * 2,))
-        assert verify_order_builder(half).reason == "order/products-shape"
+            assert verify_order_builder(bare, GAUSS_T) == ((False, "order/products-shape"), None)
+        half = gauss._replace(products=((ProductEntry(()),) * 2,))
+        assert verify_order_builder(half, GAUSS_T)[0].reason == "order/products-shape"
 
     def test_empty_products_on_a_cubic_rejected(self, cubic):
         bare = cubic._replace(products=())
-        assert verify_order_builder(bare).reason == "order/products-shape"
+        assert verify_order_builder(bare, CUBIC_T)[0].reason == "order/products-shape"
 
     def test_one_outside_a_closed_span_rejected(self):
         # c*Z[i] = span{c, c*i}, d = 1, is closed under multiplication with
@@ -234,15 +274,15 @@ class TestPowerBasis:
         # 1 lies in it only when B_00 = c divides d = 1
         for c in (1, -1, 2, 3, -2):
             desc = OrderDescription(
-                T=tuple(GAUSS_T), d=1, basis_columns=((c, 0), (0, c)),
-                products=((ProductEntry((c, 0), ()), ProductEntry((0, c), ())),
-                          (ProductEntry((-c, 0), (-c * c,)),)))
-            v = verify_order_builder(desc)
+                d=1, basis_columns=((c, 0), (0, c)),
+                products=((ProductEntry(()), ProductEntry(())), (ProductEntry((-c * c,)),)))
+            v, _ = verify_order_builder(desc, GAUSS_T)
             assert v.accepted if c in (1, -1) else v.reason == "order/one", c
 
     def test_full_power_basis_table_checked_entry_by_entry(self):
-        full = power_basis_with_table([-1, -1, 0, 0, 0, 1])
-        rows = [list(row) for row in full.products]
-        rows[1][2] = rows[1][2]._replace(coords=(1,) + rows[1][2].coords[1:])
-        bad = full._replace(products=tuple(tuple(row) for row in rows))
-        assert verify_order_builder(bad).reason == "order/identity/i=1/j=3"
+        # w_1*w_3 = X^4 needs no witness; with one, y has degree 5
+        T = [-1, -1, 0, 0, 0, 1]
+        full = power_basis_with_table(T)
+        assert full.products[1][2].witness == ()
+        bad = _with_witness(full, 1, 3, (1,))
+        assert verify_order_builder(bad, T)[0].reason == "order/identity/i=1/j=3"

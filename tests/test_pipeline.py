@@ -185,7 +185,7 @@ class TestBundleRejection:
         # does not back-substitute through B = diag(1, 2)
         gauss = generate_bundle([1, 0, 1], 1, [[1, 0], [0, 1]])
         order = build_order_description([1, 0, 1], 1, [[1, 0], [0, 2]])
-        assert verify_order_builder(order).accepted
+        assert verify_order_builder(order, [1, 0, 1])[0].accepted
         v = verify_bundle(gauss._replace(order=order))
         assert v.reason == "bundle/theta"
 

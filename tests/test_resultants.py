@@ -256,20 +256,23 @@ def disc_poly_fp(p, f):
 
 class TestOrderDiscriminant:
     def test_cubic_30_80(self):
-        desc = build_order_description([-80, -30, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [2, 0, 1]])
+        T = [-80, -30, 0, 1]
+        desc = build_order_description(T, 2, [[2, 0, 0], [0, 2, 0], [2, 0, 1]])
         assert power_basis_index(desc) == 2
-        assert disc_order(desc, disc_poly(list(desc.T))) == -16200
+        assert disc_order(desc, disc_poly(T)) == -16200
 
     def test_monogenic(self):
-        desc = build_order_description([1, -1, 1], 1, [[1, 0], [0, 1]])
+        T = [1, -1, 1]
+        desc = build_order_description(T, 1, [[1, 0], [0, 1]])
         assert power_basis_index(desc) == 1
-        assert disc_order(desc, disc_poly(list(desc.T))) == -3
+        assert disc_order(desc, disc_poly(T)) == -3
 
     def test_cubic_3_10(self):
-        desc = build_order_description([-10, -3, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]])
+        T = [-10, -3, 0, 1]
+        desc = build_order_description(T, 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]])
         assert power_basis_index(desc) == 2
         # disc(T) = -2592 classically; value = (-1)^3 * 2592 / 4
-        assert disc_order(desc, disc_poly(list(desc.T))) == -648
+        assert disc_order(desc, disc_poly(T)) == -648
 
     def test_index_routes_agree(self):
         # the diagonal formula against the index of d*I in the span of B
@@ -289,7 +292,8 @@ class TestOrderDiscriminant:
         for name, fx in certio.FIXTURES.items():
             if fx["disc"] is None:
                 continue
-            desc = build_order_description(list(fx["T"]), fx["d"], [list(c) for c in fx["columns"]])
-            assert disc_order(desc, disc_poly(list(desc.T))) == fx["disc"], name
+            T = list(fx["T"])
+            desc = build_order_description(T, fx["d"], [list(c) for c in fx["columns"]])
+            assert disc_order(desc, disc_poly(T)) == fx["disc"], name
             checked += 1
         assert checked == 10
