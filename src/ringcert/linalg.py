@@ -109,31 +109,23 @@ def nullspace_fp(m: list[list[int]], p: int) -> tuple[list[list[int]], list[int]
     return basis, free
 
 
-def solve_fraction_free(m: list[list[int]], r: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """(d, d * m^-1 * r) with d = det m, for a square integer matrix m and a
-    matrix r with as many rows, both integral.
-
-    `_bareiss` eliminates [m | r] to an upper triangular u with right-hand
-    side s, and `solve_upper_triangular` solves u.x = d * s one column at a
-    time, from the last row up.  By Cramer's rule d * m^-1 * r is integral,
-    so every division is exact.  Raises ValueError when m is singular.
-    """
-    d, u = _bareiss(m, r)
-    if not d:
-        raise ValueError("singular matrix")
-    n = len(m)
-    cols = zip(*(row[n:] for row in u))
-    return d, transpose([solve_upper_triangular(u, [d * s for s in col]) for col in cols])
-
-
 def inverse_unimodular(m: list[list[int]]) -> list[list[int]]:
-    """The integer inverse of a square integer matrix of determinant +-1:
-    `solve_fraction_free` with r = I.  Raises ValueError unless det m is a unit."""
+    """The integer inverse of a square integer matrix of determinant +-1.
+
+    `_bareiss` eliminates [m | I] to an upper triangular u with right-hand
+    side s, and `solve_upper_triangular` solves u.x = s one column at a
+    time, from the last row up.  With det m = +-1 the solution m^-1 is
+    integral, so every division is exact.  Raises ValueError when m is
+    singular or det m is not a unit.
+    """
     n = len(m)
-    det, scaled = solve_fraction_free(m, [[int(i == j) for j in range(n)] for i in range(n)])
+    det, u = _bareiss(m, [[int(i == j) for j in range(n)] for i in range(n)])
+    if not det:
+        raise ValueError("singular matrix")
     if det not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    return [[det * x for x in row] for row in scaled]
+    cols = zip(*(row[n:] for row in u))
+    return transpose([solve_upper_triangular(u, list(col)) for col in cols])
 
 
 def solve_upper_triangular(b: list[list[int]], rhs: list[int], den: int = 1) -> list[int] | None:

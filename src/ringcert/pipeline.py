@@ -2,12 +2,13 @@
 integers of Q[X]/<T>.
 
 A bundle chains together: an irreducibility certificate for T, the basis
-of the order with one witness per product, membership of theta, a
-separability witness a*T + b*T' = N with the certified primes of N, and
-one maximality certificate per prime factor p of N with p^2 | disc(O).
-N = disc(T) is not written: the verifier computes it once, by
-`resultants.disc_poly`, and uses it for disc(O), the factorization and
-the separability identity.
+of the order with one witness per product, membership of theta, the
+certified primes of N = disc(T), and one maximality certificate per prime
+factor p of N with p^2 | disc(O).
+N is not written: the verifier computes it once, by
+`resultants.disc_poly`, and uses it for disc(O) and the factorization, and
+N != 0 is the separability of T.  The Bezout pair a*T + b*T' = N is
+written empty; a file that states one must satisfy it.
 Nothing the verifier finds in time linear in what it reads is written
 either: theta's coordinates come from back-substituting d*X + T*witness
 through the triangular basis, each product's coordinates, the times table,
@@ -29,12 +30,11 @@ from .exactalg import (
     formal_derivative,
     list_add,
     list_mul,
-    list_sub,
     mul_pointwise,
     poly_divmod,
 )
 from .irred_int import DegreeAnalysisCertificate, LPFWCertificate
-from .linalg import solve_fraction_free, solve_upper_triangular
+from .linalg import solve_upper_triangular
 from .maximality import (
     DedekindCertificate,
     KernelWitness,
@@ -47,10 +47,8 @@ from .orders import (
     basis_rows,
     build_order_description,
     theta_coordinates,
-    theta_powers,
     verify_order_builder,
 )
-from .resultants import power_basis_index
 from .verdict import Verdict
 
 MaximalityCert = DedekindCertificate | PMaxShortCertificate | PMaxLongCertificate
@@ -75,7 +73,7 @@ class CertificateBundle(NamedTuple):
     irreducibility: DegreeAnalysisCertificate | LPFWCertificate
     order: OrderDescription
     theta_witness: tuple[int, ...]  # d*X + T*witness lies in the span of B
-    bezout_a: tuple[int, ...]      # a*T + b*T' = N = disc(T), nonzero
+    bezout_a: tuple[int, ...]      # a*T + b*T' = N = disc(T) when stated; written empty
     bezout_b: tuple[int, ...]
     primes: tuple[PrimeEntry, ...]  # every prime of N with p^2 | disc(O), maybe others
     free_primes: tuple[FactorEntry, ...] = ()  # the rest: p^2 does not divide disc(O)
@@ -170,17 +168,19 @@ def verify_bundle_with_disc(bundle: CertificateBundle) -> tuple[Verdict, int | N
         if not ok:
             return ok.prefixed(f"bundle/p={entry.p}"), None
 
-    # the separability identity itself; a and b must have the degrees of the
-    # extended-gcd cofactors, deg a < n - 1 and deg b < n, which bounds the
-    # products below by the size of T
+    # N != 0 is the separability of T; a file that states a Bezout pair must
+    # satisfy a*T + b*T' = N with the degrees of the extended-gcd cofactors,
+    # deg a < n - 1 and deg b < n, which bounds the products below by the
+    # size of T
     bez_a = drop_trailing_zeros(list(bundle.bezout_a))
     bez_b = drop_trailing_zeros(list(bundle.bezout_b))
-    if len(bez_a) >= n or len(bez_b) > n:
-        return Verdict.reject("bundle/separability"), None
-    tprime = formal_derivative(ZZ, T)
-    lhs = list_add(ZZ, list_mul(ZZ, bez_a, T), list_mul(ZZ, bez_b, tprime))
-    if lhs != [N]:
-        return Verdict.reject("bundle/separability"), None
+    if bez_a or bez_b:
+        if len(bez_a) >= n or len(bez_b) > n:
+            return Verdict.reject("bundle/separability"), None
+        tprime = formal_derivative(ZZ, T)
+        lhs = list_add(ZZ, list_mul(ZZ, bez_a, T), list_mul(ZZ, bez_b, tprime))
+        if lhs != [N]:
+            return Verdict.reject("bundle/separability"), None
 
     if bundle.claimed_disc is not None and bundle.claimed_disc != disc:
         reason = f"bundle/disc-claim/mismatch/claimed={bundle.claimed_disc}/det-route={disc}"
@@ -201,31 +201,6 @@ class BundleError(Exception):
         self.report = report
 
 
-def _bezout_witness(T: list[int]) -> tuple[list[int], list[int], int]:
-    """Integer a, b with a*T + b*T' = N = resultant(T, T'), deg a < n - 1 and
-    deg b < n, for separable T of degree n; the pair is unique.
-
-    M, the multiplication by T'(theta) on the power basis, has column j
-    theta^j * T'(theta), read off `theta_powers`, and det M is the norm of
-    T'(theta), which is N.  So b(theta) * T'(theta) = N is M.b = N e_0, and
-    one n x n fraction-free solve gives N and b together; then T divides
-    N - b*T' exactly, and the quotient is a.  T must be monic.
-    """
-    n = deg(T)
-    tprime = formal_derivative(ZZ, T)
-    powers = theta_powers(T)
-    m = [[sum(c * powers[j + k][i] for k, c in enumerate(tprime)) for j in range(n)]
-         for i in range(n)]
-    try:
-        res, x = solve_fraction_free(m, [[int(i == 0)] for i in range(n)])
-    except ValueError:
-        raise BundleError("defining polynomial is not separable") from None
-    b = drop_trailing_zeros([row[0] for row in x])
-    a, rest = poly_divmod(ZZ, list_sub(ZZ, [res], list_mul(ZZ, b, tprime)), T)
-    assert not rest
-    return a, b, res
-
-
 def generate_bundle(
     T: list[int],
     d: int,
@@ -236,7 +211,7 @@ def generate_bundle(
 
     Strategy: certify irreducibility of T, build the order and check it,
     which gives its times table, take
-    N = resultant(T, T'), then per prime p | N with p^2 | disc(O) try the
+    N = disc(T), then per prime p | N with p^2 | disc(O) try the
     Dedekind criterion first and fall back to kernel certificates; the
     other primes of N go to `free_primes` with no certificate.  A provably nontrivial
     kernel at some p aborts with the KernelWitness attached.
@@ -262,12 +237,12 @@ def generate_bundle(
     theta_q, _ = poly_divmod(ZZ, [0, d], T)
     theta_witness = mul_pointwise(ZZ, -1, theta_q)
 
-    bez_a, bez_b, N = _bezout_witness(T)
+    # T is certified irreducible, so N = disc(T) is nonzero; disc(O) by the
+    # verifier's own formula, and a prime that divides [O_K : O] has
+    # p^2 | disc(O), so none of them is left free
+    N = resultants.disc_poly(T)
     factors = primality.factorize(abs(N))
-
-    # |disc(O)| = |N| / [O : Z[theta]]^2, with no determinant; a prime that
-    # divides [O_K : O] has p^2 | disc(O), so none of them is left free
-    disc_abs = abs(N) // power_basis_index(desc) ** 2
+    disc = resultants.disc_order(desc, N)
     entries: list[PrimeEntry] = []
     free: list[FactorEntry] = []
     for p, _e in factors:
@@ -276,7 +251,7 @@ def generate_bundle(
             pratt = primality.generate_pratt(p)
             if pratt is None:
                 raise BundleError(f"failed to certify prime {p}")
-        if disc_abs % (p * p):
+        if disc % (p * p):
             free.append(FactorEntry(p, pratt))
             continue
         ded = maximality.generate_dedekind(T, p)
@@ -293,8 +268,8 @@ def generate_bundle(
         irreducibility=irr,
         order=desc,
         theta_witness=tuple(theta_witness),
-        bezout_a=tuple(bez_a),
-        bezout_b=tuple(bez_b),
+        bezout_a=(),
+        bezout_b=(),
         primes=tuple(entries),
         free_primes=tuple(free),
         claimed_disc=claimed_disc,

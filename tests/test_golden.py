@@ -108,10 +108,15 @@ PREVIOUS_POWER_BASIS = GOLDEN / "previous-power-basis" / "bundle.json"
 def test_previous_power_basis_bundle_still_verifies():
     assert certio.parse(PREVIOUS_POWER_BASIS.read_bytes()).order.products
     assert _verify_exit(PREVIOUS_POWER_BASIS) == 0
+    assert _disc(PREVIOUS_POWER_BASIS) == "2869\n"
+
+
+def _disc(path: Path) -> str:
+    """What `ringcert disc` prints for the bundle at path, which it accepts."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        assert cli.main(["disc", str(PREVIOUS_POWER_BASIS)]) == 0
-    assert out.getvalue() == "2869\n"
+        assert cli.main(["disc", str(path)]) == 0
+    return out.getvalue()
 
 
 def _move_to_free_primes(payload: dict, primes: set[int]) -> None:
@@ -133,6 +138,7 @@ def test_power_basis_bundle_is_previous_without_products():
     _drop_fields("bundle", env["payload"])
     _one_prime_rule("bundle", env["payload"])
     _drop_derived_facts("bundle", env["payload"])
+    _empty_bezout_pair("bundle", env["payload"])
     _drop_order_copies("bundle", env["payload"])
     env["payload"]["order"]["products"] = []
     _move_to_free_primes(env["payload"], {19, 151})
@@ -153,6 +159,7 @@ def test_every_prime_certified_bundle_is_previous_with_free_primes():
     env = json.loads(PREVIOUS_EVERY_PRIME_CERTIFIED.read_bytes())
     _one_prime_rule("bundle", env["payload"])
     _drop_derived_facts("bundle", env["payload"])
+    _empty_bezout_pair("bundle", env["payload"])
     _drop_order_copies("bundle", env["payload"])
     _move_to_free_primes(env["payload"], {1161683})
     T = [int(c) for c in env["payload"]["T"]]
@@ -248,6 +255,7 @@ def test_golden_files_are_previous_with_each_fact_stated_once():
         env = json.loads((PREVIOUS_ONE_PRIME_RULE / name).read_bytes())
         _one_prime_rule(env["kind"], env["payload"])
         _drop_derived_facts(env["kind"], env["payload"])
+        _empty_bezout_pair(env["kind"], env["payload"])
         _drop_order_copies(env["kind"], env["payload"])
         assert reseal(env["kind"], env["payload"]) == (GOLDEN / name).read_bytes(), name
 
@@ -292,6 +300,7 @@ def test_golden_files_are_previous_without_derived_facts():
     for name in changed:
         env = json.loads((PREVIOUS_DERIVED_FACTS / name).read_bytes())
         _drop_derived_facts(env["kind"], env["payload"])
+        _empty_bezout_pair(env["kind"], env["payload"])
         _drop_order_copies(env["kind"], env["payload"])
         assert reseal(env["kind"], env["payload"]) == (GOLDEN / name).read_bytes(), name
 
@@ -321,7 +330,33 @@ def test_golden_files_are_previous_without_order_copies():
     for name in changed:
         env = json.loads((PREVIOUS_ORDER_WITNESS / name).read_bytes())
         _drop_order_copies(env["kind"], env["payload"])
+        _empty_bezout_pair(env["kind"], env["payload"])
         assert reseal(env["kind"], env["payload"]) == (GOLDEN / name).read_bytes(), name
+
+
+def _empty_bezout_pair(kind: str, payload: dict) -> None:
+    """Empty a bundle payload's Bezout pair, which generators wrote until
+    N = disc(T) != 0 was the separability check, in place; a KeyError if a
+    side is missing."""
+    if kind == "bundle":
+        for key in ("bezout_a", "bezout_b"):
+            assert payload[key]
+            payload[key] = []
+
+
+# The golden bundle as generators wrote it while it stated a*T + b*T' = N
+PREVIOUS_BEZOUT_PAIR = GOLDEN / "previous-bezout-pair" / "bundle.json"
+
+
+def test_golden_bundle_is_previous_with_an_empty_pair():
+    assert sorted(path.name for path in PREVIOUS_BEZOUT_PAIR.parent.glob("*.json")) == [
+        "bundle.json"]
+    env = json.loads(PREVIOUS_BEZOUT_PAIR.read_bytes())
+    _empty_bezout_pair(env["kind"], env["payload"])
+    assert reseal(env["kind"], env["payload"]) == _path("bundle").read_bytes()
+    # its pair is checked, and it proves the same discriminant
+    assert _verify_exit(PREVIOUS_BEZOUT_PAIR) == 0
+    assert _disc(PREVIOUS_BEZOUT_PAIR) == _disc(_path("bundle")) == "-116936244\n"
 
 
 PREVIOUS_RECOMPUTED = GOLDEN / "previous-recomputed-fields"
@@ -353,5 +388,6 @@ if __name__ == "__main__":
     test_golden_files_are_previous_with_each_fact_stated_once()
     test_golden_files_are_previous_without_derived_facts()
     test_golden_files_are_previous_without_order_copies()
+    test_golden_bundle_is_previous_with_an_empty_pair()
     test_previous_recomputed_fields_are_the_golden_files_without_them()
     print(f"{len(certio._REGISTRY)} golden files round-trip and regenerate")

@@ -13,6 +13,10 @@ are the truth-preserving edits in `ALLOWED`, each with its reason.  A
 bumped coefficient of an order's product witness must fail that product's
 identity.
 
+The hostile benchmark corpus bumps an empty polynomial to ["1"], so every
+empty integer array of every golden file, given that one entry, must be
+rejected with a reason path too.
+
 A single bump also breaks the row's own statement, so it cannot show that
 the kernel forms' independence checks (i)-(iii) run.  The row edits can:
 row k copied over row i, or a row of V times p, keeps every row's statement
@@ -111,16 +115,20 @@ def _cli_verdict(data: bytes, tmp_path: Path) -> dict:
     return verdict
 
 
+def _verdict(kind: str, data: bytes, tmp_path: Path) -> tuple[bool, str | None]:
+    """(accepted, reason) for a mutant of the golden file of kind."""
+    if kind in MODULE_VERIFIERS:
+        v = MODULE_VERIFIERS[kind](certio.parse(data))
+        return v.accepted, v.reason
+    verdict = _cli_verdict(data, tmp_path)
+    return verdict["accepted"], verdict["reason"]
+
+
 def test_every_bumped_integer_is_rejected(tmp_path):
     rejected, allowed, wrong = 0, [], []
     for kind in (*STANDALONE, *MODULE_VERIFIERS):
         for path, allow, data in _mutants(kind):
-            if kind in MODULE_VERIFIERS:
-                v = MODULE_VERIFIERS[kind](certio.parse(data))
-                accepted, reason = v.accepted, v.reason
-            else:
-                verdict = _cli_verdict(data, tmp_path)
-                accepted, reason = verdict["accepted"], verdict["reason"]
+            accepted, reason = _verdict(kind, data, tmp_path)
             if allow is not None:
                 allowed.append((kind, path))
             elif accepted or not REASON_PATH.fullmatch(reason):
@@ -140,7 +148,52 @@ def test_every_bumped_integer_is_rejected(tmp_path):
         ("lpfw", ("analysis", *certs, 1, "t")),
         ("rabin-ff", ("t",)),
     ]
-    assert rejected == 369 + 114 - len(allowed)
+    # 369 standalone leaves before the golden bundle wrote its Bezout pair
+    # empty, which took its five leaves
+    assert rejected == 364 + 114 - len(allowed)
+
+
+def _empty_arrays(node, path=()):
+    """(path, holder, key) for every empty array below node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if value == []:
+            yield path + (key,), node, key
+        elif isinstance(value, (dict, list)):
+            yield from _empty_arrays(value, path + (key,))
+
+
+def test_every_filled_empty_array_is_rejected(tmp_path):
+    # the hostile corpus bumps an empty polynomial to ["1"]: every empty
+    # array of every golden file that still parses with that entry, so an
+    # integer array, must be rejected with a reason path
+    rejected, wrong = [], []
+    for kind in (*STANDALONE, *MODULE_VERIFIERS):
+        payload = json.loads((GOLDEN / f"{kind}.json").read_bytes())["payload"]
+        for path, holder, key in list(_empty_arrays(payload)):
+            holder[key] = ["1"]
+            data = reseal(kind, payload)
+            holder[key] = []
+            try:
+                certio.parse(data)
+            except certio.CertFormatError:
+                continue
+            accepted, reason = _verdict(kind, data, tmp_path)
+            if accepted or not REASON_PATH.fullmatch(reason):
+                wrong.append((kind, path, reason))
+            else:
+                rejected.append((kind, path, reason))
+    assert wrong == []
+    # none needs the allow-list.  The bundle's 13 (its Bezout pair, theta
+    # witness, four product witnesses, four unused Rabin Bezout rows and
+    # two empty Dedekind arrays), 2 and 4 unused Rabin rows in the degree
+    # analysis and lpfw files, 9 in rabin-ff (eight unused rows and a chain
+    # quotient), the order's 4 product witnesses and the Dedekind file's 2
+    assert [kind for kind, _path, _reason in rejected] == (
+        ["bundle"] * 13 + ["degree-analysis"] * 2 + ["lpfw"] * 4 + ["rabin-ff"] * 9
+        + ["order"] * 4 + ["dedekind"] * 2)
+    assert [(path, reason) for kind, path, reason in rejected if kind == "bundle"][:2] == [
+        (("bezout_a",), "bundle/separability"), (("bezout_b",), "bundle/separability")]
 
 
 # the rows that state one fact each, copied together: V's rows (check i);

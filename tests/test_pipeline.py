@@ -1,6 +1,5 @@
 import contextlib
 import io
-import random
 import time
 from math import prod
 
@@ -21,7 +20,6 @@ from ringcert.orders import build_order_description, verify_order_builder
 from ringcert.pipeline import (
     BundleError,
     FactorEntry,
-    _bezout_witness,
     generate_bundle,
     verify_bundle,
     verify_bundle_with_disc,
@@ -30,6 +28,19 @@ from ringcert.pipeline import (
 CUBIC_3_10 = ([-10, -3, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [0, 1, -1]])
 CUBIC_30_80 = ([-80, -30, 0, 1], 2, [[2, 0, 0], [0, 2, 0], [2, 0, 1]])
 QUAD = ([1, -1, 1], 1, [[1, 0], [0, 1]])
+
+
+def _stated_pair(T):
+    """The Bezout pair earlier generators wrote, a*T + b*T' = N =
+    resultant(T, T'): sympy's resultant times its gcdex cofactors."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    t = sum(c * x**i for i, c in enumerate(T))
+    res = sympy.resultant(t, sympy.diff(t, x), x)
+    s, u, h = sympy.gcdex(t, sympy.diff(t, x), x)
+    assert h == 1 and res == resultants.disc_poly(T)
+    coeffs = (sympy.Poly(res * e, x).all_coeffs()[::-1] for e in (s, u))
+    return tuple(tuple(drop_trailing_zeros([int(c) for c in cs])) for cs in coeffs)
 
 
 def claim(bundle, disc):
@@ -142,8 +153,23 @@ class TestBundleRejection:
         assert time.perf_counter() - start < 1.0
         assert v.reason == f"bundle/prime-factorization/p={p}"
 
+    def test_generated_bezout_pair_is_empty(self, bundle_3_10):
+        # N = disc(T) != 0 is the separability check, so no pair is written
+        assert bundle_3_10.bezout_a == bundle_3_10.bezout_b == ()
+        assert verify_bundle(bundle_3_10).accepted
+
+    def test_corpus_edits_of_the_empty_pair_rejected(self, bundle_3_10):
+        # the hostile corpus bumps the empty pair to (1,): a stated pair is
+        # checked, and neither T nor T' alone is the constant N
+        for field in ("bezout_a", "bezout_b"):
+            v = verify_bundle(bundle_3_10._replace(**{field: (1,)}))
+            assert v.reason == "bundle/separability", field
+
     def test_mutated_bezout(self, bundle_3_10):
-        bad = bundle_3_10._replace(bezout_a=tuple(x + 1 for x in bundle_3_10.bezout_a))
+        # a stated pair, as earlier generators wrote it, is checked
+        a, b = _stated_pair(CUBIC_3_10[0])
+        assert verify_bundle(bundle_3_10._replace(bezout_a=a, bezout_b=b)).accepted
+        bad = bundle_3_10._replace(bezout_a=tuple(x + 1 for x in a), bezout_b=b)
         v = verify_bundle(bad)
         assert not v.accepted and v.reason == "bundle/separability"
 
@@ -152,9 +178,10 @@ class TestBundleRejection:
         # extended-gcd degrees it is refused before any product is formed
         T = CUBIC_3_10[0]
         tprime = formal_derivative(ZZ, T)
+        stated_a, stated_b = _stated_pair(T)
         for c in (7, 10**4000):
-            a = list_add(ZZ, list(bundle_3_10.bezout_a), [0] * 10**4 + [c * t for t in tprime])
-            b = list_sub(ZZ, list(bundle_3_10.bezout_b), [0] * 10**4 + [c * t for t in T])
+            a = list_add(ZZ, list(stated_a), [0] * 10**4 + [c * t for t in tprime])
+            b = list_sub(ZZ, list(stated_b), [0] * 10**4 + [c * t for t in T])
             if c == 7:
                 lhs = list_add(ZZ, list_mul(ZZ, a, T), list_mul(ZZ, b, tprime))
                 assert lhs == [resultants.disc_poly(T)]
@@ -363,47 +390,6 @@ def test_quadratic_closed_form(d, tmp_path):
     assert _cli("verify", bundle)[0] == 0
     assert _cli("disc", bundle) == (0, f"{disc}\n", "")
     _assert_prime_split(certio.parse_file(bundle), disc)
-
-
-def _bezout_inputs():
-    """Every monic fixture T, the benchmark's bundle anchors, and seeded
-    random monic T: `generate_bundle` refuses any other T before it asks
-    for the pair, and the route through theta's powers needs T monic."""
-    polys = [list(fx["T"]) for fx in certio.FIXTURES.values() if fx["T"][-1] == 1]
-    polys += [[-1, -1] + [0] * (n - 2) + [1] for n in (12, 16, 20)]  # X^n - X - 1
-    polys += [[1] * p for p in (19, 29)]  # cyclotomic Phi_p
-    polys += [[2**n] + [0] * (n - 1) + [1] for n in (8, 16)]  # minimal polynomials of 2*zeta_2n
-    polys.append([1] + [0] * 7 + [1])
-    rng = random.Random(12)
-    for n in range(2, 13):
-        for _ in range(3):
-            polys.append([rng.randint(-20, 20) for _ in range(n)] + [1])
-    return polys
-
-
-class TestBezoutWitness:
-    def test_matches_sympy_resultant_times_gcdex(self):
-        sympy = pytest.importorskip("sympy")
-        x = sympy.Symbol("x")
-
-        def as_list(e):
-            return drop_trailing_zeros([int(c) for c in sympy.Poly(e, x).all_coeffs()[::-1]])
-
-        for T in _bezout_inputs():
-            t = sum(c * x**i for i, c in enumerate(T))
-            res = sympy.resultant(t, sympy.diff(t, x), x)
-            if res == 0:
-                with pytest.raises(BundleError, match="not separable"):
-                    _bezout_witness(T)
-                continue
-            s, u, h = sympy.gcdex(t, sympy.diff(t, x), x)
-            assert h == 1
-            want = (as_list(sympy.expand(res * s)), as_list(sympy.expand(res * u)), int(res))
-            assert _bezout_witness(T) == want, T
-
-    def test_inseparable_rejected(self):
-        with pytest.raises(BundleError, match="not separable"):
-            _bezout_witness([1, 2, 1])  # (X + 1)^2
 
 
 class TestDedekindPreference:
